@@ -4,7 +4,8 @@ Subcommands: analyze one graph, check properties on one graph, fuzz random
 corpora, sweep all labeled graphs at a fixed order, scan the conjecture
 sandwich, and list or verify the bundled fixtures. Exit codes: 0 everything
 held, 1 a property failed or a scan found a violation, 2 usage or input
-error, 3 a limit was hit while --strict was on. All JSON output carries
+error, 3 a limit was hit while --strict was on, 4 an internal error (any
+other exception, reported on one stderr line). All JSON output carries
 "schema": 1, sorts its keys, and serializes vertex sets as arrays of the
 original labels in vertex-id order.
 """
@@ -25,7 +26,7 @@ from .props import (Config, CorpusSpec, Facts, conjecture_scan,
                     parse_corpus_spec, random_corpus, registry, run,
                     select_properties)
 
-EXIT_OK, EXIT_FAIL, EXIT_USAGE, EXIT_LIMIT = 0, 1, 2, 3
+EXIT_OK, EXIT_FAIL, EXIT_USAGE, EXIT_LIMIT, EXIT_INTERNAL = 0, 1, 2, 3, 4
 
 
 def _dump(doc: dict) -> str:
@@ -422,6 +423,9 @@ def main(argv: list[str] | None = None) -> int:
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except Exception as exc:
+        print(f"internal error: {exc!r}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

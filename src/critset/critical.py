@@ -1,7 +1,8 @@
 """Critical difference machinery: double cover, d(G), ker, diadem, enumerations.
 
-The polynomial routes all reduce to bipartite matching on the double cover;
-the enumeration routes exist as oracles and are cross-checked in the tests.
+The polynomial routes all reduce to one maximum matching of the double cover
+and alternating reachability over it; the enumeration routes exist as oracles
+and are cross-checked in the tests.
 """
 
 from __future__ import annotations
@@ -9,9 +10,9 @@ from __future__ import annotations
 from typing import Iterator, NamedTuple
 
 from .graphs import (BipartitePartition, Graph, LimitExceeded, VertexSet,
-                     delete_vertices, difference, is_independent, iter_bits,
-                     neighborhood, vlist)
-from .matching import (_hopcroft_karp, bipartite_max_independent_set,
+                     difference, is_independent, iter_bits, neighborhood,
+                     vlist)
+from .matching import (_alternating_reach, _hopcroft_karp, _unmatched,
                        saturating_matching)
 
 ORACLE_LIMIT = 20
@@ -64,17 +65,20 @@ def critical_difference(g: Graph) -> int:
     return g.n - mu_h
 
 
-def critical_independent_witness(g: Graph) -> VertexSet:
-    """Return an independent J with d(J) = d(g).
-
-    Reads a maximum independent set I off the double cover, takes the critical
-    set P = {v : v+ in I}, and returns J = P - N(P); J may be empty when
-    d(g) = 0.
-    """
+def _ker_matching(g: Graph) -> tuple[DoubleCover, list[int], VertexSet]:
+    """Return the double cover, a maximum matching of it as a mate array, and
+    the plus copies that alternating paths reach from the unmatched ones."""
     cover = double_cover(g)
-    ind = bipartite_max_independent_set(cover.h, cover.parts)
-    p = ind & cover.parts.side_a
-    return p & ~neighborhood(g, p)
+    plus, minus = cover.parts
+    mate = _hopcroft_karp(cover.h, plus, minus)
+    return cover, mate, plus & _alternating_reach(
+        cover.h, mate, _unmatched(mate, plus), minus)
+
+
+def critical_independent_witness(g: Graph) -> VertexSet:
+    """Return an independent J with d(J) = d(g): the smallest critical set,
+    which is ker(g) and is empty when d(g) = 0."""
+    return _ker_matching(g)[2]
 
 
 def is_critical_set(g: Graph, x: VertexSet) -> bool:
@@ -88,24 +92,32 @@ def is_critical_independent(g: Graph, x: VertexSet) -> bool:
 
 
 def ker(g: Graph) -> VertexSet:
-    """Return ker(g): v belongs iff deleting v drops the critical difference."""
-    d0 = critical_difference(g)
-    out = 0
-    for v in range(g.n):
-        smaller, _ = delete_vertices(g, 1 << v)
-        if critical_difference(smaller) == d0 - 1:
-            out |= 1 << v
-    return out
+    """Return ker(g), the intersection of all critical independent sets.
+
+    A critical set's plus copies hold the unmatched plus copies and match
+    their minus neighbours back into themselves, so they hold the alternating
+    reach of the unmatched ones; that reach is critical and independent.
+    """
+    return _ker_matching(g)[2]
 
 
 def diadem(g: Graph) -> VertexSet:
-    """Return diadem(g) by the forcing rule: v is in some critical independent
-    set iff 1 - |N(v)| + d(g - N[v]) = d(g)."""
-    d0 = critical_difference(g)
+    """Return diadem(g), the union of all critical independent sets.
+
+    v belongs iff no neighbour of v lies in ker or among the plus copies that
+    alternating paths reach from v+. Those copies and ker then form a critical
+    set S, and S - N(S) is a critical independent set holding v. The reach
+    meets no unmatched minus copy: a path to one would start at a neighbour
+    of v in ker, since by the + / - symmetry of the cover the minus copies
+    that some maximum matching misses are those of ker. One search per
+    vertex makes this O(n m).
+    """
+    cover, mate, kr = _ker_matching(g)
     out = 0
     for v in range(g.n):
-        rest, _ = delete_vertices(g, neighborhood(g, 1 << v, closed=True))
-        if 1 - g.degree(v) + critical_difference(rest) == d0:
+        nbrs = g.adj[v]
+        if not nbrs & kr and not nbrs & _alternating_reach(
+                cover.h, mate, 1 << v, cover.parts.side_b):
             out |= 1 << v
     return out
 

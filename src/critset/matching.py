@@ -121,14 +121,17 @@ def _check_parts(g: Graph, parts: BipartitePartition) -> None:
             raise ValueError("edge inside side_b")
 
 
-def _alternating_reach(g: Graph, mate: list[int], left: VertexSet,
+def _unmatched(mate: list[int], x: VertexSet) -> VertexSet:
+    """Members of x that the mate array leaves unmatched."""
+    return sum(1 << v for v in iter_bits(x) if mate[v] == -1)
+
+
+def _alternating_reach(g: Graph, mate: list[int], start: VertexSet,
                        right: VertexSet) -> VertexSet:
-    """Vertices reachable from unmatched left vertices by alternating paths
-    (non-matching edges leftward-to-right, matching edges back)."""
-    reach = 0
-    stack = [u for u in iter_bits(left) if mate[u] == -1]
-    for u in stack:
-        reach |= 1 << u
+    """Vertices reachable from start by alternating paths: any edge from a
+    reached vertex into right, then the matching edge back out of right."""
+    reach = start
+    stack = list(iter_bits(start))
     while stack:
         u = stack.pop()
         for v in iter_bits(g.adj[u] & right & ~reach):
@@ -138,15 +141,6 @@ def _alternating_reach(g: Graph, mate: list[int], left: VertexSet,
                 reach |= 1 << w
                 stack.append(w)
     return reach
-
-
-def bipartite_max_independent_set(g: Graph, parts: BipartitePartition) -> VertexSet:
-    """Return a maximum independent set of a bipartite graph via a König cover."""
-    _check_parts(g, parts)
-    mate = _hopcroft_karp(g, parts.side_a, parts.side_b)
-    reach = _alternating_reach(g, mate, parts.side_a, parts.side_b)
-    cover = (parts.side_a & ~reach) | (parts.side_b & reach)
-    return g.full & ~cover
 
 
 def maximum_matching_general(g: Graph) -> Matching:
@@ -251,10 +245,10 @@ def saturating_matching(
     if from_set & into:
         raise ValueError("from_set and into must be disjoint")
     mate = _hopcroft_karp(g, from_set, into)
-    unmatched = [u for u in iter_bits(from_set) if mate[u] == -1]
+    unmatched = _unmatched(mate, from_set)
     if not unmatched:
         pairs = [(u, mate[u]) for u in iter_bits(from_set) if mate[u] != -1]
         return Matching(g.n, pairs), None
-    reach = _alternating_reach(g, mate, from_set, into)
+    reach = _alternating_reach(g, mate, unmatched, into)
     violator = from_set & reach
     return None, violator

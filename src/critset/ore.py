@@ -2,9 +2,11 @@
 
 For bipartite g = (A, B, E) and X inside one side, the deficiency of X is
 |X| - |N(X)|; its maximum over one side connects to the whole-graph critical
-machinery through the identities evaluated by ore_report. The per-side kernel
-and diadem rules mirror the whole-graph deletion and forcing rules and are
-kept honest by subset-enumeration oracles in the tests.
+machinery through the identities evaluated by ore_report. The sets attaining
+it are closed under union and intersection. The smallest (side kernel) and
+the largest (side diadem) are read off one maximum matching between the sides
+by alternating reachability; the tests check both against subset enumeration
+and against the per-vertex deletion and forcing rules.
 """
 
 from __future__ import annotations
@@ -17,10 +19,10 @@ from .critical import (ORACLE_LIMIT, _enumerate_target_sets,
                        critical_difference, diadem,
                        enumerate_critical_independent_sets, ker)
 from .graphs import (BipartitePartition, Graph, LimitExceeded, VertexSet,
-                     bipartition, delete_vertices, difference, iter_bits,
-                     neighborhood)
+                     bipartition, difference, neighborhood)
 from .ke import IdentityCheck
-from .matching import (_check_parts, maximum_matching_bipartite,
+from .matching import (_alternating_reach, _check_parts, _hopcroft_karp,
+                       _unmatched, maximum_matching_bipartite,
                        saturating_matching)
 from .mis import alpha, core_and_corona
 
@@ -51,20 +53,6 @@ def _side_mask(parts: BipartitePartition, side: Side) -> VertexSet:
     raise ValueError(f"side must be 'A' or 'B', got {side!r}")
 
 
-def _remap(mask: VertexSet, idmap: dict[int, int]) -> VertexSet:
-    out = 0
-    for v in iter_bits(mask):
-        if v in idmap:
-            out |= 1 << idmap[v]
-    return out
-
-
-def _sub_parts(parts: BipartitePartition, gone: VertexSet,
-               idmap: dict[int, int]) -> BipartitePartition:
-    return BipartitePartition(_remap(parts.side_a & ~gone, idmap),
-                              _remap(parts.side_b & ~gone, idmap))
-
-
 def delta0(g: Graph, parts: BipartitePartition, side: Side) -> int:
     """Largest |X| - |N(X)| over subsets X of the side; computed as
     |side| - mu(g), which the subset oracle confirms in the tests."""
@@ -81,31 +69,26 @@ def is_side_critical(g: Graph, parts: BipartitePartition, side: Side,
     return difference(g, x) == delta0(g, parts, side)
 
 
+def _side_matching(g: Graph, parts: BipartitePartition,
+                   side: Side) -> tuple[VertexSet, VertexSet, list[int]]:
+    """Return the side, the other side and a maximum matching between them."""
+    _check_parts(g, parts)
+    s = _side_mask(parts, side)
+    return s, g.full & ~s, _hopcroft_karp(g, parts.side_a, parts.side_b)
+
+
 def side_kernel(g: Graph, parts: BipartitePartition, side: Side) -> VertexSet:
-    """Intersection of all side-critical sets, by the deletion rule: v belongs
-    iff removing it drops the side's deficiency maximum by exactly 1."""
-    d0 = delta0(g, parts, side)
-    out = 0
-    for v in iter_bits(_side_mask(parts, side)):
-        bit = 1 << v
-        smaller, idmap = delete_vertices(g, bit)
-        if delta0(smaller, _sub_parts(parts, bit, idmap), side) == d0 - 1:
-            out |= bit
-    return out
+    """Intersection of all side-critical sets: the side's vertices that
+    alternating paths reach from the side's unmatched vertices."""
+    s, other, mate = _side_matching(g, parts, side)
+    return s & _alternating_reach(g, mate, _unmatched(mate, s), other)
 
 
 def side_diadem(g: Graph, parts: BipartitePartition, side: Side) -> VertexSet:
-    """Union of all side-critical sets, by the forcing rule: v belongs iff
-    1 - |N(v)| + delta0 of the side in g - N[v] matches delta0 of the side."""
-    d0 = delta0(g, parts, side)
-    out = 0
-    for v in iter_bits(_side_mask(parts, side)):
-        closed = neighborhood(g, 1 << v, closed=True)
-        smaller, idmap = delete_vertices(g, closed)
-        rest = delta0(smaller, _sub_parts(parts, closed, idmap), side)
-        if 1 - g.degree(v) + rest == d0:
-            out |= 1 << v
-    return out
+    """Union of all side-critical sets: the side minus every vertex that
+    alternating paths reach from the other side's unmatched vertices."""
+    s, other, mate = _side_matching(g, parts, side)
+    return s & ~_alternating_reach(g, mate, _unmatched(mate, other), s)
 
 
 def enumerate_side_critical_sets(

@@ -3,7 +3,7 @@ import random
 import pytest
 from hypothesis import HealthCheck, settings
 
-from critset.graphs import Graph, all_graphs, random_graph
+from critset.graphs import Graph, all_graphs, random_bipartite, random_graph
 
 settings.register_profile(
     "suite", deadline=None,
@@ -27,6 +27,19 @@ def random_sample(count: int, n_lo: int, n_hi: int, seed: int = 99):
         n = rng.randrange(n_lo, n_hi + 1)
         yield random_graph(n, rng.choice([0.15, 0.3, 0.5]),
                            rng.getrandbits(32))
+
+
+def mid_sample(seed: int, per_density: int = 5):
+    """Random general and bipartite graphs with n = 12..80, past the subset
+    oracles' reach, at average degree about 1.5 and 4 and at p = 0.2, 0.5."""
+    rng = random.Random(seed)
+    for density in (1.5, 4.0, 0.2, 0.5):
+        for _ in range(per_density):
+            n = rng.randrange(12, 81)
+            p = density / n if density > 1 else density
+            yield random_graph(n, p, rng.getrandbits(32))
+            a = rng.randrange(1, n)
+            yield random_bipartite(a, n - a, p, rng.getrandbits(32))
 
 
 @pytest.fixture(scope="session")

@@ -169,3 +169,69 @@ def brute_side_diadem(n: int, adj: list[int], side: int) -> int:
     for x in brute_side_critical_sets(n, adj, side):
         out |= x
     return out
+
+
+# -- per-vertex rules: polynomial references past the subset oracles' reach --
+
+def bipartite_mu(rows: dict[int, int]) -> int:
+    """Matching number of a bipartite graph given as left id -> bitmask of
+    right ids (the two id spaces are separate), by Kuhn's augmenting paths."""
+    owner: dict[int, int] = {}
+
+    def augment(u: int, seen: set[int]) -> bool:
+        for v in bits(rows[u]):
+            if v not in seen:
+                seen.add(v)
+                if v not in owner or augment(owner[v], seen):
+                    owner[v] = u
+                    return True
+        return False
+
+    return sum(1 for u in rows if augment(u, set()))
+
+
+def cover_d(n: int, adj: list[int], gone: int = 0) -> int:
+    """d(G - gone) = |V'| - mu of the double cover of G - gone."""
+    alive = ((1 << n) - 1) & ~gone
+    return alive.bit_count() - bipartite_mu(
+        {u: adj[u] & alive for u in bits(alive)})
+
+
+def deletion_ker(n: int, adj: list[int]) -> int:
+    """ker by the deletion rule: v belongs iff d(G - v) = d(G) - 1."""
+    d0 = cover_d(n, adj)
+    return sum(1 << v for v in range(n) if cover_d(n, adj, 1 << v) == d0 - 1)
+
+
+def forcing_diadem(n: int, adj: list[int]) -> int:
+    """diadem by the forcing rule: v belongs iff
+    1 - |N(v)| + d(G - N[v]) = d(G)."""
+    d0 = cover_d(n, adj)
+    return sum(1 << v for v in range(n)
+               if 1 - adj[v].bit_count() + cover_d(n, adj, adj[v] | 1 << v)
+               == d0)
+
+
+def side_delta0(adj: list[int], side: int, gone: int = 0) -> int:
+    """Largest deficiency over the side within G - gone, for bipartite G:
+    the side's surviving size minus the matching number between the sides."""
+    rest = side & ~gone
+    return rest.bit_count() - bipartite_mu(
+        {u: adj[u] & ~gone for u in bits(rest)})
+
+
+def deletion_side_kernel(adj: list[int], side: int) -> int:
+    """Side kernel by the deletion rule: v belongs iff deleting it drops the
+    side's deficiency maximum by exactly 1."""
+    d0 = side_delta0(adj, side)
+    return sum(1 << v for v in bits(side)
+               if side_delta0(adj, side, 1 << v) == d0 - 1)
+
+
+def forcing_side_diadem(adj: list[int], side: int) -> int:
+    """Side diadem by the forcing rule: v belongs iff
+    1 - |N(v)| + delta0 of the side in G - N[v] equals delta0 of the side."""
+    d0 = side_delta0(adj, side)
+    return sum(1 << v for v in bits(side)
+               if 1 - adj[v].bit_count()
+               + side_delta0(adj, side, adj[v] | 1 << v) == d0)

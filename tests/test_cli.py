@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from critset import cli
+from critset import cli, critical
 
 FIXDIR = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -105,6 +105,18 @@ def test_parse_error_reports_file_and_line(capsys, tmp_path):
     code, _, err = run_cli(capsys, "analyze", str(f))
     assert code == 2
     assert f"error: {f}:2:" in err
+
+
+def test_internal_error_exits_4_with_one_line(capsys, monkeypatch):
+    def deep(*args):
+        raise RecursionError("maximum recursion depth exceeded")
+
+    monkeypatch.setattr(critical, "_hopcroft_karp", deep)
+    code, out, err = run_cli(capsys, "analyze", str(FIXDIR / "fig511.edges"))
+    assert code == cli.EXIT_INTERNAL == 4
+    assert out == ""
+    assert err.splitlines() == [
+        "internal error: RecursionError('maximum recursion depth exceeded')"]
 
 
 def test_exhaustive_small_sweep(capsys):

@@ -3,7 +3,7 @@ import random
 import pytest
 
 import oracles as o
-from conftest import adj_of, random_sample, small_corpus
+from conftest import adj_of, mid_sample, random_sample, small_corpus
 from critset.critical import (critical_difference,
                               critical_independent_witness, critical_profile,
                               diadem, double_cover,
@@ -107,6 +107,15 @@ def test_ker_and_diadem_on_random_graphs():
         adj = adj_of(g)
         assert ker(g) == o.brute_ker(g.n, adj)
         assert diadem(g) == o.brute_diadem(g.n, adj)
+
+
+def test_ker_and_diadem_match_per_vertex_rules_past_oracle_reach():
+    # the deletion and forcing rules recompute d once per vertex, so they
+    # check the one-matching routes on graphs too big for subset enumeration
+    for g in mid_sample(seed=41):
+        adj = adj_of(g)
+        assert ker(g) == o.deletion_ker(g.n, adj), g.adj
+        assert diadem(g) == o.forcing_diadem(g.n, adj), g.adj
 
 
 def test_profile_is_consistent():

@@ -4,9 +4,8 @@ import oracles as o
 from conftest import adj_of, random_sample, small_corpus
 from critset.graphs import (Graph, bipartition, complete_bipartite,
                             complete_graph, cycle_graph, empty_graph,
-                            is_independent, neighborhood, path_graph)
-from critset.matching import (Matching, bipartite_max_independent_set,
-                              deficiency, maximum_matching_bipartite,
+                            neighborhood, path_graph)
+from critset.matching import (Matching, deficiency, maximum_matching_bipartite,
                               maximum_matching_general, saturating_matching)
 
 
@@ -88,19 +87,6 @@ def test_matching_queries():
     assert not lonely.saturates(0b111)
     with pytest.raises(ValueError):
         Matching(3, [(0, 1), (1, 2)])
-
-
-# -- König extraction ---------------------------------------------------------------
-
-def test_koenig_independent_set_exhaustive(graphs_n5):
-    for g in graphs_n5:
-        parts = bipartition(g)
-        if parts is None:
-            continue
-        s = bipartite_max_independent_set(g, parts)
-        assert is_independent(g, s)
-        assert s.bit_count() == g.n - o.brute_mu(g.n, adj_of(g))
-        assert s.bit_count() == o.brute_alpha(g.n, adj_of(g))
 
 
 # -- deficiency ----------------------------------------------------------------------

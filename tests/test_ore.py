@@ -1,7 +1,7 @@
 import pytest
 
 import oracles as o
-from conftest import adj_of
+from conftest import adj_of, mid_sample
 from critset.fixtures import load
 from critset.graphs import (BipartitePartition, LimitExceeded, bipartition,
                             complete_bipartite, complete_graph, cycle_graph,
@@ -63,6 +63,22 @@ def test_side_diadem_matches_oracle(graphs_n5):
             g.n, adj, parts.side_a)
         assert side_diadem(g, parts, "B") == o.brute_side_diadem(
             g.n, adj, parts.side_b)
+
+
+def test_side_rules_match_per_vertex_rules_past_oracle_reach():
+    checked = 0
+    for g in mid_sample(seed=43):
+        parts = bipartition(g)
+        if parts is None:
+            continue
+        adj = adj_of(g)
+        for side, mask in zip("AB", parts):
+            assert side_kernel(g, parts, side) == o.deletion_side_kernel(
+                adj, mask), g.adj
+            assert side_diadem(g, parts, side) == o.forcing_side_diadem(
+                adj, mask), g.adj
+        checked += 1
+    assert checked >= 12
 
 
 def test_side_critical_enumeration_matches_oracle(graphs_n5):
