@@ -1,34 +1,24 @@
-"""Critical difference machinery: double cover, d(G), ker, diadem, enumerations.
+"""Critical difference machinery: d(G), ker, diadem, enumerations.
 
-The polynomial routes all reduce to one maximum matching of the double cover
-and alternating reachability over it; the enumeration routes exist as oracles
-and are cross-checked in the tests.
+The polynomial routes all reduce to one maximum matching of the bipartite
+double cover H (v+ w- adjacent iff vw is an edge) and alternating
+reachability over it. H is never built: its plus and minus copies are both
+numbered by g's ids, and g's neighbour lists are its adjacency. The matching
+is computed once per graph and memoised on the Graph, so d, the witness, ker
+and diadem of one graph share it. The enumeration routes exist as oracles and
+are cross-checked in the tests.
 """
 
 from __future__ import annotations
 
 from typing import Iterator, NamedTuple
 
-from .graphs import (BipartitePartition, Graph, LimitExceeded, VertexSet,
-                     difference, is_independent, iter_bits, neighborhood,
-                     vlist)
-from .matching import (_alternating_reach, _hopcroft_karp, _unmatched,
-                       saturating_matching)
+from .graphs import (Graph, LimitExceeded, VertexSet, difference,
+                     is_independent, iter_bits, neighborhood, vlist, vset)
+from .matching import (_alternating_reach, _hopcroft_karp,
+                       _max_matching_lists, _unmatched, saturating_matching)
 
 ORACLE_LIMIT = 20
-
-
-class DoubleCover(NamedTuple):
-    """Bipartite companion of g: ids 0..n-1 are the plus copies, n..2n-1 minus."""
-
-    h: Graph
-    parts: BipartitePartition
-
-    def up(self, v: int) -> int:
-        return v
-
-    def down(self, v: int) -> int:
-        return self.h.n // 2 + v
 
 
 class CriticalProfile(NamedTuple):
@@ -39,46 +29,46 @@ class CriticalProfile(NamedTuple):
     method: str
 
 
-def double_cover(g: Graph) -> DoubleCover:
-    """Return H with v+ w- adjacent iff vw is an edge of g."""
-    n = g.n
-    adj = [0] * (2 * n)
-    for v in range(n):
-        adj[v] = g.adj[v] << n
-        adj[n + v] = g.adj[v]
-    labels = tuple(f"{lab}+" for lab in g.labels) + tuple(
-        f"{lab}-" for lab in g.labels)
-    h = Graph.from_adj(tuple(adj), labels)
-    plus = (1 << n) - 1
-    return DoubleCover(h, BipartitePartition(plus, plus << n))
+class _CoverMatching(NamedTuple):
+    """A maximum matching of the double cover and the ker it yields."""
+
+    mate_plus: list[int]   # v+ -> w when v+ w- is matched, else -1
+    mate_minus: list[int]  # w- -> v
+    in_ker: bytearray      # 1 at the members of ker
+    ker: VertexSet
+
+
+def _ker_matching(g: Graph) -> _CoverMatching:
+    """Match the double cover and take ker as the plus copies that
+    alternating paths reach from the unmatched ones; memoised on g."""
+    memo = g._cover
+    if memo is None:
+        n = g.n
+        mate_plus, mate_minus = [-1] * n, [-1] * n
+        _max_matching_lists(g.nbrs, range(n), mate_plus, mate_minus)
+        in_ker = bytearray(n)
+        members, _ = _alternating_reach(
+            g.nbrs, mate_minus, _unmatched(mate_plus, range(n)), in_ker,
+            bytearray(n))
+        memo = g._cover = _CoverMatching(mate_plus, mate_minus, in_ker,
+                                         vset(members))
+    return memo
 
 
 def critical_difference(g: Graph) -> int:
     """Return d(g) = alpha(double cover) - |V|, via bipartite matching.
 
     Every X gives the H-independent set X+ union (V-N(X))-, so alpha(H) =
-    n + d(g); with H bipartite, alpha(H) = 2n - mu(H), hence d = n - mu(H).
+    n + d(g); with H bipartite, alpha(H) = 2n - mu(H), hence d = n - mu(H),
+    the number of unmatched plus copies.
     """
-    cover = double_cover(g)
-    mate = _hopcroft_karp(cover.h, cover.parts.side_a, cover.parts.side_b)
-    mu_h = sum(1 for v in mate[:g.n] if v != -1)
-    return g.n - mu_h
-
-
-def _ker_matching(g: Graph) -> tuple[DoubleCover, list[int], VertexSet]:
-    """Return the double cover, a maximum matching of it as a mate array, and
-    the plus copies that alternating paths reach from the unmatched ones."""
-    cover = double_cover(g)
-    plus, minus = cover.parts
-    mate = _hopcroft_karp(cover.h, plus, minus)
-    return cover, mate, plus & _alternating_reach(
-        cover.h, mate, _unmatched(mate, plus), minus)
+    return _ker_matching(g).mate_plus.count(-1)
 
 
 def critical_independent_witness(g: Graph) -> VertexSet:
     """Return an independent J with d(J) = d(g): the smallest critical set,
     which is ker(g) and is empty when d(g) = 0."""
-    return _ker_matching(g)[2]
+    return _ker_matching(g).ker
 
 
 def is_critical_set(g: Graph, x: VertexSet) -> bool:
@@ -98,7 +88,7 @@ def ker(g: Graph) -> VertexSet:
     their minus neighbours back into themselves, so they hold the alternating
     reach of the unmatched ones; that reach is critical and independent.
     """
-    return _ker_matching(g)[2]
+    return _ker_matching(g).ker
 
 
 def diadem(g: Graph) -> VertexSet:
@@ -110,16 +100,25 @@ def diadem(g: Graph) -> VertexSet:
     meets no unmatched minus copy: a path to one would start at a neighbour
     of v in ker, since by the + / - symmetry of the cover the minus copies
     that some maximum matching misses are those of ker. One search per
-    vertex makes this O(n m).
+    vertex makes this O(n m); the searches share two flag arrays and clear
+    only what each one marked.
     """
-    cover, mate, kr = _ker_matching(g)
-    out = 0
+    cover = _ker_matching(g)
+    nbrs, in_ker = g.nbrs, cover.in_ker
+    seen_plus, seen_minus = bytearray(g.n), bytearray(g.n)
+    members = []
     for v in range(g.n):
-        nbrs = g.adj[v]
-        if not nbrs & kr and not nbrs & _alternating_reach(
-                cover.h, mate, 1 << v, cover.parts.side_b):
-            out |= 1 << v
-    return out
+        if any(in_ker[u] for u in nbrs[v]):
+            continue
+        plus, minus = _alternating_reach(nbrs, cover.mate_minus, (v,),
+                                         seen_plus, seen_minus)
+        if not any(seen_plus[u] for u in nbrs[v]):
+            members.append(v)
+        for u in plus:
+            seen_plus[u] = 0
+        for w in minus:
+            seen_minus[w] = 0
+    return vset(members)
 
 
 def critical_profile(g: Graph) -> CriticalProfile:

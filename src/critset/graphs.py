@@ -9,6 +9,11 @@ from typing import Iterable, Iterator, NamedTuple
 VertexSet = int
 
 EXHAUSTIVE_MAX_N = 7
+# largest vertex count a DIMACS header may declare; the parser allocates a
+# label per declared vertex, so a larger header is rejected before that
+DIMACS_MAX_N = 1_000_000
+# byte 0 to the digit "0", every other byte to "1"
+_FLAG_DIGITS = b"0" + b"1" * 255
 
 
 class ParseError(ValueError):
@@ -30,11 +35,19 @@ class BipartitePartition(NamedTuple):
 
 
 def vset(vertices: Iterable[int]) -> VertexSet:
-    """Build a bitmask from an iterable of vertex ids."""
-    mask = 0
-    for v in vertices:
-        mask |= 1 << v
-    return mask
+    """Build a bitmask from an iterable of vertex ids.
+
+    The bits go into a flag array that becomes one binary literal, so the cost
+    is linear in the largest id; OR-ing in one bit per id would copy the
+    growing int each time.
+    """
+    ids = list(vertices)
+    if not ids:
+        return 0
+    flags = bytearray(max(ids) + 1)
+    for v in ids:
+        flags[v] = 1
+    return int(flags[::-1].translate(_FLAG_DIGITS), 2)
 
 
 def vlist(mask: VertexSet) -> list[int]:
@@ -56,13 +69,20 @@ def iter_bits(mask: VertexSet) -> Iterator[int]:
 
 
 class Graph:
-    """Finite simple undirected graph; vertices are 0..n-1, labels for display."""
+    """Finite simple undirected graph; vertices are 0..n-1, labels for display.
 
-    __slots__ = ("n", "adj", "labels")
+    `adj[v]` is v's neighbourhood as a bitmask and `nbrs[v]` the same
+    neighbours as a sorted tuple. The matching routines memoise the double
+    cover's maximum matching in a private slot; since a Graph never changes,
+    the memo stays valid, and it is left out of equality, hashing and pickling.
+    """
+
+    __slots__ = ("n", "adj", "labels", "_nbrs", "_cover")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]],
                  labels: tuple[str, ...] | None = None):
         adj = [0] * n
+        nbrs: list[list[int]] = [[] for _ in range(n)]
         for u, v in edges:
             if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"edge ({u},{v}) out of range for n={n}")
@@ -72,8 +92,12 @@ class Graph:
                 raise ValueError(f"duplicate edge ({u},{v})")
             adj[u] |= 1 << v
             adj[v] |= 1 << u
+            nbrs[u].append(v)
+            nbrs[v].append(u)
         self.n = n
         self.adj = tuple(adj)
+        self._nbrs = tuple(tuple(sorted(vs)) for vs in nbrs)
+        self._cover = None
         if labels is None:
             labels = tuple(str(i) for i in range(n))
         elif len(labels) != n:
@@ -89,7 +113,15 @@ class Graph:
         g.adj = adj
         g.labels = labels if labels is not None else tuple(
             str(i) for i in range(len(adj)))
+        g._nbrs = g._cover = None
         return g
+
+    @property
+    def nbrs(self) -> tuple[tuple[int, ...], ...]:
+        """Sorted neighbour ids per vertex; built on first use for from_adj."""
+        if self._nbrs is None:
+            self._nbrs = tuple(tuple(vlist(a)) for a in self.adj)
+        return self._nbrs
 
     @property
     def full(self) -> VertexSet:
@@ -128,6 +160,7 @@ class Graph:
 
     def __setstate__(self, state):
         self.n, self.adj, self.labels = state
+        self._nbrs = self._cover = None
 
 
 def _check_subset(g: Graph, x: VertexSet) -> None:
@@ -191,45 +224,23 @@ def bipartition(g: Graph) -> BipartitePartition | None:
     Per connected component the smallest-id vertex is the BFS root and its
     color class joins side_a, so the partition is deterministic.
     """
-    color = [-1] * g.n
-    side_a = side_b = 0
+    nbrs = g.nbrs
+    color = bytearray(g.n)  # 0 uncolored, 1 side_a, 2 side_b
     for root in range(g.n):
-        if color[root] != -1:
+        if color[root]:
             continue
-        color[root] = 0
+        color[root] = 1
         queue = [root]
-        while queue:
-            nxt = []
-            for u in queue:
-                cu = color[u]
-                for v in iter_bits(g.adj[u]):
-                    if color[v] == -1:
-                        color[v] = cu ^ 1
-                        nxt.append(v)
-                    elif color[v] == cu:
-                        return None
-            queue = nxt
-    seen = [False] * g.n
-    for root in range(g.n):
-        if seen[root]:
-            continue
-        stack = [root]
-        seen[root] = True
-        comp = [root]
-        while stack:
-            u = stack.pop()
-            for v in iter_bits(g.adj[u]):
-                if not seen[v]:
-                    seen[v] = True
-                    stack.append(v)
-                    comp.append(v)
-        root_color = color[root]
-        for v in comp:
-            if color[v] == root_color:
-                side_a |= 1 << v
-            else:
-                side_b |= 1 << v
-    return BipartitePartition(side_a, side_b)
+        for u in queue:
+            cu = color[u]
+            for v in nbrs[u]:
+                if not color[v]:
+                    color[v] = 3 - cu
+                    queue.append(v)
+                elif color[v] == cu:
+                    return None
+    side_a = vset(v for v in range(g.n) if color[v] == 1)
+    return BipartitePartition(side_a, g.full ^ side_a)
 
 
 def induced(g: Graph, keep: VertexSet) -> tuple[Graph, dict[int, int]]:
@@ -300,6 +311,11 @@ def _parse_dimacs(text: str) -> Graph:
                 n, m_declared = int(tokens[2]), int(tokens[3])
             except ValueError:
                 raise ParseError(line_no, "non-integer counts in problem line")
+            if n < 0 or m_declared < 0:
+                raise ParseError(line_no, "negative counts in problem line")
+            if n > DIMACS_MAX_N:
+                raise ParseError(
+                    line_no, f"{n} vertices exceeds the limit {DIMACS_MAX_N}")
             header_line = line_no
         elif tokens[0] == "e":
             if n < 0:

@@ -1,10 +1,19 @@
-"""Maximum matchings: bipartite (Hopcroft-Karp), general (blossom), Hall queries."""
+"""Maximum matchings: bipartite (Hopcroft-Karp), general (blossom), Hall queries.
+
+Every routine works on the graph's sorted neighbour lists and none recurses,
+so the depth of a search does not grow with n. One Hopcroft-Karp kernel
+serves both the matchings between two vertex sets of a graph and the
+matching of the double cover, which is never built: critical.py runs the
+kernel with the plus and minus copies both numbered by the graph's ids, and
+memoises the result on the Graph. One alternating-reach traversal serves the
+double cover, the Ore side rules and the Hall violator.
+"""
 
 from __future__ import annotations
 
-from .graphs import BipartitePartition, Graph, VertexSet, iter_bits
+from typing import Iterable
 
-_INF = float("inf")
+from .graphs import BipartitePartition, Graph, VertexSet, iter_bits, vlist, vset
 
 
 class Matching:
@@ -49,52 +58,102 @@ class Matching:
         return f"Matching({sorted(self.edges)})"
 
 
+def _max_matching_lists(adj, left, mate_l: list[int],
+                        mate_r: list[int]) -> None:
+    """Hopcroft-Karp over neighbour lists: grow the matching held in mate_l
+    (left id to right id, -1 when unmatched) and mate_r (the reverse) to a
+    maximum one, using the edges from each left id u to adj[u].
+
+    `left` lists the left ids in the order roots are tried; left and right ids
+    may share one numbering (the double cover) or be disjoint ids of one graph,
+    in which case mate_l and mate_r may be the same list. Each phase layers the
+    left vertices by BFS from the unmatched ones, then runs one DFS per
+    unmatched root. The DFS keeps an explicit stack but visits exactly as the
+    recursive form would: it takes the first neighbour, in adj order, that is
+    free or whose mate lies one layer deeper and leads to a free vertex, and
+    it retires a vertex whose neighbours are exhausted. The matching is
+    therefore reproducible from the order of left and adj alone.
+    """
+    inf = len(mate_l) + 1  # deeper than any BFS layer
+    dist = [inf] * len(mate_l)
+    while True:
+        queue = []
+        for u in left:
+            if mate_l[u] == -1:
+                dist[u] = 0
+                queue.append(u)
+            else:
+                dist[u] = inf
+        found = False
+        for u in queue:
+            deeper = dist[u] + 1
+            for v in adj[u]:
+                w = mate_r[v]
+                if w == -1:
+                    found = True
+                elif dist[w] == inf:
+                    dist[w] = deeper
+                    queue.append(w)
+        if not found:
+            return
+        for root in left:
+            if mate_l[root] != -1:
+                continue
+            # stack[k] descended through its neighbour adj[stack[k]][pos[k] - 1]
+            stack, pos = [root], [0]
+            while stack:
+                u = stack[-1]
+                nb = adj[u]
+                i = pos[-1]
+                deeper = dist[u] + 1
+                descend = free = False
+                while i < len(nb):
+                    w = mate_r[nb[i]]
+                    i += 1
+                    if w == -1:
+                        free = True
+                        break
+                    if dist[w] == deeper:
+                        descend = True
+                        break
+                pos[-1] = i
+                if free:
+                    for x, k in zip(stack, pos):
+                        y = adj[x][k - 1]
+                        mate_l[x], mate_r[y] = y, x
+                    break
+                if descend:
+                    stack.append(w)
+                    pos.append(0)
+                else:
+                    dist[u] = inf
+                    stack.pop()
+                    pos.pop()
+
+
+def _side_lists(g: Graph, left: VertexSet, right: VertexSet):
+    """The ids of left in increasing order, and per id of g its neighbours in
+    right (none for ids outside left)."""
+    ids = vlist(left)
+    in_right = bytearray(g.n)
+    for v in iter_bits(right):
+        in_right[v] = 1
+    nbrs = g.nbrs
+    adj: list = [()] * g.n
+    for u in ids:
+        adj[u] = [v for v in nbrs[u] if in_right[v]]
+    return ids, adj
+
+
 def _hopcroft_karp(g: Graph, left: VertexSet, right: VertexSet) -> list[int]:
     """Maximum matching between left and right using only left-right edges.
 
     Returns the mate array over all of g's ids (-1 for unmatched or outside).
     Vertices are scanned in increasing id order so the result is reproducible.
     """
-    left_ids = list(iter_bits(left))
-    adj = {u: list(iter_bits(g.adj[u] & right)) for u in left_ids}
+    ids, adj = _side_lists(g, left, right)
     mate = [-1] * g.n
-    dist: dict[int, float] = {}
-
-    def bfs() -> bool:
-        queue = []
-        for u in left_ids:
-            if mate[u] == -1:
-                dist[u] = 0
-                queue.append(u)
-            else:
-                dist[u] = _INF
-        found = False
-        head = 0
-        while head < len(queue):
-            u = queue[head]
-            head += 1
-            for v in adj[u]:
-                w = mate[v]
-                if w == -1:
-                    found = True
-                elif dist[w] == _INF:
-                    dist[w] = dist[u] + 1
-                    queue.append(w)
-        return found
-
-    def dfs(u: int) -> bool:
-        for v in adj[u]:
-            w = mate[v]
-            if w == -1 or (dist[w] == dist[u] + 1 and dfs(w)):
-                mate[u], mate[v] = v, u
-                return True
-        dist[u] = _INF
-        return False
-
-    while bfs():
-        for u in left_ids:
-            if mate[u] == -1:
-                dfs(u)
+    _max_matching_lists(adj, ids, mate, mate)
     return mate
 
 
@@ -121,32 +180,50 @@ def _check_parts(g: Graph, parts: BipartitePartition) -> None:
             raise ValueError("edge inside side_b")
 
 
-def _unmatched(mate: list[int], x: VertexSet) -> VertexSet:
-    """Members of x that the mate array leaves unmatched."""
-    return sum(1 << v for v in iter_bits(x) if mate[v] == -1)
+def _unmatched(mate: list[int], ids: Iterable[int]) -> list[int]:
+    """The ids that the mate array leaves unmatched, in the given order."""
+    return [v for v in ids if mate[v] == -1]
 
 
-def _alternating_reach(g: Graph, mate: list[int], start: VertexSet,
-                       right: VertexSet) -> VertexSet:
-    """Vertices reachable from start by alternating paths: any edge from a
-    reached vertex into right, then the matching edge back out of right."""
-    reach = start
-    stack = list(iter_bits(start))
-    while stack:
-        u = stack.pop()
-        for v in iter_bits(g.adj[u] & right & ~reach):
-            reach |= 1 << v
-            w = mate[v]
-            if w != -1 and not reach >> w & 1:
-                reach |= 1 << w
-                stack.append(w)
-    return reach
+def _alternating_reach(adj, mate_r: list[int], start: Iterable[int],
+                       seen_l: bytearray,
+                       seen_r: bytearray) -> tuple[list[int], list[int]]:
+    """Mark what alternating paths reach from the left ids in start: an edge
+    from a reached left id u to a right id in adj[u], then the matching edge
+    from it back to a left id.
+
+    Sets seen_l and seen_r for every id reached that was not already marked,
+    and returns those left ids and right ids. seen_l and seen_r may be one
+    array when left and right ids are disjoint; a caller running several
+    searches clears just the returned ids between them.
+    """
+    reached_l = []
+    for u in start:
+        if not seen_l[u]:
+            seen_l[u] = 1
+            reached_l.append(u)
+    reached_r = []
+    for u in reached_l:
+        for v in adj[u]:
+            if not seen_r[v]:
+                seen_r[v] = 1
+                reached_r.append(v)
+                w = mate_r[v]
+                if w != -1 and not seen_l[w]:
+                    seen_l[w] = 1
+                    reached_l.append(w)
+    return reached_l, reached_r
 
 
 def maximum_matching_general(g: Graph) -> Matching:
-    """Return a maximum matching of an arbitrary simple graph (blossoms handled)."""
+    """Return a maximum matching of an arbitrary simple graph (blossoms handled).
+
+    Edmonds' algorithm: a greedy start, then one alternating-tree search per
+    vertex still unmatched, in increasing id order. A search marks only the
+    vertices its tree reaches, and only those are reset after it.
+    """
     n = g.n
-    adj = [list(iter_bits(g.adj[u])) for u in range(n)]
+    adj = g.nbrs
     mate = [-1] * n
     # greedy warm start, scanning ids upward
     for u in range(n):
@@ -158,74 +235,85 @@ def maximum_matching_general(g: Graph) -> Matching:
 
     parent = [-1] * n
     base = list(range(n))
+    used = bytearray(n)
 
-    def find_augmenting_path(root: int) -> int:
-        for i in range(n):
-            parent[i] = -1
-            base[i] = i
-        used = [False] * n
-        used[root] = True
-        queue = [root]
-        head = 0
+    def lca(a: int, b: int) -> int:
+        on_path = set()
+        x = a
+        while True:
+            x = base[x]
+            on_path.add(x)
+            if mate[x] == -1:
+                break
+            x = parent[mate[x]]
+        y = b
+        while True:
+            y = base[y]
+            if y in on_path:
+                return y
+            y = parent[mate[y]]
 
-        def lca(a: int, b: int) -> int:
-            used_path = [False] * n
-            x = a
-            while True:
-                x = base[x]
-                used_path[x] = True
-                if mate[x] == -1:
-                    break
-                x = parent[mate[x]]
-            y = b
-            while True:
-                y = base[y]
-                if used_path[y]:
-                    return y
-                y = parent[mate[y]]
+    def mark_path(x: int, b_vertex: int, child: int, blossom: set) -> None:
+        while base[x] != b_vertex:
+            blossom.add(base[x])
+            blossom.add(base[mate[x]])
+            parent[x] = child
+            child = mate[x]
+            x = parent[mate[x]]
 
-        def mark_path(x: int, b_vertex: int, child: int) -> None:
-            while base[x] != b_vertex:
-                blossom[base[x]] = True
-                blossom[base[mate[x]]] = True
-                parent[x] = child
-                child = mate[x]
-                x = parent[mate[x]]
-
-        while head < len(queue):
-            u = queue[head]
-            head += 1
+    def find_augmenting_path(root: int, queue: list[int],
+                             inner: list[int]) -> int:
+        """Grow the tree at root; queue collects the even vertices and inner
+        the odd ones, which together are every vertex the search marks."""
+        # members[b]: the vertices whose base is b, for bases of contracted
+        # blossoms; any other vertex is its own base
+        members: dict[int, list[int]] = {}
+        used[root] = 1
+        queue.append(root)
+        for u in queue:
             for v in adj[u]:
                 if base[u] == base[v] or mate[u] == v:
                     continue
                 if v == root or (mate[v] != -1 and parent[mate[v]] != -1):
-                    # odd cycle: contract the blossom at the lca
+                    # odd cycle: contract the blossom at the lca, visiting its
+                    # vertices in increasing id order
                     curbase = lca(u, v)
-                    blossom = [False] * n
-                    mark_path(u, curbase, v)
-                    mark_path(v, curbase, u)
-                    for i in range(n):
-                        if blossom[base[i]]:
-                            base[i] = curbase
-                            if not used[i]:
-                                used[i] = True
-                                queue.append(i)
+                    blossom: set[int] = set()
+                    mark_path(u, curbase, v, blossom)
+                    mark_path(v, curbase, u, blossom)
+                    merged = sorted([i for b in blossom
+                                     for i in members.pop(b, (b,))])
+                    for i in merged:
+                        base[i] = curbase
+                        if not used[i]:
+                            used[i] = 1
+                            queue.append(i)
+                    if curbase not in blossom:
+                        merged += members.get(curbase, (curbase,))
+                    members[curbase] = merged
                 elif parent[v] == -1:
                     parent[v] = u
+                    inner.append(v)
                     if mate[v] == -1:
                         return v
-                    used[mate[v]] = True
+                    used[mate[v]] = 1
                     queue.append(mate[v])
         return -1
 
     for u in range(n):
         if mate[u] == -1:
-            v = find_augmenting_path(u)
+            queue: list[int] = []
+            inner: list[int] = []
+            v = find_augmenting_path(u, queue, inner)
             while v != -1:
                 pv = parent[v]
                 ppv = mate[pv]
                 mate[v], mate[pv] = pv, v
                 v = ppv
+            for x in queue + inner:
+                parent[x] = -1
+                base[x] = x
+                used[x] = 0
     return Matching(n, _mate_pairs(mate))
 
 
@@ -244,11 +332,13 @@ def saturating_matching(
     """
     if from_set & into:
         raise ValueError("from_set and into must be disjoint")
-    mate = _hopcroft_karp(g, from_set, into)
-    unmatched = _unmatched(mate, from_set)
+    ids, adj = _side_lists(g, from_set, into)
+    mate = [-1] * g.n
+    _max_matching_lists(adj, ids, mate, mate)
+    unmatched = _unmatched(mate, ids)
     if not unmatched:
-        pairs = [(u, mate[u]) for u in iter_bits(from_set) if mate[u] != -1]
+        pairs = [(u, mate[u]) for u in ids if mate[u] != -1]
         return Matching(g.n, pairs), None
-    reach = _alternating_reach(g, mate, unmatched, into)
-    violator = from_set & reach
-    return None, violator
+    seen = bytearray(g.n)
+    violator, _ = _alternating_reach(adj, mate, unmatched, seen, seen)
+    return None, vset(violator)

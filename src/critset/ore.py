@@ -19,7 +19,7 @@ from .critical import (ORACLE_LIMIT, _enumerate_target_sets,
                        critical_difference, diadem,
                        enumerate_critical_independent_sets, ker)
 from .graphs import (BipartitePartition, Graph, LimitExceeded, VertexSet,
-                     bipartition, difference, neighborhood)
+                     bipartition, difference, iter_bits, neighborhood, vset)
 from .ke import IdentityCheck
 from .matching import (_alternating_reach, _check_parts, _hopcroft_karp,
                        _unmatched, maximum_matching_bipartite,
@@ -69,26 +69,31 @@ def is_side_critical(g: Graph, parts: BipartitePartition, side: Side,
     return difference(g, x) == delta0(g, parts, side)
 
 
-def _side_matching(g: Graph, parts: BipartitePartition,
-                   side: Side) -> tuple[VertexSet, VertexSet, list[int]]:
-    """Return the side, the other side and a maximum matching between them."""
+def _side_reach(g: Graph, parts: BipartitePartition,
+                start_side: VertexSet) -> tuple[list[int], list[int]]:
+    """Take one maximum matching between the sides, and return the ids that
+    alternating paths reach from start_side's unmatched vertices: those in
+    start_side, then those in the other side."""
     _check_parts(g, parts)
-    s = _side_mask(parts, side)
-    return s, g.full & ~s, _hopcroft_karp(g, parts.side_a, parts.side_b)
+    mate = _hopcroft_karp(g, parts.side_a, parts.side_b)
+    seen = bytearray(g.n)
+    return _alternating_reach(g.nbrs, mate,
+                              _unmatched(mate, iter_bits(start_side)),
+                              seen, seen)
 
 
 def side_kernel(g: Graph, parts: BipartitePartition, side: Side) -> VertexSet:
     """Intersection of all side-critical sets: the side's vertices that
     alternating paths reach from the side's unmatched vertices."""
-    s, other, mate = _side_matching(g, parts, side)
-    return s & _alternating_reach(g, mate, _unmatched(mate, s), other)
+    s = _side_mask(parts, side)
+    return vset(_side_reach(g, parts, s)[0])
 
 
 def side_diadem(g: Graph, parts: BipartitePartition, side: Side) -> VertexSet:
     """Union of all side-critical sets: the side minus every vertex that
     alternating paths reach from the other side's unmatched vertices."""
-    s, other, mate = _side_matching(g, parts, side)
-    return s & ~_alternating_reach(g, mate, _unmatched(mate, other), s)
+    s = _side_mask(parts, side)
+    return s & ~vset(_side_reach(g, parts, g.full & ~s)[1])
 
 
 def enumerate_side_critical_sets(

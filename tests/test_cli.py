@@ -111,7 +111,7 @@ def test_internal_error_exits_4_with_one_line(capsys, monkeypatch):
     def deep(*args):
         raise RecursionError("maximum recursion depth exceeded")
 
-    monkeypatch.setattr(critical, "_hopcroft_karp", deep)
+    monkeypatch.setattr(critical, "_max_matching_lists", deep)
     code, out, err = run_cli(capsys, "analyze", str(FIXDIR / "fig511.edges"))
     assert code == cli.EXIT_INTERNAL == 4
     assert out == ""

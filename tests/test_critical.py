@@ -1,3 +1,4 @@
+import pickle
 import random
 
 import pytest
@@ -6,14 +7,14 @@ import oracles as o
 from conftest import adj_of, mid_sample, random_sample, small_corpus
 from critset.critical import (critical_difference,
                               critical_independent_witness, critical_profile,
-                              diadem, double_cover,
+                              diadem,
                               enumerate_critical_independent_sets,
                               enumerate_critical_sets, is_critical_independent,
                               is_critical_set, ker, max_subset_difference,
                               minimal_positive_independent_sets,
                               verify_ker_characterization)
 from critset.fixtures import load
-from critset.graphs import (LimitExceeded, bipartition, complete_graph,
+from critset.graphs import (Graph, LimitExceeded, complete_graph,
                             cycle_graph, delete_vertices, difference,
                             empty_graph, is_independent, path_graph)
 
@@ -24,19 +25,6 @@ def mask_of(g, labels):
     for lab in labels:
         out |= 1 << index[lab]
     return out
-
-
-# -- the double cover ------------------------------------------------------------
-
-def test_double_cover_shape():
-    g = path_graph(3)
-    dc = double_cover(g)
-    assert dc.h.n == 6 and dc.h.m == 2 * g.m
-    assert bipartition(dc.h) is not None
-    # v+ w- adjacency mirrors vw
-    for u, v in g.edge_pairs():
-        assert dc.h.adj[dc.up(u)] >> dc.down(v) & 1
-        assert dc.h.adj[dc.up(v)] >> dc.down(u) & 1
 
 
 # -- d(G) three ways ---------------------------------------------------------------
@@ -116,6 +104,28 @@ def test_ker_and_diadem_match_per_vertex_rules_past_oracle_reach():
         adj = adj_of(g)
         assert ker(g) == o.deletion_ker(g.n, adj), g.adj
         assert diadem(g) == o.forcing_diadem(g.n, adj), g.adj
+
+
+def test_reused_graph_answers_like_a_fresh_one():
+    # d, the witness, ker and diadem share one matching memoised on the
+    # Graph; reuse, pickling and from_adj graphs must not change any answer
+    graphs = [load("fig511").graph, *mid_sample(seed=43, per_density=2)]
+    graphs.append(delete_vertices(graphs[0], 0b101)[0])
+    for g in graphs:
+        def fresh():
+            return Graph(g.n, g.edge_pairs(), g.labels)
+        state = pickle.dumps(fresh())
+        want = (critical_difference(fresh()),
+                critical_independent_witness(fresh()), ker(fresh()),
+                diadem(fresh()))
+        got = (critical_difference(g), critical_independent_witness(g),
+               ker(g), diadem(g))
+        assert got == want
+        assert pickle.dumps(g) == state
+        clone = pickle.loads(pickle.dumps(g))
+        assert clone == g and hash(clone) == hash(g)
+        assert (critical_difference(clone), critical_independent_witness(clone),
+                ker(clone), diadem(clone)) == want
 
 
 def test_profile_is_consistent():

@@ -199,7 +199,8 @@ def test_parse_dimacs():
 
 @pytest.mark.parametrize("bad", [
     "e 1 2\n", "p edge 2 1\ne 1 3\n", "p edge 2 2\ne 1 2\n",
-    "p edge 2 1\nq 1 2\n", "p edge 2 1\ne 1 2\np edge 2 1\n"])
+    "p edge 2 1\nq 1 2\n", "p edge 2 1\ne 1 2\np edge 2 1\n",
+    "p edge -5 0\n", "p edge 1000000000 0\n"])
 def test_parse_dimacs_errors(bad):
     with pytest.raises(ParseError):
         parse_graph(bad, "dimacs")
