@@ -28,7 +28,8 @@ from .mis import (MisProfile, alpha, core_and_corona,
                   enumerate_maximum_independent_sets,
                   maximum_critical_independent_set)
 from .ore import (OreProfile, OreReport, delta0, enumerate_side_critical_sets,
-                  is_side_critical, ore_report, side_diadem, side_kernel)
+                  is_side_critical, ore_profile, ore_report, side_diadem,
+                  side_kernel)
 from .props import (Config, CorpusSpec, Facts, Property, PropertyResult,
                     conjecture_scan, exhaustive_corpus, fixtures_corpus,
                     files_corpus, parse_corpus_spec, random_corpus, registry,
@@ -52,7 +53,8 @@ __all__ = [
     "is_koenig_egervary", "is_side_critical", "ke_identities", "ker",
     "max_subset_difference", "maximum_critical_independent_set",
     "maximum_matching_bipartite", "maximum_matching_general",
-    "minimal_positive_independent_sets", "neighborhood", "ore_report",
+    "minimal_positive_independent_sets", "neighborhood", "ore_profile",
+    "ore_report",
     "parse_corpus_spec", "parse_graph", "path_graph", "random_corpus",
     "random_graph", "registry", "run", "saturating_matching", "shrink",
     "side_diadem", "side_kernel", "to_edge_list",

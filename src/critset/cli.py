@@ -13,6 +13,7 @@ original labels in vertex-id order.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -41,10 +42,12 @@ def _load_graph(path: str, fmt: str | None) -> Graph:
 
 
 def _config(args: argparse.Namespace) -> Config:
+    # the parser outlives one call, so CRITSET_WORKERS is read here, per call
+    workers = default_workers() if args.workers is None else args.workers
     return Config(oracle_limit=args.oracle_limit,
                   use_oracle=not args.no_oracle,
                   strict=args.strict,
-                  workers=args.workers)
+                  workers=workers)
 
 
 # -- analyze -----------------------------------------------------------------
@@ -334,7 +337,10 @@ def _cmd_fixtures(args) -> int:
 
 # -- argument plumbing -------------------------------------------------------------
 
+@functools.lru_cache(maxsize=None)
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and shared by later calls;
+    parsing leaves it unchanged, and no default depends on the environment."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--oracle-limit", type=int, default=20, metavar="N",
                         help="largest n the exhaustive oracles accept "
@@ -344,8 +350,7 @@ def _build_parser() -> argparse.ArgumentParser:
                              "fields and checks report as skipped")
     common.add_argument("--strict", action="store_true",
                         help="exit 3 when any limit was hit")
-    common.add_argument("--workers", type=int, default=default_workers(),
-                        metavar="K",
+    common.add_argument("--workers", type=int, metavar="K",
                         help="worker processes for corpus runs (default from "
                              "CRITSET_WORKERS, else 1)")
     common.add_argument("--json", action="store_true",

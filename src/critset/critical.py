@@ -99,25 +99,81 @@ def diadem(g: Graph) -> VertexSet:
     set S, and S - N(S) is a critical independent set holding v. The reach
     meets no unmatched minus copy: a path to one would start at a neighbour
     of v in ker, since by the + / - symmetry of the cover the minus copies
-    that some maximum matching misses are those of ker. One search per
-    vertex makes this O(n m); the searches share two flag arrays and clear
-    only what each one marked.
+    that some maximum matching misses are those of ker.
+
+    The reaches of all v at once come from the alternating digraph on the
+    plus copies, u -> mate_minus[w] for each neighbour w of u: one iterative
+    Tarjan pass finds its strongly connected components, sinks first, and
+    each component's reach is its members OR the reaches of the components
+    its edges enter. The pass starts only at candidates, the vertices with no
+    neighbour in ker, so it is linear in the part of the digraph they reach,
+    plus one bitmask OR per pair of components joined by an edge; the masks
+    take O(n) bits per component.
     """
     cover = _ker_matching(g)
-    nbrs, in_ker = g.nbrs, cover.in_ker
-    seen_plus, seen_minus = bytearray(g.n), bytearray(g.n)
+    nbrs, adj = g.nbrs, g.adj
+    mate_minus, in_ker = cover.mate_minus, cover.in_ker
+    candidate = bytearray(not any(in_ker[u] for u in nbrs[v])
+                          for v in range(g.n))
+    if not any(candidate):
+        return 0
+    order = [0] * g.n  # 1 + discovery number, 0 while unvisited
+    low = [0] * g.n
+    comp = [-1] * g.n  # component id, -1 while unvisited or on the stack
+    reach: list[VertexSet] = []  # reach[c]: plus copies reachable from c
+    stack: list[int] = []
     members = []
-    for v in range(g.n):
-        if any(in_ker[u] for u in nbrs[v]):
+    count = 0
+    for root in range(g.n):
+        if order[root] or not candidate[root]:
             continue
-        plus, minus = _alternating_reach(nbrs, cover.mate_minus, (v,),
-                                         seen_plus, seen_minus)
-        if not any(seen_plus[u] for u in nbrs[v]):
-            members.append(v)
-        for u in plus:
-            seen_plus[u] = 0
-        for w in minus:
-            seen_minus[w] = 0
+        count += 1
+        order[root] = low[root] = count
+        stack.append(root)
+        path = [(root, iter(nbrs[root]))]
+        while path:
+            u, edges = path[-1]
+            for w in edges:
+                x = mate_minus[w]
+                if x == -1:
+                    continue
+                if not order[x]:
+                    count += 1
+                    order[x] = low[x] = count
+                    stack.append(x)
+                    path.append((x, iter(nbrs[x])))
+                    break
+                if comp[x] == -1 and order[x] < low[u]:
+                    low[u] = order[x]
+            else:
+                path.pop()
+                if path and low[u] < low[path[-1][0]]:
+                    low[path[-1][0]] = low[u]
+                if low[u] != order[u]:
+                    continue
+                # u roots a component; every edge leaving it enters one
+                # that is already complete
+                c = len(reach)
+                scc = []
+                mask = 0
+                while True:
+                    x = stack.pop()
+                    comp[x] = c
+                    scc.append(x)
+                    mask |= 1 << x
+                    if x == u:
+                        break
+                entered = set()
+                for x in scc:
+                    for w in nbrs[x]:
+                        y = mate_minus[w]
+                        if y != -1 and comp[y] != c:
+                            entered.add(comp[y])
+                for e in entered:
+                    mask |= reach[e]
+                reach.append(mask)
+                members += [x for x in scc
+                            if candidate[x] and not adj[x] & mask]
     return vset(members)
 
 

@@ -145,18 +145,10 @@ def _compute(key: str, expected, g: Graph, f: Facts):
     if key == "maximum_critical_independent":
         return g.label_list(maximum_critical_independent_set(
             g, f.config.oracle_limit))
-    if key == "delta0_a":
-        return ore.delta0(g, parts, "A")
-    if key == "delta0_b":
-        return ore.delta0(g, parts, "B")
-    if key == "ker_a":
-        return g.label_list(ore.side_kernel(g, parts, "A"))
-    if key == "ker_b":
-        return g.label_list(ore.side_kernel(g, parts, "B"))
-    if key == "diadem_a":
-        return g.label_list(ore.side_diadem(g, parts, "A"))
-    if key == "diadem_b":
-        return g.label_list(ore.side_diadem(g, parts, "B"))
+    if key in ("delta0_a", "delta0_b"):
+        return getattr(f.ore_profile(), key)
+    if key in ("ker_a", "ker_b", "diadem_a", "diadem_b"):
+        return g.label_list(getattr(f.ore_profile(), key))
     if key == "side_critical_a_include":
         return [sets for sets in expected
                 if not ore.is_side_critical(g, parts, "A", _mask_of(g, sets))]

@@ -14,6 +14,8 @@ EXHAUSTIVE_MAX_N = 7
 DIMACS_MAX_N = 1_000_000
 # byte 0 to the digit "0", every other byte to "1"
 _FLAG_DIGITS = b"0" + b"1" * 255
+# the digits "0" and "1" to the bytes 0 and 1
+_DIGIT_FLAGS = bytes.maketrans(b"01", b"\0\1")
 
 
 class ParseError(ValueError):
@@ -48,6 +50,15 @@ def vset(vertices: Iterable[int]) -> VertexSet:
     for v in ids:
         flags[v] = 1
     return int(flags[::-1].translate(_FLAG_DIGITS), 2)
+
+
+def vflags(mask: VertexSet, n: int) -> bytes:
+    """Return flags with flags[v] = 1 iff v is in mask, for every v < n.
+
+    The inverse of vset, read off the mask's binary digits in one linear step;
+    walking the members one by one would copy the shrinking int each time.
+    """
+    return format(mask, f"0{n}b")[::-1].encode().translate(_DIGIT_FLAGS)
 
 
 def vlist(mask: VertexSet) -> list[int]:

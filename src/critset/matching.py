@@ -13,7 +13,8 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from .graphs import BipartitePartition, Graph, VertexSet, iter_bits, vlist, vset
+from .graphs import (BipartitePartition, Graph, VertexSet, iter_bits, vflags,
+                     vset)
 
 
 class Matching:
@@ -134,10 +135,8 @@ def _max_matching_lists(adj, left, mate_l: list[int],
 def _side_lists(g: Graph, left: VertexSet, right: VertexSet):
     """The ids of left in increasing order, and per id of g its neighbours in
     right (none for ids outside left)."""
-    ids = vlist(left)
-    in_right = bytearray(g.n)
-    for v in iter_bits(right):
-        in_right[v] = 1
+    ids = [u for u, flag in enumerate(vflags(left, g.n)) if flag]
+    in_right = vflags(right, g.n)
     nbrs = g.nbrs
     adj: list = [()] * g.n
     for u in ids:
@@ -168,16 +167,19 @@ def maximum_matching_bipartite(g: Graph, parts: BipartitePartition) -> Matching:
     return Matching(g.n, _mate_pairs(mate))
 
 
-def _check_parts(g: Graph, parts: BipartitePartition) -> None:
+def _check_parts(g: Graph, parts: BipartitePartition) -> bytes:
+    """Raise ValueError unless parts splits V with no edge inside a side;
+    return the flags of side_a."""
     a, b = parts
     if a & b or (a | b) != g.full:
         raise ValueError("partition sides must split V")
-    for u in iter_bits(a):
-        if g.adj[u] & a:
-            raise ValueError("edge inside side_a")
-    for u in iter_bits(b):
-        if g.adj[u] & b:
-            raise ValueError("edge inside side_b")
+    in_a = vflags(a, g.n)
+    nbrs = g.nbrs
+    for side, name in ((1, "side_a"), (0, "side_b")):
+        for u in range(g.n):
+            if in_a[u] == side and any(in_a[v] == side for v in nbrs[u]):
+                raise ValueError(f"edge inside {name}")
+    return in_a
 
 
 def _unmatched(mate: list[int], ids: Iterable[int]) -> list[int]:

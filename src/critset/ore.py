@@ -5,8 +5,10 @@ For bipartite g = (A, B, E) and X inside one side, the deficiency of X is
 machinery through the identities evaluated by ore_report. The sets attaining
 it are closed under union and intersection. The smallest (side kernel) and
 the largest (side diadem) are read off one maximum matching between the sides
-by alternating reachability; the tests check both against subset enumeration
-and against the per-vertex deletion and forcing rules.
+by alternating reachability. ore_profile computes delta0, the kernel and the
+diadem of both sides from that one matching, and the per-side functions read
+their field off it; the tests check all six against subset enumeration and
+against the per-vertex deletion and forcing rules.
 """
 
 from __future__ import annotations
@@ -19,10 +21,9 @@ from .critical import (ORACLE_LIMIT, _enumerate_target_sets,
                        critical_difference, diadem,
                        enumerate_critical_independent_sets, ker)
 from .graphs import (BipartitePartition, Graph, LimitExceeded, VertexSet,
-                     bipartition, difference, iter_bits, neighborhood, vset)
+                     bipartition, difference, neighborhood, vset)
 from .ke import IdentityCheck
 from .matching import (_alternating_reach, _check_parts, _hopcroft_karp,
-                       _unmatched, maximum_matching_bipartite,
                        saturating_matching)
 from .mis import alpha, core_and_corona
 
@@ -45,55 +46,66 @@ class OreReport:
     checks: tuple[IdentityCheck, ...]
 
 
-def _side_mask(parts: BipartitePartition, side: Side) -> VertexSet:
+def _side_index(side: Side) -> int:
     if side == "A":
-        return parts.side_a
+        return 0
     if side == "B":
-        return parts.side_b
+        return 1
     raise ValueError(f"side must be 'A' or 'B', got {side!r}")
+
+
+def ore_profile(g: Graph, parts: BipartitePartition) -> OreProfile:
+    """delta0, side kernel and side diadem of both sides from one maximum
+    matching between the sides.
+
+    delta0 of a side is its size minus the matching number. A side's kernel
+    is what alternating paths reach in the side from its unmatched vertices;
+    a side's diadem is the side minus what they reach in it from the other
+    side's unmatched vertices.
+    """
+    in_a = _check_parts(g, parts)
+    mate = _hopcroft_karp(g, parts.side_a, parts.side_b)
+    free_a = [v for v in range(g.n) if mate[v] == -1 and in_a[v]]
+    free_b = [v for v in range(g.n) if mate[v] == -1 and not in_a[v]]
+    mu = (g.n - len(free_a) - len(free_b)) // 2
+    seen = bytearray(g.n)
+    a_from_a, b_from_a = _alternating_reach(g.nbrs, mate, free_a, seen, seen)
+    seen = bytearray(g.n)
+    b_from_b, a_from_b = _alternating_reach(g.nbrs, mate, free_b, seen, seen)
+    side_a, side_b = parts
+    return OreProfile(side_a.bit_count() - mu, side_b.bit_count() - mu,
+                      vset(a_from_a), vset(b_from_b),
+                      side_a & ~vset(a_from_b), side_b & ~vset(b_from_a))
 
 
 def delta0(g: Graph, parts: BipartitePartition, side: Side) -> int:
     """Largest |X| - |N(X)| over subsets X of the side; computed as
     |side| - mu(g), which the subset oracle confirms in the tests."""
-    _check_parts(g, parts)
-    mu = len(maximum_matching_bipartite(g, parts))
-    return _side_mask(parts, side).bit_count() - mu
+    i = _side_index(side)
+    p = ore_profile(g, parts)
+    return (p.delta0_a, p.delta0_b)[i]
 
 
 def is_side_critical(g: Graph, parts: BipartitePartition, side: Side,
                      x: VertexSet) -> bool:
     """True iff x lies within the side and attains its deficiency maximum."""
-    if x & ~_side_mask(parts, side):
+    if x & ~parts[_side_index(side)]:
         raise ValueError("x is not contained in the chosen side")
     return difference(g, x) == delta0(g, parts, side)
 
 
-def _side_reach(g: Graph, parts: BipartitePartition,
-                start_side: VertexSet) -> tuple[list[int], list[int]]:
-    """Take one maximum matching between the sides, and return the ids that
-    alternating paths reach from start_side's unmatched vertices: those in
-    start_side, then those in the other side."""
-    _check_parts(g, parts)
-    mate = _hopcroft_karp(g, parts.side_a, parts.side_b)
-    seen = bytearray(g.n)
-    return _alternating_reach(g.nbrs, mate,
-                              _unmatched(mate, iter_bits(start_side)),
-                              seen, seen)
-
-
 def side_kernel(g: Graph, parts: BipartitePartition, side: Side) -> VertexSet:
-    """Intersection of all side-critical sets: the side's vertices that
-    alternating paths reach from the side's unmatched vertices."""
-    s = _side_mask(parts, side)
-    return vset(_side_reach(g, parts, s)[0])
+    """Intersection of all side-critical sets (see ore_profile)."""
+    i = _side_index(side)
+    p = ore_profile(g, parts)
+    return (p.ker_a, p.ker_b)[i]
 
 
 def side_diadem(g: Graph, parts: BipartitePartition, side: Side) -> VertexSet:
-    """Union of all side-critical sets: the side minus every vertex that
-    alternating paths reach from the other side's unmatched vertices."""
-    s = _side_mask(parts, side)
-    return s & ~vset(_side_reach(g, parts, g.full & ~s)[1])
+    """Union of all side-critical sets (see ore_profile)."""
+    i = _side_index(side)
+    p = ore_profile(g, parts)
+    return (p.diadem_a, p.diadem_b)[i]
 
 
 def enumerate_side_critical_sets(
@@ -101,7 +113,7 @@ def enumerate_side_critical_sets(
         limit: int = ORACLE_LIMIT) -> Iterator[VertexSet]:
     """Yield every X within the side attaining its deficiency maximum."""
     _check_parts(g, parts)
-    s = _side_mask(parts, side)
+    s = parts[_side_index(side)]
     if s.bit_count() > limit:
         raise LimitExceeded(
             f"side size {s.bit_count()} exceeds oracle limit {limit}")
@@ -120,15 +132,11 @@ def ore_report(g: Graph, parts: BipartitePartition | None = None,
         parts = bipartition(g)
         if parts is None:
             raise ValueError("graph is not bipartite")
-    _check_parts(g, parts)
-    d0a = delta0(g, parts, "A")
-    d0b = delta0(g, parts, "B")
-    profile = OreProfile(d0a, d0b,
-                         side_kernel(g, parts, "A"), side_kernel(g, parts, "B"),
-                         side_diadem(g, parts, "A"), side_diadem(g, parts, "B"))
+    profile = ore_profile(g, parts)
+    d0a, d0b = profile.delta0_a, profile.delta0_b
     d = critical_difference(g)
     al = alpha(g)
-    mu = len(maximum_matching_bipartite(g, parts))
+    mu = parts.side_a.bit_count() - d0a
     kr = ker(g)
     dia = diadem(g)
     core = core_and_corona(g, limit).core

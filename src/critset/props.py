@@ -99,12 +99,7 @@ class Facts:
             parts = self.parts()
             if parts is None:
                 raise ValueError("not bipartite")
-            return ore.OreProfile(
-                ore.delta0(self.g, parts, "A"), ore.delta0(self.g, parts, "B"),
-                ore.side_kernel(self.g, parts, "A"),
-                ore.side_kernel(self.g, parts, "B"),
-                ore.side_diadem(self.g, parts, "A"),
-                ore.side_diadem(self.g, parts, "B"))
+            return ore.ore_profile(self.g, parts)
         return self._get("ore_profile", compute)
 
     # enumeration-backed facts, all behind the oracle limit

@@ -29,6 +29,17 @@ def random_sample(count: int, n_lo: int, n_hi: int, seed: int = 99):
                            rng.getrandbits(32))
 
 
+def shuffled_chain(n: int, closed: bool, seed: int) -> Graph:
+    """A path or cycle on n vertices under a random relabelling, with its
+    edges listed in random order."""
+    rng = random.Random(seed)
+    order = list(range(n))
+    rng.shuffle(order)
+    edges = [(order[i], order[(i + 1) % n]) for i in range(n - 1 + closed)]
+    rng.shuffle(edges)
+    return Graph(n, edges)
+
+
 def mid_sample(seed: int, per_density: int = 5):
     """Random general and bipartite graphs with n = 12..80, past the subset
     oracles' reach, at average degree about 1.5 and 4 and at p = 0.2, 0.5."""

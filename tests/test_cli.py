@@ -119,6 +119,24 @@ def test_internal_error_exits_4_with_one_line(capsys, monkeypatch):
         "internal error: RecursionError('maximum recursion depth exceeded')"]
 
 
+def test_workers_default_is_read_per_call(capsys, monkeypatch):
+    # the parser is built once per process, so CRITSET_WORKERS must be read
+    # by each call rather than frozen into the parser's default
+    seen = []
+
+    def fake_run(corpus, names, config):
+        seen.append(config.workers)
+        return {"summary": {"fails": 0, "limit_skips": 0}}
+
+    monkeypatch.setattr(cli, "run", fake_run)
+    for workers in ("3", "2"):
+        monkeypatch.setenv("CRITSET_WORKERS", workers)
+        assert run_cli(capsys, "exhaustive", "--n", "1", "--json")[0] == 0
+    assert run_cli(capsys, "exhaustive", "--n", "1", "--json",
+                   "--workers", "5")[0] == 0
+    assert seen == [3, 2, 5]
+
+
 def test_exhaustive_small_sweep(capsys):
     code, out, _ = run_cli(capsys, "exhaustive", "--n", "5",
                            "--properties", "zhang.d_eq_id", "th6.ker_subset_core")

@@ -4,7 +4,8 @@ import random
 import pytest
 
 import oracles as o
-from conftest import adj_of, mid_sample, random_sample, small_corpus
+from conftest import (adj_of, mid_sample, random_sample, shuffled_chain,
+                      small_corpus)
 from critset.critical import (critical_difference,
                               critical_independent_witness, critical_profile,
                               diadem,
@@ -104,6 +105,17 @@ def test_ker_and_diadem_match_per_vertex_rules_past_oracle_reach():
         adj = adj_of(g)
         assert ker(g) == o.deletion_ker(g.n, adj), g.adj
         assert diadem(g) == o.forcing_diadem(g.n, adj), g.adj
+        assert diadem(g) == o.search_diadem(g.n, adj), g.adj
+
+
+@pytest.mark.parametrize("n", [501, 502, 1001, 2000])
+@pytest.mark.parametrize("closed", [False, True], ids=["path", "cycle"])
+def test_diadem_matches_per_vertex_search_on_long_chains(n, closed):
+    # on a shuffled path the alternating digraph is a long chain of
+    # components, which the one-pass route ORs reach sets along; on a cycle
+    # it is one or two large components
+    g = shuffled_chain(n, closed, seed=n + closed)
+    assert diadem(g) == o.search_diadem(g.n, adj_of(g))
 
 
 def test_reused_graph_answers_like_a_fresh_one():

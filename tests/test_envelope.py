@@ -4,26 +4,15 @@ Shuffled long paths and cycles drive alternating paths through every vertex;
 a matching search that recursed once per step would exceed the limit.
 """
 
-import random
-
 import pytest
 
-from critset.critical import critical_difference, critical_independent_witness, ker
-from critset.graphs import Graph, bipartition
+from conftest import shuffled_chain
+from critset.critical import (critical_difference,
+                              critical_independent_witness, diadem, ker)
+from critset.graphs import bipartition
 from critset.matching import maximum_matching_general
 
 N = 20_000
-
-
-def shuffled_chain(n: int, closed: bool, seed: int) -> Graph:
-    """A path or cycle on n vertices under a random relabelling, with its
-    edges listed in random order."""
-    rng = random.Random(seed)
-    order = list(range(n))
-    rng.shuffle(order)
-    edges = [(order[i], order[(i + 1) % n]) for i in range(n - 1 + closed)]
-    rng.shuffle(edges)
-    return Graph(n, edges)
 
 
 @pytest.mark.parametrize("closed", [False, True], ids=["path", "cycle"])
@@ -32,6 +21,9 @@ def test_shuffled_chain_of_20000(closed):
     assert critical_difference(g) == 0
     assert critical_independent_witness(g) == 0
     assert ker(g) == 0
+    # every vertex lies in a critical independent set; on the path the
+    # alternating digraph is a chain of 20,000 components
+    assert diadem(g) == g.full
     m = maximum_matching_general(g)
     assert len(m) == N // 2
     assert all(v in g.nbrs[u] for u, v in m.edges)

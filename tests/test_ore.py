@@ -7,8 +7,8 @@ from critset.graphs import (BipartitePartition, LimitExceeded, bipartition,
                             complete_bipartite, complete_graph, cycle_graph,
                             path_graph)
 from critset.ore import (delta0, enumerate_side_critical_sets,
-                         is_side_critical, ore_report, side_diadem,
-                         side_kernel)
+                         is_side_critical, ore_profile, ore_report,
+                         side_diadem, side_kernel)
 
 
 def bipartite_n5(graphs_n5):
@@ -36,8 +36,11 @@ def fig233_setup():
 def test_delta0_matches_subset_oracle(graphs_n5):
     for g, parts in bipartite_n5(graphs_n5):
         adj = adj_of(g)
-        assert delta0(g, parts, "A") == o.brute_delta0(g.n, adj, parts.side_a)
-        assert delta0(g, parts, "B") == o.brute_delta0(g.n, adj, parts.side_b)
+        p = ore_profile(g, parts)
+        assert delta0(g, parts, "A") == p.delta0_a == o.brute_delta0(
+            g.n, adj, parts.side_a)
+        assert delta0(g, parts, "B") == p.delta0_b == o.brute_delta0(
+            g.n, adj, parts.side_b)
 
 
 def test_delta0_is_symmetric_under_side_swap(graphs_n5):
@@ -50,18 +53,20 @@ def test_delta0_is_symmetric_under_side_swap(graphs_n5):
 def test_side_kernel_matches_oracle(graphs_n5):
     for g, parts in bipartite_n5(graphs_n5):
         adj = adj_of(g)
-        assert side_kernel(g, parts, "A") == o.brute_side_kernel(
+        p = ore_profile(g, parts)
+        assert side_kernel(g, parts, "A") == p.ker_a == o.brute_side_kernel(
             g.n, adj, parts.side_a)
-        assert side_kernel(g, parts, "B") == o.brute_side_kernel(
+        assert side_kernel(g, parts, "B") == p.ker_b == o.brute_side_kernel(
             g.n, adj, parts.side_b)
 
 
 def test_side_diadem_matches_oracle(graphs_n5):
     for g, parts in bipartite_n5(graphs_n5):
         adj = adj_of(g)
-        assert side_diadem(g, parts, "A") == o.brute_side_diadem(
+        p = ore_profile(g, parts)
+        assert side_diadem(g, parts, "A") == p.diadem_a == o.brute_side_diadem(
             g.n, adj, parts.side_a)
-        assert side_diadem(g, parts, "B") == o.brute_side_diadem(
+        assert side_diadem(g, parts, "B") == p.diadem_b == o.brute_side_diadem(
             g.n, adj, parts.side_b)
 
 
@@ -72,11 +77,15 @@ def test_side_rules_match_per_vertex_rules_past_oracle_reach():
         if parts is None:
             continue
         adj = adj_of(g)
-        for side, mask in zip("AB", parts):
-            assert side_kernel(g, parts, side) == o.deletion_side_kernel(
-                adj, mask), g.adj
-            assert side_diadem(g, parts, side) == o.forcing_side_diadem(
-                adj, mask), g.adj
+        p = ore_profile(g, parts)
+        for side, mask, d0, kernel, dia in zip(
+                "AB", parts, (p.delta0_a, p.delta0_b), (p.ker_a, p.ker_b),
+                (p.diadem_a, p.diadem_b)):
+            assert d0 == o.side_delta0(adj, mask), g.adj
+            assert side_kernel(g, parts, side) == kernel == (
+                o.deletion_side_kernel(adj, mask)), g.adj
+            assert side_diadem(g, parts, side) == dia == (
+                o.forcing_side_diadem(adj, mask)), g.adj
         checked += 1
     assert checked >= 12
 
