@@ -38,17 +38,80 @@ class _CoverMatching(NamedTuple):
     ker: VertexSet
 
 
+def _greedy_cover_matching(nbrs, mate_plus: list[int],
+                           mate_minus: list[int]) -> None:
+    """Fill the empty mate arrays with a maximal matching of the double cover
+    by the Karp-Sipser rules: while some free copy has exactly one free
+    neighbour, match the two, which some maximum matching does too; otherwise
+    take the next free plus copy by degree ascending, ties by id, and match it
+    to its free neighbour with the fewest free neighbours left.
+
+    A copy joins the pendant stack at most once, when its count of free
+    neighbours drops to one, so the pass is linear in the size of g. On sparse
+    graphs it leaves Hopcroft-Karp little or nothing to augment; on forests
+    and cycles it is maximum.
+    """
+    n = len(nbrs)
+    left_plus = list(map(len, nbrs))  # free minus neighbours per plus copy
+    left_minus = left_plus[:]         # free plus neighbours per minus copy
+    # copies with one free neighbour left: plus v as v, minus w as ~w
+    pendant = [v for v in range(n) if left_plus[v] == 1]
+    pendant += [~v for v in pendant]
+
+    def match(u: int, w: int) -> None:
+        mate_plus[u], mate_minus[w] = w, u
+        for x in nbrs[u]:
+            if mate_minus[x] == -1:
+                left_minus[x] -= 1
+                if left_minus[x] == 1:
+                    pendant.append(~x)
+        for y in nbrs[w]:
+            if mate_plus[y] == -1:
+                left_plus[y] -= 1
+                if left_plus[y] == 1:
+                    pendant.append(y)
+
+    for root in sorted(range(n), key=left_plus.__getitem__):
+        while pendant:
+            v = pendant.pop()
+            if v >= 0:
+                if mate_plus[v] == -1:
+                    for w in nbrs[v]:
+                        if mate_minus[w] == -1:
+                            match(v, w)
+                            break
+            elif mate_minus[~v] == -1:
+                for u in nbrs[~v]:
+                    if mate_plus[u] == -1:
+                        match(u, ~v)
+                        break
+        if mate_plus[root] == -1:
+            best = -1
+            for w in nbrs[root]:
+                if mate_minus[w] == -1 and (
+                        best == -1 or left_minus[w] < left_minus[best]):
+                    best = w
+            if best != -1:
+                match(root, best)
+
+
 def _ker_matching(g: Graph) -> _CoverMatching:
     """Match the double cover and take ker as the plus copies that
-    alternating paths reach from the unmatched ones; memoised on g."""
+    alternating paths reach from the unmatched ones; memoised on g.
+
+    Hopcroft-Karp starts from the greedy matching; d, ker and diadem are
+    invariants of g, so which maximum matching it ends with does not matter.
+    """
     memo = g._cover
     if memo is None:
         n = g.n
+        nbrs = g.nbrs
         mate_plus, mate_minus = [-1] * n, [-1] * n
-        _max_matching_lists(g.nbrs, range(n), mate_plus, mate_minus)
+        _greedy_cover_matching(nbrs, mate_plus, mate_minus)
+        _max_matching_lists(nbrs, range(n), mate_plus, mate_minus)
         in_ker = bytearray(n)
         members, _ = _alternating_reach(
-            g.nbrs, mate_minus, _unmatched(mate_plus, range(n)), in_ker,
+            nbrs, mate_minus, _unmatched(mate_plus, range(n)), in_ker,
             bytearray(n))
         memo = g._cover = _CoverMatching(mate_plus, mate_minus, in_ker,
                                          vset(members))
@@ -111,7 +174,7 @@ def diadem(g: Graph) -> VertexSet:
     take O(n) bits per component.
     """
     cover = _ker_matching(g)
-    nbrs, adj = g.nbrs, g.adj
+    nbrs = g.nbrs
     mate_minus, in_ker = cover.mate_minus, cover.in_ker
     candidate = bytearray(not any(in_ker[u] for u in nbrs[v])
                           for v in range(g.n))
@@ -172,8 +235,8 @@ def diadem(g: Graph) -> VertexSet:
                 for e in entered:
                     mask |= reach[e]
                 reach.append(mask)
-                members += [x for x in scc
-                            if candidate[x] and not adj[x] & mask]
+                members += [x for x in scc if candidate[x] and not any(
+                    mask >> w & 1 for w in nbrs[x])]
     return vset(members)
 
 
@@ -188,12 +251,13 @@ def _enumerate_target_sets(g: Graph, universe: VertexSet, target: int,
     """DFS all subsets of universe with d = target, include-first, pruned by
     d(chosen) + |remaining candidates| < target."""
     order = vlist(universe)
+    adj = g.adj
 
     def rec(idx: int, chosen: VertexSet, nbhd: VertexSet) -> Iterator[VertexSet]:
         d_now = chosen.bit_count() - nbhd.bit_count()
         if independent_only:
             remaining = sum(1 for j in range(idx, len(order))
-                            if not chosen & g.adj[order[j]])
+                            if not chosen & adj[order[j]])
         else:
             remaining = len(order) - idx
         # each added vertex raises d by at most 1
@@ -204,8 +268,8 @@ def _enumerate_target_sets(g: Graph, universe: VertexSet, target: int,
                 yield chosen
             return
         v = order[idx]
-        if not independent_only or not chosen & g.adj[v]:
-            yield from rec(idx + 1, chosen | 1 << v, nbhd | g.adj[v])
+        if not independent_only or not chosen & adj[v]:
+            yield from rec(idx + 1, chosen | 1 << v, nbhd | adj[v])
         yield from rec(idx + 1, chosen, nbhd)
 
     yield from rec(0, 0, 0)
@@ -247,6 +311,7 @@ def minimal_positive_independent_sets(
     """
     if g.n > limit:
         raise LimitExceeded(f"n={g.n} exceeds oracle limit {limit}")
+    adj, n = g.adj, g.n
 
     def rec(idx: int, chosen: VertexSet, nbhd: VertexSet) -> Iterator[VertexSet]:
         d_now = chosen.bit_count() - nbhd.bit_count()
@@ -256,11 +321,11 @@ def minimal_positive_independent_sets(
                    for v in iter_bits(chosen)):
                 yield chosen
             return
-        remaining = sum(1 for j in range(idx, g.n) if not chosen & g.adj[j])
-        if d_now + remaining < 1 or idx == g.n:
+        remaining = sum(1 for j in range(idx, n) if not chosen & adj[j])
+        if d_now + remaining < 1 or idx == n:
             return
-        if not chosen & g.adj[idx]:
-            yield from rec(idx + 1, chosen | 1 << idx, nbhd | g.adj[idx])
+        if not chosen & adj[idx]:
+            yield from rec(idx + 1, chosen | 1 << idx, nbhd | adj[idx])
         yield from rec(idx + 1, chosen, nbhd)
 
     yield from rec(0, 0, 0)

@@ -82,38 +82,44 @@ def iter_bits(mask: VertexSet) -> Iterator[int]:
 class Graph:
     """Finite simple undirected graph; vertices are 0..n-1, labels for display.
 
-    `adj[v]` is v's neighbourhood as a bitmask and `nbrs[v]` the same
-    neighbours as a sorted tuple. The matching routines memoise the double
-    cover's maximum matching in a private slot; since a Graph never changes,
-    the memo stays valid, and it is left out of equality, hashing and pickling.
+    `nbrs[v]` is v's neighbours as a sorted tuple and `adj[v]` the same as a
+    bitmask; whichever the graph was built from, the other is built on its
+    first read, so a parsed graph pays for O(n^2) bits of masks only if used.
+    The matching routines memoise the double cover's maximum matching in a
+    private slot; since a Graph never changes, the memo stays valid, and it is
+    left out of equality, hashing and pickling.
     """
 
     __slots__ = ("n", "adj", "labels", "_nbrs", "_cover")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]],
                  labels: tuple[str, ...] | None = None):
-        adj = [0] * n
         nbrs: list[list[int]] = [[] for _ in range(n)]
+        seen: set[tuple[int, int]] = set()
         for u, v in edges:
             if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"edge ({u},{v}) out of range for n={n}")
             if u == v:
                 raise ValueError(f"self-loop at vertex {u}")
-            if adj[u] >> v & 1:
+            key = (u, v) if u < v else (v, u)
+            if key in seen:
                 raise ValueError(f"duplicate edge ({u},{v})")
-            adj[u] |= 1 << v
-            adj[v] |= 1 << u
+            seen.add(key)
             nbrs[u].append(v)
             nbrs[v].append(u)
-        self.n = n
-        self.adj = tuple(adj)
-        self._nbrs = tuple(tuple(sorted(vs)) for vs in nbrs)
-        self._cover = None
-        if labels is None:
-            labels = tuple(str(i) for i in range(n))
-        elif len(labels) != n:
+        if labels is not None and len(labels) != n:
             raise ValueError("labels length must equal n")
-        self.labels = labels
+        self._wrap(nbrs, labels)
+
+    def _wrap(self, nbrs: list[list[int]],
+              labels: tuple[str, ...] | None) -> "Graph":
+        """Hold prevalidated symmetric neighbour lists, sorting each."""
+        self.n = len(nbrs)
+        self._nbrs = tuple(map(tuple, map(sorted, nbrs)))
+        self.labels = labels if labels is not None else tuple(
+            str(i) for i in range(self.n))
+        self._cover = None
+        return self
 
     @classmethod
     def from_adj(cls, adj: tuple[int, ...],
@@ -126,6 +132,18 @@ class Graph:
             str(i) for i in range(len(adj)))
         g._nbrs = g._cover = None
         return g
+
+    def __getattr__(self, name: str):
+        # reached only while the adj slot is unset, on a graph built from
+        # neighbour lists; fills the slot, so every later read is a slot read.
+        # With a __getattr__ CPython no longer specialises attribute reads on
+        # Graph, so the bitmask loops in mis, critical and props read g.adj
+        # once into a local.
+        if name != "adj":
+            raise AttributeError(name)
+        # the bits are distinct, so the sum is their OR
+        self.adj = tuple(sum(1 << w for w in vs) for vs in self._nbrs)
+        return self.adj
 
     @property
     def nbrs(self) -> tuple[tuple[int, ...], ...]:
@@ -141,20 +159,21 @@ class Graph:
 
     def edge_pairs(self) -> list[tuple[int, int]]:
         """Return all edges as (u, v) pairs with u < v, sorted."""
-        return [(u, v) for u in range(self.n)
-                for v in iter_bits(self.adj[u] >> (u + 1) << (u + 1))]
+        return [(u, v) for u, vs in enumerate(self.nbrs) for v in vs if v > u]
 
     @property
     def m(self) -> int:
         """Number of edges."""
-        return sum(a.bit_count() for a in self.adj) // 2
+        return sum(map(len, self.nbrs)) // 2
 
     def degree(self, v: int) -> int:
-        return self.adj[v].bit_count()
+        return len(self.nbrs[v])
 
     def label_list(self, mask: VertexSet) -> list[str]:
         """Render a vertex set as labels in increasing id order."""
-        return [self.labels[v] for v in iter_bits(mask)]
+        labels = self.labels
+        return [labels[v] for v, flag in enumerate(vflags(mask, self.n))
+                if flag]
 
     def __eq__(self, other: object) -> bool:
         return (isinstance(other, Graph) and self.n == other.n
@@ -272,47 +291,50 @@ def parse_graph(text: str, format: str = "edge-list") -> Graph:
 
 def _parse_edge_list(text: str) -> Graph:
     ids: dict[str, int] = {}
-    edges: list[tuple[int, int]] = []
+    nbrs: list[list[int]] = []
     seen: set[tuple[int, int]] = set()
-
-    def vid(token: str) -> int:
-        if token not in ids:
-            ids[token] = len(ids)
-        return ids[token]
-
     for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        tokens = line.split()
-        if len(tokens) == 2 and tokens[0] == "vertex":
-            vid(tokens[1])
-            continue
+        tokens = raw.split()
         if len(tokens) != 2:
+            if not tokens or tokens[0].startswith("#"):
+                continue
             raise ParseError(line_no, f"expected two tokens, got {len(tokens)}")
-        u, v = vid(tokens[0]), vid(tokens[1])
+        a, b = tokens
+        if a.startswith("#"):
+            continue
+        if a == "vertex":
+            if b not in ids:
+                ids[b] = len(nbrs)
+                nbrs.append([])
+            continue
+        if (u := ids.get(a)) is None:
+            u = ids[a] = len(nbrs)
+            nbrs.append([])
+        if (v := ids.get(b)) is None:
+            v = ids[b] = len(nbrs)
+            nbrs.append([])
         if u == v:
-            raise ParseError(line_no, f"self-loop at {tokens[0]!r}")
-        key = (min(u, v), max(u, v))
+            raise ParseError(line_no, f"self-loop at {a!r}")
+        key = (u, v) if u < v else (v, u)
         if key in seen:
-            raise ParseError(line_no, f"duplicate edge {tokens[0]} {tokens[1]}")
+            raise ParseError(line_no, f"duplicate edge {a} {b}")
         seen.add(key)
-        edges.append((u, v))
-    labels = tuple(sorted(ids, key=ids.get))
-    return Graph(len(ids), edges, labels)
+        nbrs[u].append(v)
+        nbrs[v].append(u)
+    # ids are handed out in first-appearance order, which the dict keeps
+    return object.__new__(Graph)._wrap(nbrs, tuple(ids))
 
 
 def _parse_dimacs(text: str) -> Graph:
     n = -1
     m_declared = 0
     header_line = 0
-    edges: list[tuple[int, int]] = []
+    nbrs: list[list[int]] = []
     seen: set[tuple[int, int]] = set()
     for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("c"):
+        tokens = raw.split()
+        if not tokens or tokens[0].startswith("c"):
             continue
-        tokens = line.split()
         if tokens[0] == "p":
             if n >= 0:
                 raise ParseError(line_no, "duplicate problem line")
@@ -328,6 +350,7 @@ def _parse_dimacs(text: str) -> Graph:
                 raise ParseError(
                     line_no, f"{n} vertices exceeds the limit {DIMACS_MAX_N}")
             header_line = line_no
+            nbrs = [[] for _ in range(n)]
         elif tokens[0] == "e":
             if n < 0:
                 raise ParseError(line_no, "edge before problem line")
@@ -341,20 +364,21 @@ def _parse_dimacs(text: str) -> Graph:
                 raise ParseError(line_no, f"vertex id out of range 1..{n}")
             if u == v:
                 raise ParseError(line_no, f"self-loop at {u}")
-            key = (min(u, v), max(u, v))
+            key = (u, v) if u < v else (v, u)
             if key in seen:
                 raise ParseError(line_no, f"duplicate edge {u} {v}")
             seen.add(key)
-            edges.append((u - 1, v - 1))
+            nbrs[u - 1].append(v - 1)
+            nbrs[v - 1].append(u - 1)
         else:
             raise ParseError(line_no, f"unknown line type {tokens[0]!r}")
     if n < 0:
         raise ParseError(1, "missing problem line")
-    if len(edges) != m_declared:
+    if len(seen) != m_declared:
         raise ParseError(header_line,
-                         f"declared {m_declared} edges, found {len(edges)}")
-    labels = tuple(str(i + 1) for i in range(n))
-    return Graph(n, edges, labels)
+                         f"declared {m_declared} edges, found {len(seen)}")
+    return object.__new__(Graph)._wrap(
+        nbrs, tuple(str(i + 1) for i in range(n)))
 
 
 def to_edge_list(g: Graph) -> str:

@@ -34,16 +34,17 @@ class MisProfile:
 def _greedy_clique_cover(g: Graph, avail: VertexSet) -> int:
     """Greedily partition avail into cliques; the clique count is an upper
     bound on the independence number of the induced subgraph."""
+    adj = g.adj
     bound = 0
     rest = avail
     while rest:
         v = (rest & -rest).bit_length() - 1
         rest ^= 1 << v
-        cand = rest & g.adj[v]
+        cand = rest & adj[v]
         while cand:
             u = (cand & -cand).bit_length() - 1
             rest ^= 1 << u
-            cand &= g.adj[u] & rest
+            cand &= adj[u] & rest
         bound += 1
     return bound
 
@@ -56,6 +57,7 @@ def alpha(g: Graph, limit: int = ALPHA_LIMIT) -> int:
     """
     if g.n > limit:
         raise LimitExceeded(f"n={g.n} exceeds alpha limit {limit}")
+    adj = g.adj
     best = 0
 
     def rec(avail: VertexSet, size: int) -> None:
@@ -65,8 +67,8 @@ def alpha(g: Graph, limit: int = ALPHA_LIMIT) -> int:
         if not avail or size + _greedy_clique_cover(g, avail) <= best:
             return
         v = max(vlist(avail),
-                key=lambda u: ((g.adj[u] & avail).bit_count(), -u))
-        rec(avail & ~(g.adj[v] | 1 << v), size + 1)
+                key=lambda u: ((adj[u] & avail).bit_count(), -u))
+        rec(avail & ~(adj[v] | 1 << v), size + 1)
         rec(avail & ~(1 << v), size)
 
     rec(g.full, 0)
@@ -77,22 +79,31 @@ def enumerate_maximum_independent_sets(
         g: Graph, limit: int = ENUM_LIMIT) -> Iterator[VertexSet]:
     """Yield every independent set of size alpha(g), each exactly once, in
     include-first DFS order over vertex ids."""
+    yield from _maximum_independent_sets(g, limit)
+
+
+def _maximum_independent_sets(g: Graph, limit: int,
+                              target: int | None = None) -> Iterator[VertexSet]:
+    """enumerate_maximum_independent_sets for a caller that may already know
+    target = alpha(g)."""
     if g.n > limit:
         raise LimitExceeded(f"n={g.n} exceeds enumeration limit {limit}")
-    target = alpha(g)
+    if target is None:
+        target = alpha(g)
+    adj, n = g.adj, g.n
 
     def rec(idx: int, chosen: VertexSet) -> Iterator[VertexSet]:
         avail = 0
-        for j in range(idx, g.n):
-            if not chosen & g.adj[j]:
+        for j in range(idx, n):
+            if not chosen & adj[j]:
                 avail |= 1 << j
         if chosen.bit_count() + _greedy_clique_cover(g, avail) < target:
             return
-        if idx == g.n:
+        if idx == n:
             if chosen.bit_count() == target:
                 yield chosen
             return
-        if not chosen & g.adj[idx]:
+        if not chosen & adj[idx]:
             yield from rec(idx + 1, chosen | 1 << idx)
         yield from rec(idx + 1, chosen)
 
@@ -107,11 +118,16 @@ def core_and_corona(g: Graph, limit: int = ENUM_LIMIT,
     (intersection empty, union everything) and count comes back None; full=True
     always enumerates the whole family and counts it.
     """
-    a = alpha(g)
+    return _core_and_corona(g, alpha(g), limit, full)
+
+
+def _core_and_corona(g: Graph, a: int, limit: int,
+                     full: bool = False) -> MisProfile:
+    """core_and_corona for a caller that already knows a = alpha(g)."""
     core = g.full
     corona = 0
     count = 0
-    for s in enumerate_maximum_independent_sets(g, limit):
+    for s in _maximum_independent_sets(g, limit, a):
         core &= s
         corona |= s
         count += 1

@@ -80,7 +80,7 @@ class Facts:
         return self._get("diadem", lambda: critical.diadem(self.g))
 
     def mu(self) -> int:
-        return self._get("mu", lambda: len(maximum_matching_general(self.g)))
+        return len(self.matching())
 
     def matching(self):
         return self._get("matching", lambda: maximum_matching_general(self.g))
@@ -92,7 +92,9 @@ class Facts:
         return self._get("alpha", lambda: mis.alpha(self.g))
 
     def is_ke(self) -> bool:
-        return self._get("is_ke", lambda: ke.is_koenig_egervary(self.g))
+        # ke.is_koenig_egervary's rule on the cached parts, alpha and mu
+        return self._get("is_ke", lambda: self.parts() is not None
+                         or self.alpha() + self.mu() == self.g.n)
 
     def ore_profile(self) -> ore.OreProfile:
         def compute():
@@ -107,7 +109,8 @@ class Facts:
     def mis_profile(self) -> mis.MisProfile:
         def compute():
             self.require_oracle()
-            return mis.core_and_corona(self.g, self.config.oracle_limit)
+            return mis._core_and_corona(self.g, self.alpha(),
+                                        self.config.oracle_limit)
         return self._get("mis_profile", compute)
 
     def core(self) -> VertexSet:
@@ -134,9 +137,10 @@ class Facts:
             size = 1 << g.n
             nb = [0] * size
             d = [0] * size
+            adj = g.adj
             for m in range(1, size):
                 low = m & -m
-                nb[m] = nb[m ^ low] | g.adj[low.bit_length() - 1]
+                nb[m] = nb[m ^ low] | adj[low.bit_length() - 1]
                 d[m] = m.bit_count() - nb[m].bit_count()
             return d, nb
         return self._get("tables", compute)

@@ -40,6 +40,15 @@ def shuffled_chain(n: int, closed: bool, seed: int) -> Graph:
     return Graph(n, edges)
 
 
+def masks_built(g: Graph) -> bool:
+    """Whether g's adj slot is filled; reading g.adj itself would fill it."""
+    try:
+        Graph.adj.__get__(g)
+    except AttributeError:
+        return False
+    return True
+
+
 def mid_sample(seed: int, per_density: int = 5):
     """Random general and bipartite graphs with n = 12..80, past the subset
     oracles' reach, at average degree about 1.5 and 4 and at p = 0.2, 0.5."""

@@ -1,12 +1,13 @@
+import copy
 import pickle
 import random
 
 import pytest
 
 import oracles as o
-from conftest import (adj_of, mid_sample, random_sample, shuffled_chain,
-                      small_corpus)
-from critset.critical import (critical_difference,
+from conftest import (adj_of, masks_built, mid_sample, random_sample,
+                      shuffled_chain, small_corpus)
+from critset.critical import (_ker_matching, critical_difference,
                               critical_independent_witness, critical_profile,
                               diadem,
                               enumerate_critical_independent_sets,
@@ -17,7 +18,8 @@ from critset.critical import (critical_difference,
 from critset.fixtures import load
 from critset.graphs import (Graph, LimitExceeded, complete_graph,
                             cycle_graph, delete_vertices, difference,
-                            empty_graph, is_independent, path_graph)
+                            empty_graph, is_independent, parse_graph,
+                            path_graph, to_edge_list)
 
 
 def mask_of(g, labels):
@@ -98,11 +100,25 @@ def test_ker_and_diadem_on_random_graphs():
         assert diadem(g) == o.brute_diadem(g.n, adj)
 
 
+def assert_cover_matching_is_maximum(g):
+    # the warm-started matching of the double cover is a matching of it and
+    # as large as the reference's augmenting-path one
+    cover = _ker_matching(g)
+    pairs = [(v, w) for v, w in enumerate(cover.mate_plus) if w != -1]
+    assert all(w in g.nbrs[v] and cover.mate_minus[w] == v for v, w in pairs)
+    assert len(pairs) == n_matched(o.cover_matching(g.n, adj_of(g)))
+
+
+def n_matched(mate):
+    return sum(v != -1 for v in mate)
+
+
 def test_ker_and_diadem_match_per_vertex_rules_past_oracle_reach():
     # the deletion and forcing rules recompute d once per vertex, so they
     # check the one-matching routes on graphs too big for subset enumeration
     for g in mid_sample(seed=41):
         adj = adj_of(g)
+        assert_cover_matching_is_maximum(g)
         assert ker(g) == o.deletion_ker(g.n, adj), g.adj
         assert diadem(g) == o.forcing_diadem(g.n, adj), g.adj
         assert diadem(g) == o.search_diadem(g.n, adj), g.adj
@@ -116,6 +132,7 @@ def test_diadem_matches_per_vertex_search_on_long_chains(n, closed):
     # it is one or two large components
     g = shuffled_chain(n, closed, seed=n + closed)
     assert diadem(g) == o.search_diadem(g.n, adj_of(g))
+    assert_cover_matching_is_maximum(g)
 
 
 def test_reused_graph_answers_like_a_fresh_one():
@@ -138,6 +155,26 @@ def test_reused_graph_answers_like_a_fresh_one():
         assert clone == g and hash(clone) == hash(g)
         assert (critical_difference(clone), critical_independent_witness(clone),
                 ker(clone), diadem(clone)) == want
+        # a parsed graph builds its masks on first read; they, equality, the
+        # hash and the pickled bytes match a graph wrapped from masks built
+        # edge by edge
+        parsed = parse_graph(to_edge_list(g))
+        masks = [0] * g.n
+        for u, v in g.edge_pairs():
+            masks[u] |= 1 << v
+            masks[v] |= 1 << u
+        eager = Graph.from_adj(tuple(masks), g.labels)
+        assert (critical_difference(parsed), critical_independent_witness(parsed),
+                ker(parsed)) == want[:3]
+        assert not masks_built(parsed)
+        assert parsed.adj == eager.adj and masks_built(parsed)
+        assert parsed == eager and hash(parsed) == hash(eager)
+        assert pickle.dumps(parsed) == pickle.dumps(eager) == state
+        # pickling or copying a parsed graph before any read of its masks
+        # gives the same bytes and an equal plain Graph
+        unread = parse_graph(to_edge_list(g))
+        assert pickle.dumps(unread) == state
+        assert type(copy.deepcopy(parse_graph(to_edge_list(g)))) is Graph
 
 
 def test_profile_is_consistent():

@@ -206,6 +206,108 @@ def test_parse_dimacs_errors(bad):
         parse_graph(bad, "dimacs")
 
 
+# Each row: input, then the line number and message of the first error, which
+# the one-pass parsers must report exactly as the two-pass parsers before them.
+EDGE_LIST_ERRORS = [
+    ("3-token line after a duplicate", "a b\nb c\na b\nx y z\n",
+     3, "duplicate edge a b"),
+    ("duplicate in reverse orientation", "a b\nb a\n",
+     2, "duplicate edge b a"),
+    ("crlf and tabs", "a\tb\r\nb \t c\r\n\r\nc a a\r\n",
+     4, "expected two tokens, got 3"),
+    ("indented comments", "  # note\n\t#x y\na b\n   # c c\nb b\n",
+     5, "self-loop at 'b'"),
+    ("vertex lines after edges", "a b\nvertex c\nvertex a\nc c\n",
+     4, "self-loop at 'c'"),
+    ("self-loop", "a b\nb b\n", 2, "self-loop at 'b'"),
+    ("one token", "a b\nc\n", 2, "expected two tokens, got 1"),
+    ("three-token vertex line", "vertex a b\n",
+     1, "expected two tokens, got 3"),
+    ("form feed ends a line", "a b\x0cb b\n", 2, "self-loop at 'b'"),
+    ("unicode spaces", "a\u2003b\n\u00a0c\u00a0c\n", 2, "self-loop at 'c'"),
+]
+
+DIMACS_ERRORS = [
+    ("edge before header", "e 1 2\n", 1, "edge before problem line"),
+    ("id out of range", "p edge 2 1\ne 1 3\n",
+     2, "vertex id out of range 1..2"),
+    ("edge count mismatch", "c x\np edge 2 2\ne 1 2\n",
+     2, "declared 2 edges, found 1"),
+    ("unknown line type", "p edge 2 1\nq 1 2\n", 2, "unknown line type 'q'"),
+    ("duplicate header", "p edge 2 1\ne 1 2\np edge 2 1\n",
+     3, "duplicate problem line"),
+    ("negative count", "p edge -5 0\n", 1, "negative counts in problem line"),
+    ("over the vertex limit", "p edge 1000000000 0\n",
+     1, "1000000000 vertices exceeds the limit 1000000"),
+    ("short header", "p edge 2\n", 1, "expected 'p edge <n> <m>'"),
+    ("wrong problem kind", "p col 2 1\n", 1, "expected 'p edge <n> <m>'"),
+    ("non-integer count", "p edge x 1\n",
+     1, "non-integer counts in problem line"),
+    ("duplicate in reverse orientation", "p edge 3 2\ne 1 2\ne 2 1\n",
+     3, "duplicate edge 2 1"),
+    ("bad line after a duplicate", "p edge 3 3\ne 1 2\ne 1 2\ne 1\n",
+     3, "duplicate edge 1 2"),
+    ("self-loop", "p edge 2 1\ne 1 1\n", 2, "self-loop at 1"),
+    ("non-integer id", "p edge 2 1\ne 1 x\n", 2, "non-integer vertex id"),
+    ("four-token edge", "p edge 2 1\ne 1 2 3\n", 2, "expected 'e <u> <v>'"),
+    ("empty text", "", 1, "missing problem line"),
+    ("comments only", "c only\n", 1, "missing problem line"),
+    ("crlf, tabs and indented comments",
+     "c x\r\np\tedge 3 1\r\n\te 1 2\r\n  c y\r\ne 2 2\r\n",
+     5, "self-loop at 2"),
+]
+
+
+def _ids(table):
+    return [row[0] for row in table]
+
+
+@pytest.mark.parametrize("case, text, line_no, message", EDGE_LIST_ERRORS,
+                         ids=_ids(EDGE_LIST_ERRORS))
+def test_edge_list_error_lines_and_messages(case, text, line_no, message):
+    with pytest.raises(ParseError) as err:
+        parse_graph(text)
+    assert (err.value.line_no, err.value.message) == (line_no, message)
+    assert str(err.value) == f"line {line_no}: {message}"
+
+
+@pytest.mark.parametrize("case, text, line_no, message", DIMACS_ERRORS,
+                         ids=_ids(DIMACS_ERRORS))
+def test_dimacs_error_lines_and_messages(case, text, line_no, message):
+    with pytest.raises(ParseError) as err:
+        parse_graph(text, "dimacs")
+    assert (err.value.line_no, err.value.message) == (line_no, message)
+    assert str(err.value) == f"line {line_no}: {message}"
+
+
+def test_parsers_accept_crlf_tabs_indented_comments_and_late_vertices():
+    g = parse_graph("  # note\r\na\tb\r\n\t# x y\r\nvertex c\r\n"
+                    "b  c\r\nvertex a\r\nvertex d\r\n")
+    assert g.labels == ("a", "b", "c", "d")
+    assert g.edge_pairs() == [(0, 1), (1, 2)]
+    g = parse_graph("c x\r\n  p\tedge 4 2\r\n\te 3 1\r\n  c y\r\n"
+                    "e 2 3\r\n", "dimacs")
+    assert g.labels == ("1", "2", "3", "4")
+    assert g.edge_pairs() == [(0, 2), (1, 2)]
+
+
+@pytest.mark.parametrize("n, edges, labels, message", [
+    (2, [(0, 2)], None, "edge (0,2) out of range for n=2"),
+    (2, [(-1, 0)], None, "edge (-1,0) out of range for n=2"),
+    (3, [(0, 1), (1, 1)], None, "self-loop at vertex 1"),
+    (3, [(0, 1), (1, 2), (2, 1), (1, 0)], None, "duplicate edge (2,1)"),
+    (3, [(0, 1), (1, 0), (0, 5)], None, "duplicate edge (1,0)"),
+    (2, [(0, 1)], ("a",), "labels length must equal n"),
+    (2, [(0, 1), (0, 1)], ("a",), "duplicate edge (0,1)"),
+], ids=["out of range", "negative id", "self-loop",
+        "first duplicate in edge order", "duplicate before a bad edge",
+        "labels length", "duplicate before the labels check"])
+def test_graph_error_messages(n, edges, labels, message):
+    with pytest.raises(ValueError) as err:
+        Graph(n, edges, labels)
+    assert str(err.value) == message
+
+
 def test_parse_unknown_format():
     with pytest.raises(ValueError):
         parse_graph("", format="graphml")

@@ -2,9 +2,12 @@ import json
 
 import pytest
 
+from conftest import mid_sample
+from critset import ke, mis, props
 from critset.fixtures import load
-from critset.graphs import (complete_graph, cycle_graph, empty_graph,
-                            path_graph)
+from critset.graphs import (LimitExceeded, complete_graph, cycle_graph,
+                            empty_graph, path_graph, random_graph)
+from critset.matching import maximum_matching_general
 from critset.mis import alpha
 from critset.props import (SELFTEST, Config, Facts, conjecture_scan, evaluate,
                            exhaustive_corpus, fixtures_corpus, iter_graphs,
@@ -94,6 +97,49 @@ def test_facts_are_cached():
     assert facts.tables() is facts.tables()
     assert facts.mis_profile() is facts.mis_profile()
     assert facts.d() == 1 and facts.d() == 1
+
+
+def test_facts_run_alpha_and_the_blossom_matching_once(graphs_n5,
+                                                       monkeypatch):
+    # mu, is_ke and the core and corona read the cached alpha, matching and
+    # bipartition, and give what the library routes give on their own
+    calls = {"alpha": 0, "blossom": 0}
+
+    def counted(name, f):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return f(*args, **kwargs)
+        return wrapper
+
+    for module in (mis, ke):
+        monkeypatch.setattr(module, "alpha", counted("alpha", mis.alpha))
+    for module in (props, ke):
+        monkeypatch.setattr(module, "maximum_matching_general",
+                            counted("blossom", maximum_matching_general))
+    graphs = [*graphs_n5[::37], *mid_sample(seed=7, per_density=1),
+              random_graph(30, 0.2, 5), random_graph(45, 0.1, 6)]
+    for g in graphs:
+        facts = Facts(g)
+
+        def outcome(f):
+            try:
+                return f()
+            except LimitExceeded as exc:
+                return str(exc)
+
+        want = (len(maximum_matching_general(g)),
+                outcome(lambda: ke.is_koenig_egervary(g)),
+                outcome(lambda: mis.core_and_corona(g)))
+        calls.update(alpha=0, blossom=0)
+        got = (facts.mu(), outcome(facts.is_ke), outcome(facts.mis_profile))
+        assert got == want
+        assert facts.matching() is facts.matching()
+        assert calls["blossom"] == 1
+        # past its limit alpha raises and nothing is cached, so each fact
+        # that asks for it calls it: is_ke on non-bipartite graphs, and the
+        # core and corona
+        asked = 1 if g.n <= mis.ALPHA_LIMIT else 1 + (facts.parts() is None)
+        assert calls["alpha"] == asked
 
 
 def test_shrink_reaches_minimal_example():
