@@ -19,7 +19,6 @@ import sys
 from pathlib import Path
 
 from . import fixtures as fixture_registry
-from . import ke as ke_mod
 from .graphs import (EXHAUSTIVE_MAX_N, Graph, LimitExceeded, ParseError,
                      parse_graph)
 from .props import (Config, CorpusSpec, Facts, conjecture_scan,
@@ -97,10 +96,9 @@ def analyze_graph(g: Graph, config: Config) -> dict:
     if is_ke:
         def identities():
             facts.require_oracle()
-            rep = ke_mod.ke_identities(g, config.oracle_limit)
             return [{"name": c.name, "holds": c.holds,
                      "lhs": c.lhs, "rhs": c.rhs}
-                    for c in rep.identity_checks]
+                    for c in facts.ke_identity_checks()]
         report["ke_identities"] = attempt("ke_identities", identities)
     if facts.parts() is not None:
         p = facts.ore_profile()

@@ -118,6 +118,30 @@ def _ker_matching(g: Graph) -> _CoverMatching:
     return memo
 
 
+def _d_without(g: Graph, v: int) -> int:
+    """d(g - v), from a copy of g's memoised cover matching.
+
+    Dropping v+ and v- with their matched edges leaves a matching of the
+    cover of g - v at most two edges short of a maximum one (Hopcroft & Karp
+    1973), so Hopcroft-Karp, run on the neighbour lists with v removed, has
+    at most two augmenting paths left to find. v stays as an isolated id, one
+    unmatched plus copy more than g - v has.
+    """
+    cover = _ker_matching(g)
+    mate_plus, mate_minus = cover.mate_plus[:], cover.mate_minus[:]
+    if mate_plus[v] != -1:
+        mate_minus[mate_plus[v]] = -1
+    if mate_minus[v] != -1:
+        mate_plus[mate_minus[v]] = -1
+    mate_plus[v] = mate_minus[v] = -1
+    nbrs = list(g.nbrs)
+    for u in nbrs[v]:
+        nbrs[u] = [w for w in nbrs[u] if w != v]
+    nbrs[v] = ()
+    _max_matching_lists(nbrs, range(g.n), mate_plus, mate_minus)
+    return mate_plus.count(-1) - 1
+
+
 def critical_difference(g: Graph) -> int:
     """Return d(g) = alpha(double cover) - |V|, via bipartite matching.
 

@@ -10,7 +10,8 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .critical import critical_difference, diadem, ker
-from .graphs import Graph, bipartition, difference, neighborhood
+from .graphs import (Graph, VertexSet, bipartition, difference,
+                     neighborhood)
 from .matching import maximum_matching_general
 from .mis import (ALPHA_LIMIT, ENUM_LIMIT, alpha, core_and_corona,
                   maximum_critical_independent_set)
@@ -60,17 +61,24 @@ def ke_identities(g: Graph, limit: int = ENUM_LIMIT) -> KeReport:
         raise ValueError(f"not a König-Egerváry graph: alpha + mu = "
                          f"{a} + {mu} != {g.n}")
     d = critical_difference(g)
-    dfc = g.n - 2 * mu
     profile = core_and_corona(g, limit)
-    core, corona = profile.core, profile.corona
+    checks = identity_checks(g, a, mu, d, profile.core, profile.corona,
+                             ker(g), diadem(g))
+    return KeReport(True, a, mu, d, g.n - 2 * mu, checks)
+
+
+def identity_checks(g: Graph, a: int, mu: int, d: int, core: VertexSet,
+                    corona: VertexSet, kr: VertexSet,
+                    dia: VertexSet) -> tuple[IdentityCheck, ...]:
+    """The nine identities of ke_identities, from alpha, mu, d, core, corona,
+    ker and diadem of the KE graph g."""
+    dfc = g.n - 2 * mu
     n_core = neighborhood(g, core)
-    kr = ker(g)
-    dia = diadem(g)
 
     def labels(mask):
         return g.label_list(mask)
 
-    checks = (
+    return (
         IdentityCheck("d_eq_core_minus_ncore", d == difference(g, core),
                       d, difference(g, core)),
         IdentityCheck("d_eq_alpha_minus_mu", d == a - mu, d, a - mu),
@@ -91,4 +99,3 @@ def ke_identities(g: Graph, limit: int = ENUM_LIMIT) -> KeReport:
                       kr.bit_count() + dia.bit_count() <= 2 * a,
                       kr.bit_count() + dia.bit_count(), 2 * a),
     )
-    return KeReport(True, a, mu, d, dfc, checks)

@@ -7,7 +7,7 @@ rest of the library leans on these routines as reference answers.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Callable, Iterable, Iterator
 
 from .critical import enumerate_critical_independent_sets
 from .graphs import Graph, LimitExceeded, VertexSet, vlist
@@ -82,14 +82,14 @@ def enumerate_maximum_independent_sets(
     yield from _maximum_independent_sets(g, limit)
 
 
-def _maximum_independent_sets(g: Graph, limit: int,
-                              target: int | None = None) -> Iterator[VertexSet]:
+def _maximum_independent_sets(
+        g: Graph, limit: int,
+        known_alpha: Callable[[], int] | None = None) -> Iterator[VertexSet]:
     """enumerate_maximum_independent_sets for a caller that may already know
-    target = alpha(g)."""
+    alpha(g): known_alpha returns it, and is called after the limit check."""
     if g.n > limit:
         raise LimitExceeded(f"n={g.n} exceeds enumeration limit {limit}")
-    if target is None:
-        target = alpha(g)
+    target = alpha(g) if known_alpha is None else known_alpha()
     adj, n = g.adj, g.n
 
     def rec(idx: int, chosen: VertexSet) -> Iterator[VertexSet]:
@@ -127,7 +127,7 @@ def _core_and_corona(g: Graph, a: int, limit: int,
     core = g.full
     corona = 0
     count = 0
-    for s in _maximum_independent_sets(g, limit, a):
+    for s in _maximum_independent_sets(g, limit, lambda: a):
         core &= s
         corona |= s
         count += 1
@@ -143,8 +143,14 @@ def maximum_critical_independent_set(g: Graph,
     Ties break toward the lexicographically least sorted id list, so the
     answer is stable across runs.
     """
+    return _maximum_critical(enumerate_critical_independent_sets(g, limit))
+
+
+def _maximum_critical(sets: Iterable[VertexSet]) -> VertexSet:
+    """The largest of a graph's critical independent sets, all given in
+    `sets`, by the tie rule of maximum_critical_independent_set."""
     best: VertexSet | None = None
-    for s in enumerate_critical_independent_sets(g, limit):
+    for s in sets:
         if (best is None or s.bit_count() > best.bit_count()
                 or (s.bit_count() == best.bit_count()
                     and vlist(s) < vlist(best))):

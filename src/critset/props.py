@@ -3,8 +3,11 @@
 Every registered property is a named predicate over one graph with an
 applicability guard and a witness-producing check. The runner hands each graph
 one lazily filled fact cache, so a registry sweep costs one set of invariants
-per graph rather than one per property. Anything exponential sits behind the
-oracle limit and reports itself as skipped instead of silently passing.
+per graph rather than one per property: every check reads that cache, and one
+pass over the registry runs alpha and the critical independent enumeration at
+most once per graph and the blossom matching once. Anything exponential sits
+behind the oracle limit and reports itself as skipped instead of silently
+passing.
 """
 
 from __future__ import annotations
@@ -119,44 +122,71 @@ class Facts:
     def corona(self) -> VertexSet:
         return self.mis_profile().corona
 
+    def _maximum_independent_sets(self) -> Iterator[VertexSet]:
+        """The maximum independent sets in include-first order, from the
+        cached alpha, which is read only after the enumeration limit passes.
+        Not guarded by the oracle switch."""
+        return mis._maximum_independent_sets(
+            self.g, self.config.oracle_limit, self.alpha)
+
     def first_mis(self) -> VertexSet:
         def compute():
             self.require_oracle()
-            return next(mis.enumerate_maximum_independent_sets(
-                self.g, self.config.oracle_limit))
+            return next(self._maximum_independent_sets())
         return self._get("first_mis", compute)
 
+    def ke_identity_checks(self) -> tuple[ke.IdentityCheck, ...]:
+        """ke.ke_identities' checks on a KE graph, from the cached facts;
+        alpha is read before core and corona, so a limit is hit where
+        ke_identities hits it."""
+        return ke.identity_checks(
+            self.g, self.alpha(), self.mu(), self.d(), self.core(),
+            self.corona(), self.ker(), self.diadem())
+
     def tables(self) -> tuple[list[int], list[int]]:
-        """d(X) and N(X) for every subset mask; the brute-force ground truth."""
+        """d(X) and N(X) for every subset mask; the brute-force ground truth.
+
+        Built by doubling: the masks below 2^(v+1) are those below 2^v, then
+        the same with v added, whose neighbourhoods gain N(v).
+        """
         def compute():
             self.require_oracle()
             g = self.g
             if g.n > self.config.oracle_limit:
                 raise LimitExceeded(
                     f"n={g.n} exceeds oracle limit {self.config.oracle_limit}")
-            size = 1 << g.n
-            nb = [0] * size
-            d = [0] * size
-            adj = g.adj
-            for m in range(1, size):
-                low = m & -m
-                nb[m] = nb[m ^ low] | adj[low.bit_length() - 1]
-                d[m] = m.bit_count() - nb[m].bit_count()
+            nb = [0]
+            for a in g.adj:
+                nb += [x | a for x in nb]
+            d = [m.bit_count() - x.bit_count() for m, x in enumerate(nb)]
             return d, nb
         return self._get("tables", compute)
 
-    def critical_ind_family(self) -> list[VertexSet]:
+    def _critical_pass(self) -> tuple[list[VertexSet] | None, VertexSet]:
+        """One enumeration of the critical independent sets: the family, or
+        None past FAMILY_CAP members, and the maximum one, uncapped, with
+        mis.maximum_critical_independent_set's tie rule. Not guarded by the
+        oracle switch; the public readers check it."""
         def compute():
-            self.require_oracle()
             fam: list[VertexSet] = []
-            for s in critical.enumerate_critical_independent_sets(
-                    self.g, self.config.oracle_limit):
-                fam.append(s)
-                if len(fam) > FAMILY_CAP:
-                    raise LimitExceeded(
-                        f"more than {FAMILY_CAP} critical independent sets")
-            return fam
-        return self._get("critical_ind_family", compute)
+
+            def sets() -> Iterator[VertexSet]:
+                for s in critical.enumerate_critical_independent_sets(
+                        self.g, self.config.oracle_limit):
+                    if len(fam) <= FAMILY_CAP:
+                        fam.append(s)
+                    yield s
+            best = mis._maximum_critical(sets())
+            return (fam if len(fam) <= FAMILY_CAP else None), best
+        return self._get("critical_pass", compute)
+
+    def critical_ind_family(self) -> list[VertexSet]:
+        self.require_oracle()
+        fam, _ = self._critical_pass()
+        if fam is None:
+            raise LimitExceeded(
+                f"more than {FAMILY_CAP} critical independent sets")
+        return fam
 
     def ker_oracle(self) -> VertexSet:
         def compute():
@@ -190,11 +220,8 @@ class Facts:
         return self._get("minimal_positives", compute)
 
     def max_critical_ind(self) -> VertexSet:
-        def compute():
-            self.require_oracle()
-            return mis.maximum_critical_independent_set(
-                self.g, self.config.oracle_limit)
-        return self._get("max_critical_ind", compute)
+        self.require_oracle()
+        return self._critical_pass()[1]
 
     def side_critical_samples(self, side: ore.Side,
                               cap: int = 16) -> list[VertexSet]:
@@ -281,17 +308,25 @@ def _check_d_eq_id(f: Facts) -> tuple[bool, dict | None]:
         "max_over_independent": best_ind}
 
 
+def _supermodular_masks(n: int) -> list[int]:
+    """The vertex sets th4.supermodular pairs up: all of them up to n = 7,
+    else a seeded sample of at most 128."""
+    size = 1 << n
+    if size <= 128:
+        return list(range(size))
+    rng = random.Random(0x5D1A + n)
+    return sorted({rng.randrange(size) for _ in range(128)})
+
+
 def _check_supermodular(f: Facts) -> tuple[bool, dict | None]:
     d_list, _ = f.tables()
-    size = 1 << f.g.n
-    if size <= 128:
-        masks: list[int] = list(range(size))
-    else:
-        rng = random.Random(0x5D1A + f.g.n)
-        masks = sorted({rng.randrange(size) for _ in range(128)})
-    for a in masks:
-        for b in masks:
-            if d_list[a | b] + d_list[a & b] < d_list[a] + d_list[b]:
+    masks = _supermodular_masks(f.g.n)
+    # the inequality is symmetric in a and b, so the first failing pair in
+    # row-major order over masks x masks has b at or after a
+    for i, a in enumerate(masks):
+        da = d_list[a]
+        for b in masks[i:]:
+            if d_list[a | b] + d_list[a & b] < da + d_list[b]:
                 return False, {
                     "a": f.labels(a), "b": f.labels(b),
                     "d_union_plus_d_intersection": d_list[a | b] + d_list[a & b],
@@ -368,12 +403,10 @@ def _check_deletion_rule(f: Facts) -> tuple[bool, dict | None]:
     g, d0 = f.g, f.d()
     ko = f.ker_oracle()
     for v in range(g.n):
-        smaller, _ = delete_vertices(g, 1 << v)
-        drops = critical.critical_difference(smaller) == d0 - 1
-        if drops != bool(ko >> v & 1):
+        d_v = critical._d_without(g, v)
+        if (d_v == d0 - 1) != bool(ko >> v & 1):
             return False, {
-                "vertex": g.labels[v], "d": d0,
-                "d_after_delete": critical.critical_difference(smaller),
+                "vertex": g.labels[v], "d": d0, "d_after_delete": d_v,
                 "in_ker": bool(ko >> v & 1)}
     if f.ker() != ko:
         return False, {"ker_by_deletion_rule": f.labels(f.ker()),
@@ -508,12 +541,13 @@ def _check_ke_iff_every_mis_critical(f: Facts) -> tuple[bool, dict | None]:
     g, d0 = f.g, f.d()
     recognized = f.is_ke()
     bad_mis = None
-    for s in mis.enumerate_maximum_independent_sets(g, f.config.oracle_limit):
+    # no oracle guard, as before: one would change --no-oracle reports
+    for s in f._maximum_independent_sets():
         if difference(g, s) != d0:
             bad_mis = s
             break
     all_critical = bad_mis is None
-    via_critical = ke.is_ke_via_critical(g, f.config.oracle_limit)
+    via_critical = f._critical_pass()[1].bit_count() == f.alpha()
     ok = recognized == all_critical == via_critical
     return ok, None if ok else {
         "alpha_plus_mu_route": recognized,
@@ -524,8 +558,7 @@ def _check_ke_iff_every_mis_critical(f: Facts) -> tuple[bool, dict | None]:
 
 def _check_ke_identities(f: Facts) -> tuple[bool, dict | None]:
     f.require_oracle()
-    report = ke.ke_identities(f.g, f.config.oracle_limit)
-    failing = [c for c in report.identity_checks if not c.holds]
+    failing = [c for c in f.ke_identity_checks() if not c.holds]
     if not failing:
         return True, None
     return False, {"failing": [
@@ -605,7 +638,8 @@ def _check_pendants_in_diadem(f: Facts) -> tuple[bool, dict | None]:
 
 
 def _check_is_ke(f: Facts) -> tuple[bool, dict | None]:
-    ok = ke.is_ke_via_critical(f.g, f.config.oracle_limit)
+    # no oracle guard, as before: one would change --no-oracle reports
+    ok = f._critical_pass()[1].bit_count() == f.alpha()
     return ok, None if ok else {
         "alpha": f.alpha(), "mu": f.mu(), "n": f.g.n,
         "max_critical_independent_size": f.max_critical_ind().bit_count()}

@@ -7,7 +7,7 @@ import pytest
 import oracles as o
 from conftest import (adj_of, masks_built, mid_sample, random_sample,
                       shuffled_chain, small_corpus)
-from critset.critical import (_ker_matching, critical_difference,
+from critset.critical import (_d_without, _ker_matching, critical_difference,
                               critical_independent_witness, critical_profile,
                               diadem,
                               enumerate_critical_independent_sets,
@@ -275,3 +275,24 @@ def test_deletion_changes_d_by_at_most_one(graphs_n5):
             dv = critical_difference(rest)
             assert dv in (d - 1, d, d + 1)
             assert (dv == d - 1) == bool(k >> v & 1)
+
+
+@pytest.mark.parametrize("corpus", ["n<=5", "mid_sample", "chains"])
+def test_d_without_matches_deleting_the_vertex(corpus):
+    # d(G - v) from G's cover matching with v+ and v- dropped, against a
+    # fresh matching of the graph with v deleted; G's own memo is untouched
+    if corpus == "n<=5":
+        graphs = list(small_corpus(5))
+    elif corpus == "mid_sample":
+        graphs = list(mid_sample(seed=43, per_density=2))
+    else:
+        graphs = [shuffled_chain(n, closed, seed=n + closed)
+                  for n in (501, 1000) for closed in (False, True)]
+    for g in graphs:
+        before = _ker_matching(g)
+        mates = (before.mate_plus[:], before.mate_minus[:])
+        for v in range(g.n):
+            want = critical_difference(delete_vertices(g, 1 << v)[0])
+            assert _d_without(g, v) == want, (g.adj, v)
+        assert _ker_matching(g) is before
+        assert (before.mate_plus, before.mate_minus) == mates

@@ -1,12 +1,14 @@
 import json
+import random
 
 import pytest
 
-from conftest import mid_sample
-from critset import ke, mis, props
+from conftest import mid_sample, small_corpus
+from critset import critical, ke, mis, props
 from critset.fixtures import load
 from critset.graphs import (LimitExceeded, complete_graph, cycle_graph,
-                            empty_graph, path_graph, random_graph)
+                            empty_graph, neighborhood, path_graph,
+                            random_graph)
 from critset.matching import maximum_matching_general
 from critset.mis import alpha
 from critset.props import (SELFTEST, Config, Facts, conjecture_scan, evaluate,
@@ -140,6 +142,116 @@ def test_facts_run_alpha_and_the_blossom_matching_once(graphs_n5,
         # core and corona
         asked = 1 if g.n <= mis.ALPHA_LIMIT else 1 + (facts.parts() is None)
         assert calls["alpha"] == asked
+
+
+def test_registry_pass_runs_each_oracle_fact_once(graphs_n5, monkeypatch):
+    # every check reads Facts, so one registry pass per graph runs alpha and
+    # the critical independent enumeration at most once and the blossom
+    # matching once, whichever module a check would reach them through
+    calls = {"alpha": 0, "blossom": 0, "critical": 0}
+
+    def counted(name, f):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return f(*args, **kwargs)
+        return wrapper
+
+    for module in (mis, ke):
+        monkeypatch.setattr(module, "alpha", counted("alpha", mis.alpha))
+    for module in (props, ke):
+        monkeypatch.setattr(module, "maximum_matching_general",
+                            counted("blossom", maximum_matching_general))
+    enum = critical.enumerate_critical_independent_sets
+    for module in (critical, mis):
+        monkeypatch.setattr(module, "enumerate_critical_independent_sets",
+                            counted("critical", enum))
+    rng = random.Random(6)
+    graphs = [*graphs_n5[-1024::53],
+              *(random_graph(n, p, rng.getrandbits(32))
+                for n in range(8, 13) for p in (0.15, 0.3, 0.5))]
+    for g in graphs:
+        calls.update(alpha=0, blossom=0, critical=0)
+        facts = Facts(g)
+        for prop in registry():
+            assert evaluate(prop, facts).verdict in ("holds", "skipped")
+        assert calls["alpha"] <= 1, g.adj
+        assert calls["blossom"] == 1, g.adj
+        assert calls["critical"] <= 1, g.adj
+
+
+def test_one_critical_pass_gives_capped_family_and_uncapped_maximum(
+        monkeypatch):
+    for g in [*small_corpus(4), empty_graph(5), cycle_graph(6),
+              random_graph(9, 0.3, 2)]:
+        family = list(critical.enumerate_critical_independent_sets(g))
+        best = mis.maximum_critical_independent_set(g)
+        assert Facts(g).critical_ind_family() == family
+        assert Facts(g).max_critical_ind() == best
+        # past the cap the family is a limit skip, the maximum is not
+        monkeypatch.setattr(props, "FAMILY_CAP", len(family) - 1)
+        facts = Facts(g)
+        with pytest.raises(LimitExceeded, match="more than"):
+            facts.critical_ind_family()
+        assert facts.max_critical_ind() == best
+        monkeypatch.undo()
+    off = Facts(path_graph(4), Config(use_oracle=False))
+    for read in (off.critical_ind_family, off.max_critical_ind):
+        with pytest.raises(LimitExceeded, match="oracle disabled"):
+            read()
+
+
+def _first_failing_pair(d_list, masks):
+    for a in masks:
+        for b in masks:
+            if d_list[a | b] + d_list[a & b] < d_list[a] + d_list[b]:
+                return a, b
+    return None
+
+
+@pytest.mark.parametrize("n", [4, 7, 8, 11])
+def test_supermodular_reports_the_first_failing_pair(n):
+    # corrupted tables break supermodularity in many pairs; the check scans
+    # only b at or after a, and must still name the first pair a full
+    # row-major scan finds, both where every mask is paired (n <= 7) and
+    # where the masks are sampled
+    prop = lookup("th4.supermodular")
+    rng = random.Random(n)
+    masks = props._supermodular_masks(n)
+    failed = 0
+    for _ in range(80):
+        g = random_graph(n, rng.choice([0.2, 0.4, 0.6]), rng.getrandbits(32))
+        facts = Facts(g)
+        d_list, nb = facts.tables()
+        bad = d_list[:]
+        for _ in range(rng.randrange(1, 4)):
+            m = rng.choice(masks) if rng.random() < 0.8 else rng.randrange(
+                1 << n)
+            bad[m] += rng.choice([-2, -1, 1, 2])
+        facts._cache["tables"] = (bad, nb)
+        ok, witness = prop.check(facts)
+        first = _first_failing_pair(bad, masks)
+        assert ok == (first is None)
+        if first is not None:
+            failed += 1
+            a, b = first
+            assert witness == {
+                "a": g.label_list(a), "b": g.label_list(b),
+                "d_union_plus_d_intersection": bad[a | b] + bad[a & b],
+                "d_a_plus_d_b": bad[a] + bad[b]}
+    assert failed >= 40
+
+
+def test_tables_match_the_per_mask_definition():
+    rng = random.Random(12)
+    graphs = [*small_corpus(4),
+              *(random_graph(n, p, rng.getrandbits(32))
+                for n in range(8, 13) for p in (0.2, 0.5))]
+    for g in graphs:
+        d_list, nb = Facts(g).tables()
+        size = 1 << g.n
+        assert nb == [neighborhood(g, m) for m in range(size)], g.adj
+        assert d_list == [m.bit_count() - neighborhood(g, m).bit_count()
+                          for m in range(size)], g.adj
 
 
 def test_shrink_reaches_minimal_example():
