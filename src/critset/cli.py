@@ -18,9 +18,7 @@ import json
 import sys
 from pathlib import Path
 
-from . import fixtures as fixture_registry
-from .graphs import (EXHAUSTIVE_MAX_N, Graph, LimitExceeded, ParseError,
-                     parse_graph)
+from .graphs import EXHAUSTIVE_MAX_N, Graph, LimitExceeded, read_graph_file
 from .props import (Config, CorpusSpec, Facts, conjecture_scan,
                     default_workers, evaluate, exhaustive_corpus,
                     parse_corpus_spec, random_corpus, registry, run,
@@ -31,13 +29,6 @@ EXIT_OK, EXIT_FAIL, EXIT_USAGE, EXIT_LIMIT, EXIT_INTERNAL = 0, 1, 2, 3, 4
 
 def _dump(doc: dict) -> str:
     return json.dumps(doc, indent=2, sort_keys=True)
-
-
-def _load_graph(path: str, fmt: str | None) -> Graph:
-    text = Path(path).read_text()
-    if fmt is None:
-        fmt = "dimacs" if path.endswith((".col", ".dimacs")) else "edge-list"
-    return parse_graph(text, fmt)
 
 
 def _config(args: argparse.Namespace) -> Config:
@@ -152,7 +143,7 @@ def _render_analysis(path: str, rep: dict) -> str:
 
 def _cmd_analyze(args) -> int:
     config = _config(args)
-    g = _load_graph(args.file, args.format)
+    g = read_graph_file(args.file, args.format)
     rep = analyze_graph(g, config)
     if args.json:
         print(_dump(rep))
@@ -167,7 +158,7 @@ def _cmd_analyze(args) -> int:
 
 def _cmd_check(args) -> int:
     config = _config(args)
-    g = _load_graph(args.file, args.format)
+    g = read_graph_file(args.file, args.format)
     names = None if args.all else [args.property]
     props = select_properties(names)
     facts = Facts(g, config)
@@ -304,6 +295,8 @@ def _cmd_conjecture(args) -> int:
 # -- fixtures --------------------------------------------------------------------
 
 def _cmd_fixtures(args) -> int:
+    # only this command reads the bundled fixtures
+    from . import fixtures as fixture_registry
     config = _config(args)
     if args.action == "list":
         if args.json:
@@ -419,10 +412,6 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ParseError as exc:
-        print(f"error: {args.file}:{exc.line_no}: {exc.message}",
-              file=sys.stderr)
-        return EXIT_USAGE
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -10,8 +10,8 @@ sidecar keeps the brute-force value and carries a note under the same key.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from importlib import resources
+from typing import NamedTuple
 
 from . import critical, ore
 from .graphs import Graph, delete_vertices, difference, parse_graph
@@ -38,8 +38,7 @@ _FILES: dict[str, str] = {
 }
 
 
-@dataclass(frozen=True)
-class Fixture:
+class Fixture(NamedTuple):
     name: str
     file: str
     graph: Graph

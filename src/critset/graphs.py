@@ -19,12 +19,15 @@ _DIGIT_FLAGS = bytes.maketrans(b"01", b"\0\1")
 
 
 class ParseError(ValueError):
-    """Raised on malformed graph input, carrying the offending line number."""
+    """Raised on malformed graph input, carrying the offending line number
+    and, when the text was read from a file, that file's path."""
 
-    def __init__(self, line_no: int, message: str):
-        super().__init__(f"line {line_no}: {message}")
+    def __init__(self, line_no: int, message: str, path: str | None = None):
+        where = f"line {line_no}" if path is None else f"{path}:{line_no}"
+        super().__init__(f"{where}: {message}")
         self.line_no = line_no
         self.message = message
+        self.path = path
 
 
 class LimitExceeded(RuntimeError):
@@ -289,6 +292,21 @@ def parse_graph(text: str, format: str = "edge-list") -> Graph:
     raise ValueError(f"unknown format {format!r}")
 
 
+def read_graph_file(path: str, format: str | None = None) -> Graph:
+    """Parse the graph file at path. The format defaults by extension: .col
+    and .dimacs are DIMACS, anything else an edge list. A ParseError names
+    the file."""
+    if format is None:
+        format = "dimacs" if path.endswith((".col", ".dimacs")) \
+            else "edge-list"
+    with open(path) as fh:
+        text = fh.read()
+    try:
+        return parse_graph(text, format)
+    except ParseError as exc:
+        raise ParseError(exc.line_no, exc.message, path) from None
+
+
 def _parse_edge_list(text: str) -> Graph:
     ids: dict[str, int] = {}
     nbrs: list[list[int]] = []
@@ -436,7 +454,9 @@ def random_bipartite(m: int, n: int, p: float, seed: int) -> Graph:
 
 
 def all_graphs(n: int) -> Iterator[Graph]:
-    """Yield every labeled graph on n vertices exactly once; n <= 7."""
+    """Yield every labeled graph on n vertices exactly once; 0 <= n <= 7."""
+    if n < 0:
+        raise ValueError(f"exhaustive stream needs n >= 0, got {n}")
     if n > EXHAUSTIVE_MAX_N:
         raise LimitExceeded(f"exhaustive stream supports n <= {EXHAUSTIVE_MAX_N}")
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]

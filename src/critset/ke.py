@@ -6,7 +6,6 @@ covers every vertex; all bipartite graphs do.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .critical import critical_difference, diadem, ker
@@ -27,8 +26,7 @@ class IdentityCheck(NamedTuple):
     rhs: object
 
 
-@dataclass(frozen=True)
-class KeReport:
+class KeReport(NamedTuple):
     is_ke: bool
     alpha: int
     mu: int

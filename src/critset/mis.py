@@ -6,8 +6,7 @@ rest of the library leans on these routines as reference answers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .critical import enumerate_critical_independent_sets
 from .graphs import Graph, LimitExceeded, VertexSet, vlist
@@ -16,8 +15,7 @@ ALPHA_LIMIT = 40
 ENUM_LIMIT = 20
 
 
-@dataclass(frozen=True)
-class MisProfile:
+class MisProfile(NamedTuple):
     """Summary of the family of maximum independent sets.
 
     count is None when enumeration stopped early: core and corona were already

@@ -13,9 +13,8 @@ against the per-vertex deletion and forcing rules.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import islice
-from typing import Iterator, Literal
+from typing import Iterator, Literal, NamedTuple
 
 from .critical import (ORACLE_LIMIT, _enumerate_target_sets,
                        critical_difference, diadem,
@@ -30,8 +29,7 @@ from .mis import alpha, core_and_corona
 Side = Literal["A", "B"]
 
 
-@dataclass(frozen=True)
-class OreProfile:
+class OreProfile(NamedTuple):
     delta0_a: int
     delta0_b: int
     ker_a: VertexSet
@@ -40,8 +38,7 @@ class OreProfile:
     diadem_b: VertexSet
 
 
-@dataclass(frozen=True)
-class OreReport:
+class OreReport(NamedTuple):
     profile: OreProfile
     checks: tuple[IdentityCheck, ...]
 

@@ -15,17 +15,14 @@ from __future__ import annotations
 import json
 import os
 import random
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
 from itertools import islice
-from pathlib import Path
 from typing import Callable, Iterator, NamedTuple
 
 from . import critical, ke, mis, ore
 from .critical import ORACLE_LIMIT
 from .graphs import (Graph, LimitExceeded, VertexSet, all_graphs, bipartition,
                      delete_edge, delete_vertices, difference, iter_bits,
-                     neighborhood, parse_graph, random_graph)
+                     neighborhood, random_graph, read_graph_file)
 from .matching import maximum_matching_general, saturating_matching
 
 FAMILY_CAP = 20000
@@ -40,8 +37,7 @@ def default_workers() -> int:
         return 1
 
 
-@dataclass(frozen=True)
-class Config:
+class Config(NamedTuple):
     oracle_limit: int = ORACLE_LIMIT
     use_oracle: bool = True
     strict: bool = False
@@ -244,13 +240,38 @@ class Property(NamedTuple):
     check: Callable[[Facts], tuple[bool, dict | None]]
 
 
-@dataclass
 class PropertyResult:
-    prop: str
-    verdict: str  # holds | fails | skipped
-    reason: str | None = None
-    witness: dict | None = None
-    limit: bool = False  # skipped because a limit was hit, not applicability
+    """The verdict of one property on one graph: holds, fails or skipped.
+
+    limit marks a skip caused by a limit rather than by applicability. A
+    plain slotted class: one is built per property per graph.
+    """
+
+    __slots__ = ("prop", "verdict", "reason", "witness", "limit")
+
+    def __init__(self, prop: str, verdict: str, reason: str | None = None,
+                 witness: dict | None = None, limit: bool = False):
+        self.prop = prop
+        self.verdict = verdict
+        self.reason = reason
+        self.witness = witness
+        self.limit = limit
+
+    def _key(self) -> tuple:
+        return (self.prop, self.verdict, self.reason, self.witness,
+                self.limit)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    __hash__ = None  # mutable, so unhashable
+
+    def __repr__(self) -> str:
+        return (f"PropertyResult(prop={self.prop!r}, "
+                f"verdict={self.verdict!r}, reason={self.reason!r}, "
+                f"witness={self.witness!r}, limit={self.limit!r})")
 
     def as_dict(self) -> dict:
         out: dict = {"property": self.prop, "verdict": self.verdict}
@@ -888,10 +909,7 @@ def iter_graphs(spec: CorpusSpec) -> Iterator[tuple[str, Graph]]:
                        random_graph_at(lo, hi, p, seed, k))
         elif src.kind == "files":
             for path in src.params:
-                text = Path(path).read_text()
-                fmt = "dimacs" if path.endswith((".col", ".dimacs")) \
-                    else "edge-list"
-                yield f"file:{path}", parse_graph(text, fmt)
+                yield f"file:{path}", read_graph_file(path)
         else:
             raise ValueError(f"unknown corpus source kind {src.kind!r}")
 
@@ -914,6 +932,8 @@ def run(corpus: CorpusSpec, properties: list[str] | None = None,
     select_properties(properties)  # fail fast on unknown names
     jobs = [(key, g, properties, config) for key, g in iter_graphs(corpus)]
     if config.workers > 1 and len(jobs) > 1:
+        # imported here, so a one-process run never loads multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=config.workers) as pool:
             graph_reports = list(pool.map(_eval_graph, jobs, chunksize=16))
     else:

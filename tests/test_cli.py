@@ -107,6 +107,32 @@ def test_parse_error_reports_file_and_line(capsys, tmp_path):
     assert f"error: {f}:2:" in err
 
 
+def test_bad_graph_file_in_corpus_exits_2_naming_the_file(
+        capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "bad.edges").write_text("a b c\n")
+    (tmp_path / "c.json").write_text(json.dumps(
+        {"sources": [{"kind": "files", "paths": ["bad.edges"]}]}))
+    code, out, err = run_cli(capsys, "conjecture", "--corpus", "c.json")
+    assert code == 2
+    assert out == ""
+    assert err == "error: bad.edges:1: expected two tokens, got 3\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["exhaustive", "--n", "-1"],
+    ["conjecture", "--corpus", "c.json"]])
+def test_negative_exhaustive_order_exits_2(capsys, tmp_path, monkeypatch,
+                                           argv):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "c.json").write_text(json.dumps(
+        {"sources": [{"kind": "exhaustive", "n": -1}]}))
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err == "error: exhaustive stream needs n >= 0, got -1\n"
+
+
 def test_internal_error_exits_4_with_one_line(capsys, monkeypatch):
     def deep(*args):
         raise RecursionError("maximum recursion depth exceeded")

@@ -357,6 +357,8 @@ def test_exhaustive_stream_counts_and_uniqueness():
         assert len(seen) == 1 << (n * (n - 1) // 2)
     with pytest.raises(LimitExceeded):
         next(all_graphs(EXHAUSTIVE_MAX_N + 1))
+    with pytest.raises(ValueError, match="n >= 0"):
+        next(all_graphs(-1))
 
 
 def test_generate_descriptors():

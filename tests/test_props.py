@@ -1,21 +1,22 @@
 import json
+import pickle
 import random
 
 import pytest
 
 from conftest import mid_sample, small_corpus
-from critset import critical, ke, mis, props
+from critset import critical, ke, mis, ore, props
 from critset.fixtures import load
-from critset.graphs import (LimitExceeded, complete_graph, cycle_graph,
-                            empty_graph, neighborhood, path_graph,
+from critset.graphs import (LimitExceeded, bipartition, complete_graph,
+                            cycle_graph, empty_graph, neighborhood, path_graph,
                             random_graph)
 from critset.matching import maximum_matching_general
 from critset.mis import alpha
-from critset.props import (SELFTEST, Config, Facts, conjecture_scan, evaluate,
-                           exhaustive_corpus, fixtures_corpus, iter_graphs,
-                           lookup, parse_corpus_spec, random_corpus,
-                           random_graph_at, registry, run, select_properties,
-                           shrink)
+from critset.props import (SELFTEST, Config, Facts, PropertyResult,
+                           conjecture_scan, evaluate, exhaustive_corpus,
+                           fixtures_corpus, iter_graphs, lookup,
+                           parse_corpus_spec, random_corpus, random_graph_at,
+                           registry, run, select_properties, shrink)
 
 PINNED = [
     "zhang.d_eq_id",
@@ -92,6 +93,55 @@ def test_selftest_fails_with_reusable_witness():
     assert r.witness["alpha"] == 3
     r2 = evaluate(SELFTEST, Facts(complete_graph(4)))
     assert r2.verdict == "holds"
+
+
+def test_config_and_property_result_keep_their_contract():
+    assert Config() == Config(oracle_limit=20, use_oracle=True, strict=False,
+                              workers=1)
+    assert repr(Config()) == ("Config(oracle_limit=20, use_oracle=True, "
+                              "strict=False, workers=1)")
+    two = Config(workers=2)
+    assert two.workers == 2 and two != Config()
+    assert two == Config(workers=2) and hash(two) == hash(Config(workers=2))
+    # a Config crosses the process pool
+    assert pickle.loads(pickle.dumps(two)) == two
+
+    r = PropertyResult("x", "holds")
+    assert (r.prop, r.verdict, r.reason, r.witness, r.limit) == (
+        "x", "holds", None, None, False)
+    assert repr(r) == ("PropertyResult(prop='x', verdict='holds', "
+                       "reason=None, witness=None, limit=False)")
+    assert r == PropertyResult("x", "holds")
+    assert r != PropertyResult("x", "holds", limit=True)
+    assert r != ("x", "holds", None, None, False)
+    with pytest.raises(TypeError):
+        hash(r)
+    r.reason = "set"
+    assert r.as_dict() == {"property": "x", "verdict": "holds",
+                           "reason": "set"}
+
+
+def _frozen_results():
+    """One fresh value of each frozen result type, with one of its fields."""
+    g = path_graph(4)
+    parts = bipartition(g)
+    return [(Config(), "workers"),
+            (mis.core_and_corona(g), "alpha"),
+            (ore.ore_profile(g, parts), "delta0_a"),
+            (ore.ore_report(g, parts), "profile"),
+            (ke.ke_identities(g), "is_ke"),
+            (load("fig101"), "name")]
+
+
+@pytest.mark.parametrize("index", range(6))
+def test_result_types_stay_frozen_and_compare_by_value(index):
+    obj, field = _frozen_results()[index]
+    again, _ = _frozen_results()[index]
+    assert obj == again
+    if index < 3:  # the others hold lists or dicts
+        assert hash(obj) == hash(again)
+    with pytest.raises(AttributeError):
+        setattr(obj, field, getattr(obj, field))
 
 
 def test_facts_are_cached():

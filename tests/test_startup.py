@@ -1,0 +1,37 @@
+"""What a fresh interpreter loads: each command imports only what it uses."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
+# the line the benchmark times as set-up
+SETUP = "import critset, critset.cli; critset.registry()"
+# loaded on first use only: the process pool by --workers K > 1, fixtures by
+# the fixtures command; dataclasses and inspect by nothing
+LAZY = ("concurrent.futures", "multiprocessing", "dataclasses", "inspect",
+        "critset.fixtures")
+
+
+def _modules_after(code: str) -> set[str]:
+    env = dict(os.environ, PYTHONPATH=SRC)
+    done = subprocess.run(
+        [sys.executable, "-c",
+         f"{code}\nimport sys\nprint('\\n'.join(sys.modules))"],
+        env=env, capture_output=True, text=True, timeout=60, check=True)
+    return set(done.stdout.split())
+
+
+def test_setup_line_loads_no_pool_dataclasses_or_fixtures():
+    extra = _modules_after(SETUP) - _modules_after("pass")
+    assert "critset.cli" in extra
+    assert [name for name in LAZY if name in extra] == []
+
+
+@pytest.mark.parametrize("module", ["critset.cli", "critset.props",
+                                    "critset.fixtures"])
+def test_module_imports_alone(module):
+    assert module in _modules_after(f"import {module}")
