@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import random
 from typing import Iterable, Iterator, NamedTuple
 
@@ -284,12 +285,27 @@ def induced(g: Graph, keep: VertexSet) -> tuple[Graph, dict[int, int]]:
 # -- parsing and serialization -------------------------------------------------
 
 def parse_graph(text: str, format: str = "edge-list") -> Graph:
-    """Parse edge-list or DIMACS text into a Graph."""
+    """Parse edge-list or DIMACS text into a Graph.
+
+    The cyclic garbage collector is paused while the parser runs. It builds
+    a few containers per edge and vertex, none of them in a reference cycle,
+    and on a graph of thousands of vertices the collector would otherwise
+    run full collections in the middle of it that free nothing. A collector
+    that was already off stays off.
+    """
     if format == "edge-list":
-        return _parse_edge_list(text)
-    if format == "dimacs":
-        return _parse_dimacs(text)
-    raise ValueError(f"unknown format {format!r}")
+        parse = _parse_edge_list
+    elif format == "dimacs":
+        parse = _parse_dimacs
+    else:
+        raise ValueError(f"unknown format {format!r}")
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        return parse(text)
+    finally:
+        if collecting:
+            gc.enable()
 
 
 def read_graph_file(path: str, format: str | None = None) -> Graph:

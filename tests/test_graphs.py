@@ -1,5 +1,7 @@
+import gc
 import pickle
 import random
+import sys
 
 import pytest
 from hypothesis import given, strategies as st
@@ -311,6 +313,50 @@ def test_graph_error_messages(n, edges, labels, message):
 def test_parse_unknown_format():
     with pytest.raises(ValueError):
         parse_graph("", format="graphml")
+
+
+@pytest.mark.parametrize("fmt", ["edge-list", "dimacs"])
+def test_parse_runs_no_collection_and_restores_the_collector(fmt):
+    """Thousands of edges allocate enough to trigger the cyclic collector
+    many times over; none of those collections may run inside the parse."""
+    if fmt == "edge-list":
+        text = "".join(f"{i} {i + 1}\n" for i in range(6000))
+    else:
+        text = "p edge 6001 6000\n" + "".join(
+            f"e {i} {i + 1}\n" for i in range(1, 6001))
+
+    def in_parse() -> bool:
+        frame = sys._getframe()
+        while frame is not None:
+            if frame.f_code is parse_graph.__code__:
+                return True
+            frame = frame.f_back
+        return False
+
+    inside = []
+
+    def spy(phase, info):
+        if phase == "start" and in_parse():
+            inside.append(info["generation"])
+
+    was_enabled = gc.isenabled()
+    gc.enable()
+    gc.callbacks.append(spy)
+    try:
+        g = parse_graph(text, fmt)
+        assert gc.isenabled()
+        with pytest.raises(ParseError):
+            parse_graph("a b c\n", "edge-list")
+        assert gc.isenabled()
+        gc.disable()
+        parse_graph("a b\n")
+        assert not gc.isenabled()
+    finally:
+        gc.callbacks.remove(spy)
+        if was_enabled:
+            gc.enable()
+    assert g.n == 6001 and g.m == 6000
+    assert inside == []
 
 
 @given(graph_st)
