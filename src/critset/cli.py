@@ -28,7 +28,66 @@ EXIT_OK, EXIT_FAIL, EXIT_USAGE, EXIT_LIMIT, EXIT_INTERNAL = 0, 1, 2, 3, 4
 
 
 def _dump(doc: dict) -> str:
-    return json.dumps(doc, indent=2, sort_keys=True)
+    """json.dumps(doc, indent=2, sort_keys=True), byte for byte.
+
+    With indent set, json takes its pure-Python encoder; this renderer joins
+    strings instead, and encodes every string with json's C escaper. A run
+    report repeats a few result entries thousands of times, so a dict whose
+    values are all strings is rendered once per indentation.
+    """
+    return _render(doc, "\n", {})
+
+
+_encode_str = json.encoder.encode_basestring_ascii
+_INF = float("inf")
+_STR_ONLY = {str}
+
+
+def _render(o, nl: str, memo: dict) -> str:
+    """o as json.dumps renders it with indent=2 and sorted keys, where nl is
+    a newline and the indentation of o's own line. Keys must be strings."""
+    if type(o) is str:
+        return _encode_str(o)
+    if isinstance(o, dict):
+        if not o:
+            return "{}"
+        key = None
+        if set(map(type, o.values())) == _STR_ONLY:
+            key = (nl, *o.items())
+            text = memo.get(key)
+            if text is not None:
+                return text
+        inner = nl + "  "
+        text = "{" + inner + ("," + inner).join([
+            _encode_str(k) + ": " + _render(o[k], inner, memo)
+            for k in sorted(o)]) + nl + "}"
+        if key is not None:
+            memo[key] = text
+        return text
+    if isinstance(o, (list, tuple)):
+        if not o:
+            return "[]"
+        inner = nl + "  "
+        return "[" + inner + ("," + inner).join([
+            _render(x, inner, memo) for x in o]) + nl + "]"
+    if o is None:
+        return "null"
+    if o is True:
+        return "true"
+    if o is False:
+        return "false"
+    if isinstance(o, int):
+        return int.__repr__(o)
+    if isinstance(o, float):
+        if o != o:
+            return "NaN"
+        if o == _INF:
+            return "Infinity"
+        if o == -_INF:
+            return "-Infinity"
+        return float.__repr__(o)
+    raise TypeError(f"Object of type {o.__class__.__name__} "
+                    f"is not JSON serializable")
 
 
 def _config(args: argparse.Namespace) -> Config:

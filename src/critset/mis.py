@@ -84,7 +84,8 @@ def _maximum_independent_sets(
         g: Graph, limit: int,
         known_alpha: Callable[[], int] | None = None) -> Iterator[VertexSet]:
     """enumerate_maximum_independent_sets for a caller that may already know
-    alpha(g): known_alpha returns it, and is called after the limit check."""
+    alpha(g): known_alpha returns it, and is called after the limit check.
+    Both limits are checked at the call, not at the first set asked for."""
     if g.n > limit:
         raise LimitExceeded(f"n={g.n} exceeds enumeration limit {limit}")
     target = alpha(g) if known_alpha is None else known_alpha()
@@ -105,7 +106,7 @@ def _maximum_independent_sets(
             yield from rec(idx + 1, chosen | 1 << idx)
         yield from rec(idx + 1, chosen)
 
-    yield from rec(0, 0)
+    return rec(0, 0)
 
 
 def core_and_corona(g: Graph, limit: int = ENUM_LIMIT,
@@ -116,16 +117,19 @@ def core_and_corona(g: Graph, limit: int = ENUM_LIMIT,
     (intersection empty, union everything) and count comes back None; full=True
     always enumerates the whole family and counts it.
     """
-    return _core_and_corona(g, alpha(g), limit, full)
+    a = alpha(g)
+    sets = _maximum_independent_sets(g, limit, lambda: a)
+    return _core_and_corona(g, a, sets, full)
 
 
-def _core_and_corona(g: Graph, a: int, limit: int,
+def _core_and_corona(g: Graph, a: int, sets: Iterable[VertexSet],
                      full: bool = False) -> MisProfile:
-    """core_and_corona for a caller that already knows a = alpha(g)."""
+    """core_and_corona for a caller that already knows a = alpha(g) and
+    hands over g's maximum independent sets, in include-first order."""
     core = g.full
     corona = 0
     count = 0
-    for s in _maximum_independent_sets(g, limit, lambda: a):
+    for s in sets:
         core &= s
         corona |= s
         count += 1

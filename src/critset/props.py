@@ -4,10 +4,11 @@ Every registered property is a named predicate over one graph with an
 applicability guard and a witness-producing check. The runner hands each graph
 one lazily filled fact cache, so a registry sweep costs one set of invariants
 per graph rather than one per property: every check reads that cache, and one
-pass over the registry runs alpha and the critical independent enumeration at
-most once per graph and the blossom matching once. Anything exponential sits
-behind the oracle limit and reports itself as skipped instead of silently
-passing.
+pass over the registry runs alpha and the critical and maximum independent
+enumerations at most once per graph and the blossom matching once. Up to
+TABLE_MAX_N vertices those enumerations are read off the subset tables
+instead. Anything exponential sits behind the oracle limit and reports itself
+as skipped instead of silently passing.
 """
 
 from __future__ import annotations
@@ -15,17 +16,23 @@ from __future__ import annotations
 import json
 import os
 import random
+from functools import lru_cache
 from itertools import islice
-from typing import Callable, Iterator, NamedTuple
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 from . import critical, ke, mis, ore
 from .critical import ORACLE_LIMIT
-from .graphs import (Graph, LimitExceeded, VertexSet, all_graphs, bipartition,
-                     delete_edge, delete_vertices, difference, iter_bits,
-                     neighborhood, random_graph, read_graph_file)
+from .graphs import (EXHAUSTIVE_MAX_N, Graph, LimitExceeded, VertexSet,
+                     all_graphs, bipartition, delete_edge, delete_vertices,
+                     difference, iter_bits, neighborhood, random_graph,
+                     read_graph_file)
 from .matching import maximum_matching_general, saturating_matching
 
 FAMILY_CAP = 20000
+# the largest n at which Facts reads the critical, minimal positive and
+# maximum independent families off the subset tables; above it the pruned
+# DFSs, which visit a shrinking share of the 2^n masks, cost less
+TABLE_MAX_N = 12
 
 
 def default_workers() -> int:
@@ -45,6 +52,39 @@ class Config(NamedTuple):
 
 
 # -- per-graph fact cache --------------------------------------------------------
+
+@lru_cache(maxsize=None)
+def _include_first(n: int) -> tuple[int, ...]:
+    """Every mask over n vertices, in the order the include-first DFSs yield
+    them: of two masks, the one holding the lowest vertex where they differ
+    comes first. Only asked for with n <= TABLE_MAX_N."""
+    order = [0]
+    for v in reversed(range(n)):
+        order = [m | 1 << v for m in order] + order
+    return tuple(order)
+
+
+class _Replay:
+    """An iterator's items, kept as they are produced: every reader sees all
+    of them from the start, and the iterator runs once, only as far as the
+    furthest reader has asked. The items are never None."""
+
+    def __init__(self, source: Iterator[VertexSet]):
+        self._source = source
+        self._seen: list[VertexSet] = []
+
+    def __iter__(self) -> Iterator[VertexSet]:
+        seen = self._seen
+        i = 0
+        while True:
+            if i == len(seen):
+                s = next(self._source, None)
+                if s is None:
+                    return
+                seen.append(s)
+            yield seen[i]
+            i += 1
+
 
 class Facts:
     """Lazily computed invariants for one graph, shared across checks."""
@@ -108,8 +148,9 @@ class Facts:
     def mis_profile(self) -> mis.MisProfile:
         def compute():
             self.require_oracle()
-            return mis._core_and_corona(self.g, self.alpha(),
-                                        self.config.oracle_limit)
+            a = self.alpha()
+            return mis._core_and_corona(self.g, a,
+                                        self._maximum_independent_sets())
         return self._get("mis_profile", compute)
 
     def core(self) -> VertexSet:
@@ -118,17 +159,25 @@ class Facts:
     def corona(self) -> VertexSet:
         return self.mis_profile().corona
 
-    def _maximum_independent_sets(self) -> Iterator[VertexSet]:
-        """The maximum independent sets in include-first order, from the
-        cached alpha, which is read only after the enumeration limit passes.
-        Not guarded by the oracle switch."""
-        return mis._maximum_independent_sets(
-            self.g, self.config.oracle_limit, self.alpha)
+    def _maximum_independent_sets(self) -> Iterable[VertexSet]:
+        """The maximum independent sets in include-first order, found once
+        per graph and shared by every reader: off the subset tables at small
+        n, else by one DFS that runs only as far as the readers ask. The DFS
+        checks the enumeration limit, then reads the cached alpha. Not
+        guarded by the oracle switch."""
+        def compute():
+            if self._on_tables():
+                a = self.alpha()
+                return [m for m in self._independent_masks()
+                        if m.bit_count() == a]
+            return _Replay(mis._maximum_independent_sets(
+                self.g, self.config.oracle_limit, self.alpha))
+        return self._get("mis_sets", compute)
 
     def first_mis(self) -> VertexSet:
         def compute():
             self.require_oracle()
-            return next(self._maximum_independent_sets())
+            return next(iter(self._maximum_independent_sets()))
         return self._get("first_mis", compute)
 
     def ke_identity_checks(self) -> tuple[ke.IdentityCheck, ...]:
@@ -140,13 +189,18 @@ class Facts:
             self.corona(), self.ker(), self.diadem())
 
     def tables(self) -> tuple[list[int], list[int]]:
-        """d(X) and N(X) for every subset mask; the brute-force ground truth.
+        """d(X) and N(X) for every subset mask; the brute-force ground
+        truth, behind the oracle switch."""
+        self.require_oracle()
+        return self._subset_tables()
+
+    def _subset_tables(self) -> tuple[list[int], list[int]]:
+        """tables() without the oracle switch, for the unguarded readers.
 
         Built by doubling: the masks below 2^(v+1) are those below 2^v, then
         the same with v added, whose neighbourhoods gain N(v).
         """
         def compute():
-            self.require_oracle()
             g = self.g
             if g.n > self.config.oracle_limit:
                 raise LimitExceeded(
@@ -158,12 +212,31 @@ class Facts:
             return d, nb
         return self._get("tables", compute)
 
+    def _on_tables(self) -> bool:
+        """Whether the enumeration-backed families come off the subset
+        tables; where they do, no oracle or enumeration limit can fire."""
+        return self.g.n <= min(TABLE_MAX_N, self.config.oracle_limit)
+
+    def _independent_masks(self) -> list[VertexSet]:
+        """The independent masks in include-first order, off the tables."""
+        def compute():
+            _, nb = self._subset_tables()
+            return [m for m in _include_first(self.g.n) if not nb[m] & m]
+        return self._get("independent_masks", compute)
+
     def _critical_pass(self) -> tuple[list[VertexSet] | None, VertexSet]:
         """One enumeration of the critical independent sets: the family, or
         None past FAMILY_CAP members, and the maximum one, uncapped, with
         mis.maximum_critical_independent_set's tie rule. Not guarded by the
         oracle switch; the public readers check it."""
         def compute():
+            if self._on_tables():
+                d_list, _ = self._subset_tables()
+                d0 = self.d()
+                sets = [m for m in self._independent_masks()
+                        if d_list[m] == d0]
+                return ((sets if len(sets) <= FAMILY_CAP else None),
+                        mis._maximum_critical(sets))
             fam: list[VertexSet] = []
 
             def sets() -> Iterator[VertexSet]:
@@ -209,10 +282,32 @@ class Facts:
         return self._get("maximal_critical_ind", compute)
 
     def minimal_positives(self) -> list[VertexSet]:
+        """The inclusion-minimal independent sets with d >= 1, in
+        include-first order."""
         def compute():
             self.require_oracle()
-            return list(critical.minimal_positive_independent_sets(
-                self.g, self.config.oracle_limit))
+            if not self._on_tables():
+                return list(critical.minimal_positive_independent_sets(
+                    self.g, self.config.oracle_limit))
+            d_list, _ = self._subset_tables()
+            ind = self._independent_masks()
+            # positive[m]: m or a subset of m has d >= 1; in increasing order
+            # every subset of m comes before m
+            positive = bytearray(1 << self.g.n)
+            minimal = set()
+            for m in sorted(ind):
+                rest = m
+                while rest:
+                    low = rest & -rest
+                    if positive[m ^ low]:
+                        positive[m] = 1
+                        break
+                    rest ^= low
+                else:
+                    if d_list[m] >= 1:
+                        positive[m] = 1
+                        minimal.add(m)
+            return [m for m in ind if m in minimal]
         return self._get("minimal_positives", compute)
 
     def max_critical_ind(self) -> VertexSet:
@@ -868,12 +963,20 @@ def parse_corpus_spec(text: str) -> CorpusSpec:
             if kind == "fixtures":
                 sources.append(CorpusSource("fixtures", ()))
             elif kind == "exhaustive":
-                sources.append(CorpusSource("exhaustive", (int(entry["n"]),)))
+                n = int(entry["n"])
+                if n > EXHAUSTIVE_MAX_N:
+                    raise ValueError(f"exhaustive source supports n <= "
+                                     f"{EXHAUSTIVE_MAX_N}, got {n}")
+                sources.append(CorpusSource("exhaustive", (n,)))
             elif kind == "random":
                 lo, hi = entry["n"]
+                count = int(entry["count"])
+                if count < 0:
+                    raise ValueError(
+                        f"random source needs count >= 0, got {count}")
                 sources.append(CorpusSource("random", (
                     int(lo), int(hi), float(entry["p"]),
-                    int(entry["count"]), int(entry["seed"]))))
+                    count, int(entry["seed"]))))
             elif kind == "files":
                 sources.append(CorpusSource(
                     "files", tuple(str(p) for p in entry["paths"])))

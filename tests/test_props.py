@@ -195,10 +195,11 @@ def test_facts_run_alpha_and_the_blossom_matching_once(graphs_n5,
 
 
 def test_registry_pass_runs_each_oracle_fact_once(graphs_n5, monkeypatch):
-    # every check reads Facts, so one registry pass per graph runs alpha and
-    # the critical independent enumeration at most once and the blossom
-    # matching once, whichever module a check would reach them through
-    calls = {"alpha": 0, "blossom": 0, "critical": 0}
+    # every check reads Facts, so one registry pass per graph runs alpha,
+    # the critical independent enumeration and the maximum independent one
+    # at most once and the blossom matching once, whichever module a check
+    # would reach them through; the enumerations run above TABLE_MAX_N
+    calls = {"alpha": 0, "blossom": 0, "critical": 0, "mis": 0}
 
     def counted(name, f):
         def wrapper(*args, **kwargs):
@@ -215,18 +216,24 @@ def test_registry_pass_runs_each_oracle_fact_once(graphs_n5, monkeypatch):
     for module in (critical, mis):
         monkeypatch.setattr(module, "enumerate_critical_independent_sets",
                             counted("critical", enum))
+    monkeypatch.setattr(mis, "_maximum_independent_sets",
+                        counted("mis", mis._maximum_independent_sets))
     rng = random.Random(6)
+    above = range(props.TABLE_MAX_N + 1, props.TABLE_MAX_N + 4)
     graphs = [*graphs_n5[-1024::53],
               *(random_graph(n, p, rng.getrandbits(32))
-                for n in range(8, 13) for p in (0.15, 0.3, 0.5))]
+                for n in [*range(8, 13), *above] for p in (0.15, 0.3, 0.5))]
     for g in graphs:
-        calls.update(alpha=0, blossom=0, critical=0)
+        calls.update(alpha=0, blossom=0, critical=0, mis=0)
         facts = Facts(g)
         for prop in registry():
             assert evaluate(prop, facts).verdict in ("holds", "skipped")
         assert calls["alpha"] <= 1, g.adj
         assert calls["blossom"] == 1, g.adj
         assert calls["critical"] <= 1, g.adj
+        assert calls["mis"] <= 1, g.adj
+        if g.n > props.TABLE_MAX_N:
+            assert calls["critical"] == calls["mis"] == 1, g.adj
 
 
 def test_one_critical_pass_gives_capped_family_and_uncapped_maximum(
@@ -248,6 +255,60 @@ def test_one_critical_pass_gives_capped_family_and_uncapped_maximum(
     for read in (off.critical_ind_family, off.max_critical_ind):
         with pytest.raises(LimitExceeded, match="oracle disabled"):
             read()
+
+
+def _route_outcomes(g, config):
+    """What the five enumeration-backed readers of a fresh Facts give on g,
+    with any limit as its message, then every registry result."""
+    facts = Facts(g, config)
+
+    def outcome(read):
+        try:
+            return read()
+        except LimitExceeded as exc:
+            return str(exc)
+
+    readers = (facts.critical_ind_family, facts.max_critical_ind,
+               facts.minimal_positives, facts.first_mis, facts.mis_profile)
+    swept = Facts(g, config)
+    return ([outcome(read) for read in readers],
+            [evaluate(prop, swept) for prop in registry()])
+
+
+def _dfs_readers(g):
+    return [list(critical.enumerate_critical_independent_sets(g)),
+            mis.maximum_critical_independent_set(g),
+            list(critical.minimal_positive_independent_sets(g)),
+            next(mis.enumerate_maximum_independent_sets(g)),
+            mis.core_and_corona(g)]
+
+
+def test_table_route_gives_what_the_dfs_route_gives(monkeypatch):
+    # at n <= TABLE_MAX_N Facts reads the critical, minimal positive and
+    # maximum independent families off the subset tables; in the order the
+    # DFSs yield them, and with the same skips and results
+    rng = random.Random(9)
+    cap = props.TABLE_MAX_N
+    sampled = [random_graph(n, p, rng.getrandbits(32))
+               for n in (cap, cap + 1) for p in (0.15, 0.3, 0.5)
+               for _ in range(2)]
+    for g in [*small_corpus(6), *sampled]:
+        facts = Facts(g)
+        assert facts._on_tables() == (g.n <= cap)
+        assert [facts.critical_ind_family(), facts.max_critical_ind(),
+                facts.minimal_positives(), facts.first_mis(),
+                facts.mis_profile()] == _dfs_readers(g), g.adj
+        assert (list(facts._maximum_independent_sets())
+                == list(mis.enumerate_maximum_independent_sets(g))), g.adj
+    # under --no-oracle, and an oracle limit below n, every reader and
+    # every registry result is what the DFS route gives
+    for g in [*small_corpus(4)][::5] + sampled[:6]:
+        for config in (Config(use_oracle=False),
+                       Config(oracle_limit=max(g.n - 1, 0)), Config()):
+            tables = _route_outcomes(g, config)
+            monkeypatch.setattr(props, "TABLE_MAX_N", -1)
+            assert _route_outcomes(g, config) == tables, (g.adj, config)
+            monkeypatch.undo()
 
 
 def _first_failing_pair(d_list, masks):
