@@ -298,6 +298,19 @@ PINNED_OUTPUTS = [
      "f38de77132ea58c17a3eadea5b8dee73f4a55e19c79e58fb4b72b19f01b1ddc3"),
     (("conjecture", "--max-n", "5", "--json"), 0,
      "e857dbd6ceefefa703a6345bab7d741a7ee97ff2f01ccee72f78d5ccfde751c0"),
+    # computed before the d table was built in byte lanes and the table
+    # route moved up to n <= 18: n = 13..17 on the table route, the same
+    # with the oracle limit cutting it off at 15, and n = 17..20 across the
+    # route boundary
+    (("fuzz", "--n", "13..17", "--p", "0.3", "--count", "10", "--seed", "4",
+      "--json"), 0,
+     "4c47e99b9d39b6ca25ca8b879385869f77192cf4d722ee1eb8e9360f5605b237"),
+    (("fuzz", "--n", "13..17", "--p", "0.3", "--count", "10", "--seed", "4",
+      "--json", "--oracle-limit", "15"), 0,
+     "bb1751183dd67129003617821a6ab01b851ea9212b11a648c34b68d792e3fc34"),
+    (("fuzz", "--n", "17..20", "--p", "0.3", "--count", "6", "--seed", "4",
+      "--json"), 0,
+     "d158375d2c3d68090cdbbd3dd4cc71b5329dc6d49a93972bad7bd03b8200313f"),
 ]
 
 

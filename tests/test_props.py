@@ -8,8 +8,8 @@ from conftest import mid_sample, small_corpus
 from critset import critical, ke, mis, ore, props
 from critset.fixtures import load
 from critset.graphs import (LimitExceeded, bipartition, complete_graph,
-                            cycle_graph, empty_graph, neighborhood, path_graph,
-                            random_graph)
+                            cycle_graph, empty_graph, is_independent,
+                            neighborhood, path_graph, random_graph)
 from critset.matching import maximum_matching_general
 from critset.mis import alpha
 from critset.props import (SELFTEST, Config, Facts, PropertyResult,
@@ -198,7 +198,8 @@ def test_registry_pass_runs_each_oracle_fact_once(graphs_n5, monkeypatch):
     # every check reads Facts, so one registry pass per graph runs alpha,
     # the critical independent enumeration and the maximum independent one
     # at most once and the blossom matching once, whichever module a check
-    # would reach them through; the enumerations run above TABLE_MAX_N
+    # would reach them through; the enumerations run above TABLE_MAX_N, up
+    # to the oracle limit (past it they raise at the call, uncached)
     calls = {"alpha": 0, "blossom": 0, "critical": 0, "mis": 0}
 
     def counted(name, f):
@@ -219,7 +220,7 @@ def test_registry_pass_runs_each_oracle_fact_once(graphs_n5, monkeypatch):
     monkeypatch.setattr(mis, "_maximum_independent_sets",
                         counted("mis", mis._maximum_independent_sets))
     rng = random.Random(6)
-    above = range(props.TABLE_MAX_N + 1, props.TABLE_MAX_N + 4)
+    above = range(props.TABLE_MAX_N + 1, critical.ORACLE_LIMIT + 1)
     graphs = [*graphs_n5[-1024::53],
               *(random_graph(n, p, rng.getrandbits(32))
                 for n in [*range(8, 13), *above] for p in (0.15, 0.3, 0.5))]
@@ -311,10 +312,10 @@ def test_table_route_gives_what_the_dfs_route_gives(monkeypatch):
             monkeypatch.undo()
 
 
-def _first_failing_pair(d_list, masks):
+def _first_failing_pair(table, masks):
     for a in masks:
         for b in masks:
-            if d_list[a | b] + d_list[a & b] < d_list[a] + d_list[b]:
+            if table[a | b] + table[a & b] < table[a] + table[b]:
                 return a, b
     return None
 
@@ -324,7 +325,8 @@ def test_supermodular_reports_the_first_failing_pair(n):
     # corrupted tables break supermodularity in many pairs; the check scans
     # only b at or after a, and must still name the first pair a full
     # row-major scan finds, both where every mask is paired (n <= 7) and
-    # where the masks are sampled
+    # where the masks are sampled; lane m holds d(m) + n, and the witness
+    # gives d values
     prop = lookup("th4.supermodular")
     rng = random.Random(n)
     masks = props._supermodular_masks(n)
@@ -332,13 +334,12 @@ def test_supermodular_reports_the_first_failing_pair(n):
     for _ in range(80):
         g = random_graph(n, rng.choice([0.2, 0.4, 0.6]), rng.getrandbits(32))
         facts = Facts(g)
-        d_list, nb = facts.tables()
-        bad = d_list[:]
+        bad = bytearray(facts.tables())
         for _ in range(rng.randrange(1, 4)):
             m = rng.choice(masks) if rng.random() < 0.8 else rng.randrange(
                 1 << n)
             bad[m] += rng.choice([-2, -1, 1, 2])
-        facts._cache["tables"] = (bad, nb)
+        facts._cache["tables"] = list(bad)
         ok, witness = prop.check(facts)
         first = _first_failing_pair(bad, masks)
         assert ok == (first is None)
@@ -347,22 +348,103 @@ def test_supermodular_reports_the_first_failing_pair(n):
             a, b = first
             assert witness == {
                 "a": g.label_list(a), "b": g.label_list(b),
-                "d_union_plus_d_intersection": bad[a | b] + bad[a & b],
-                "d_a_plus_d_b": bad[a] + bad[b]}
+                "d_union_plus_d_intersection": bad[a | b] + bad[a & b] - 2 * n,
+                "d_a_plus_d_b": bad[a] + bad[b] - 2 * n}
     assert failed >= 40
 
 
+def test_d_eq_id_reports_d_values_off_a_corrupted_table():
+    # one lane raised above d(G) + n breaks the identity; the witness gives
+    # the subset and independent maxima as d values
+    prop = lookup("zhang.d_eq_id")
+    rng = random.Random(10)
+    for n in (4, 9, 13):
+        for _ in range(12):
+            g = random_graph(n, rng.choice([0.2, 0.4, 0.6]),
+                             rng.getrandbits(32))
+            facts = Facts(g)
+            d0, m, k = facts.d(), rng.randrange(1 << n), rng.choice([1, 2])
+            bad = bytearray(facts.tables())
+            bad[m] = d0 + n + k
+            facts._cache["tables"] = list(bad)
+            assert prop.check(facts) == (False, {
+                "d_polynomial": d0, "max_over_subsets": d0 + k,
+                "max_over_independent":
+                    d0 + k if is_independent(g, m) else d0})
+
+
+def test_critical_closure_reports_the_first_failing_pair_in_d_values():
+    # a corrupted lane makes a non-critical mask critical or a critical one
+    # not; the check must name the first failing pair of the critical
+    # masks (a strided sample of them past 256), with d values
+    prop = lookup("th4.critical_closed_union_intersection")
+    rng = random.Random(13)
+    failed = 0
+    for n in (4, 7, 10):
+        for _ in range(30):
+            g = random_graph(n, rng.choice([0.2, 0.4, 0.6]),
+                             rng.getrandbits(32))
+            facts = Facts(g)
+            d0 = facts.d()
+            bad = bytearray(facts.tables())
+            crit = [m for m in range(1 << n) if bad[m] - n == d0]
+            if rng.random() < 0.5:
+                bad[rng.randrange(1 << n)] = d0 + n
+            else:
+                bad[rng.choice(crit)] -= 1
+            facts._cache["tables"] = list(bad)
+            crit = [m for m in range(1 << n) if bad[m] - n == d0]
+            if len(crit) > 256:
+                crit = crit[::len(crit) // 256 + 1]
+            first = next(((a, b) for a in crit for b in crit
+                          if bad[a | b] - n != d0 or bad[a & b] - n != d0),
+                         None)
+            ok, witness = prop.check(facts)
+            assert ok == (first is None)
+            if first is not None:
+                failed += 1
+                a, b = first
+                assert witness == {
+                    "a": g.label_list(a), "b": g.label_list(b), "d": d0,
+                    "d_union": bad[a | b] - n,
+                    "d_intersection": bad[a & b] - n}
+    assert failed >= 30
+
+
 def test_tables_match_the_per_mask_definition():
+    # every lane against d(m) + n, and the independent masks against
+    # is_independent in include-first order (of two masks, the one holding
+    # the lowest vertex where they differ comes first), up to two past
+    # TABLE_MAX_N, where zhang.d_eq_id still reads both; one graph per n
+    # above 12, at alternating density, keeps the per-mask scan short
     rng = random.Random(12)
     graphs = [*small_corpus(4),
               *(random_graph(n, p, rng.getrandbits(32))
-                for n in range(8, 13) for p in (0.2, 0.5))]
+                for n in range(8, 13) for p in (0.2, 0.5)),
+              *(random_graph(n, (0.2, 0.5)[n % 2], rng.getrandbits(32))
+                for n in range(13, props.TABLE_MAX_N + 3))]
     for g in graphs:
-        d_list, nb = Facts(g).tables()
-        size = 1 << g.n
-        assert nb == [neighborhood(g, m) for m in range(size)], g.adj
-        assert d_list == [m.bit_count() - neighborhood(g, m).bit_count()
-                          for m in range(size)], g.adj
+        n, facts = g.n, Facts(g)
+        assert list(facts.tables()) == [
+            m.bit_count() - neighborhood(g, m).bit_count() + n
+            for m in range(1 << n)], g.adj
+        assert facts._independent_masks() == sorted(
+            (m for m in range(1 << n) if is_independent(g, m)),
+            key=lambda m: [not m >> v & 1 for v in range(n)]), g.adj
+
+
+def test_core_and_corona_build_no_subset_table():
+    # the conjecture scan reads core and corona alone; at n <= TABLE_MAX_N
+    # they come off the independent masks, with no 2^n table built
+    rng = random.Random(11)
+    for n in (0, 5, 12, props.TABLE_MAX_N):
+        g = random_graph(n, 0.3, rng.getrandbits(32))
+        facts = Facts(g)
+        assert facts._on_tables()
+        assert facts.mis_profile() == mis.core_and_corona(g)
+        assert facts.first_mis() == next(
+            mis.enumerate_maximum_independent_sets(g))
+        assert "tables" not in facts._cache
 
 
 def test_shrink_reaches_minimal_example():
