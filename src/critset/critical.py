@@ -11,6 +11,7 @@ are cross-checked in the tests.
 
 from __future__ import annotations
 
+from itertools import compress
 from typing import Iterator, NamedTuple
 
 from .graphs import (Graph, LimitExceeded, VertexSet, difference,
@@ -191,36 +192,40 @@ def diadem(g: Graph) -> VertexSet:
     The reaches of all v at once come from the alternating digraph on the
     plus copies, u -> mate_minus[w] for each neighbour w of u: one iterative
     Tarjan pass finds its strongly connected components, sinks first, and
-    each component's reach is its members OR the reaches of the components
-    its edges enter. The pass starts only at candidates, the vertices with no
-    neighbour in ker, so it is linear in the part of the digraph they reach,
-    plus one bitmask OR per pair of components joined by an edge; the masks
-    take O(n) bits per component.
+    carries reach forward. Each vertex on the path gathers the reaches of the
+    complete components its edges enter, those its children close included,
+    and hands what it gathered to its parent when it returns inside the
+    parent's component; a component's reach is then its members OR what its
+    root gathered, and is stored on every member. The pass starts only at
+    candidates, the vertices with no neighbour in ker, so it is linear in the
+    part of the digraph they reach, plus one bitmask OR per edge that leaves
+    a component; the masks take O(n) bits per component.
     """
     cover = _ker_matching(g)
-    nbrs = g.nbrs
-    mate_minus, in_ker = cover.mate_minus, cover.in_ker
-    candidate = bytearray(not any(in_ker[u] for u in nbrs[v])
-                          for v in range(g.n))
-    if not any(candidate):
-        return 0
-    order = [0] * g.n  # 1 + discovery number, 0 while unvisited
-    low = [0] * g.n
-    comp = [-1] * g.n  # component id, -1 while unvisited or on the stack
-    reach: list[VertexSet] = []  # reach[c]: plus copies reachable from c
+    n, nbrs = g.n, g.nbrs
+    mate_minus = cover.mate_minus
+    candidate = bytearray(b"\1") * n
+    for k in compress(range(n), cover.in_ker):
+        for v in nbrs[k]:
+            candidate[v] = 0
+    order = [0] * n  # 1 + discovery number, 0 while unvisited
+    low = [0] * n
+    reach = [-1] * n  # the component's reach once it is complete, else -1
+    gathered = [0] * n  # reach gathered below a vertex still on the path
     stack: list[int] = []
     members = []
     count = 0
-    for root in range(g.n):
-        if order[root] or not candidate[root]:
+    for root in compress(range(n), candidate):
+        if order[root]:
             continue
         count += 1
         order[root] = low[root] = count
         stack.append(root)
-        path = [(root, iter(nbrs[root]))]
+        path = [root]
+        edges = [iter(nbrs[root])]
         while path:
-            u, edges = path[-1]
-            for w in edges:
+            u = path[-1]
+            for w in edges[-1]:
                 x = mate_minus[w]
                 if x == -1:
                     continue
@@ -228,39 +233,46 @@ def diadem(g: Graph) -> VertexSet:
                     count += 1
                     order[x] = low[x] = count
                     stack.append(x)
-                    path.append((x, iter(nbrs[x])))
+                    path.append(x)
+                    edges.append(iter(nbrs[x]))
                     break
-                if comp[x] == -1 and order[x] < low[u]:
+                r = reach[x]
+                if r != -1:
+                    gathered[u] |= r
+                elif order[x] < low[u]:
                     low[u] = order[x]
             else:
                 path.pop()
-                if path and low[u] < low[path[-1][0]]:
-                    low[path[-1][0]] = low[u]
+                edges.pop()
                 if low[u] != order[u]:
+                    # u's component holds its parent too
+                    p = path[-1]
+                    if low[u] < low[p]:
+                        low[p] = low[u]
+                    gathered[p] |= gathered[u]
+                    gathered[u] = 0
                     continue
-                # u roots a component; every edge leaving it enters one
-                # that is already complete
-                c = len(reach)
+                # u roots a component; its members have handed u the
+                # reaches of every complete component they entered
+                mask = gathered[u]
+                gathered[u] = 0
                 scc = []
-                mask = 0
                 while True:
                     x = stack.pop()
-                    comp[x] = c
                     scc.append(x)
                     mask |= 1 << x
                     if x == u:
                         break
-                entered = set()
                 for x in scc:
-                    for w in nbrs[x]:
-                        y = mate_minus[w]
-                        if y != -1 and comp[y] != c:
-                            entered.add(comp[y])
-                for e in entered:
-                    mask |= reach[e]
-                reach.append(mask)
-                members += [x for x in scc if candidate[x] and not any(
-                    mask >> w & 1 for w in nbrs[x])]
+                    reach[x] = mask
+                    if candidate[x]:
+                        for w in nbrs[x]:
+                            if mask >> w & 1:
+                                break
+                        else:
+                            members.append(x)
+                if path:
+                    gathered[path[-1]] |= mask
     return vset(members)
 
 

@@ -169,16 +169,22 @@ def maximum_matching_bipartite(g: Graph, parts: BipartitePartition) -> Matching:
 
 def _check_parts(g: Graph, parts: BipartitePartition) -> bytes:
     """Raise ValueError unless parts splits V with no edge inside a side;
-    return the flags of side_a."""
+    return the flags of side_a. An edge inside side_a is named first, even
+    when side_b has one too."""
     a, b = parts
     if a & b or (a | b) != g.full:
         raise ValueError("partition sides must split V")
     in_a = vflags(a, g.n)
-    nbrs = g.nbrs
-    for side, name in ((1, "side_a"), (0, "side_b")):
-        for u in range(g.n):
-            if in_a[u] == side and any(in_a[v] == side for v in nbrs[u]):
-                raise ValueError(f"edge inside {name}")
+    inner_b = False
+    for side, nb in zip(in_a, g.nbrs):
+        for v in nb:
+            if in_a[v] == side:
+                if side:
+                    raise ValueError("edge inside side_a")
+                inner_b = True
+                break
+    if inner_b:
+        raise ValueError("edge inside side_b")
     return in_a
 
 

@@ -62,6 +62,26 @@ def mid_sample(seed: int, per_density: int = 5):
             yield random_bipartite(a, n - a, p, rng.getrandbits(32))
 
 
+def analyze_sample(seed: int, count: int):
+    """Graphs shaped like `critset analyze` inputs: G(n, m) and bipartite
+    graphs on sides n // 2 and n - n // 2, both with m = 1.25 n edges drawn
+    uniformly, for n in 60..250, alternating between the two families."""
+    rng = random.Random(seed)
+    for i in range(count):
+        n = rng.randrange(60, 251)
+        m = round(1.25 * n)
+        a = n // 2
+        edges: set[tuple[int, int]] = set()
+        while len(edges) < m:
+            if i % 2:
+                edges.add((rng.randrange(a), a + rng.randrange(n - a)))
+            else:
+                u, v = rng.randrange(n), rng.randrange(n)
+                if u != v:
+                    edges.add((min(u, v), max(u, v)))
+        yield Graph(n, sorted(edges))
+
+
 @pytest.fixture(scope="session")
 def graphs_n5() -> list[Graph]:
     return list(small_corpus(5))

@@ -5,8 +5,8 @@ import random
 import pytest
 
 import oracles as o
-from conftest import (adj_of, masks_built, mid_sample, random_sample,
-                      shuffled_chain, small_corpus)
+from conftest import (adj_of, analyze_sample, masks_built, mid_sample,
+                      random_sample, shuffled_chain, small_corpus)
 from critset.critical import (_d_without, _ker_matching, critical_difference,
                               critical_independent_witness, critical_profile,
                               diadem,
@@ -19,7 +19,7 @@ from critset.fixtures import load
 from critset.graphs import (Graph, LimitExceeded, complete_graph,
                             cycle_graph, delete_vertices, difference,
                             empty_graph, is_independent, parse_graph,
-                            path_graph, to_edge_list)
+                            path_graph, random_graph, to_edge_list)
 
 
 def mask_of(g, labels):
@@ -122,6 +122,24 @@ def test_ker_and_diadem_match_per_vertex_rules_past_oracle_reach():
         assert ker(g) == o.deletion_ker(g.n, adj), g.adj
         assert diadem(g) == o.forcing_diadem(g.n, adj), g.adj
         assert diadem(g) == o.search_diadem(g.n, adj), g.adj
+
+
+def test_diadem_matches_per_vertex_rules_on_analyze_shapes():
+    # the shapes `critset analyze` is timed on, plus graphs whose ker is
+    # empty (even cycle, dense G(n, p)) and whose diadem is empty (odd cycle,
+    # complete graph, the empty graph)
+    graphs = [*analyze_sample(seed=53, count=8), cycle_graph(120),
+              cycle_graph(121), complete_graph(7), empty_graph(0),
+              random_graph(70, 0.1, 5)]
+    kers, diadems = set(), set()
+    for g in graphs:
+        adj = adj_of(g)
+        got = diadem(g)
+        assert got == o.search_diadem(g.n, adj), g.adj
+        assert got == o.forcing_diadem(g.n, adj), g.adj
+        kers.add(ker(g) != 0)
+        diadems.add(got != 0)
+    assert kers == diadems == {False, True}
 
 
 @pytest.mark.parametrize("n", [501, 502, 1001, 2000])

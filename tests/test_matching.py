@@ -2,11 +2,12 @@ import pytest
 
 import oracles as o
 from conftest import adj_of, random_sample, small_corpus
-from critset.graphs import (Graph, bipartition, complete_bipartite,
-                            complete_graph, cycle_graph, empty_graph,
-                            neighborhood, path_graph)
+from critset.graphs import (BipartitePartition, Graph, bipartition,
+                            complete_bipartite, complete_graph, cycle_graph,
+                            empty_graph, neighborhood, path_graph)
 from critset.matching import (Matching, deficiency, maximum_matching_bipartite,
                               maximum_matching_general, saturating_matching)
+from critset.ore import ore_profile
 
 
 def check_valid_matching(g: Graph, m: Matching):
@@ -50,6 +51,21 @@ def test_bipartite_matching_rejects_bad_parts():
     g = path_graph(3)
     with pytest.raises(ValueError):
         maximum_matching_bipartite(g, bipartition(cycle_graph(4)))
+
+
+@pytest.mark.parametrize("call", [maximum_matching_bipartite, ore_profile],
+                         ids=["matching", "ore_profile"])
+@pytest.mark.parametrize("side_a, side_b, message", [
+    # path 0-1-2-3 with 0, 1 in B and 2, 3 in A: the inner B edge comes
+    # first in vertex order, yet side_a is the one named
+    (0b1100, 0b0011, "edge inside side_a"),
+    (0b0001, 0b1110, "edge inside side_b"),
+    (0b0111, 0b1100, "partition sides must split V"),
+    (0b0101, 0b0010, "partition sides must split V"),
+])
+def test_bad_parts_are_named_in_a_fixed_order(call, side_a, side_b, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call(path_graph(4), BipartitePartition(side_a, side_b))
 
 
 # -- general maximum matching -----------------------------------------------------
