@@ -21,15 +21,14 @@ from .graphs import (BipartitePartition, Graph, LimitExceeded, ParseError,
                      cycle_graph, delete_edge, delete_vertices, difference,
                      empty_graph, generate, is_independent, neighborhood,
                      parse_graph, path_graph, random_graph, to_edge_list)
-from .ke import KeReport, is_ke_via_critical, is_koenig_egervary, ke_identities
+from .ke import is_ke_via_critical, is_koenig_egervary
 from .matching import (Matching, deficiency, maximum_matching_bipartite,
                        maximum_matching_general, saturating_matching)
 from .mis import (MisProfile, alpha, core_and_corona,
                   enumerate_maximum_independent_sets,
                   maximum_critical_independent_set)
-from .ore import (OreProfile, OreReport, delta0, enumerate_side_critical_sets,
-                  is_side_critical, ore_profile, ore_report, side_diadem,
-                  side_kernel)
+from .ore import (OreProfile, delta0, enumerate_side_critical_sets,
+                  is_side_critical, ore_profile, side_diadem, side_kernel)
 from .props import (Config, CorpusSpec, Facts, Property, PropertyResult,
                     conjecture_scan, exhaustive_corpus, fixtures_corpus,
                     files_corpus, parse_corpus_spec, random_corpus, registry,
@@ -39,8 +38,8 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BipartitePartition", "Config", "CorpusSpec", "CriticalProfile", "Facts",
-    "Graph", "KeReport", "LimitExceeded", "Matching", "MisProfile",
-    "OreProfile", "OreReport", "ParseError", "Property", "PropertyResult",
+    "Graph", "LimitExceeded", "Matching", "MisProfile", "OreProfile",
+    "ParseError", "Property", "PropertyResult",
     "alpha", "bipartition", "complete_bipartite", "complete_graph",
     "conjecture_scan", "core_and_corona", "critical_difference",
     "critical_independent_witness", "critical_profile", "cycle_graph",
@@ -50,11 +49,10 @@ __all__ = [
     "enumerate_side_critical_sets", "exhaustive_corpus", "files_corpus",
     "fixtures_corpus", "generate", "is_critical_independent",
     "is_critical_set", "is_independent", "is_ke_via_critical",
-    "is_koenig_egervary", "is_side_critical", "ke_identities", "ker",
+    "is_koenig_egervary", "is_side_critical", "ker",
     "max_subset_difference", "maximum_critical_independent_set",
     "maximum_matching_bipartite", "maximum_matching_general",
     "minimal_positive_independent_sets", "neighborhood", "ore_profile",
-    "ore_report",
     "parse_corpus_spec", "parse_graph", "path_graph", "random_corpus",
     "random_graph", "registry", "run", "saturating_matching", "shrink",
     "side_diadem", "side_kernel", "to_edge_list",

@@ -146,9 +146,7 @@ def analyze_graph(g: Graph, config: Config) -> dict:
     if is_ke:
         def identities():
             facts.require_oracle()
-            return [{"name": c.name, "holds": c.holds,
-                     "lhs": c.lhs, "rhs": c.rhs}
-                    for c in facts.ke_identity_checks()]
+            return facts.ke_identity_checks()
         report["ke_identities"] = attempt("ke_identities", identities)
     if facts.parts() is not None:
         p = facts.ore_profile()

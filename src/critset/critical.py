@@ -196,21 +196,29 @@ def diadem(g: Graph) -> VertexSet:
     complete components its edges enter, those its children close included,
     and hands what it gathered to its parent when it returns inside the
     parent's component; a component's reach is then its members OR what its
-    root gathered, and is stored on every member. The pass starts only at
-    candidates, the vertices with no neighbour in ker, so it is linear in the
-    part of the digraph they reach, plus one bitmask OR per edge that leaves
-    a component; the masks take O(n) bits per component.
+    root gathered, and is stored on every member. ker lies in diadem, and
+    every edge out of a ker member ends in ker, so the test, which never
+    looks at ker, reads the same from the reach outside ker: the members of
+    ker are marked complete with an empty reach before the pass, and the
+    answer is ker plus the candidates that pass. The pass starts only at
+    candidates, the vertices outside ker with no neighbour in it, so it is
+    linear in the part of the digraph they reach outside ker, plus one
+    bitmask OR per edge that leaves a component; the masks take O(n) bits
+    per component.
     """
     cover = _ker_matching(g)
     n, nbrs = g.n, g.nbrs
     mate_minus = cover.mate_minus
     candidate = bytearray(b"\1") * n
-    for k in compress(range(n), cover.in_ker):
-        for v in nbrs[k]:
-            candidate[v] = 0
     order = [0] * n  # 1 + discovery number, 0 while unvisited
     low = [0] * n
     reach = [-1] * n  # the component's reach once it is complete, else -1
+    for k in compress(range(n), cover.in_ker):
+        # ker is in diadem and no edge leaves it, so it is never walked
+        order[k] = 1
+        reach[k] = 0
+        for v in nbrs[k]:
+            candidate[v] = 0
     gathered = [0] * n  # reach gathered below a vertex still on the path
     stack: list[int] = []
     members = []
@@ -273,7 +281,7 @@ def diadem(g: Graph) -> VertexSet:
                             members.append(x)
                 if path:
                     gathered[path[-1]] |= mask
-    return vset(members)
+    return cover.ker | vset(members)
 
 
 def critical_profile(g: Graph) -> CriticalProfile:

@@ -73,10 +73,6 @@ def _mask_of(g: Graph, labels: list[str]) -> int:
     return mask
 
 
-def _labels_match(g: Graph, mask: int, labels: list[str]) -> bool:
-    return mask == _mask_of(g, labels)
-
-
 def _compute(key: str, expected, g: Graph, f: Facts):
     """Actual value for one expected key; shapes mirror the sidecar."""
     parts = f.parts()

@@ -202,8 +202,8 @@ def _check_subset(g: Graph, x: VertexSet) -> None:
         raise ValueError(f"vertex set {bin(x)} not within 0..{g.n - 1}")
 
 
-def neighborhood(g: Graph, x: VertexSet, closed: bool = False) -> VertexSet:
-    """Return N(x) (open), or N[x] when closed; open N(x) may intersect x."""
+def neighborhood(g: Graph, x: VertexSet) -> VertexSet:
+    """Return the open neighbourhood N(x); it may intersect x."""
     _check_subset(g, x)
     out = 0
     rest = x
@@ -211,7 +211,7 @@ def neighborhood(g: Graph, x: VertexSet, closed: bool = False) -> VertexSet:
         low = rest & -rest
         out |= g.adj[low.bit_length() - 1]
         rest ^= low
-    return out | x if closed else out
+    return out
 
 
 def difference(g: Graph, x: VertexSet) -> int:
@@ -275,11 +275,6 @@ def bipartition(g: Graph) -> BipartitePartition | None:
                     return None
     side_a = vset(v for v in range(g.n) if color[v] == 1)
     return BipartitePartition(side_a, g.full ^ side_a)
-
-
-def induced(g: Graph, keep: VertexSet) -> tuple[Graph, dict[int, int]]:
-    """Return the induced subgraph on keep plus the old-to-new id map."""
-    return delete_vertices(g, g.full & ~keep)
 
 
 # -- parsing and serialization -------------------------------------------------

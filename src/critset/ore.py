@@ -1,30 +1,25 @@
 """Per-side deficiency theory on a fixed bipartition.
 
 For bipartite g = (A, B, E) and X inside one side, the deficiency of X is
-|X| - |N(X)|; its maximum over one side connects to the whole-graph critical
-machinery through the identities evaluated by ore_report. The sets attaining
-it are closed under union and intersection. The smallest (side kernel) and
-the largest (side diadem) are read off one maximum matching between the sides
-by alternating reachability. ore_profile computes delta0, the kernel and the
-diadem of both sides from that one matching, and the per-side functions read
-their field off it; the tests check all six against subset enumeration and
-against the per-vertex deletion and forcing rules.
+|X| - |N(X)|; its maximum over one side is delta0, and d(g) is the sum of
+the two sides' maxima. The sets attaining it are closed under union and
+intersection. The smallest (side kernel) and the largest (side diadem) are
+read off one maximum matching between the sides by alternating reachability.
+ore_profile computes delta0, the kernel and the diadem of both sides from
+that one matching, and the per-side functions read their field off it; the
+tests check all six against subset enumeration and against the per-vertex
+deletion and forcing rules. How the sides' kernels and diadems make up ker
+and diadem is checked by the registry property bipartite.kernel_split.
 """
 
 from __future__ import annotations
 
-from itertools import islice
 from typing import Iterator, Literal, NamedTuple
 
-from .critical import (ORACLE_LIMIT, _enumerate_target_sets,
-                       critical_difference, diadem,
-                       enumerate_critical_independent_sets, ker)
+from .critical import ORACLE_LIMIT, _enumerate_target_sets
 from .graphs import (BipartitePartition, Graph, LimitExceeded, VertexSet,
-                     bipartition, difference, neighborhood, vset)
-from .ke import IdentityCheck
-from .matching import (_alternating_reach, _check_parts, _hopcroft_karp,
-                       saturating_matching)
-from .mis import alpha, core_and_corona
+                     difference, vset)
+from .matching import _alternating_reach, _check_parts, _hopcroft_karp
 
 Side = Literal["A", "B"]
 
@@ -36,11 +31,6 @@ class OreProfile(NamedTuple):
     ker_b: VertexSet
     diadem_a: VertexSet
     diadem_b: VertexSet
-
-
-class OreReport(NamedTuple):
-    profile: OreProfile
-    checks: tuple[IdentityCheck, ...]
 
 
 def _side_index(side: Side) -> int:
@@ -115,73 +105,3 @@ def enumerate_side_critical_sets(
         raise LimitExceeded(
             f"side size {s.bit_count()} exceeds oracle limit {limit}")
     yield from _enumerate_target_sets(g, s, delta0(g, parts, side), False)
-
-
-def ore_report(g: Graph, parts: BipartitePartition | None = None,
-               limit: int = ORACLE_LIMIT, sample: int = 8) -> OreReport:
-    """Two-sided profile plus the identity bundle tying the sides together.
-
-    Checks that range over enumerated families look at the first `sample`
-    members per family, except the side projection check, which walks every
-    critical independent set under the limit guard.
-    """
-    if parts is None:
-        parts = bipartition(g)
-        if parts is None:
-            raise ValueError("graph is not bipartite")
-    profile = ore_profile(g, parts)
-    d0a, d0b = profile.delta0_a, profile.delta0_b
-    d = critical_difference(g)
-    al = alpha(g)
-    mu = parts.side_a.bit_count() - d0a
-    kr = ker(g)
-    dia = diadem(g)
-    core = core_and_corona(g, limit).core
-
-    def labels(mask: VertexSet) -> list[str]:
-        return g.label_list(mask)
-
-    a_crits = list(islice(enumerate_side_critical_sets(g, parts, "A", limit),
-                          sample))
-    b_crits = list(islice(enumerate_side_critical_sets(g, parts, "B", limit),
-                          sample))
-
-    bad_unions = sum(1 for x in a_crits for y in b_crits
-                     if difference(g, x | y) != d)
-    bad_projections = 0
-    for z in enumerate_critical_independent_sets(g, limit):
-        if (difference(g, z & parts.side_a) != d0a
-                or difference(g, z & parts.side_b) != d0b):
-            bad_projections += 1
-    bad_matchings = sum(
-        1 for x in a_crits + b_crits
-        if x and saturating_matching(g, neighborhood(g, x), x)[0] is None)
-
-    alpha_routes = [parts.side_a.bit_count() + d0b,
-                    parts.side_b.bit_count() + d0a, mu + d]
-    side_sums = [profile.ker_a.bit_count() + profile.diadem_b.bit_count(),
-                 profile.ker_b.bit_count() + profile.diadem_a.bit_count()]
-
-    checks = (
-        IdentityCheck("d_eq_delta0_sum", d == d0a + d0b, d, d0a + d0b),
-        IdentityCheck("alpha_routes_agree",
-                      all(r == al for r in alpha_routes), al, alpha_routes),
-        IdentityCheck("cross_unions_critical", bad_unions == 0, bad_unions, 0),
-        IdentityCheck("critical_ind_projects_to_sides",
-                      bad_projections == 0, bad_projections, 0),
-        IdentityCheck("matchings_into_side_criticals",
-                      bad_matchings == 0, bad_matchings, 0),
-        IdentityCheck("side_kernels_union_to_ker",
-                      profile.ker_a | profile.ker_b == kr,
-                      labels(profile.ker_a | profile.ker_b), labels(kr)),
-        IdentityCheck("ker_plus_diadem_eq_two_alpha",
-                      kr.bit_count() + dia.bit_count() == 2 * al,
-                      kr.bit_count() + dia.bit_count(), 2 * al),
-        IdentityCheck("side_ker_plus_opposite_diadem_eq_alpha",
-                      all(s == al for s in side_sums), al, side_sums),
-        IdentityCheck("side_diadems_union_to_diadem",
-                      profile.diadem_a | profile.diadem_b == dia,
-                      labels(profile.diadem_a | profile.diadem_b), labels(dia)),
-        IdentityCheck("ker_eq_core", kr == core, labels(kr), labels(core)),
-    )
-    return OreReport(profile, checks)

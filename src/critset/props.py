@@ -185,10 +185,9 @@ class Facts:
             return next(iter(self._maximum_independent_sets()))
         return self._get("first_mis", compute)
 
-    def ke_identity_checks(self) -> tuple[ke.IdentityCheck, ...]:
-        """ke.ke_identities' checks on a KE graph, from the cached facts;
-        alpha is read before core and corona, so a limit is hit where
-        ke_identities hits it."""
+    def ke_identity_checks(self) -> list[dict]:
+        """ke.identity_checks on a KE graph, from the cached facts; alpha is
+        read before core and corona, so an alpha limit is reported first."""
         return ke.identity_checks(
             self.g, self.alpha(), self.mu(), self.d(), self.core(),
             self.corona(), self.ker(), self.diadem())
@@ -701,11 +700,12 @@ def _check_ke_iff_every_mis_critical(f: Facts) -> tuple[bool, dict | None]:
 
 def _check_ke_identities(f: Facts) -> tuple[bool, dict | None]:
     f.require_oracle()
-    failing = [c for c in f.ke_identity_checks() if not c.holds]
+    failing = [c for c in f.ke_identity_checks() if not c["holds"]]
     if not failing:
         return True, None
     return False, {"failing": [
-        {"name": c.name, "lhs": c.lhs, "rhs": c.rhs} for c in failing]}
+        {"name": c["name"], "lhs": c["lhs"], "rhs": c["rhs"]}
+        for c in failing]}
 
 
 def _check_ore_kernel_separation(f: Facts) -> tuple[bool, dict | None]:

@@ -6,14 +6,12 @@ Not a test. Run from the repo root:
 
 For every .edges file the script derives all expected values with the
 oracles in oracles.py, asserts the hand-checked headline values against the
-oracle answers, writes src/critset/fixtures/<name>.json, and mirrors both
-files into the repo-level fixtures/ directory for command-line use.
+oracle answers, and writes src/critset/fixtures/<name>.json.
 """
 
 from __future__ import annotations
 
 import json
-import shutil
 import sys
 from pathlib import Path
 
@@ -24,7 +22,6 @@ import oracles as o
 from critset.graphs import Graph, bipartition, delete_vertices, parse_graph
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "critset" / "fixtures"
-MIRROR = Path(__file__).resolve().parent.parent / "fixtures"
 
 
 def labels(g: Graph, mask: int) -> list[str]:
@@ -343,7 +340,6 @@ FIXTURES = [
 
 
 def main() -> int:
-    MIRROR.mkdir(exist_ok=True)
     for name, filename, expect, notes in FIXTURES:
         path = SRC / filename
         g = parse_graph(path.read_text())
@@ -353,8 +349,6 @@ def main() -> int:
             doc["notes"] = notes
         sidecar = path.with_suffix(".json")
         sidecar.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
-        shutil.copy(path, MIRROR / filename)
-        shutil.copy(sidecar, MIRROR / sidecar.name)
         print(f"{name:14s} ok  (n={expected['n']}, m={expected['m']}, "
               f"d={expected['d']})")
     return 0

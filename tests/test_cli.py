@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from critset import cli, critical
 
-FIXDIR = Path(__file__).resolve().parent.parent / "fixtures"
+FIXDIR = Path(__file__).resolve().parent.parent / "src/critset/fixtures"
 
 
 def run_cli(capsys, *argv):
@@ -314,8 +314,51 @@ PINNED_OUTPUTS = [
 ]
 
 
+# sha256 of `analyze --json` on each fixture, computed before the KE
+# identities were built as report dicts in one place; the report holds no
+# path, so the digests do not depend on where the fixtures live
+ANALYZE_DIGESTS = [
+    ("fig101",
+     "ec0376dae4ce8ee99550ab0b41137065fbef73014cd0359f26c897d0fc6d645f"),
+    ("fig14_g1",
+     "e5816eab0acbaa31199384269fcaf7508f63194fbd63162e15cfe1a65522489a"),
+    ("fig14_g2",
+     "5042394c01619ff15bb5f5a8189703b86dd1333b59bcddcf828ee9ad67e05e1b"),
+    ("fig177",
+     "c739a477b0f8e7993361a30c07b74771237c7e049b24cb9aebb8071cd7ce1e4e"),
+    ("fig1777",
+     "9a535eef21469ae0523893a127bddc142a06387c903f881b57550a3d83a7bee3"),
+    ("fig17888_g1",
+     "1700a9d32a3d0b373b0e8a44b6c354d0df6745ecbeeb4ccec1c803a610cfd759"),
+    ("fig17888_g2",
+     "ba85caac989aebc9fa731d718d3e94148b3b41b50fefec882c0ba0ff1d04fd16"),
+    ("fig222_g1",
+     "dea2b4b5353c707218de0ea5212d7c58de006ddf3e5714e5432d1e765fa24a64"),
+    ("fig222_g2",
+     "a6887809e2d61fb98d177c074fb516b841443d7125d363a12473f6e0b0f0eff2"),
+    ("fig22_g1",
+     "37602c72a4a1bf122cd6940462a700e7ca1d41b126924c611af458b16bdaecbc"),
+    ("fig22_g2",
+     "5e79521486e96c1c7ca2226fd6e8a719f96a27ed21799e424f4093c24f696588"),
+    ("fig233",
+     "08341344b5884fe7709f18177c773384e167f522c535b133443cfe07f08532c3"),
+    ("fig333_g1",
+     "6056c98aa48b7de2ecbfd1a03831fe06f9680fd831eca6b6d75249946b5b6087"),
+    ("fig333_g2",
+     "8d6b04618d10966e6652f019b6567b98deee74fc8140c0984116921512b99630"),
+    ("fig333_g3",
+     "a62b336ca4e9071e17674fd409660854beb24436d0c69bb2688361bbff858387"),
+    ("fig511",
+     "f072914e6b16eab5e2ada4a72182e60bccfd4bcef2a76c2c1fac335057d6d911"),
+]
+PINNED_OUTPUTS += [(("analyze", "--json", str(FIXDIR / f"{stem}.edges")), 0,
+                    digest) for stem, digest in ANALYZE_DIGESTS]
+
+
+# a file argument appears in the test id by its name alone
 @pytest.mark.parametrize("argv,code,digest", PINNED_OUTPUTS,
-                         ids=[" ".join(argv) for argv, _, _ in PINNED_OUTPUTS])
+                         ids=[" ".join(Path(a).name for a in argv)
+                              for argv, _, _ in PINNED_OUTPUTS])
 def test_output_bytes_are_pinned(capsys, argv, code, digest):
     got, out, _ = run_cli(capsys, *argv)
     assert (got, hashlib.sha256(out.encode()).hexdigest()) == (code, digest)

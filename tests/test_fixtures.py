@@ -1,14 +1,9 @@
-from pathlib import Path
-
 import pytest
 
 import oracles as o
 from conftest import adj_of
-from critset.fixtures import _FILES, fixture_names, load, verify, verify_all
+from critset.fixtures import fixture_names, load, verify, verify_all
 from critset.graphs import bipartition
-
-PKG_DIR = Path(__file__).resolve().parent.parent / "src/critset/fixtures"
-MIRROR_DIR = Path(__file__).resolve().parent.parent / "fixtures"
 
 
 def test_registry_is_complete():
@@ -106,16 +101,6 @@ def test_divergence_notes_surface_in_reports():
     noted = {c["key"]: c for c in r511["checks"] if "note" in c}
     assert "diadem" in noted
     assert "d_after_delete" in noted
-
-
-def test_repo_mirror_matches_package_data():
-    assert MIRROR_DIR.is_dir()
-    stems = sorted(p.name for p in PKG_DIR.iterdir() if p.suffix in
-                   (".edges", ".json"))
-    assert stems == sorted(p.name for p in MIRROR_DIR.iterdir())
-    assert len(stems) == 2 * len(_FILES)
-    for name in stems:
-        assert (PKG_DIR / name).read_bytes() == (MIRROR_DIR / name).read_bytes()
 
 
 def test_graphs_parse_with_declared_labels():

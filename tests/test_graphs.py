@@ -12,7 +12,7 @@ from critset.graphs import (EXHAUSTIVE_MAX_N, Graph, LimitExceeded,
                             ParseError, all_graphs, bipartition,
                             complete_bipartite, complete_graph, cycle_graph,
                             delete_edge, delete_vertices, difference,
-                            empty_graph, generate, induced, is_independent,
+                            empty_graph, generate, is_independent,
                             neighborhood, parse_graph, path_graph,
                             random_bipartite, random_graph, to_edge_list)
 
@@ -70,7 +70,6 @@ def test_label_list_uses_id_order():
 def test_open_neighborhood_may_intersect_argument():
     g = path_graph(3)
     assert neighborhood(g, 0b011) == 0b111  # N({0,1}) = {0,1,2}
-    assert neighborhood(g, 0b011, closed=True) == 0b111
     assert difference(g, 0b011) == -1
 
 
@@ -140,7 +139,7 @@ def test_delete_edge_and_missing_edge():
 
 def test_induced_subgraph():
     g = cycle_graph(5)
-    h, idmap = induced(g, 0b00111)
+    h, idmap = delete_vertices(g, g.full & ~0b00111)
     assert h.n == 3 and h.m == 2
     assert idmap == {0: 0, 1: 1, 2: 2}
 

@@ -4,7 +4,10 @@ import oracles as o
 from conftest import adj_of, random_sample
 from critset.fixtures import load
 from critset.graphs import complete_graph, cycle_graph, path_graph
-from critset.ke import is_ke_via_critical, is_koenig_egervary, ke_identities
+from critset.critical import critical_difference, diadem, ker
+from critset.ke import identity_checks, is_ke_via_critical, is_koenig_egervary
+from critset.matching import maximum_matching_general
+from critset.mis import alpha, core_and_corona
 
 
 def test_recognition_matches_oracle(graphs_n5):
@@ -30,23 +33,23 @@ def test_known_classifications():
     assert not is_koenig_egervary(load("fig22.G1").graph)
 
 
-def test_identities_reject_non_ke():
-    with pytest.raises(ValueError, match="not a König-Egerváry graph"):
-        ke_identities(complete_graph(5))
-    with pytest.raises(ValueError):
-        ke_identities(load("fig22.G1").graph)
+def checks_of(g):
+    profile = core_and_corona(g)
+    return identity_checks(g, alpha(g), len(maximum_matching_general(g)),
+                           critical_difference(g), profile.core,
+                           profile.corona, ker(g), diadem(g))
 
 
 @pytest.mark.parametrize("name", ["fig511", "fig333.G1", "fig177", "fig14.G1",
                                   "fig222.G1", "fig17888.G1"])
 def test_identities_hold_on_ke_fixtures(name):
     g = load(name).graph
-    report = ke_identities(g)
-    assert report.is_ke
-    assert report.alpha + report.mu == g.n
-    assert report.d == report.alpha - report.mu == report.deficiency
-    assert all(c.holds for c in report.identity_checks)
-    names = {c.name for c in report.identity_checks}
+    a, mu = alpha(g), len(maximum_matching_general(g))
+    assert a + mu == g.n
+    assert critical_difference(g) == a - mu == g.n - 2 * mu
+    checks = checks_of(g)
+    assert all(c["holds"] for c in checks)
+    names = {c["name"] for c in checks}
     assert "diadem_eq_corona" in names and "core_is_critical" in names
 
 
@@ -54,14 +57,13 @@ def test_identities_hold_on_every_small_ke_graph(graphs_n5):
     for g in graphs_n5:
         if not is_koenig_egervary(g):
             continue
-        report = ke_identities(g)
-        assert all(c.holds for c in report.identity_checks), g.adj
+        assert all(c["holds"] for c in checks_of(g)), g.adj
 
 
 def test_report_sides_are_reusable():
-    report = ke_identities(path_graph(5))
-    for c in report.identity_checks:
+    for c in checks_of(path_graph(5)):
+        assert sorted(c) == ["holds", "lhs", "name", "rhs"]
         # every check records both sides; holding means they agree in the
         # sense the check encodes, and for these two it is plain equality
-        if c.name in ("diadem_eq_corona", "ncore_eq_complement_of_corona"):
-            assert (c.lhs == c.rhs) == c.holds
+        if c["name"] in ("diadem_eq_corona", "ncore_eq_complement_of_corona"):
+            assert (c["lhs"] == c["rhs"]) == c["holds"]

@@ -2,13 +2,17 @@ import pytest
 
 import oracles as o
 from conftest import adj_of, mid_sample
+from critset.critical import (critical_difference,
+                              enumerate_critical_independent_sets)
 from critset.fixtures import load
 from critset.graphs import (BipartitePartition, LimitExceeded, bipartition,
-                            complete_bipartite, complete_graph, cycle_graph,
-                            path_graph)
+                            complete_bipartite, cycle_graph, difference,
+                            neighborhood, path_graph)
+from critset.matching import saturating_matching
+from critset.mis import alpha
 from critset.ore import (delta0, enumerate_side_critical_sets,
-                         is_side_critical, ore_profile, ore_report,
-                         side_diadem, side_kernel)
+                         is_side_critical, ore_profile, side_diadem,
+                         side_kernel)
 
 
 def bipartite_n5(graphs_n5):
@@ -127,29 +131,42 @@ def test_fixture_side_profile():
         "b2", "b3", "b4", "b5", "b6", "b7"]
 
 
-def test_report_on_fixture():
-    g, _ = fig233_setup()
-    report = ore_report(g)
-    assert len(report.checks) == 10
-    failing = [c.name for c in report.checks if not c.holds]
-    assert failing == []
-    assert report.profile.delta0_a == 1 and report.profile.delta0_b == 2
+def assert_ore_identities(g, parts):
+    """The identities tying the two sides to the whole graph that no registry
+    property checks: d and alpha from the side deficiencies, side-critical
+    sets combining into critical ones, critical independent sets projecting
+    onto side-critical ones, and N(X) matching into each side-critical X."""
+    side_a, side_b = parts
+    p = ore_profile(g, parts)
+    d, al = critical_difference(g), alpha(g)
+    mu = side_a.bit_count() - p.delta0_a
+    assert d == p.delta0_a + p.delta0_b, g.adj
+    assert [side_a.bit_count() + p.delta0_b, side_b.bit_count() + p.delta0_a,
+            mu + d] == [al] * 3, g.adj
+    a_crits = list(enumerate_side_critical_sets(g, parts, "A"))
+    b_crits = list(enumerate_side_critical_sets(g, parts, "B"))
+    for x in a_crits:
+        for y in b_crits:
+            assert difference(g, x | y) == d, (g.adj, x, y)
+    for z in enumerate_critical_independent_sets(g):
+        assert difference(g, z & side_a) == p.delta0_a, (g.adj, z)
+        assert difference(g, z & side_b) == p.delta0_b, (g.adj, z)
+    for x in a_crits + b_crits:
+        matching, _ = saturating_matching(g, neighborhood(g, x), x)
+        assert matching is not None, (g.adj, x)
+
+
+def test_ore_identities_on_fixture():
+    g, parts = fig233_setup()
+    assert_ore_identities(g, parts)
 
 
 @pytest.mark.parametrize("g", [complete_bipartite(3, 2), cycle_graph(4),
                                path_graph(4), complete_bipartite(1, 3)])
-def test_report_on_small_bipartite_graphs(g):
-    report = ore_report(g)
-    assert all(c.holds for c in report.checks)
+def test_ore_identities_on_small_bipartite_graphs(g):
+    assert_ore_identities(g, bipartition(g))
 
 
-def test_report_holds_on_every_bipartite_graph_up_to_n5(graphs_n5):
+def test_ore_identities_hold_on_every_bipartite_graph_up_to_n5(graphs_n5):
     for g, parts in bipartite_n5(graphs_n5):
-        report = ore_report(g, parts)
-        failing = [c.name for c in report.checks if not c.holds]
-        assert failing == [], (g.adj, failing)
-
-
-def test_report_rejects_non_bipartite():
-    with pytest.raises(ValueError, match="not bipartite"):
-        ore_report(complete_graph(3))
+        assert_ore_identities(g, parts)

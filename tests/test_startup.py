@@ -35,3 +35,9 @@ def test_setup_line_loads_no_pool_dataclasses_or_fixtures():
                                     "critset.fixtures"])
 def test_module_imports_alone(module):
     assert module in _modules_after(f"import {module}")
+
+
+def test_every_exported_name_resolves():
+    import critset
+    assert [name for name in critset.__all__
+            if not hasattr(critset, name)] == []
