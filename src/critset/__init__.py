@@ -9,9 +9,8 @@ bipartite double cover; exponential enumeration exists only as an oracle for
 cross-checking and is always bounded.
 """
 
-from .critical import (CriticalProfile, critical_difference,
-                       critical_independent_witness, critical_profile, diadem,
-                       enumerate_critical_independent_sets,
+from .critical import (critical_difference, critical_independent_witness,
+                       diadem, enumerate_critical_independent_sets,
                        enumerate_critical_sets, is_critical_independent,
                        is_critical_set, ker, max_subset_difference,
                        minimal_positive_independent_sets,
@@ -37,12 +36,12 @@ from .props import (Config, CorpusSpec, Facts, Property, PropertyResult,
 __version__ = "0.1.0"
 
 __all__ = [
-    "BipartitePartition", "Config", "CorpusSpec", "CriticalProfile", "Facts",
+    "BipartitePartition", "Config", "CorpusSpec", "Facts",
     "Graph", "LimitExceeded", "Matching", "MisProfile", "OreProfile",
     "ParseError", "Property", "PropertyResult",
     "alpha", "bipartition", "complete_bipartite", "complete_graph",
     "conjecture_scan", "core_and_corona", "critical_difference",
-    "critical_independent_witness", "critical_profile", "cycle_graph",
+    "critical_independent_witness", "cycle_graph",
     "deficiency", "delete_edge", "delete_vertices", "delta0", "diadem",
     "difference", "empty_graph", "enumerate_critical_independent_sets",
     "enumerate_critical_sets", "enumerate_maximum_independent_sets",

@@ -18,11 +18,11 @@ import json
 import sys
 from pathlib import Path
 
-from .graphs import EXHAUSTIVE_MAX_N, Graph, LimitExceeded, read_graph_file
-from .props import (Config, CorpusSpec, Facts, conjecture_scan,
-                    default_workers, evaluate, exhaustive_corpus,
-                    parse_corpus_spec, random_corpus, registry, run,
-                    select_properties)
+from .critical import ORACLE_LIMIT
+from .graphs import EXHAUSTIVE_MAX_N, LimitExceeded, read_graph_file
+from .props import (Config, Facts, conjecture_scan, default_workers,
+                    evaluate, exhaustive_corpus, parse_corpus_spec,
+                    random_corpus, run, select_properties)
 
 EXIT_OK, EXIT_FAIL, EXIT_USAGE, EXIT_LIMIT, EXIT_INTERNAL = 0, 1, 2, 3, 4
 
@@ -111,8 +111,8 @@ _METHODS = {
 }
 
 
-def analyze_graph(g: Graph, config: Config) -> dict:
-    facts = Facts(g, config)
+def analyze_graph(facts: Facts) -> dict:
+    g = facts.g
     skipped: dict[str, str] = {}
 
     def attempt(field: str, compute):
@@ -201,7 +201,7 @@ def _render_analysis(path: str, rep: dict) -> str:
 def _cmd_analyze(args) -> int:
     config = _config(args)
     g = read_graph_file(args.file, args.format)
-    rep = analyze_graph(g, config)
+    rep = analyze_graph(Facts(g, config))
     if args.json:
         print(_dump(rep))
     else:
@@ -372,15 +372,25 @@ def _cmd_fixtures(args) -> int:
     else:
         for rep in reports:
             status = "ok" if rep["holds"] else "FAIL"
-            print(f"{rep['name']:14s} {status}  "
-                  f"({len(rep['checks'])} values checked)")
+            skips = sum("skipped" in check for check in rep["checks"])
+            tally = f"{len(rep['checks']) - skips} values checked"
+            if skips:
+                tally += f", {skips} skipped"
+            print(f"{rep['name']:14s} {status}  ({tally})")
             for check in rep["checks"]:
-                if not check["holds"]:
+                if "skipped" in check:
+                    print(f"    skipped {check['key']}: {check['skipped']}")
+                elif not check["holds"]:
                     print(f"    {check['key']}: expected "
                           f"{check['expected']!r}, got {check['actual']!r}")
                 if "note" in check:
                     print(f"    note on {check['key']}: {check['note']}")
-    return EXIT_OK if all(r["holds"] for r in reports) else EXIT_FAIL
+    if not all(r["holds"] for r in reports):
+        return EXIT_FAIL
+    if config.strict and any("skipped" in check for r in reports
+                             for check in r["checks"]):
+        return EXIT_LIMIT
+    return EXIT_OK
 
 
 # -- argument plumbing -------------------------------------------------------------
@@ -390,9 +400,10 @@ def _build_parser() -> argparse.ArgumentParser:
     """The argument parser, built on first use and shared by later calls;
     parsing leaves it unchanged, and no default depends on the environment."""
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--oracle-limit", type=int, default=20, metavar="N",
+    common.add_argument("--oracle-limit", type=int, default=ORACLE_LIMIT,
+                        metavar="N",
                         help="largest n the exhaustive oracles accept "
-                             "(default 20)")
+                             f"(default {ORACLE_LIMIT})")
     common.add_argument("--no-oracle", action="store_true",
                         help="polynomial routines only; enumeration-backed "
                              "fields and checks report as skipped")

@@ -22,14 +22,6 @@ from .matching import (_alternating_reach, _hopcroft_karp,
 ORACLE_LIMIT = 20
 
 
-class CriticalProfile(NamedTuple):
-    d: int
-    a_witness: VertexSet
-    ker: VertexSet
-    diadem: VertexSet
-    method: str
-
-
 class _CoverMatching(NamedTuple):
     """A maximum matching of the double cover and the ker it yields."""
 
@@ -282,12 +274,6 @@ def diadem(g: Graph) -> VertexSet:
                 if path:
                     gathered[path[-1]] |= mask
     return cover.ker | vset(members)
-
-
-def critical_profile(g: Graph) -> CriticalProfile:
-    """Bundle d, a witness, ker and diadem, all by the polynomial routes."""
-    return CriticalProfile(critical_difference(g), critical_independent_witness(g),
-                           ker(g), diadem(g), "polynomial")
 
 
 def _enumerate_target_sets(g: Graph, universe: VertexSet, target: int,

@@ -2,9 +2,11 @@
 
 Each fixture is an edge-list file plus a JSON sidecar of expected invariants.
 The sidecars were produced by an independent brute-force pass, so verify()
-is a regression gate for the polynomial routines, not a tautology. Where a
-commonly quoted hand-derived value disagrees with the brute-force one, the
-sidecar keeps the brute-force value and carries a note under the same key.
+is a regression gate for the polynomial routines, not a tautology: it checks
+the values `critset analyze` reports, and a few keys derived from the same
+fact cache. Where a commonly quoted hand-derived value disagrees with the
+brute-force one, the sidecar keeps the brute-force value and carries a note
+under the same key.
 """
 
 from __future__ import annotations
@@ -14,8 +16,9 @@ from importlib import resources
 from typing import NamedTuple
 
 from . import critical, ore
-from .graphs import Graph, delete_vertices, difference, parse_graph
-from .mis import maximum_critical_independent_set
+from .cli import analyze_graph
+from .graphs import (Graph, LimitExceeded, delete_vertices, difference,
+                     parse_graph)
 from .props import Facts
 
 _FILES: dict[str, str] = {
@@ -73,35 +76,44 @@ def _mask_of(g: Graph, labels: list[str]) -> int:
     return mask
 
 
-def _compute(key: str, expected, g: Graph, f: Facts):
-    """Actual value for one expected key; shapes mirror the sidecar."""
-    parts = f.parts()
-    if key == "n":
-        return g.n
-    if key == "m":
-        return g.m
-    if key == "bipartite":
-        return parts is not None
-    if key == "d":
-        return f.d()
-    if key == "alpha":
-        return f.alpha()
-    if key == "mu":
-        return f.mu()
-    if key == "deficiency":
-        return g.n - 2 * f.mu()
-    if key == "ke":
-        return f.is_ke()
+# keys read off the analyze report: the twelve every sidecar holds, then the
+# per-side Ore values under its "ore" block
+_REPORTED = ("n", "m", "bipartite", "ke", "d", "alpha", "mu", "deficiency",
+             "ker", "diadem", "core", "corona")
+_ORE_REPORTED = ("delta0_a", "delta0_b", "ker_a", "ker_b", "diadem_a",
+                 "diadem_b")
+
+
+def _reported(key: str, report: dict):
+    """The analyze report's value for a reported key; a field the report
+    skipped raises LimitExceeded with the report's reason."""
+    if key in report["skipped"]:
+        raise LimitExceeded(report["skipped"][key])
+    if key in _REPORTED:
+        return report[key]
+    if "ore" not in report:
+        raise ValueError("not bipartite")
+    return report["ore"][key]
+
+
+# keys whose expected value is a list of sets that must each pass a predicate;
+# the computed value is the list of failing sets, so matching means empty
+_MEMBERSHIP_KEYS = {
+    "critical_sets": lambda f, x: critical.is_critical_set(f.g, x),
+    "critical_independent_sets_include":
+        lambda f, x: critical.is_critical_independent(f.g, x),
+    "side_critical_a_include":
+        lambda f, x: ore.is_side_critical(f.g, f.parts(), "A", x),
+    "side_critical_b_include":
+        lambda f, x: ore.is_side_critical(f.g, f.parts(), "B", x),
+}
+
+
+def _compute(key: str, expected, f: Facts):
+    """Actual value for one derived expected key; shapes mirror the sidecar."""
+    g = f.g
     if key == "perfect_matching":
         return 2 * f.mu() == g.n
-    if key == "ker":
-        return g.label_list(f.ker())
-    if key == "diadem":
-        return g.label_list(f.diadem())
-    if key == "core":
-        return g.label_list(f.core())
-    if key == "corona":
-        return g.label_list(f.corona())
     if key == "v_minus_corona":
         return g.label_list(g.full & ~f.corona())
     if key == "core_is_critical":
@@ -118,12 +130,10 @@ def _compute(key: str, expected, g: Graph, f: Facts):
         return 2 * f.alpha()
     if key == "conjecture_strict":
         return f.ker().bit_count() + f.diadem().bit_count() < 2 * f.alpha()
-    if key == "critical_sets":
+    if key in _MEMBERSHIP_KEYS:
+        passes = _MEMBERSHIP_KEYS[key]
         return [sets for sets in expected
-                if not critical.is_critical_set(g, _mask_of(g, sets))]
-    if key == "critical_independent_sets_include":
-        return [sets for sets in expected
-                if not critical.is_critical_independent(g, _mask_of(g, sets))]
+                if not passes(f, _mask_of(g, sets))]
     if key == "d_after_delete":
         out = {}
         for lab in expected:
@@ -135,59 +145,47 @@ def _compute(key: str, expected, g: Graph, f: Facts):
                  for s in f.minimal_positives()}
         return sorted(sorted(s) for s in found)
     if key == "max_critical_independent_size":
-        return maximum_critical_independent_set(
-            g, f.config.oracle_limit).bit_count()
+        return f.max_critical_ind().bit_count()
     if key == "maximum_critical_independent":
-        return g.label_list(maximum_critical_independent_set(
-            g, f.config.oracle_limit))
-    if key in ("delta0_a", "delta0_b"):
-        return getattr(f.ore_profile(), key)
-    if key in ("ker_a", "ker_b", "diadem_a", "diadem_b"):
-        return g.label_list(getattr(f.ore_profile(), key))
-    if key == "side_critical_a_include":
-        return [sets for sets in expected
-                if not ore.is_side_critical(g, parts, "A", _mask_of(g, sets))]
-    if key == "side_critical_b_include":
-        return [sets for sets in expected
-                if not ore.is_side_critical(g, parts, "B", _mask_of(g, sets))]
+        return g.label_list(f.max_critical_ind())
     raise ValueError(f"unhandled expected key {key!r}")
 
 
-# keys whose expected value is a list of sets that must each pass a predicate;
-# the computed value is the list of failing sets, so matching means empty
-_MEMBERSHIP_KEYS = {"critical_sets", "critical_independent_sets_include",
-                    "side_critical_a_include", "side_critical_b_include"}
-
-
 def verify(name: str, config=None) -> dict:
-    """Recompute every expected value of one fixture and compare."""
+    """Compare every expected value of one fixture with the analyze report
+    or, for the derived keys, with the same fact cache. A value that a limit
+    keeps from being computed is reported as skipped, with the reason, and
+    never counts as failing."""
     fx = load(name)
-    g = fx.graph
-    facts = Facts(g, config) if config is not None else Facts(g)
+    facts = Facts(fx.graph, config)
+    report = analyze_graph(facts)
     checks = []
     for key in sorted(fx.expected):
         expected = fx.expected[key]
+        entry = {"key": key, "expected": expected}
         try:
-            actual = _compute(key, expected, g, facts)
+            actual = (_reported(key, report)
+                      if key in _REPORTED or key in _ORE_REPORTED
+                      else _compute(key, expected, facts))
+        except LimitExceeded as exc:
+            entry["skipped"] = str(exc)
         except ValueError as exc:
-            checks.append({"key": key, "holds": False,
-                           "expected": expected, "actual": str(exc)})
-            continue
-        if key == "minimal_positive":
-            holds = actual == sorted(sorted(s) for s in expected)
-        elif key in _MEMBERSHIP_KEYS:
-            holds = actual == []
+            entry.update(holds=False, actual=str(exc))
         else:
-            holds = actual == expected
-        entry = {"key": key, "holds": holds,
-                 "expected": expected, "actual": actual}
+            if key == "minimal_positive":
+                holds = actual == sorted(sorted(s) for s in expected)
+            elif key in _MEMBERSHIP_KEYS:
+                holds = actual == []
+            else:
+                holds = actual == expected
+            entry.update(holds=holds, actual=actual)
         noted = {k: v for k, v in fx.notes.items()
                  if k == key or k.startswith(key + ".")}
         if noted:
             entry["note"] = "; ".join(noted[k] for k in sorted(noted))
         checks.append(entry)
     return {"name": name, "file": fx.file,
-            "holds": all(c["holds"] for c in checks),
+            "holds": all(c.get("holds", True) for c in checks),
             "checks": checks, "notes": fx.notes}
 
 

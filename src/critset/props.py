@@ -17,7 +17,7 @@ import json
 import os
 import random
 from functools import lru_cache
-from itertools import islice
+from itertools import islice, tee
 from typing import Callable, Iterable, Iterator, NamedTuple
 
 from . import critical, ke, mis, ore
@@ -67,28 +67,6 @@ def _subset_lanes(n: int) -> tuple[tuple[int, ...], int]:
                        "little")
         for v in range(n))
     return planes, sum(planes) + n * int.from_bytes(b"\1" * size, "little")
-
-
-class _Replay:
-    """An iterator's items, kept as they are produced: every reader sees all
-    of them from the start, and the iterator runs once, only as far as the
-    furthest reader has asked. The items are never None."""
-
-    def __init__(self, source: Iterator[VertexSet]):
-        self._source = source
-        self._seen: list[VertexSet] = []
-
-    def __iter__(self) -> Iterator[VertexSet]:
-        seen = self._seen
-        i = 0
-        while True:
-            if i == len(seen):
-                s = next(self._source, None)
-                if s is None:
-                    return
-                seen.append(s)
-            yield seen[i]
-            i += 1
 
 
 class Facts:
@@ -168,16 +146,19 @@ class Facts:
         """The maximum independent sets in include-first order, found once
         per graph and shared by every reader: off the independent masks at
         small n, else by one DFS that runs only as far as the readers ask.
-        The DFS checks the enumeration limit, then reads the cached alpha.
-        Not guarded by the oracle switch."""
+        The DFS checks the enumeration limit, then reads the cached alpha;
+        the cache holds a tee of it that nothing advances, and each reader
+        gets a copy, which starts at the first set. Not guarded by the
+        oracle switch."""
         def compute():
             if self._on_tables():
                 a = self.alpha()
                 return [m for m in self._independent_masks()
                         if m.bit_count() == a]
-            return _Replay(mis._maximum_independent_sets(
-                self.g, self.config.oracle_limit, self.alpha))
-        return self._get("mis_sets", compute)
+            return tee(mis._maximum_independent_sets(
+                self.g, self.config.oracle_limit, self.alpha), 1)[0]
+        sets = self._get("mis_sets", compute)
+        return sets if type(sets) is list else sets.__copy__()
 
     def first_mis(self) -> VertexSet:
         def compute():
@@ -577,9 +558,13 @@ def _check_ker_characterization(f: Facts) -> tuple[bool, dict | None]:
     if not critical.is_critical_independent(g, k):
         return False, {"ker": f.labels(k),
                        "problem": "not a critical independent set"}
+    # a limit reaches evaluate as a skip; only a disagreement of the two
+    # conditions is a failure
     try:
         ok, wit = critical.verify_ker_characterization(
             g, k, f.config.oracle_limit)
+    except LimitExceeded:
+        raise
     except RuntimeError as exc:
         return False, {"ker": f.labels(k), "problem": str(exc)}
     if not ok:
@@ -593,6 +578,8 @@ def _check_ker_characterization(f: Facts) -> tuple[bool, dict | None]:
         try:
             ok_other, _ = critical.verify_ker_characterization(
                 g, other, f.config.oracle_limit)
+        except LimitExceeded:
+            raise
         except RuntimeError as exc:
             return False, {"set": f.labels(other), "problem": str(exc)}
         if ok_other:
@@ -966,6 +953,11 @@ def exhaustive_corpus(*ns: int) -> CorpusSpec:
 
 def random_corpus(lo: int, hi: int, p: float, count: int,
                   seed: int) -> CorpusSpec:
+    if not 0 <= lo <= hi:
+        raise ValueError(f"random source needs 0 <= lo <= hi, got n = "
+                         f"[{lo}, {hi}]")
+    if count < 0:
+        raise ValueError(f"random source needs count >= 0, got {count}")
     return CorpusSpec((CorpusSource("random", (lo, hi, p, count, seed)),))
 
 
@@ -979,7 +971,7 @@ def parse_corpus_spec(text: str) -> CorpusSpec:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ValueError(f"corpus spec is not valid JSON: {exc}")
-    if not isinstance(doc, dict) or "sources" not in doc:
+    if not isinstance(doc, dict) or not isinstance(doc.get("sources"), list):
         raise ValueError("corpus spec must be an object with a 'sources' list")
     sources = []
     for entry in doc["sources"]:
@@ -997,16 +989,16 @@ def parse_corpus_spec(text: str) -> CorpusSpec:
                 sources.append(CorpusSource("exhaustive", (n,)))
             elif kind == "random":
                 lo, hi = entry["n"]
-                count = int(entry["count"])
-                if count < 0:
-                    raise ValueError(
-                        f"random source needs count >= 0, got {count}")
-                sources.append(CorpusSource("random", (
-                    int(lo), int(hi), float(entry["p"]),
-                    count, int(entry["seed"]))))
+                sources += random_corpus(
+                    int(lo), int(hi), float(entry["p"]), int(entry["count"]),
+                    int(entry["seed"])).sources
             elif kind == "files":
+                paths = entry["paths"]
+                if not isinstance(paths, list):
+                    raise ValueError(
+                        f"files source needs a list of paths, got {paths!r}")
                 sources.append(CorpusSource(
-                    "files", tuple(str(p) for p in entry["paths"])))
+                    "files", tuple(str(p) for p in paths)))
             else:
                 raise ValueError(f"unknown corpus source kind {kind!r}")
         except (KeyError, TypeError) as exc:
@@ -1111,10 +1103,17 @@ def run(corpus: CorpusSpec, properties: list[str] | None = None,
 
 # -- conjecture scan ---------------------------------------------------------
 
-def _slack(g: Graph) -> int:
-    """2*alpha - |ker| - |diadem|; negative means a counterexample."""
-    return (2 * mis.alpha(g) - critical.ker(g).bit_count()
-            - critical.diadem(g).bit_count())
+def _lower_slack(f: Facts) -> int:
+    """2*alpha - |ker| - |diadem|; negative means a counterexample to the
+    conjectured lower bound."""
+    return 2 * f.alpha() - f.ker().bit_count() - f.diadem().bit_count()
+
+
+def _upper_slack(f: Facts) -> int:
+    """|core| + |corona| - 2*alpha, behind the oracle limit; negative means
+    a counterexample to the proved upper bound."""
+    p = f.mis_profile()
+    return p.core.bit_count() + p.corona.bit_count() - 2 * p.alpha
 
 
 def _graph_doc(g: Graph) -> dict:
@@ -1140,14 +1139,12 @@ def conjecture_scan(corpus: CorpusSpec,
         graphs += 1
         facts = Facts(g, config)
         try:
-            a = facts.alpha()
-            lower = 2 * a - facts.ker().bit_count() - facts.diadem().bit_count()
+            lower = _lower_slack(facts)
         except LimitExceeded as exc:
             skipped.append({"graph": key, "reason": str(exc)})
             continue
         try:
-            upper = (facts.core().bit_count() + facts.corona().bit_count()
-                     - 2 * a)
+            upper = _upper_slack(facts)
         except LimitExceeded:
             upper = None
         checked += 1
@@ -1161,22 +1158,20 @@ def conjecture_scan(corpus: CorpusSpec,
             slot["min_slack_upper"] = upper
 
         if lower < 0:
-            small = shrink(g, lambda h: _slack(h) < 0)
+            a = facts.alpha()
+            small = shrink(g, lambda h: _lower_slack(Facts(h, config)) < 0)
+            shrunk = Facts(small, config)
             violations.append({
                 "graph": key, "kind": "ker-diadem", **_graph_doc(g),
                 "ker": g.label_list(facts.ker()),
                 "diadem": g.label_list(facts.diadem()),
-                "alpha": a,
-                "lhs": facts.ker().bit_count() + facts.diadem().bit_count(),
-                "rhs": 2 * a,
+                "alpha": a, "lhs": 2 * a - lower, "rhs": 2 * a,
                 "shrunk": {**_graph_doc(small),
-                           "lhs": 2 * mis.alpha(small) - _slack(small),
-                           "rhs": 2 * mis.alpha(small)}})
+                           "lhs": 2 * shrunk.alpha() - _lower_slack(shrunk),
+                           "rhs": 2 * shrunk.alpha()}})
         if upper is not None and upper < 0:
-            small = shrink(g, lambda h: mis.core_and_corona(
-                h, config.oracle_limit).core.bit_count()
-                + mis.core_and_corona(h, config.oracle_limit).corona.bit_count()
-                < 2 * mis.alpha(h))
+            a = facts.alpha()
+            small = shrink(g, lambda h: _upper_slack(Facts(h, config)) < 0)
             violations.append({
                 "graph": key, "kind": "core-corona", **_graph_doc(g),
                 "alpha": a, "lhs": 2 * a, "rhs": 2 * a + upper,

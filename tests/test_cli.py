@@ -140,13 +140,25 @@ def test_negative_exhaustive_order_exits_2(capsys, tmp_path, monkeypatch,
     ({"kind": "exhaustive", "n": 8},
      "error: exhaustive source supports n <= 7, got 8\n"),
     ({"kind": "random", "n": [3, 4], "p": 0.3, "count": -2, "seed": 1},
-     "error: random source needs count >= 0, got -2\n")])
+     "error: random source needs count >= 0, got -2\n"),
+    ({"kind": "random", "n": [-2, 3], "p": 0.3, "count": 2, "seed": 1},
+     "error: random source needs 0 <= lo <= hi, got n = [-2, 3]\n"),
+    ({"kind": "files", "paths": "ab"},
+     "error: files source needs a list of paths, got 'ab'\n")])
 def test_out_of_range_corpus_source_exits_2(capsys, tmp_path, source, err):
     # an exhaustive order past the stream's bound is a usage error, as for
-    # `exhaustive --n 8`, and a negative count is no empty clean run
+    # `exhaustive --n 8`; a negative count or order is no clean run, and a
+    # path string is not read letter by letter
     spec = tmp_path / "c.json"
     spec.write_text(json.dumps({"sources": [source]}))
     assert run_cli(capsys, "conjecture", "--corpus", str(spec)) == (2, "", err)
+
+
+def test_negative_fuzz_count_exits_2(capsys):
+    # as for a corpus source with a negative count
+    assert run_cli(capsys, "fuzz", "--n", "3..4", "--p", "0.3", "--count",
+                   "-1", "--seed", "1") == (
+        2, "", "error: random source needs count >= 0, got -1\n")
 
 
 def test_internal_error_exits_4_with_one_line(capsys, monkeypatch):
@@ -272,6 +284,40 @@ def test_fixtures_verify_reports_notes(capsys):
     assert "note on diadem" in out
 
 
+@pytest.mark.parametrize("flags,code", [
+    (["--no-oracle"], 0), (["--no-oracle", "--strict"], 3),
+    (["--oracle-limit", "5"], 0)])
+def test_fixtures_verify_reports_limits_as_skipped(capsys, flags, code):
+    got, out, err = run_cli(capsys, "fixtures", "verify", *flags)
+    assert (got, err) == (code, "")
+    assert "FAIL" not in out
+    assert "fig101         ok  (10 values checked, 4 skipped)\n" in out
+    reason = "oracle disabled" if "--no-oracle" in flags else \
+        "n=10 exceeds enumeration limit 5"
+    assert f"    skipped corona_is_critical: {reason}\n" in out
+
+    got, out, _ = run_cli(capsys, "fixtures", "verify", "--json", *flags)
+    fig101 = json.loads(out)["reports"][1]
+    assert got == code and fig101["holds"]
+    skipped = {c["key"]: c["skipped"] for c in fig101["checks"]
+               if "skipped" in c}
+    assert skipped == dict.fromkeys(
+        ["core", "corona", "corona_is_critical", "v_minus_corona"], reason)
+    assert all("holds" not in c for c in fig101["checks"] if "skipped" in c)
+
+
+def test_check_all_skips_the_ker_search_past_the_limit(capsys, tmp_path):
+    # 25 disjoint P3s: the tight-set search over N(ker) would range over 25
+    # vertices, past the oracle limit, so th9 is a limit skip, not a failure
+    f = tmp_path / "p3x25.edges"
+    f.write_text("".join(f"a{i} b{i}\nb{i} c{i}\n" for i in range(25)))
+    code, out, _ = run_cli(capsys, "check", "--all", str(f))
+    assert code == 0
+    assert ("th9.ker_characterization: skipped: neighborhood too large for "
+            "the tight-set search\n") in out
+    assert "fails" not in out
+
+
 def test_dimacs_format_flag(capsys, tmp_path):
     f = tmp_path / "c4.col"
     f.write_text("p edge 4 4\ne 1 2\ne 2 3\ne 3 4\ne 4 1\n")
@@ -311,6 +357,11 @@ PINNED_OUTPUTS = [
     (("fuzz", "--n", "17..20", "--p", "0.3", "--count", "6", "--seed", "4",
       "--json"), 0,
      "d158375d2c3d68090cdbbd3dd4cc71b5329dc6d49a93972bad7bd03b8200313f"),
+    # computed before `fixtures verify` read the analyze report
+    (("fixtures", "verify"), 0,
+     "c417bd2ab03814f8c5674a24f5905d91f567e53942d707e4fd97d57ed18cf0a6"),
+    (("fixtures", "verify", "--json"), 0,
+     "dec5a5b92bbb1078e2e7c8c1db71b362237e24d82c769ccf1c6f757c8436af0a"),
 ]
 
 

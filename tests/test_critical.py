@@ -8,8 +8,7 @@ import oracles as o
 from conftest import (adj_of, analyze_sample, masks_built, mid_sample,
                       random_sample, shuffled_chain, small_corpus)
 from critset.critical import (_d_without, _ker_matching, critical_difference,
-                              critical_independent_witness, critical_profile,
-                              diadem,
+                              critical_independent_witness, diadem,
                               enumerate_critical_independent_sets,
                               enumerate_critical_sets, is_critical_independent,
                               is_critical_set, ker, max_subset_difference,
@@ -20,6 +19,7 @@ from critset.graphs import (Graph, LimitExceeded, complete_graph,
                             cycle_graph, delete_vertices, difference,
                             empty_graph, is_independent, parse_graph,
                             path_graph, random_graph, to_edge_list)
+from critset.props import Facts
 
 
 def mask_of(g, labels):
@@ -196,13 +196,16 @@ def test_reused_graph_answers_like_a_fresh_one():
 
 
 def test_profile_is_consistent():
+    # the fact cache's polynomial readers give the library routes' answers,
+    # and the witness is a critical independent set between ker and diadem
     g = load("fig1777").graph
-    p = critical_profile(g)
-    assert p.d == critical_difference(g) == 1
-    assert p.ker == ker(g)
-    assert p.diadem == diadem(g)
-    assert is_independent(g, p.a_witness)
-    assert difference(g, p.a_witness) == p.d
+    f = Facts(g)
+    assert f.d() == critical_difference(g) == 1
+    assert f.ker() == ker(g)
+    assert f.diadem() == diadem(g)
+    assert is_independent(g, f.witness())
+    assert difference(g, f.witness()) == f.d()
+    assert f.ker() & ~f.witness() == 0 and f.witness() & ~f.diadem() == 0
 
 
 # -- enumeration ---------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import pickle
 import random
@@ -9,7 +10,8 @@ from critset import critical, ke, mis, ore, props
 from critset.fixtures import load
 from critset.graphs import (LimitExceeded, bipartition, complete_graph,
                             cycle_graph, empty_graph, is_independent,
-                            neighborhood, path_graph, random_graph)
+                            neighborhood, parse_graph, path_graph,
+                            random_graph)
 from critset.matching import maximum_matching_general
 from critset.mis import alpha
 from critset.props import (SELFTEST, Config, Facts, PropertyResult,
@@ -87,6 +89,25 @@ def test_limit_skips_are_tagged():
     assert r.as_dict()["skip"] == "limit"
 
 
+def test_ker_characterization_reports_a_limit_as_a_skip(monkeypatch):
+    # 25 disjoint P3s: ker holds both ends of each, so the tight-set search
+    # would range over all 25 middles, past the oracle limit of 20. That is
+    # a limit skip; a disagreement of the two conditions is still a failure
+    g = parse_graph("".join(f"a{i} b{i}\nb{i} c{i}\n" for i in range(25)))
+    prop = lookup("th9.ker_characterization")
+    assert evaluate(prop, Facts(g)) == PropertyResult(
+        prop.name, "skipped",
+        "neighborhood too large for the tight-set search", limit=True)
+
+    def disagree(*args):
+        raise RuntimeError("tight-set and matching conditions disagree")
+
+    monkeypatch.setattr(critical, "verify_ker_characterization", disagree)
+    r = evaluate(prop, Facts(path_graph(4)))
+    assert r.verdict == "fails"
+    assert r.witness["problem"] == "tight-set and matching conditions disagree"
+
+
 def test_selftest_fails_with_reusable_witness():
     r = evaluate(SELFTEST, Facts(empty_graph(3)))
     assert r.verdict == "fails"
@@ -128,7 +149,8 @@ def _frozen_results():
     return [(Config(), "workers"),
             (mis.core_and_corona(g), "alpha"),
             (ore.ore_profile(g, parts), "delta0_a"),
-            (critical.critical_profile(g), "ker"),
+            (parse_corpus_spec('{"sources": [{"kind": "fixtures"}]}'),
+             "sources"),
             (parts, "side_a"),
             (load("fig101"), "name")]
 
@@ -484,6 +506,7 @@ def test_corpus_parsing_round_trip():
     '{"sources": [{"n": 3}]}',
     '{"sources": [{"kind": "martian"}]}',
     '{"sources": [{"kind": "random", "n": [3, 5]}]}',
+    '{"sources": 5}',
 ])
 def test_corpus_parsing_rejects_malformed(text):
     with pytest.raises(ValueError):
@@ -542,6 +565,40 @@ def test_conjecture_scan_tight_on_ke_graphs():
     report = conjecture_scan(exhaustive_corpus(1, 2))
     assert report["summary"]["min_slack"] == 0
     assert report["summary"]["violations"] == []
+
+
+# exhaustive n = 3 plus a few random graphs, scanned with one side of the
+# sandwich forced to fail; the digests of the rendered reports, shrunk graphs
+# included, were computed before the scan and its shrinking read alpha, ker,
+# diadem, core and corona through Facts
+FORCED_VIOLATIONS = [
+    ("ker-diadem", 6,
+     "86e78849e7963c9ef31f9f55e9bc95b4b9a241ff8c49cfcd8170c953343df3e2"),
+    ("core-corona", 12,
+     "4de02f697b80773ff1aa663c94440615a41bd21c6fb8f8fb83287d2c08b72fad"),
+]
+
+
+@pytest.mark.parametrize("kind,count,digest", FORCED_VIOLATIONS,
+                         ids=[kind for kind, _, _ in FORCED_VIOLATIONS])
+def test_conjecture_scan_reports_and_shrinks_forced_violations(
+        monkeypatch, kind, count, digest):
+    if kind == "ker-diadem":
+        monkeypatch.setattr(critical, "diadem", lambda g: g.full)
+    else:
+        monkeypatch.setattr(mis, "_core_and_corona",
+                            lambda g, a, sets, full=False:
+                            mis.MisProfile(a, None, 0, 0))
+    corpus = parse_corpus_spec(json.dumps({"sources": [
+        {"kind": "exhaustive", "n": 3},
+        {"kind": "random", "n": [5, 7], "p": 0.4, "count": 4, "seed": 1}]}))
+    report = conjecture_scan(corpus)
+    violations = report["summary"]["violations"]
+    assert [v["kind"] for v in violations] == [kind] * count
+    assert all(v["lhs"] > v["rhs"] and v["shrunk"]["n"] <= v["n"]
+               for v in violations)
+    text = json.dumps(report, indent=2, sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 def test_conjecture_scan_records_limit_skips(tmp_path):
