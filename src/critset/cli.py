@@ -334,8 +334,9 @@ def _cmd_conjecture(args) -> int:
     if args.corpus is not None:
         corpus = parse_corpus_spec(Path(args.corpus).read_text())
     else:
-        if args.max_n > EXHAUSTIVE_MAX_N:
-            raise ValueError(f"--max-n supports at most {EXHAUSTIVE_MAX_N}")
+        if not 1 <= args.max_n <= EXHAUSTIVE_MAX_N:
+            raise ValueError(f"--max-n supports 1..{EXHAUSTIVE_MAX_N}, "
+                             f"got {args.max_n}")
         corpus = exhaustive_corpus(*range(1, args.max_n + 1))
     rep = conjecture_scan(corpus, config)
     if args.json:

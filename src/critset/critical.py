@@ -33,56 +33,46 @@ class _CoverMatching(NamedTuple):
 
 def _greedy_cover_matching(nbrs, mate_plus: list[int],
                            mate_minus: list[int]) -> None:
-    """Fill the empty mate arrays with a maximal matching of the double cover
-    by the Karp-Sipser rules: while some free copy has exactly one free
-    neighbour, match the two, which some maximum matching does too; otherwise
-    take the next free plus copy by degree ascending, ties by id, and match it
-    to its free neighbour with the fewest free neighbours left.
+    """Fill the empty mate arrays with a maximal matching of the double cover:
+    a maximal matching of g by the Karp-Sipser rules, mirrored. While some
+    free vertex has exactly one free neighbour, match the two, which some
+    maximum matching of g does too; otherwise take the next free vertex by
+    degree ascending, ties by id, and match it to its free neighbour with the
+    fewest free neighbours left. Each matched edge uw gives the cover edges
+    u+ w- and w+ u-, so mate_plus doubles as g's mate array.
 
-    A copy joins the pendant stack at most once, when its count of free
-    neighbours drops to one, so the pass is linear in the size of g. On sparse
-    graphs it leaves Hopcroft-Karp little or nothing to augment; on forests
-    and cycles it is maximum.
+    A vertex joins the pendant stack at most once, when its count of free
+    neighbours drops to one, so the pass is linear in the size of g. On
+    forests the mirror is a maximum matching of the cover; an odd cycle of g,
+    which the cover matches perfectly, leaves Hopcroft-Karp an augmenting path
+    to find, since g's matching misses one of its vertices.
     """
     n = len(nbrs)
-    left_plus = list(map(len, nbrs))  # free minus neighbours per plus copy
-    left_minus = left_plus[:]         # free plus neighbours per minus copy
-    # copies with one free neighbour left: plus v as v, minus w as ~w
-    pendant = [v for v in range(n) if left_plus[v] == 1]
-    pendant += [~v for v in pendant]
+    left = list(map(len, nbrs))  # free neighbours per vertex
+    pendant = [v for v in range(n) if left[v] == 1]
 
     def match(u: int, w: int) -> None:
-        mate_plus[u], mate_minus[w] = w, u
-        for x in nbrs[u]:
-            if mate_minus[x] == -1:
-                left_minus[x] -= 1
-                if left_minus[x] == 1:
-                    pendant.append(~x)
-        for y in nbrs[w]:
-            if mate_plus[y] == -1:
-                left_plus[y] -= 1
-                if left_plus[y] == 1:
-                    pendant.append(y)
+        mate_plus[u] = mate_minus[u] = w
+        mate_plus[w] = mate_minus[w] = u
+        for x in nbrs[u] + nbrs[w]:
+            if mate_plus[x] == -1:
+                left[x] -= 1
+                if left[x] == 1:
+                    pendant.append(x)
 
-    for root in sorted(range(n), key=left_plus.__getitem__):
+    for root in sorted(range(n), key=left.__getitem__):
         while pendant:
             v = pendant.pop()
-            if v >= 0:
-                if mate_plus[v] == -1:
-                    for w in nbrs[v]:
-                        if mate_minus[w] == -1:
-                            match(v, w)
-                            break
-            elif mate_minus[~v] == -1:
-                for u in nbrs[~v]:
-                    if mate_plus[u] == -1:
-                        match(u, ~v)
+            if mate_plus[v] == -1:
+                for w in nbrs[v]:
+                    if mate_plus[w] == -1:
+                        match(v, w)
                         break
         if mate_plus[root] == -1:
             best = -1
             for w in nbrs[root]:
-                if mate_minus[w] == -1 and (
-                        best == -1 or left_minus[w] < left_minus[best]):
+                if mate_plus[w] == -1 and (
+                        best == -1 or left[w] < left[best]):
                     best = w
             if best != -1:
                 match(root, best)

@@ -322,14 +322,15 @@ def _parse_edge_list(text: str) -> Graph:
     ids: dict[str, int] = {}
     nbrs: list[list[int]] = []
     seen: set[tuple[int, int]] = set()
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        tokens = raw.split()
+    # split() yields no empty token, so a comment is a line whose first
+    # token starts with "#"
+    for line_no, tokens in enumerate(map(str.split, text.splitlines()), 1):
         if len(tokens) != 2:
-            if not tokens or tokens[0].startswith("#"):
+            if not tokens or tokens[0][0] == "#":
                 continue
             raise ParseError(line_no, f"expected two tokens, got {len(tokens)}")
         a, b = tokens
-        if a.startswith("#"):
+        if a[0] == "#":
             continue
         if a == "vertex":
             if b not in ids:

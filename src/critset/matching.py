@@ -13,8 +13,7 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from .graphs import (BipartitePartition, Graph, VertexSet, iter_bits, vflags,
-                     vset)
+from .graphs import BipartitePartition, Graph, VertexSet, vflags, vset
 
 
 class Matching:
@@ -34,26 +33,30 @@ class Matching:
         self.edges = frozenset(edges)
         self.mate = tuple(mate)
 
+    @classmethod
+    def _of(cls, mate: list[int]) -> "Matching":
+        """Wrap a symmetric mate array that the library built, unchecked."""
+        m = object.__new__(cls)
+        m.n = len(mate)
+        m.edges = frozenset([(u, v) for u, v in enumerate(mate) if v > u])
+        m.mate = tuple(mate)
+        return m
+
     def __len__(self) -> int:
         return len(self.edges)
 
     def covered(self) -> VertexSet:
         """Bitmask of saturated vertices."""
-        mask = 0
-        for u, v in self.edges:
-            mask |= 1 << u | 1 << v
-        return mask
+        return vset([v for v, w in enumerate(self.mate) if w != -1])
 
     def saturates(self, x: VertexSet) -> bool:
         return x & ~self.covered() == 0
 
     def matched_into(self, x: VertexSet) -> VertexSet:
         """Return M(x): vertices matched with members of x."""
-        out = 0
-        for v in iter_bits(x):
-            if self.mate[v] != -1:
-                out |= 1 << self.mate[v]
-        return out
+        mate = self.mate
+        return vset([mate[v] for v, flag in enumerate(vflags(x, self.n))
+                     if flag and mate[v] != -1])
 
     def __repr__(self) -> str:
         return f"Matching({sorted(self.edges)})"
@@ -156,15 +159,10 @@ def _hopcroft_karp(g: Graph, left: VertexSet, right: VertexSet) -> list[int]:
     return mate
 
 
-def _mate_pairs(mate: list[int]) -> list[tuple[int, int]]:
-    return [(u, v) for u, v in enumerate(mate) if v > u]
-
-
 def maximum_matching_bipartite(g: Graph, parts: BipartitePartition) -> Matching:
     """Return a maximum matching of a bipartite graph."""
     _check_parts(g, parts)
-    mate = _hopcroft_karp(g, parts.side_a, parts.side_b)
-    return Matching(g.n, _mate_pairs(mate))
+    return Matching._of(_hopcroft_karp(g, parts.side_a, parts.side_b))
 
 
 def _check_parts(g: Graph, parts: BipartitePartition) -> bytes:
@@ -279,10 +277,14 @@ def maximum_matching_general(g: Graph) -> Matching:
         used[root] = 1
         queue.append(root)
         for u in queue:
+            # mate[u] is fixed during a search; base[u] moves only when a
+            # blossom holding u is contracted, and is read again after that
+            mate_u, base_u = mate[u], base[u]
             for v in adj[u]:
-                if base[u] == base[v] or mate[u] == v:
+                if v == mate_u or base[v] == base_u:
                     continue
-                if v == root or (mate[v] != -1 and parent[mate[v]] != -1):
+                mate_v = mate[v]
+                if v == root or (mate_v != -1 and parent[mate_v] != -1):
                     # odd cycle: contract the blossom at the lca, visiting its
                     # vertices in increasing id order
                     curbase = lca(u, v)
@@ -299,13 +301,14 @@ def maximum_matching_general(g: Graph) -> Matching:
                     if curbase not in blossom:
                         merged += members.get(curbase, (curbase,))
                     members[curbase] = merged
+                    base_u = base[u]
                 elif parent[v] == -1:
                     parent[v] = u
                     inner.append(v)
-                    if mate[v] == -1:
+                    if mate_v == -1:
                         return v
-                    used[mate[v]] = 1
-                    queue.append(mate[v])
+                    used[mate_v] = 1
+                    queue.append(mate_v)
         return -1
 
     for u in range(n):
@@ -322,7 +325,7 @@ def maximum_matching_general(g: Graph) -> Matching:
                 parent[x] = -1
                 base[x] = x
                 used[x] = 0
-    return Matching(n, _mate_pairs(mate))
+    return Matching._of(mate)
 
 
 def deficiency(g: Graph) -> int:
@@ -345,8 +348,7 @@ def saturating_matching(
     _max_matching_lists(adj, ids, mate, mate)
     unmatched = _unmatched(mate, ids)
     if not unmatched:
-        pairs = [(u, mate[u]) for u in ids if mate[u] != -1]
-        return Matching(g.n, pairs), None
+        return Matching._of(mate), None
     seen = bytearray(g.n)
     violator, _ = _alternating_reach(adj, mate, unmatched, seen, seen)
     return None, vset(violator)

@@ -278,14 +278,25 @@ def _plus_reach(adj: list[int], mate_minus: list[int],
     return seen
 
 
+def _reach_ker(n: int, adj: list[int], mate_minus: list[int]) -> set[int]:
+    matched = set(mate_minus)
+    return _plus_reach(adj, mate_minus,
+                       [v for v in range(n) if v not in matched])
+
+
+def search_ker(n: int, adj: list[int]) -> int:
+    """ker as the plus copies that alternating paths reach from the
+    unmatched ones. O(m) after the matching, so it reaches past the deletion
+    rule's sizes."""
+    return sum(1 << v for v in _reach_ker(n, adj, cover_matching(n, adj)))
+
+
 def search_diadem(n: int, adj: list[int]) -> int:
     """diadem by one alternating search per vertex: v belongs iff no
     neighbour of v lies in ker or in the plus copies reached from v+, where
     ker is the reach of the unmatched plus copies. O(n m)."""
     mate_minus = cover_matching(n, adj)
-    matched = set(mate_minus)
-    ker = _plus_reach(adj, mate_minus,
-                      [v for v in range(n) if v not in matched])
+    ker = _reach_ker(n, adj, mate_minus)
     out = 0
     for v in range(n):
         if not any(u in ker for u in bits(adj[v])):

@@ -199,6 +199,13 @@ def test_exhaustive_small_sweep(capsys):
     assert "fails: 0" in out
 
 
+@pytest.mark.parametrize("max_n", ["0", "-3", "8"])
+def test_conjecture_max_n_outside_1_to_7_exits_2(capsys, max_n):
+    # an order below 1 would scan no graph and read as a clean run
+    assert run_cli(capsys, "conjecture", "--max-n", max_n) == (
+        2, "", f"error: --max-n supports 1..7, got {max_n}\n")
+
+
 def test_exhaustive_rejects_large_n(capsys):
     code, _, err = run_cli(capsys, "exhaustive", "--n", "9")
     assert code == 2

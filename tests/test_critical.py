@@ -7,7 +7,8 @@ import pytest
 import oracles as o
 from conftest import (adj_of, analyze_sample, masks_built, mid_sample,
                       random_sample, shuffled_chain, small_corpus)
-from critset.critical import (_d_without, _ker_matching, critical_difference,
+from critset.critical import (_d_without, _greedy_cover_matching,
+                              _ker_matching, critical_difference,
                               critical_independent_witness, diadem,
                               enumerate_critical_independent_sets,
                               enumerate_critical_sets, is_critical_independent,
@@ -151,6 +152,47 @@ def test_diadem_matches_per_vertex_search_on_long_chains(n, closed):
     g = shuffled_chain(n, closed, seed=n + closed)
     assert diadem(g) == o.search_diadem(g.n, adj_of(g))
     assert_cover_matching_is_maximum(g)
+
+
+def disjoint_cycles(count: int, length: int, seed: int) -> Graph:
+    """count disjoint cycles of the given length under a random relabelling,
+    with their edges listed in random order."""
+    rng = random.Random(seed)
+    order = list(range(count * length))
+    rng.shuffle(order)
+    edges = [(order[c * length + i], order[c * length + (i + 1) % length])
+             for c in range(count) for i in range(length)]
+    rng.shuffle(edges)
+    return Graph(count * length, edges)
+
+
+@pytest.mark.parametrize("build, parts, small", [
+    (lambda: disjoint_cycles(6, 3, seed=1), 6, True),
+    (lambda: disjoint_cycles(4, 5, seed=2), 4, True),
+    (lambda: shuffled_chain(7, True, seed=3), 1, True),
+    (lambda: complete_graph(7), 1, True),
+    (lambda: disjoint_cycles(1000, 3, seed=4), 1000, False),
+    (lambda: disjoint_cycles(400, 5, seed=5), 400, False),
+    (lambda: shuffled_chain(2001, True, seed=6), 1, False),
+], ids=["triangles6", "pentagons4", "cycle7", "K7", "triangles1000",
+        "pentagons400", "cycle2001"])
+def test_cover_matching_past_a_mirrored_greedy_start(build, parts, small):
+    # the greedy start matches g and mirrors it into the cover, so each of
+    # the graph's odd parts (odd cycles, K7), which the cover matches
+    # perfectly, leaves an augmenting path for Hopcroft-Karp; d, ker and
+    # diadem are 0 on these graphs
+    g = build()
+    adj = adj_of(g)
+    mate_plus, mate_minus = [-1] * g.n, [-1] * g.n
+    _greedy_cover_matching(g.nbrs, mate_plus, mate_minus)
+    assert mate_plus.count(-1) == parts
+    assert_cover_matching_is_maximum(g)
+    assert (critical_difference(g), ker(g), diadem(g)) == (0, 0, 0)
+    assert ker(g) == o.search_ker(g.n, adj)
+    assert diadem(g) == o.search_diadem(g.n, adj)
+    if small:
+        assert ker(g) == o.deletion_ker(g.n, adj)
+        assert diadem(g) == o.forcing_diadem(g.n, adj)
 
 
 def test_reused_graph_answers_like_a_fresh_one():

@@ -4,6 +4,7 @@ Shuffled long paths and cycles drive alternating paths through every vertex;
 a matching search that recursed once per step would exceed the limit.
 """
 
+import hashlib
 import random
 
 import pytest
@@ -29,6 +30,21 @@ def shuffled_chain_text(n: int, closed: bool, seed: int) -> str:
                    for u, v in edges)
 
 
+def gnm_text(n: int, m: int, seed: int) -> str:
+    """Edge-list text of m distinct pairs of n points drawn uniformly, in
+    random order; the ids follow first appearance, and points on no edge are
+    left out."""
+    rng = random.Random(seed)
+    edges: set[tuple[int, int]] = set()
+    while len(edges) < m:
+        u, v = rng.randrange(n), rng.randrange(n)
+        if u != v:
+            edges.add((min(u, v), max(u, v)))
+    ordered = sorted(edges)
+    rng.shuffle(ordered)
+    return "".join(f"v{u} v{v}\n" for u, v in ordered)
+
+
 @pytest.mark.parametrize("closed", [False, True], ids=["path", "cycle"])
 def test_shuffled_chain_of_20000(closed):
     g = parse_graph(shuffled_chain_text(N, closed, seed=3 + closed))
@@ -52,3 +68,21 @@ def test_shuffled_chain_of_20000(closed):
     assert diadem(g) == g.full
     assert len(g.label_list(diadem(g))) == N
     assert not masks_built(g)
+
+
+@pytest.mark.parametrize("text, n, size, digest", [
+    (shuffled_chain_text(N, False, seed=3), N, N // 2,
+     "60ba86dd7788bb6a377ced868ae817920c5c62fbd5f93e7169d775a5c131ff72"),
+    (shuffled_chain_text(N, True, seed=4), N, N // 2,
+     "e7602adea5e1edcd5afecd6e9c2c6808d43c8e45ebd6802f094749e914dd1074"),
+    (gnm_text(4500, 5625, seed=7), 4142, 1953,
+     "60ba981945307980224bc4a70adacbdee967c1746b0fb88d1c79c487d65a84f8"),
+], ids=["path", "cycle", "gnm4500"])
+def test_blossom_edges_are_pinned(text, n, size, digest):
+    # the blossom's greedy start and search order fix which maximum matching
+    # it returns, and `mu` callers see its edges; these digests pin them
+    g = parse_graph(text)
+    m = maximum_matching_general(g)
+    assert (g.n, len(m)) == (n, size)
+    got = hashlib.sha256(repr(sorted(m.edges)).encode()).hexdigest()
+    assert got == digest

@@ -226,6 +226,9 @@ EDGE_LIST_ERRORS = [
      1, "expected two tokens, got 3"),
     ("form feed ends a line", "a b\x0cb b\n", 2, "self-loop at 'b'"),
     ("unicode spaces", "a\u2003b\n\u00a0c\u00a0c\n", 2, "self-loop at 'c'"),
+    ("'#' opening a second token", "a #b\nb a\na #b\n",
+     3, "duplicate edge a #b"),
+    ("3-token comment", "#x y z\n  #\ta b c\nc c\n", 3, "self-loop at 'c'"),
 ]
 
 DIMACS_ERRORS = [
@@ -285,6 +288,11 @@ def test_parsers_accept_crlf_tabs_indented_comments_and_late_vertices():
     g = parse_graph("  # note\r\na\tb\r\n\t# x y\r\nvertex c\r\n"
                     "b  c\r\nvertex a\r\nvertex d\r\n")
     assert g.labels == ("a", "b", "c", "d")
+    assert g.edge_pairs() == [(0, 1), (1, 2)]
+    # a first token opens a comment, whatever the line's token count; a
+    # second token is a label
+    g = parse_graph("a #b\n#x y z\n#b c\nc #b\n# #\n")
+    assert g.labels == ("a", "#b", "c")
     assert g.edge_pairs() == [(0, 1), (1, 2)]
     g = parse_graph("c x\r\n  p\tedge 4 2\r\n\te 3 1\r\n  c y\r\n"
                     "e 2 3\r\n", "dimacs")

@@ -1,10 +1,13 @@
+import random
+
 import pytest
 
 import oracles as o
 from conftest import adj_of, random_sample, small_corpus
 from critset.graphs import (BipartitePartition, Graph, bipartition,
                             complete_bipartite, complete_graph, cycle_graph,
-                            empty_graph, neighborhood, path_graph)
+                            empty_graph, iter_bits, neighborhood, path_graph,
+                            random_bipartite, vset)
 from critset.matching import (Matching, deficiency, maximum_matching_bipartite,
                               maximum_matching_general, saturating_matching)
 from critset.ore import ore_profile
@@ -105,6 +108,49 @@ def test_matching_queries():
         Matching(3, [(0, 1), (1, 2)])
 
 
+def seeded_graphs():
+    yield from random_sample(30, 6, 40, seed=23)
+    for a in (3, 5, 10, 17, 25):
+        yield random_bipartite(a, 2 * a - 1, 0.2, seed=a)
+
+
+def test_library_matchings_equal_checked_construction():
+    # the producers wrap their mate arrays unchecked; the checked constructor
+    # rebuilds the same object from the edges. The lower ends of a maximum
+    # matching's edges can always be matched into the other vertices.
+    for g in seeded_graphs():
+        general = maximum_matching_general(g)
+        lower = vset(u for u, _ in general.edges)
+        built = [general, saturating_matching(g, lower, g.full & ~lower)[0]]
+        parts = bipartition(g)
+        if parts is not None:
+            built.append(maximum_matching_bipartite(g, parts))
+        for m in built:
+            checked = Matching(g.n, sorted(m.edges))
+            assert (m.n, m.edges, m.mate) == (
+                checked.n, checked.edges, checked.mate)
+            assert type(m.mate) is tuple and type(m.edges) is frozenset
+
+
+def test_covered_and_matched_into_match_their_definitions():
+    # covered: both ends of every edge; matched_into(x): the mate of every
+    # matched member of x
+    rng = random.Random(5)
+    matchings = [Matching(0, []), Matching(6, []), *(
+        maximum_matching_general(g) for g in random_sample(40, 1, 30, seed=7))]
+    for m in matchings:
+        want = 0
+        for u, v in m.edges:
+            want |= 1 << u | 1 << v
+        assert m.covered() == want
+        for x in (0, (1 << m.n) - 1, rng.getrandbits(m.n)):
+            want = 0
+            for v in iter_bits(x):
+                if m.mate[v] != -1:
+                    want |= 1 << m.mate[v]
+            assert m.matched_into(x) == want
+
+
 # -- deficiency ----------------------------------------------------------------------
 
 def test_deficiency_values(graphs_n5):
@@ -140,7 +186,6 @@ def test_saturating_matching_failure_returns_hall_violator():
 
 
 def test_hall_violator_is_sound_on_random_pairs(graphs_n5):
-    import random
     rng = random.Random(4)
     for g in graphs_n5[::7]:
         if g.n == 0:
