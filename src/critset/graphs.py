@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import gc
 import random
+from functools import lru_cache
 from typing import Iterable, Iterator, NamedTuple
 
 # A vertex set is an int bitmask over ids 0..n-1; bit v set means v is a member.
@@ -465,20 +466,78 @@ def random_bipartite(m: int, n: int, p: float, seed: int) -> Graph:
     return Graph(m + n, edges)
 
 
-def all_graphs(n: int) -> Iterator[Graph]:
-    """Yield every labeled graph on n vertices exactly once; 0 <= n <= 7."""
+def _check_exhaustive_order(n: int) -> None:
     if n < 0:
         raise ValueError(f"exhaustive stream needs n >= 0, got {n}")
     if n > EXHAUSTIVE_MAX_N:
         raise LimitExceeded(f"exhaustive stream supports n <= {EXHAUSTIVE_MAX_N}")
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    for code in range(1 << len(pairs)):
-        adj = [0] * n
-        for k, (i, j) in enumerate(pairs):
-            if code >> k & 1:
-                adj[i] |= 1 << j
-                adj[j] |= 1 << i
-        yield Graph.from_adj(tuple(adj))
+
+
+@lru_cache(maxsize=None)
+def _code_pairs(n: int) -> tuple[tuple[int, int], ...]:
+    """The vertex pair of each bit of an edge code on n vertices: bit k
+    stands for the k-th pair (i, j), i < j, in lexicographic order."""
+    return tuple((i, j) for i in range(n) for j in range(i + 1, n))
+
+
+def graph_from_code(n: int, code: int) -> Graph:
+    """The labeled graph on n vertices whose edges are the set bits of code."""
+    adj = [0] * n
+    for k, (i, j) in enumerate(_code_pairs(n)):
+        if code >> k & 1:
+            adj[i] |= 1 << j
+            adj[j] |= 1 << i
+    return Graph.from_adj(tuple(adj))
+
+
+def all_graphs(n: int) -> Iterator[Graph]:
+    """Yield every labeled graph on n vertices exactly once, in edge-code
+    order (graph_from_code); 0 <= n <= 7."""
+    _check_exhaustive_order(n)
+    for code in range(1 << n * (n - 1) // 2):
+        yield graph_from_code(n, code)
+
+
+def orbit_leaders(n: int) -> list[int]:
+    """leaders[c] is the smallest edge code of a graph isomorphic to the
+    graph with code c, for every code c of all_graphs(n).
+
+    Each code not yet reached, in increasing order, starts a search of its
+    orbit, so it is the smallest code there. The search relabels by the
+    transposition (0 1) and the n-cycle, which generate every permutation
+    of the vertices. Each moves the bits of a code through two tables, one
+    per half of the code, that map each half's value to its bits' images.
+    """
+    _check_exhaustive_order(n)
+    pairs = _code_pairs(n)
+    bit_of = {pair: k for k, pair in enumerate(pairs)}
+    half = (len(pairs) + 1) // 2
+    low_mask = (1 << half) - 1
+    generators = []
+    for perm in (1, 0, *range(2, n)), (*range(1, n), 0):
+        image = [bit_of[min(perm[i], perm[j]), max(perm[i], perm[j])]
+                 for i, j in pairs]
+        tables = []
+        for bits in range(half), range(half, len(pairs)):
+            table = [0]
+            for k in bits:
+                table += [t | 1 << image[k] for t in table]
+            tables.append(table)
+        generators.append(tables)
+    leaders = [-1] * (1 << len(pairs))
+    for code in range(len(leaders)):
+        if leaders[code] >= 0:
+            continue
+        leaders[code] = code
+        todo = [code]
+        while todo:
+            c = todo.pop()
+            for low, high in generators:
+                moved = low[c & low_mask] | high[c >> half]
+                if leaders[moved] < 0:
+                    leaders[moved] = code
+                    todo.append(moved)
+    return leaders
 
 
 def generate(spec: str) -> Graph | Iterator[Graph]:

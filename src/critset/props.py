@@ -24,8 +24,8 @@ from . import critical, ke, mis, ore
 from .critical import ORACLE_LIMIT
 from .graphs import (EXHAUSTIVE_MAX_N, Graph, LimitExceeded, VertexSet,
                      all_graphs, bipartition, delete_edge, delete_vertices,
-                     difference, iter_bits, neighborhood, random_graph,
-                     read_graph_file)
+                     difference, graph_from_code, iter_bits, neighborhood,
+                     orbit_leaders, random_graph, read_graph_file)
 from .matching import maximum_matching_general, saturating_matching
 
 FAMILY_CAP = 20000
@@ -965,6 +965,15 @@ def files_corpus(paths: list[str]) -> CorpusSpec:
     return CorpusSpec((CorpusSource("files", tuple(paths)),))
 
 
+def _spec_int(kind: str, field: str, value) -> int:
+    """An integer field of a corpus source; int() would truncate a float
+    and read a bool as 0 or 1."""
+    if isinstance(value, (bool, float)):
+        raise ValueError(f"{kind} source needs an integer {field}, "
+                         f"got {json.dumps(value)}")
+    return int(value)
+
+
 def parse_corpus_spec(text: str) -> CorpusSpec:
     """Read the JSON corpus description used by the command line."""
     try:
@@ -982,16 +991,17 @@ def parse_corpus_spec(text: str) -> CorpusSpec:
             if kind == "fixtures":
                 sources.append(CorpusSource("fixtures", ()))
             elif kind == "exhaustive":
-                n = int(entry["n"])
+                n = _spec_int(kind, "n", entry["n"])
                 if n > EXHAUSTIVE_MAX_N:
                     raise ValueError(f"exhaustive source supports n <= "
                                      f"{EXHAUSTIVE_MAX_N}, got {n}")
                 sources.append(CorpusSource("exhaustive", (n,)))
             elif kind == "random":
-                lo, hi = entry["n"]
+                lo, hi = (_spec_int(kind, "n", v) for v in entry["n"])
                 sources += random_corpus(
-                    int(lo), int(hi), float(entry["p"]), int(entry["count"]),
-                    int(entry["seed"])).sources
+                    lo, hi, float(entry["p"]),
+                    _spec_int(kind, "count", entry["count"]),
+                    _spec_int(kind, "seed", entry["seed"])).sources
             elif kind == "files":
                 paths = entry["paths"]
                 if not isinstance(paths, list):
@@ -1014,6 +1024,10 @@ def random_graph_at(lo: int, hi: int, p: float, seed: int, k: int) -> Graph:
     return random_graph(n, p, rng.getrandbits(32))
 
 
+def _exhaustive_key(n: int, code: int) -> str:
+    return f"exhaustive:n={n}:{code}"
+
+
 def iter_graphs(spec: CorpusSpec) -> Iterator[tuple[str, Graph]]:
     for src in spec.sources:
         if src.kind == "fixtures":
@@ -1022,8 +1036,8 @@ def iter_graphs(spec: CorpusSpec) -> Iterator[tuple[str, Graph]]:
                 yield f"fixture:{name}", fixtures.load(name).graph
         elif src.kind == "exhaustive":
             n = src.params[0]
-            for i, g in enumerate(all_graphs(n)):
-                yield f"exhaustive:n={n}:{i}", g
+            for code, g in enumerate(all_graphs(n)):
+                yield _exhaustive_key(n, code), g
         elif src.kind == "random":
             lo, hi, p, count, seed = src.params
             for k in range(count):
@@ -1121,6 +1135,52 @@ def _graph_doc(g: Graph) -> dict:
             "edges": [[g.labels[u], g.labels[v]] for u, v in g.edge_pairs()]}
 
 
+def _slacks(facts: Facts) -> tuple[int, int | None] | str:
+    """The lower and upper slack of one graph, the upper one None past the
+    oracle limit, or the reason the lower one was skipped."""
+    try:
+        lower = _lower_slack(facts)
+    except LimitExceeded as exc:
+        return str(exc)
+    try:
+        upper = _upper_slack(facts)
+    except LimitExceeded:
+        upper = None
+    return lower, upper
+
+
+def _scan_slacks(corpus: CorpusSpec, config: Config
+                 ) -> Iterator[tuple[str, int, Facts | None, tuple | str]]:
+    """Key, order, facts and _slacks of every corpus graph, in corpus order.
+
+    Both slacks and every limit are isomorphism invariants, as relabelling
+    maps ker, diadem, core and corona onto those of the relabelled graph.
+    So an exhaustive source evaluates only the first graph of each
+    isomorphism class and hands its outcome to the rest, building no graph
+    for them (facts None). A member of a class that violates a bound is
+    evaluated on its own graph, so its report names its own labels.
+    """
+    for src in corpus.sources:
+        if src.kind != "exhaustive":
+            for key, g in iter_graphs(CorpusSpec((src,))):
+                facts = Facts(g, config)
+                yield key, g.n, facts, _slacks(facts)
+            continue
+        n = src.params[0]
+        by_leader: dict[int, tuple | str] = {}
+        for code, leader in enumerate(orbit_leaders(n)):
+            if code == leader:
+                facts = Facts(graph_from_code(n, code), config)
+                outcome = by_leader[code] = _slacks(facts)
+            else:
+                facts, outcome = None, by_leader[leader]
+                if type(outcome) is tuple and min(outcome[0],
+                                                  outcome[1] or 0) < 0:
+                    facts = Facts(graph_from_code(n, code), config)
+                    outcome = _slacks(facts)
+            yield _exhaustive_key(n, code), n, facts, outcome
+
+
 def conjecture_scan(corpus: CorpusSpec,
                     config: Config | None = None) -> dict:
     """Check |ker| + |diadem| <= 2*alpha <= |core| + |corona| per graph.
@@ -1128,6 +1188,7 @@ def conjecture_scan(corpus: CorpusSpec,
     The lower bound is the open conjecture, so the scan is evidence, not
     proof: it records the minimum slack per graph order and shrinks any
     violation it finds. Limit-exceeded graphs are listed, never dropped.
+    Exhaustive sources evaluate one graph per isomorphism class.
     """
     config = config if config is not None else Config()
     per_n: dict[int, dict] = {}
@@ -1135,21 +1196,15 @@ def conjecture_scan(corpus: CorpusSpec,
     skipped = []
     graphs = checked = 0
 
-    for key, g in iter_graphs(corpus):
+    for key, n, facts, outcome in _scan_slacks(corpus, config):
         graphs += 1
-        facts = Facts(g, config)
-        try:
-            lower = _lower_slack(facts)
-        except LimitExceeded as exc:
-            skipped.append({"graph": key, "reason": str(exc)})
+        if type(outcome) is str:
+            skipped.append({"graph": key, "reason": outcome})
             continue
-        try:
-            upper = _upper_slack(facts)
-        except LimitExceeded:
-            upper = None
+        lower, upper = outcome
         checked += 1
-        slot = per_n.setdefault(g.n, {"graphs": 0, "min_slack": None,
-                                      "min_slack_upper": None})
+        slot = per_n.setdefault(n, {"graphs": 0, "min_slack": None,
+                                    "min_slack_upper": None})
         slot["graphs"] += 1
         if slot["min_slack"] is None or lower < slot["min_slack"]:
             slot["min_slack"] = lower
@@ -1158,7 +1213,7 @@ def conjecture_scan(corpus: CorpusSpec,
             slot["min_slack_upper"] = upper
 
         if lower < 0:
-            a = facts.alpha()
+            g, a = facts.g, facts.alpha()
             small = shrink(g, lambda h: _lower_slack(Facts(h, config)) < 0)
             shrunk = Facts(small, config)
             violations.append({
@@ -1170,7 +1225,7 @@ def conjecture_scan(corpus: CorpusSpec,
                            "lhs": 2 * shrunk.alpha() - _lower_slack(shrunk),
                            "rhs": 2 * shrunk.alpha()}})
         if upper is not None and upper < 0:
-            a = facts.alpha()
+            g, a = facts.g, facts.alpha()
             small = shrink(g, lambda h: _upper_slack(Facts(h, config)) < 0)
             violations.append({
                 "graph": key, "kind": "core-corona", **_graph_doc(g),

@@ -144,11 +144,28 @@ def test_negative_exhaustive_order_exits_2(capsys, tmp_path, monkeypatch,
     ({"kind": "random", "n": [-2, 3], "p": 0.3, "count": 2, "seed": 1},
      "error: random source needs 0 <= lo <= hi, got n = [-2, 3]\n"),
     ({"kind": "files", "paths": "ab"},
-     "error: files source needs a list of paths, got 'ab'\n")])
+     "error: files source needs a list of paths, got 'ab'\n"),
+    ({"kind": "exhaustive", "n": 2.7},
+     "error: exhaustive source needs an integer n, got 2.7\n"),
+    ({"kind": "exhaustive", "n": True},
+     "error: exhaustive source needs an integer n, got true\n"),
+    ({"kind": "random", "n": [3, 4.5], "p": 0.3, "count": 2, "seed": 1},
+     "error: random source needs an integer n, got 4.5\n"),
+    ({"kind": "random", "n": [False, 4], "p": 0.3, "count": 2, "seed": 1},
+     "error: random source needs an integer n, got false\n"),
+    ({"kind": "random", "n": [3, 4], "p": 0.3, "count": 2.5, "seed": 1},
+     "error: random source needs an integer count, got 2.5\n"),
+    ({"kind": "random", "n": [3, 4], "p": 0.3, "count": True, "seed": 1},
+     "error: random source needs an integer count, got true\n"),
+    ({"kind": "random", "n": [3, 4], "p": 0.3, "count": 2, "seed": 1.0},
+     "error: random source needs an integer seed, got 1.0\n"),
+    ({"kind": "random", "n": [3, 4], "p": 0.3, "count": 2, "seed": False},
+     "error: random source needs an integer seed, got false\n")])
 def test_out_of_range_corpus_source_exits_2(capsys, tmp_path, source, err):
     # an exhaustive order past the stream's bound is a usage error, as for
-    # `exhaustive --n 8`; a negative count or order is no clean run, and a
-    # path string is not read letter by letter
+    # `exhaustive --n 8`; a negative count or order is no clean run, a path
+    # string is not read letter by letter, and a float or bool in an integer
+    # field is not truncated to some other corpus
     spec = tmp_path / "c.json"
     spec.write_text(json.dumps({"sources": [source]}))
     assert run_cli(capsys, "conjecture", "--corpus", str(spec)) == (2, "", err)
@@ -351,6 +368,14 @@ PINNED_OUTPUTS = [
      "f38de77132ea58c17a3eadea5b8dee73f4a55e19c79e58fb4b72b19f01b1ddc3"),
     (("conjecture", "--max-n", "5", "--json"), 0,
      "e857dbd6ceefefa703a6345bab7d741a7ee97ff2f01ccee72f78d5ccfde751c0"),
+    # computed before the exhaustive scan evaluated one graph per
+    # isomorphism class
+    (("conjecture", "--max-n", "6", "--json"), 0,
+     "6b766934998496a51c5f66e2df0553d97556e2eb26785062a9486f2ba49a3d20"),
+    (("conjecture", "--max-n", "5", "--json", "--no-oracle"), 0,
+     "747dcd4483426f4bd64519462a0c88305b7de8bc6d5a30a93fffb024341e09c8"),
+    (("conjecture", "--max-n", "5", "--json", "--oracle-limit", "3"), 0,
+     "57a61727fcaab55aa3ef34d0e5bab2f8f1a9c4968e82a3c29fd370bfb6c5559c"),
     # computed before the d table was built in byte lanes and the table
     # route moved up to n <= 18: n = 13..17 on the table route, the same
     # with the oracle limit cutting it off at 15, and n = 17..20 across the

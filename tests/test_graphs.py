@@ -2,6 +2,7 @@ import gc
 import pickle
 import random
 import sys
+from itertools import permutations
 
 import pytest
 from hypothesis import given, strategies as st
@@ -12,9 +13,10 @@ from critset.graphs import (EXHAUSTIVE_MAX_N, Graph, LimitExceeded,
                             ParseError, all_graphs, bipartition,
                             complete_bipartite, complete_graph, cycle_graph,
                             delete_edge, delete_vertices, difference,
-                            empty_graph, generate, is_independent,
-                            neighborhood, parse_graph, path_graph,
-                            random_bipartite, random_graph, to_edge_list)
+                            empty_graph, generate, graph_from_code,
+                            is_independent, neighborhood, orbit_leaders,
+                            parse_graph, path_graph, random_bipartite,
+                            random_graph, to_edge_list)
 
 graph_st = st.builds(
     random_graph,
@@ -412,6 +414,57 @@ def test_exhaustive_stream_counts_and_uniqueness():
         next(all_graphs(EXHAUSTIVE_MAX_N + 1))
     with pytest.raises(ValueError, match="n >= 0"):
         next(all_graphs(-1))
+
+
+def _relabelled_code(g: Graph, perm) -> int:
+    """The edge code of g with vertex v renamed perm[v], read off its edges
+    with the pair order of all_graphs: (0,1), (0,2), ..., (n-2,n-1)."""
+    n = g.n
+    code = 0
+    for u, v in g.edge_pairs():
+        i, j = sorted((perm[u], perm[v]))
+        code |= 1 << i * (2 * n - i - 1) // 2 + j - i - 1
+    return code
+
+
+def test_graph_from_code_numbers_the_exhaustive_stream():
+    for n in range(6):
+        for code, g in enumerate(all_graphs(n)):
+            assert _relabelled_code(g, range(n)) == code
+            assert graph_from_code(n, code) == g
+
+
+# graphs on n unlabeled vertices, n = 0..6 (OEIS A000088)
+CLASS_COUNTS = [1, 1, 2, 4, 11, 34, 156]
+
+
+@pytest.mark.parametrize("n", range(len(CLASS_COUNTS)))
+def test_orbit_leaders_are_the_smallest_code_of_each_class(n):
+    leaders = orbit_leaders(n)
+    assert len(leaders) == 1 << n * (n - 1) // 2
+    assert len(set(leaders)) == CLASS_COUNTS[n]
+    # each leader leads itself and comes first, and swapping two adjacent
+    # vertices, which generates every relabelling, keeps the leader; with
+    # the class count, the codes of one leader are then exactly one orbit,
+    # and the leader is its smallest code
+    swaps = [(*range(k), k + 1, k, *range(k + 2, n)) for k in range(n - 1)]
+    for code, leader in enumerate(leaders):
+        assert leader <= code and leaders[leader] == leader
+        g = graph_from_code(n, code)
+        for perm in swaps:
+            assert leaders[_relabelled_code(g, perm)] == leader
+    if n <= 5:
+        perms = list(permutations(range(n)))
+        for code, leader in enumerate(leaders):
+            g = graph_from_code(n, code)
+            assert leader == min(_relabelled_code(g, p) for p in perms)
+
+
+def test_orbit_leaders_bound_the_order_as_the_stream_does():
+    with pytest.raises(LimitExceeded):
+        orbit_leaders(EXHAUSTIVE_MAX_N + 1)
+    with pytest.raises(ValueError, match="n >= 0"):
+        orbit_leaders(-1)
 
 
 def test_generate_descriptors():

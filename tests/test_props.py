@@ -2,16 +2,17 @@ import hashlib
 import json
 import pickle
 import random
+from collections import Counter
 
 import pytest
 
 from conftest import mid_sample, small_corpus
-from critset import critical, ke, mis, ore, props
+from critset import critical, graphs, ke, mis, ore, props
 from critset.fixtures import load
-from critset.graphs import (LimitExceeded, bipartition, complete_graph,
-                            cycle_graph, empty_graph, is_independent,
-                            neighborhood, parse_graph, path_graph,
-                            random_graph)
+from critset.graphs import (LimitExceeded, all_graphs, bipartition,
+                            complete_graph, cycle_graph, empty_graph,
+                            is_independent, neighborhood, orbit_leaders,
+                            parse_graph, path_graph, random_graph)
 from critset.matching import maximum_matching_general
 from critset.mis import alpha
 from critset.props import (SELFTEST, Config, Facts, PropertyResult,
@@ -565,6 +566,34 @@ def test_conjecture_scan_tight_on_ke_graphs():
     report = conjecture_scan(exhaustive_corpus(1, 2))
     assert report["summary"]["min_slack"] == 0
     assert report["summary"]["violations"] == []
+
+
+@pytest.mark.parametrize("max_n,config", [
+    (6, Config()), (5, Config(oracle_limit=3)), (5, Config(use_oracle=False))],
+    ids=["default", "oracle_limit=3", "no_oracle"])
+def test_conjecture_slacks_are_isomorphism_invariant(max_n, config):
+    # the exhaustive scan evaluates the first graph of each isomorphism class
+    # and hands its slacks or skip reason to the others; here every labeled
+    # graph is evaluated on its own and must agree with its class's leader
+    differ = []
+    for n in range(max_n + 1):
+        outcomes = [props._slacks(Facts(g, config)) for g in all_graphs(n)]
+        differ += [(n, code, leader)
+                   for code, leader in enumerate(orbit_leaders(n))
+                   if outcomes[code] != outcomes[leader]]
+    assert differ == []
+
+
+def test_exhaustive_scan_builds_one_graph_per_class(monkeypatch):
+    built = Counter()
+
+    def graph_from_code(n, code):
+        built[n] += 1
+        return graphs.graph_from_code(n, code)
+    monkeypatch.setattr(props, "graph_from_code", graph_from_code)
+    report = conjecture_scan(exhaustive_corpus(*range(1, 7)))
+    assert report["summary"]["graphs"] == 33867
+    assert built == {1: 1, 2: 2, 3: 4, 4: 11, 5: 34, 6: 156}
 
 
 # exhaustive n = 3 plus a few random graphs, scanned with one side of the
