@@ -15,7 +15,7 @@ from itertools import compress
 from typing import Iterator, NamedTuple
 
 from .graphs import (Graph, LimitExceeded, VertexSet, difference,
-                     is_independent, iter_bits, neighborhood, vlist, vset)
+                     is_independent, neighborhood, vlist, vset)
 from .matching import (_alternating_reach, _hopcroft_karp,
                        _max_matching_lists, _unmatched, saturating_matching)
 
@@ -317,7 +317,7 @@ def max_subset_difference(g: Graph, x: VertexSet) -> int:
     if not is_independent(g, x):
         raise ValueError("defect form needs an independent base set")
     mate = _hopcroft_karp(g, x, neighborhood(g, x))
-    matched = sum(1 for v in iter_bits(x) if mate[v] != -1)
+    matched = sum(1 for v in vlist(x) if mate[v] != -1)
     return x.bit_count() - matched
 
 
@@ -338,7 +338,7 @@ def minimal_positive_independent_sets(
         if d_now >= 1:
             # any strict superset has this positive set as a proper subset
             if all(max_subset_difference(g, chosen ^ (1 << v)) <= 0
-                   for v in iter_bits(chosen)):
+                   for v in vlist(chosen)):
                 yield chosen
             return
         remaining = sum(1 for j in range(idx, n) if not chosen & adj[j])
@@ -379,7 +379,7 @@ def verify_ker_characterization(
             break
 
     unmatchable: int | None = None
-    for v in iter_bits(a):
+    for v in vlist(a):
         found, _ = saturating_matching(g, boundary, a & ~(1 << v))
         if found is None:
             unmatchable = v

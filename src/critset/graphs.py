@@ -76,26 +76,19 @@ def vlist(mask: VertexSet) -> list[int]:
     return out
 
 
-def iter_bits(mask: VertexSet) -> Iterator[int]:
-    """Yield the members of a bitmask in increasing order."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
-
-
 class Graph:
     """Finite simple undirected graph; vertices are 0..n-1, labels for display.
 
-    `nbrs[v]` is v's neighbours as a sorted tuple and `adj[v]` the same as a
-    bitmask; whichever the graph was built from, the other is built on its
-    first read, so a parsed graph pays for O(n^2) bits of masks only if used.
+    `nbrs[v]` is v's neighbours as a sorted tuple, and every constructor
+    fills it. `adj[v]` is the same as a bitmask, built for every vertex on its
+    first read, so a graph pays for O(n^2) bits of masks only if a bitmask
+    routine reads them; deleting, comparing, hashing and pickling never do.
     The matching routines memoise the double cover's maximum matching in a
     private slot; since a Graph never changes, the memo stays valid, and it is
     left out of equality, hashing and pickling.
     """
 
-    __slots__ = ("n", "adj", "labels", "_nbrs", "_cover")
+    __slots__ = ("n", "nbrs", "adj", "labels", "_cover")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]],
                  labels: tuple[str, ...] | None = None):
@@ -116,46 +109,26 @@ class Graph:
             raise ValueError("labels length must equal n")
         self._wrap(nbrs, labels)
 
-    def _wrap(self, nbrs: list[list[int]],
+    def _wrap(self, nbrs: Iterable[Iterable[int]],
               labels: tuple[str, ...] | None) -> "Graph":
         """Hold prevalidated symmetric neighbour lists, sorting each."""
-        self.n = len(nbrs)
-        self._nbrs = tuple(map(tuple, map(sorted, nbrs)))
+        self.nbrs = tuple(map(tuple, map(sorted, nbrs)))
+        self.n = len(self.nbrs)
         self.labels = labels if labels is not None else tuple(
             str(i) for i in range(self.n))
         self._cover = None
         return self
 
-    @classmethod
-    def from_adj(cls, adj: tuple[int, ...],
-                 labels: tuple[str, ...] | None = None) -> "Graph":
-        """Wrap a prevalidated symmetric adjacency tuple without rechecking."""
-        g = object.__new__(cls)
-        g.n = len(adj)
-        g.adj = adj
-        g.labels = labels if labels is not None else tuple(
-            str(i) for i in range(len(adj)))
-        g._nbrs = g._cover = None
-        return g
-
     def __getattr__(self, name: str):
-        # reached only while the adj slot is unset, on a graph built from
-        # neighbour lists; fills the slot, so every later read is a slot read.
-        # With a __getattr__ CPython no longer specialises attribute reads on
-        # Graph, so the bitmask loops in mis, critical and props read g.adj
-        # once into a local.
+        # reached only while the adj slot is unset; fills it, so every later
+        # read is a slot read. With a __getattr__ CPython no longer
+        # specialises attribute reads on Graph, so the bitmask loops in mis,
+        # critical and props read g.adj once into a local.
         if name != "adj":
             raise AttributeError(name)
         # the bits are distinct, so the sum is their OR
-        self.adj = tuple(sum(1 << w for w in vs) for vs in self._nbrs)
+        self.adj = tuple(sum(1 << w for w in vs) for vs in self.nbrs)
         return self.adj
-
-    @property
-    def nbrs(self) -> tuple[tuple[int, ...], ...]:
-        """Sorted neighbour ids per vertex; built on first use for from_adj."""
-        if self._nbrs is None:
-            self._nbrs = tuple(tuple(vlist(a)) for a in self.adj)
-        return self._nbrs
 
     @property
     def full(self) -> VertexSet:
@@ -181,21 +154,20 @@ class Graph:
                 if flag]
 
     def __eq__(self, other: object) -> bool:
-        return (isinstance(other, Graph) and self.n == other.n
-                and self.adj == other.adj and self.labels == other.labels)
+        return (isinstance(other, Graph) and self.nbrs == other.nbrs
+                and self.labels == other.labels)
 
     def __hash__(self) -> int:
-        return hash((self.n, self.adj))
+        return hash(self.nbrs)
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, m={self.m})"
 
     def __getstate__(self):
-        return (self.n, self.adj, self.labels)
+        return self.nbrs, self.labels
 
     def __setstate__(self, state):
-        self.n, self.adj, self.labels = state
-        self._nbrs = self._cover = None
+        self._wrap(*state)
 
 
 def _check_subset(g: Graph, x: VertexSet) -> None:
@@ -228,29 +200,23 @@ def is_independent(g: Graph, x: VertexSet) -> bool:
 def delete_vertices(g: Graph, w: VertexSet) -> tuple[Graph, dict[int, int]]:
     """Return the induced subgraph on V - w plus the old-to-new id map."""
     _check_subset(g, w)
-    survivors = vlist(g.full & ~w)
+    keep = vflags(g.full & ~w, g.n)
+    survivors = [v for v, flag in enumerate(keep) if flag]
     idmap = {old: new for new, old in enumerate(survivors)}
-    adj = []
-    for old in survivors:
-        mask = 0
-        rest = g.adj[old] & ~w
-        while rest:
-            low = rest & -rest
-            mask |= 1 << idmap[low.bit_length() - 1]
-            rest ^= low
-        adj.append(mask)
+    nbrs = g.nbrs
+    sub = [[idmap[u] for u in nbrs[old] if keep[u]] for old in survivors]
     labels = tuple(g.labels[old] for old in survivors)
-    return Graph.from_adj(tuple(adj), labels), idmap
+    return object.__new__(Graph)._wrap(sub, labels), idmap
 
 
 def delete_edge(g: Graph, u: int, v: int) -> Graph:
     """Return a copy of g with the edge uv removed."""
-    if not g.adj[u] >> v & 1:
+    if v not in g.nbrs[u]:
         raise ValueError(f"no edge ({u},{v})")
-    adj = list(g.adj)
-    adj[u] &= ~(1 << v)
-    adj[v] &= ~(1 << u)
-    return Graph.from_adj(tuple(adj), g.labels)
+    nbrs = list(g.nbrs)
+    nbrs[u] = [w for w in nbrs[u] if w != v]
+    nbrs[v] = [w for w in nbrs[v] if w != u]
+    return object.__new__(Graph)._wrap(nbrs, g.labels)
 
 
 def bipartition(g: Graph) -> BipartitePartition | None:
@@ -482,12 +448,12 @@ def _code_pairs(n: int) -> tuple[tuple[int, int], ...]:
 
 def graph_from_code(n: int, code: int) -> Graph:
     """The labeled graph on n vertices whose edges are the set bits of code."""
-    adj = [0] * n
+    nbrs: list[list[int]] = [[] for _ in range(n)]
     for k, (i, j) in enumerate(_code_pairs(n)):
         if code >> k & 1:
-            adj[i] |= 1 << j
-            adj[j] |= 1 << i
-    return Graph.from_adj(tuple(adj))
+            nbrs[i].append(j)
+            nbrs[j].append(i)
+    return object.__new__(Graph)._wrap(nbrs, None)
 
 
 def all_graphs(n: int) -> Iterator[Graph]:

@@ -16,6 +16,7 @@ from __future__ import annotations
 import json
 import os
 import random
+from collections import Counter
 from functools import lru_cache
 from itertools import islice, tee
 from typing import Callable, Iterable, Iterator, NamedTuple
@@ -24,8 +25,8 @@ from . import critical, ke, mis, ore
 from .critical import ORACLE_LIMIT
 from .graphs import (EXHAUSTIVE_MAX_N, Graph, LimitExceeded, VertexSet,
                      all_graphs, bipartition, delete_edge, delete_vertices,
-                     difference, graph_from_code, iter_bits, neighborhood,
-                     orbit_leaders, random_graph, read_graph_file)
+                     difference, graph_from_code, neighborhood,
+                     orbit_leaders, random_graph, read_graph_file, vlist)
 from .matching import maximum_matching_general, saturating_matching
 
 FAMILY_CAP = 20000
@@ -639,14 +640,14 @@ def _check_ke_matching_structure(f: Facts) -> tuple[bool, dict | None]:
     g = f.g
     m = f.matching()
     s = f.first_mis()
-    for v in iter_bits(g.full & ~s):
+    for v in vlist(g.full & ~s):
         mate = m.mate[v]
         if mate == -1 or not s >> mate & 1:
             return False, {"unmatched_outside_mis": g.labels[v],
                            "mis": f.labels(s)}
     core, corona = f.core(), f.corona()
     ncore = neighborhood(g, core)
-    for v in iter_bits(ncore):
+    for v in vlist(ncore):
         mate = m.mate[v]
         if mate == -1 or not core >> mate & 1:
             return False, {"neighbor_of_core_unmatched_into_core": g.labels[v],
@@ -745,10 +746,8 @@ def _check_core_corona_bound(f: Facts) -> tuple[bool, dict | None]:
 def _pendants_outside_k2(g: Graph) -> VertexSet:
     out = 0
     for v in range(g.n):
-        if g.degree(v) == 1:
-            u = g.adj[v].bit_length() - 1
-            if g.degree(u) > 1:
-                out |= 1 << v
+        if g.degree(v) == 1 and g.degree(g.nbrs[v][0]) > 1:
+            out |= 1 << v
     return out
 
 
@@ -1119,7 +1118,7 @@ def run(corpus: CorpusSpec, properties: list[str] | None = None,
 
 def _lower_slack(f: Facts) -> int:
     """2*alpha - |ker| - |diadem|; negative means a counterexample to the
-    conjectured lower bound."""
+    proved lower bound."""
     return 2 * f.alpha() - f.ker().bit_count() - f.diadem().bit_count()
 
 
@@ -1150,44 +1149,51 @@ def _slacks(facts: Facts) -> tuple[int, int | None] | str:
 
 
 def _scan_slacks(corpus: CorpusSpec, config: Config
-                 ) -> Iterator[tuple[str, int, Facts | None, tuple | str]]:
-    """Key, order, facts and _slacks of every corpus graph, in corpus order.
+                 ) -> Iterator[tuple[str, int, int, Facts, tuple | str]]:
+    """Key, order, count, facts and _slacks of the corpus graphs; count is
+    how many corpus graphs the entry stands for.
 
     Both slacks and every limit are isomorphism invariants, as relabelling
     maps ker, diadem, core and corona onto those of the relabelled graph.
-    So an exhaustive source evaluates only the first graph of each
-    isomorphism class and hands its outcome to the rest, building no graph
-    for them (facts None). A member of a class that violates a bound is
-    evaluated on its own graph, so its report names its own labels.
+    So an exhaustive source evaluates the first graph of each isomorphism
+    class and counts its outcome once for the whole class. A class whose
+    outcome is a skip or a violation is evaluated again member by member, in
+    code order, so each report entry names its own graph.
     """
     for src in corpus.sources:
         if src.kind != "exhaustive":
             for key, g in iter_graphs(CorpusSpec((src,))):
                 facts = Facts(g, config)
-                yield key, g.n, facts, _slacks(facts)
+                yield key, g.n, 1, facts, _slacks(facts)
             continue
         n = src.params[0]
-        by_leader: dict[int, tuple | str] = {}
-        for code, leader in enumerate(orbit_leaders(n)):
-            if code == leader:
-                facts = Facts(graph_from_code(n, code), config)
-                outcome = by_leader[code] = _slacks(facts)
+        leaders = orbit_leaders(n)
+        # a leader is the first code of its class, so the classes come in
+        # increasing code order
+        recheck = set()
+        for leader, size in Counter(leaders).items():
+            facts = Facts(graph_from_code(n, leader), config)
+            outcome = _slacks(facts)
+            if type(outcome) is str or min(outcome[0], outcome[1] or 0) < 0:
+                recheck.add(leader)
             else:
-                facts, outcome = None, by_leader[leader]
-                if type(outcome) is tuple and min(outcome[0],
-                                                  outcome[1] or 0) < 0:
+                yield _exhaustive_key(n, leader), n, size, facts, outcome
+        if recheck:
+            for code, leader in enumerate(leaders):
+                if leader in recheck:
                     facts = Facts(graph_from_code(n, code), config)
-                    outcome = _slacks(facts)
-            yield _exhaustive_key(n, code), n, facts, outcome
+                    yield (_exhaustive_key(n, code), n, 1, facts,
+                           _slacks(facts))
 
 
 def conjecture_scan(corpus: CorpusSpec,
                     config: Config | None = None) -> dict:
     """Check |ker| + |diadem| <= 2*alpha <= |core| + |corona| per graph.
 
-    The lower bound is the open conjecture, so the scan is evidence, not
-    proof: it records the minimum slack per graph order and shrinks any
-    violation it finds. Limit-exceeded graphs are listed, never dropped.
+    T. Short proved the lower bound (Electron. J. Combin. 23(2) (2016),
+    #P2.43), so a violation would be a fault in the library, not in the
+    theory: the scan records the minimum slack per graph order and shrinks
+    any violation it finds. Limit-exceeded graphs are listed, never dropped.
     Exhaustive sources evaluate one graph per isomorphism class.
     """
     config = config if config is not None else Config()
@@ -1196,16 +1202,16 @@ def conjecture_scan(corpus: CorpusSpec,
     skipped = []
     graphs = checked = 0
 
-    for key, n, facts, outcome in _scan_slacks(corpus, config):
-        graphs += 1
+    for key, n, count, facts, outcome in _scan_slacks(corpus, config):
+        graphs += count
         if type(outcome) is str:
             skipped.append({"graph": key, "reason": outcome})
             continue
         lower, upper = outcome
-        checked += 1
+        checked += count
         slot = per_n.setdefault(n, {"graphs": 0, "min_slack": None,
                                     "min_slack_upper": None})
-        slot["graphs"] += 1
+        slot["graphs"] += count
         if slot["min_slack"] is None or lower < slot["min_slack"]:
             slot["min_slack"] = lower
         if upper is not None and (slot["min_slack_upper"] is None

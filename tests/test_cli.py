@@ -372,6 +372,10 @@ PINNED_OUTPUTS = [
     # isomorphism class
     (("conjecture", "--max-n", "6", "--json"), 0,
      "6b766934998496a51c5f66e2df0553d97556e2eb26785062a9486f2ba49a3d20"),
+    # computed before the exhaustive scan counted each class's members at
+    # once instead of one by one
+    (("conjecture", "--max-n", "7", "--json"), 0,
+     "78c78dba5e52d3daf0ec198cc1af8bc4d60d6cc182e441104b4a378c8af700b1"),
     (("conjecture", "--max-n", "5", "--json", "--no-oracle"), 0,
      "747dcd4483426f4bd64519462a0c88305b7de8bc6d5a30a93fffb024341e09c8"),
     (("conjecture", "--max-n", "5", "--json", "--oracle-limit", "3"), 0,

@@ -197,7 +197,7 @@ def test_cover_matching_past_a_mirrored_greedy_start(build, parts, small):
 
 def test_reused_graph_answers_like_a_fresh_one():
     # d, the witness, ker and diadem share one matching memoised on the
-    # Graph; reuse, pickling and from_adj graphs must not change any answer
+    # Graph; reuse, pickling and deleting vertices must not change any answer
     graphs = [load("fig511").graph, *mid_sample(seed=43, per_density=2)]
     graphs.append(delete_vertices(graphs[0], 0b101)[0])
     for g in graphs:
@@ -216,14 +216,9 @@ def test_reused_graph_answers_like_a_fresh_one():
         assert (critical_difference(clone), critical_independent_witness(clone),
                 ker(clone), diadem(clone)) == want
         # a parsed graph builds its masks on first read; they, equality, the
-        # hash and the pickled bytes match a graph wrapped from masks built
-        # edge by edge
+        # hash and the pickled bytes match a graph built from its edges
         parsed = parse_graph(to_edge_list(g))
-        masks = [0] * g.n
-        for u, v in g.edge_pairs():
-            masks[u] |= 1 << v
-            masks[v] |= 1 << u
-        eager = Graph.from_adj(tuple(masks), g.labels)
+        eager = Graph(g.n, g.edge_pairs(), g.labels)
         assert (critical_difference(parsed), critical_independent_witness(parsed),
                 ker(parsed)) == want[:3]
         assert not masks_built(parsed)

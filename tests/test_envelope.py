@@ -5,6 +5,7 @@ a matching search that recursed once per step would exceed the limit.
 """
 
 import hashlib
+import pickle
 import random
 
 import pytest
@@ -12,7 +13,8 @@ import pytest
 from conftest import masks_built
 from critset.critical import (critical_difference,
                               critical_independent_witness, diadem, ker)
-from critset.graphs import bipartition, parse_graph
+from critset.graphs import (Graph, bipartition, delete_edge, delete_vertices,
+                            parse_graph)
 from critset.matching import maximum_matching_general
 
 N = 20_000
@@ -68,6 +70,24 @@ def test_shuffled_chain_of_20000(closed):
     assert diadem(g) == g.full
     assert len(g.label_list(diadem(g))) == N
     assert not masks_built(g)
+
+
+def test_editing_comparing_and_pickling_build_no_masks():
+    text = shuffled_chain_text(N, False, seed=3)
+    g = parse_graph(text)
+    sub, idmap = delete_vertices(g, 1)
+    u, v = g.edge_pairs()[0]
+    cut = delete_edge(g, u, v)
+    twin = parse_graph(text)
+    assert g == twin and hash(g) == hash(twin)
+    assert pickle.loads(pickle.dumps(g)) == g
+    assert not any(map(masks_built, (g, sub, cut, twin)))
+    assert (sub.n, sub.m) == (N - 1, N - 1 - g.degree(0))
+    assert sorted(idmap) == list(range(1, N))
+    assert cut.m == N - 2 and v not in cut.nbrs[u] and u not in cut.nbrs[v]
+    fresh = Graph(sub.n, sub.edge_pairs(), sub.labels)
+    assert critical_difference(sub) == critical_difference(fresh)
+    assert ker(sub) == ker(fresh)
 
 
 @pytest.mark.parametrize("text, n, size, digest", [

@@ -6,8 +6,8 @@ import oracles as o
 from conftest import adj_of, random_sample, small_corpus
 from critset.graphs import (BipartitePartition, Graph, bipartition,
                             complete_bipartite, complete_graph, cycle_graph,
-                            empty_graph, iter_bits, neighborhood, path_graph,
-                            random_bipartite, vset)
+                            empty_graph, neighborhood, path_graph,
+                            random_bipartite, vlist, vset)
 from critset.matching import (Matching, deficiency, maximum_matching_bipartite,
                               maximum_matching_general, saturating_matching)
 from critset.ore import ore_profile
@@ -145,7 +145,7 @@ def test_covered_and_matched_into_match_their_definitions():
         assert m.covered() == want
         for x in (0, (1 << m.n) - 1, rng.getrandbits(m.n)):
             want = 0
-            for v in iter_bits(x):
+            for v in vlist(x):
                 if m.mate[v] != -1:
                     want |= 1 << m.mate[v]
             assert m.matched_into(x) == want

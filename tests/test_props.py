@@ -573,8 +573,8 @@ def test_conjecture_scan_tight_on_ke_graphs():
     ids=["default", "oracle_limit=3", "no_oracle"])
 def test_conjecture_slacks_are_isomorphism_invariant(max_n, config):
     # the exhaustive scan evaluates the first graph of each isomorphism class
-    # and hands its slacks or skip reason to the others; here every labeled
-    # graph is evaluated on its own and must agree with its class's leader
+    # and counts its slacks for the whole class; here every labeled graph is
+    # evaluated on its own and must agree with its class's leader
     differ = []
     for n in range(max_n + 1):
         outcomes = [props._slacks(Facts(g, config)) for g in all_graphs(n)]
@@ -594,6 +594,24 @@ def test_exhaustive_scan_builds_one_graph_per_class(monkeypatch):
     report = conjecture_scan(exhaustive_corpus(*range(1, 7)))
     assert report["summary"]["graphs"] == 33867
     assert built == {1: 1, 2: 2, 3: 4, 4: 11, 5: 34, 6: 156}
+
+
+def test_exhaustive_scan_lists_skipped_members_in_code_order(monkeypatch):
+    # a skipped class is listed member by member, each under its own key
+    lower = props._lower_slack
+
+    def skip_odd_sizes(f):
+        if f.g.m % 2:
+            raise LimitExceeded("odd size")
+        return lower(f)
+    monkeypatch.setattr(props, "_lower_slack", skip_odd_sizes)
+    report = conjecture_scan(exhaustive_corpus(4))
+    odd = [code for code in range(64) if code.bit_count() % 2]
+    s = report["summary"]
+    assert s["skipped"] == [{"graph": f"exhaustive:n=4:{code}",
+                             "reason": "odd size"} for code in odd]
+    assert (s["graphs"], s["checked"]) == (64, 64 - len(odd))
+    assert report["per_n"]["4"]["graphs"] == 64 - len(odd)
 
 
 # exhaustive n = 3 plus a few random graphs, scanned with one side of the
