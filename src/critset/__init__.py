@@ -18,16 +18,16 @@ from .critical import (critical_difference, critical_independent_witness,
 from .graphs import (BipartitePartition, Graph, LimitExceeded, ParseError,
                      bipartition, complete_bipartite, complete_graph,
                      cycle_graph, delete_edge, delete_vertices, difference,
-                     empty_graph, generate, is_independent, neighborhood,
+                     empty_graph, is_independent, neighborhood,
                      parse_graph, path_graph, random_graph, to_edge_list)
 from .ke import is_ke_via_critical, is_koenig_egervary
-from .matching import (Matching, deficiency, maximum_matching_bipartite,
+from .matching import (Matching, maximum_matching_bipartite,
                        maximum_matching_general, saturating_matching)
 from .mis import (MisProfile, alpha, core_and_corona,
                   enumerate_maximum_independent_sets,
                   maximum_critical_independent_set)
-from .ore import (OreProfile, delta0, enumerate_side_critical_sets,
-                  is_side_critical, ore_profile, side_diadem, side_kernel)
+from .ore import (OreProfile, enumerate_side_critical_sets, is_side_critical,
+                  ore_profile)
 from .props import (Config, CorpusSpec, Facts, Property, PropertyResult,
                     conjecture_scan, exhaustive_corpus, fixtures_corpus,
                     files_corpus, parse_corpus_spec, random_corpus, registry,
@@ -42,11 +42,11 @@ __all__ = [
     "alpha", "bipartition", "complete_bipartite", "complete_graph",
     "conjecture_scan", "core_and_corona", "critical_difference",
     "critical_independent_witness", "cycle_graph",
-    "deficiency", "delete_edge", "delete_vertices", "delta0", "diadem",
+    "delete_edge", "delete_vertices", "diadem",
     "difference", "empty_graph", "enumerate_critical_independent_sets",
     "enumerate_critical_sets", "enumerate_maximum_independent_sets",
     "enumerate_side_critical_sets", "exhaustive_corpus", "files_corpus",
-    "fixtures_corpus", "generate", "is_critical_independent",
+    "fixtures_corpus", "is_critical_independent",
     "is_critical_set", "is_independent", "is_ke_via_critical",
     "is_koenig_egervary", "is_side_critical", "ker",
     "max_subset_difference", "maximum_critical_independent_set",
@@ -54,6 +54,6 @@ __all__ = [
     "minimal_positive_independent_sets", "neighborhood", "ore_profile",
     "parse_corpus_spec", "parse_graph", "path_graph", "random_corpus",
     "random_graph", "registry", "run", "saturating_matching", "shrink",
-    "side_diadem", "side_kernel", "to_edge_list",
+    "to_edge_list",
     "verify_ker_characterization",
 ]

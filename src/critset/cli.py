@@ -137,7 +137,7 @@ def analyze_graph(facts: Facts) -> dict:
         "alpha": alpha,
         "mu": mu,
         "deficiency": g.n - 2 * mu,
-        "witness": labels(facts.witness()),
+        "witness": labels(facts.ker()),
         "ker": labels(facts.ker()),
         "diadem": labels(facts.diadem()),
         "core": attempt("core", lambda: labels(facts.core())),
@@ -345,7 +345,11 @@ def _cmd_conjecture(args) -> int:
         print(_render_scan(rep))
     if rep["summary"]["violations"]:
         return EXIT_FAIL
-    if config.strict and rep["summary"]["skipped"]:
+    # the oracle switch and limit skip the upper slack for a whole order n
+    # at once, leaving that order's min_slack_upper None
+    if config.strict and (rep["summary"]["skipped"] or any(
+            slot["min_slack_upper"] is None
+            for slot in rep["per_n"].values())):
         return EXIT_LIMIT
     return EXIT_OK
 

@@ -217,8 +217,6 @@ def diadem(g: Graph) -> VertexSet:
             u = path[-1]
             for w in edges[-1]:
                 x = mate_minus[w]
-                if x == -1:
-                    continue
                 if not order[x]:
                     count += 1
                     order[x] = low[x] = count

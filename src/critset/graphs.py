@@ -504,38 +504,3 @@ def orbit_leaders(n: int) -> list[int]:
                     leaders[moved] = code
                     todo.append(moved)
     return leaders
-
-
-def generate(spec: str) -> Graph | Iterator[Graph]:
-    """Build a graph family from a descriptor like P5, C6, K4, K3,2,
-    gnp:n=10,p=0.3,seed=42, bip:m=3,n=4,p=0.5,seed=1, or all:n=5."""
-    spec = spec.strip()
-    if ":" in spec:
-        kind, _, arg_text = spec.partition(":")
-        args: dict[str, str] = {}
-        for part in arg_text.split(","):
-            key, _, value = part.partition("=")
-            if not value:
-                raise ValueError(f"bad descriptor argument {part!r}")
-            args[key.strip()] = value.strip()
-        if kind == "gnp":
-            return random_graph(int(args["n"]), float(args["p"]),
-                                int(args["seed"]))
-        if kind == "bip":
-            return random_bipartite(int(args["m"]), int(args["n"]),
-                                    float(args["p"]), int(args["seed"]))
-        if kind == "all":
-            return all_graphs(int(args["n"]))
-        raise ValueError(f"unknown family {kind!r}")
-    head, rest = spec[:1], spec[1:]
-    if head == "P" and rest.isdigit():
-        return path_graph(int(rest))
-    if head == "C" and rest.isdigit():
-        return cycle_graph(int(rest))
-    if head == "K" and "," in rest:
-        m_text, _, n_text = rest.partition(",")
-        if m_text.isdigit() and n_text.isdigit():
-            return complete_bipartite(int(m_text), int(n_text))
-    if head == "K" and rest.isdigit():
-        return complete_graph(int(rest))
-    raise ValueError(f"unrecognized graph descriptor {spec!r}")

@@ -6,10 +6,10 @@ covers every vertex; all bipartite graphs do.
 
 from __future__ import annotations
 
+from .critical import ORACLE_LIMIT
 from .graphs import Graph, VertexSet, bipartition, difference, neighborhood
 from .matching import maximum_matching_general
-from .mis import (ALPHA_LIMIT, ENUM_LIMIT, alpha,
-                  maximum_critical_independent_set)
+from .mis import ALPHA_LIMIT, alpha, maximum_critical_independent_set
 
 
 def is_koenig_egervary(g: Graph, limit: int = ALPHA_LIMIT) -> bool:
@@ -21,7 +21,7 @@ def is_koenig_egervary(g: Graph, limit: int = ALPHA_LIMIT) -> bool:
     return alpha(g, limit) + mu == g.n
 
 
-def is_ke_via_critical(g: Graph, limit: int = ENUM_LIMIT) -> bool:
+def is_ke_via_critical(g: Graph, limit: int = ORACLE_LIMIT) -> bool:
     """Equivalent recognition route: some critical independent set is maximum."""
     j = maximum_critical_independent_set(g, limit)
     return j.bit_count() == alpha(g)

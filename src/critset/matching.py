@@ -45,19 +45,6 @@ class Matching:
     def __len__(self) -> int:
         return len(self.edges)
 
-    def covered(self) -> VertexSet:
-        """Bitmask of saturated vertices."""
-        return vset([v for v, w in enumerate(self.mate) if w != -1])
-
-    def saturates(self, x: VertexSet) -> bool:
-        return x & ~self.covered() == 0
-
-    def matched_into(self, x: VertexSet) -> VertexSet:
-        """Return M(x): vertices matched with members of x."""
-        mate = self.mate
-        return vset([mate[v] for v, flag in enumerate(vflags(x, self.n))
-                     if flag and mate[v] != -1])
-
     def __repr__(self) -> str:
         return f"Matching({sorted(self.edges)})"
 
@@ -326,11 +313,6 @@ def maximum_matching_general(g: Graph) -> Matching:
                 base[x] = x
                 used[x] = 0
     return Matching._of(mate)
-
-
-def deficiency(g: Graph) -> int:
-    """Return def(g) = |V| - 2 mu(g)."""
-    return g.n - 2 * len(maximum_matching_general(g))
 
 
 def saturating_matching(

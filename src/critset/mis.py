@@ -8,23 +8,16 @@ from __future__ import annotations
 
 from typing import Callable, Iterable, Iterator, NamedTuple
 
-from .critical import enumerate_critical_independent_sets
+from .critical import ORACLE_LIMIT, enumerate_critical_independent_sets
 from .graphs import Graph, LimitExceeded, VertexSet, vlist
 
 ALPHA_LIMIT = 40
-ENUM_LIMIT = 20
 
 
 class MisProfile(NamedTuple):
-    """Summary of the family of maximum independent sets.
-
-    count is None when enumeration stopped early: core and corona were already
-    settled (empty intersection, full union) and the exact count was not asked
-    for.
-    """
+    """Summary of the family of maximum independent sets."""
 
     alpha: int
-    count: int | None
     core: VertexSet
     corona: VertexSet
 
@@ -74,7 +67,7 @@ def alpha(g: Graph, limit: int = ALPHA_LIMIT) -> int:
 
 
 def enumerate_maximum_independent_sets(
-        g: Graph, limit: int = ENUM_LIMIT) -> Iterator[VertexSet]:
+        g: Graph, limit: int = ORACLE_LIMIT) -> Iterator[VertexSet]:
     """Yield every independent set of size alpha(g), each exactly once, in
     include-first DFS order over vertex ids."""
     yield from _maximum_independent_sets(g, limit)
@@ -109,37 +102,30 @@ def _maximum_independent_sets(
     return rec(0, 0)
 
 
-def core_and_corona(g: Graph, limit: int = ENUM_LIMIT,
-                    full: bool = False) -> MisProfile:
-    """Intersection and union of all maximum independent sets.
-
-    With full=False the enumeration stops as soon as both answers are settled
-    (intersection empty, union everything) and count comes back None; full=True
-    always enumerates the whole family and counts it.
-    """
+def core_and_corona(g: Graph, limit: int = ORACLE_LIMIT) -> MisProfile:
+    """Intersection and union of all maximum independent sets; the
+    enumeration stops once the core is empty and the corona is all of V."""
     a = alpha(g)
     sets = _maximum_independent_sets(g, limit, lambda: a)
-    return _core_and_corona(g, a, sets, full)
+    return _core_and_corona(g, a, sets)
 
 
-def _core_and_corona(g: Graph, a: int, sets: Iterable[VertexSet],
-                     full: bool = False) -> MisProfile:
+def _core_and_corona(g: Graph, a: int,
+                     sets: Iterable[VertexSet]) -> MisProfile:
     """core_and_corona for a caller that already knows a = alpha(g) and
     hands over g's maximum independent sets, in include-first order."""
     core = g.full
     corona = 0
-    count = 0
     for s in sets:
         core &= s
         corona |= s
-        count += 1
-        if not full and core == 0 and corona == g.full:
-            return MisProfile(a, None, core, corona)
-    return MisProfile(a, count, core, corona)
+        if core == 0 and corona == g.full:
+            break
+    return MisProfile(a, core, corona)
 
 
 def maximum_critical_independent_set(g: Graph,
-                                     limit: int = ENUM_LIMIT) -> VertexSet:
+                                     limit: int = ORACLE_LIMIT) -> VertexSet:
     """A largest independent set attaining the critical difference.
 
     Ties break toward the lexicographically least sorted id list, so the

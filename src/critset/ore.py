@@ -6,10 +6,10 @@ the two sides' maxima. The sets attaining it are closed under union and
 intersection. The smallest (side kernel) and the largest (side diadem) are
 read off one maximum matching between the sides by alternating reachability.
 ore_profile computes delta0, the kernel and the diadem of both sides from
-that one matching, and the per-side functions read their field off it; the
-tests check all six against subset enumeration and against the per-vertex
-deletion and forcing rules. How the sides' kernels and diadems make up ker
-and diadem is checked by the registry property bipartite.kernel_split.
+that one matching; the tests check all six against subset enumeration and
+against the per-vertex deletion and forcing rules. How the sides' kernels
+and diadems make up ker and diadem is checked by the registry property
+bipartite.kernel_split.
 """
 
 from __future__ import annotations
@@ -65,34 +65,14 @@ def ore_profile(g: Graph, parts: BipartitePartition) -> OreProfile:
                       side_a & ~vset(a_from_b), side_b & ~vset(b_from_a))
 
 
-def delta0(g: Graph, parts: BipartitePartition, side: Side) -> int:
-    """Largest |X| - |N(X)| over subsets X of the side; computed as
-    |side| - mu(g), which the subset oracle confirms in the tests."""
-    i = _side_index(side)
-    p = ore_profile(g, parts)
-    return (p.delta0_a, p.delta0_b)[i]
-
-
 def is_side_critical(g: Graph, parts: BipartitePartition, side: Side,
                      x: VertexSet) -> bool:
     """True iff x lies within the side and attains its deficiency maximum."""
-    if x & ~parts[_side_index(side)]:
+    i = _side_index(side)
+    if x & ~parts[i]:
         raise ValueError("x is not contained in the chosen side")
-    return difference(g, x) == delta0(g, parts, side)
-
-
-def side_kernel(g: Graph, parts: BipartitePartition, side: Side) -> VertexSet:
-    """Intersection of all side-critical sets (see ore_profile)."""
-    i = _side_index(side)
     p = ore_profile(g, parts)
-    return (p.ker_a, p.ker_b)[i]
-
-
-def side_diadem(g: Graph, parts: BipartitePartition, side: Side) -> VertexSet:
-    """Union of all side-critical sets (see ore_profile)."""
-    i = _side_index(side)
-    p = ore_profile(g, parts)
-    return (p.diadem_a, p.diadem_b)[i]
+    return difference(g, x) == (p.delta0_a, p.delta0_b)[i]
 
 
 def enumerate_side_critical_sets(
@@ -100,8 +80,11 @@ def enumerate_side_critical_sets(
         limit: int = ORACLE_LIMIT) -> Iterator[VertexSet]:
     """Yield every X within the side attaining its deficiency maximum."""
     _check_parts(g, parts)
-    s = parts[_side_index(side)]
+    i = _side_index(side)
+    s = parts[i]
     if s.bit_count() > limit:
         raise LimitExceeded(
             f"side size {s.bit_count()} exceeds oracle limit {limit}")
-    yield from _enumerate_target_sets(g, s, delta0(g, parts, side), False)
+    p = ore_profile(g, parts)
+    yield from _enumerate_target_sets(g, s, (p.delta0_a, p.delta0_b)[i],
+                                      False)

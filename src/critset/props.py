@@ -92,10 +92,6 @@ class Facts:
     def d(self) -> int:
         return self._get("d", lambda: critical.critical_difference(self.g))
 
-    def witness(self) -> VertexSet:
-        return self._get(
-            "witness", lambda: critical.critical_independent_witness(self.g))
-
     def ker(self) -> VertexSet:
         return self._get("ker", lambda: critical.ker(self.g))
 
@@ -314,12 +310,11 @@ class Facts:
         self.require_oracle()
         return self._critical_pass()[1]
 
-    def side_critical_samples(self, side: ore.Side,
-                              cap: int = 16) -> list[VertexSet]:
+    def side_critical_samples(self, side: ore.Side) -> list[VertexSet]:
         def compute():
             self.require_oracle()
             return list(islice(ore.enumerate_side_critical_sets(
-                self.g, self.parts(), side, self.config.oracle_limit), cap))
+                self.g, self.parts(), side, self.config.oracle_limit), 16))
         return self._get(f"side_crit_{side}", compute)
 
     def labels(self, mask: VertexSet) -> list[str]:
@@ -540,7 +535,7 @@ def _check_deletion_rule(f: Facts) -> tuple[bool, dict | None]:
 
 def _check_matching_from_neighborhood(f: Facts) -> tuple[bool, dict | None]:
     g = f.g
-    samples = {f.witness(), f.ker()}
+    samples = {f.ker()}
     try:
         samples.update(islice(f.critical_ind_family(), 32))
         samples.add(f.max_critical_ind())
@@ -792,114 +787,112 @@ def _check_selftest_alpha(f: Facts) -> tuple[bool, dict | None]:
 
 # -- the registry ----------------------------------------------------------------
 
-_REGISTRY: list[Property] | None = None
-
 SELFTEST = Property(
     "selftest.alpha_le_two",
     "deliberately false claim: alpha is at most 2; exercises failure plumbing",
     _always, _check_selftest_alpha)
 
 
+_PROPERTIES = [
+    Property("zhang.d_eq_id",
+             "the subset maximum of d equals the independent-set "
+             "maximum and the matching route computes both",
+             _always, _check_d_eq_id),
+    Property("th4.supermodular",
+             "d(A|B) + d(A&B) >= d(A) + d(B) for vertex sets A, B",
+             _always, _check_supermodular),
+    Property("th4.critical_closed_union_intersection",
+             "unions and intersections of critical sets are critical",
+             _always, _check_critical_closure),
+    Property("th4.unique_minimal_critical_independent",
+             "the intersection of all critical independent sets is "
+             "itself critical and matches the deletion-rule ker",
+             _always, _check_unique_minimal),
+    Property("diadem.critical",
+             "the union of all critical independent sets is critical",
+             _always, _check_diadem_critical),
+    Property("cor2.ke_core_corona_critical",
+             "on KE graphs both core and corona are critical sets",
+             _ke_only, _check_ke_core_corona_critical),
+    Property("core.inside_maximal_critical_independent",
+             "a critical core lies inside every inclusion-maximal "
+             "critical independent set",
+             _applies_core_critical, _check_core_in_maximal),
+    Property("corona.covers_maximal_critical_independent",
+             "corona contains every inclusion-maximal critical "
+             "independent set",
+             _always, _check_corona_covers_maximal),
+    Property("deletion.d_drop_iff_ker",
+             "deleting v lowers d by one exactly when v is in ker",
+             _always, _check_deletion_rule),
+    Property("th2.matching_from_neighborhood",
+             "N(S) matches into S for critical independent S",
+             _always, _check_matching_from_neighborhood),
+    Property("th9.ker_characterization",
+             "ker alone passes the tight-set and per-vertex matching "
+             "conditions, and the two conditions agree",
+             _always, _check_ker_characterization),
+    Property("th1.ker_union_of_minimal_positive",
+             "ker is the union of the inclusion-minimal independent "
+             "sets of positive difference",
+             _positive_d_only, _check_ker_union_minimal_positive),
+    Property("prop3.minimal_positive_difference_one",
+             "inclusion-minimal positive independent sets have d = 1",
+             _always, _check_minimal_positive_d1),
+    Property("minsize.positive_bound",
+             "some positive independent set has size at most "
+             "|ker| - d + 1",
+             _positive_d_only, _check_minimal_positive_bound),
+    Property("th6.ker_subset_core",
+             "ker is contained in core",
+             _always, _check_ker_subset_core),
+    Property("cor1.d_ge_alpha_minus_mu",
+             "d is at least alpha - mu",
+             _always, _check_d_ge_alpha_minus_mu),
+    Property("th10.bipartite_ker_eq_core",
+             "on bipartite graphs ker equals core",
+             _bipartite_only, _check_bipartite_ker_eq_core),
+    Property("ke.matching_structure",
+             "on KE graphs a maximum matching sends the complement "
+             "of a maximum independent set into it, N(core) into "
+             "core, and N(core) is the complement of corona",
+             _ke_only, _check_ke_matching_structure),
+    Property("th8.ke_difference_identities",
+             "on KE graphs d equals |core| - |N(core)|, alpha - mu, "
+             "and the deficiency",
+             _ke_only, _check_ke_difference_identities),
+    Property("th5.ke_iff_every_mis_critical",
+             "KE recognition, criticality of every maximum "
+             "independent set, and the maximum-critical route agree",
+             _always, _check_ke_iff_every_mis_critical),
+    Property("th11.ke_identities",
+             "the KE identity bundle holds",
+             _ke_only, _check_ke_identities),
+    Property("ore.kernel_separation",
+             "side kernels neither touch nor neighbor the other "
+             "side's critical sets",
+             _bipartite_only, _check_ore_kernel_separation),
+    Property("bipartite.kernel_split",
+             "side kernels and diadems assemble ker, diadem and "
+             "alpha by the two-sided identities",
+             _bipartite_only, _check_bipartite_kernel_split),
+    Property("core_corona.lower_bound",
+             "|core| + |corona| is at least twice alpha",
+             _always, _check_core_corona_bound),
+    Property("pendant.in_diadem",
+             "pendant vertices outside K2 components belong to the "
+             "diadem",
+             _applies_has_pendants, _check_pendants_in_diadem),
+    Property("ke.is_ke",
+             "the maximum-critical-independent route certifies the "
+             "KE property",
+             _ke_only, _check_is_ke),
+]
+
+
 def registry() -> list[Property]:
     """All registered graph properties, in reporting order."""
-    global _REGISTRY
-    if _REGISTRY is None:
-        _REGISTRY = [
-            Property("zhang.d_eq_id",
-                     "the subset maximum of d equals the independent-set "
-                     "maximum and the matching route computes both",
-                     _always, _check_d_eq_id),
-            Property("th4.supermodular",
-                     "d(A|B) + d(A&B) >= d(A) + d(B) for vertex sets A, B",
-                     _always, _check_supermodular),
-            Property("th4.critical_closed_union_intersection",
-                     "unions and intersections of critical sets are critical",
-                     _always, _check_critical_closure),
-            Property("th4.unique_minimal_critical_independent",
-                     "the intersection of all critical independent sets is "
-                     "itself critical and matches the deletion-rule ker",
-                     _always, _check_unique_minimal),
-            Property("diadem.critical",
-                     "the union of all critical independent sets is critical",
-                     _always, _check_diadem_critical),
-            Property("cor2.ke_core_corona_critical",
-                     "on KE graphs both core and corona are critical sets",
-                     _ke_only, _check_ke_core_corona_critical),
-            Property("core.inside_maximal_critical_independent",
-                     "a critical core lies inside every inclusion-maximal "
-                     "critical independent set",
-                     _applies_core_critical, _check_core_in_maximal),
-            Property("corona.covers_maximal_critical_independent",
-                     "corona contains every inclusion-maximal critical "
-                     "independent set",
-                     _always, _check_corona_covers_maximal),
-            Property("deletion.d_drop_iff_ker",
-                     "deleting v lowers d by one exactly when v is in ker",
-                     _always, _check_deletion_rule),
-            Property("th2.matching_from_neighborhood",
-                     "N(S) matches into S for critical independent S",
-                     _always, _check_matching_from_neighborhood),
-            Property("th9.ker_characterization",
-                     "ker alone passes the tight-set and per-vertex matching "
-                     "conditions, and the two conditions agree",
-                     _always, _check_ker_characterization),
-            Property("th1.ker_union_of_minimal_positive",
-                     "ker is the union of the inclusion-minimal independent "
-                     "sets of positive difference",
-                     _positive_d_only, _check_ker_union_minimal_positive),
-            Property("prop3.minimal_positive_difference_one",
-                     "inclusion-minimal positive independent sets have d = 1",
-                     _always, _check_minimal_positive_d1),
-            Property("minsize.positive_bound",
-                     "some positive independent set has size at most "
-                     "|ker| - d + 1",
-                     _positive_d_only, _check_minimal_positive_bound),
-            Property("th6.ker_subset_core",
-                     "ker is contained in core",
-                     _always, _check_ker_subset_core),
-            Property("cor1.d_ge_alpha_minus_mu",
-                     "d is at least alpha - mu",
-                     _always, _check_d_ge_alpha_minus_mu),
-            Property("th10.bipartite_ker_eq_core",
-                     "on bipartite graphs ker equals core",
-                     _bipartite_only, _check_bipartite_ker_eq_core),
-            Property("ke.matching_structure",
-                     "on KE graphs a maximum matching sends the complement "
-                     "of a maximum independent set into it, N(core) into "
-                     "core, and N(core) is the complement of corona",
-                     _ke_only, _check_ke_matching_structure),
-            Property("th8.ke_difference_identities",
-                     "on KE graphs d equals |core| - |N(core)|, alpha - mu, "
-                     "and the deficiency",
-                     _ke_only, _check_ke_difference_identities),
-            Property("th5.ke_iff_every_mis_critical",
-                     "KE recognition, criticality of every maximum "
-                     "independent set, and the maximum-critical route agree",
-                     _always, _check_ke_iff_every_mis_critical),
-            Property("th11.ke_identities",
-                     "the KE identity bundle holds",
-                     _ke_only, _check_ke_identities),
-            Property("ore.kernel_separation",
-                     "side kernels neither touch nor neighbor the other "
-                     "side's critical sets",
-                     _bipartite_only, _check_ore_kernel_separation),
-            Property("bipartite.kernel_split",
-                     "side kernels and diadems assemble ker, diadem and "
-                     "alpha by the two-sided identities",
-                     _bipartite_only, _check_bipartite_kernel_split),
-            Property("core_corona.lower_bound",
-                     "|core| + |corona| is at least twice alpha",
-                     _always, _check_core_corona_bound),
-            Property("pendant.in_diadem",
-                     "pendant vertices outside K2 components belong to the "
-                     "diadem",
-                     _applies_has_pendants, _check_pendants_in_diadem),
-            Property("ke.is_ke",
-                     "the maximum-critical-independent route certifies the "
-                     "KE property",
-                     _ke_only, _check_is_ke),
-        ]
-    return _REGISTRY
+    return _PROPERTIES
 
 
 def lookup(name: str) -> Property:
@@ -955,6 +948,8 @@ def random_corpus(lo: int, hi: int, p: float, count: int,
     if not 0 <= lo <= hi:
         raise ValueError(f"random source needs 0 <= lo <= hi, got n = "
                          f"[{lo}, {hi}]")
+    if not 0 <= p <= 1:  # NaN fails both comparisons
+        raise ValueError(f"random source needs 0 <= p <= 1, got p = {p}")
     if count < 0:
         raise ValueError(f"random source needs count >= 0, got {count}")
     return CorpusSpec((CorpusSource("random", (lo, hi, p, count, seed)),))
@@ -997,6 +992,9 @@ def parse_corpus_spec(text: str) -> CorpusSpec:
                 sources.append(CorpusSource("exhaustive", (n,)))
             elif kind == "random":
                 lo, hi = (_spec_int(kind, "n", v) for v in entry["n"])
+                if isinstance(entry["p"], bool):
+                    raise ValueError(f"random source needs a number p, "
+                                     f"got {json.dumps(entry['p'])}")
                 sources += random_corpus(
                     lo, hi, float(entry["p"]),
                     _spec_int(kind, "count", entry["count"]),

@@ -15,7 +15,7 @@ from critset.fixtures import fixture_names, verify_all
 from critset.graphs import all_graphs, bipartition, difference, is_independent
 from critset.ke import is_ke_via_critical, is_koenig_egervary
 from critset.matching import maximum_matching_general
-from critset.ore import delta0, side_diadem, side_kernel
+from critset.ore import ore_profile
 from critset.props import (Config, CorpusSpec, conjecture_scan,
                            exhaustive_corpus, fixtures_corpus, iter_graphs,
                            random_corpus, run)
@@ -81,14 +81,15 @@ def test_criterion_2_oracle_equivalence():
 
             parts = bipartition(g)
             if parts is not None:
-                for side, mask in (("A", parts.side_a), ("B", parts.side_b)):
-                    if delta0(g, parts, side) != o.brute_delta0(n, adj, mask):
+                p = ore_profile(g, parts)
+                for side, mask, d0, kernel, dia in zip(
+                        "AB", parts, (p.delta0_a, p.delta0_b),
+                        (p.ker_a, p.ker_b), (p.diadem_a, p.diadem_b)):
+                    if d0 != o.brute_delta0(n, adj, mask):
                         mismatches.append(("delta0" + side, adj))
-                    if side_kernel(g, parts, side) != o.brute_side_kernel(
-                            n, adj, mask):
+                    if kernel != o.brute_side_kernel(n, adj, mask):
                         mismatches.append(("side_kernel" + side, adj))
-                    if side_diadem(g, parts, side) != o.brute_side_diadem(
-                            n, adj, mask):
+                    if dia != o.brute_side_diadem(n, adj, mask):
                         mismatches.append(("side_diadem" + side, adj))
     elapsed = time.perf_counter() - started
 

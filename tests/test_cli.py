@@ -47,6 +47,15 @@ def test_analyze_bipartite_block(capsys):
     assert rep["bipartite"] and rep["ore"]["delta0_a"] == 1
     assert rep["ore"]["ker_b"] == ["b5", "b6", "b7"]
     assert rep["ke"] and all(c["holds"] for c in rep["ke_identities"])
+    code, out, _ = run_cli(capsys, "analyze", str(FIXDIR / "fig233.edges"))
+    assert code == 0
+    assert out.splitlines()[-6:] == [
+        "  sides: A = a1 a2 a3 a4 a5 a6 | B = b1 b2 b3 b4 b5 b6 b7",
+        "  delta0(A)=1 delta0(B)=2",
+        "  ker_A    = a1 a2",
+        "  ker_B    = b5 b6 b7",
+        "  diadem_A = a1 a2 a3 a4 a5",
+        "  diadem_B = b2 b3 b4 b5 b6 b7"]
 
 
 def test_analyze_no_oracle_strict_exits_3(capsys):
@@ -160,7 +169,14 @@ def test_negative_exhaustive_order_exits_2(capsys, tmp_path, monkeypatch,
     ({"kind": "random", "n": [3, 4], "p": 0.3, "count": 2, "seed": 1.0},
      "error: random source needs an integer seed, got 1.0\n"),
     ({"kind": "random", "n": [3, 4], "p": 0.3, "count": 2, "seed": False},
-     "error: random source needs an integer seed, got false\n")])
+     "error: random source needs an integer seed, got false\n"),
+    ({"kind": "random", "n": [5, 6], "p": 1.5, "count": 0, "seed": 1},
+     "error: random source needs 0 <= p <= 1, got p = 1.5\n"),
+    ({"kind": "random", "n": [5, 6], "p": float("nan"), "count": 0,
+      "seed": 1},
+     "error: random source needs 0 <= p <= 1, got p = nan\n"),
+    ({"kind": "random", "n": [3, 4], "p": True, "count": 2, "seed": 1},
+     "error: random source needs a number p, got true\n")])
 def test_out_of_range_corpus_source_exits_2(capsys, tmp_path, source, err):
     # an exhaustive order past the stream's bound is a usage error, as for
     # `exhaustive --n 8`; a negative count or order is no clean run, a path
@@ -176,6 +192,16 @@ def test_negative_fuzz_count_exits_2(capsys):
     assert run_cli(capsys, "fuzz", "--n", "3..4", "--p", "0.3", "--count",
                    "-1", "--seed", "1") == (
         2, "", "error: random source needs count >= 0, got -1\n")
+
+
+@pytest.mark.parametrize("p", ["1.5", "-0.25", "nan"])
+def test_fuzz_p_outside_0_to_1_exits_2(capsys, p):
+    # with no graph drawn the edge probability was never checked, so the
+    # report carried it as given
+    assert run_cli(capsys, "fuzz", "--n", "5..6", "--p", p, "--count", "0",
+                   "--seed", "1", "--json") == (
+        2, "", f"error: random source needs 0 <= p <= 1, got p = "
+               f"{float(p)}\n")
 
 
 def test_internal_error_exits_4_with_one_line(capsys, monkeypatch):
@@ -245,6 +271,50 @@ def test_fuzz_bad_range_exits_2(capsys):
                            "--count", "2", "--seed", "1")
     assert code == 2
     assert "bad range" in err
+    code, _, err = run_cli(capsys, "fuzz", "--n", "a..b", "--p", "0.3",
+                           "--count", "2", "--seed", "1")
+    assert (code, err) == (2, "error: bad range 'a..b'; expected a..b\n")
+
+
+def test_fuzz_takes_a_one_number_range(capsys):
+    code, out, _ = run_cli(capsys, "fuzz", "--n", "8", "--p", "0.3",
+                           "--count", "3", "--seed", "2", "--json")
+    assert code == 0
+    assert json.loads(out)["corpus"]["sources"] == [
+        {"kind": "random", "n": [8, 8], "p": 0.3, "count": 3, "seed": 2}]
+    assert [g["n"] for g in json.loads(out)["graphs"]] == [8, 8, 8]
+
+
+def test_fuzz_failures_are_listed_and_exit_1(capsys):
+    # with p = 0 both graphs are edgeless on 4 vertices, so alpha = 4 and
+    # the deliberately false selftest property fails on each
+    argv = ["fuzz", "--n", "4..4", "--p", "0", "--count", "2", "--seed", "1",
+            "--properties", "selftest.alpha_le_two"]
+    code, out, _ = run_cli(capsys, *argv)
+    witness = ('witness: {"alpha": 4, "independent_triple": '
+               '["0", "1", "2"]}')
+    assert code == 1
+    assert out.splitlines()[1:] == [
+        "failures:",
+        f"  random:seed=1:0  selftest.alpha_le_two  {witness}",
+        f"  random:seed=1:1  selftest.alpha_le_two  {witness}"]
+    code, out, _ = run_cli(capsys, *argv, "--json")
+    summary = json.loads(out)["summary"]
+    assert code == 1 and summary["fails"] == 2
+    assert [f["graph"] for f in summary["failures"]] == [
+        "random:seed=1:0", "random:seed=1:1"]
+
+
+def test_strict_limit_skips_exit_3(capsys):
+    code, out, _ = run_cli(capsys, "exhaustive", "--n", "3", "--oracle-limit",
+                           "2", "--strict", "--properties", "th4.supermodular")
+    assert code == 3
+    assert out.splitlines()[1:] == [
+        "skip reasons:", "  n=3 exceeds oracle limit 2: 8"]
+    assert run_cli(capsys, "check", str(FIXDIR / "fig511.edges"),
+                   "--property", "zhang.d_eq_id", "--oracle-limit", "2",
+                   "--strict") == (
+        3, "zhang.d_eq_id: skipped: n=13 exceeds oracle limit 2\n", "")
 
 
 def test_conjecture_sweep(capsys):
@@ -260,6 +330,33 @@ def test_conjecture_json_round_trip(capsys):
     assert code == 0
     assert rep["kind"] == "conjecture-scan"
     assert rep["summary"]["min_slack"] == 0
+
+
+@pytest.mark.parametrize("flags", [["--no-oracle"], ["--oracle-limit", "2"]])
+def test_conjecture_strict_exits_3_when_a_limit_cut_the_upper_bound(
+        capsys, flags):
+    # the upper slack is skipped for a whole order n at once, so no graph is
+    # listed as skipped; the order's min_slack_upper stays unset
+    code, out, _ = run_cli(capsys, "conjecture", "--max-n", "3", *flags)
+    assert code == 0
+    assert "  n=3: graphs=8 min_slack=0 min_slack_upper=-\n" in out
+    assert run_cli(capsys, "conjecture", "--max-n", "3", "--strict",
+                   *flags) == (3, out, "")
+
+
+def test_conjecture_lists_files_past_the_alpha_limit(capsys, tmp_path):
+    f = tmp_path / "p42.edges"
+    f.write_text("".join(f"{v} {v + 1}\n" for v in range(41)))
+    spec = tmp_path / "corpus.json"
+    spec.write_text(json.dumps(
+        {"sources": [{"kind": "files", "paths": [str(f)]}]}))
+    code, out, _ = run_cli(capsys, "conjecture", "--corpus", str(spec))
+    assert code == 0
+    assert out.splitlines()[0] == (
+        "graphs: 1  checked: 0  skipped: 1  violations: 0")
+    assert f"  skipped file:{f}: n=42 exceeds alpha limit 40" in out
+    assert run_cli(capsys, "conjecture", "--corpus", str(spec),
+                   "--strict") == (3, out, "")
 
 
 def test_conjecture_violation_exits_1(capsys, monkeypatch):
@@ -306,6 +403,25 @@ def test_fixtures_verify_reports_notes(capsys):
     assert "FAIL" not in out
     assert "note on ker_b" in out
     assert "note on diadem" in out
+
+
+def test_fixtures_verify_prints_a_wrong_expectation_and_exits_1(
+        capsys, monkeypatch):
+    from critset import fixtures
+    load = fixtures.load
+
+    def wrong_d(name):
+        fx = load(name)
+        if name == "fig511":
+            fx = fx._replace(expected={**fx.expected, "d": 5})
+        return fx
+
+    monkeypatch.setattr(fixtures, "load", wrong_d)
+    code, out, _ = run_cli(capsys, "fixtures", "verify")
+    assert code == 1
+    assert out.startswith("fig511         FAIL  (")
+    assert "    d: expected 5, got 1\n" in out
+    assert out.count(" ok ") == 15
 
 
 @pytest.mark.parametrize("flags,code", [

@@ -237,12 +237,13 @@ def test_profile_is_consistent():
     # and the witness is a critical independent set between ker and diadem
     g = load("fig1777").graph
     f = Facts(g)
+    witness = critical_independent_witness(g)
     assert f.d() == critical_difference(g) == 1
     assert f.ker() == ker(g)
     assert f.diadem() == diadem(g)
-    assert is_independent(g, f.witness())
-    assert difference(g, f.witness()) == f.d()
-    assert f.ker() & ~f.witness() == 0 and f.witness() & ~f.diadem() == 0
+    assert is_independent(g, witness)
+    assert difference(g, witness) == f.d()
+    assert f.ker() & ~witness == 0 and witness & ~f.diadem() == 0
 
 
 # -- enumeration ---------------------------------------------------------------------

@@ -13,7 +13,7 @@ from critset.graphs import (EXHAUSTIVE_MAX_N, Graph, LimitExceeded,
                             ParseError, all_graphs, bipartition,
                             complete_bipartite, complete_graph, cycle_graph,
                             delete_edge, delete_vertices, difference,
-                            empty_graph, generate, graph_from_code,
+                            empty_graph, graph_from_code,
                             is_independent, neighborhood, orbit_leaders,
                             parse_graph, path_graph, random_bipartite,
                             random_graph, to_edge_list)
@@ -466,14 +466,3 @@ def test_orbit_leaders_bound_the_order_as_the_stream_does():
     with pytest.raises(ValueError, match="n >= 0"):
         orbit_leaders(-1)
 
-
-def test_generate_descriptors():
-    assert generate("P5") == path_graph(5)
-    assert generate("C6") == cycle_graph(6)
-    assert generate("K4") == complete_graph(4)
-    assert generate("K3,2") == complete_bipartite(3, 2)
-    assert generate("gnp:n=10,p=0.3,seed=42") == random_graph(10, 0.3, 42)
-    assert len(list(generate("all:n=3"))) == 8
-    for bad in ["Q5", "gnp:n=3", "wat:x=1", "K"]:
-        with pytest.raises((ValueError, KeyError)):
-            generate(bad)

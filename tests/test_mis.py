@@ -5,7 +5,7 @@ from conftest import adj_of, random_sample
 from critset.fixtures import load
 from critset.graphs import (LimitExceeded, complete_graph, cycle_graph,
                             empty_graph, parse_graph, path_graph)
-from critset.mis import (alpha, core_and_corona,
+from critset.mis import (_core_and_corona, alpha, core_and_corona,
                          enumerate_maximum_independent_sets,
                          maximum_critical_independent_set)
 
@@ -63,18 +63,17 @@ def test_core_and_corona_random():
 
 def test_early_exit_skips_the_count():
     # C4 has exactly two maximum independent sets covering everything and
-    # meeting nowhere, so the scan can stop after seeing both.
-    p = core_and_corona(cycle_graph(4))
-    assert p.count is None and p.core == 0 and p.corona == 0b1111
-    full = core_and_corona(cycle_graph(4), full=True)
-    assert full.count == 2
-    assert (full.core, full.corona) == (p.core, p.corona)
-
-
-def test_count_is_exact_when_asked():
-    # 2K2: each component contributes one of two vertices independently.
+    # meeting nowhere, so the scan stops after seeing both and never asks
+    # for a third set
+    g = cycle_graph(4)
+    sets = iter([0b0101, 0b1010, 0b0101])
+    assert _core_and_corona(g, 2, sets) == core_and_corona(g) == (2, 0, 0b1111)
+    assert next(sets, None) == 0b0101
+    # 2K2 settles at the third of its four maximum independent sets
     g = parse_graph("0 1\n2 3\n")
-    assert core_and_corona(g, full=True).count == 4
+    sets = iter(enumerate_maximum_independent_sets(g))
+    assert _core_and_corona(g, 2, sets) == core_and_corona(g) == (2, 0, 0b1111)
+    assert list(sets) == [0b1010]
 
 
 def test_maximum_critical_independent_set_tie_rule():

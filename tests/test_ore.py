@@ -10,9 +10,8 @@ from critset.graphs import (BipartitePartition, LimitExceeded, bipartition,
                             neighborhood, path_graph)
 from critset.matching import saturating_matching
 from critset.mis import alpha
-from critset.ore import (delta0, enumerate_side_critical_sets,
-                         is_side_critical, ore_profile, side_diadem,
-                         side_kernel)
+from critset.ore import (enumerate_side_critical_sets, is_side_critical,
+                         ore_profile)
 
 
 def bipartite_n5(graphs_n5):
@@ -41,37 +40,31 @@ def test_delta0_matches_subset_oracle(graphs_n5):
     for g, parts in bipartite_n5(graphs_n5):
         adj = adj_of(g)
         p = ore_profile(g, parts)
-        assert delta0(g, parts, "A") == p.delta0_a == o.brute_delta0(
-            g.n, adj, parts.side_a)
-        assert delta0(g, parts, "B") == p.delta0_b == o.brute_delta0(
-            g.n, adj, parts.side_b)
+        assert p.delta0_a == o.brute_delta0(g.n, adj, parts.side_a)
+        assert p.delta0_b == o.brute_delta0(g.n, adj, parts.side_b)
 
 
 def test_delta0_is_symmetric_under_side_swap(graphs_n5):
     for g, parts in bipartite_n5(graphs_n5):
-        swapped = BipartitePartition(parts.side_b, parts.side_a)
-        assert delta0(g, swapped, "A") == delta0(g, parts, "B")
-        assert delta0(g, swapped, "B") == delta0(g, parts, "A")
+        p = ore_profile(g, parts)
+        q = ore_profile(g, BipartitePartition(parts.side_b, parts.side_a))
+        assert (q.delta0_a, q.delta0_b) == (p.delta0_b, p.delta0_a)
 
 
 def test_side_kernel_matches_oracle(graphs_n5):
     for g, parts in bipartite_n5(graphs_n5):
         adj = adj_of(g)
         p = ore_profile(g, parts)
-        assert side_kernel(g, parts, "A") == p.ker_a == o.brute_side_kernel(
-            g.n, adj, parts.side_a)
-        assert side_kernel(g, parts, "B") == p.ker_b == o.brute_side_kernel(
-            g.n, adj, parts.side_b)
+        assert p.ker_a == o.brute_side_kernel(g.n, adj, parts.side_a)
+        assert p.ker_b == o.brute_side_kernel(g.n, adj, parts.side_b)
 
 
 def test_side_diadem_matches_oracle(graphs_n5):
     for g, parts in bipartite_n5(graphs_n5):
         adj = adj_of(g)
         p = ore_profile(g, parts)
-        assert side_diadem(g, parts, "A") == p.diadem_a == o.brute_side_diadem(
-            g.n, adj, parts.side_a)
-        assert side_diadem(g, parts, "B") == p.diadem_b == o.brute_side_diadem(
-            g.n, adj, parts.side_b)
+        assert p.diadem_a == o.brute_side_diadem(g.n, adj, parts.side_a)
+        assert p.diadem_b == o.brute_side_diadem(g.n, adj, parts.side_b)
 
 
 def test_side_rules_match_per_vertex_rules_past_oracle_reach():
@@ -82,14 +75,12 @@ def test_side_rules_match_per_vertex_rules_past_oracle_reach():
             continue
         adj = adj_of(g)
         p = ore_profile(g, parts)
-        for side, mask, d0, kernel, dia in zip(
-                "AB", parts, (p.delta0_a, p.delta0_b), (p.ker_a, p.ker_b),
+        for mask, d0, kernel, dia in zip(
+                parts, (p.delta0_a, p.delta0_b), (p.ker_a, p.ker_b),
                 (p.diadem_a, p.diadem_b)):
             assert d0 == o.side_delta0(adj, mask), g.adj
-            assert side_kernel(g, parts, side) == kernel == (
-                o.deletion_side_kernel(adj, mask)), g.adj
-            assert side_diadem(g, parts, side) == dia == (
-                o.forcing_side_diadem(adj, mask)), g.adj
+            assert kernel == o.deletion_side_kernel(adj, mask), g.adj
+            assert dia == o.forcing_side_diadem(adj, mask), g.adj
         checked += 1
     assert checked >= 12
 
@@ -117,18 +108,19 @@ def test_is_side_critical_fixture_examples():
     with pytest.raises(ValueError, match="not contained"):
         is_side_critical(g, parts, "A", mask_of(g, ["b1"]))
     with pytest.raises(ValueError, match="side must be"):
-        delta0(g, parts, "C")
+        is_side_critical(g, parts, "C", 0)
+    with pytest.raises(ValueError, match="side must be"):
+        next(enumerate_side_critical_sets(g, parts, "C"))
 
 
 def test_fixture_side_profile():
     g, parts = fig233_setup()
-    assert delta0(g, parts, "A") == 1 and delta0(g, parts, "B") == 2
-    assert g.label_list(side_kernel(g, parts, "A")) == ["a1", "a2"]
-    assert g.label_list(side_kernel(g, parts, "B")) == ["b5", "b6", "b7"]
-    assert g.label_list(side_diadem(g, parts, "A")) == [
-        "a1", "a2", "a3", "a4", "a5"]
-    assert g.label_list(side_diadem(g, parts, "B")) == [
-        "b2", "b3", "b4", "b5", "b6", "b7"]
+    p = ore_profile(g, parts)
+    assert p.delta0_a == 1 and p.delta0_b == 2
+    assert g.label_list(p.ker_a) == ["a1", "a2"]
+    assert g.label_list(p.ker_b) == ["b5", "b6", "b7"]
+    assert g.label_list(p.diadem_a) == ["a1", "a2", "a3", "a4", "a5"]
+    assert g.label_list(p.diadem_b) == ["b2", "b3", "b4", "b5", "b6", "b7"]
 
 
 def assert_ore_identities(g, parts):

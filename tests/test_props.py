@@ -634,8 +634,7 @@ def test_conjecture_scan_reports_and_shrinks_forced_violations(
         monkeypatch.setattr(critical, "diadem", lambda g: g.full)
     else:
         monkeypatch.setattr(mis, "_core_and_corona",
-                            lambda g, a, sets, full=False:
-                            mis.MisProfile(a, None, 0, 0))
+                            lambda g, a, sets: mis.MisProfile(a, 0, 0))
     corpus = parse_corpus_spec(json.dumps({"sources": [
         {"kind": "exhaustive", "n": 3},
         {"kind": "random", "n": [5, 7], "p": 0.4, "count": 4, "seed": 1}]}))

@@ -1,5 +1,6 @@
 """What a fresh interpreter loads: each command imports only what it uses."""
 
+import ast
 import os
 import subprocess
 import sys
@@ -41,3 +42,22 @@ def test_every_exported_name_resolves():
     import critset
     assert [name for name in critset.__all__
             if not hasattr(critset, name)] == []
+
+
+def test_all_lists_every_public_name_once():
+    # every public name the package file binds is exported, so a deletion
+    # cannot leave an import behind that __all__ no longer names
+    import critset
+    tree = ast.parse(Path(critset.__file__).read_text())
+    bound = set()
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom):
+            bound.update(a.asname or a.name for a in node.names)
+        elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            bound.add(node.name)
+        elif isinstance(node, ast.Assign):
+            bound.update(t.id for t in node.targets
+                         if isinstance(t, ast.Name))
+    public = {name for name in bound if not name.startswith("_")}
+    assert len(critset.__all__) == len(set(critset.__all__))
+    assert sorted(public - set(critset.__all__)) == []
