@@ -102,7 +102,7 @@ def _config(args: argparse.Namespace) -> Config:
 # -- analyze -----------------------------------------------------------------
 
 # which machinery produces each report field; "oracle" fields rest on bounded
-# enumeration, "search" on exact branch and bound, the rest on matchings
+# enumeration, "search" on exact branch and reduce, the rest on matchings
 _METHODS = {
     "polynomial": ["bipartite", "d", "deficiency", "diadem", "ker", "mu",
                    "ore", "witness"],

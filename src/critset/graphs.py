@@ -417,19 +417,27 @@ def random_graph(n: int, p: float, seed: int) -> Graph:
     """Return G(n, p) with a fixed vertex-pair scan order, so seed fixes edges."""
     if not 0 <= p <= 1:
         raise ValueError("p must be in [0, 1]")
-    rng = random.Random(seed)
-    edges = [(i, j) for i in range(n) for j in range(i + 1, n)
-             if rng.random() < p]
-    return Graph(n, edges)
+    draw = random.Random(seed).random
+    nbrs: list[list[int]] = [[] for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            if draw() < p:
+                nbrs[i].append(j)
+                nbrs[j].append(i)
+    return object.__new__(Graph)._wrap(nbrs, None)
 
 
 def random_bipartite(m: int, n: int, p: float, seed: int) -> Graph:
     if not 0 <= p <= 1:
         raise ValueError("p must be in [0, 1]")
-    rng = random.Random(seed)
-    edges = [(i, m + j) for i in range(m) for j in range(n)
-             if rng.random() < p]
-    return Graph(m + n, edges)
+    draw = random.Random(seed).random
+    nbrs: list[list[int]] = [[] for _ in range(m + n)]
+    for i in range(m):
+        for j in range(m, m + n):
+            if draw() < p:
+                nbrs[i].append(j)
+                nbrs[j].append(i)
+    return object.__new__(Graph)._wrap(nbrs, None)
 
 
 def _check_exhaustive_order(n: int) -> None:

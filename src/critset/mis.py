@@ -1,7 +1,11 @@
 """Exact maximum-independent-set engine: alpha, enumeration, core, corona.
 
 Everything here is exponential by nature and guarded by explicit limits; the
-rest of the library leans on these routines as reference answers.
+rest of the library leans on these routines as reference answers. alpha is a
+branch-and-reduce search: vertices with at most one live neighbour are taken
+without branching, and a greedy clique cover, which stops counting as soon as
+it can no longer prune, bounds every branch. The enumeration of maximum
+independent sets prunes with the same bound.
 """
 
 from __future__ import annotations
@@ -22,47 +26,73 @@ class MisProfile(NamedTuple):
     corona: VertexSet
 
 
-def _greedy_clique_cover(g: Graph, avail: VertexSet) -> int:
-    """Greedily partition avail into cliques; the clique count is an upper
-    bound on the independence number of the induced subgraph."""
-    adj = g.adj
+def _greedy_clique_cover(adj: tuple[VertexSet, ...], avail: VertexSet,
+                         cap: int) -> int:
+    """Greedily partition avail into cliques and count them; the full count
+    is an upper bound on the independence number of the induced subgraph.
+
+    The count stops as soon as it passes cap, so the result is at most cap
+    exactly when the full count is, and a caller pruning on "count <= cap"
+    never pays for the cliques beyond that point.
+    """
     bound = 0
     rest = avail
-    while rest:
-        v = (rest & -rest).bit_length() - 1
-        rest ^= 1 << v
-        cand = rest & adj[v]
+    while rest and bound <= cap:
+        low = rest & -rest
+        rest ^= low
+        cand = rest & adj[low.bit_length() - 1]
         while cand:
-            u = (cand & -cand).bit_length() - 1
-            rest ^= 1 << u
-            cand &= adj[u] & rest
+            low = cand & -cand
+            rest ^= low
+            cand &= adj[low.bit_length() - 1] & rest
         bound += 1
     return bound
 
 
 def alpha(g: Graph, limit: int = ALPHA_LIMIT) -> int:
-    """Independence number, by branch and bound.
+    """Independence number, by branch and reduce.
 
-    Branches on a vertex of maximum degree in the remaining subgraph (lowest
-    id on ties), pruning with the greedy clique cover bound.
+    Each search node scans the live vertices once for their live degrees. A
+    vertex with at most one live neighbour lies in some maximum independent
+    set of what is left, so it is taken without a branch and the scan
+    repeats. Otherwise the node branches on the first vertex of maximum live
+    degree, taking it first, after pruning with the greedy clique cover
+    bound, which stops counting once it can no longer prune.
     """
     if g.n > limit:
         raise LimitExceeded(f"n={g.n} exceeds alpha limit {limit}")
     adj = g.adj
     best = 0
-
-    def rec(avail: VertexSet, size: int) -> None:
-        nonlocal best
-        if size > best:
-            best = size
-        if not avail or size + _greedy_clique_cover(g, avail) <= best:
-            return
-        v = max(vlist(avail),
-                key=lambda u: ((adj[u] & avail).bit_count(), -u))
-        rec(avail & ~(adj[v] | 1 << v), size + 1)
-        rec(avail & ~(1 << v), size)
-
-    rec(g.full, 0)
+    # search nodes still to run, as (live vertices, size taken so far); a
+    # branch vertex's exclude node waits here while its include node runs
+    todo = [(g.full, 0)]
+    while todo:
+        avail, size = todo.pop()
+        while avail:
+            top = -1
+            rest = avail
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                u = low.bit_length() - 1
+                d = (adj[u] & avail).bit_count()
+                if d <= 1:
+                    avail &= ~(adj[u] | low)
+                    size += 1
+                    break
+                if d > top:
+                    top, v = d, u
+            else:
+                # every live vertex has two or more live neighbours
+                cap = best - size
+                if _greedy_clique_cover(adj, avail, cap) <= cap:
+                    break  # pruned: the node ends without a leaf
+                todo.append((avail ^ 1 << v, size))
+                avail &= ~(adj[v] | 1 << v)
+                size += 1
+        else:
+            if size > best:
+                best = size
     return best
 
 
@@ -89,7 +119,8 @@ def _maximum_independent_sets(
         for j in range(idx, n):
             if not chosen & adj[j]:
                 avail |= 1 << j
-        if chosen.bit_count() + _greedy_clique_cover(g, avail) < target:
+        cap = target - chosen.bit_count() - 1
+        if _greedy_clique_cover(adj, avail, cap) <= cap:
             return
         if idx == n:
             if chosen.bit_count() == target:

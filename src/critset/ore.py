@@ -14,7 +14,7 @@ bipartite.kernel_split.
 
 from __future__ import annotations
 
-from typing import Iterator, Literal, NamedTuple
+from typing import Callable, Iterator, Literal, NamedTuple
 
 from .critical import ORACLE_LIMIT, _enumerate_target_sets
 from .graphs import (BipartitePartition, Graph, LimitExceeded, VertexSet,
@@ -80,11 +80,21 @@ def enumerate_side_critical_sets(
         limit: int = ORACLE_LIMIT) -> Iterator[VertexSet]:
     """Yield every X within the side attaining its deficiency maximum."""
     _check_parts(g, parts)
+    yield from _side_critical_sets(g, parts, side, limit,
+                                   lambda: ore_profile(g, parts))
+
+
+def _side_critical_sets(
+        g: Graph, parts: BipartitePartition, side: Side, limit: int,
+        profile: Callable[[], OreProfile]) -> Iterator[VertexSet]:
+    """enumerate_side_critical_sets for a caller whose parts are checked and
+    who may already hold the profile: profile returns ore_profile(g, parts),
+    and is called after the side-size limit check."""
     i = _side_index(side)
     s = parts[i]
     if s.bit_count() > limit:
         raise LimitExceeded(
             f"side size {s.bit_count()} exceeds oracle limit {limit}")
-    p = ore_profile(g, parts)
+    p = profile()
     yield from _enumerate_target_sets(g, s, (p.delta0_a, p.delta0_b)[i],
                                       False)

@@ -313,8 +313,9 @@ class Facts:
     def side_critical_samples(self, side: ore.Side) -> list[VertexSet]:
         def compute():
             self.require_oracle()
-            return list(islice(ore.enumerate_side_critical_sets(
-                self.g, self.parts(), side, self.config.oracle_limit), 16))
+            return list(islice(ore._side_critical_sets(
+                self.g, self.parts(), side, self.config.oracle_limit,
+                self.ore_profile), 16))
         return self._get(f"side_crit_{side}", compute)
 
     def labels(self, mask: VertexSet) -> list[str]:

@@ -406,6 +406,25 @@ def test_random_bipartite_is_bipartite():
     assert parts.side_a & 0b1111 == parts.side_a or g.m == 0
 
 
+def test_random_generators_build_what_the_checked_constructor_builds():
+    # the generators fill the neighbour lists unchecked, in the pair-scan
+    # order whose draws Graph(n, edges) would have validated
+    rng = random.Random(18)
+    for _ in range(60):
+        n, seed = rng.randrange(0, 25), rng.getrandbits(32)
+        p = rng.choice([0.0, 0.1, 0.3, 0.5, 1.0])
+        draw = random.Random(seed).random
+        edges = [(i, j) for i in range(n) for j in range(i + 1, n)
+                 if draw() < p]
+        assert random_graph(n, p, seed) == Graph(n, edges)
+        a = rng.randrange(0, 15)
+        b = rng.randrange(0, 15)
+        draw = random.Random(seed).random
+        edges = [(i, a + j) for i in range(a) for j in range(b)
+                 if draw() < p]
+        assert random_bipartite(a, b, p, seed) == Graph(a + b, edges)
+
+
 def test_exhaustive_stream_counts_and_uniqueness():
     for n in range(5):
         seen = {g.adj for g in all_graphs(n)}

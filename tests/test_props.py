@@ -10,9 +10,10 @@ from conftest import mid_sample, small_corpus
 from critset import critical, graphs, ke, mis, ore, props
 from critset.fixtures import load
 from critset.graphs import (LimitExceeded, all_graphs, bipartition,
-                            complete_graph, cycle_graph, empty_graph,
-                            is_independent, neighborhood, orbit_leaders,
-                            parse_graph, path_graph, random_graph)
+                            complete_bipartite, complete_graph, cycle_graph,
+                            empty_graph, is_independent, neighborhood,
+                            orbit_leaders, parse_graph, path_graph,
+                            random_graph)
 from critset.matching import maximum_matching_general
 from critset.mis import alpha
 from critset.props import (SELFTEST, Config, Facts, PropertyResult,
@@ -258,6 +259,27 @@ def test_registry_pass_runs_each_oracle_fact_once(graphs_n5, monkeypatch):
         assert calls["mis"] <= 1, g.adj
         if g.n > props.TABLE_MAX_N:
             assert calls["critical"] == calls["mis"] == 1, g.adj
+
+
+def test_registry_pass_runs_the_ore_profile_once_per_bipartite_graph(
+        monkeypatch):
+    # ore.kernel_separation's side samples read delta0 off the cached
+    # profile, and a side past the oracle limit still skips with its size
+    calls = Counter()
+    profile = ore.ore_profile
+
+    def counted(*args):
+        calls["ore"] += 1
+        return profile(*args)
+
+    monkeypatch.setattr(ore, "ore_profile", counted)
+    run(exhaustive_corpus(5))
+    assert calls["ore"] == sum(bipartition(g) is not None
+                               for g in all_graphs(5)) == 376
+    prop = lookup("ore.kernel_separation")
+    facts = Facts(complete_bipartite(3, 5), Config(oracle_limit=4))
+    assert evaluate(prop, facts) == PropertyResult(
+        prop.name, "skipped", "side size 5 exceeds oracle limit 4", limit=True)
 
 
 def test_one_critical_pass_gives_capped_family_and_uncapped_maximum(
