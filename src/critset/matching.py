@@ -213,7 +213,9 @@ def maximum_matching_general(g: Graph) -> Matching:
 
     Edmonds' algorithm: a greedy start, then one alternating-tree search per
     vertex still unmatched, in increasing id order. A search marks only the
-    vertices its tree reaches, and only those are reset after it.
+    vertices its tree reaches, and only those are reset after it. A tree
+    that fails to augment holds no vertex of a later augmenting path
+    (Edmonds 1965), so later searches skip its vertices in neighbour lists.
     """
     n = g.n
     adj = g.nbrs
@@ -229,6 +231,8 @@ def maximum_matching_general(g: Graph) -> Matching:
     parent = [-1] * n
     base = list(range(n))
     used = bytearray(n)
+    # the vertices of failed trees
+    dead = bytearray(n)
 
     def lca(a: int, b: int) -> int:
         on_path = set()
@@ -268,7 +272,7 @@ def maximum_matching_general(g: Graph) -> Matching:
             # blossom holding u is contracted, and is read again after that
             mate_u, base_u = mate[u], base[u]
             for v in adj[u]:
-                if v == mate_u or base[v] == base_u:
+                if dead[v] or v == mate_u or base[v] == base_u:
                     continue
                 mate_v = mate[v]
                 if v == root or (mate_v != -1 and parent[mate_v] != -1):
@@ -303,6 +307,9 @@ def maximum_matching_general(g: Graph) -> Matching:
             queue: list[int] = []
             inner: list[int] = []
             v = find_augmenting_path(u, queue, inner)
+            if v == -1:
+                for x in queue + inner:
+                    dead[x] = 1
             while v != -1:
                 pv = parent[v]
                 ppv = mate[pv]

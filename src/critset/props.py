@@ -36,6 +36,10 @@ FAMILY_CAP = 20000
 # tables won at every n = 12..18 and p = 0.15, 0.3, 0.5 measured: by 3-10%
 # at p = 0.5 and by 33-51% at p = 0.15
 TABLE_MAX_N = 18
+# the largest n at which th4.supermodular first checks the 2x2 squares of
+# the subset lattice on the table read as one integer; above it the pair
+# scan alone is faster (BENCH_19.json)
+LATTICE_MAX_N = 12
 
 
 def default_workers() -> int:
@@ -68,6 +72,18 @@ def _subset_lanes(n: int) -> tuple[tuple[int, ...], int]:
                        "little")
         for v in range(n))
     return planes, sum(planes) + n * int.from_bytes(b"\1" * size, "little")
+
+
+@lru_cache(maxsize=None)
+def _square_masks(n: int) -> tuple[int, tuple[tuple[int, ...], ...]]:
+    """For the square test of th4.supermodular on n vertices: 0x80 in each
+    of the 2^n byte lanes, and per u, one per v > u, 0x80 in each lane X
+    that holds neither u nor v. Kept per n: under 300 KB at n = 12."""
+    planes, _ = _subset_lanes(n)
+    ones = int.from_bytes(b"\1" * (1 << n), "little")
+    return ones << 7, tuple(tuple((ones ^ (planes[u] | planes[v])) << 7
+                                  for v in range(u + 1, n))
+                            for u in range(n))
 
 
 class Facts:
@@ -430,8 +446,38 @@ def _supermodular_masks(n: int) -> list[int]:
     return sorted({rng.randrange(size) for _ in range(128)})
 
 
+def _squares_hold(table: list[int], n: int) -> bool:
+    """Whether t(X+u+v) + t(X) >= t(X+u) + t(X+v) for every X and u != v
+    outside X, which on the subset lattice is supermodularity over all pairs
+    (Topkis, Oper. Res. 26, 1978; Lovász 1983).
+
+    The lanes of table are read as one integer t, and pad holds 128 in
+    each lane. Per u, m = (t shifted down 2^u lanes) + pad - t holds
+    t(X+u) - t(X) + 128 in each lane X without u; per v > u,
+    (m shifted down 2^v lanes) + pad - m holds m(X+v) - m(X) + 128, which
+    has its 0x80 bit set in a lane X without u and v iff the square at X
+    holds. A lane of the table holds 0..2n (any values in 0..63 would do),
+    so each lane of m, and each lane of the second sum below its top 2^v,
+    stays in 0..255. Those top lanes, where the shift reads past m, can fall
+    below 0, but they all hold v, and a borrow runs only upward.
+    """
+    pad, masks = _square_masks(n)
+    t = int.from_bytes(bytes(table), "little")
+    for u, row in enumerate(masks):
+        m = (t >> (8 << u)) + pad - t
+        rest = pad - m
+        for v, valid in enumerate(row, u + 1):
+            if ((m >> (8 << v)) + rest) & valid != valid:
+                return False
+    return True
+
+
 def _check_supermodular(f: Facts) -> tuple[bool, dict | None]:
     table, n = f.tables(), f.g.n
+    # where every square holds, so does every pair; otherwise the pair scan
+    # names the first failing pair, or holds where its sample misses them
+    if n <= LATTICE_MAX_N and _squares_hold(table, n):
+        return True, None
     masks = _supermodular_masks(n)
     # each side sums two lanes, so the offset n cancels; the inequality is
     # symmetric in a and b, so the first failing pair in row-major order
@@ -1147,6 +1193,14 @@ def _slacks(facts: Facts) -> tuple[int, int | None] | str:
     return lower, upper
 
 
+@lru_cache(maxsize=None)
+def _class_sizes(n: int) -> tuple[tuple[int, int], ...]:
+    """(leader, size) of each isomorphism class of all_graphs(n), in
+    increasing leader order, as a leader is the first code of its class.
+    Kept per n (1,044 pairs at n = 7); the leader list is not."""
+    return tuple(Counter(orbit_leaders(n)).items())
+
+
 def _scan_slacks(corpus: CorpusSpec, config: Config
                  ) -> Iterator[tuple[str, int, int, Facts, tuple | str]]:
     """Key, order, count, facts and _slacks of the corpus graphs; count is
@@ -1157,7 +1211,8 @@ def _scan_slacks(corpus: CorpusSpec, config: Config
     So an exhaustive source evaluates the first graph of each isomorphism
     class and counts its outcome once for the whole class. A class whose
     outcome is a skip or a violation is evaluated again member by member, in
-    code order, so each report entry names its own graph.
+    code order, so each report entry names its own graph. The class sizes
+    are kept per n; only that member pass builds the leader list again.
     """
     for src in corpus.sources:
         if src.kind != "exhaustive":
@@ -1166,11 +1221,8 @@ def _scan_slacks(corpus: CorpusSpec, config: Config
                 yield key, g.n, 1, facts, _slacks(facts)
             continue
         n = src.params[0]
-        leaders = orbit_leaders(n)
-        # a leader is the first code of its class, so the classes come in
-        # increasing code order
         recheck = set()
-        for leader, size in Counter(leaders).items():
+        for leader, size in _class_sizes(n):
             facts = Facts(graph_from_code(n, leader), config)
             outcome = _slacks(facts)
             if type(outcome) is str or min(outcome[0], outcome[1] or 0) < 0:
@@ -1178,7 +1230,7 @@ def _scan_slacks(corpus: CorpusSpec, config: Config
             else:
                 yield _exhaustive_key(n, leader), n, size, facts, outcome
         if recheck:
-            for code, leader in enumerate(leaders):
+            for code, leader in enumerate(orbit_leaders(n)):
                 if leader in recheck:
                     facts = Facts(graph_from_code(n, code), config)
                     yield (_exhaustive_key(n, code), n, 1, facts,

@@ -365,13 +365,51 @@ def _first_failing_pair(table, masks):
     return None
 
 
-@pytest.mark.parametrize("n", [4, 7, 8, 11])
+def _supermodular_by_pairs(table, n):
+    size = 1 << n
+    return all(table[a | b] + table[a & b] >= table[a] + table[b]
+               for a in range(size) for b in range(a, size))
+
+
+def test_square_route_agrees_with_every_pair():
+    # th4.supermodular first checks the 2x2 squares of the subset lattice on
+    # the table read as one integer; that must hold exactly where every pair
+    # of masks does. Graph tables all hold (Theorem 4); adding a modular
+    # function keeps that, and moving a few lanes by 1 or 2 mostly breaks it
+    prop = lookup("th4.supermodular")
+    for n in range(6):
+        for g in all_graphs(n):
+            table = Facts(g).tables()
+            assert props._squares_hold(table, n)
+            assert _supermodular_by_pairs(table, n), g.adj
+    rng = random.Random(3000)
+    verdicts = Counter()
+    for _ in range(3000):
+        n = rng.randrange(1, 8)
+        g = random_graph(n, rng.choice([0.2, 0.4, 0.6]), rng.getrandbits(32))
+        facts = Facts(g)
+        shift = [rng.choice([-1, 0, 1]) for _ in range(n)]
+        bad = [t + n + sum(c for v, c in enumerate(shift) if m >> v & 1)
+               for m, t in enumerate(facts.tables())]
+        for _ in range(rng.choice([0, 0, 1, 2, 3])):
+            m = rng.randrange(1 << n)
+            bad[m] = max(0, bad[m] + rng.choice([-2, -1, 1, 2]))
+        expect = _supermodular_by_pairs(bad, n)
+        verdicts[expect] += 1
+        assert props._squares_hold(bad, n) == expect, (n, bad)
+        facts._cache["tables"] = bad
+        assert prop.check(facts)[0] == expect, (n, bad)
+    assert min(verdicts.values()) >= 1000, verdicts
+
+
+@pytest.mark.parametrize("n", [4, 7, 8, 11, props.LATTICE_MAX_N,
+                               props.LATTICE_MAX_N + 1])
 def test_supermodular_reports_the_first_failing_pair(n):
     # corrupted tables break supermodularity in many pairs; the check scans
     # only b at or after a, and must still name the first pair a full
     # row-major scan finds, both where every mask is paired (n <= 7) and
-    # where the masks are sampled; lane m holds d(m) + n, and the witness
-    # gives d values
+    # where the masks are sampled, on either side of the square route's
+    # crossover; lane m holds d(m) + n, and the witness gives d values
     prop = lookup("th4.supermodular")
     rng = random.Random(n)
     masks = props._supermodular_masks(n)
@@ -634,6 +672,36 @@ def test_exhaustive_scan_lists_skipped_members_in_code_order(monkeypatch):
                              "reason": "odd size"} for code in odd]
     assert (s["graphs"], s["checked"]) == (64, 64 - len(odd))
     assert report["per_n"]["4"]["graphs"] == 64 - len(odd)
+
+
+def test_exhaustive_scan_keeps_class_sizes_per_n(monkeypatch):
+    # repeated scans in one process build each order's leader list once;
+    # a scan that must list a class member by member builds it again
+    built = Counter()
+
+    def orbit_leaders(n):
+        built[n] += 1
+        return graphs.orbit_leaders(n)
+    monkeypatch.setattr(props, "orbit_leaders", orbit_leaders)
+    props._class_sizes.cache_clear()
+    corpus = exhaustive_corpus(*range(1, 6))
+    report = conjecture_scan(corpus)
+    assert conjecture_scan(corpus) == report
+    assert report["summary"]["graphs"] == 1 + 2 + 8 + 64 + 1024
+    assert built == {n: 1 for n in range(1, 6)}
+
+    lower = props._lower_slack
+
+    def skip_odd_sizes(f):
+        if f.g.m % 2:
+            raise LimitExceeded("odd size")
+        return lower(f)
+    monkeypatch.setattr(props, "_lower_slack", skip_odd_sizes)
+    report = conjecture_scan(exhaustive_corpus(5))
+    assert [s["graph"] for s in report["summary"]["skipped"]] == [
+        f"exhaustive:n=5:{code}" for code in range(1024)
+        if code.bit_count() % 2]
+    assert built == {1: 1, 2: 1, 3: 1, 4: 1, 5: 2}
 
 
 # exhaustive n = 3 plus a few random graphs, scanned with one side of the
