@@ -20,9 +20,10 @@ from pathlib import Path
 
 from .critical import ORACLE_LIMIT
 from .graphs import EXHAUSTIVE_MAX_N, LimitExceeded, read_graph_file
-from .props import (Config, Facts, conjecture_scan, default_workers,
-                    evaluate, exhaustive_corpus, parse_corpus_spec,
-                    random_corpus, run, select_properties)
+from .props import (Config, CorpusSpec, Facts, conjecture_scan,
+                    default_workers, evaluate, exhaustive_corpus,
+                    parse_corpus_spec, random_corpus, select_properties,
+                    stream_run)
 
 EXIT_OK, EXIT_FAIL, EXIT_USAGE, EXIT_LIMIT, EXIT_INTERNAL = 0, 1, 2, 3, 4
 
@@ -244,8 +245,7 @@ def _cmd_check(args) -> int:
 
 # -- corpus runs (fuzz, exhaustive) --------------------------------------------
 
-def _render_run(rep: dict) -> str:
-    s = rep["summary"]
+def _render_run(s: dict) -> str:
     lines = [f"graphs: {s['graphs']}  checks: {s['checks']}  "
              f"holds: {s['holds']}  fails: {s['fails']}  "
              f"skipped: {s['skipped']} (limit: {s['limit_skips']})"]
@@ -261,14 +261,48 @@ def _render_run(rep: dict) -> str:
     return "\n".join(lines)
 
 
-def _finish_run(rep: dict, config: Config, as_json: bool) -> int:
-    if as_json:
-        print(_dump(rep))
+def _write_run(head: dict, graphs, summary: dict) -> None:
+    """Write print(_dump(run(...))) of the run that stream_run split into
+    head, graphs and summary, rendering each per-graph report as it arrives
+    and dropping it, so memory does not grow with the corpus. The keys go
+    out sorted; "summary" sorts after "graphs", so it is filled in when
+    written.
+
+    The first graph is evaluated before anything is written, so a corpus
+    error there leaves stdout empty; an error on a later graph leaves a
+    truncated report."""
+    memo: dict = {}
+    entries = (_render(entry, "\n    ", memo) for entry in graphs)
+    first = next(entries, None)
+    doc = {**head, "graphs": None, "summary": summary}
+    write = sys.stdout.write
+    sep = "{"
+    for key in sorted(doc):
+        write(sep + "\n  " + _encode_str(key) + ": ")
+        sep = ","
+        if key != "graphs":
+            write(_render(doc[key], "\n  ", memo))
+            continue
+        if first is not None:
+            write("[\n    " + first)
+            for text in entries:
+                write(",\n    " + text)
+        write("[]" if first is None else "\n  ]")
+    write("\n}\n")
+
+
+def _corpus_run(corpus: CorpusSpec, args: argparse.Namespace) -> int:
+    config = _config(args)
+    head, graphs, summary = stream_run(corpus, args.properties, config)
+    if args.json:
+        _write_run(head, graphs, summary)
     else:
-        print(_render_run(rep))
-    if rep["summary"]["fails"]:
+        for _ in graphs:
+            pass
+        print(_render_run(summary))
+    if summary["fails"]:
         return EXIT_FAIL
-    if config.strict and rep["summary"]["limit_skips"]:
+    if config.strict and summary["limit_skips"]:
         return EXIT_LIMIT
     return EXIT_OK
 
@@ -288,20 +322,16 @@ def _parse_range(text: str) -> tuple[int, int]:
 
 
 def _cmd_fuzz(args) -> int:
-    config = _config(args)
     lo, hi = _parse_range(args.n)
-    corpus = random_corpus(lo, hi, args.p, args.count, args.seed)
-    rep = run(corpus, args.properties, config)
-    return _finish_run(rep, config, args.json)
+    return _corpus_run(random_corpus(lo, hi, args.p, args.count, args.seed),
+                       args)
 
 
 def _cmd_exhaustive(args) -> int:
-    config = _config(args)
     if args.n > EXHAUSTIVE_MAX_N:
         raise ValueError(
             f"exhaustive sweep supports n <= {EXHAUSTIVE_MAX_N}, got {args.n}")
-    rep = run(exhaustive_corpus(args.n), args.properties, config)
-    return _finish_run(rep, config, args.json)
+    return _corpus_run(exhaustive_corpus(args.n), args)
 
 
 # -- conjecture ----------------------------------------------------------------

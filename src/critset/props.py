@@ -18,7 +18,7 @@ import os
 import random
 from collections import Counter
 from functools import lru_cache
-from itertools import islice, tee
+from itertools import chain, islice, tee
 from typing import Callable, Iterable, Iterator, NamedTuple
 
 from . import critical, ke, mis, ore
@@ -436,14 +436,16 @@ def _check_d_eq_id(f: Facts) -> tuple[bool, dict | None]:
         "max_over_independent": best_ind}
 
 
-def _supermodular_masks(n: int) -> list[int]:
+@lru_cache(maxsize=None)
+def _supermodular_masks(n: int) -> tuple[int, ...]:
     """The vertex sets th4.supermodular pairs up: all of them up to n = 7,
-    else a seeded sample of at most 128."""
+    else a seeded sample of at most 128. Kept per n, as it depends on n
+    alone."""
     size = 1 << n
     if size <= 128:
-        return list(range(size))
+        return tuple(range(size))
     rng = random.Random(0x5D1A + n)
-    return sorted({rng.randrange(size) for _ in range(128)})
+    return tuple(sorted({rng.randrange(size) for _ in range(128)}))
 
 
 def _squares_hold(table: list[int], n: int) -> bool:
@@ -1104,25 +1106,41 @@ def _eval_graph(args: tuple[str, Graph, list[str] | None, Config]) -> dict:
     return {"key": key, "n": g.n, "m": g.m, "results": results}
 
 
-def run(corpus: CorpusSpec, properties: list[str] | None = None,
-        config: Config | None = None) -> dict:
-    """Evaluate properties over a corpus; the report is in corpus order and
-    carries every failure witness. Worker count never changes the output."""
-    config = config if config is not None else Config()
-    select_properties(properties)  # fail fast on unknown names
-    jobs = [(key, g, properties, config) for key, g in iter_graphs(corpus)]
-    if config.workers > 1 and len(jobs) > 1:
-        # imported here, so a one-process run never loads multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=config.workers) as pool:
-            graph_reports = list(pool.map(_eval_graph, jobs, chunksize=16))
-    else:
-        graph_reports = [_eval_graph(job) for job in jobs]
+# graphs a run with workers > 1 hands the pool at once; two windows are in
+# flight, so the workers do not wait between them, and at most two windows
+# of reports are held whatever the corpus size
+POOL_WINDOW = 256
 
-    holds = fails = skipped = limit_skips = 0
+
+def _graph_reports(corpus: CorpusSpec, properties: list[str] | None,
+                   config: Config) -> Iterator[dict]:
+    """_eval_graph of each corpus graph in corpus order, as iter_graphs
+    yields them; with config.workers > 1, a process pool evaluates them
+    POOL_WINDOW graphs at a time."""
+    jobs = ((key, g, properties, config) for key, g in iter_graphs(corpus))
+    window = list(islice(jobs, POOL_WINDOW)) if config.workers > 1 else []
+    if len(window) <= 1:
+        yield from map(_eval_graph, chain(window, jobs))
+        return
+    # imported here, so a one-process run never loads multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+    with ProcessPoolExecutor(max_workers=config.workers) as pool:
+        pending = pool.map(_eval_graph, window, chunksize=16)
+        while window:
+            window = list(islice(jobs, POOL_WINDOW))
+            ahead = pool.map(_eval_graph, window, chunksize=16)
+            yield from pending
+            pending = ahead
+
+
+def _tallied(reports: Iterable[dict], summary: dict) -> Iterator[dict]:
+    """The per-graph reports, passed through; once the last has passed,
+    summary holds the run's summary of them."""
+    graphs = holds = fails = skipped = limit_skips = 0
     skip_reasons: dict[str, int] = {}
     failures = []
-    for report in graph_reports:
+    for report in reports:
+        graphs += 1
         for result in report["results"]:
             if result["verdict"] == "holds":
                 holds += 1
@@ -1137,26 +1155,47 @@ def run(corpus: CorpusSpec, properties: list[str] | None = None,
                     limit_skips += 1
                 reason = result.get("reason", "")
                 skip_reasons[reason] = skip_reasons.get(reason, 0) + 1
+        yield report
+    summary.update({
+        "graphs": graphs,
+        "checks": holds + fails + skipped,
+        "holds": holds,
+        "fails": fails,
+        "skipped": skipped,
+        "limit_skips": limit_skips,
+        "skip_reasons": dict(sorted(skip_reasons.items())),
+        "failures": failures,
+    })
 
-    return {
+
+def stream_run(corpus: CorpusSpec, properties: list[str] | None = None,
+               config: Config | None = None
+               ) -> tuple[dict, Iterator[dict], dict]:
+    """run's report in three parts, for a writer that never holds it whole:
+    the report without "graphs" and "summary"; an iterator over the
+    per-graph reports in corpus order, which evaluates each graph as it is
+    read; and the summary, filled in once that iterator is exhausted."""
+    config = config if config is not None else Config()
+    selected = select_properties(properties)  # fail fast on unknown names
+    head = {
         "schema": 1,
         "kind": "property-run",
         "corpus": corpus.describe(),
-        "properties": [p.name for p in select_properties(properties)],
+        "properties": [p.name for p in selected],
         "config": {"oracle_limit": config.oracle_limit,
                    "use_oracle": config.use_oracle},
-        "graphs": graph_reports,
-        "summary": {
-            "graphs": len(graph_reports),
-            "checks": holds + fails + skipped,
-            "holds": holds,
-            "fails": fails,
-            "skipped": skipped,
-            "limit_skips": limit_skips,
-            "skip_reasons": dict(sorted(skip_reasons.items())),
-            "failures": failures,
-        },
     }
+    summary: dict = {}
+    graphs = _tallied(_graph_reports(corpus, properties, config), summary)
+    return head, graphs, summary
+
+
+def run(corpus: CorpusSpec, properties: list[str] | None = None,
+        config: Config | None = None) -> dict:
+    """Evaluate properties over a corpus; the report is in corpus order and
+    carries every failure witness. Worker count never changes the output."""
+    head, graphs, summary = stream_run(corpus, properties, config)
+    return {**head, "graphs": list(graphs), "summary": summary}
 
 
 # -- conjecture scan ---------------------------------------------------------

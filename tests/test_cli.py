@@ -1,12 +1,15 @@
 import hashlib
+import io
 import json
+import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from critset import cli, critical
+from critset import cli, critical, props
 
 FIXDIR = Path(__file__).resolve().parent.parent / "src/critset/fixtures"
 
@@ -216,16 +219,59 @@ def test_internal_error_exits_4_with_one_line(capsys, monkeypatch):
         "internal error: RecursionError('maximum recursion depth exceeded')"]
 
 
+def test_internal_error_mid_sweep_exits_4_with_a_truncated_report(
+        capsys, monkeypatch):
+    # the report is written graph by graph, so a check that breaks on the
+    # second graph leaves the first one's part of the report on stdout
+    code, full, _ = run_cli(capsys, "exhaustive", "--n", "3", "--json")
+    assert code == 0
+    first = props.registry()[0]
+
+    def broken(f):
+        if f.g.m:
+            raise RuntimeError("check broke")
+        return first.check(f)
+
+    monkeypatch.setattr(props, "_PROPERTIES",
+                        [first._replace(check=broken), *props.registry()[1:]])
+    code, out, err = run_cli(capsys, "exhaustive", "--n", "3", "--json")
+    assert code == cli.EXIT_INTERNAL == 4
+    assert err.splitlines() == ["internal error: RuntimeError('check broke')"]
+    assert '"key": "exhaustive:n=3:0"' in out
+    assert full.startswith(out) and len(out) < len(full)
+
+
+class _Discard(io.TextIOBase):
+    def write(self, text):
+        return len(text)
+
+
+@pytest.mark.parametrize("flags", [[], ["--json"]], ids=["text", "json"])
+def test_corpus_run_memory_does_not_grow_with_the_corpus(monkeypatch, flags):
+    # the 1,024 per-graph reports of the n = 5 sweep are rendered and
+    # dropped one by one; holding them all took 6 MB as text, 11 MB as JSON
+    monkeypatch.setattr(sys, "stdout", _Discard())
+    assert cli.main(["exhaustive", "--n", "2", *flags]) == 0
+    tracemalloc.start()
+    try:
+        code = cli.main(["exhaustive", "--n", "5", *flags])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak < 1 << 20, peak
+
+
 def test_workers_default_is_read_per_call(capsys, monkeypatch):
     # the parser is built once per process, so CRITSET_WORKERS must be read
     # by each call rather than frozen into the parser's default
     seen = []
 
-    def fake_run(corpus, names, config):
+    def fake_stream_run(corpus, names, config):
         seen.append(config.workers)
-        return {"summary": {"fails": 0, "limit_skips": 0}}
+        return {}, iter(()), {"fails": 0, "limit_skips": 0}
 
-    monkeypatch.setattr(cli, "run", fake_run)
+    monkeypatch.setattr(cli, "stream_run", fake_stream_run)
     for workers in ("3", "2"):
         monkeypatch.setenv("CRITSET_WORKERS", workers)
         assert run_cli(capsys, "exhaustive", "--n", "1", "--json")[0] == 0
@@ -474,6 +520,11 @@ PINNED_OUTPUTS = [
     (("exhaustive", "--n", "4", "--json"), 0,
      "7a981e5e7b8c304efc0755d9061a150f51d70a6dd50964c9a087f66d93423024"),
     (("exhaustive", "--n", "5", "--json"), 0,
+     "935cece80b2f56aea7f476ea2a79fc6fdeae918845a5e91957e3ac969e24f114"),
+    # the same two sweeps through the process pool's windows
+    (("exhaustive", "--n", "4", "--json", "--workers", "2"), 0,
+     "7a981e5e7b8c304efc0755d9061a150f51d70a6dd50964c9a087f66d93423024"),
+    (("exhaustive", "--n", "5", "--json", "--workers", "2"), 0,
      "935cece80b2f56aea7f476ea2a79fc6fdeae918845a5e91957e3ac969e24f114"),
     (("exhaustive", "--n", "5", "--json", "--no-oracle"), 0,
      "a8244b3ce90a2fc2d63a8a4e0a6913989e85d041a7fe821239f6b4c383feb896"),

@@ -436,6 +436,25 @@ def test_supermodular_reports_the_first_failing_pair(n):
     assert failed >= 40
 
 
+def test_supermodular_sample_is_drawn_once_per_n():
+    # every mask up to n = 7, else the seeded draw of 128, sorted; kept per
+    # n, so later checks at that n do not draw it again
+    props._supermodular_masks.cache_clear()
+    for n in (3, 7, 8, 13):
+        size = 1 << n
+        rng = random.Random(0x5D1A + n)
+        expect = (tuple(range(size)) if size <= 128 else
+                  tuple(sorted({rng.randrange(size) for _ in range(128)})))
+        masks = props._supermodular_masks(n)
+        assert masks == expect
+        assert props._supermodular_masks(n) is masks
+    prop = lookup("th4.supermodular")
+    for g in (random_graph(8, 0.3, 1), random_graph(13, 0.3, 2)):
+        assert evaluate(prop, Facts(g)).verdict == "holds"
+    info = props._supermodular_masks.cache_info()
+    assert (info.misses, info.currsize) == (4, 4)
+
+
 def test_d_eq_id_reports_d_values_off_a_corrupted_table():
     # one lane raised above d(G) + n breaks the identity; the witness gives
     # the subset and independent maxima as d values
