@@ -4,14 +4,14 @@ The polynomial routes all reduce to one maximum matching of the bipartite
 double cover H (v+ w- adjacent iff vw is an edge) and alternating
 reachability over it. H is never built: its plus and minus copies are both
 numbered by g's ids, and g's neighbour lists are its adjacency. The matching
-is computed once per graph and memoised on the Graph, so d, the witness, ker
-and diadem of one graph share it. The enumeration routes exist as oracles and
-are cross-checked in the tests.
+is computed once per graph and memoised on the Graph, so d, the witness, ker,
+diadem and the Ore side profile of a bipartite graph (ore.py) share it. The
+enumeration routes exist as oracles and are cross-checked in the tests.
 """
 
 from __future__ import annotations
 
-from itertools import compress
+from itertools import compress, filterfalse
 from typing import Iterator, NamedTuple
 
 from .graphs import (Graph, LimitExceeded, VertexSet, difference,
@@ -28,6 +28,7 @@ class _CoverMatching(NamedTuple):
     mate_plus: list[int]   # v+ -> w when v+ w- is matched, else -1
     mate_minus: list[int]  # w- -> v
     in_ker: bytearray      # 1 at the members of ker
+    near_ker: bytearray    # 1 at the members of N(ker)
     ker: VertexSet
 
 
@@ -80,7 +81,8 @@ def _greedy_cover_matching(nbrs, mate_plus: list[int],
 
 def _ker_matching(g: Graph) -> _CoverMatching:
     """Match the double cover and take ker as the plus copies that
-    alternating paths reach from the unmatched ones; memoised on g.
+    alternating paths reach from the unmatched ones; memoised on g. The
+    minus copies they reach are those of N(ker).
 
     Hopcroft-Karp starts from the greedy matching; d, ker and diadem are
     invariants of g, so which maximum matching it ends with does not matter.
@@ -92,12 +94,12 @@ def _ker_matching(g: Graph) -> _CoverMatching:
         mate_plus, mate_minus = [-1] * n, [-1] * n
         _greedy_cover_matching(nbrs, mate_plus, mate_minus)
         _max_matching_lists(nbrs, range(n), mate_plus, mate_minus)
-        in_ker = bytearray(n)
+        in_ker, near_ker = bytearray(n), bytearray(n)
         members, _ = _alternating_reach(
             nbrs, mate_minus, _unmatched(mate_plus, range(n)), in_ker,
-            bytearray(n))
+            near_ker)
         memo = g._cover = _CoverMatching(mate_plus, mate_minus, in_ker,
-                                         vset(members))
+                                         near_ker, vset(members))
     return memo
 
 
@@ -183,15 +185,13 @@ def diadem(g: Graph) -> VertexSet:
     looks at ker, reads the same from the reach outside ker: the members of
     ker are marked complete with an empty reach before the pass, and the
     answer is ker plus the candidates that pass. The pass starts only at
-    candidates, the vertices outside ker with no neighbour in it, so it is
-    linear in the part of the digraph they reach outside ker, plus one
-    bitmask OR per edge that leaves a component; the masks take O(n) bits
-    per component.
+    candidates, the vertices outside ker and N(ker), so it is linear in the
+    part of the digraph they reach outside ker, plus one bitmask OR per edge
+    that leaves a component; the masks take O(n) bits per component.
     """
     cover = _ker_matching(g)
     n, nbrs = g.n, g.nbrs
-    mate_minus = cover.mate_minus
-    candidate = bytearray(b"\1") * n
+    mate_minus, near = cover.mate_minus, cover.near_ker
     order = [0] * n  # 1 + discovery number, 0 while unvisited
     low = [0] * n
     reach = [-1] * n  # the component's reach once it is complete, else -1
@@ -199,13 +199,11 @@ def diadem(g: Graph) -> VertexSet:
         # ker is in diadem and no edge leaves it, so it is never walked
         order[k] = 1
         reach[k] = 0
-        for v in nbrs[k]:
-            candidate[v] = 0
     gathered = [0] * n  # reach gathered below a vertex still on the path
     stack: list[int] = []
     members = []
     count = 0
-    for root in compress(range(n), candidate):
+    for root in filterfalse(near.__getitem__, range(n)):
         if order[root]:
             continue
         count += 1
@@ -253,7 +251,7 @@ def diadem(g: Graph) -> VertexSet:
                         break
                 for x in scc:
                     reach[x] = mask
-                    if candidate[x]:
+                    if not near[x]:
                         for w in nbrs[x]:
                             if mask >> w & 1:
                                 break

@@ -6,7 +6,7 @@ serves both the matchings between two vertex sets of a graph and the
 matching of the double cover, which is never built: critical.py runs the
 kernel with the plus and minus copies both numbered by the graph's ids, and
 memoises the result on the Graph. One alternating-reach traversal serves the
-double cover, the Ore side rules and the Hall violator.
+double cover, whose reach also gives the Ore side sets, and the Hall violator.
 """
 
 from __future__ import annotations
@@ -152,10 +152,9 @@ def maximum_matching_bipartite(g: Graph, parts: BipartitePartition) -> Matching:
     return Matching._of(_hopcroft_karp(g, parts.side_a, parts.side_b))
 
 
-def _check_parts(g: Graph, parts: BipartitePartition) -> bytes:
-    """Raise ValueError unless parts splits V with no edge inside a side;
-    return the flags of side_a. An edge inside side_a is named first, even
-    when side_b has one too."""
+def _check_parts(g: Graph, parts: BipartitePartition) -> None:
+    """Raise ValueError unless parts splits V with no edge inside a side. An
+    edge inside side_a is named first, even when side_b has one too."""
     a, b = parts
     if a & b or (a | b) != g.full:
         raise ValueError("partition sides must split V")
@@ -170,7 +169,6 @@ def _check_parts(g: Graph, parts: BipartitePartition) -> bytes:
                 break
     if inner_b:
         raise ValueError("edge inside side_b")
-    return in_a
 
 
 def _unmatched(mate: list[int], ids: Iterable[int]) -> list[int]:

@@ -3,23 +3,27 @@
 For bipartite g = (A, B, E) and X inside one side, the deficiency of X is
 |X| - |N(X)|; its maximum over one side is delta0, and d(g) is the sum of
 the two sides' maxima. The sets attaining it are closed under union and
-intersection. The smallest (side kernel) and the largest (side diadem) are
-read off one maximum matching between the sides by alternating reachability.
-ore_profile computes delta0, the kernel and the diadem of both sides from
-that one matching; the tests check all six against subset enumeration and
-against the per-vertex deletion and forcing rules. How the sides' kernels
-and diadems make up ker and diadem is checked by the registry property
-bipartite.kernel_split.
+intersection; the smallest is the side kernel and the largest the side
+diadem. The double cover of g is two copies of g, A+ with B- and B+ with A-,
+so the cover matching that critical.py memoises on g holds a maximum
+matching between the sides in each direction, and its one alternating reach
+gives every side set: a side's kernel is ker within the side, and its diadem
+is the side minus N(ker). ore_profile reads delta0, the kernel and the
+diadem of both sides off that memo. The sides' kernels therefore make up ker
+by construction; the tests check all six values against subset enumeration
+and against the per-vertex deletion and forcing rules.
 """
 
 from __future__ import annotations
 
+from itertools import compress
 from typing import Callable, Iterator, Literal, NamedTuple
 
-from .critical import ORACLE_LIMIT, _enumerate_target_sets
+from .critical import (ORACLE_LIMIT, _enumerate_target_sets, _ker_matching,
+                       critical_difference)
 from .graphs import (BipartitePartition, Graph, LimitExceeded, VertexSet,
                      difference, vset)
-from .matching import _alternating_reach, _check_parts, _hopcroft_karp
+from .matching import _check_parts
 
 Side = Literal["A", "B"]
 
@@ -42,27 +46,18 @@ def _side_index(side: Side) -> int:
 
 
 def ore_profile(g: Graph, parts: BipartitePartition) -> OreProfile:
-    """delta0, side kernel and side diadem of both sides from one maximum
-    matching between the sides.
-
-    delta0 of a side is its size minus the matching number. A side's kernel
-    is what alternating paths reach in the side from its unmatched vertices;
-    a side's diadem is the side minus what they reach in it from the other
-    side's unmatched vertices.
-    """
-    in_a = _check_parts(g, parts)
-    mate = _hopcroft_karp(g, parts.side_a, parts.side_b)
-    free_a = [v for v in range(g.n) if mate[v] == -1 and in_a[v]]
-    free_b = [v for v in range(g.n) if mate[v] == -1 and not in_a[v]]
-    mu = (g.n - len(free_a) - len(free_b)) // 2
-    seen = bytearray(g.n)
-    a_from_a, b_from_a = _alternating_reach(g.nbrs, mate, free_a, seen, seen)
-    seen = bytearray(g.n)
-    b_from_b, a_from_b = _alternating_reach(g.nbrs, mate, free_b, seen, seen)
+    """delta0, side kernel and side diadem of both sides, read off the
+    double cover's memoised matching: a side's delta0 is its size minus the
+    matching number (n - d) / 2, its kernel is ker within it, and its diadem
+    is the side minus N(ker)."""
+    _check_parts(g, parts)
+    cover = _ker_matching(g)
+    mu = (g.n - critical_difference(g)) // 2
+    kr, near = cover.ker, vset(compress(range(g.n), cover.near_ker))
     side_a, side_b = parts
     return OreProfile(side_a.bit_count() - mu, side_b.bit_count() - mu,
-                      vset(a_from_a), vset(b_from_b),
-                      side_a & ~vset(a_from_b), side_b & ~vset(b_from_a))
+                      kr & side_a, kr & side_b,
+                      side_a & ~near, side_b & ~near)
 
 
 def is_side_critical(g: Graph, parts: BipartitePartition, side: Side,

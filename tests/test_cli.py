@@ -3,13 +3,16 @@ import io
 import json
 import sys
 import tracemalloc
+from collections import Counter
 from pathlib import Path
 
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from critset import cli, critical, props
+from critset import cli, critical, ke, matching, mis, ore, props
+from critset.fixtures import load
+from critset.graphs import random_bipartite
 
 FIXDIR = Path(__file__).resolve().parent.parent / "src/critset/fixtures"
 
@@ -59,6 +62,34 @@ def test_analyze_bipartite_block(capsys):
         "  ker_B    = b5 b6 b7",
         "  diadem_A = a1 a2 a3 a4 a5",
         "  diadem_B = b2 b3 b4 b5 b6 b7"]
+
+
+def test_bipartite_analyze_runs_one_hopcroft_karp(monkeypatch):
+    # the Ore side profile is read off the double cover's memoised matching,
+    # so a bipartite analyze runs Hopcroft-Karp and the alternating reach
+    # once each, on the cover, besides the blossom matching behind mu
+    calls = Counter()
+
+    def counted(name, f):
+        def wrapper(*args):
+            calls[name] += 1
+            return f(*args)
+        return wrapper
+
+    for name in ("_max_matching_lists", "_alternating_reach",
+                 "maximum_matching_general"):
+        f = getattr(matching, name)
+        # every module that imports the routine by name
+        for module in (matching, critical, ore, mis, ke, props, cli):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counted(name, f))
+    # random_bipartite(10, 12, 0.1, 4) has six components with an edge
+    for g in (load("fig233").graph, random_bipartite(10, 12, 0.1, 4)):
+        calls.clear()
+        report = cli.analyze_graph(props.Facts(g))
+        assert "ore" in report
+        assert calls == {"_max_matching_lists": 1, "_alternating_reach": 1,
+                         "maximum_matching_general": 1}
 
 
 def test_analyze_no_oracle_strict_exits_3(capsys):

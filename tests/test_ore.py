@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 import oracles as o
@@ -7,18 +9,65 @@ from critset.critical import (critical_difference,
 from critset.fixtures import load
 from critset.graphs import (BipartitePartition, LimitExceeded, bipartition,
                             complete_bipartite, cycle_graph, difference,
-                            neighborhood, path_graph)
+                            graph_from_code, neighborhood, path_graph)
 from critset.matching import saturating_matching
 from critset.mis import alpha
 from critset.ore import (enumerate_side_critical_sets, is_side_critical,
                          ore_profile)
 
 
+def components(g):
+    """The vertex sets of g's connected components, as bitmasks."""
+    adj, out, rest = adj_of(g), [], g.full
+    while rest:
+        comp = frontier = rest & -rest
+        while frontier:
+            grown = comp
+            for v in o.bits(frontier):
+                grown |= adj[v]
+            frontier, comp = grown & ~comp, grown
+        out.append(comp)
+        rest &= ~comp
+    return out
+
+
+def flipped(g, swap):
+    """bipartition(g) with the sides swapped inside swap, a union of
+    components."""
+    side_a = bipartition(g).side_a ^ swap
+    return BipartitePartition(side_a, g.full ^ side_a)
+
+
+def every_bipartition(g):
+    """Every valid bipartition of a bipartite g: each component either way."""
+    comps = components(g)
+    for code in range(1 << len(comps)):
+        yield flipped(g, sum(c for k, c in enumerate(comps) if code >> k & 1))
+
+
+def random_bipartition(g, rng):
+    return flipped(g, sum(c for c in components(g) if rng.random() < 0.5))
+
+
 def bipartite_n5(graphs_n5):
+    """Every bipartite labeled graph with n <= 5 under every valid
+    bipartition, not only bipartition(g)'s."""
     for g in graphs_n5:
-        parts = bipartition(g)
-        if parts is not None:
-            yield g, parts
+        if bipartition(g) is not None:
+            for parts in every_bipartition(g):
+                yield g, parts
+
+
+def oracle_pairs(graphs_n5):
+    """bipartite_n5, then 300 seeded bipartite labeled graphs with n = 6,
+    each under a random valid bipartition."""
+    yield from bipartite_n5(graphs_n5)
+    rng = random.Random(6)
+    for _ in range(300):
+        g = graph_from_code(6, rng.getrandbits(15))
+        while bipartition(g) is None:
+            g = graph_from_code(6, rng.getrandbits(15))
+        yield g, random_bipartition(g, rng)
 
 
 def mask_of(g, labels):
@@ -37,7 +86,7 @@ def fig233_setup():
 
 
 def test_delta0_matches_subset_oracle(graphs_n5):
-    for g, parts in bipartite_n5(graphs_n5):
+    for g, parts in oracle_pairs(graphs_n5):
         adj = adj_of(g)
         p = ore_profile(g, parts)
         assert p.delta0_a == o.brute_delta0(g.n, adj, parts.side_a)
@@ -52,7 +101,7 @@ def test_delta0_is_symmetric_under_side_swap(graphs_n5):
 
 
 def test_side_kernel_matches_oracle(graphs_n5):
-    for g, parts in bipartite_n5(graphs_n5):
+    for g, parts in oracle_pairs(graphs_n5):
         adj = adj_of(g)
         p = ore_profile(g, parts)
         assert p.ker_a == o.brute_side_kernel(g.n, adj, parts.side_a)
@@ -60,19 +109,29 @@ def test_side_kernel_matches_oracle(graphs_n5):
 
 
 def test_side_diadem_matches_oracle(graphs_n5):
-    for g, parts in bipartite_n5(graphs_n5):
+    for g, parts in oracle_pairs(graphs_n5):
         adj = adj_of(g)
         p = ore_profile(g, parts)
         assert p.diadem_a == o.brute_side_diadem(g.n, adj, parts.side_a)
         assert p.diadem_b == o.brute_side_diadem(g.n, adj, parts.side_b)
 
 
+def test_every_bipartition_counts_each_component_both_ways(graphs_n5):
+    pairs = list(bipartite_n5(graphs_n5))
+    assert len(pairs) == len(set(pairs)) == 1639
+    assert sum(parts == bipartition(g) for g, parts in pairs) == sum(
+        bipartition(g) is not None for g in graphs_n5)
+
+
 def test_side_rules_match_per_vertex_rules_past_oracle_reach():
+    # the mid_sample graphs with n = 12..80, each bipartite one under a
+    # random valid bipartition; under 1 s
+    rng = random.Random(43)
     checked = 0
     for g in mid_sample(seed=43):
-        parts = bipartition(g)
-        if parts is None:
+        if bipartition(g) is None:
             continue
+        parts = random_bipartition(g, rng)
         adj = adj_of(g)
         p = ore_profile(g, parts)
         for mask, d0, kernel, dia in zip(
