@@ -32,9 +32,7 @@ from .matching import maximum_matching_general, saturating_matching
 FAMILY_CAP = 20000
 # the largest n at which Facts reads the critical, minimal positive and
 # maximum independent families off the independent masks and the subset
-# tables; above it the pruned DFSs run. Over a full registry pass the
-# tables won at every n = 12..18 and p = 0.15, 0.3, 0.5 measured: by 3-10%
-# at p = 0.5 and by 33-51% at p = 0.15
+# tables; above it the pruned DFSs run (the README gives the crossover)
 TABLE_MAX_N = 18
 # the largest n at which th4.supermodular first checks the 2x2 squares of
 # the subset lattice on the table read as one integer; above it the pair
@@ -186,20 +184,20 @@ class Facts:
             self.g, self.alpha(), self.mu(), self.d(), self.core(),
             self.corona(), self.ker(), self.diadem())
 
-    def tables(self) -> list[int]:
-        """d(X) + n for every subset mask X, at index X; the brute-force
+    def tables(self) -> bytes:
+        """d(X) + n for every subset mask X, in byte X; the brute-force
         ground truth, behind the oracle switch."""
         self.require_oracle()
         return self._subset_tables()
 
-    def _subset_tables(self) -> list[int]:
+    def _subset_tables(self) -> bytes:
         """tables() without the oracle switch, for the unguarded readers.
 
         Built in byte lanes, one lane per mask: d(m) + n lies in 0..2n, so
         no lane carries into the next. Lane m of the plane of w is 1 iff w
         is in N(m), the OR of the planes of w's neighbours; the planes of
         all w sum to |N(m)|, which comes off |m| + n. The lanes are read
-        out as a list, which indexes faster than bytes.
+        out as bytes, which the whole-table checks search in C.
         """
         def compute():
             g = self.g
@@ -212,7 +210,7 @@ class Facts:
                 for v in vs:
                     hit |= planes[v]
                 lanes -= hit
-            return list(lanes.to_bytes(1 << g.n, "little"))
+            return lanes.to_bytes(1 << g.n, "little")
         return self._get("tables", compute)
 
     def _on_tables(self) -> bool:
@@ -428,7 +426,10 @@ def _positive_d_only(f: Facts) -> str | None:
 
 def _check_d_eq_id(f: Facts) -> tuple[bool, dict | None]:
     table, n = f.tables(), f.g.n
-    best_all = max(table) - n
+    # corrupted lanes above 2n, else the top lane
+    top = table.translate(None, bytes(range(2 * n + 1)))
+    best_all = (max(top) if top else next(
+        v for v in range(2 * n, -1, -1) if v in table)) - n
     best_ind = max(map(table.__getitem__, f._independent_masks())) - n
     ok = f.d() == best_all == best_ind
     return ok, None if ok else {
@@ -448,7 +449,7 @@ def _supermodular_masks(n: int) -> tuple[int, ...]:
     return tuple(sorted({rng.randrange(size) for _ in range(128)}))
 
 
-def _squares_hold(table: list[int], n: int) -> bool:
+def _squares_hold(table: bytes, n: int) -> bool:
     """Whether t(X+u+v) + t(X) >= t(X+u) + t(X+v) for every X and u != v
     outside X, which on the subset lattice is supermodularity over all pairs
     (Topkis, Oper. Res. 26, 1978; Lovász 1983).
@@ -464,7 +465,7 @@ def _squares_hold(table: list[int], n: int) -> bool:
     below 0, but they all hold v, and a borrow runs only upward.
     """
     pad, masks = _square_masks(n)
-    t = int.from_bytes(bytes(table), "little")
+    t = int.from_bytes(table, "little")
     for u, row in enumerate(masks):
         m = (t >> (8 << u)) + pad - t
         rest = pad - m
@@ -480,10 +481,9 @@ def _check_supermodular(f: Facts) -> tuple[bool, dict | None]:
     # names the first failing pair, or holds where its sample misses them
     if n <= LATTICE_MAX_N and _squares_hold(table, n):
         return True, None
-    masks = _supermodular_masks(n)
+    masks, table = _supermodular_masks(n), list(table)  # faster subscripts
     # each side sums two lanes, so the offset n cancels; the inequality is
-    # symmetric in a and b, so the first failing pair in row-major order
-    # over masks x masks has b at or after a
+    # symmetric, so the first failing pair in row-major order has b >= a
     for i, a in enumerate(masks):
         da = table[a]
         for b in masks[i:]:
@@ -499,16 +499,16 @@ def _check_supermodular(f: Facts) -> tuple[bool, dict | None]:
 def _check_critical_closure(f: Facts) -> tuple[bool, dict | None]:
     table, n, d0 = f.tables(), f.g.n, f.d()
     lane = d0 + n
-    # the critical masks are the lanes holding d0 + n; counted and found
-    # by the list's own scans, as they are few
+    # critical lanes hold d0 + n, found by byte searches; (a, b) fails iff
+    # (b, a) does, and (a, a) holds, so b is scanned after a
     crit, m = [], -1
     for _ in range(table.count(lane)):
         m = table.index(lane, m + 1)
         crit.append(m)
     if len(crit) > 256:
         crit = crit[::len(crit) // 256 + 1]
-    for a in crit:
-        for b in crit:
+    for i, a in enumerate(crit):
+        for b in crit[i + 1:]:
             if table[a | b] != lane or table[a & b] != lane:
                 return False, {
                     "a": f.labels(a), "b": f.labels(b), "d": d0,
@@ -714,12 +714,9 @@ def _check_ke_difference_identities(f: Facts) -> tuple[bool, dict | None]:
 def _check_ke_iff_every_mis_critical(f: Facts) -> tuple[bool, dict | None]:
     g, d0 = f.g, f.d()
     recognized = f.is_ke()
-    bad_mis = None
     # no oracle guard, as before: one would change --no-oracle reports
-    for s in f._maximum_independent_sets():
-        if difference(g, s) != d0:
-            bad_mis = s
-            break
+    bad_mis = next((s for s in f._maximum_independent_sets()
+                    if difference(g, s) != d0), None)
     all_critical = bad_mis is None
     via_critical = f._critical_pass()[1].bit_count() == f.alpha()
     ok = recognized == all_critical == via_critical

@@ -171,6 +171,7 @@ def test_result_types_stay_frozen_and_compare_by_value(index):
 def test_facts_are_cached():
     facts = Facts(path_graph(5))
     assert facts.tables() is facts.tables()
+    assert type(facts.tables()) is bytes and len(facts.tables()) == 1 << 5
     assert facts.mis_profile() is facts.mis_profile()
     assert facts.d() == 1 and facts.d() == 1
 
@@ -397,7 +398,7 @@ def test_square_route_agrees_with_every_pair():
         expect = _supermodular_by_pairs(bad, n)
         verdicts[expect] += 1
         assert props._squares_hold(bad, n) == expect, (n, bad)
-        facts._cache["tables"] = bad
+        facts._cache["tables"] = bytes(bad)
         assert prop.check(facts)[0] == expect, (n, bad)
     assert min(verdicts.values()) >= 1000, verdicts
 
@@ -422,7 +423,7 @@ def test_supermodular_reports_the_first_failing_pair(n):
             m = rng.choice(masks) if rng.random() < 0.8 else rng.randrange(
                 1 << n)
             bad[m] += rng.choice([-2, -1, 1, 2])
-        facts._cache["tables"] = list(bad)
+        facts._cache["tables"] = bytes(bad)
         ok, witness = prop.check(facts)
         first = _first_failing_pair(bad, masks)
         assert ok == (first is None)
@@ -468,11 +469,37 @@ def test_d_eq_id_reports_d_values_off_a_corrupted_table():
             d0, m, k = facts.d(), rng.randrange(1 << n), rng.choice([1, 2])
             bad = bytearray(facts.tables())
             bad[m] = d0 + n + k
-            facts._cache["tables"] = list(bad)
+            facts._cache["tables"] = bytes(bad)
             assert prop.check(facts) == (False, {
                 "d_polynomial": d0, "max_over_subsets": d0 + k,
                 "max_over_independent":
                     d0 + k if is_independent(g, m) else d0})
+
+
+def test_d_eq_id_maximum_stays_exact_past_2n():
+    # no valid lane exceeds 2n, but a corrupted one may hold anything up to
+    # 255; with several lanes raised at once, or every top lane lowered, the
+    # witness must give what max() over the corrupted table gives
+    prop = lookup("zhang.d_eq_id")
+    rng = random.Random(14)
+    for n in (0, 1, 2, 5, 9, 12):
+        for _ in range(10):
+            g = random_graph(n, rng.choice([0.2, 0.5]), rng.getrandbits(32))
+            facts = Facts(g)
+            d0, ind = facts.d(), facts._independent_masks()
+            bad = bytearray(facts.tables())
+            if rng.random() < 0.2 and d0 + n:
+                bad = bad.replace(bytes([d0 + n]), bytes([d0 + n - 1]))
+            for _ in range(rng.randrange(4)):
+                bad[rng.randrange(1 << n)] = rng.choice(
+                    [2 * n, 2 * n + 1, 2 * n + 2, 255, d0 + n + 1])
+            facts._cache["tables"] = bytes(bad)
+            best_all = max(bad) - n
+            best_ind = max(bad[m] for m in ind) - n
+            ok = d0 == best_all == best_ind
+            assert prop.check(facts) == (ok, None if ok else {
+                "d_polynomial": d0, "max_over_subsets": best_all,
+                "max_over_independent": best_ind}), (n, bytes(bad))
 
 
 def test_critical_closure_reports_the_first_failing_pair_in_d_values():
@@ -494,7 +521,7 @@ def test_critical_closure_reports_the_first_failing_pair_in_d_values():
                 bad[rng.randrange(1 << n)] = d0 + n
             else:
                 bad[rng.choice(crit)] -= 1
-            facts._cache["tables"] = list(bad)
+            facts._cache["tables"] = bytes(bad)
             crit = [m for m in range(1 << n) if bad[m] - n == d0]
             if len(crit) > 256:
                 crit = crit[::len(crit) // 256 + 1]
@@ -511,6 +538,48 @@ def test_critical_closure_reports_the_first_failing_pair_in_d_values():
                     "d_union": bad[a | b] - n,
                     "d_intersection": bad[a & b] - n}
     assert failed >= 30
+
+
+@pytest.mark.parametrize("k", [6, 7])
+def test_critical_closure_reports_the_first_failing_pair_of_the_sample(k):
+    # on k disjoint edges every mask has d = 0 and is critical, so past 256
+    # critical masks the check pairs up a strided sample of them; one lane
+    # moved off d0 + n drops its mask, and the witness must be the first
+    # failing pair of a full row-major scan over the sample. Half the
+    # corrupted lanes are the union of two masks before them in the sample,
+    # so those two stay in it and the check must fail
+    prop = lookup("th4.critical_closed_union_intersection")
+    n, rng = 2 * k, random.Random(k)
+    g = graphs.Graph(n, [(2 * i, 2 * i + 1) for i in range(k)])
+    stride = ((1 << n) - 1) // 256 + 1
+    failed = 0
+    for trial in range(12):
+        facts = Facts(g)
+        bad = bytearray(facts.tables())
+        assert facts.d() == 0 and bad.count(n) == 1 << n
+        if trial % 2:
+            c = rng.randrange(1 << n)
+        else:
+            a = b = 0
+            while a | b in (a, b):
+                a, b = rng.sample(range(0, 1 << n, stride), 2)
+            c = a | b
+        bad[c] = n + rng.choice([-1, 1])
+        facts._cache["tables"] = bytes(bad)
+        crit = [m for m in range(1 << n) if bad[m] == n]
+        crit = crit[::len(crit) // 256 + 1]
+        assert len(crit) <= 256
+        first = next(((a, b) for a in crit for b in crit
+                      if bad[a | b] != n or bad[a & b] != n), None)
+        ok, witness = prop.check(facts)
+        assert ok == (first is None)
+        if first is not None:
+            failed += 1
+            a, b = first
+            assert witness == {
+                "a": g.label_list(a), "b": g.label_list(b), "d": 0,
+                "d_union": bad[a | b] - n, "d_intersection": bad[a & b] - n}
+    assert failed >= 6
 
 
 def test_tables_match_the_per_mask_definition():
