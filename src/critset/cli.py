@@ -92,6 +92,9 @@ def _render(o, nl: str, memo: dict) -> str:
 
 
 def _config(args: argparse.Namespace) -> Config:
+    if args.oracle_limit < 0:
+        raise ValueError(
+            f"--oracle-limit needs N >= 0, got {args.oracle_limit}")
     # the parser outlives one call, so CRITSET_WORKERS is read here, per call
     workers = default_workers() if args.workers is None else args.workers
     return Config(oracle_limit=args.oracle_limit,

@@ -5,10 +5,12 @@ applicability guard and a witness-producing check. The runner hands each graph
 one lazily filled fact cache, so a registry sweep costs one set of invariants
 per graph rather than one per property: every check reads that cache, and one
 pass over the registry runs alpha and the critical and maximum independent
-enumerations at most once per graph and the blossom matching once. Up to
-TABLE_MAX_N vertices those enumerations are read off the list of independent
-masks and the subset tables instead. Anything exponential sits behind the
-oracle limit and reports itself as skipped instead of silently passing.
+enumerations at most once per graph and the blossom matching once. The
+critical and minimal positive families are read off the list of independent
+masks and the subset tables, which zhang.d_eq_id reads too; so are the
+maximum independent sets up to TABLE_MAX_N vertices. Anything exponential sits
+behind the oracle limit and reports itself as skipped instead of silently
+passing.
 """
 
 from __future__ import annotations
@@ -30,9 +32,9 @@ from .graphs import (EXHAUSTIVE_MAX_N, Graph, LimitExceeded, VertexSet,
 from .matching import maximum_matching_general, saturating_matching
 
 FAMILY_CAP = 20000
-# the largest n at which Facts reads the critical, minimal positive and
-# maximum independent families off the independent masks and the subset
-# tables; above it the pruned DFSs run (the README gives the crossover)
+# the largest n at which Facts reads the maximum independent sets off the
+# independent masks; above it the pruned DFS runs (the README gives the
+# crossover)
 TABLE_MAX_N = 18
 # the largest n at which th4.supermodular first checks the 2x2 squares of
 # the subset lattice on the table read as one integer; above it the pair
@@ -155,14 +157,15 @@ class Facts:
 
     def _maximum_independent_sets(self) -> Iterable[VertexSet]:
         """The maximum independent sets in include-first order, found once
-        per graph and shared by every reader: off the independent masks at
-        small n, else by one DFS that runs only as far as the readers ask.
+        per graph and shared by every reader: off the independent masks up
+        to TABLE_MAX_N, else by one DFS that runs only as far as the readers
+        ask.
         The DFS checks the enumeration limit, then reads the cached alpha;
         the cache holds a tee of it that nothing advances, and each reader
         gets a copy, which starts at the first set. Not guarded by the
         oracle switch."""
         def compute():
-            if self._on_tables():
+            if self.g.n <= min(TABLE_MAX_N, self.config.oracle_limit):
                 a = self.alpha()
                 return [m for m in self._independent_masks()
                         if m.bit_count() == a]
@@ -213,12 +216,6 @@ class Facts:
             return lanes.to_bytes(1 << g.n, "little")
         return self._get("tables", compute)
 
-    def _on_tables(self) -> bool:
-        """Whether the enumeration-backed families come off the independent
-        masks and the subset tables; where they do, no oracle or enumeration
-        limit can fire."""
-        return self.g.n <= min(TABLE_MAX_N, self.config.oracle_limit)
-
     def _independent_masks(self) -> list[VertexSet]:
         """The independent masks in include-first order, the order the DFSs
         yield them in: of two masks, the one holding the lowest vertex where
@@ -235,28 +232,17 @@ class Facts:
         return self._get("independent_masks", compute)
 
     def _critical_pass(self) -> tuple[list[VertexSet] | None, VertexSet]:
-        """One enumeration of the critical independent sets: the family, or
-        None past FAMILY_CAP members, and the maximum one, uncapped, with
+        """The critical independent sets, the independent masks whose lane
+        holds d + n, in include-first order: the family, or None past
+        FAMILY_CAP members, and the maximum one, uncapped, with
         mis.maximum_critical_independent_set's tie rule. Not guarded by the
         oracle switch; the public readers check it."""
         def compute():
-            if self._on_tables():
-                table = self._subset_tables()
-                lane = self.d() + self.g.n
-                sets = [m for m in self._independent_masks()
-                        if table[m] == lane]
-                return ((sets if len(sets) <= FAMILY_CAP else None),
-                        mis._maximum_critical(sets))
-            fam: list[VertexSet] = []
-
-            def sets() -> Iterator[VertexSet]:
-                for s in critical.enumerate_critical_independent_sets(
-                        self.g, self.config.oracle_limit):
-                    if len(fam) <= FAMILY_CAP:
-                        fam.append(s)
-                    yield s
-            best = mis._maximum_critical(sets())
-            return (fam if len(fam) <= FAMILY_CAP else None), best
+            table = self._subset_tables()
+            lane = self.d() + self.g.n
+            sets = [m for m in self._independent_masks() if table[m] == lane]
+            return ((sets if len(sets) <= FAMILY_CAP else None),
+                    mis._maximum_critical(sets))
         return self._get("critical_pass", compute)
 
     def critical_ind_family(self) -> list[VertexSet]:
@@ -293,19 +279,17 @@ class Facts:
 
     def minimal_positives(self) -> list[VertexSet]:
         """The inclusion-minimal independent sets with d >= 1, in
-        include-first order."""
+        include-first order, off the independent masks and the subset
+        tables."""
         def compute():
             self.require_oracle()
-            if not self._on_tables():
-                return list(critical.minimal_positive_independent_sets(
-                    self.g, self.config.oracle_limit))
             table, n = self._subset_tables(), self.g.n
-            ind = self._independent_masks()
-            # positive[m]: m or a subset of m has d >= 1; in increasing order
-            # every subset of m comes before m
+            # positive[m]: m or a subset of m has d >= 1; include-first
+            # order puts every superset of m before m, so its reverse
+            # reaches every subset of m first
             positive = bytearray(1 << n)
-            minimal = set()
-            for m in sorted(ind):
+            minimal = []
+            for m in reversed(self._independent_masks()):
                 rest = m
                 while rest:
                     low = rest & -rest
@@ -316,8 +300,8 @@ class Facts:
                 else:
                     if table[m] > n:
                         positive[m] = 1
-                        minimal.add(m)
-            return [m for m in ind if m in minimal]
+                        minimal.append(m)
+            return minimal[::-1]
         return self._get("minimal_positives", compute)
 
     def max_critical_ind(self) -> VertexSet:
@@ -1037,6 +1021,9 @@ def parse_corpus_spec(text: str) -> CorpusSpec:
                                      f"{EXHAUSTIVE_MAX_N}, got {n}")
                 sources.append(CorpusSource("exhaustive", (n,)))
             elif kind == "random":
+                if not (isinstance(entry["n"], list) and len(entry["n"]) == 2):
+                    raise ValueError(f"random source needs n = [lo, hi], "
+                                     f"got {json.dumps(entry['n'])}")
                 lo, hi = (_spec_int(kind, "n", v) for v in entry["n"])
                 if isinstance(entry["p"], bool):
                     raise ValueError(f"random source needs a number p, "

@@ -210,12 +210,19 @@ def test_negative_exhaustive_order_exits_2(capsys, tmp_path, monkeypatch,
       "seed": 1},
      "error: random source needs 0 <= p <= 1, got p = nan\n"),
     ({"kind": "random", "n": [3, 4], "p": True, "count": 2, "seed": 1},
-     "error: random source needs a number p, got true\n")])
+     "error: random source needs a number p, got true\n"),
+    ({"kind": "random", "n": "34", "p": 0.3, "count": 2, "seed": 1},
+     'error: random source needs n = [lo, hi], got "34"\n'),
+    ({"kind": "random", "n": [3], "p": 0.3, "count": 2, "seed": 1},
+     "error: random source needs n = [lo, hi], got [3]\n"),
+    ({"kind": "random", "n": [3, 4, 5], "p": 0.3, "count": 2, "seed": 1},
+     "error: random source needs n = [lo, hi], got [3, 4, 5]\n")])
 def test_out_of_range_corpus_source_exits_2(capsys, tmp_path, source, err):
     # an exhaustive order past the stream's bound is a usage error, as for
     # `exhaustive --n 8`; a negative count or order is no clean run, a path
-    # string is not read letter by letter, and a float or bool in an integer
-    # field is not truncated to some other corpus
+    # string and a string n are not read letter by letter, n holds exactly
+    # two bounds, and a float or bool in an integer field is not truncated
+    # to some other corpus
     spec = tmp_path / "c.json"
     spec.write_text(json.dumps({"sources": [source]}))
     assert run_cli(capsys, "conjecture", "--corpus", str(spec)) == (2, "", err)
@@ -226,6 +233,15 @@ def test_negative_fuzz_count_exits_2(capsys):
     assert run_cli(capsys, "fuzz", "--n", "3..4", "--p", "0.3", "--count",
                    "-1", "--seed", "1") == (
         2, "", "error: random source needs count >= 0, got -1\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ("analyze", str(FIXDIR / "fig511.edges"), "--oracle-limit", "-1"),
+    ("exhaustive", "--n", "3", "--oracle-limit", "-5")])
+def test_negative_oracle_limit_exits_2(capsys, argv):
+    # no clean run with every oracle field or check skipped
+    assert run_cli(capsys, *argv) == (
+        2, "", f"error: --oracle-limit needs N >= 0, got {argv[-1]}\n")
 
 
 @pytest.mark.parametrize("p", ["1.5", "-0.25", "nan"])
@@ -591,6 +607,11 @@ PINNED_OUTPUTS = [
     (("fuzz", "--n", "17..20", "--p", "0.3", "--count", "6", "--seed", "4",
       "--json"), 0,
      "d158375d2c3d68090cdbbd3dd4cc71b5329dc6d49a93972bad7bd03b8200313f"),
+    # computed before the critical and minimal positive families came off
+    # the subset tables above n = 18: sparse graphs, with large families
+    (("fuzz", "--n", "19..20", "--p", "0.1", "--count", "4", "--seed", "6",
+      "--json"), 0,
+     "1264784749c1c62eae726d002b027e28c3ad4687f535509a71b0e15cde61196d"),
     # computed before the d table was kept as bytes: sparse graphs, with
     # dozens to hundreds of critical masks for the closure's pair scan, and
     # dense ones

@@ -223,9 +223,11 @@ def test_registry_pass_runs_each_oracle_fact_once(graphs_n5, monkeypatch):
     # every check reads Facts, so one registry pass per graph runs alpha,
     # the critical independent enumeration and the maximum independent one
     # at most once and the blossom matching once, whichever module a check
-    # would reach them through; the enumerations run above TABLE_MAX_N, up
-    # to the oracle limit (past it they raise at the call, uncached)
-    calls = {"alpha": 0, "blossom": 0, "critical": 0, "mis": 0}
+    # would reach them through; the critical and minimal positive families
+    # come off the subset tables at every n up to the oracle limit, so
+    # their DFSs never run, and the maximum independent DFS runs above
+    # TABLE_MAX_N (past the oracle limit it raises at the call, uncached)
+    calls = {"alpha": 0, "blossom": 0, "critical": 0, "minimal": 0, "mis": 0}
 
     def counted(name, f):
         def wrapper(*args, **kwargs):
@@ -242,6 +244,9 @@ def test_registry_pass_runs_each_oracle_fact_once(graphs_n5, monkeypatch):
     for module in (critical, mis):
         monkeypatch.setattr(module, "enumerate_critical_independent_sets",
                             counted("critical", enum))
+    monkeypatch.setattr(critical, "minimal_positive_independent_sets",
+                        counted("minimal",
+                                critical.minimal_positive_independent_sets))
     monkeypatch.setattr(mis, "_maximum_independent_sets",
                         counted("mis", mis._maximum_independent_sets))
     rng = random.Random(6)
@@ -250,16 +255,16 @@ def test_registry_pass_runs_each_oracle_fact_once(graphs_n5, monkeypatch):
               *(random_graph(n, p, rng.getrandbits(32))
                 for n in [*range(8, 13), *above] for p in (0.15, 0.3, 0.5))]
     for g in graphs:
-        calls.update(alpha=0, blossom=0, critical=0, mis=0)
+        calls.update(alpha=0, blossom=0, critical=0, minimal=0, mis=0)
         facts = Facts(g)
         for prop in registry():
             assert evaluate(prop, facts).verdict in ("holds", "skipped")
         assert calls["alpha"] <= 1, g.adj
         assert calls["blossom"] == 1, g.adj
-        assert calls["critical"] <= 1, g.adj
+        assert calls["critical"] == calls["minimal"] == 0, g.adj
         assert calls["mis"] <= 1, g.adj
         if g.n > props.TABLE_MAX_N:
-            assert calls["critical"] == calls["mis"] == 1, g.adj
+            assert calls["mis"] == 1, g.adj
 
 
 def test_registry_pass_runs_the_ore_profile_once_per_bipartite_graph(
@@ -304,6 +309,44 @@ def test_one_critical_pass_gives_capped_family_and_uncapped_maximum(
             read()
 
 
+def test_table_route_caps_the_family_past_the_old_threshold():
+    # 10 disjoint edges: n = 20, d = 0 and 3^10 = 59,049 critical
+    # independent sets; the DFS route gave the same three answers
+    g = graphs.Graph(20, [(2 * i, 2 * i + 1) for i in range(10)])
+    facts = Facts(g)
+    with pytest.raises(LimitExceeded,
+                       match="^more than 20000 critical independent sets$"):
+        facts.critical_ind_family()
+    assert facts.max_critical_ind().bit_count() == 10
+    assert facts.minimal_positives() == []
+
+
+def test_limit_texts_of_the_family_readers():
+    # taken from the DFS route: one past the oracle limit the family
+    # readers skip with its text, and ke.is_ke with it
+    for n, config in ((critical.ORACLE_LIMIT + 1, Config()),
+                      (19, Config(oracle_limit=18))):
+        text = f"n={n} exceeds oracle limit {config.oracle_limit}"
+        facts = Facts(path_graph(n), config)
+        for read in (facts.critical_ind_family, facts.max_critical_ind,
+                     facts.minimal_positives):
+            with pytest.raises(LimitExceeded, match=f"^{text}$"):
+                read()
+        assert evaluate(lookup("ke.is_ke"), facts) == PropertyResult(
+            "ke.is_ke", "skipped", text, limit=True)
+    # --no-oracle leaves ke.is_ke and th5, which read the critical pass
+    # unguarded, running at n = 19
+    off = Config(use_oracle=False)
+    want = [("holds", "holds"), ("holds", "holds"), ("not KE", "holds")]
+    for g, (is_ke, th5) in zip((path_graph(19), random_graph(19, 0.15, 4),
+                                random_graph(19, 0.3, 5)), want):
+        facts = Facts(g, off)
+        got = [evaluate(lookup(name), facts)
+               for name in ("ke.is_ke", "th5.ke_iff_every_mis_critical")]
+        assert [r.verdict if r.reason is None else r.reason
+                for r in got] == [is_ke, th5]
+
+
 def _route_outcomes(g, config):
     """What the five enumeration-backed readers of a fresh Facts give on g,
     with any limit as its message, then every registry result."""
@@ -331,9 +374,10 @@ def _dfs_readers(g):
 
 
 def test_table_route_gives_what_the_dfs_route_gives(monkeypatch):
-    # at n <= TABLE_MAX_N Facts reads the critical, minimal positive and
-    # maximum independent families off the subset tables; in the order the
-    # DFSs yield them, and with the same skips and results
+    # Facts reads the critical and minimal positive families off the
+    # subset tables at every n, and the maximum independent sets off the
+    # independent masks at n <= TABLE_MAX_N; in the order the DFSs yield
+    # them, and with the same skips and results
     rng = random.Random(9)
     cap = props.TABLE_MAX_N
     sampled = [random_graph(n, p, rng.getrandbits(32))
@@ -341,14 +385,16 @@ def test_table_route_gives_what_the_dfs_route_gives(monkeypatch):
                for _ in range(2)]
     for g in [*small_corpus(6), *sampled]:
         facts = Facts(g)
-        assert facts._on_tables() == (g.n <= cap)
         assert [facts.critical_ind_family(), facts.max_critical_ind(),
                 facts.minimal_positives(), facts.first_mis(),
                 facts.mis_profile()] == _dfs_readers(g), g.adj
+        assert "tables" in facts._cache, g.adj
+        assert (type(facts._cache["mis_sets"]) is list) == (g.n <= cap), g.adj
         assert (list(facts._maximum_independent_sets())
                 == list(mis.enumerate_maximum_independent_sets(g))), g.adj
     # under --no-oracle, and an oracle limit below n, every reader and
-    # every registry result is what the DFS route gives
+    # every registry result is what the DFS route gives; TABLE_MAX_N = -1
+    # sends the maximum independent sets through their DFS
     for g in [*small_corpus(4)][::5] + sampled[:6]:
         for config in (Config(use_oracle=False),
                        Config(oracle_limit=max(g.n - 1, 0)), Config()):
@@ -611,10 +657,10 @@ def test_core_and_corona_build_no_subset_table():
     for n in (0, 5, 12, props.TABLE_MAX_N):
         g = random_graph(n, 0.3, rng.getrandbits(32))
         facts = Facts(g)
-        assert facts._on_tables()
         assert facts.mis_profile() == mis.core_and_corona(g)
         assert facts.first_mis() == next(
             mis.enumerate_maximum_independent_sets(g))
+        assert "independent_masks" in facts._cache
         assert "tables" not in facts._cache
 
 
