@@ -6,11 +6,10 @@ one lazily filled fact cache, so a registry sweep costs one set of invariants
 per graph rather than one per property: every check reads that cache, and one
 pass over the registry runs alpha and the critical and maximum independent
 enumerations at most once per graph and the blossom matching once. The
-critical and minimal positive families are read off the list of independent
-masks and the subset tables, which zhang.d_eq_id reads too; so are the
-maximum independent sets up to TABLE_MAX_N vertices. Anything exponential sits
-behind the oracle limit and reports itself as skipped instead of silently
-passing.
+minimal positive sets, the critical ones once the subset tables are built and
+the maximum ones up to TABLE_MAX_N vertices are read off the independent
+masks. Anything exponential sits behind the oracle limit and reports itself
+as skipped instead of silently passing.
 """
 
 from __future__ import annotations
@@ -157,9 +156,8 @@ class Facts:
 
     def _maximum_independent_sets(self) -> Iterable[VertexSet]:
         """The maximum independent sets in include-first order, found once
-        per graph and shared by every reader: off the independent masks up
-        to TABLE_MAX_N, else by one DFS that runs only as far as the readers
-        ask.
+        per graph and shared by every reader: off the independent masks at
+        small n, else by one DFS that runs only as far as the readers ask.
         The DFS checks the enumeration limit, then reads the cached alpha;
         the cache holds a tee of it that nothing advances, and each reader
         gets a copy, which starts at the first set. Not guarded by the
@@ -232,17 +230,29 @@ class Facts:
         return self._get("independent_masks", compute)
 
     def _critical_pass(self) -> tuple[list[VertexSet] | None, VertexSet]:
-        """The critical independent sets, the independent masks whose lane
-        holds d + n, in include-first order: the family, or None past
-        FAMILY_CAP members, and the maximum one, uncapped, with
-        mis.maximum_critical_independent_set's tie rule. Not guarded by the
-        oracle switch; the public readers check it."""
+        """One enumeration of the critical independent sets: the family, or
+        None past FAMILY_CAP members, and the maximum one, uncapped, with
+        mis.maximum_critical_independent_set's tie rule. Once the subset
+        tables are built, the independent masks whose lane holds d + n;
+        else one pruned DFS, cheaper than building them for this alone.
+        Not guarded by the oracle switch; the public readers check it."""
         def compute():
-            table = self._subset_tables()
-            lane = self.d() + self.g.n
-            sets = [m for m in self._independent_masks() if table[m] == lane]
-            return ((sets if len(sets) <= FAMILY_CAP else None),
-                    mis._maximum_critical(sets))
+            if "tables" in self._cache:
+                table, lane = self._cache["tables"], self.d() + self.g.n
+                sets = [m for m in self._independent_masks()
+                        if table[m] == lane]
+                return ((sets if len(sets) <= FAMILY_CAP else None),
+                        mis._maximum_critical(sets))
+            fam: list[VertexSet] = []
+
+            def sets() -> Iterator[VertexSet]:
+                for s in critical.enumerate_critical_independent_sets(
+                        self.g, self.config.oracle_limit):
+                    if len(fam) <= FAMILY_CAP:
+                        fam.append(s)
+                    yield s
+            best = mis._maximum_critical(sets())
+            return (fam if len(fam) <= FAMILY_CAP else None), best
         return self._get("critical_pass", compute)
 
     def critical_ind_family(self) -> list[VertexSet]:
@@ -279,14 +289,12 @@ class Facts:
 
     def minimal_positives(self) -> list[VertexSet]:
         """The inclusion-minimal independent sets with d >= 1, in
-        include-first order, off the independent masks and the subset
-        tables."""
+        include-first order."""
         def compute():
             self.require_oracle()
             table, n = self._subset_tables(), self.g.n
-            # positive[m]: m or a subset of m has d >= 1; include-first
-            # order puts every superset of m before m, so its reverse
-            # reaches every subset of m first
+            # positive[m]: m or a subset of m has d >= 1; reversed
+            # include-first order reaches every subset of m before m
             positive = bytearray(1 << n)
             minimal = []
             for m in reversed(self._independent_masks()):

@@ -223,10 +223,11 @@ def test_registry_pass_runs_each_oracle_fact_once(graphs_n5, monkeypatch):
     # every check reads Facts, so one registry pass per graph runs alpha,
     # the critical independent enumeration and the maximum independent one
     # at most once and the blossom matching once, whichever module a check
-    # would reach them through; the critical and minimal positive families
-    # come off the subset tables at every n up to the oracle limit, so
-    # their DFSs never run, and the maximum independent DFS runs above
-    # TABLE_MAX_N (past the oracle limit it raises at the call, uncached)
+    # would reach them through; zhang.d_eq_id builds the subset tables
+    # first, so the critical and minimal positive families come off them
+    # at every n up to the oracle limit and their DFSs never run, and the
+    # maximum independent DFS runs above TABLE_MAX_N (past the oracle limit
+    # it raises at the call, uncached)
     calls = {"alpha": 0, "blossom": 0, "critical": 0, "minimal": 0, "mis": 0}
 
     def counted(name, f):
@@ -309,16 +310,48 @@ def test_one_critical_pass_gives_capped_family_and_uncapped_maximum(
             read()
 
 
-def test_table_route_caps_the_family_past_the_old_threshold():
+def test_both_routes_cap_the_family_past_the_old_threshold():
     # 10 disjoint edges: n = 20, d = 0 and 3^10 = 59,049 critical
-    # independent sets; the DFS route gave the same three answers
+    # independent sets; the DFS, on a fresh Facts, and the tables give the
+    # same three answers
     g = graphs.Graph(20, [(2 * i, 2 * i + 1) for i in range(10)])
-    facts = Facts(g)
-    with pytest.raises(LimitExceeded,
-                       match="^more than 20000 critical independent sets$"):
-        facts.critical_ind_family()
-    assert facts.max_critical_ind().bit_count() == 10
-    assert facts.minimal_positives() == []
+    for tables_first in (False, True):
+        facts = Facts(g)
+        if tables_first:
+            facts.tables()
+        with pytest.raises(LimitExceeded, match="^more than 20000 "
+                           "critical independent sets$"):
+            facts.critical_ind_family()
+        assert facts.max_critical_ind().bit_count() == 10
+        assert facts.minimal_positives() == []
+
+
+def test_critical_pass_builds_no_subset_table_of_its_own(monkeypatch):
+    # ke.is_ke and th5 read the critical pass with no oracle guard: under
+    # --no-oracle, or run alone, they share one critical DFS and leave the
+    # 2^n subset tables unbuilt, which at n = 20 cost more than the DFS
+    calls = Counter()
+    enum = critical.enumerate_critical_independent_sets
+
+    def counted(*args):
+        calls["critical"] += 1
+        return enum(*args)
+
+    monkeypatch.setattr(critical, "enumerate_critical_independent_sets",
+                        counted)
+    unguarded = ["ke.is_ke", "th5.ke_iff_every_mis_critical"]
+    rng = random.Random(12)
+    for n in (5, 12, props.TABLE_MAX_N, critical.ORACLE_LIMIT):
+        g = random_graph(n, 0.3, rng.getrandbits(32))
+        for config, names in ((Config(use_oracle=False),
+                               [prop.name for prop in registry()]),
+                              (Config(), unguarded)):
+            calls.clear()
+            facts = Facts(g, config)
+            for name in names:
+                evaluate(lookup(name), facts)
+            assert calls["critical"] == 1, (g.adj, config)
+            assert "tables" not in facts._cache, (g.adj, config)
 
 
 def test_limit_texts_of_the_family_readers():
@@ -347,22 +380,39 @@ def test_limit_texts_of_the_family_readers():
                 for r in got] == [is_ke, th5]
 
 
-def _route_outcomes(g, config):
+def _outcome(read):
+    try:
+        return read()
+    except LimitExceeded as exc:
+        return str(exc)
+
+
+def _route_outcomes(g, config, tables_first=False):
     """What the five enumeration-backed readers of a fresh Facts give on g,
-    with any limit as its message, then every registry result."""
-    facts = Facts(g, config)
-
-    def outcome(read):
-        try:
-            return read()
-        except LimitExceeded as exc:
-            return str(exc)
-
+    with any limit as its message, then every registry result; with
+    tables_first, both Facts build the subset tables before anything else
+    reads them, so the critical family comes off the tables."""
+    facts, swept = Facts(g, config), Facts(g, config)
+    if tables_first:
+        _outcome(facts._subset_tables)
+        _outcome(swept._subset_tables)
     readers = (facts.critical_ind_family, facts.max_critical_ind,
                facts.minimal_positives, facts.first_mis, facts.mis_profile)
-    swept = Facts(g, config)
-    return ([outcome(read) for read in readers],
+    return ([_outcome(read) for read in readers],
             [evaluate(prop, swept) for prop in registry()])
+
+
+def _reference_families(g, config):
+    """The library DFSs' critical family, maximum critical set and minimal
+    positive sets under config, with any limit as its message."""
+    if not config.use_oracle:
+        return ["oracle disabled"] * 3
+    limit = config.oracle_limit
+    return [_outcome(lambda: list(
+                critical.enumerate_critical_independent_sets(g, limit))),
+            _outcome(lambda: mis.maximum_critical_independent_set(g, limit)),
+            _outcome(lambda: list(
+                critical.minimal_positive_independent_sets(g, limit)))]
 
 
 def _dfs_readers(g):
@@ -374,33 +424,43 @@ def _dfs_readers(g):
 
 
 def test_table_route_gives_what_the_dfs_route_gives(monkeypatch):
-    # Facts reads the critical and minimal positive families off the
-    # subset tables at every n, and the maximum independent sets off the
-    # independent masks at n <= TABLE_MAX_N; in the order the DFSs yield
-    # them, and with the same skips and results
+    # Facts reads the minimal positive sets off the subset tables at every
+    # n, the critical sets too once the tables are built, else by DFS, and
+    # the maximum independent sets off the independent masks at
+    # n <= TABLE_MAX_N; in the order the DFSs yield them, and with the same
+    # skips and results
     rng = random.Random(9)
     cap = props.TABLE_MAX_N
     sampled = [random_graph(n, p, rng.getrandbits(32))
                for n in (cap, cap + 1) for p in (0.15, 0.3, 0.5)
                for _ in range(2)]
     for g in [*small_corpus(6), *sampled]:
-        facts = Facts(g)
-        assert [facts.critical_ind_family(), facts.max_critical_ind(),
-                facts.minimal_positives(), facts.first_mis(),
-                facts.mis_profile()] == _dfs_readers(g), g.adj
-        assert "tables" in facts._cache, g.adj
-        assert (type(facts._cache["mis_sets"]) is list) == (g.n <= cap), g.adj
-        assert (list(facts._maximum_independent_sets())
-                == list(mis.enumerate_maximum_independent_sets(g))), g.adj
-    # under --no-oracle, and an oracle limit below n, every reader and
-    # every registry result is what the DFS route gives; TABLE_MAX_N = -1
+        for tables_first in (False, True):
+            facts = Facts(g)
+            if tables_first:
+                facts.tables()
+            assert [facts.critical_ind_family(), facts.max_critical_ind(),
+                    facts.minimal_positives(), facts.first_mis(),
+                    facts.mis_profile()] == _dfs_readers(g), g.adj
+            assert "tables" in facts._cache, g.adj
+            assert ((type(facts._cache["mis_sets"]) is list)
+                    == (g.n <= cap)), g.adj
+            assert (list(facts._maximum_independent_sets())
+                    == list(mis.enumerate_maximum_independent_sets(g))), g.adj
+    # under --no-oracle, and an oracle limit below n, the three family
+    # readers give what the library DFSs give under the same limit, and
+    # every reader and every registry result is the same whether the
+    # critical family comes off the tables or by DFS; TABLE_MAX_N = -1
     # sends the maximum independent sets through their DFS
     for g in [*small_corpus(4)][::5] + sampled[:6]:
         for config in (Config(use_oracle=False),
                        Config(oracle_limit=max(g.n - 1, 0)), Config()):
-            tables = _route_outcomes(g, config)
+            dfs = _route_outcomes(g, config)
+            assert dfs[0][:3] == _reference_families(g, config), (g.adj,
+                                                                 config)
+            assert _route_outcomes(g, config, True) == dfs, (g.adj, config)
             monkeypatch.setattr(props, "TABLE_MAX_N", -1)
-            assert _route_outcomes(g, config) == tables, (g.adj, config)
+            assert _route_outcomes(g, config) == dfs, (g.adj, config)
             monkeypatch.undo()
 
 
