@@ -95,6 +95,8 @@ def _config(args: argparse.Namespace) -> Config:
     if args.oracle_limit < 0:
         raise ValueError(
             f"--oracle-limit needs N >= 0, got {args.oracle_limit}")
+    if args.workers is not None and args.workers < 1:
+        raise ValueError(f"--workers needs K >= 1, got {args.workers}")
     # the parser outlives one call, so CRITSET_WORKERS is read here, per call
     workers = default_workers() if args.workers is None else args.workers
     return Config(oracle_limit=args.oracle_limit,

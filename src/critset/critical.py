@@ -6,7 +6,8 @@ reachability over it. H is never built: its plus and minus copies are both
 numbered by g's ids, and g's neighbour lists are its adjacency. The matching
 is computed once per graph and memoised on the Graph, so d, the witness, ker,
 diadem and the Ore side profile of a bipartite graph (ore.py) share it. The
-enumeration routes exist as oracles and are cross-checked in the tests.
+enumeration routes exist as oracles and are cross-checked in the tests; they
+are DFSs over an explicit stack of bitmasks, include-first, with no recursion.
 """
 
 from __future__ import annotations
@@ -265,30 +266,29 @@ def diadem(g: Graph) -> VertexSet:
 def _enumerate_target_sets(g: Graph, universe: VertexSet, target: int,
                            independent_only: bool) -> Iterator[VertexSet]:
     """DFS all subsets of universe with d = target, include-first, pruned by
-    d(chosen) + |remaining candidates| < target."""
-    order = vlist(universe)
+    d(chosen) + |remaining candidates| < target. A node's candidates are
+    the members of universe above its last branch vertex (with
+    independent_only, those with no chosen neighbour); it takes the lowest
+    first while its exclude node waits on the stack."""
     adj = g.adj
-
-    def rec(idx: int, chosen: VertexSet, nbhd: VertexSet) -> Iterator[VertexSet]:
-        d_now = chosen.bit_count() - nbhd.bit_count()
-        if independent_only:
-            remaining = sum(1 for j in range(idx, len(order))
-                            if not chosen & adj[order[j]])
-        else:
-            remaining = len(order) - idx
-        # each added vertex raises d by at most 1
-        if d_now + remaining < target:
-            return
-        if idx == len(order):
-            if d_now == target:
-                yield chosen
-            return
-        v = order[idx]
-        if not independent_only or not chosen & adj[v]:
-            yield from rec(idx + 1, chosen | 1 << v, nbhd | adj[v])
-        yield from rec(idx + 1, chosen, nbhd)
-
-    yield from rec(0, 0, 0)
+    todo = [(universe, 0, 0)]
+    while todo:
+        avail, chosen, nbhd = todo.pop()
+        while True:
+            d_now = chosen.bit_count() - nbhd.bit_count()
+            # each added vertex raises d by at most 1
+            if d_now + avail.bit_count() < target:
+                break
+            if not avail:
+                if d_now == target:
+                    yield chosen
+                break
+            low = avail & -avail
+            todo.append((avail ^ low, chosen, nbhd))
+            nb = adj[low.bit_length() - 1]
+            avail &= ~(nb | low) if independent_only else ~low
+            chosen |= low
+            nbhd |= nb
 
 
 def enumerate_critical_independent_sets(
@@ -327,24 +327,27 @@ def minimal_positive_independent_sets(
     """
     if g.n > limit:
         raise LimitExceeded(f"n={g.n} exceeds oracle limit {limit}")
-    adj, n = g.adj, g.n
-
-    def rec(idx: int, chosen: VertexSet, nbhd: VertexSet) -> Iterator[VertexSet]:
-        d_now = chosen.bit_count() - nbhd.bit_count()
-        if d_now >= 1:
-            # any strict superset has this positive set as a proper subset
-            if all(max_subset_difference(g, chosen ^ (1 << v)) <= 0
-                   for v in vlist(chosen)):
-                yield chosen
-            return
-        remaining = sum(1 for j in range(idx, n) if not chosen & adj[j])
-        if d_now + remaining < 1 or idx == n:
-            return
-        if not chosen & adj[idx]:
-            yield from rec(idx + 1, chosen | 1 << idx, nbhd | adj[idx])
-        yield from rec(idx + 1, chosen, nbhd)
-
-    yield from rec(0, 0, 0)
+    adj = g.adj
+    # nodes as in _enumerate_target_sets; a positive chosen set ends its node,
+    # as every strict superset has it as a proper subset
+    todo = [(g.full, 0, 0)]
+    while todo:
+        avail, chosen, nbhd = todo.pop()
+        while True:
+            d_now = chosen.bit_count() - nbhd.bit_count()
+            if d_now >= 1:
+                if all(max_subset_difference(g, chosen ^ (1 << v)) <= 0
+                       for v in vlist(chosen)):
+                    yield chosen
+                break
+            if d_now + avail.bit_count() < 1:
+                break
+            low = avail & -avail
+            todo.append((avail ^ low, chosen, nbhd))
+            nb = adj[low.bit_length() - 1]
+            avail &= ~(nb | low)
+            chosen |= low
+            nbhd |= nb
 
 
 def verify_ker_characterization(

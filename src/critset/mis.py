@@ -5,7 +5,8 @@ rest of the library leans on these routines as reference answers. alpha is a
 branch-and-reduce search: vertices with at most one live neighbour are taken
 without branching, and a greedy clique cover, which stops counting as soon as
 it can no longer prune, bounds every branch. The enumeration of maximum
-independent sets prunes with the same bound.
+independent sets prunes with the same bound. Both keep their search nodes on
+an explicit stack, so neither recurses.
 """
 
 from __future__ import annotations
@@ -112,25 +113,27 @@ def _maximum_independent_sets(
     if g.n > limit:
         raise LimitExceeded(f"n={g.n} exceeds enumeration limit {limit}")
     target = alpha(g) if known_alpha is None else known_alpha()
-    adj, n = g.adj, g.n
+    adj = g.adj
 
-    def rec(idx: int, chosen: VertexSet) -> Iterator[VertexSet]:
-        avail = 0
-        for j in range(idx, n):
-            if not chosen & adj[j]:
-                avail |= 1 << j
-        cap = target - chosen.bit_count() - 1
-        if _greedy_clique_cover(adj, avail, cap) <= cap:
-            return
-        if idx == n:
-            if chosen.bit_count() == target:
-                yield chosen
-            return
-        if not chosen & adj[idx]:
-            yield from rec(idx + 1, chosen | 1 << idx)
-        yield from rec(idx + 1, chosen)
+    def search() -> Iterator[VertexSet]:
+        # nodes as (live vertices, chosen set); a node takes its lowest live
+        # vertex first while its exclude node waits on the stack
+        todo = [(g.full, 0)]
+        while todo:
+            avail, chosen = todo.pop()
+            while True:
+                cap = target - chosen.bit_count() - 1
+                if _greedy_clique_cover(adj, avail, cap) <= cap:
+                    break
+                if not avail:
+                    yield chosen
+                    break
+                low = avail & -avail
+                todo.append((avail ^ low, chosen))
+                avail &= ~(adj[low.bit_length() - 1] | low)
+                chosen |= low
 
-    return rec(0, 0)
+    return search()
 
 
 def core_and_corona(g: Graph, limit: int = ORACLE_LIMIT) -> MisProfile:

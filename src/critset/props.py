@@ -6,10 +6,10 @@ one lazily filled fact cache, so a registry sweep costs one set of invariants
 per graph rather than one per property: every check reads that cache, and one
 pass over the registry runs alpha and the critical and maximum independent
 enumerations at most once per graph and the blossom matching once. The
-minimal positive sets, the critical ones once the subset tables are built and
-the maximum ones up to TABLE_MAX_N vertices are read off the independent
-masks. Anything exponential sits behind the oracle limit and reports itself
-as skipped instead of silently passing.
+minimal positive sets, and the critical ones once the subset tables are
+built, are read off the independent masks; the maximum ones always come from
+one pruned DFS. Anything exponential sits behind the oracle limit and reports
+itself as skipped instead of silently passing.
 """
 
 from __future__ import annotations
@@ -31,10 +31,6 @@ from .graphs import (EXHAUSTIVE_MAX_N, Graph, LimitExceeded, VertexSet,
 from .matching import maximum_matching_general, saturating_matching
 
 FAMILY_CAP = 20000
-# the largest n at which Facts reads the maximum independent sets off the
-# independent masks; above it the pruned DFS runs (the README gives the
-# crossover)
-TABLE_MAX_N = 18
 # the largest n at which th4.supermodular first checks the 2x2 squares of
 # the subset lattice on the table read as one integer; above it the pair
 # scan alone is faster (BENCH_19.json)
@@ -154,23 +150,17 @@ class Facts:
     def corona(self) -> VertexSet:
         return self.mis_profile().corona
 
-    def _maximum_independent_sets(self) -> Iterable[VertexSet]:
+    def _maximum_independent_sets(self) -> Iterator[VertexSet]:
         """The maximum independent sets in include-first order, found once
-        per graph and shared by every reader: off the independent masks at
-        small n, else by one DFS that runs only as far as the readers ask.
-        The DFS checks the enumeration limit, then reads the cached alpha;
-        the cache holds a tee of it that nothing advances, and each reader
-        gets a copy, which starts at the first set. Not guarded by the
-        oracle switch."""
+        per graph by one DFS that runs only as far as the readers ask. The
+        DFS checks the enumeration limit, then reads the cached alpha; the
+        cache holds a tee of it that nothing advances, and each reader gets
+        a copy, which starts at the first set. Not guarded by the oracle
+        switch."""
         def compute():
-            if self.g.n <= min(TABLE_MAX_N, self.config.oracle_limit):
-                a = self.alpha()
-                return [m for m in self._independent_masks()
-                        if m.bit_count() == a]
             return tee(mis._maximum_independent_sets(
                 self.g, self.config.oracle_limit, self.alpha), 1)[0]
-        sets = self._get("mis_sets", compute)
-        return sets if type(sets) is list else sets.__copy__()
+        return self._get("mis_sets", compute).__copy__()
 
     def first_mis(self) -> VertexSet:
         def compute():

@@ -29,6 +29,12 @@ def random_sample(count: int, n_lo: int, n_hi: int, seed: int = 99):
                            rng.getrandbits(32))
 
 
+def include_first(n: int, masks) -> list[int]:
+    """masks in the order the library's DFSs yield them: of two masks, the
+    one holding the lowest vertex where they differ comes first."""
+    return sorted(masks, key=lambda m: [not m >> v & 1 for v in range(n)])
+
+
 def shuffled_chain(n: int, closed: bool, seed: int) -> Graph:
     """A path or cycle on n vertices under a random relabelling, with its
     edges listed in random order."""

@@ -244,6 +244,14 @@ def test_negative_oracle_limit_exits_2(capsys, argv):
         2, "", f"error: --oracle-limit needs N >= 0, got {argv[-1]}\n")
 
 
+@pytest.mark.parametrize("k", ["0", "-3"])
+def test_workers_below_1_exits_2(capsys, k):
+    # not a clean serial run, as for a negative --oracle-limit
+    assert run_cli(capsys, "fuzz", "--n", "3..3", "--p", "0.3", "--count",
+                   "1", "--seed", "1", "--workers", k) == (
+        2, "", f"error: --workers needs K >= 1, got {k}\n")
+
+
 @pytest.mark.parametrize("p", ["1.5", "-0.25", "nan"])
 def test_fuzz_p_outside_0_to_1_exits_2(capsys, p):
     # with no graph drawn the edge probability was never checked, so the

@@ -5,8 +5,9 @@ import random
 import pytest
 
 import oracles as o
-from conftest import (adj_of, analyze_sample, masks_built, mid_sample,
-                      random_sample, shuffled_chain, small_corpus)
+from conftest import (adj_of, analyze_sample, include_first, masks_built,
+                      mid_sample, random_sample, shuffled_chain,
+                      small_corpus)
 from critset.critical import (_d_without, _greedy_cover_matching,
                               _ker_matching, critical_difference,
                               critical_independent_witness, diadem,
@@ -249,12 +250,13 @@ def test_profile_is_consistent():
 # -- enumeration ---------------------------------------------------------------------
 
 def test_enumerated_critical_families_match_oracle(graphs_n5):
-    for g in graphs_n5[::3]:
-        adj = adj_of(g)
-        got_ind = set(enumerate_critical_independent_sets(g, 6))
-        assert got_ind == set(o.brute_critical_independent_sets(g.n, adj))
-        got_all = set(enumerate_critical_sets(g, 6))
-        assert got_all == set(o.brute_critical_sets(g.n, adj))
+    # the same sets in include-first order
+    for g in [*graphs_n5[::3], *random_sample(40, 6, 11, seed=8)]:
+        n, adj = g.n, adj_of(g)
+        want = include_first(n, o.brute_critical_independent_sets(n, adj))
+        assert list(enumerate_critical_independent_sets(g, 11)) == want, g.adj
+        want = include_first(n, o.brute_critical_sets(n, adj))
+        assert list(enumerate_critical_sets(g, 11)) == want, g.adj
 
 
 def test_enumeration_respects_limit():
@@ -285,9 +287,10 @@ def test_max_subset_difference_rejects_dependent_sets():
 # -- minimal positive independent sets -------------------------------------------------
 
 def test_minimal_positive_matches_oracle(graphs_n5):
-    for g in graphs_n5[::3]:
-        got = set(minimal_positive_independent_sets(g, 6))
-        assert got == set(o.brute_minimal_positive(g.n, adj_of(g)))
+    # the same sets in include-first order
+    for g in [*graphs_n5[::3], *random_sample(40, 6, 11, seed=8)]:
+        want = include_first(g.n, o.brute_minimal_positive(g.n, adj_of(g)))
+        assert list(minimal_positive_independent_sets(g, 11)) == want, g.adj
 
 
 def test_minimal_positive_fixture_values():

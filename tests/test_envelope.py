@@ -1,21 +1,30 @@
-"""Large sparse graphs, under the interpreter's default recursion limit.
+"""Large graphs, under the interpreter's default recursion limit.
 
 Shuffled long paths and cycles drive alternating paths through every vertex;
-a matching search that recursed once per step would exceed the limit.
+a matching search that recursed once per step would exceed the limit. On
+complete bipartite graphs the oracle DFSs go one level per vertex, over
+1,000 deep. And no function in the library calls itself, bar the report
+renderer, so no recursion grows with n.
 """
 
+import ast
 import hashlib
 import pickle
 import random
+from pathlib import Path
 
 import pytest
 
 from conftest import masks_built
+from critset import cli
 from critset.critical import (critical_difference,
-                              critical_independent_witness, diadem, ker)
-from critset.graphs import (Graph, bipartition, delete_edge, delete_vertices,
-                            parse_graph)
+                              critical_independent_witness, diadem,
+                              enumerate_critical_independent_sets, ker)
+from critset.graphs import (Graph, bipartition, complete_bipartite,
+                            delete_edge, delete_vertices, parse_graph,
+                            to_edge_list)
 from critset.matching import maximum_matching_general
+from critset.ore import enumerate_side_critical_sets
 
 N = 20_000
 
@@ -106,3 +115,51 @@ def test_blossom_edges_are_pinned(text, n, size, digest):
     assert (g.n, len(m)) == (n, size)
     got = hashlib.sha256(repr(sorted(m.edges)).encode()).hexdigest()
     assert got == digest
+
+
+def test_critical_dfs_on_k600_700():
+    # d = 100, attained by the 700-side alone
+    g = complete_bipartite(600, 700)
+    side = g.full >> 600 << 600
+    assert list(enumerate_critical_independent_sets(g, 2000)) == [side]
+
+
+def test_side_critical_dfs_on_k100_1100():
+    # the side DFS goes one level per vertex of the side; K_{600,700}'s
+    # 700-side stays under the frame limit, so take an 1,100-side
+    g = complete_bipartite(100, 1100)
+    side = g.full >> 100 << 100
+    parts = bipartition(g)
+    name = "AB"[parts.side_b == side]
+    assert list(enumerate_side_critical_sets(g, parts, name, 2000)) == [side]
+
+
+def test_check_on_k600_700_skips_at_the_alpha_limit(capsys, tmp_path):
+    # the critical DFS finishes, and ke.is_ke then skips as it reads alpha
+    f = tmp_path / "K600_700.edges"
+    f.write_text(to_edge_list(complete_bipartite(600, 700)))
+    code = cli.main(["check", str(f), "--property", "ke.is_ke",
+                     "--oracle-limit", "5000"])
+    assert (code, *capsys.readouterr()) == (
+        0, "ke.is_ke: skipped: n=1300 exceeds alpha limit 40\n", "")
+
+
+def test_no_library_function_calls_itself():
+    # a call by the function's own name, or through self by a method's;
+    # cli._render is the one exception: it recurses once per nesting level
+    # of a report document, so its depth is fixed by the report schema
+    found = []
+    for path in sorted(Path(cli.__file__).parent.glob("*.py")):
+        for fn in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for call in ast.walk(fn):
+                if not isinstance(call, ast.Call):
+                    continue
+                f = call.func
+                if (isinstance(f, ast.Name) and f.id == fn.name
+                        or isinstance(f, ast.Attribute) and f.attr == fn.name
+                        and isinstance(f.value, ast.Name)
+                        and f.value.id == "self"):
+                    found.append(f"{path.name} {fn.name}")
+    assert found == ["cli.py _render"] * 2

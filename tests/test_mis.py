@@ -3,7 +3,7 @@ import random
 import pytest
 
 import oracles as o
-from conftest import adj_of, random_sample
+from conftest import adj_of, include_first, random_sample
 from critset.fixtures import load
 from critset.graphs import (Graph, LimitExceeded, bipartition,
                             complete_bipartite, complete_graph, cycle_graph,
@@ -95,9 +95,10 @@ def test_alpha_adds_over_disjoint_unions_and_ignores_labels():
 
 
 def test_mis_enumeration_matches_oracle(graphs_n5):
-    for g in graphs_n5[::3]:
-        got = set(enumerate_maximum_independent_sets(g))
-        assert got == set(o.brute_mis_family(g.n, adj_of(g)))
+    # the same sets in include-first order
+    for g in [*graphs_n5[::3], *random_sample(40, 6, 13, seed=8)]:
+        assert list(enumerate_maximum_independent_sets(g)) == include_first(
+            g.n, o.brute_mis_family(g.n, adj_of(g))), g.adj
 
 
 def test_mis_enumeration_limit():

@@ -3,7 +3,7 @@ import random
 import pytest
 
 import oracles as o
-from conftest import adj_of, mid_sample
+from conftest import adj_of, include_first, mid_sample
 from critset.critical import (critical_difference,
                               enumerate_critical_independent_sets)
 from critset.fixtures import load
@@ -145,10 +145,11 @@ def test_side_rules_match_per_vertex_rules_past_oracle_reach():
 
 
 def test_side_critical_enumeration_matches_oracle(graphs_n5):
-    for g, parts in bipartite_n5(graphs_n5):
-        adj = adj_of(g)
-        got = set(enumerate_side_critical_sets(g, parts, "A"))
-        assert got == set(o.brute_side_critical_sets(g.n, adj, parts.side_a))
+    # the same sets in include-first order
+    for g, parts in oracle_pairs(graphs_n5):
+        got = list(enumerate_side_critical_sets(g, parts, "A"))
+        assert got == include_first(g.n, o.brute_side_critical_sets(
+            g.n, adj_of(g), parts.side_a)), g.adj
 
 
 def test_side_critical_enumeration_limit():

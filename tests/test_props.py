@@ -6,7 +6,7 @@ from collections import Counter
 
 import pytest
 
-from conftest import mid_sample, small_corpus
+from conftest import include_first, mid_sample, small_corpus
 from critset import critical, graphs, ke, mis, ore, props
 from critset.fixtures import load
 from critset.graphs import (LimitExceeded, all_graphs, bipartition,
@@ -226,7 +226,7 @@ def test_registry_pass_runs_each_oracle_fact_once(graphs_n5, monkeypatch):
     # would reach them through; zhang.d_eq_id builds the subset tables
     # first, so the critical and minimal positive families come off them
     # at every n up to the oracle limit and their DFSs never run, and the
-    # maximum independent DFS runs above TABLE_MAX_N (past the oracle limit
+    # maximum independent DFS runs once at every n (past the oracle limit
     # it raises at the call, uncached)
     calls = {"alpha": 0, "blossom": 0, "critical": 0, "minimal": 0, "mis": 0}
 
@@ -251,10 +251,9 @@ def test_registry_pass_runs_each_oracle_fact_once(graphs_n5, monkeypatch):
     monkeypatch.setattr(mis, "_maximum_independent_sets",
                         counted("mis", mis._maximum_independent_sets))
     rng = random.Random(6)
-    above = range(props.TABLE_MAX_N + 1, critical.ORACLE_LIMIT + 1)
     graphs = [*graphs_n5[-1024::53],
               *(random_graph(n, p, rng.getrandbits(32))
-                for n in [*range(8, 13), *above] for p in (0.15, 0.3, 0.5))]
+                for n in [*range(8, 13), 19, 20] for p in (0.15, 0.3, 0.5))]
     for g in graphs:
         calls.update(alpha=0, blossom=0, critical=0, minimal=0, mis=0)
         facts = Facts(g)
@@ -263,9 +262,7 @@ def test_registry_pass_runs_each_oracle_fact_once(graphs_n5, monkeypatch):
         assert calls["alpha"] <= 1, g.adj
         assert calls["blossom"] == 1, g.adj
         assert calls["critical"] == calls["minimal"] == 0, g.adj
-        assert calls["mis"] <= 1, g.adj
-        if g.n > props.TABLE_MAX_N:
-            assert calls["mis"] == 1, g.adj
+        assert calls["mis"] == 1, g.adj
 
 
 def test_registry_pass_runs_the_ore_profile_once_per_bipartite_graph(
@@ -341,7 +338,7 @@ def test_critical_pass_builds_no_subset_table_of_its_own(monkeypatch):
                         counted)
     unguarded = ["ke.is_ke", "th5.ke_iff_every_mis_critical"]
     rng = random.Random(12)
-    for n in (5, 12, props.TABLE_MAX_N, critical.ORACLE_LIMIT):
+    for n in (5, 12, 18, critical.ORACLE_LIMIT):
         g = random_graph(n, 0.3, rng.getrandbits(32))
         for config, names in ((Config(use_oracle=False),
                                [prop.name for prop in registry()]),
@@ -423,16 +420,13 @@ def _dfs_readers(g):
             mis.core_and_corona(g)]
 
 
-def test_table_route_gives_what_the_dfs_route_gives(monkeypatch):
+def test_table_route_gives_what_the_dfs_route_gives():
     # Facts reads the minimal positive sets off the subset tables at every
-    # n, the critical sets too once the tables are built, else by DFS, and
-    # the maximum independent sets off the independent masks at
-    # n <= TABLE_MAX_N; in the order the DFSs yield them, and with the same
-    # skips and results
+    # n, and the critical sets too once the tables are built, else by DFS;
+    # in the order the DFSs yield them, and with the same skips and results
     rng = random.Random(9)
-    cap = props.TABLE_MAX_N
     sampled = [random_graph(n, p, rng.getrandbits(32))
-               for n in (cap, cap + 1) for p in (0.15, 0.3, 0.5)
+               for n in (18, 19) for p in (0.15, 0.3, 0.5)
                for _ in range(2)]
     for g in [*small_corpus(6), *sampled]:
         for tables_first in (False, True):
@@ -443,15 +437,12 @@ def test_table_route_gives_what_the_dfs_route_gives(monkeypatch):
                     facts.minimal_positives(), facts.first_mis(),
                     facts.mis_profile()] == _dfs_readers(g), g.adj
             assert "tables" in facts._cache, g.adj
-            assert ((type(facts._cache["mis_sets"]) is list)
-                    == (g.n <= cap)), g.adj
             assert (list(facts._maximum_independent_sets())
                     == list(mis.enumerate_maximum_independent_sets(g))), g.adj
     # under --no-oracle, and an oracle limit below n, the three family
     # readers give what the library DFSs give under the same limit, and
     # every reader and every registry result is the same whether the
-    # critical family comes off the tables or by DFS; TABLE_MAX_N = -1
-    # sends the maximum independent sets through their DFS
+    # critical family comes off the tables or by DFS
     for g in [*small_corpus(4)][::5] + sampled[:6]:
         for config in (Config(use_oracle=False),
                        Config(oracle_limit=max(g.n - 1, 0)), Config()):
@@ -459,9 +450,6 @@ def test_table_route_gives_what_the_dfs_route_gives(monkeypatch):
             assert dfs[0][:3] == _reference_families(g, config), (g.adj,
                                                                  config)
             assert _route_outcomes(g, config, True) == dfs, (g.adj, config)
-            monkeypatch.setattr(props, "TABLE_MAX_N", -1)
-            assert _route_outcomes(g, config) == dfs, (g.adj, config)
-            monkeypatch.undo()
 
 
 def _first_failing_pair(table, masks):
@@ -691,36 +679,36 @@ def test_critical_closure_reports_the_first_failing_pair_of_the_sample(k):
 def test_tables_match_the_per_mask_definition():
     # every lane against d(m) + n, and the independent masks against
     # is_independent in include-first order (of two masks, the one holding
-    # the lowest vertex where they differ comes first), up to two past
-    # TABLE_MAX_N, where zhang.d_eq_id still reads both; one graph per n
-    # above 12, at alternating density, keeps the per-mask scan short
+    # the lowest vertex where they differ comes first), up to n = 20, where
+    # zhang.d_eq_id reads both; one graph per n above 12, at alternating
+    # density, keeps the per-mask scan short
     rng = random.Random(12)
     graphs = [*small_corpus(4),
               *(random_graph(n, p, rng.getrandbits(32))
                 for n in range(8, 13) for p in (0.2, 0.5)),
               *(random_graph(n, (0.2, 0.5)[n % 2], rng.getrandbits(32))
-                for n in range(13, props.TABLE_MAX_N + 3))]
+                for n in range(13, 21))]
     for g in graphs:
         n, facts = g.n, Facts(g)
         assert list(facts.tables()) == [
             m.bit_count() - neighborhood(g, m).bit_count() + n
             for m in range(1 << n)], g.adj
-        assert facts._independent_masks() == sorted(
-            (m for m in range(1 << n) if is_independent(g, m)),
-            key=lambda m: [not m >> v & 1 for v in range(n)]), g.adj
+        assert facts._independent_masks() == include_first(
+            n, (m for m in range(1 << n) if is_independent(g, m))), g.adj
 
 
 def test_core_and_corona_build_no_subset_table():
-    # the conjecture scan reads core and corona alone; at n <= TABLE_MAX_N
-    # they come off the independent masks, with no 2^n table built
+    # the conjecture scan reads core and corona alone; they come from the
+    # maximum-independent-set DFS, with neither the independent masks nor
+    # the 2^n table built
     rng = random.Random(11)
-    for n in (0, 5, 12, props.TABLE_MAX_N):
+    for n in (0, 5, 12, 18):
         g = random_graph(n, 0.3, rng.getrandbits(32))
         facts = Facts(g)
         assert facts.mis_profile() == mis.core_and_corona(g)
         assert facts.first_mis() == next(
             mis.enumerate_maximum_independent_sets(g))
-        assert "independent_masks" in facts._cache
+        assert "independent_masks" not in facts._cache
         assert "tables" not in facts._cache
 
 
