@@ -4,30 +4,31 @@ The difference of a vertex set X is d(X) = |X| - |N(X)|. Everything here
 hangs off that one number: the critical difference d(G), the critical
 independent sets attaining it, their intersection (ker) and union (diadem),
 and how those relate to the intersection (core) and union (corona) of the
-maximum independent sets. The polynomial routes go through matchings on the
-bipartite double cover; exponential enumeration exists only as an oracle for
-cross-checking and is always bounded.
+maximum independent sets. The polynomial routes (graphs, matching, critical,
+ore) go through matchings on the bipartite double cover; alpha (mis) is an
+exact branch-and-reduce search. Exponential enumeration exists only as an
+oracle for cross-checking, is always bounded, and lives in one module,
+oracle, which no polynomial module imports.
 """
 
 from .critical import (critical_difference, critical_independent_witness,
-                       diadem, enumerate_critical_independent_sets,
-                       enumerate_critical_sets, is_critical_independent,
-                       is_critical_set, ker, max_subset_difference,
-                       minimal_positive_independent_sets,
-                       verify_ker_characterization)
+                       diadem, is_critical_independent, is_critical_set, ker)
 from .graphs import (BipartitePartition, Graph, LimitExceeded, ParseError,
                      bipartition, complete_bipartite, complete_graph,
                      cycle_graph, delete_edge, delete_vertices, difference,
                      empty_graph, is_independent, neighborhood,
                      parse_graph, path_graph, random_graph, to_edge_list)
-from .ke import is_ke_via_critical, is_koenig_egervary
+from .ke import is_koenig_egervary
 from .matching import (Matching, maximum_matching_bipartite,
                        maximum_matching_general, saturating_matching)
-from .mis import (MisProfile, alpha, core_and_corona,
-                  enumerate_maximum_independent_sets,
-                  maximum_critical_independent_set)
-from .ore import (OreProfile, enumerate_side_critical_sets, is_side_critical,
-                  ore_profile)
+from .mis import alpha
+from .oracle import (MisProfile, core_and_corona,
+                     enumerate_critical_independent_sets,
+                     enumerate_maximum_independent_sets,
+                     enumerate_side_critical_sets, is_ke_via_critical,
+                     maximum_critical_independent_set,
+                     verify_ker_characterization)
+from .ore import OreProfile, is_side_critical, ore_profile
 from .props import (Config, CorpusSpec, Facts, Property, PropertyResult,
                     conjecture_scan, exhaustive_corpus, fixtures_corpus,
                     files_corpus, parse_corpus_spec, random_corpus, registry,
@@ -44,14 +45,14 @@ __all__ = [
     "critical_independent_witness", "cycle_graph",
     "delete_edge", "delete_vertices", "diadem",
     "difference", "empty_graph", "enumerate_critical_independent_sets",
-    "enumerate_critical_sets", "enumerate_maximum_independent_sets",
+    "enumerate_maximum_independent_sets",
     "enumerate_side_critical_sets", "exhaustive_corpus", "files_corpus",
     "fixtures_corpus", "is_critical_independent",
     "is_critical_set", "is_independent", "is_ke_via_critical",
     "is_koenig_egervary", "is_side_critical", "ker",
-    "max_subset_difference", "maximum_critical_independent_set",
+    "maximum_critical_independent_set",
     "maximum_matching_bipartite", "maximum_matching_general",
-    "minimal_positive_independent_sets", "neighborhood", "ore_profile",
+    "neighborhood", "ore_profile",
     "parse_corpus_spec", "parse_graph", "path_graph", "random_corpus",
     "random_graph", "registry", "run", "saturating_matching", "shrink",
     "to_edge_list",

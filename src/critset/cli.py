@@ -18,8 +18,8 @@ import json
 import sys
 from pathlib import Path
 
-from .critical import ORACLE_LIMIT
 from .graphs import EXHAUSTIVE_MAX_N, LimitExceeded, read_graph_file
+from .oracle import ORACLE_LIMIT
 from .props import (Config, CorpusSpec, Facts, conjecture_scan,
                     default_workers, evaluate, exhaustive_corpus,
                     parse_corpus_spec, random_corpus, select_properties,

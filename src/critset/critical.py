@@ -1,26 +1,22 @@
-"""Critical difference machinery: d(G), ker, diadem, enumerations.
+"""Critical difference machinery: d(G), the witness, ker and diadem.
 
-The polynomial routes all reduce to one maximum matching of the bipartite
-double cover H (v+ w- adjacent iff vw is an edge) and alternating
+Every route here is polynomial and reduces to one maximum matching of the
+bipartite double cover H (v+ w- adjacent iff vw is an edge) and alternating
 reachability over it. H is never built: its plus and minus copies are both
 numbered by g's ids, and g's neighbour lists are its adjacency. The matching
 is computed once per graph and memoised on the Graph, so d, the witness, ker,
 diadem and the Ore side profile of a bipartite graph (ore.py) share it. The
-enumeration routes exist as oracles and are cross-checked in the tests; they
-are DFSs over an explicit stack of bitmasks, include-first, with no recursion.
+enumerations of critical sets that check these routes live in oracle.py,
+which this module never imports.
 """
 
 from __future__ import annotations
 
 from itertools import compress, filterfalse
-from typing import Iterator, NamedTuple
+from typing import NamedTuple
 
-from .graphs import (Graph, LimitExceeded, VertexSet, difference,
-                     is_independent, neighborhood, vlist, vset)
-from .matching import (_alternating_reach, _hopcroft_karp,
-                       _max_matching_lists, _unmatched, saturating_matching)
-
-ORACLE_LIMIT = 20
+from .graphs import Graph, VertexSet, difference, is_independent, vset
+from .matching import _alternating_reach, _max_matching_lists, _unmatched
 
 
 class _CoverMatching(NamedTuple):
@@ -261,131 +257,3 @@ def diadem(g: Graph) -> VertexSet:
                 if path:
                     gathered[path[-1]] |= mask
     return cover.ker | vset(members)
-
-
-def _enumerate_target_sets(g: Graph, universe: VertexSet, target: int,
-                           independent_only: bool) -> Iterator[VertexSet]:
-    """DFS all subsets of universe with d = target, include-first, pruned by
-    d(chosen) + |remaining candidates| < target. A node's candidates are
-    the members of universe above its last branch vertex (with
-    independent_only, those with no chosen neighbour); it takes the lowest
-    first while its exclude node waits on the stack."""
-    adj = g.adj
-    todo = [(universe, 0, 0)]
-    while todo:
-        avail, chosen, nbhd = todo.pop()
-        while True:
-            d_now = chosen.bit_count() - nbhd.bit_count()
-            # each added vertex raises d by at most 1
-            if d_now + avail.bit_count() < target:
-                break
-            if not avail:
-                if d_now == target:
-                    yield chosen
-                break
-            low = avail & -avail
-            todo.append((avail ^ low, chosen, nbhd))
-            nb = adj[low.bit_length() - 1]
-            avail &= ~(nb | low) if independent_only else ~low
-            chosen |= low
-            nbhd |= nb
-
-
-def enumerate_critical_independent_sets(
-        g: Graph, limit: int = ORACLE_LIMIT) -> Iterator[VertexSet]:
-    """Yield every independent set attaining d(g), each exactly once."""
-    if g.n > limit:
-        raise LimitExceeded(f"n={g.n} exceeds oracle limit {limit}")
-    yield from _enumerate_target_sets(g, g.full, critical_difference(g), True)
-
-
-def enumerate_critical_sets(g: Graph,
-                            limit: int = ORACLE_LIMIT) -> Iterator[VertexSet]:
-    """Yield every subset attaining d(g), independence not required."""
-    if g.n > limit:
-        raise LimitExceeded(f"n={g.n} exceeds oracle limit {limit}")
-    yield from _enumerate_target_sets(g, g.full, critical_difference(g), False)
-
-
-def max_subset_difference(g: Graph, x: VertexSet) -> int:
-    """Return max{d(T) : T subset of x} for independent x, via the defect form
-    of Hall's theorem: the max equals |x| - mu(x, N(x))."""
-    if not is_independent(g, x):
-        raise ValueError("defect form needs an independent base set")
-    mate = _hopcroft_karp(g, x, neighborhood(g, x))
-    matched = sum(1 for v in vlist(x) if mate[v] != -1)
-    return x.bit_count() - matched
-
-
-def minimal_positive_independent_sets(
-        g: Graph, limit: int = ORACLE_LIMIT) -> Iterator[VertexSet]:
-    """Yield all inclusion-minimal independent sets with positive difference.
-
-    Minimality is exact: S qualifies iff no proper subset has d > 0, checked
-    through max_subset_difference on S - v for each v (every proper subset of
-    S lies under some S - v).
-    """
-    if g.n > limit:
-        raise LimitExceeded(f"n={g.n} exceeds oracle limit {limit}")
-    adj = g.adj
-    # nodes as in _enumerate_target_sets; a positive chosen set ends its node,
-    # as every strict superset has it as a proper subset
-    todo = [(g.full, 0, 0)]
-    while todo:
-        avail, chosen, nbhd = todo.pop()
-        while True:
-            d_now = chosen.bit_count() - nbhd.bit_count()
-            if d_now >= 1:
-                if all(max_subset_difference(g, chosen ^ (1 << v)) <= 0
-                       for v in vlist(chosen)):
-                    yield chosen
-                break
-            if d_now + avail.bit_count() < 1:
-                break
-            low = avail & -avail
-            todo.append((avail ^ low, chosen, nbhd))
-            nb = adj[low.bit_length() - 1]
-            avail &= ~(nb | low)
-            chosen |= low
-            nbhd |= nb
-
-
-def verify_ker_characterization(
-        g: Graph, a: VertexSet,
-        limit: int = ORACLE_LIMIT) -> tuple[bool, dict | None]:
-    """Decide whether a critical independent set a equals ker(g).
-
-    Evaluates two equivalent conditions and insists they agree:
-    no nonempty B inside N(a) with |N(B) & a| = |B| (tight set), and
-    a matching from N(a) into a - v for every v in a. On a negative answer the
-    witness carries either the tight set or the unmatched vertex.
-    """
-    if not is_critical_independent(g, a):
-        raise ValueError("a must be a critical independent set")
-    boundary = neighborhood(g, a)
-    if boundary.bit_count() > limit:
-        raise LimitExceeded("neighborhood too large for the tight-set search")
-
-    tight: VertexSet | None = None
-    members = vlist(boundary)
-    for code in range(1, 1 << len(members)):
-        b = 0
-        for k, v in enumerate(members):
-            if code >> k & 1:
-                b |= 1 << v
-        if (neighborhood(g, b) & a).bit_count() == b.bit_count():
-            tight = b
-            break
-
-    unmatchable: int | None = None
-    for v in vlist(a):
-        found, _ = saturating_matching(g, boundary, a & ~(1 << v))
-        if found is None:
-            unmatchable = v
-            break
-
-    if (tight is None) != (unmatchable is None):
-        raise RuntimeError("tight-set and matching conditions disagree")
-    if tight is not None:
-        return False, {"tight_set": tight, "unmatchable_vertex": unmatchable}
-    return True, None

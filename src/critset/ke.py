@@ -1,15 +1,15 @@
 """König-Egerváry recognition and the identities that hold on such graphs.
 
 A graph qualifies when its independence number plus its matching number
-covers every vertex; all bipartite graphs do.
+covers every vertex; all bipartite graphs do. The second recognition
+route, through a maximum critical independent set, is in oracle.py.
 """
 
 from __future__ import annotations
 
-from .critical import ORACLE_LIMIT
 from .graphs import Graph, VertexSet, bipartition, difference, neighborhood
 from .matching import maximum_matching_general
-from .mis import ALPHA_LIMIT, alpha, maximum_critical_independent_set
+from .mis import ALPHA_LIMIT, alpha
 
 
 def is_koenig_egervary(g: Graph, limit: int = ALPHA_LIMIT) -> bool:
@@ -19,12 +19,6 @@ def is_koenig_egervary(g: Graph, limit: int = ALPHA_LIMIT) -> bool:
         return True
     mu = len(maximum_matching_general(g))
     return alpha(g, limit) + mu == g.n
-
-
-def is_ke_via_critical(g: Graph, limit: int = ORACLE_LIMIT) -> bool:
-    """Equivalent recognition route: some critical independent set is maximum."""
-    j = maximum_critical_independent_set(g, limit)
-    return j.bit_count() == alpha(g)
 
 
 def identity_checks(g: Graph, a: int, mu: int, d: int, core: VertexSet,

@@ -1,0 +1,497 @@
+"""The oracle tier: every exponential routine behind `--oracle-limit`, and the
+per-graph fact cache that runs them.
+
+The critical independent sets, the maximum independent sets (core and corona
+are their intersection and union) and a bipartite side's critical sets each
+come from one pruned DFS over an explicit stack of bitmasks, include-first,
+with no recursion. `Facts` caches per graph the polynomial facts, alpha,
+these families, and two brute-force tables over the 2^n vertex subsets: the
+independent masks and the d table. No polynomial module (graphs, matching,
+critical, ore) imports this module; tests/test_startup.py checks it.
+"""
+
+from __future__ import annotations
+
+from functools import lru_cache
+from itertools import islice, tee
+from typing import Callable, Iterable, Iterator, NamedTuple
+
+from . import critical, ke, mis, ore
+from .graphs import (BipartitePartition, Graph, LimitExceeded, VertexSet,
+                     bipartition, neighborhood, vlist)
+from .matching import (_check_parts, maximum_matching_general,
+                       saturating_matching)
+from .mis import _greedy_clique_cover
+
+ORACLE_LIMIT = 20
+FAMILY_CAP = 20000
+
+
+class Config(NamedTuple):
+    oracle_limit: int = ORACLE_LIMIT
+    use_oracle: bool = True
+    strict: bool = False
+    workers: int = 1
+
+
+# -- critical independent sets ---------------------------------------------------
+
+def _enumerate_target_sets(g: Graph, universe: VertexSet, target: int,
+                           independent_only: bool) -> Iterator[VertexSet]:
+    """DFS all subsets of universe with d = target, include-first, pruned by
+    d(chosen) + |remaining candidates| < target. A node's candidates are
+    the members of universe above its last branch vertex (with
+    independent_only, those with no chosen neighbour); it takes the lowest
+    first while its exclude node waits on the stack."""
+    adj = g.adj
+    todo = [(universe, 0, 0)]
+    while todo:
+        avail, chosen, nbhd = todo.pop()
+        while True:
+            d_now = chosen.bit_count() - nbhd.bit_count()
+            # each added vertex raises d by at most 1
+            if d_now + avail.bit_count() < target:
+                break
+            if not avail:
+                if d_now == target:
+                    yield chosen
+                break
+            low = avail & -avail
+            todo.append((avail ^ low, chosen, nbhd))
+            nb = adj[low.bit_length() - 1]
+            avail &= ~(nb | low) if independent_only else ~low
+            chosen |= low
+            nbhd |= nb
+
+
+def enumerate_critical_independent_sets(
+        g: Graph, limit: int = ORACLE_LIMIT) -> Iterator[VertexSet]:
+    """Yield every independent set attaining d(g), each exactly once."""
+    if g.n > limit:
+        raise LimitExceeded(f"n={g.n} exceeds oracle limit {limit}")
+    yield from _enumerate_target_sets(g, g.full,
+                                      critical.critical_difference(g), True)
+
+
+def maximum_critical_independent_set(g: Graph,
+                                     limit: int = ORACLE_LIMIT) -> VertexSet:
+    """A largest independent set attaining the critical difference.
+
+    Ties break toward the lexicographically least sorted id list, so the
+    answer is stable across runs.
+    """
+    return _maximum_critical(enumerate_critical_independent_sets(g, limit))
+
+
+def _maximum_critical(sets: Iterable[VertexSet]) -> VertexSet:
+    """The largest of a graph's critical independent sets, all given in
+    `sets`, by the tie rule of maximum_critical_independent_set."""
+    best: VertexSet | None = None
+    for s in sets:
+        if (best is None or s.bit_count() > best.bit_count()
+                or (s.bit_count() == best.bit_count()
+                    and vlist(s) < vlist(best))):
+            best = s
+    if best is None:
+        raise AssertionError("the empty set always attains d when d(g) = 0")
+    return best
+
+
+def is_ke_via_critical(g: Graph, limit: int = ORACLE_LIMIT) -> bool:
+    """Equivalent recognition route: some critical independent set is maximum."""
+    j = maximum_critical_independent_set(g, limit)
+    return j.bit_count() == mis.alpha(g)
+
+
+def verify_ker_characterization(
+        g: Graph, a: VertexSet,
+        limit: int = ORACLE_LIMIT) -> tuple[bool, dict | None]:
+    """Decide whether a critical independent set a equals ker(g).
+
+    Evaluates two equivalent conditions and insists they agree:
+    no nonempty B inside N(a) with |N(B) & a| = |B| (tight set), and
+    a matching from N(a) into a - v for every v in a. On a negative answer the
+    witness carries either the tight set or the unmatched vertex.
+    """
+    if not critical.is_critical_independent(g, a):
+        raise ValueError("a must be a critical independent set")
+    boundary = neighborhood(g, a)
+    if boundary.bit_count() > limit:
+        raise LimitExceeded("neighborhood too large for the tight-set search")
+
+    tight: VertexSet | None = None
+    members = vlist(boundary)
+    for code in range(1, 1 << len(members)):
+        b = 0
+        for k, v in enumerate(members):
+            if code >> k & 1:
+                b |= 1 << v
+        if (neighborhood(g, b) & a).bit_count() == b.bit_count():
+            tight = b
+            break
+
+    unmatchable: int | None = None
+    for v in vlist(a):
+        found, _ = saturating_matching(g, boundary, a & ~(1 << v))
+        if found is None:
+            unmatchable = v
+            break
+
+    if (tight is None) != (unmatchable is None):
+        raise RuntimeError("tight-set and matching conditions disagree")
+    if tight is not None:
+        return False, {"tight_set": tight, "unmatchable_vertex": unmatchable}
+    return True, None
+
+
+# -- maximum independent sets: core and corona -----------------------------------
+
+class MisProfile(NamedTuple):
+    """Summary of the family of maximum independent sets."""
+
+    alpha: int
+    core: VertexSet
+    corona: VertexSet
+
+
+def enumerate_maximum_independent_sets(
+        g: Graph, limit: int = ORACLE_LIMIT) -> Iterator[VertexSet]:
+    """Yield every independent set of size alpha(g), each exactly once, in
+    include-first DFS order over vertex ids."""
+    yield from _search_maximum_independent_sets(g, limit)
+
+
+def _search_maximum_independent_sets(
+        g: Graph, limit: int,
+        known_alpha: Callable[[], int] | None = None) -> Iterator[VertexSet]:
+    """enumerate_maximum_independent_sets for a caller that may already know
+    alpha(g): known_alpha returns it, and is called after the limit check.
+    Both limits are checked at the call, not at the first set asked for."""
+    if g.n > limit:
+        raise LimitExceeded(f"n={g.n} exceeds enumeration limit {limit}")
+    target = mis.alpha(g) if known_alpha is None else known_alpha()
+    adj = g.adj
+
+    def search() -> Iterator[VertexSet]:
+        # nodes as (live vertices, chosen set); a node takes its lowest live
+        # vertex first while its exclude node waits on the stack
+        todo = [(g.full, 0)]
+        while todo:
+            avail, chosen = todo.pop()
+            while True:
+                cap = target - chosen.bit_count() - 1
+                if _greedy_clique_cover(adj, avail, cap) <= cap:
+                    break
+                if not avail:
+                    yield chosen
+                    break
+                low = avail & -avail
+                todo.append((avail ^ low, chosen))
+                avail &= ~(adj[low.bit_length() - 1] | low)
+                chosen |= low
+
+    return search()
+
+
+def core_and_corona(g: Graph, limit: int = ORACLE_LIMIT) -> MisProfile:
+    """Intersection and union of all maximum independent sets; the
+    enumeration stops once the core is empty and the corona is all of V."""
+    a = mis.alpha(g)
+    sets = _search_maximum_independent_sets(g, limit, lambda: a)
+    return _core_and_corona(g, a, sets)
+
+
+def _core_and_corona(g: Graph, a: int,
+                     sets: Iterable[VertexSet]) -> MisProfile:
+    """core_and_corona for a caller that already knows a = alpha(g) and
+    hands over g's maximum independent sets, in include-first order."""
+    core = g.full
+    corona = 0
+    for s in sets:
+        core &= s
+        corona |= s
+        if core == 0 and corona == g.full:
+            break
+    return MisProfile(a, core, corona)
+
+
+# -- side-critical sets of a bipartite graph --------------------------------------
+
+def enumerate_side_critical_sets(
+        g: Graph, parts: BipartitePartition, side: ore.Side,
+        limit: int = ORACLE_LIMIT) -> Iterator[VertexSet]:
+    """Yield every X within the side attaining its deficiency maximum."""
+    _check_parts(g, parts)
+    yield from _side_critical_sets(g, parts, side, limit,
+                                   lambda: ore.ore_profile(g, parts))
+
+
+def _side_critical_sets(
+        g: Graph, parts: BipartitePartition, side: ore.Side, limit: int,
+        profile: Callable[[], ore.OreProfile]) -> Iterator[VertexSet]:
+    """enumerate_side_critical_sets for a caller whose parts are checked and
+    who may already hold the profile: profile returns ore_profile(g, parts),
+    and is called after the side-size limit check."""
+    i = ore._side_index(side)
+    s = parts[i]
+    if s.bit_count() > limit:
+        raise LimitExceeded(
+            f"side size {s.bit_count()} exceeds oracle limit {limit}")
+    p = profile()
+    yield from _enumerate_target_sets(g, s, (p.delta0_a, p.delta0_b)[i],
+                                      False)
+
+
+# -- per-graph fact cache --------------------------------------------------------
+
+@lru_cache(maxsize=1)
+def _subset_lanes(n: int) -> tuple[tuple[int, ...], int]:
+    """Byte-lane integers over the 2^n subset masks of n vertices, lane m
+    being byte m: for each v the plane whose lane m is 1 iff v is in m, and
+    their sum plus n in each lane, |m| + n in lane m. Every table at order n
+    starts from them: n + 1 integers of 2^n bytes. Only the order last asked
+    for is kept, never the sum over every order a process has seen; a run
+    that comes back to an order builds its lanes again."""
+    size = 1 << n
+    planes = tuple(
+        int.from_bytes((bytes(1 << v) + b"\1" * (1 << v)) * (size >> v + 1),
+                       "little")
+        for v in range(n))
+    return planes, sum(planes) + n * int.from_bytes(b"\1" * size, "little")
+
+
+class Facts:
+    """Lazily computed invariants for one graph, shared across checks."""
+
+    def __init__(self, g: Graph, config: Config | None = None):
+        self.g = g
+        self.config = config if config is not None else Config()
+        self._cache: dict[str, object] = {}
+
+    def _get(self, key: str, compute: Callable[[], object]):
+        if key not in self._cache:
+            self._cache[key] = compute()
+        return self._cache[key]
+
+    def require_oracle(self) -> None:
+        if not self.config.use_oracle:
+            raise LimitExceeded("oracle disabled")
+
+    # polynomial facts
+
+    def d(self) -> int:
+        return self._get("d", lambda: critical.critical_difference(self.g))
+
+    def ker(self) -> VertexSet:
+        return self._get("ker", lambda: critical.ker(self.g))
+
+    def diadem(self) -> VertexSet:
+        return self._get("diadem", lambda: critical.diadem(self.g))
+
+    def mu(self) -> int:
+        return len(self.matching())
+
+    def matching(self):
+        return self._get("matching", lambda: maximum_matching_general(self.g))
+
+    def parts(self):
+        return self._get("parts", lambda: bipartition(self.g))
+
+    def alpha(self) -> int:
+        return self._get("alpha", lambda: mis.alpha(self.g))
+
+    def is_ke(self) -> bool:
+        # ke.is_koenig_egervary's rule on the cached parts, alpha and mu
+        return self._get("is_ke", lambda: self.parts() is not None
+                         or self.alpha() + self.mu() == self.g.n)
+
+    def ore_profile(self) -> ore.OreProfile:
+        def compute():
+            parts = self.parts()
+            if parts is None:
+                raise ValueError("not bipartite")
+            return ore.ore_profile(self.g, parts)
+        return self._get("ore_profile", compute)
+
+    # enumeration-backed facts, all behind the oracle limit
+
+    def mis_profile(self) -> MisProfile:
+        def compute():
+            self.require_oracle()
+            a = self.alpha()
+            return _core_and_corona(self.g, a,
+                                    self._maximum_independent_sets())
+        return self._get("mis_profile", compute)
+
+    def core(self) -> VertexSet:
+        return self.mis_profile().core
+
+    def corona(self) -> VertexSet:
+        return self.mis_profile().corona
+
+    def _maximum_independent_sets(self) -> Iterator[VertexSet]:
+        """The maximum independent sets in include-first order, found once
+        per graph by one DFS that runs only as far as the readers ask. The
+        DFS checks the enumeration limit, then reads the cached alpha; the
+        cache holds a tee of it that nothing advances, and each reader gets
+        a copy, which starts at the first set. Not guarded by the oracle
+        switch."""
+        def compute():
+            return tee(_search_maximum_independent_sets(
+                self.g, self.config.oracle_limit, self.alpha), 1)[0]
+        return self._get("mis_sets", compute).__copy__()
+
+    def first_mis(self) -> VertexSet:
+        def compute():
+            self.require_oracle()
+            return next(iter(self._maximum_independent_sets()))
+        return self._get("first_mis", compute)
+
+    def ke_identity_checks(self) -> list[dict]:
+        """ke.identity_checks on a KE graph, from the cached facts; alpha is
+        read before core and corona, so an alpha limit is reported first."""
+        return ke.identity_checks(
+            self.g, self.alpha(), self.mu(), self.d(), self.core(),
+            self.corona(), self.ker(), self.diadem())
+
+    def tables(self) -> bytes:
+        """d(X) + n for every subset mask X, in byte X; the brute-force
+        ground truth, behind the oracle switch."""
+        self.require_oracle()
+        return self._subset_tables()
+
+    def _subset_tables(self) -> bytes:
+        """tables() without the oracle switch, for the unguarded readers.
+
+        Built in byte lanes, one lane per mask: d(m) + n lies in 0..2n, so
+        no lane carries into the next. Lane m of the plane of w is 1 iff w
+        is in N(m), the OR of the planes of w's neighbours; the planes of
+        all w sum to |N(m)|, which comes off |m| + n. The lanes are read
+        out as bytes, which the whole-table checks search in C.
+        """
+        def compute():
+            g = self.g
+            if g.n > self.config.oracle_limit:
+                raise LimitExceeded(
+                    f"n={g.n} exceeds oracle limit {self.config.oracle_limit}")
+            planes, lanes = _subset_lanes(g.n)
+            for vs in g.nbrs:
+                hit = 0
+                for v in vs:
+                    hit |= planes[v]
+                lanes -= hit
+            return lanes.to_bytes(1 << g.n, "little")
+        return self._get("tables", compute)
+
+    def _independent_masks(self) -> list[VertexSet]:
+        """The independent masks in include-first order, the order the DFSs
+        yield them in: of two masks, the one holding the lowest vertex where
+        they differ comes first. Built by doubling over v = n-1 .. 0, adding
+        v only to the masks that hold none of its neighbours, so no
+        dependent mask is visited."""
+        def compute():
+            order = [0]
+            adj = self.g.adj
+            for v in reversed(range(self.g.n)):
+                a, bit = adj[v], 1 << v
+                order = [m | bit for m in order if not a & m] + order
+            return order
+        return self._get("independent_masks", compute)
+
+    def _critical_pass(self) -> tuple[list[VertexSet] | None, VertexSet]:
+        """One enumeration of the critical independent sets: the family, or
+        None past FAMILY_CAP members, and the maximum one, uncapped, with
+        maximum_critical_independent_set's tie rule. Once the subset tables
+        are built, the independent masks whose lane holds d + n; else one
+        pruned DFS, cheaper than building them for this alone. Not guarded
+        by the oracle switch; the public readers check it."""
+        def compute():
+            if "tables" in self._cache:
+                table, lane = self._cache["tables"], self.d() + self.g.n
+                sets = [m for m in self._independent_masks()
+                        if table[m] == lane]
+                return ((sets if len(sets) <= FAMILY_CAP else None),
+                        _maximum_critical(sets))
+            fam: list[VertexSet] = []
+
+            def sets() -> Iterator[VertexSet]:
+                for s in enumerate_critical_independent_sets(
+                        self.g, self.config.oracle_limit):
+                    if len(fam) <= FAMILY_CAP:
+                        fam.append(s)
+                    yield s
+            best = _maximum_critical(sets())
+            return (fam if len(fam) <= FAMILY_CAP else None), best
+        return self._get("critical_pass", compute)
+
+    def critical_ind_family(self) -> list[VertexSet]:
+        self.require_oracle()
+        fam, _ = self._critical_pass()
+        if fam is None:
+            raise LimitExceeded(
+                f"more than {FAMILY_CAP} critical independent sets")
+        return fam
+
+    def ker_oracle(self) -> VertexSet:
+        def compute():
+            inter = self.g.full
+            for s in self.critical_ind_family():
+                inter &= s
+            return inter
+        return self._get("ker_oracle", compute)
+
+    def maximal_critical_ind(self) -> list[VertexSet]:
+        """Inclusion-maximal members of the critical independent family.
+
+        Scans by size descending; a candidate is maximal iff it sits inside no
+        already accepted maximal set, since any strict superset contains one.
+        """
+        def compute():
+            fam = sorted(self.critical_ind_family(),
+                         key=lambda s: (-s.bit_count(), s))
+            out: list[VertexSet] = []
+            for s in fam:
+                if not any(s & ~m == 0 for m in out):
+                    out.append(s)
+            return out
+        return self._get("maximal_critical_ind", compute)
+
+    def minimal_positives(self) -> list[VertexSet]:
+        """The inclusion-minimal independent sets with d >= 1, in
+        include-first order."""
+        def compute():
+            self.require_oracle()
+            table, n = self._subset_tables(), self.g.n
+            # positive[m]: m or a subset of m has d >= 1; reversed
+            # include-first order reaches every subset of m before m
+            positive = bytearray(1 << n)
+            minimal = []
+            for m in reversed(self._independent_masks()):
+                rest = m
+                while rest:
+                    low = rest & -rest
+                    if positive[m ^ low]:
+                        positive[m] = 1
+                        break
+                    rest ^= low
+                else:
+                    if table[m] > n:
+                        positive[m] = 1
+                        minimal.append(m)
+            return minimal[::-1]
+        return self._get("minimal_positives", compute)
+
+    def max_critical_ind(self) -> VertexSet:
+        self.require_oracle()
+        return self._critical_pass()[1]
+
+    def side_critical_samples(self, side: ore.Side) -> list[VertexSet]:
+        def compute():
+            self.require_oracle()
+            return list(islice(_side_critical_sets(
+                self.g, self.parts(), side, self.config.oracle_limit,
+                self.ore_profile), 16))
+        return self._get(f"side_crit_{side}", compute)
+
+    def labels(self, mask: VertexSet) -> list[str]:
+        return self.g.label_list(mask)

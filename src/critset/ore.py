@@ -11,18 +11,17 @@ gives every side set: a side's kernel is ker within the side, and its diadem
 is the side minus N(ker). ore_profile reads delta0, the kernel and the
 diadem of both sides off that memo. The sides' kernels therefore make up ker
 by construction; the tests check all six values against subset enumeration
-and against the per-vertex deletion and forcing rules.
+and against the per-vertex deletion and forcing rules. The enumeration of a
+side's critical sets lives in oracle.py, which this module never imports.
 """
 
 from __future__ import annotations
 
 from itertools import compress
-from typing import Callable, Iterator, Literal, NamedTuple
+from typing import Literal, NamedTuple
 
-from .critical import (ORACLE_LIMIT, _enumerate_target_sets, _ker_matching,
-                       critical_difference)
-from .graphs import (BipartitePartition, Graph, LimitExceeded, VertexSet,
-                     difference, vset)
+from .critical import _ker_matching, critical_difference
+from .graphs import BipartitePartition, Graph, VertexSet, difference, vset
 from .matching import _check_parts
 
 Side = Literal["A", "B"]
@@ -68,28 +67,3 @@ def is_side_critical(g: Graph, parts: BipartitePartition, side: Side,
         raise ValueError("x is not contained in the chosen side")
     p = ore_profile(g, parts)
     return difference(g, x) == (p.delta0_a, p.delta0_b)[i]
-
-
-def enumerate_side_critical_sets(
-        g: Graph, parts: BipartitePartition, side: Side,
-        limit: int = ORACLE_LIMIT) -> Iterator[VertexSet]:
-    """Yield every X within the side attaining its deficiency maximum."""
-    _check_parts(g, parts)
-    yield from _side_critical_sets(g, parts, side, limit,
-                                   lambda: ore_profile(g, parts))
-
-
-def _side_critical_sets(
-        g: Graph, parts: BipartitePartition, side: Side, limit: int,
-        profile: Callable[[], OreProfile]) -> Iterator[VertexSet]:
-    """enumerate_side_critical_sets for a caller whose parts are checked and
-    who may already hold the profile: profile returns ore_profile(g, parts),
-    and is called after the side-size limit check."""
-    i = _side_index(side)
-    s = parts[i]
-    if s.bit_count() > limit:
-        raise LimitExceeded(
-            f"side size {s.bit_count()} exceeds oracle limit {limit}")
-    p = profile()
-    yield from _enumerate_target_sets(g, s, (p.delta0_a, p.delta0_b)[i],
-                                      False)

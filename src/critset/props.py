@@ -2,14 +2,13 @@
 
 Every registered property is a named predicate over one graph with an
 applicability guard and a witness-producing check. The runner hands each graph
-one lazily filled fact cache, so a registry sweep costs one set of invariants
-per graph rather than one per property: every check reads that cache, and one
-pass over the registry runs alpha and the critical and maximum independent
-enumerations at most once per graph and the blossom matching once. The
-minimal positive sets, and the critical ones once the subset tables are
-built, are read off the independent masks; the maximum ones always come from
-one pruned DFS. Anything exponential sits behind the oracle limit and reports
-itself as skipped instead of silently passing.
+one lazily filled fact cache, oracle.Facts, so a registry sweep costs one set
+of invariants per graph rather than one per property: every check reads that
+cache, and one pass over the registry runs alpha and the critical and maximum
+independent enumerations at most once per graph and the blossom matching
+once. Anything exponential sits behind the oracle limit and reports itself as
+skipped instead of silently passing. Facts and Config are re-exported here,
+so imports and pickles that name them through this module stay valid.
 """
 
 from __future__ import annotations
@@ -19,18 +18,17 @@ import os
 import random
 from collections import Counter
 from functools import lru_cache
-from itertools import chain, islice, tee
+from itertools import chain, islice
 from typing import Callable, Iterable, Iterator, NamedTuple
 
-from . import critical, ke, mis, ore
-from .critical import ORACLE_LIMIT
+from . import critical, oracle
 from .graphs import (EXHAUSTIVE_MAX_N, Graph, LimitExceeded, VertexSet,
-                     all_graphs, bipartition, delete_edge, delete_vertices,
-                     difference, graph_from_code, neighborhood,
-                     orbit_leaders, random_graph, read_graph_file, vlist)
-from .matching import maximum_matching_general, saturating_matching
+                     all_graphs, delete_edge, delete_vertices, difference,
+                     graph_from_code, neighborhood, orbit_leaders,
+                     random_graph, read_graph_file, vlist)
+from .matching import saturating_matching
+from .oracle import Config, Facts, _subset_lanes
 
-FAMILY_CAP = 20000
 # the largest n at which th4.supermodular first checks the 2x2 squares of
 # the subset lattice on the table read as one integer; above it the pair
 # scan alone is faster (BENCH_19.json)
@@ -44,278 +42,6 @@ def default_workers() -> int:
         return max(1, int(raw))
     except ValueError:
         return 1
-
-
-class Config(NamedTuple):
-    oracle_limit: int = ORACLE_LIMIT
-    use_oracle: bool = True
-    strict: bool = False
-    workers: int = 1
-
-
-# -- per-graph fact cache --------------------------------------------------------
-
-@lru_cache(maxsize=None)
-def _subset_lanes(n: int) -> tuple[tuple[int, ...], int]:
-    """Byte-lane integers over the 2^n subset masks of n vertices, lane m
-    being byte m: for each v the plane whose lane m is 1 iff v is in m, and
-    their sum plus n in each lane, |m| + n in lane m. Kept per n, as every
-    table at that n starts from them: n + 1 integers of 2^n bytes."""
-    size = 1 << n
-    planes = tuple(
-        int.from_bytes((bytes(1 << v) + b"\1" * (1 << v)) * (size >> v + 1),
-                       "little")
-        for v in range(n))
-    return planes, sum(planes) + n * int.from_bytes(b"\1" * size, "little")
-
-
-@lru_cache(maxsize=None)
-def _square_masks(n: int) -> tuple[int, tuple[tuple[int, ...], ...]]:
-    """For the square test of th4.supermodular on n vertices: 0x80 in each
-    of the 2^n byte lanes, and per u, one per v > u, 0x80 in each lane X
-    that holds neither u nor v. Kept per n: under 300 KB at n = 12."""
-    planes, _ = _subset_lanes(n)
-    ones = int.from_bytes(b"\1" * (1 << n), "little")
-    return ones << 7, tuple(tuple((ones ^ (planes[u] | planes[v])) << 7
-                                  for v in range(u + 1, n))
-                            for u in range(n))
-
-
-class Facts:
-    """Lazily computed invariants for one graph, shared across checks."""
-
-    def __init__(self, g: Graph, config: Config | None = None):
-        self.g = g
-        self.config = config if config is not None else Config()
-        self._cache: dict[str, object] = {}
-
-    def _get(self, key: str, compute: Callable[[], object]):
-        if key not in self._cache:
-            self._cache[key] = compute()
-        return self._cache[key]
-
-    def require_oracle(self) -> None:
-        if not self.config.use_oracle:
-            raise LimitExceeded("oracle disabled")
-
-    # polynomial facts
-
-    def d(self) -> int:
-        return self._get("d", lambda: critical.critical_difference(self.g))
-
-    def ker(self) -> VertexSet:
-        return self._get("ker", lambda: critical.ker(self.g))
-
-    def diadem(self) -> VertexSet:
-        return self._get("diadem", lambda: critical.diadem(self.g))
-
-    def mu(self) -> int:
-        return len(self.matching())
-
-    def matching(self):
-        return self._get("matching", lambda: maximum_matching_general(self.g))
-
-    def parts(self):
-        return self._get("parts", lambda: bipartition(self.g))
-
-    def alpha(self) -> int:
-        return self._get("alpha", lambda: mis.alpha(self.g))
-
-    def is_ke(self) -> bool:
-        # ke.is_koenig_egervary's rule on the cached parts, alpha and mu
-        return self._get("is_ke", lambda: self.parts() is not None
-                         or self.alpha() + self.mu() == self.g.n)
-
-    def ore_profile(self) -> ore.OreProfile:
-        def compute():
-            parts = self.parts()
-            if parts is None:
-                raise ValueError("not bipartite")
-            return ore.ore_profile(self.g, parts)
-        return self._get("ore_profile", compute)
-
-    # enumeration-backed facts, all behind the oracle limit
-
-    def mis_profile(self) -> mis.MisProfile:
-        def compute():
-            self.require_oracle()
-            a = self.alpha()
-            return mis._core_and_corona(self.g, a,
-                                        self._maximum_independent_sets())
-        return self._get("mis_profile", compute)
-
-    def core(self) -> VertexSet:
-        return self.mis_profile().core
-
-    def corona(self) -> VertexSet:
-        return self.mis_profile().corona
-
-    def _maximum_independent_sets(self) -> Iterator[VertexSet]:
-        """The maximum independent sets in include-first order, found once
-        per graph by one DFS that runs only as far as the readers ask. The
-        DFS checks the enumeration limit, then reads the cached alpha; the
-        cache holds a tee of it that nothing advances, and each reader gets
-        a copy, which starts at the first set. Not guarded by the oracle
-        switch."""
-        def compute():
-            return tee(mis._maximum_independent_sets(
-                self.g, self.config.oracle_limit, self.alpha), 1)[0]
-        return self._get("mis_sets", compute).__copy__()
-
-    def first_mis(self) -> VertexSet:
-        def compute():
-            self.require_oracle()
-            return next(iter(self._maximum_independent_sets()))
-        return self._get("first_mis", compute)
-
-    def ke_identity_checks(self) -> list[dict]:
-        """ke.identity_checks on a KE graph, from the cached facts; alpha is
-        read before core and corona, so an alpha limit is reported first."""
-        return ke.identity_checks(
-            self.g, self.alpha(), self.mu(), self.d(), self.core(),
-            self.corona(), self.ker(), self.diadem())
-
-    def tables(self) -> bytes:
-        """d(X) + n for every subset mask X, in byte X; the brute-force
-        ground truth, behind the oracle switch."""
-        self.require_oracle()
-        return self._subset_tables()
-
-    def _subset_tables(self) -> bytes:
-        """tables() without the oracle switch, for the unguarded readers.
-
-        Built in byte lanes, one lane per mask: d(m) + n lies in 0..2n, so
-        no lane carries into the next. Lane m of the plane of w is 1 iff w
-        is in N(m), the OR of the planes of w's neighbours; the planes of
-        all w sum to |N(m)|, which comes off |m| + n. The lanes are read
-        out as bytes, which the whole-table checks search in C.
-        """
-        def compute():
-            g = self.g
-            if g.n > self.config.oracle_limit:
-                raise LimitExceeded(
-                    f"n={g.n} exceeds oracle limit {self.config.oracle_limit}")
-            planes, lanes = _subset_lanes(g.n)
-            for vs in g.nbrs:
-                hit = 0
-                for v in vs:
-                    hit |= planes[v]
-                lanes -= hit
-            return lanes.to_bytes(1 << g.n, "little")
-        return self._get("tables", compute)
-
-    def _independent_masks(self) -> list[VertexSet]:
-        """The independent masks in include-first order, the order the DFSs
-        yield them in: of two masks, the one holding the lowest vertex where
-        they differ comes first. Built by doubling over v = n-1 .. 0, adding
-        v only to the masks that hold none of its neighbours, so no
-        dependent mask is visited."""
-        def compute():
-            order = [0]
-            adj = self.g.adj
-            for v in reversed(range(self.g.n)):
-                a, bit = adj[v], 1 << v
-                order = [m | bit for m in order if not a & m] + order
-            return order
-        return self._get("independent_masks", compute)
-
-    def _critical_pass(self) -> tuple[list[VertexSet] | None, VertexSet]:
-        """One enumeration of the critical independent sets: the family, or
-        None past FAMILY_CAP members, and the maximum one, uncapped, with
-        mis.maximum_critical_independent_set's tie rule. Once the subset
-        tables are built, the independent masks whose lane holds d + n;
-        else one pruned DFS, cheaper than building them for this alone.
-        Not guarded by the oracle switch; the public readers check it."""
-        def compute():
-            if "tables" in self._cache:
-                table, lane = self._cache["tables"], self.d() + self.g.n
-                sets = [m for m in self._independent_masks()
-                        if table[m] == lane]
-                return ((sets if len(sets) <= FAMILY_CAP else None),
-                        mis._maximum_critical(sets))
-            fam: list[VertexSet] = []
-
-            def sets() -> Iterator[VertexSet]:
-                for s in critical.enumerate_critical_independent_sets(
-                        self.g, self.config.oracle_limit):
-                    if len(fam) <= FAMILY_CAP:
-                        fam.append(s)
-                    yield s
-            best = mis._maximum_critical(sets())
-            return (fam if len(fam) <= FAMILY_CAP else None), best
-        return self._get("critical_pass", compute)
-
-    def critical_ind_family(self) -> list[VertexSet]:
-        self.require_oracle()
-        fam, _ = self._critical_pass()
-        if fam is None:
-            raise LimitExceeded(
-                f"more than {FAMILY_CAP} critical independent sets")
-        return fam
-
-    def ker_oracle(self) -> VertexSet:
-        def compute():
-            inter = self.g.full
-            for s in self.critical_ind_family():
-                inter &= s
-            return inter
-        return self._get("ker_oracle", compute)
-
-    def maximal_critical_ind(self) -> list[VertexSet]:
-        """Inclusion-maximal members of the critical independent family.
-
-        Scans by size descending; a candidate is maximal iff it sits inside no
-        already accepted maximal set, since any strict superset contains one.
-        """
-        def compute():
-            fam = sorted(self.critical_ind_family(),
-                         key=lambda s: (-s.bit_count(), s))
-            out: list[VertexSet] = []
-            for s in fam:
-                if not any(s & ~m == 0 for m in out):
-                    out.append(s)
-            return out
-        return self._get("maximal_critical_ind", compute)
-
-    def minimal_positives(self) -> list[VertexSet]:
-        """The inclusion-minimal independent sets with d >= 1, in
-        include-first order."""
-        def compute():
-            self.require_oracle()
-            table, n = self._subset_tables(), self.g.n
-            # positive[m]: m or a subset of m has d >= 1; reversed
-            # include-first order reaches every subset of m before m
-            positive = bytearray(1 << n)
-            minimal = []
-            for m in reversed(self._independent_masks()):
-                rest = m
-                while rest:
-                    low = rest & -rest
-                    if positive[m ^ low]:
-                        positive[m] = 1
-                        break
-                    rest ^= low
-                else:
-                    if table[m] > n:
-                        positive[m] = 1
-                        minimal.append(m)
-            return minimal[::-1]
-        return self._get("minimal_positives", compute)
-
-    def max_critical_ind(self) -> VertexSet:
-        self.require_oracle()
-        return self._critical_pass()[1]
-
-    def side_critical_samples(self, side: ore.Side) -> list[VertexSet]:
-        def compute():
-            self.require_oracle()
-            return list(islice(ore._side_critical_sets(
-                self.g, self.parts(), side, self.config.oracle_limit,
-                self.ore_profile), 16))
-        return self._get(f"side_crit_{side}", compute)
-
-    def labels(self, mask: VertexSet) -> list[str]:
-        return self.g.label_list(mask)
 
 
 # -- property shell --------------------------------------------------------------
@@ -429,6 +155,18 @@ def _supermodular_masks(n: int) -> tuple[int, ...]:
         return tuple(range(size))
     rng = random.Random(0x5D1A + n)
     return tuple(sorted({rng.randrange(size) for _ in range(128)}))
+
+
+@lru_cache(maxsize=None)
+def _square_masks(n: int) -> tuple[int, tuple[tuple[int, ...], ...]]:
+    """For the square test of th4.supermodular on n vertices: 0x80 in each
+    of the 2^n byte lanes, and per u, one per v > u, 0x80 in each lane X
+    that holds neither u nor v. Kept per n: under 300 KB at n = 12."""
+    planes, _ = _subset_lanes(n)
+    ones = int.from_bytes(b"\1" * (1 << n), "little")
+    return ones << 7, tuple(tuple((ones ^ (planes[u] | planes[v])) << 7
+                                  for v in range(u + 1, n))
+                            for u in range(n))
 
 
 def _squares_hold(table: bytes, n: int) -> bool:
@@ -588,7 +326,7 @@ def _check_ker_characterization(f: Facts) -> tuple[bool, dict | None]:
     # a limit reaches evaluate as a skip; only a disagreement of the two
     # conditions is a failure
     try:
-        ok, wit = critical.verify_ker_characterization(
+        ok, wit = oracle.verify_ker_characterization(
             g, k, f.config.oracle_limit)
     except LimitExceeded:
         raise
@@ -603,7 +341,7 @@ def _check_ker_characterization(f: Facts) -> tuple[bool, dict | None]:
     other = next((s for s in f.critical_ind_family() if s != k), None)
     if other is not None:
         try:
-            ok_other, _ = critical.verify_ker_characterization(
+            ok_other, _ = oracle.verify_ker_characterization(
                 g, other, f.config.oracle_limit)
         except LimitExceeded:
             raise
@@ -987,13 +725,19 @@ def files_corpus(paths: list[str]) -> CorpusSpec:
     return CorpusSpec((CorpusSource("files", tuple(paths)),))
 
 
+# the fields each kind of corpus source takes besides "kind"
+_SOURCE_FIELDS = {"fixtures": (), "exhaustive": ("n",),
+                  "random": ("n", "p", "count", "seed"), "files": ("paths",)}
+
+
 def _spec_int(kind: str, field: str, value) -> int:
-    """An integer field of a corpus source; int() would truncate a float
-    and read a bool as 0 or 1."""
-    if isinstance(value, (bool, float)):
+    """An integer field of a corpus source. Anything but a JSON integer is
+    refused: int() would truncate a float, read a bool as 0 or 1 and a
+    numeric string as its number."""
+    if type(value) is not int:
         raise ValueError(f"{kind} source needs an integer {field}, "
                          f"got {json.dumps(value)}")
-    return int(value)
+    return value
 
 
 def parse_corpus_spec(text: str) -> CorpusSpec:
@@ -1009,6 +753,13 @@ def parse_corpus_spec(text: str) -> CorpusSpec:
         if not isinstance(entry, dict) or "kind" not in entry:
             raise ValueError(f"corpus source needs a 'kind': {entry!r}")
         kind = entry["kind"]
+        fields = _SOURCE_FIELDS.get(kind) if isinstance(kind, str) else None
+        if fields is None:
+            raise ValueError(f"unknown corpus source kind {kind!r}")
+        for key in entry:
+            if key != "kind" and key not in fields:
+                raise ValueError(
+                    f"{kind} source has no field {json.dumps(key)}")
         try:
             if kind == "fixtures":
                 sources.append(CorpusSource("fixtures", ()))
@@ -1023,22 +774,20 @@ def parse_corpus_spec(text: str) -> CorpusSpec:
                     raise ValueError(f"random source needs n = [lo, hi], "
                                      f"got {json.dumps(entry['n'])}")
                 lo, hi = (_spec_int(kind, "n", v) for v in entry["n"])
-                if isinstance(entry["p"], bool):
+                if type(entry["p"]) not in (int, float):
                     raise ValueError(f"random source needs a number p, "
                                      f"got {json.dumps(entry['p'])}")
                 sources += random_corpus(
                     lo, hi, float(entry["p"]),
                     _spec_int(kind, "count", entry["count"]),
                     _spec_int(kind, "seed", entry["seed"])).sources
-            elif kind == "files":
+            else:
                 paths = entry["paths"]
                 if not isinstance(paths, list):
                     raise ValueError(
                         f"files source needs a list of paths, got {paths!r}")
                 sources.append(CorpusSource(
                     "files", tuple(str(p) for p in paths)))
-            else:
-                raise ValueError(f"unknown corpus source kind {kind!r}")
         except (KeyError, TypeError) as exc:
             raise ValueError(f"bad corpus source {entry!r}: {exc}")
     return CorpusSpec(tuple(sources))

@@ -13,8 +13,9 @@ from critset.critical import (critical_difference,
                               critical_independent_witness, diadem, ker)
 from critset.fixtures import fixture_names, verify_all
 from critset.graphs import all_graphs, bipartition, difference, is_independent
-from critset.ke import is_ke_via_critical, is_koenig_egervary
+from critset.ke import is_koenig_egervary
 from critset.matching import maximum_matching_general
+from critset.oracle import is_ke_via_critical
 from critset.ore import ore_profile
 from critset.props import (Config, CorpusSpec, conjecture_scan,
                            exhaustive_corpus, fixtures_corpus, iter_graphs,

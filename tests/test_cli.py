@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from critset import cli, critical, ke, matching, mis, ore, props
+from critset import cli, critical, ke, matching, mis, oracle, ore, props
 from critset.fixtures import load
 from critset.graphs import random_bipartite
 
@@ -80,7 +80,8 @@ def test_bipartite_analyze_runs_one_hopcroft_karp(monkeypatch):
                  "maximum_matching_general"):
         f = getattr(matching, name)
         # every module that imports the routine by name
-        for module in (matching, critical, ore, mis, ke, props, cli):
+        for module in (matching, critical, ore, mis, ke, oracle, props,
+                       cli):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, counted(name, f))
     # random_bipartite(10, 12, 0.1, 4) has six components with an edge
@@ -216,13 +217,31 @@ def test_negative_exhaustive_order_exits_2(capsys, tmp_path, monkeypatch,
     ({"kind": "random", "n": [3], "p": 0.3, "count": 2, "seed": 1},
      "error: random source needs n = [lo, hi], got [3]\n"),
     ({"kind": "random", "n": [3, 4, 5], "p": 0.3, "count": 2, "seed": 1},
-     "error: random source needs n = [lo, hi], got [3, 4, 5]\n")])
+     "error: random source needs n = [lo, hi], got [3, 4, 5]\n"),
+    ({"kind": "exhaustive", "n": "3"},
+     'error: exhaustive source needs an integer n, got "3"\n'),
+    ({"kind": "exhaustive", "n": [3]},
+     "error: exhaustive source needs an integer n, got [3]\n"),
+    ({"kind": "random", "n": [3, 4], "p": 0.3, "count": 2, "seed": "7"},
+     'error: random source needs an integer seed, got "7"\n'),
+    ({"kind": "random", "n": [3, 4], "p": 0.3, "count": "2", "seed": 7},
+     'error: random source needs an integer count, got "2"\n'),
+    ({"kind": "random", "n": [3, 4], "p": "0.3", "count": 2, "seed": 7},
+     'error: random source needs a number p, got "0.3"\n'),
+    ({"kind": "random", "n": [3, 4], "p": None, "count": 2, "seed": 7},
+     "error: random source needs a number p, got null\n"),
+    ({"kind": "random", "n": [3, 4], "p": 0.3, "count": 2, "seed": 7,
+      "extra": 1},
+     'error: random source has no field "extra"\n'),
+    ({"kind": "fixtures", "n": 4},
+     'error: fixtures source has no field "n"\n')])
 def test_out_of_range_corpus_source_exits_2(capsys, tmp_path, source, err):
     # an exhaustive order past the stream's bound is a usage error, as for
     # `exhaustive --n 8`; a negative count or order is no clean run, a path
     # string and a string n are not read letter by letter, n holds exactly
     # two bounds, and a float or bool in an integer field is not truncated
-    # to some other corpus
+    # to some other corpus; a string or list there is no number, and a field
+    # the source's kind does not take is no silent no-op
     spec = tmp_path / "c.json"
     spec.write_text(json.dumps({"sources": [source]}))
     assert run_cli(capsys, "conjecture", "--corpus", str(spec)) == (2, "", err)

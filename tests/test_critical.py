@@ -11,17 +11,15 @@ from conftest import (adj_of, analyze_sample, include_first, masks_built,
 from critset.critical import (_d_without, _greedy_cover_matching,
                               _ker_matching, critical_difference,
                               critical_independent_witness, diadem,
-                              enumerate_critical_independent_sets,
-                              enumerate_critical_sets, is_critical_independent,
-                              is_critical_set, ker, max_subset_difference,
-                              minimal_positive_independent_sets,
-                              verify_ker_characterization)
+                              is_critical_independent, is_critical_set, ker)
 from critset.fixtures import load
 from critset.graphs import (Graph, LimitExceeded, complete_graph,
                             cycle_graph, delete_vertices, difference,
                             empty_graph, is_independent, parse_graph,
                             path_graph, random_graph, to_edge_list)
-from critset.props import Facts
+from critset.oracle import (Config, Facts,
+                            enumerate_critical_independent_sets,
+                            verify_ker_characterization)
 
 
 def mask_of(g, labels):
@@ -255,8 +253,6 @@ def test_enumerated_critical_families_match_oracle(graphs_n5):
         n, adj = g.n, adj_of(g)
         want = include_first(n, o.brute_critical_independent_sets(n, adj))
         assert list(enumerate_critical_independent_sets(g, 11)) == want, g.adj
-        want = include_first(n, o.brute_critical_sets(n, adj))
-        assert list(enumerate_critical_sets(g, 11)) == want, g.adj
 
 
 def test_enumeration_respects_limit():
@@ -265,43 +261,28 @@ def test_enumeration_respects_limit():
         list(enumerate_critical_independent_sets(g, 6))
 
 
-# -- subset difference maximum --------------------------------------------------------
-
-def test_max_subset_difference_matches_brute(graphs_n5):
-    rng = random.Random(2)
-    for g in graphs_n5[::5]:
-        if g.n == 0:
-            continue
-        x = rng.randrange(1 << g.n)
-        if not is_independent(g, x):
-            continue
-        best = max(o.d_of(adj_of(g), s) for s in o.submasks(x))
-        assert max_subset_difference(g, x) == best
-
-
-def test_max_subset_difference_rejects_dependent_sets():
-    with pytest.raises(ValueError):
-        max_subset_difference(path_graph(2), 0b11)
-
-
 # -- minimal positive independent sets -------------------------------------------------
 
 def test_minimal_positive_matches_oracle(graphs_n5):
-    # the same sets in include-first order
+    # the same sets in include-first order, off the subset tables; the
+    # search reference that test_props.py holds Facts to at n = 18 and 19
+    # agrees with the brute force here
     for g in [*graphs_n5[::3], *random_sample(40, 6, 11, seed=8)]:
-        want = include_first(g.n, o.brute_minimal_positive(g.n, adj_of(g)))
-        assert list(minimal_positive_independent_sets(g, 11)) == want, g.adj
+        n, adj = g.n, adj_of(g)
+        want = include_first(n, o.brute_minimal_positive(n, adj))
+        facts = Facts(g, Config(oracle_limit=11))
+        assert facts.minimal_positives() == want, g.adj
+        assert o.search_minimal_positive(n, adj) == want, g.adj
 
 
 def test_minimal_positive_fixture_values():
     g = load("fig177").graph
-    got = {frozenset(g.label_list(s))
-           for s in minimal_positive_independent_sets(g, 20)}
+    got = {frozenset(g.label_list(s)) for s in Facts(g).minimal_positives()}
     assert got == {frozenset({"x", "y"}), frozenset({"u", "v", "w"})}
 
 
 def test_minimal_positive_empty_when_d_is_zero():
-    assert list(minimal_positive_independent_sets(cycle_graph(4), 20)) == []
+    assert Facts(cycle_graph(4)).minimal_positives() == []
 
 
 # -- ker characterization (tight sets / per-vertex matchings) ---------------------------

@@ -18,13 +18,13 @@ import pytest
 from conftest import masks_built
 from critset import cli
 from critset.critical import (critical_difference,
-                              critical_independent_witness, diadem,
-                              enumerate_critical_independent_sets, ker)
+                              critical_independent_witness, diadem, ker)
 from critset.graphs import (Graph, bipartition, complete_bipartite,
                             delete_edge, delete_vertices, parse_graph,
                             to_edge_list)
 from critset.matching import maximum_matching_general
-from critset.ore import enumerate_side_critical_sets
+from critset.oracle import (enumerate_critical_independent_sets,
+                            enumerate_side_critical_sets)
 
 N = 20_000
 

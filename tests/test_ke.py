@@ -5,9 +5,10 @@ from conftest import adj_of, random_sample
 from critset.fixtures import load
 from critset.graphs import complete_graph, cycle_graph, path_graph
 from critset.critical import critical_difference, diadem, ker
-from critset.ke import identity_checks, is_ke_via_critical, is_koenig_egervary
+from critset.ke import identity_checks, is_koenig_egervary
 from critset.matching import maximum_matching_general
-from critset.mis import alpha, core_and_corona
+from critset.mis import alpha
+from critset.oracle import core_and_corona, is_ke_via_critical
 
 
 def test_recognition_matches_oracle(graphs_n5):

@@ -10,9 +10,10 @@ from critset.graphs import (Graph, LimitExceeded, bipartition,
                             empty_graph, parse_graph, path_graph,
                             random_bipartite, random_graph)
 from critset.matching import maximum_matching_bipartite
-from critset.mis import (_core_and_corona, alpha, core_and_corona,
-                         enumerate_maximum_independent_sets,
-                         maximum_critical_independent_set)
+from critset.mis import alpha
+from critset.oracle import (_core_and_corona, core_and_corona,
+                            enumerate_maximum_independent_sets,
+                            maximum_critical_independent_set)
 
 
 def test_alpha_matches_oracle(graphs_n5):

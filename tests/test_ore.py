@@ -4,16 +4,16 @@ import pytest
 
 import oracles as o
 from conftest import adj_of, include_first, mid_sample
-from critset.critical import (critical_difference,
-                              enumerate_critical_independent_sets)
+from critset.critical import critical_difference
 from critset.fixtures import load
 from critset.graphs import (BipartitePartition, LimitExceeded, bipartition,
                             complete_bipartite, cycle_graph, difference,
                             graph_from_code, neighborhood, path_graph)
 from critset.matching import saturating_matching
 from critset.mis import alpha
-from critset.ore import (enumerate_side_critical_sets, is_side_critical,
-                         ore_profile)
+from critset.oracle import (enumerate_critical_independent_sets,
+                            enumerate_side_critical_sets)
+from critset.ore import is_side_critical, ore_profile
 
 
 def components(g):

@@ -6,8 +6,9 @@ from collections import Counter
 
 import pytest
 
-from conftest import include_first, mid_sample, small_corpus
-from critset import critical, graphs, ke, mis, ore, props
+import oracles as o
+from conftest import adj_of, include_first, mid_sample, small_corpus
+from critset import critical, graphs, ke, mis, oracle, ore, props
 from critset.fixtures import load
 from critset.graphs import (LimitExceeded, all_graphs, bipartition,
                             complete_bipartite, complete_graph, cycle_graph,
@@ -104,7 +105,7 @@ def test_ker_characterization_reports_a_limit_as_a_skip(monkeypatch):
     def disagree(*args):
         raise RuntimeError("tight-set and matching conditions disagree")
 
-    monkeypatch.setattr(critical, "verify_ker_characterization", disagree)
+    monkeypatch.setattr(oracle, "verify_ker_characterization", disagree)
     r = evaluate(prop, Facts(path_graph(4)))
     assert r.verdict == "fails"
     assert r.witness["problem"] == "tight-set and matching conditions disagree"
@@ -149,7 +150,7 @@ def _frozen_results():
     g = path_graph(4)
     parts = bipartition(g)
     return [(Config(), "workers"),
-            (mis.core_and_corona(g), "alpha"),
+            (oracle.core_and_corona(g), "alpha"),
             (ore.ore_profile(g, parts), "delta0_a"),
             (parse_corpus_spec('{"sources": [{"kind": "fixtures"}]}'),
              "sources"),
@@ -190,7 +191,7 @@ def test_facts_run_alpha_and_the_blossom_matching_once(graphs_n5,
 
     for module in (mis, ke):
         monkeypatch.setattr(module, "alpha", counted("alpha", mis.alpha))
-    for module in (props, ke):
+    for module in (oracle, ke):
         monkeypatch.setattr(module, "maximum_matching_general",
                             counted("blossom", maximum_matching_general))
     graphs = [*graphs_n5[::37], *mid_sample(seed=7, per_density=1),
@@ -206,7 +207,7 @@ def test_facts_run_alpha_and_the_blossom_matching_once(graphs_n5,
 
         want = (len(maximum_matching_general(g)),
                 outcome(lambda: ke.is_koenig_egervary(g)),
-                outcome(lambda: mis.core_and_corona(g)))
+                outcome(lambda: oracle.core_and_corona(g)))
         calls.update(alpha=0, blossom=0)
         got = (facts.mu(), outcome(facts.is_ke), outcome(facts.mis_profile))
         assert got == want
@@ -224,11 +225,11 @@ def test_registry_pass_runs_each_oracle_fact_once(graphs_n5, monkeypatch):
     # the critical independent enumeration and the maximum independent one
     # at most once and the blossom matching once, whichever module a check
     # would reach them through; zhang.d_eq_id builds the subset tables
-    # first, so the critical and minimal positive families come off them
-    # at every n up to the oracle limit and their DFSs never run, and the
-    # maximum independent DFS runs once at every n (past the oracle limit
-    # it raises at the call, uncached)
-    calls = {"alpha": 0, "blossom": 0, "critical": 0, "minimal": 0, "mis": 0}
+    # first, so the critical family comes off them at every n up to the
+    # oracle limit and its DFS never runs, and the maximum independent DFS
+    # runs once at every n (past the oracle limit it raises at the call,
+    # uncached)
+    calls = {"alpha": 0, "blossom": 0, "critical": 0, "mis": 0}
 
     def counted(name, f):
         def wrapper(*args, **kwargs):
@@ -238,30 +239,27 @@ def test_registry_pass_runs_each_oracle_fact_once(graphs_n5, monkeypatch):
 
     for module in (mis, ke):
         monkeypatch.setattr(module, "alpha", counted("alpha", mis.alpha))
-    for module in (props, ke):
+    for module in (oracle, ke):
         monkeypatch.setattr(module, "maximum_matching_general",
                             counted("blossom", maximum_matching_general))
-    enum = critical.enumerate_critical_independent_sets
-    for module in (critical, mis):
-        monkeypatch.setattr(module, "enumerate_critical_independent_sets",
-                            counted("critical", enum))
-    monkeypatch.setattr(critical, "minimal_positive_independent_sets",
-                        counted("minimal",
-                                critical.minimal_positive_independent_sets))
-    monkeypatch.setattr(mis, "_maximum_independent_sets",
-                        counted("mis", mis._maximum_independent_sets))
+    monkeypatch.setattr(oracle, "enumerate_critical_independent_sets",
+                        counted("critical",
+                                oracle.enumerate_critical_independent_sets))
+    monkeypatch.setattr(oracle, "_search_maximum_independent_sets",
+                        counted("mis",
+                                oracle._search_maximum_independent_sets))
     rng = random.Random(6)
     graphs = [*graphs_n5[-1024::53],
               *(random_graph(n, p, rng.getrandbits(32))
                 for n in [*range(8, 13), 19, 20] for p in (0.15, 0.3, 0.5))]
     for g in graphs:
-        calls.update(alpha=0, blossom=0, critical=0, minimal=0, mis=0)
+        calls.update(alpha=0, blossom=0, critical=0, mis=0)
         facts = Facts(g)
         for prop in registry():
             assert evaluate(prop, facts).verdict in ("holds", "skipped")
         assert calls["alpha"] <= 1, g.adj
         assert calls["blossom"] == 1, g.adj
-        assert calls["critical"] == calls["minimal"] == 0, g.adj
+        assert calls["critical"] == 0, g.adj
         assert calls["mis"] == 1, g.adj
 
 
@@ -290,12 +288,12 @@ def test_one_critical_pass_gives_capped_family_and_uncapped_maximum(
         monkeypatch):
     for g in [*small_corpus(4), empty_graph(5), cycle_graph(6),
               random_graph(9, 0.3, 2)]:
-        family = list(critical.enumerate_critical_independent_sets(g))
-        best = mis.maximum_critical_independent_set(g)
+        family = list(oracle.enumerate_critical_independent_sets(g))
+        best = oracle.maximum_critical_independent_set(g)
         assert Facts(g).critical_ind_family() == family
         assert Facts(g).max_critical_ind() == best
         # past the cap the family is a limit skip, the maximum is not
-        monkeypatch.setattr(props, "FAMILY_CAP", len(family) - 1)
+        monkeypatch.setattr(oracle, "FAMILY_CAP", len(family) - 1)
         facts = Facts(g)
         with pytest.raises(LimitExceeded, match="more than"):
             facts.critical_ind_family()
@@ -328,17 +326,17 @@ def test_critical_pass_builds_no_subset_table_of_its_own(monkeypatch):
     # --no-oracle, or run alone, they share one critical DFS and leave the
     # 2^n subset tables unbuilt, which at n = 20 cost more than the DFS
     calls = Counter()
-    enum = critical.enumerate_critical_independent_sets
+    enum = oracle.enumerate_critical_independent_sets
 
     def counted(*args):
         calls["critical"] += 1
         return enum(*args)
 
-    monkeypatch.setattr(critical, "enumerate_critical_independent_sets",
+    monkeypatch.setattr(oracle, "enumerate_critical_independent_sets",
                         counted)
     unguarded = ["ke.is_ke", "th5.ke_iff_every_mis_critical"]
     rng = random.Random(12)
-    for n in (5, 12, 18, critical.ORACLE_LIMIT):
+    for n in (5, 12, 18, oracle.ORACLE_LIMIT):
         g = random_graph(n, 0.3, rng.getrandbits(32))
         for config, names in ((Config(use_oracle=False),
                                [prop.name for prop in registry()]),
@@ -354,7 +352,7 @@ def test_critical_pass_builds_no_subset_table_of_its_own(monkeypatch):
 def test_limit_texts_of_the_family_readers():
     # taken from the DFS route: one past the oracle limit the family
     # readers skip with its text, and ke.is_ke with it
-    for n, config in ((critical.ORACLE_LIMIT + 1, Config()),
+    for n, config in ((oracle.ORACLE_LIMIT + 1, Config()),
                       (19, Config(oracle_limit=18))):
         text = f"n={n} exceeds oracle limit {config.oracle_limit}"
         facts = Facts(path_graph(n), config)
@@ -400,30 +398,33 @@ def _route_outcomes(g, config, tables_first=False):
 
 
 def _reference_families(g, config):
-    """The library DFSs' critical family, maximum critical set and minimal
-    positive sets under config, with any limit as its message."""
+    """The library DFSs' critical family and maximum critical set, and the
+    search reference's minimal positive sets, under config, with any limit
+    as its message."""
     if not config.use_oracle:
         return ["oracle disabled"] * 3
     limit = config.oracle_limit
     return [_outcome(lambda: list(
-                critical.enumerate_critical_independent_sets(g, limit))),
-            _outcome(lambda: mis.maximum_critical_independent_set(g, limit)),
-            _outcome(lambda: list(
-                critical.minimal_positive_independent_sets(g, limit)))]
+                oracle.enumerate_critical_independent_sets(g, limit))),
+            _outcome(lambda: oracle.maximum_critical_independent_set(
+                g, limit)),
+            f"n={g.n} exceeds oracle limit {limit}" if g.n > limit
+            else o.search_minimal_positive(g.n, adj_of(g))]
 
 
 def _dfs_readers(g):
-    return [list(critical.enumerate_critical_independent_sets(g)),
-            mis.maximum_critical_independent_set(g),
-            list(critical.minimal_positive_independent_sets(g)),
-            next(mis.enumerate_maximum_independent_sets(g)),
-            mis.core_and_corona(g)]
+    return [list(oracle.enumerate_critical_independent_sets(g)),
+            oracle.maximum_critical_independent_set(g),
+            o.search_minimal_positive(g.n, adj_of(g)),
+            next(oracle.enumerate_maximum_independent_sets(g)),
+            oracle.core_and_corona(g)]
 
 
 def test_table_route_gives_what_the_dfs_route_gives():
     # Facts reads the minimal positive sets off the subset tables at every
     # n, and the critical sets too once the tables are built, else by DFS;
-    # in the order the DFSs yield them, and with the same skips and results
+    # in the order the DFSs yield them, and with the same skips and results.
+    # The minimal positive sets are held to the search in tests/oracles.py
     rng = random.Random(9)
     sampled = [random_graph(n, p, rng.getrandbits(32))
                for n in (18, 19) for p in (0.15, 0.3, 0.5)
@@ -437,10 +438,10 @@ def test_table_route_gives_what_the_dfs_route_gives():
                     facts.minimal_positives(), facts.first_mis(),
                     facts.mis_profile()] == _dfs_readers(g), g.adj
             assert "tables" in facts._cache, g.adj
-            assert (list(facts._maximum_independent_sets())
-                    == list(mis.enumerate_maximum_independent_sets(g))), g.adj
+            assert (list(facts._maximum_independent_sets()) == list(
+                oracle.enumerate_maximum_independent_sets(g))), g.adj
     # under --no-oracle, and an oracle limit below n, the three family
-    # readers give what the library DFSs give under the same limit, and
+    # readers give what the DFSs give under the same limit, and
     # every reader and every registry result is the same whether the
     # critical family comes off the tables or by DFS
     for g in [*small_corpus(4)][::5] + sampled[:6]:
@@ -548,6 +549,42 @@ def test_supermodular_sample_is_drawn_once_per_n():
         assert evaluate(prop, Facts(g)).verdict == "holds"
     info = props._supermodular_masks.cache_info()
     assert (info.misses, info.currsize) == (4, 4)
+
+
+def test_lane_cache_holds_the_order_in_use_only():
+    # the byte lanes of the subset tables take (n + 1)·2^n bytes; a fuzz
+    # run over several orders keeps those of the last one, not of each
+    oracle._subset_lanes.cache_clear()
+    report = run(random_corpus(17, 20, 0.3, 8, 1))  # as fuzz --n 17..20
+    orders = [graph["n"] for graph in report["graphs"]]
+    assert orders == [19, 20, 19, 19, 19, 19, 18, 18]
+    info = oracle._subset_lanes.cache_info()
+    assert (info.misses, info.currsize) == (4, 1)
+    assert oracle._subset_lanes(report["graphs"][-1]["n"])
+    assert oracle._subset_lanes.cache_info().misses == info.misses
+
+
+def test_each_entry_is_the_same_alone_in_the_sweep_and_shuffled():
+    # the route to a family (the subset tables once something built them,
+    # else a DFS) and the order the properties run in change no entry: each
+    # property reports the same alone on a fresh Facts, inside a whole
+    # registry pass, and inside a pass in shuffled order. 45 graphs, 3
+    # configs, 26 properties: 3,510 comparisons, about 2 s
+    names = [prop.name for prop in registry()]
+    rng = random.Random(27)
+    for n in range(6, 21):
+        for p in (0.15, 0.3, 0.5):
+            g = random_graph(n, p, rng.getrandbits(32))
+            for config in (Config(), Config(use_oracle=False),
+                           Config(oracle_limit=17)):
+                swept = props._eval_graph(("g", g, None, config))["results"]
+                shuffled = rng.sample(names, len(names))
+                mixed = props._eval_graph(("g", g, shuffled, config))
+                by_name = {r["property"]: r for r in mixed["results"]}
+                for name, entry in zip(names, swept):
+                    alone = props._eval_graph(("g", g, [name], config))
+                    assert alone["results"] == [entry] == [by_name[name]], (
+                        g.adj, config, name)
 
 
 def test_d_eq_id_reports_d_values_off_a_corrupted_table():
@@ -705,9 +742,9 @@ def test_core_and_corona_build_no_subset_table():
     for n in (0, 5, 12, 18):
         g = random_graph(n, 0.3, rng.getrandbits(32))
         facts = Facts(g)
-        assert facts.mis_profile() == mis.core_and_corona(g)
+        assert facts.mis_profile() == oracle.core_and_corona(g)
         assert facts.first_mis() == next(
-            mis.enumerate_maximum_independent_sets(g))
+            oracle.enumerate_maximum_independent_sets(g))
         assert "independent_masks" not in facts._cache
         assert "tables" not in facts._cache
 
@@ -905,8 +942,8 @@ def test_conjecture_scan_reports_and_shrinks_forced_violations(
     if kind == "ker-diadem":
         monkeypatch.setattr(critical, "diadem", lambda g: g.full)
     else:
-        monkeypatch.setattr(mis, "_core_and_corona",
-                            lambda g, a, sets: mis.MisProfile(a, 0, 0))
+        monkeypatch.setattr(oracle, "_core_and_corona",
+                            lambda g, a, sets: oracle.MisProfile(a, 0, 0))
     corpus = parse_corpus_spec(json.dumps({"sources": [
         {"kind": "exhaustive", "n": 3},
         {"kind": "random", "n": [5, 7], "p": 0.4, "count": 4, "seed": 1}]}))

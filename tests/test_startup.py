@@ -1,4 +1,6 @@
-"""What a fresh interpreter loads: each command imports only what it uses."""
+"""What a fresh interpreter loads: each command imports only what it uses;
+and what each file imports: no polynomial module reaches the oracle tier,
+and the test oracles reach nothing of the package."""
 
 import ast
 import os
@@ -9,6 +11,9 @@ from pathlib import Path
 import pytest
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
+# the modules whose routes are polynomial: the exponential enumerations in
+# oracle and the alpha search in mis are out of their reach
+POLYNOMIAL = ("critical", "graphs", "matching", "ore")
 # the line the benchmark times as set-up
 SETUP = "import critset, critset.cli; critset.registry()"
 # loaded on first use only: the process pool by --workers K > 1, fixtures by
@@ -28,7 +33,10 @@ def _modules_after(code: str) -> set[str]:
 
 def test_setup_line_loads_no_pool_dataclasses_or_fixtures():
     extra = _modules_after(SETUP) - _modules_after("pass")
-    assert "critset.cli" in extra
+    assert sorted(name for name in extra if name.startswith("critset")) == [
+        "critset", "critset.cli", "critset.critical", "critset.graphs",
+        "critset.ke", "critset.matching", "critset.mis", "critset.oracle",
+        "critset.ore", "critset.props"]
     assert [name for name in LAZY if name in extra] == []
 
 
@@ -61,3 +69,32 @@ def test_all_lists_every_public_name_once():
     public = {name for name in bound if not name.startswith("_")}
     assert len(critset.__all__) == len(set(critset.__all__))
     assert sorted(public - set(critset.__all__)) == []
+
+
+def _imports(path: Path) -> set[str]:
+    """Every module a file imports, anywhere in it, with the package's
+    relative imports read as critset.<name>; `from M import x` counts as
+    importing both M and M.x, as x may be a module."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            found.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            base = node.module or ""
+            if node.level:
+                base = f"critset.{base}" if base else "critset"
+            found.add(base)
+            found.update(f"{base}.{alias.name}" for alias in node.names)
+    return found
+
+
+@pytest.mark.parametrize("module", POLYNOMIAL)
+def test_polynomial_modules_never_import_the_oracle_tier(module):
+    path = Path(SRC) / "critset" / f"{module}.py"
+    assert sorted(_imports(path) & {"critset.oracle", "critset.mis"}) == []
+
+
+def test_oracles_import_nothing_from_the_package():
+    # the brute-force references stay independent of the code they check
+    imported = _imports(Path(__file__).with_name("oracles.py"))
+    assert sorted(m for m in imported if m.split(".")[0] == "critset") == []
