@@ -101,7 +101,6 @@ def _config(args: argparse.Namespace) -> Config:
     workers = default_workers() if args.workers is None else args.workers
     return Config(oracle_limit=args.oracle_limit,
                   use_oracle=not args.no_oracle,
-                  strict=args.strict,
                   workers=workers)
 
 
@@ -212,7 +211,7 @@ def _cmd_analyze(args) -> int:
         print(_dump(rep))
     else:
         print(_render_analysis(args.file, rep))
-    if config.strict and rep["skipped"]:
+    if args.strict and rep["skipped"]:
         return EXIT_LIMIT
     return EXIT_OK
 
@@ -243,7 +242,7 @@ def _cmd_check(args) -> int:
                 print(f"{r.prop}: fails applicability: {r.reason}")
     if any(r.verdict == "fails" for r in results):
         return EXIT_FAIL
-    if config.strict and any(r.limit for r in results):
+    if args.strict and any(r.limit for r in results):
         return EXIT_LIMIT
     return EXIT_OK
 
@@ -307,7 +306,7 @@ def _corpus_run(corpus: CorpusSpec, args: argparse.Namespace) -> int:
         print(_render_run(summary))
     if summary["fails"]:
         return EXIT_FAIL
-    if config.strict and summary["limit_skips"]:
+    if args.strict and summary["limit_skips"]:
         return EXIT_LIMIT
     return EXIT_OK
 
@@ -382,7 +381,7 @@ def _cmd_conjecture(args) -> int:
         return EXIT_FAIL
     # the oracle switch and limit skip the upper slack for a whole order n
     # at once, leaving that order's min_slack_upper None
-    if config.strict and (rep["summary"]["skipped"] or any(
+    if args.strict and (rep["summary"]["skipped"] or any(
             slot["min_slack_upper"] is None
             for slot in rep["per_n"].values())):
         return EXIT_LIMIT
@@ -427,7 +426,7 @@ def _cmd_fixtures(args) -> int:
                     print(f"    note on {check['key']}: {check['note']}")
     if not all(r["holds"] for r in reports):
         return EXIT_FAIL
-    if config.strict and any("skipped" in check for r in reports
+    if args.strict and any("skipped" in check for r in reports
                              for check in r["checks"]):
         return EXIT_LIMIT
     return EXIT_OK

@@ -6,21 +6,23 @@ are their intersection and union) and a bipartite side's critical sets each
 come from one pruned DFS over an explicit stack of bitmasks, include-first,
 with no recursion. `Facts` caches per graph the polynomial facts, alpha,
 these families, and two brute-force tables over the 2^n vertex subsets: the
-independent masks and the d table. No polynomial module (graphs, matching,
-critical, ore) imports this module; tests/test_startup.py checks it.
+independent masks and the d table. `Facts` is the one place that computes
+each family and checks its limit; the public readers of the maximum
+independent sets, core and corona, the maximum critical set and the
+KE-via-critical route read a fresh `Facts`. No polynomial module (graphs,
+matching, critical, ore) imports this module; tests/test_startup.py checks
+it.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
 from itertools import islice, tee
 from typing import Callable, Iterable, Iterator, NamedTuple
 
 from . import critical, ke, mis, ore
 from .graphs import (BipartitePartition, Graph, LimitExceeded, VertexSet,
                      bipartition, neighborhood, vlist)
-from .matching import (_check_parts, maximum_matching_general,
-                       saturating_matching)
+from .matching import maximum_matching_general, saturating_matching
 from .mis import _greedy_clique_cover
 
 ORACLE_LIMIT = 20
@@ -30,7 +32,6 @@ FAMILY_CAP = 20000
 class Config(NamedTuple):
     oracle_limit: int = ORACLE_LIMIT
     use_oracle: bool = True
-    strict: bool = False
     workers: int = 1
 
 
@@ -80,7 +81,7 @@ def maximum_critical_independent_set(g: Graph,
     Ties break toward the lexicographically least sorted id list, so the
     answer is stable across runs.
     """
-    return _maximum_critical(enumerate_critical_independent_sets(g, limit))
+    return Facts(g, Config(oracle_limit=limit)).max_critical_ind()
 
 
 def _maximum_critical(sets: Iterable[VertexSet]) -> VertexSet:
@@ -99,8 +100,7 @@ def _maximum_critical(sets: Iterable[VertexSet]) -> VertexSet:
 
 def is_ke_via_critical(g: Graph, limit: int = ORACLE_LIMIT) -> bool:
     """Equivalent recognition route: some critical independent set is maximum."""
-    j = maximum_critical_independent_set(g, limit)
-    return j.bit_count() == mis.alpha(g)
+    return Facts(g, Config(oracle_limit=limit)).ke_via_critical()
 
 
 def verify_ker_characterization(
@@ -158,61 +158,35 @@ def enumerate_maximum_independent_sets(
         g: Graph, limit: int = ORACLE_LIMIT) -> Iterator[VertexSet]:
     """Yield every independent set of size alpha(g), each exactly once, in
     include-first DFS order over vertex ids."""
-    yield from _search_maximum_independent_sets(g, limit)
+    yield from Facts(g, Config(oracle_limit=limit))._maximum_independent_sets()
 
 
-def _search_maximum_independent_sets(
-        g: Graph, limit: int,
-        known_alpha: Callable[[], int] | None = None) -> Iterator[VertexSet]:
-    """enumerate_maximum_independent_sets for a caller that may already know
-    alpha(g): known_alpha returns it, and is called after the limit check.
-    Both limits are checked at the call, not at the first set asked for."""
-    if g.n > limit:
-        raise LimitExceeded(f"n={g.n} exceeds enumeration limit {limit}")
-    target = mis.alpha(g) if known_alpha is None else known_alpha()
+def _search_maximum_independent_sets(g: Graph,
+                                     target: int) -> Iterator[VertexSet]:
+    """The independent sets of size target, target = alpha(g), by DFS over
+    nodes (live vertices, chosen set); a node takes its lowest live vertex
+    first while its exclude node waits on the stack."""
     adj = g.adj
-
-    def search() -> Iterator[VertexSet]:
-        # nodes as (live vertices, chosen set); a node takes its lowest live
-        # vertex first while its exclude node waits on the stack
-        todo = [(g.full, 0)]
-        while todo:
-            avail, chosen = todo.pop()
-            while True:
-                cap = target - chosen.bit_count() - 1
-                if _greedy_clique_cover(adj, avail, cap) <= cap:
-                    break
-                if not avail:
-                    yield chosen
-                    break
-                low = avail & -avail
-                todo.append((avail ^ low, chosen))
-                avail &= ~(adj[low.bit_length() - 1] | low)
-                chosen |= low
-
-    return search()
+    todo = [(g.full, 0)]
+    while todo:
+        avail, chosen = todo.pop()
+        while True:
+            cap = target - chosen.bit_count() - 1
+            if _greedy_clique_cover(adj, avail, cap) <= cap:
+                break
+            if not avail:
+                yield chosen
+                break
+            low = avail & -avail
+            todo.append((avail ^ low, chosen))
+            avail &= ~(adj[low.bit_length() - 1] | low)
+            chosen |= low
 
 
 def core_and_corona(g: Graph, limit: int = ORACLE_LIMIT) -> MisProfile:
     """Intersection and union of all maximum independent sets; the
     enumeration stops once the core is empty and the corona is all of V."""
-    a = mis.alpha(g)
-    sets = _search_maximum_independent_sets(g, limit, lambda: a)
-    return _core_and_corona(g, a, sets)
-
-
-def _core_and_corona(g: Graph, a: int,
-                     sets: Iterable[VertexSet]) -> MisProfile:
-    """core_and_corona for a caller that already knows a = alpha(g) and
-    hands over g's maximum independent sets, in include-first order."""
-    core = g.full
-    corona = 0
-    for s in sets:
-        core &= s
-        corona |= s
-        if core == 0 and corona == g.full:
-            break
-    return MisProfile(a, core, corona)
+    return Facts(g, Config(oracle_limit=limit)).mis_profile()
 
 
 # -- side-critical sets of a bipartite graph --------------------------------------
@@ -221,43 +195,47 @@ def enumerate_side_critical_sets(
         g: Graph, parts: BipartitePartition, side: ore.Side,
         limit: int = ORACLE_LIMIT) -> Iterator[VertexSet]:
     """Yield every X within the side attaining its deficiency maximum."""
-    _check_parts(g, parts)
     yield from _side_critical_sets(g, parts, side, limit,
-                                   lambda: ore.ore_profile(g, parts))
+                                   ore.ore_profile(g, parts))
 
 
 def _side_critical_sets(
         g: Graph, parts: BipartitePartition, side: ore.Side, limit: int,
-        profile: Callable[[], ore.OreProfile]) -> Iterator[VertexSet]:
-    """enumerate_side_critical_sets for a caller whose parts are checked and
-    who may already hold the profile: profile returns ore_profile(g, parts),
-    and is called after the side-size limit check."""
+        profile: ore.OreProfile) -> Iterator[VertexSet]:
+    """enumerate_side_critical_sets given ore_profile(g, parts), which
+    checks the parts."""
     i = ore._side_index(side)
     s = parts[i]
     if s.bit_count() > limit:
         raise LimitExceeded(
             f"side size {s.bit_count()} exceeds oracle limit {limit}")
-    p = profile()
-    yield from _enumerate_target_sets(g, s, (p.delta0_a, p.delta0_b)[i],
-                                      False)
+    yield from _enumerate_target_sets(
+        g, s, (profile.delta0_a, profile.delta0_b)[i], False)
 
 
 # -- per-graph fact cache --------------------------------------------------------
 
-@lru_cache(maxsize=1)
+# the order whose lanes _subset_lanes holds, and its lanes
+_lanes: dict[int, tuple[tuple[int, ...], int]] = {}
+
+
 def _subset_lanes(n: int) -> tuple[tuple[int, ...], int]:
     """Byte-lane integers over the 2^n subset masks of n vertices, lane m
     being byte m: for each v the plane whose lane m is 1 iff v is in m, and
     their sum plus n in each lane, |m| + n in lane m. Every table at order n
     starts from them: n + 1 integers of 2^n bytes. Only the order last asked
-    for is kept, never the sum over every order a process has seen; a run
-    that comes back to an order builds its lanes again."""
-    size = 1 << n
-    planes = tuple(
-        int.from_bytes((bytes(1 << v) + b"\1" * (1 << v)) * (size >> v + 1),
-                       "little")
-        for v in range(n))
-    return planes, sum(planes) + n * int.from_bytes(b"\1" * size, "little")
+    for is kept, and it is dropped before another order's lanes are built,
+    so a switch never holds two orders; a run that comes back to an order
+    builds its lanes again."""
+    if n not in _lanes:
+        _lanes.clear()
+        size = 1 << n
+        planes = tuple(int.from_bytes(
+            (bytes(1 << v) + b"\1" * (1 << v)) * (size >> v + 1), "little")
+            for v in range(n))
+        ones = int.from_bytes(b"\1" * size, "little")
+        _lanes[n] = planes, sum(planes) + n * ones
+    return _lanes[n]
 
 
 class Facts:
@@ -316,11 +294,20 @@ class Facts:
     # enumeration-backed facts, all behind the oracle limit
 
     def mis_profile(self) -> MisProfile:
+        """Alpha, then core and corona off the maximum independent sets; the
+        scan stops once the core is empty and the corona is all of V. Alpha
+        is read first, so an alpha limit is reported before the
+        enumeration limit."""
         def compute():
             self.require_oracle()
-            a = self.alpha()
-            return _core_and_corona(self.g, a,
-                                    self._maximum_independent_sets())
+            a, full = self.alpha(), self.g.full
+            core, corona = full, 0
+            for s in self._maximum_independent_sets():
+                core &= s
+                corona |= s
+                if core == 0 and corona == full:
+                    break
+            return MisProfile(a, core, corona)
         return self._get("mis_profile", compute)
 
     def core(self) -> VertexSet:
@@ -332,13 +319,17 @@ class Facts:
     def _maximum_independent_sets(self) -> Iterator[VertexSet]:
         """The maximum independent sets in include-first order, found once
         per graph by one DFS that runs only as far as the readers ask. The
-        DFS checks the enumeration limit, then reads the cached alpha; the
-        cache holds a tee of it that nothing advances, and each reader gets
-        a copy, which starts at the first set. Not guarded by the oracle
-        switch."""
+        enumeration limit is checked at the call, then the cached alpha is
+        read; the cache holds a tee of the DFS that nothing advances, and
+        each reader gets a copy, which starts at the first set. Not guarded
+        by the oracle switch."""
         def compute():
-            return tee(_search_maximum_independent_sets(
-                self.g, self.config.oracle_limit, self.alpha), 1)[0]
+            g, limit = self.g, self.config.oracle_limit
+            if g.n > limit:
+                raise LimitExceeded(
+                    f"n={g.n} exceeds enumeration limit {limit}")
+            return tee(_search_maximum_independent_sets(g, self.alpha()),
+                       1)[0]
         return self._get("mis_sets", compute).__copy__()
 
     def first_mis(self) -> VertexSet:
@@ -356,12 +347,7 @@ class Facts:
 
     def tables(self) -> bytes:
         """d(X) + n for every subset mask X, in byte X; the brute-force
-        ground truth, behind the oracle switch."""
-        self.require_oracle()
-        return self._subset_tables()
-
-    def _subset_tables(self) -> bytes:
-        """tables() without the oracle switch, for the unguarded readers.
+        ground truth, behind the oracle switch.
 
         Built in byte lanes, one lane per mask: d(m) + n lies in 0..2n, so
         no lane carries into the next. Lane m of the plane of w is 1 iff w
@@ -369,6 +355,8 @@ class Facts:
         all w sum to |N(m)|, which comes off |m| + n. The lanes are read
         out as bytes, which the whole-table checks search in C.
         """
+        self.require_oracle()
+
         def compute():
             g = self.g
             if g.n > self.config.oracle_limit:
@@ -404,7 +392,7 @@ class Facts:
         maximum_critical_independent_set's tie rule. Once the subset tables
         are built, the independent masks whose lane holds d + n; else one
         pruned DFS, cheaper than building them for this alone. Not guarded
-        by the oracle switch; the public readers check it."""
+        by the oracle switch; the readers that need it check it."""
         def compute():
             if "tables" in self._cache:
                 table, lane = self._cache["tables"], self.d() + self.g.n
@@ -456,12 +444,16 @@ class Facts:
             return out
         return self._get("maximal_critical_ind", compute)
 
+    def ke_via_critical(self) -> bool:
+        """Whether some critical independent set is maximum: the largest
+        one has size alpha. Not guarded by the oracle switch."""
+        return self._critical_pass()[1].bit_count() == self.alpha()
+
     def minimal_positives(self) -> list[VertexSet]:
         """The inclusion-minimal independent sets with d >= 1, in
         include-first order."""
         def compute():
-            self.require_oracle()
-            table, n = self._subset_tables(), self.g.n
+            table, n = self.tables(), self.g.n
             # positive[m]: m or a subset of m has d >= 1; reversed
             # include-first order reaches every subset of m before m
             positive = bytearray(1 << n)
@@ -490,7 +482,7 @@ class Facts:
             self.require_oracle()
             return list(islice(_side_critical_sets(
                 self.g, self.parts(), side, self.config.oracle_limit,
-                self.ore_profile), 16))
+                self.ore_profile()), 16))
         return self._get(f"side_crit_{side}", compute)
 
     def labels(self, mask: VertexSet) -> list[str]:

@@ -438,7 +438,7 @@ def _check_ke_iff_every_mis_critical(f: Facts) -> tuple[bool, dict | None]:
     bad_mis = next((s for s in f._maximum_independent_sets()
                     if difference(g, s) != d0), None)
     all_critical = bad_mis is None
-    via_critical = f._critical_pass()[1].bit_count() == f.alpha()
+    via_critical = f.ke_via_critical()
     ok = recognized == all_critical == via_critical
     return ok, None if ok else {
         "alpha_plus_mu_route": recognized,
@@ -529,7 +529,7 @@ def _check_pendants_in_diadem(f: Facts) -> tuple[bool, dict | None]:
 
 def _check_is_ke(f: Facts) -> tuple[bool, dict | None]:
     # no oracle guard, as before: one would change --no-oracle reports
-    ok = f._critical_pass()[1].bit_count() == f.alpha()
+    ok = f.ke_via_critical()
     return ok, None if ok else {
         "alpha": f.alpha(), "mu": f.mu(), "n": f.g.n,
         "max_critical_independent_size": f.max_critical_ind().bit_count()}
@@ -786,8 +786,11 @@ def parse_corpus_spec(text: str) -> CorpusSpec:
                 if not isinstance(paths, list):
                     raise ValueError(
                         f"files source needs a list of paths, got {paths!r}")
-                sources.append(CorpusSource(
-                    "files", tuple(str(p) for p in paths)))
+                for path in paths:
+                    if type(path) is not str:
+                        raise ValueError(f"files source needs a path string "
+                                         f"in paths, got {json.dumps(path)}")
+                sources.append(CorpusSource("files", tuple(paths)))
         except (KeyError, TypeError) as exc:
             raise ValueError(f"bad corpus source {entry!r}: {exc}")
     return CorpusSpec(tuple(sources))

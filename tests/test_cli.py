@@ -234,12 +234,17 @@ def test_negative_exhaustive_order_exits_2(capsys, tmp_path, monkeypatch,
       "extra": 1},
      'error: random source has no field "extra"\n'),
     ({"kind": "fixtures", "n": 4},
-     'error: fixtures source has no field "n"\n')])
+     'error: fixtures source has no field "n"\n'),
+    ({"kind": "files", "paths": [1]},
+     "error: files source needs a path string in paths, got 1\n"),
+    ({"kind": "files", "paths": [None]},
+     "error: files source needs a path string in paths, got null\n")])
 def test_out_of_range_corpus_source_exits_2(capsys, tmp_path, source, err):
     # an exhaustive order past the stream's bound is a usage error, as for
     # `exhaustive --n 8`; a negative count or order is no clean run, a path
-    # string and a string n are not read letter by letter, n holds exactly
-    # two bounds, and a float or bool in an integer field is not truncated
+    # string and a string n are not read letter by letter, a path that is
+    # no string is not read as one, n holds exactly two bounds, and a float
+    # or bool in an integer field is not truncated
     # to some other corpus; a string or list there is no number, and a field
     # the source's kind does not take is no silent no-op
     spec = tmp_path / "c.json"
@@ -648,6 +653,15 @@ PINNED_OUTPUTS = [
     (("fuzz", "--n", "12..14", "--p", "0.5", "--count", "12", "--seed", "5",
       "--json"), 0,
      "adfc0ab34d192bd1b442400ee7c133781c670372a1570cc1bd26160b32525b91"),
+    # computed before th5 and ke.is_ke read the KE-via-critical route off
+    # Facts: sparse graphs past the table route's reach, where the critical
+    # pass runs its DFS, under --no-oracle and with the two checks alone
+    (("fuzz", "--n", "17..20", "--p", "0.15", "--count", "6", "--seed", "3",
+      "--json", "--no-oracle"), 0,
+     "ab56f95baaec23c001cda960ef3e19f02550ed43c032005cd98feb47038e482d"),
+    (("fuzz", "--n", "17..20", "--p", "0.15", "--count", "6", "--seed", "3",
+      "--json", "--properties", "th5.ke_iff_every_mis_critical", "ke.is_ke"),
+     0, "888fffb2cd735d6f0ee03ec240f5a2b7f39457d7f2111f82af84159baeec1b1b"),
     # computed before `fixtures verify` read the analyze report
     (("fixtures", "verify"), 0,
      "c417bd2ab03814f8c5674a24f5905d91f567e53942d707e4fd97d57ed18cf0a6"),

@@ -10,8 +10,9 @@ from critset.graphs import (Graph, LimitExceeded, bipartition,
                             empty_graph, parse_graph, path_graph,
                             random_bipartite, random_graph)
 from critset.matching import maximum_matching_bipartite
+from critset import oracle
 from critset.mis import alpha
-from critset.oracle import (_core_and_corona, core_and_corona,
+from critset.oracle import (core_and_corona,
                             enumerate_maximum_independent_sets,
                             maximum_critical_independent_set)
 
@@ -123,19 +124,27 @@ def test_core_and_corona_random():
         assert p.corona == o.brute_corona(g.n, adj)
 
 
-def test_early_exit_skips_the_count():
-    # C4 has exactly two maximum independent sets covering everything and
-    # meeting nowhere, so the scan stops after seeing both and never asks
-    # for a third set
+def test_early_exit_skips_the_count(monkeypatch):
+    # the DFS is fed by hand, with alpha as its target. C4 has exactly two
+    # maximum independent sets covering everything and meeting nowhere, so
+    # the scan stops after seeing both and never asks for a third set
+    def feed(g, target):
+        assert target == 2
+        return fed
+
+    monkeypatch.setattr(oracle, "_search_maximum_independent_sets", feed)
     g = cycle_graph(4)
-    sets = iter([0b0101, 0b1010, 0b0101])
-    assert _core_and_corona(g, 2, sets) == core_and_corona(g) == (2, 0, 0b1111)
-    assert next(sets, None) == 0b0101
+    fed = iter([0b0101, 0b1010, 0b0101])
+    assert core_and_corona(g) == (2, 0, 0b1111)
+    assert next(fed, None) == 0b0101
     # 2K2 settles at the third of its four maximum independent sets
     g = parse_graph("0 1\n2 3\n")
-    sets = iter(enumerate_maximum_independent_sets(g))
-    assert _core_and_corona(g, 2, sets) == core_and_corona(g) == (2, 0, 0b1111)
-    assert list(sets) == [0b1010]
+    fed = iter([0b0101, 0b1001, 0b0110, 0b1010])
+    assert core_and_corona(g) == (2, 0, 0b1111)
+    assert list(fed) == [0b1010]
+    monkeypatch.undo()
+    assert list(enumerate_maximum_independent_sets(g)) == [
+        0b0101, 0b1001, 0b0110, 0b1010]
 
 
 def test_maximum_critical_independent_set_tie_rule():

@@ -2,6 +2,7 @@ import hashlib
 import json
 import pickle
 import random
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -120,10 +121,9 @@ def test_selftest_fails_with_reusable_witness():
 
 
 def test_config_and_property_result_keep_their_contract():
-    assert Config() == Config(oracle_limit=20, use_oracle=True, strict=False,
-                              workers=1)
+    assert Config() == Config(oracle_limit=20, use_oracle=True, workers=1)
     assert repr(Config()) == ("Config(oracle_limit=20, use_oracle=True, "
-                              "strict=False, workers=1)")
+                              "workers=1)")
     two = Config(workers=2)
     assert two.workers == 2 and two != Config()
     assert two == Config(workers=2) and hash(two) == hash(Config(workers=2))
@@ -227,8 +227,8 @@ def test_registry_pass_runs_each_oracle_fact_once(graphs_n5, monkeypatch):
     # would reach them through; zhang.d_eq_id builds the subset tables
     # first, so the critical family comes off them at every n up to the
     # oracle limit and its DFS never runs, and the maximum independent DFS
-    # runs once at every n (past the oracle limit it raises at the call,
-    # uncached)
+    # runs once at every n (past the oracle limit the limit check raises
+    # before it starts, uncached)
     calls = {"alpha": 0, "blossom": 0, "critical": 0, "mis": 0}
 
     def counted(name, f):
@@ -386,11 +386,12 @@ def _route_outcomes(g, config, tables_first=False):
     """What the five enumeration-backed readers of a fresh Facts give on g,
     with any limit as its message, then every registry result; with
     tables_first, both Facts build the subset tables before anything else
-    reads them, so the critical family comes off the tables."""
+    reads them where the oracle is on, so the critical family comes off
+    the tables."""
     facts, swept = Facts(g, config), Facts(g, config)
     if tables_first:
-        _outcome(facts._subset_tables)
-        _outcome(swept._subset_tables)
+        _outcome(facts.tables)
+        _outcome(swept.tables)
     readers = (facts.critical_ind_family, facts.max_critical_ind,
                facts.minimal_positives, facts.first_mis, facts.mis_profile)
     return ([_outcome(read) for read in readers],
@@ -551,17 +552,47 @@ def test_supermodular_sample_is_drawn_once_per_n():
     assert (info.misses, info.currsize) == (4, 4)
 
 
-def test_lane_cache_holds_the_order_in_use_only():
+def test_lane_cache_holds_the_order_in_use_only(monkeypatch):
     # the byte lanes of the subset tables take (n + 1)·2^n bytes; a fuzz
     # run over several orders keeps those of the last one, not of each
-    oracle._subset_lanes.cache_clear()
+    built = []
+
+    class Held(dict):
+        def __setitem__(self, n, lanes):
+            built.append(n)
+            super().__setitem__(n, lanes)
+
+    monkeypatch.setattr(oracle, "_lanes", Held())
     report = run(random_corpus(17, 20, 0.3, 8, 1))  # as fuzz --n 17..20
     orders = [graph["n"] for graph in report["graphs"]]
     assert orders == [19, 20, 19, 19, 19, 19, 18, 18]
-    info = oracle._subset_lanes.cache_info()
-    assert (info.misses, info.currsize) == (4, 1)
+    assert (len(built), len(oracle._lanes)) == (4, 1)
     assert oracle._subset_lanes(report["graphs"][-1]["n"])
-    assert oracle._subset_lanes.cache_info().misses == info.misses
+    assert built == [19, 20, 19, 18]
+
+
+def _peak_building(order, held):
+    """The traced peak, above the memory in use before the lanes of held
+    were built, of then building the lanes of order."""
+    oracle._subset_lanes(0)
+    base = tracemalloc.get_traced_memory()[0]
+    oracle._subset_lanes(held)
+    tracemalloc.reset_peak()
+    oracle._subset_lanes(order)
+    return tracemalloc.get_traced_memory()[1] - base
+
+
+def test_lane_cache_drops_the_held_order_before_building_the_next():
+    # switching from order 17 to 18 peaks no higher than building 18 with
+    # nothing held; holding 17's lanes through the build would add their
+    # 18·2^17 bytes to the peak
+    tracemalloc.start()
+    try:
+        alone = _peak_building(18, 0)
+        switch = _peak_building(18, 17)
+    finally:
+        tracemalloc.stop()
+    assert switch < alone + (18 << 17) // 2
 
 
 def test_each_entry_is_the_same_alone_in_the_sweep_and_shuffled():
@@ -747,6 +778,46 @@ def test_core_and_corona_build_no_subset_table():
             oracle.enumerate_maximum_independent_sets(g))
         assert "independent_masks" not in facts._cache
         assert "tables" not in facts._cache
+
+
+@pytest.mark.parametrize("n", [30, 45])
+def test_oracle_readers_check_their_limits_in_order(monkeypatch, n):
+    # each public reader reads a fresh Facts, which checks the enumeration
+    # limit before it reads alpha; core and corona read alpha first, so
+    # past the alpha limit that limit is the one reported
+    alphas = []
+    real_alpha = mis.alpha
+
+    def counted(g, *args):
+        alphas.append(g)
+        return real_alpha(g, *args)
+
+    monkeypatch.setattr(mis, "alpha", counted)
+    g = path_graph(n)
+    readers = {
+        "enumerate_maximum_independent_sets":
+            lambda: next(oracle.enumerate_maximum_independent_sets(g)),
+        "core_and_corona": lambda: oracle.core_and_corona(g),
+        "maximum_critical_independent_set":
+            lambda: oracle.maximum_critical_independent_set(g),
+        "is_ke_via_critical": lambda: oracle.is_ke_via_critical(g),
+        "Facts.mis_profile": lambda: Facts(g).mis_profile()}
+    got = {}
+    for name, read in readers.items():
+        alphas.clear()
+        with pytest.raises(LimitExceeded) as exc:
+            read()
+        got[name] = (str(exc.value), len(alphas))
+    enumeration = f"n={n} exceeds enumeration limit 20"
+    core = (enumeration if n <= mis.ALPHA_LIMIT
+            else f"n={n} exceeds alpha limit {mis.ALPHA_LIMIT}")
+    critical_limit = f"n={n} exceeds oracle limit 20"
+    assert got == {
+        "enumerate_maximum_independent_sets": (enumeration, 0),
+        "core_and_corona": (core, 1),
+        "maximum_critical_independent_set": (critical_limit, 0),
+        "is_ke_via_critical": (critical_limit, 0),
+        "Facts.mis_profile": (core, 1)}
 
 
 def test_shrink_reaches_minimal_example():
@@ -942,8 +1013,9 @@ def test_conjecture_scan_reports_and_shrinks_forced_violations(
     if kind == "ker-diadem":
         monkeypatch.setattr(critical, "diadem", lambda g: g.full)
     else:
-        monkeypatch.setattr(oracle, "_core_and_corona",
-                            lambda g, a, sets: oracle.MisProfile(a, 0, 0))
+        profile = Facts.mis_profile
+        monkeypatch.setattr(Facts, "mis_profile",
+                            lambda f: profile(f)._replace(core=0, corona=0))
     corpus = parse_corpus_spec(json.dumps({"sources": [
         {"kind": "exhaustive", "n": 3},
         {"kind": "random", "n": [5, 7], "p": 0.4, "count": 4, "seed": 1}]}))
