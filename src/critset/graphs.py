@@ -383,9 +383,20 @@ def to_edge_list(g: Graph) -> str:
 
     Every vertex is declared up front in id order, so the parser assigns the
     same ids and the round trip is the identity, not merely an isomorphism.
+    An edge line leads with its lower endpoint unless that label would make
+    the line a comment or a declaration ("#..." or "vertex"); an edge with
+    two such labels has no line and raises ValueError.
     """
-    lines = [f"vertex {label}" for label in g.labels]
-    lines += [f"{g.labels[u]} {g.labels[v]}" for u, v in g.edge_pairs()]
+    labels = g.labels
+    lines = [f"vertex {label}" for label in labels]
+    for u, v in g.edge_pairs():
+        a, b = labels[u], labels[v]
+        if a.startswith("#") or a == "vertex":
+            if b.startswith("#") or b == "vertex":
+                raise ValueError(f"edge {a} {b}: neither label can lead a "
+                                 f"line")
+            a, b = b, a
+        lines.append(f"{a} {b}")
     return "\n".join(lines) + ("\n" if lines else "")
 
 

@@ -19,6 +19,7 @@ import random
 from collections import Counter
 from functools import lru_cache
 from itertools import chain, islice
+from operator import itemgetter
 from typing import Callable, Iterable, Iterator, NamedTuple
 
 from . import critical, oracle
@@ -30,9 +31,14 @@ from .matching import saturating_matching
 from .oracle import Config, Facts, _subset_lanes
 
 # the largest n at which th4.supermodular first checks the 2x2 squares of
-# the subset lattice on the table read as one integer; above it the pair
-# scan alone is faster (BENCH_19.json)
+# the subset lattice on the table read as one integer (BENCH_19.json); above
+# it, it decides its 128-mask sample at once off two cached gathers
+# (BENCH_30.json). Either way the pair scan runs only where that test fails
 LATTICE_MAX_N = 12
+
+# the lane tests are exact while every lane holds 0..63; deleting those
+# values leaves nothing of such a table
+_LANES_IN_RANGE = bytes(range(64))
 
 
 def default_workers() -> int:
@@ -179,10 +185,10 @@ def _squares_hold(table: bytes, n: int) -> bool:
     t(X+u) - t(X) + 128 in each lane X without u; per v > u,
     (m shifted down 2^v lanes) + pad - m holds m(X+v) - m(X) + 128, which
     has its 0x80 bit set in a lane X without u and v iff the square at X
-    holds. A lane of the table holds 0..2n (any values in 0..63 would do),
-    so each lane of m, and each lane of the second sum below its top 2^v,
-    stays in 0..255. Those top lanes, where the shift reads past m, can fall
-    below 0, but they all hold v, and a borrow runs only upward.
+    holds. A lane of a graph's table holds 0..2n, and the caller sees to
+    0..63, so each lane of m, and each lane of the second sum below its top
+    2^v, stays in 0..255. Those top lanes, where the shift reads past m, can
+    fall below 0, but they all hold v, and a borrow runs only upward.
     """
     pad, masks = _square_masks(n)
     t = int.from_bytes(table, "little")
@@ -195,11 +201,48 @@ def _squares_hold(table: bytes, n: int) -> bool:
     return True
 
 
+@lru_cache(maxsize=None)
+def _sample_gatherers(n: int) -> tuple[itemgetter, itemgetter, int]:
+    """For the sample test of th4.supermodular on n vertices: a gatherer of
+    the lanes a | b and then a & b over the P sampled pairs with b >= a in
+    row-major order, one of the sampled lanes, and 0x80 in each of P lanes.
+    Kept per n: about 0.6 MB each at n = 13..20."""
+    masks = _supermodular_masks(n)
+    rows = [(a, masks[i:]) for i, a in enumerate(masks)]
+    return (itemgetter(*[a | b for a, bs in rows for b in bs],
+                       *[a & b for a, bs in rows for b in bs]),
+            itemgetter(*masks),
+            int.from_bytes(b"\x80" * sum(len(bs) for _, bs in rows), "little"))
+
+
+def _sample_holds(table: bytes, n: int) -> bool:
+    """Whether t(a | b) + t(a & b) >= t(a) + t(b) for every sampled pair,
+    decided at once: with U, I, A and B holding t(a | b), t(a & b), t(a) and
+    t(b) in the pair's lane, U + I + pad - (A + B) has its 0x80 bit set in
+    a lane iff that pair holds. With lanes in 0..63 each lane of it stays in
+    2..254, so none borrows."""
+    pairs, sample, pad = _sample_gatherers(n)
+    # bytearray() takes a tuple of ints in half the time bytes() does
+    both, values = bytearray(pairs(table)), bytes(sample(table))
+    half, k = len(both) >> 1, len(values)
+    # row i pairs a_i with the sample from a_i on
+    a = b"".join([values[i:i + 1] * (k - i) for i in range(k)])
+    b = b"".join([values[i:] for i in range(k)])
+    lanes = (int.from_bytes(both[:half], "little") + pad
+             + int.from_bytes(both[half:], "little")
+             - int.from_bytes(a, "little") - int.from_bytes(b, "little"))
+    return lanes & pad == pad
+
+
 def _check_supermodular(f: Facts) -> tuple[bool, dict | None]:
     table, n = f.tables(), f.g.n
-    # where every square holds, so does every pair; otherwise the pair scan
-    # names the first failing pair, or holds where its sample misses them
-    if n <= LATTICE_MAX_N and _squares_hold(table, n):
+    # where every square holds, so does every pair, and where every sampled
+    # pair holds, so does the pair scan; otherwise, or where a lane is past
+    # 63 and would carry, the pair scan names the first failing pair, or
+    # holds where its sample misses them
+    if not table.translate(None, _LANES_IN_RANGE) and (
+            _squares_hold(table, n) if n <= LATTICE_MAX_N
+            else _sample_holds(table, n)):
         return True, None
     masks, table = _supermodular_masks(n), list(table)  # faster subscripts
     # each side sums two lanes, so the offset n cancels; the inequality is

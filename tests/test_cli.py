@@ -298,6 +298,22 @@ def test_internal_error_exits_4_with_one_line(capsys, monkeypatch):
         "internal error: RecursionError('maximum recursion depth exceeded')"]
 
 
+@pytest.mark.parametrize("argv", [
+    ["check", str(FIXDIR / "fig511.edges"), "--all", "--json"],
+    ["fuzz", "--n", "6..8", "--p", "0.3", "--count", "3", "--seed", "1",
+     "--json"]], ids=["check", "fuzz"])
+def test_memory_exhaustion_in_the_oracle_tier_exits_4(capsys, monkeypatch,
+                                                      argv):
+    # a raised --oracle-limit can ask the subset lanes for more memory than
+    # there is; that is an internal error, never a failed property (exit 1)
+    def exhausted(n):
+        raise MemoryError()
+
+    monkeypatch.setattr(oracle, "_subset_lanes", exhausted)
+    assert run_cli(capsys, *argv) == (
+        cli.EXIT_INTERNAL, "", "internal error: MemoryError()\n")
+
+
 def test_internal_error_mid_sweep_exits_4_with_a_truncated_report(
         capsys, monkeypatch):
     # the report is written graph by graph, so a check that breaks on the

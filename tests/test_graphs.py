@@ -378,6 +378,42 @@ def test_round_trip_keeps_labels():
     assert parse_graph(to_edge_list(g)).labels == g.labels
 
 
+def test_round_trip_keeps_edges_whose_first_label_cannot_lead():
+    # "#x y" would read as a comment and "vertex a" as a declaration, so
+    # such an edge is written led by its other endpoint
+    for text in ("vertex #x\nvertex y\ny #x\n", "vertex vertex\na vertex\n"):
+        g = parse_graph(text)
+        assert g.m == 1
+        assert parse_graph(to_edge_list(g)) == g
+    assert to_edge_list(parse_graph("vertex #x\nvertex y\ny #x\n")) == (
+        "vertex #x\nvertex y\ny #x\n")
+
+
+@given(graph_st, st.integers(min_value=0, max_value=2**32 - 1))
+def test_round_trip_with_labels_that_cannot_lead(g, seed):
+    # an independent set of vertices takes labels that cannot lead a line,
+    # so every edge has one endpoint that can; an edge between two of them
+    # has no line at all
+    rng = random.Random(seed)
+    order = rng.sample(range(g.n), g.n)
+    bad = []
+    for v in order:
+        if not any(g.adj[v] >> w & 1 for w in bad):
+            bad.append(v)
+    names = ["vertex", *(f"#{i}" for i in range(len(bad)))]
+    rng.shuffle(names)
+    labels = [f"v{v}" for v in range(g.n)]
+    for v, name in zip(bad, names):
+        labels[v] = name
+    h = Graph(g.n, g.edge_pairs(), tuple(labels))
+    assert parse_graph(to_edge_list(h)) == h
+    if g.m:
+        u, v = g.edge_pairs()[0]
+        labels[u], labels[v] = "#u", "vertex"
+        with pytest.raises(ValueError, match="neither label can lead"):
+            to_edge_list(Graph(g.n, g.edge_pairs(), tuple(labels)))
+
+
 # -- generators --------------------------------------------------------------------
 
 def test_family_shapes():

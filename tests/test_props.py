@@ -497,10 +497,27 @@ def test_square_route_agrees_with_every_pair():
         facts._cache["tables"] = bytes(bad)
         assert prop.check(facts)[0] == expect, (n, bad)
     assert min(verdicts.values()) >= 1000, verdicts
+    # a lane past 63 would carry into its neighbour in the square test, so
+    # such tables go to the pair scan, which at n <= 7 pairs every mask
+    f = Facts(empty_graph(2))
+    f._cache["tables"] = bytes([2, 200, 3, 4])
+    assert prop.check(f) == (False, {
+        "a": ["0"], "b": ["1"], "d_union_plus_d_intersection": 2,
+        "d_a_plus_d_b": 199})
+    for _ in range(2000):
+        n = rng.randrange(2, 8)
+        facts = Facts(random_graph(n, rng.choice([0.2, 0.5]),
+                                   rng.getrandbits(32)))
+        bad = bytearray(facts.tables())
+        for _ in range(rng.randrange(1, 3)):
+            bad[rng.randrange(1 << n)] = rng.randrange(64, 256)
+        facts._cache["tables"] = bytes(bad)
+        assert prop.check(facts)[0] == _supermodular_by_pairs(bad, n), (
+            n, bad)
 
 
 @pytest.mark.parametrize("n", [4, 7, 8, 11, props.LATTICE_MAX_N,
-                               props.LATTICE_MAX_N + 1])
+                               props.LATTICE_MAX_N + 1, 14, 16])
 def test_supermodular_reports_the_first_failing_pair(n):
     # corrupted tables break supermodularity in many pairs; the check scans
     # only b at or after a, and must still name the first pair a full
@@ -545,11 +562,70 @@ def test_supermodular_sample_is_drawn_once_per_n():
         masks = props._supermodular_masks(n)
         assert masks == expect
         assert props._supermodular_masks(n) is masks
+    # the sample test's gatherers are built once per n, and only above
+    # LATTICE_MAX_N, where the square test gives way to it
+    props._sample_gatherers.cache_clear()
     prop = lookup("th4.supermodular")
-    for g in (random_graph(8, 0.3, 1), random_graph(13, 0.3, 2)):
-        assert evaluate(prop, Facts(g)).verdict == "holds"
+    for n, seed in ((8, 1), (13, 2), (props.LATTICE_MAX_N, 3), (13, 4),
+                    (14, 5), (8, 6), (14, 7), (13, 8)):
+        assert evaluate(prop, Facts(random_graph(n, 0.3, seed))).verdict == (
+            "holds")
     info = props._supermodular_masks.cache_info()
-    assert (info.misses, info.currsize) == (4, 4)
+    assert (info.misses, info.currsize) == (5, 5)
+    info = props._sample_gatherers.cache_info()
+    assert (info.misses, info.currsize, info.hits) == (2, 2, 3)
+    pairs, sample, pad = props._sample_gatherers(13)
+    masks = props._supermodular_masks(13)
+    assert sample(range(1 << 13)) == masks
+    size = len(masks) * (len(masks) + 1) // 2
+    assert pad == int.from_bytes(b"\x80" * size, "little")
+    assert pairs(range(1 << 13)) == (
+        *(a | b for i, a in enumerate(masks) for b in masks[i:]),
+        *(a & b for i, a in enumerate(masks) for b in masks[i:]))
+
+
+def test_sample_route_gives_the_pair_scans_verdict(monkeypatch):
+    # above LATTICE_MAX_N th4.supermodular decides its sample in bulk and
+    # runs the pair scan only to name a witness; the bulk verdict must be
+    # the pair scan's on clean tables, on tables with a few lanes moved by
+    # 1 or 2, and on tables with a lane past 63, where the check must not
+    # take the bulk route at all, as its lanes would carry
+    prop = lookup("th4.supermodular")
+    bulk, calls = props._sample_holds, []
+    monkeypatch.setattr(props, "_sample_holds",
+                        lambda table, n: calls.append(n) or bulk(table, n))
+    rng = random.Random(30)
+    verdicts = Counter()
+    for n in range(props.LATTICE_MAX_N + 1, 17):
+        masks = props._supermodular_masks(n)
+        for _ in range(40):
+            facts = Facts(random_graph(n, rng.choice([0.15, 0.3, 0.5]),
+                                       rng.getrandbits(32)))
+            bad = bytearray(facts.tables())
+            kind = rng.choice(["clean", "moved", "moved", "high", "high"])
+            for _ in range({"clean": 0, "moved": rng.randrange(1, 4),
+                            "high": rng.randrange(1, 7)}[kind]):
+                a, b = rng.choice(masks), rng.choice(masks)
+                m = rng.choice([a, a | b, a & b])
+                bad[m] = (rng.randrange(64, 256) if kind == "high" else
+                          bad[m] + rng.choice([-2, -1, 1, 2]))
+            bad = bytes(bad)
+            first = _first_failing_pair(bad, masks)
+            verdicts[kind, first is None] += 1
+            if kind != "high":
+                assert bulk(bad, n) == (first is None), (n, kind)
+            facts._cache["tables"] = bad
+            calls.clear()
+            ok, witness = prop.check(facts)
+            assert ok == (first is None), (n, kind)
+            assert calls == ([] if kind == "high" else [n]), (n, kind)
+            if first is not None:
+                a, b = first
+                assert witness["a"] == facts.labels(a), (n, kind)
+                assert witness["b"] == facts.labels(b), (n, kind)
+    assert verdicts["clean", True] >= 10
+    assert verdicts["moved", True] >= 5 and verdicts["moved", False] >= 10
+    assert verdicts["high", False] >= 10, verdicts
 
 
 def test_lane_cache_holds_the_order_in_use_only(monkeypatch):
@@ -600,9 +676,12 @@ def test_each_entry_is_the_same_alone_in_the_sweep_and_shuffled():
     # else a DFS) and the order the properties run in change no entry: each
     # property reports the same alone on a fresh Facts, inside a whole
     # registry pass, and inside a pass in shuffled order. 45 graphs, 3
-    # configs, 26 properties: 3,510 comparisons, about 2 s
+    # configs, 26 properties: 3,510 comparisons, about 2 s. The sample
+    # test's gatherers start empty, so at n = 13..20 the first graph reads
+    # them cold and the later ones warm
     names = [prop.name for prop in registry()]
     rng = random.Random(27)
+    props._sample_gatherers.cache_clear()
     for n in range(6, 21):
         for p in (0.15, 0.3, 0.5):
             g = random_graph(n, p, rng.getrandbits(32))
@@ -616,6 +695,8 @@ def test_each_entry_is_the_same_alone_in_the_sweep_and_shuffled():
                     alone = props._eval_graph(("g", g, [name], config))
                     assert alone["results"] == [entry] == [by_name[name]], (
                         g.adj, config, name)
+    info = props._sample_gatherers.cache_info()
+    assert (info.misses, info.currsize) == (8, 8)
 
 
 def test_d_eq_id_reports_d_values_off_a_corrupted_table():
