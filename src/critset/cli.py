@@ -40,13 +40,14 @@ def _dump(doc: dict) -> str:
 
 
 _encode_str = json.encoder.encode_basestring_ascii
-_INF = float("inf")
 _STR_ONLY = {str}
 
 
 def _render(o, nl: str, memo: dict) -> str:
     """o as json.dumps renders it with indent=2 and sorted keys, where nl is
-    a newline and the indentation of o's own line. Keys must be strings."""
+    a newline and the indentation of o's own line. Keys must be strings and
+    floats finite: the one float a report holds is a random source's p,
+    which random_corpus confines to [0, 1]."""
     if type(o) is str:
         return _encode_str(o)
     if isinstance(o, dict):
@@ -80,12 +81,6 @@ def _render(o, nl: str, memo: dict) -> str:
     if isinstance(o, int):
         return int.__repr__(o)
     if isinstance(o, float):
-        if o != o:
-            return "NaN"
-        if o == _INF:
-            return "Infinity"
-        if o == -_INF:
-            return "-Infinity"
         return float.__repr__(o)
     raise TypeError(f"Object of type {o.__class__.__name__} "
                     f"is not JSON serializable")

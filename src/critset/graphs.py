@@ -385,7 +385,9 @@ def to_edge_list(g: Graph) -> str:
     same ids and the round trip is the identity, not merely an isomorphism.
     An edge line leads with its lower endpoint unless that label would make
     the line a comment or a declaration ("#..." or "vertex"); an edge with
-    two such labels has no line and raises ValueError.
+    two such labels has no line and raises ValueError. So does a label the
+    parser would not read back as one token naming one vertex: an empty
+    one, one holding whitespace, or one given to two vertices.
     """
     labels = g.labels
     lines = [f"vertex {label}" for label in labels]
@@ -397,6 +399,13 @@ def to_edge_list(g: Graph) -> str:
                                  f"line")
             a, b = b, a
         lines.append(f"{a} {b}")
+    seen: set[str] = set()
+    for label in labels:
+        if label.split() != [label]:
+            raise ValueError(f"label {label!r} is empty or holds whitespace")
+        if label in seen:
+            raise ValueError(f"label {label!r} names two vertices")
+        seen.add(label)
     return "\n".join(lines) + ("\n" if lines else "")
 
 

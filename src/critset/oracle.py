@@ -16,8 +16,8 @@ it.
 
 from __future__ import annotations
 
-from itertools import islice, tee
-from typing import Callable, Iterable, Iterator, NamedTuple
+from itertools import chain, islice, tee
+from typing import Callable, Iterator, NamedTuple
 
 from . import critical, ke, mis, ore
 from .graphs import (BipartitePartition, Graph, LimitExceeded, VertexSet,
@@ -82,20 +82,6 @@ def maximum_critical_independent_set(g: Graph,
     answer is stable across runs.
     """
     return Facts(g, Config(oracle_limit=limit)).max_critical_ind()
-
-
-def _maximum_critical(sets: Iterable[VertexSet]) -> VertexSet:
-    """The largest of a graph's critical independent sets, all given in
-    `sets`, by the tie rule of maximum_critical_independent_set."""
-    best: VertexSet | None = None
-    for s in sets:
-        if (best is None or s.bit_count() > best.bit_count()
-                or (s.bit_count() == best.bit_count()
-                    and vlist(s) < vlist(best))):
-            best = s
-    if best is None:
-        raise AssertionError("the empty set always attains d when d(g) = 0")
-    return best
 
 
 def is_ke_via_critical(g: Graph, limit: int = ORACLE_LIMIT) -> bool:
@@ -387,28 +373,21 @@ class Facts:
         return self._get("independent_masks", compute)
 
     def _critical_pass(self) -> tuple[list[VertexSet] | None, VertexSet]:
-        """One enumeration of the critical independent sets: the family, or
+        """One run of the critical independent sets' DFS: the family, or
         None past FAMILY_CAP members, and the maximum one, uncapped, with
-        maximum_critical_independent_set's tie rule. Once the subset tables
-        are built, the independent masks whose lane holds d + n; else one
-        pruned DFS, cheaper than building them for this alone. Not guarded
-        by the oracle switch; the readers that need it check it."""
+        maximum_critical_independent_set's tie rule: the DFS yields
+        include-first, and of two sets of one size the one holding the
+        lowest vertex where they differ has the least sorted id list, so
+        the first largest set wins. Not guarded by the oracle switch; the
+        readers that need it check it."""
         def compute():
-            if "tables" in self._cache:
-                table, lane = self._cache["tables"], self.d() + self.g.n
-                sets = [m for m in self._independent_masks()
-                        if table[m] == lane]
-                return ((sets if len(sets) <= FAMILY_CAP else None),
-                        _maximum_critical(sets))
-            fam: list[VertexSet] = []
-
-            def sets() -> Iterator[VertexSet]:
-                for s in enumerate_critical_independent_sets(
-                        self.g, self.config.oracle_limit):
-                    if len(fam) <= FAMILY_CAP:
-                        fam.append(s)
-                    yield s
-            best = _maximum_critical(sets())
+            sets = enumerate_critical_independent_sets(
+                self.g, self.config.oracle_limit)
+            fam = list(islice(sets, FAMILY_CAP + 1))
+            best = max(chain(fam, sets), key=int.bit_count, default=None)
+            if best is None:
+                raise AssertionError("every graph has a critical independent "
+                                     "set")
             return (fam if len(fam) <= FAMILY_CAP else None), best
         return self._get("critical_pass", compute)
 

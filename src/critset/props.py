@@ -354,10 +354,10 @@ def _check_matching_from_neighborhood(f: Facts) -> tuple[bool, dict | None]:
     except LimitExceeded:
         pass  # the polynomial witnesses alone still make a real check
     for s in sorted(samples):
-        found, _ = saturating_matching(g, neighborhood(g, s), s)
-        if found is None:
-            return False, {"set": f.labels(s),
-                           "neighborhood": f.labels(neighborhood(g, s))}
+        nb = neighborhood(g, s)
+        # a sample that meets its own neighbourhood is not independent
+        if nb & s or saturating_matching(g, nb, s)[0] is None:
+            return False, {"set": f.labels(s), "neighborhood": f.labels(nb)}
     return True, None
 
 
@@ -366,8 +366,9 @@ def _check_ker_characterization(f: Facts) -> tuple[bool, dict | None]:
     if not critical.is_critical_independent(g, k):
         return False, {"ker": f.labels(k),
                        "problem": "not a critical independent set"}
-    # a limit reaches evaluate as a skip; only a disagreement of the two
-    # conditions is a failure
+    # a limit reaches evaluate as a skip; a disagreement of the two
+    # conditions, or a family member they refuse as not critical
+    # independent (ValueError), is a failure
     try:
         ok, wit = oracle.verify_ker_characterization(
             g, k, f.config.oracle_limit)
@@ -388,7 +389,7 @@ def _check_ker_characterization(f: Facts) -> tuple[bool, dict | None]:
                 g, other, f.config.oracle_limit)
         except LimitExceeded:
             raise
-        except RuntimeError as exc:
+        except (RuntimeError, ValueError) as exc:
             return False, {"set": f.labels(other), "problem": str(exc)}
         if ok_other:
             return False, {

@@ -610,7 +610,7 @@ def test_dimacs_format_flag(capsys, tmp_path):
 
 # sha256 of stdout and the exit code, computed before the oracle families
 # were read off the subset tables and before the JSON renderer replaced
-# json.dumps; the fuzz call spans both routes of the families
+# json.dumps; the fuzz call spanned both routes the families had then
 PINNED_OUTPUTS = [
     (("exhaustive", "--n", "4", "--json"), 0,
      "7a981e5e7b8c304efc0755d9061a150f51d70a6dd50964c9a087f66d93423024"),
@@ -744,9 +744,12 @@ def test_output_bytes_are_pinned(capsys, argv, code, digest):
      "--json"],
     ["conjecture", "--max-n", "4", "--json"],
     ["fixtures", "list", "--json"],
-    ["fixtures", "verify", "--json"]],
+    ["fixtures", "verify", "--json"],
+    # the one float a report holds is a random source's p, within [0, 1]
+    *(["fuzz", "--n", "3..5", "--p", p, "--count", "2", "--seed", "1",
+       "--json"] for p in ("1e-05", "0.1", "1.0"))],
     ids=["analyze", "check", "run", "conjecture", "fixtures-list",
-         "fixtures-verify"])
+         "fixtures-verify", "run-p-1e-05", "run-p-0.1", "run-p-1.0"])
 def test_every_report_kind_renders_as_json_dumps(capsys, argv):
     _, out, _ = run_cli(capsys, *argv)
     doc = json.loads(out)
@@ -754,12 +757,18 @@ def test_every_report_kind_renders_as_json_dumps(capsys, argv):
         assert doc["bipartite"] and doc["ke_identities"]
     if argv[0] == "check":
         assert doc["results"][0]["witness"]["independent_triple"]
+    if argv[0] == "fuzz":
+        p = doc["corpus"]["sources"][0]["p"]
+        assert type(p) is float and p == float(argv[4])
     assert out == json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
+# no report holds NaN or an infinity (see above), and _dump renders
+# neither as json.dumps does
 _scalars = (st.none() | st.booleans() | st.integers()
             | st.integers(min_value=2 ** 64, max_value=2 ** 200)
-            | st.floats() | st.sampled_from([0.1, 1e-7, 1e16, -0.0])
+            | st.floats(allow_nan=False, allow_infinity=False)
+            | st.sampled_from([0.1, 1e-7, 1e16, -0.0])
             | st.text()
             | st.sampled_from(['"', "\\", "\x00\x1f\x7f", "é ∅ 😀"]))
 _values = st.recursive(

@@ -389,6 +389,22 @@ def test_round_trip_keeps_edges_whose_first_label_cannot_lead():
         "vertex #x\nvertex y\ny #x\n")
 
 
+@pytest.mark.parametrize("n,labels,problem", [
+    (2, ("a b", "c"), "'a b' is empty or holds whitespace"),
+    (2, ("", "c"), "'' is empty or holds whitespace"),
+    (2, ("x", "x"), "'x' names two vertices"),
+    # a line separator, which the parser splits lines on
+    (1, ("a\u2028b",), "'a\\u2028b' is empty or holds whitespace")],
+    ids=["space", "empty", "repeated", "line-separator"])
+def test_edge_list_refuses_labels_it_cannot_write(n, labels, problem):
+    # written, these would read back as a line of 3 tokens, of 1 token, a
+    # self-loop at 'x' and two lines
+    g = Graph(n, [(0, 1)] if n == 2 else [], labels)
+    with pytest.raises(ValueError) as info:
+        to_edge_list(g)
+    assert str(info.value) == f"label {problem}"
+
+
 @given(graph_st, st.integers(min_value=0, max_value=2**32 - 1))
 def test_round_trip_with_labels_that_cannot_lead(g, seed):
     # an independent set of vertices takes labels that cannot lead a line,

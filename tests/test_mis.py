@@ -147,10 +147,16 @@ def test_early_exit_skips_the_count(monkeypatch):
         0b0101, 0b1001, 0b0110, 0b1010]
 
 
-def test_maximum_critical_independent_set_tie_rule():
+def test_maximum_critical_independent_set_tie_rule(graphs_n5):
     # C4 is critical only at d = 0; both diagonals attain it and {0, 2} is the
     # lexicographically smaller witness.
     assert maximum_critical_independent_set(cycle_graph(4)) == 0b0101
+    # on every labeled graph with n <= 5, the largest critical independent
+    # set with the least sorted id list
+    for g in graphs_n5:
+        tops = o.brute_max_critical_independent_sets(g.n, adj_of(g))
+        assert maximum_critical_independent_set(g) == min(
+            tops, key=lambda s: [v for v in range(g.n) if s >> v & 1]), g.adj
 
 
 def test_maximum_critical_independent_set_fixture():

@@ -1,15 +1,18 @@
+import ast
 import hashlib
 import json
 import pickle
 import random
 import tracemalloc
 from collections import Counter
+from itertools import chain
+from pathlib import Path
 
 import pytest
 
 import oracles as o
 from conftest import adj_of, include_first, mid_sample, small_corpus
-from critset import critical, graphs, ke, mis, oracle, ore, props
+from critset import cli, critical, graphs, ke, mis, oracle, ore, props
 from critset.fixtures import load
 from critset.graphs import (LimitExceeded, all_graphs, bipartition,
                             complete_bipartite, complete_graph, cycle_graph,
@@ -177,6 +180,22 @@ def test_facts_are_cached():
     assert facts.d() == 1 and facts.d() == 1
 
 
+def test_only_get_reads_the_facts_cache():
+    # every reader asks _get for what it needs, so none can choose its route
+    # by what another reader computed before it; the constructor makes the
+    # cache, and tests may still write to it
+    tree = ast.parse(Path(oracle.__file__).read_text())
+    facts = next(node for node in tree.body
+                 if isinstance(node, ast.ClassDef) and node.name == "Facts")
+    naming = sorted(
+        method.name for method in facts.body
+        if isinstance(method, ast.FunctionDef)
+        and any(isinstance(node, ast.Attribute) and node.attr == "_cache"
+                and isinstance(node.value, ast.Name)
+                and node.value.id == "self" for node in ast.walk(method)))
+    assert naming == ["__init__", "_get"]
+
+
 def test_facts_run_alpha_and_the_blossom_matching_once(graphs_n5,
                                                        monkeypatch):
     # mu, is_ke and the core and corona read the cached alpha, matching and
@@ -224,11 +243,10 @@ def test_registry_pass_runs_each_oracle_fact_once(graphs_n5, monkeypatch):
     # every check reads Facts, so one registry pass per graph runs alpha,
     # the critical independent enumeration and the maximum independent one
     # at most once and the blossom matching once, whichever module a check
-    # would reach them through; zhang.d_eq_id builds the subset tables
-    # first, so the critical family comes off them at every n up to the
-    # oracle limit and its DFS never runs, and the maximum independent DFS
-    # runs once at every n (past the oracle limit the limit check raises
-    # before it starts, uncached)
+    # would reach them through; the critical family has one route, so its
+    # DFS runs exactly once at every n up to the oracle limit, tables built
+    # or not, and so does the maximum independent DFS (past the oracle
+    # limit the limit check raises before either starts, uncached)
     calls = {"alpha": 0, "blossom": 0, "critical": 0, "mis": 0}
 
     def counted(name, f):
@@ -259,7 +277,7 @@ def test_registry_pass_runs_each_oracle_fact_once(graphs_n5, monkeypatch):
             assert evaluate(prop, facts).verdict in ("holds", "skipped")
         assert calls["alpha"] <= 1, g.adj
         assert calls["blossom"] == 1, g.adj
-        assert calls["critical"] == 0, g.adj
+        assert calls["critical"] == 1, g.adj
         assert calls["mis"] == 1, g.adj
 
 
@@ -307,8 +325,8 @@ def test_one_critical_pass_gives_capped_family_and_uncapped_maximum(
 
 def test_both_routes_cap_the_family_past_the_old_threshold():
     # 10 disjoint edges: n = 20, d = 0 and 3^10 = 59,049 critical
-    # independent sets; the DFS, on a fresh Facts, and the tables give the
-    # same three answers
+    # independent sets; on a fresh Facts and with the tables built first,
+    # the one DFS gives the same three answers
     g = graphs.Graph(20, [(2 * i, 2 * i + 1) for i in range(10)])
     for tables_first in (False, True):
         facts = Facts(g)
@@ -375,6 +393,141 @@ def test_limit_texts_of_the_family_readers():
                 for r in got] == [is_ke, th5]
 
 
+# Faults injected into the one route of the critical independent sets, on
+# P3 (a b c) and P4 (a b c d). Each takes the DFS's stream on the graph:
+P3, P4 = "a b\nb c\n", "a b\nb c\nc d\n"
+FAMILY_FAULTS = {
+    # P4 loses its sets without a, so the family meets in {a}, not ker = {}
+    "dropped": (P4, lambda sets: (s for s in sets if s & 1)),
+    # P3's one set {a, c} gains {b}, which is independent but not critical
+    "added": (P3, lambda sets: chain(sets, [0b010])),
+    # P4 gains the edge {a, b} first, a set that is not independent
+    "edge": (P4, lambda sets: chain([0b0011], sets)),
+    # P3's one set {a, c}, the largest, becomes {a}
+    "largest": (P3, lambda sets: (s & 0b001 for s in sets)),
+}
+# every registry property that reads the critical family, with a fault it
+# fails under and its witness, as the check builds it, in labels
+FAMILY_FAILURES = {
+    "th4.unique_minimal_critical_independent": ("dropped", {
+        "intersection_of_family": ["a"], "d_of_intersection": 0, "d": 0,
+        "ker_by_deletion_rule": []}),
+    "deletion.d_drop_iff_ker": ("dropped", {
+        "vertex": "a", "d": 0, "d_after_delete": 1, "in_ker": True}),
+    "core.inside_maximal_critical_independent": ("added", {
+        "core": ["a", "c"], "maximal_set_missing_it": ["b"]}),
+    "corona.covers_maximal_critical_independent": ("added", {
+        "corona": ["a", "c"], "maximal_set_outside": ["b"]}),
+    "th2.matching_from_neighborhood": ("edge", {
+        "set": ["a", "b"], "neighborhood": ["a", "b", "c"]}),
+    "th9.ker_characterization": ("edge", {
+        "set": ["a", "b"], "problem": "a must be a critical independent set"}),
+    "th5.ke_iff_every_mis_critical": ("largest", {
+        "alpha_plus_mu_route": True, "every_mis_critical": True,
+        "maximum_critical_route": False, "non_critical_mis": None}),
+    "ke.is_ke": ("largest", {
+        "alpha": 2, "mu": 1, "n": 3, "max_critical_independent_size": 1}),
+}
+# every property that fails under each fault
+FAULT_FAILS = {
+    "dropped": {"th4.unique_minimal_critical_independent",
+                "deletion.d_drop_iff_ker"},
+    "added": {"th4.unique_minimal_critical_independent",
+              "deletion.d_drop_iff_ker",
+              "core.inside_maximal_critical_independent",
+              "corona.covers_maximal_critical_independent",
+              "th2.matching_from_neighborhood", "th9.ker_characterization"},
+    "edge": {"th2.matching_from_neighborhood", "th9.ker_characterization"},
+    "largest": {"th4.unique_minimal_critical_independent",
+                "deletion.d_drop_iff_ker",
+                "core.inside_maximal_critical_independent",
+                "th9.ker_characterization", "th5.ke_iff_every_mis_critical",
+                "ke.is_ke"},
+}
+
+
+def _inject(monkeypatch, fault):
+    text, fault_of = FAMILY_FAULTS[fault]
+    enum = oracle.enumerate_critical_independent_sets
+    monkeypatch.setattr(oracle, "enumerate_critical_independent_sets",
+                        lambda g, limit: fault_of(enum(g, limit)))
+    return parse_graph(text)
+
+
+def test_family_faults_cover_every_reader_of_the_family(monkeypatch):
+    # a property that reads the critical family, and no other, raises
+    # where the family is asked for; each has a failing case above
+    class Asked(Exception):
+        pass
+
+    def asked(g, limit):
+        raise Asked
+
+    monkeypatch.setattr(oracle, "enumerate_critical_independent_sets", asked)
+    readers = set()
+    for prop in registry():
+        try:
+            evaluate(prop, Facts(parse_graph(P3)))
+        except Asked:
+            readers.add(prop.name)
+    assert readers == set(FAMILY_FAILURES)
+    assert set().union(*FAULT_FAILS.values()) == readers
+
+
+@pytest.mark.parametrize("fault", FAMILY_FAULTS)
+def test_family_faults_fail_through_the_one_route(monkeypatch, fault):
+    # in a whole registry pass, where zhang.d_eq_id builds the subset tables
+    # first, and alone on a fresh Facts, each reader of the family sees the
+    # fault: it fails with the witness its check builds, in labels
+    g = _inject(monkeypatch, fault)
+    facts = Facts(g)
+    swept = {prop.name: evaluate(prop, facts) for prop in registry()}
+    assert {name for name, r in swept.items()
+            if r.verdict == "fails"} == FAULT_FAILS[fault]
+    for name, (case, witness) in FAMILY_FAILURES.items():
+        if case == fault:
+            want = PropertyResult(name, "fails", None, witness)
+            assert swept[name] == want
+            assert evaluate(lookup(name), Facts(g)) == want
+
+
+@pytest.mark.parametrize("fault", FAMILY_FAULTS)
+def test_check_all_renders_each_family_fault(monkeypatch, capsys, tmp_path,
+                                             fault):
+    path = tmp_path / f"{fault}.edges"
+    path.write_text(FAMILY_FAULTS[fault][0])
+    _inject(monkeypatch, fault)
+    for argv in (["--json"], []):
+        assert cli.main(["check", str(path), "--all", *argv]) == 1
+        out = capsys.readouterr().out
+        if argv:
+            results = json.loads(out)["results"]
+            failed = {r["property"]: r["witness"] for r in results
+                      if r["verdict"] == "fails"}
+        else:
+            failed = {line.split(":")[0]: json.loads(
+                line.split("witness: ")[1]) for line in out.splitlines()
+                if ": fails  witness: " in line}
+        assert set(failed) == FAULT_FAILS[fault]
+        for name, (case, witness) in FAMILY_FAILURES.items():
+            if case == fault:
+                assert failed[name] == witness
+
+
+def test_ker_characterization_fails_on_a_second_set_passing_it(
+        monkeypatch):
+    # a family member other than ker that passes the ker conditions makes
+    # th9 fail; P4's first critical independent set other than ker = {} is
+    # {a, c}
+    monkeypatch.setattr(oracle, "verify_ker_characterization",
+                        lambda g, a, limit: (True, None))
+    prop = lookup("th9.ker_characterization")
+    assert evaluate(prop, Facts(parse_graph(P4))) == PropertyResult(
+        prop.name, "fails", None, {
+            "set": ["a", "c"],
+            "problem": "passes the ker conditions but differs from ker"})
+
+
 def _outcome(read):
     try:
         return read()
@@ -386,8 +539,8 @@ def _route_outcomes(g, config, tables_first=False):
     """What the five enumeration-backed readers of a fresh Facts give on g,
     with any limit as its message, then every registry result; with
     tables_first, both Facts build the subset tables before anything else
-    reads them where the oracle is on, so the critical family comes off
-    the tables."""
+    reads them where the oracle is on; the critical family still takes its
+    one route, the DFS."""
     facts, swept = Facts(g, config), Facts(g, config)
     if tables_first:
         _outcome(facts.tables)
@@ -423,7 +576,7 @@ def _dfs_readers(g):
 
 def test_table_route_gives_what_the_dfs_route_gives():
     # Facts reads the minimal positive sets off the subset tables at every
-    # n, and the critical sets too once the tables are built, else by DFS;
+    # n, and the critical sets by DFS whether the tables are built or not;
     # in the order the DFSs yield them, and with the same skips and results.
     # The minimal positive sets are held to the search in tests/oracles.py
     rng = random.Random(9)
@@ -444,7 +597,7 @@ def test_table_route_gives_what_the_dfs_route_gives():
     # under --no-oracle, and an oracle limit below n, the three family
     # readers give what the DFSs give under the same limit, and
     # every reader and every registry result is the same whether the
-    # critical family comes off the tables or by DFS
+    # tables were built first or not
     for g in [*small_corpus(4)][::5] + sampled[:6]:
         for config in (Config(use_oracle=False),
                        Config(oracle_limit=max(g.n - 1, 0)), Config()):
@@ -672,8 +825,8 @@ def test_lane_cache_drops_the_held_order_before_building_the_next():
 
 
 def test_each_entry_is_the_same_alone_in_the_sweep_and_shuffled():
-    # the route to a family (the subset tables once something built them,
-    # else a DFS) and the order the properties run in change no entry: each
+    # the order the properties run in, and so what each reader finds
+    # already computed, changes no entry: each
     # property reports the same alone on a fresh Facts, inside a whole
     # registry pass, and inside a pass in shuffled order. 45 graphs, 3
     # configs, 26 properties: 3,510 comparisons, about 2 s. The sample
