@@ -20,10 +20,9 @@ from pathlib import Path
 
 from .graphs import EXHAUSTIVE_MAX_N, LimitExceeded, read_graph_file
 from .oracle import ORACLE_LIMIT
-from .props import (Config, CorpusSpec, Facts, conjecture_scan,
-                    default_workers, evaluate, exhaustive_corpus,
-                    parse_corpus_spec, random_corpus, select_properties,
-                    stream_run)
+from .props import (Config, CorpusSpec, Facts, conjecture_scan, evaluate,
+                    exhaustive_corpus, parse_corpus_spec, random_corpus,
+                    select_properties, stream_run)
 
 EXIT_OK, EXIT_FAIL, EXIT_USAGE, EXIT_LIMIT, EXIT_INTERNAL = 0, 1, 2, 3, 4
 
@@ -90,13 +89,11 @@ def _config(args: argparse.Namespace) -> Config:
     if args.oracle_limit < 0:
         raise ValueError(
             f"--oracle-limit needs N >= 0, got {args.oracle_limit}")
-    if args.workers is not None and args.workers < 1:
+    if args.workers < 1:
         raise ValueError(f"--workers needs K >= 1, got {args.workers}")
-    # the parser outlives one call, so CRITSET_WORKERS is read here, per call
-    workers = default_workers() if args.workers is None else args.workers
     return Config(oracle_limit=args.oracle_limit,
                   use_oracle=not args.no_oracle,
-                  workers=workers)
+                  workers=args.workers)
 
 
 # -- analyze -----------------------------------------------------------------
@@ -443,9 +440,8 @@ def _build_parser() -> argparse.ArgumentParser:
                              "fields and checks report as skipped")
     common.add_argument("--strict", action="store_true",
                         help="exit 3 when any limit was hit")
-    common.add_argument("--workers", type=int, metavar="K",
-                        help="worker processes for corpus runs (default from "
-                             "CRITSET_WORKERS, else 1)")
+    common.add_argument("--workers", type=int, default=1, metavar="K",
+                        help="worker processes for corpus runs (default 1)")
     common.add_argument("--json", action="store_true",
                         help="machine-readable output")
 

@@ -134,22 +134,23 @@ def _side_lists(g: Graph, left: VertexSet, right: VertexSet):
     return ids, adj
 
 
-def _hopcroft_karp(g: Graph, left: VertexSet, right: VertexSet) -> list[int]:
+def _hopcroft_karp(g: Graph, left: VertexSet, right: VertexSet):
     """Maximum matching between left and right using only left-right edges.
 
-    Returns the mate array over all of g's ids (-1 for unmatched or outside).
-    Vertices are scanned in increasing id order so the result is reproducible.
+    Returns _side_lists(g, left, right) and the mate array over all of g's
+    ids (-1 for unmatched or outside). Vertices are scanned in increasing id
+    order so the result is reproducible.
     """
     ids, adj = _side_lists(g, left, right)
     mate = [-1] * g.n
     _max_matching_lists(adj, ids, mate, mate)
-    return mate
+    return ids, adj, mate
 
 
 def maximum_matching_bipartite(g: Graph, parts: BipartitePartition) -> Matching:
     """Return a maximum matching of a bipartite graph."""
     _check_parts(g, parts)
-    return Matching._of(_hopcroft_karp(g, parts.side_a, parts.side_b))
+    return Matching._of(_hopcroft_karp(g, parts.side_a, parts.side_b)[2])
 
 
 def _check_parts(g: Graph, parts: BipartitePartition) -> None:
@@ -330,9 +331,7 @@ def saturating_matching(
     """
     if from_set & into:
         raise ValueError("from_set and into must be disjoint")
-    ids, adj = _side_lists(g, from_set, into)
-    mate = [-1] * g.n
-    _max_matching_lists(adj, ids, mate, mate)
+    ids, adj, mate = _hopcroft_karp(g, from_set, into)
     unmatched = _unmatched(mate, ids)
     if not unmatched:
         return Matching._of(mate), None

@@ -37,13 +37,14 @@ class Config(NamedTuple):
 
 # -- critical independent sets ---------------------------------------------------
 
-def _enumerate_target_sets(g: Graph, universe: VertexSet, target: int,
-                           independent_only: bool) -> Iterator[VertexSet]:
-    """DFS all subsets of universe with d = target, include-first, pruned by
-    d(chosen) + |remaining candidates| < target. A node's candidates are
-    the members of universe above its last branch vertex (with
-    independent_only, those with no chosen neighbour); it takes the lowest
-    first while its exclude node waits on the stack."""
+def _enumerate_target_sets(g: Graph, universe: VertexSet,
+                           target: int) -> Iterator[VertexSet]:
+    """DFS all independent subsets of universe with d = target,
+    include-first, pruned by d(chosen) + |remaining candidates| < target.
+    A node's candidates are the members of universe above its last branch
+    vertex with no chosen neighbour; it takes the lowest first while its
+    exclude node waits on the stack. On an independent universe, such as a
+    side of a bipartition, that is every subset."""
     adj = g.adj
     todo = [(universe, 0, 0)]
     while todo:
@@ -60,7 +61,7 @@ def _enumerate_target_sets(g: Graph, universe: VertexSet, target: int,
             low = avail & -avail
             todo.append((avail ^ low, chosen, nbhd))
             nb = adj[low.bit_length() - 1]
-            avail &= ~(nb | low) if independent_only else ~low
+            avail &= ~(nb | low)
             chosen |= low
             nbhd |= nb
 
@@ -71,7 +72,7 @@ def enumerate_critical_independent_sets(
     if g.n > limit:
         raise LimitExceeded(f"n={g.n} exceeds oracle limit {limit}")
     yield from _enumerate_target_sets(g, g.full,
-                                      critical.critical_difference(g), True)
+                                      critical.critical_difference(g))
 
 
 def maximum_critical_independent_set(g: Graph,
@@ -196,7 +197,7 @@ def _side_critical_sets(
         raise LimitExceeded(
             f"side size {s.bit_count()} exceeds oracle limit {limit}")
     yield from _enumerate_target_sets(
-        g, s, (profile.delta0_a, profile.delta0_b)[i], False)
+        g, s, (profile.delta0_a, profile.delta0_b)[i])
 
 
 # -- per-graph fact cache --------------------------------------------------------

@@ -14,7 +14,6 @@ so imports and pickles that name them through this module stay valid.
 from __future__ import annotations
 
 import json
-import os
 import random
 from collections import Counter
 from functools import lru_cache
@@ -39,15 +38,6 @@ LATTICE_MAX_N = 12
 # the lane tests are exact while every lane holds 0..63; deleting those
 # values leaves nothing of such a table
 _LANES_IN_RANGE = bytes(range(64))
-
-
-def default_workers() -> int:
-    """Worker count from CRITSET_WORKERS; anything unusable means 1."""
-    raw = os.environ.get("CRITSET_WORKERS", "")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
 
 
 # -- property shell --------------------------------------------------------------
@@ -107,11 +97,8 @@ def evaluate(prop: Property, facts: Facts) -> PropertyResult:
     """Run one property on one fact cache; limits turn into skips, never passes."""
     try:
         reason = prop.applies(facts)
-    except LimitExceeded as exc:
-        return PropertyResult(prop.name, "skipped", str(exc), limit=True)
-    if reason is not None:
-        return PropertyResult(prop.name, "skipped", reason)
-    try:
+        if reason is not None:
+            return PropertyResult(prop.name, "skipped", reason)
         ok, witness = prop.check(facts)
     except LimitExceeded as exc:
         return PropertyResult(prop.name, "skipped", str(exc), limit=True)
@@ -366,16 +353,23 @@ def _check_ker_characterization(f: Facts) -> tuple[bool, dict | None]:
     if not critical.is_critical_independent(g, k):
         return False, {"ker": f.labels(k),
                        "problem": "not a critical independent set"}
-    # a limit reaches evaluate as a skip; a disagreement of the two
-    # conditions, or a family member they refuse as not critical
-    # independent (ValueError), is a failure
-    try:
-        ok, wit = oracle.verify_ker_characterization(
-            g, k, f.config.oracle_limit)
-    except LimitExceeded:
-        raise
-    except RuntimeError as exc:
-        return False, {"ker": f.labels(k), "problem": str(exc)}
+
+    def conditions(key: str, a: VertexSet) -> tuple[bool | None, dict | None]:
+        """The ker conditions on a, or (None, witness naming a under key).
+        A limit reaches evaluate as a skip; a disagreement of the two
+        conditions, or a set they refuse as not critical independent
+        (ValueError), is a failure."""
+        try:
+            return oracle.verify_ker_characterization(
+                g, a, f.config.oracle_limit)
+        except LimitExceeded:
+            raise
+        except (RuntimeError, ValueError) as exc:
+            return None, {key: f.labels(a), "problem": str(exc)}
+
+    ok, wit = conditions("ker", k)
+    if ok is None:
+        return False, wit
     if not ok:
         assert wit is not None
         return False, {
@@ -384,14 +378,10 @@ def _check_ker_characterization(f: Facts) -> tuple[bool, dict | None]:
             "unmatchable_vertex": g.labels[wit["unmatchable_vertex"]]}
     other = next((s for s in f.critical_ind_family() if s != k), None)
     if other is not None:
-        try:
-            ok_other, _ = oracle.verify_ker_characterization(
-                g, other, f.config.oracle_limit)
-        except LimitExceeded:
-            raise
-        except (RuntimeError, ValueError) as exc:
-            return False, {"set": f.labels(other), "problem": str(exc)}
-        if ok_other:
+        ok, wit = conditions("set", other)
+        if ok is None:
+            return False, wit
+        if ok:
             return False, {
                 "set": f.labels(other),
                 "problem": "passes the ker conditions but differs from ker"}

@@ -357,9 +357,8 @@ def test_corpus_run_memory_does_not_grow_with_the_corpus(monkeypatch, flags):
     assert peak < 1 << 20, peak
 
 
-def test_workers_default_is_read_per_call(capsys, monkeypatch):
-    # the parser is built once per process, so CRITSET_WORKERS must be read
-    # by each call rather than frozen into the parser's default
+def test_workers_flag_alone_sets_the_worker_count(capsys, monkeypatch):
+    # the environment sets no default: without --workers a run gets 1
     seen = []
 
     def fake_stream_run(corpus, names, config):
@@ -367,12 +366,11 @@ def test_workers_default_is_read_per_call(capsys, monkeypatch):
         return {}, iter(()), {"fails": 0, "limit_skips": 0}
 
     monkeypatch.setattr(cli, "stream_run", fake_stream_run)
-    for workers in ("3", "2"):
-        monkeypatch.setenv("CRITSET_WORKERS", workers)
-        assert run_cli(capsys, "exhaustive", "--n", "1", "--json")[0] == 0
+    monkeypatch.setenv("CRITSET_WORKERS", "3")
+    assert run_cli(capsys, "exhaustive", "--n", "1", "--json")[0] == 0
     assert run_cli(capsys, "exhaustive", "--n", "1", "--json",
                    "--workers", "5")[0] == 0
-    assert seen == [3, 2, 5]
+    assert seen == [1, 5]
 
 
 def test_exhaustive_small_sweep(capsys):

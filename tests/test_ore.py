@@ -145,11 +145,12 @@ def test_side_rules_match_per_vertex_rules_past_oracle_reach():
 
 
 def test_side_critical_enumeration_matches_oracle(graphs_n5):
-    # the same sets in include-first order
+    # the same sets in include-first order, on both sides
     for g, parts in oracle_pairs(graphs_n5):
-        got = list(enumerate_side_critical_sets(g, parts, "A"))
-        assert got == include_first(g.n, o.brute_side_critical_sets(
-            g.n, adj_of(g), parts.side_a)), g.adj
+        for side, mask in zip("AB", parts):
+            got = list(enumerate_side_critical_sets(g, parts, side))
+            assert got == include_first(g.n, o.brute_side_critical_sets(
+                g.n, adj_of(g), mask)), (g.adj, side)
 
 
 def test_side_critical_enumeration_limit():

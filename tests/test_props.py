@@ -491,12 +491,10 @@ def test_family_faults_fail_through_the_one_route(monkeypatch, fault):
             assert evaluate(lookup(name), Facts(g)) == want
 
 
-@pytest.mark.parametrize("fault", FAMILY_FAULTS)
-def test_check_all_renders_each_family_fault(monkeypatch, capsys, tmp_path,
-                                             fault):
-    path = tmp_path / f"{fault}.edges"
-    path.write_text(FAMILY_FAULTS[fault][0])
-    _inject(monkeypatch, fault)
+def _check_all_failed(capsys, path):
+    """Each failing property of `check path --all` with its witness, as the
+    JSON report and as the text report give them; both runs exit 1."""
+    seen = []
     for argv in (["--json"], []):
         assert cli.main(["check", str(path), "--all", *argv]) == 1
         out = capsys.readouterr().out
@@ -508,10 +506,85 @@ def test_check_all_renders_each_family_fault(monkeypatch, capsys, tmp_path,
             failed = {line.split(":")[0]: json.loads(
                 line.split("witness: ")[1]) for line in out.splitlines()
                 if ": fails  witness: " in line}
+        seen.append(failed)
+    return seen
+
+
+@pytest.mark.parametrize("fault", FAMILY_FAULTS)
+def test_check_all_renders_each_family_fault(monkeypatch, capsys, tmp_path,
+                                             fault):
+    path = tmp_path / f"{fault}.edges"
+    path.write_text(FAMILY_FAULTS[fault][0])
+    _inject(monkeypatch, fault)
+    for failed in _check_all_failed(capsys, path):
         assert set(failed) == FAULT_FAILS[fault]
         for name, (case, witness) in FAMILY_FAILURES.items():
             if case == fault:
                 assert failed[name] == witness
+
+
+# Faults injected into the Ore side facts of P3, whose sides are A = {a, c}
+# and B = {b}, with ker_a = diadem_a = {a, c} and ker_b = diadem_b = {}.
+# Each wraps one function and changes what it returns for the given call
+ORE_FAULTS = {
+    # side B's one critical set {} is joined by {b}, which meets N(ker_a)
+    "side_set": (oracle, "_side_critical_sets",
+                 lambda sets, g, parts, side, *_:
+                 chain(sets, [0b010]) if side == "B" else sets),
+    # the side diadems trade places
+    "swapped": (ore, "ore_profile", lambda p, *_: p._replace(
+        diadem_a=p.diadem_b, diadem_b=p.diadem_a)),
+    # diadem_a {a, c} becomes {a}
+    "shrunk": (ore, "ore_profile",
+               lambda p, *_: p._replace(diadem_a=p.diadem_a & 0b001)),
+}
+# the one property each fault fails, and its witness in labels
+ORE_FAILURES = {
+    "side_set": ("ore.kernel_separation", {
+        "side": "A", "kernel": ["a", "c"], "opposite_critical": ["b"]}),
+    "swapped": ("bipartite.kernel_split", {
+        "failing": ["ker_a_plus_diadem_b_eq_alpha",
+                    "ker_b_plus_diadem_a_eq_alpha"],
+        "ker_a": ["a", "c"], "ker_b": [], "diadem_a": [],
+        "diadem_b": ["a", "c"], "ker": ["a", "c"], "diadem": ["a", "c"],
+        "alpha": 2}),
+    "shrunk": ("bipartite.kernel_split", {
+        "failing": ["ker_b_plus_diadem_a_eq_alpha",
+                    "side_diadems_union_to_diadem"],
+        "ker_a": ["a", "c"], "ker_b": [], "diadem_a": ["a"], "diadem_b": [],
+        "ker": ["a", "c"], "diadem": ["a", "c"], "alpha": 2}),
+}
+
+
+def _inject_ore(monkeypatch, fault):
+    module, name, fault_of = ORE_FAULTS[fault]
+    real = getattr(module, name)
+    monkeypatch.setattr(module, name,
+                        lambda *args: fault_of(real(*args), *args))
+    return parse_graph(P3)
+
+
+@pytest.mark.parametrize("fault", ORE_FAULTS)
+def test_ore_faults_fail_their_one_reader(monkeypatch, fault):
+    # in a whole registry pass and alone on a fresh Facts, the fault fails
+    # exactly the property that reads it, with its witness in labels
+    g = _inject_ore(monkeypatch, fault)
+    name, witness = ORE_FAILURES[fault]
+    want = PropertyResult(name, "fails", None, witness)
+    facts = Facts(g)
+    swept = {prop.name: evaluate(prop, facts) for prop in registry()}
+    assert [r for r in swept.values() if r.verdict == "fails"] == [want]
+    assert evaluate(lookup(name), Facts(g)) == want
+
+
+@pytest.mark.parametrize("fault", ORE_FAULTS)
+def test_check_all_renders_each_ore_fault(monkeypatch, capsys, tmp_path,
+                                          fault):
+    path = tmp_path / f"{fault}.edges"
+    path.write_text(P3)
+    _inject_ore(monkeypatch, fault)
+    name, witness = ORE_FAILURES[fault]
+    assert _check_all_failed(capsys, path) == [{name: witness}] * 2
 
 
 def test_ker_characterization_fails_on_a_second_set_passing_it(
