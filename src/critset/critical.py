@@ -92,7 +92,7 @@ def _ker_matching(g: Graph) -> _CoverMatching:
         _greedy_cover_matching(nbrs, mate_plus, mate_minus)
         _max_matching_lists(nbrs, range(n), mate_plus, mate_minus)
         in_ker, near_ker = bytearray(n), bytearray(n)
-        members, _ = _alternating_reach(
+        members = _alternating_reach(
             nbrs, mate_minus, _unmatched(mate_plus, range(n)), in_ker,
             near_ker)
         memo = g._cover = _CoverMatching(mate_plus, mate_minus, in_ker,

@@ -80,15 +80,16 @@ class Graph:
     """Finite simple undirected graph; vertices are 0..n-1, labels for display.
 
     `nbrs[v]` is v's neighbours as a sorted tuple, and every constructor
-    fills it. `adj[v]` is the same as a bitmask, built for every vertex on its
-    first read, so a graph pays for O(n^2) bits of masks only if a bitmask
-    routine reads them; deleting, comparing, hashing and pickling never do.
+    fills it. `adj[v]` is the same as a bitmask, a property that builds the
+    masks for every vertex on its first read, so a graph pays for O(n^2) bits
+    of masks only if a bitmask routine reads them; deleting, comparing,
+    hashing and pickling never do.
     The matching routines memoise the double cover's maximum matching in a
     private slot; since a Graph never changes, the memo stays valid, and it is
     left out of equality, hashing and pickling.
     """
 
-    __slots__ = ("n", "nbrs", "adj", "labels", "_cover")
+    __slots__ = ("n", "nbrs", "labels", "_adj", "_cover")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]],
                  labels: tuple[str, ...] | None = None):
@@ -116,19 +117,16 @@ class Graph:
         self.n = len(self.nbrs)
         self.labels = labels if labels is not None else tuple(
             str(i) for i in range(self.n))
-        self._cover = None
+        self._adj = self._cover = None
         return self
 
-    def __getattr__(self, name: str):
-        # reached only while the adj slot is unset; fills it, so every later
-        # read is a slot read. With a __getattr__ CPython no longer
-        # specialises attribute reads on Graph, so the bitmask loops in mis,
-        # critical and props read g.adj once into a local.
-        if name != "adj":
-            raise AttributeError(name)
-        # the bits are distinct, so the sum is their OR
-        self.adj = tuple(sum(1 << w for w in vs) for vs in self.nbrs)
-        return self.adj
+    @property
+    def adj(self) -> tuple[VertexSet, ...]:
+        """Neighbourhood bitmasks, one per vertex."""
+        if self._adj is None:
+            # the bits are distinct, so the sum is their OR
+            self._adj = tuple(sum(1 << w for w in vs) for vs in self.nbrs)
+        return self._adj
 
     @property
     def full(self) -> VertexSet:
@@ -178,11 +176,12 @@ def _check_subset(g: Graph, x: VertexSet) -> None:
 def neighborhood(g: Graph, x: VertexSet) -> VertexSet:
     """Return the open neighbourhood N(x); it may intersect x."""
     _check_subset(g, x)
+    adj = g.adj
     out = 0
     rest = x
     while rest:
         low = rest & -rest
-        out |= g.adj[low.bit_length() - 1]
+        out |= adj[low.bit_length() - 1]
         rest ^= low
     return out
 

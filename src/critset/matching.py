@@ -13,37 +13,47 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from .graphs import BipartitePartition, Graph, VertexSet, vflags, vset
+from .graphs import (BipartitePartition, Graph, VertexSet, _check_subset,
+                     vflags, vset)
 
 
 class Matching:
-    """Pairwise non-incident edges with a mate map over the host graph's ids."""
+    """Pairwise non-incident edges, stored as their mate map over the host
+    graph's ids: mate[v] is v's partner, or -1 when v is unmatched."""
 
-    __slots__ = ("n", "edges", "mate")
+    __slots__ = ("mate",)
 
     def __init__(self, n: int, pairs: list[tuple[int, int]]):
         mate = [-1] * n
-        edges = set()
         for u, v in pairs:
+            if not (0 <= u < n and 0 <= v < n):
+                raise ValueError(f"edge ({u},{v}) out of range for n={n}")
+            if u == v:
+                raise ValueError(f"self-loop at vertex {u}")
             if mate[u] != -1 or mate[v] != -1:
                 raise ValueError(f"incident edges at ({u},{v})")
             mate[u], mate[v] = v, u
-            edges.add((min(u, v), max(u, v)))
-        self.n = n
-        self.edges = frozenset(edges)
         self.mate = tuple(mate)
 
     @classmethod
     def _of(cls, mate: list[int]) -> "Matching":
         """Wrap a symmetric mate array that the library built, unchecked."""
         m = object.__new__(cls)
-        m.n = len(mate)
-        m.edges = frozenset([(u, v) for u, v in enumerate(mate) if v > u])
         m.mate = tuple(mate)
         return m
 
+    @property
+    def n(self) -> int:
+        return len(self.mate)
+
+    @property
+    def edges(self) -> frozenset[tuple[int, int]]:
+        """The matched pairs (u, v) with u < v."""
+        return frozenset([(u, v) for u, v in enumerate(self.mate) if v > u])
+
     def __len__(self) -> int:
-        return len(self.edges)
+        mate = self.mate
+        return (len(mate) - mate.count(-1)) // 2
 
     def __repr__(self) -> str:
         return f"Matching({sorted(self.edges)})"
@@ -178,33 +188,29 @@ def _unmatched(mate: list[int], ids: Iterable[int]) -> list[int]:
 
 
 def _alternating_reach(adj, mate_r: list[int], start: Iterable[int],
-                       seen_l: bytearray,
-                       seen_r: bytearray) -> tuple[list[int], list[int]]:
+                       seen_l: bytearray, seen_r: bytearray) -> list[int]:
     """Mark what alternating paths reach from the left ids in start: an edge
     from a reached left id u to a right id in adj[u], then the matching edge
     from it back to a left id.
 
     Sets seen_l and seen_r for every id reached that was not already marked,
-    and returns those left ids and right ids. seen_l and seen_r may be one
-    array when left and right ids are disjoint; a caller running several
-    searches clears just the returned ids between them.
+    and returns those left ids. seen_l and seen_r may be one array when left
+    and right ids are disjoint.
     """
     reached_l = []
     for u in start:
         if not seen_l[u]:
             seen_l[u] = 1
             reached_l.append(u)
-    reached_r = []
     for u in reached_l:
         for v in adj[u]:
             if not seen_r[v]:
                 seen_r[v] = 1
-                reached_r.append(v)
                 w = mate_r[v]
                 if w != -1 and not seen_l[w]:
                     seen_l[w] = 1
                     reached_l.append(w)
-    return reached_l, reached_r
+    return reached_l
 
 
 def maximum_matching_general(g: Graph) -> Matching:
@@ -329,6 +335,8 @@ def saturating_matching(
     Returns (matching, None) on success, else (None, B) with B a nonempty
     subset of from_set such that |N(B) & into| < |B|.
     """
+    if (from_set | into) >> g.n:
+        _check_subset(g, from_set if from_set >> g.n else into)
     if from_set & into:
         raise ValueError("from_set and into must be disjoint")
     ids, adj, mate = _hopcroft_karp(g, from_set, into)
@@ -336,5 +344,5 @@ def saturating_matching(
     if not unmatched:
         return Matching._of(mate), None
     seen = bytearray(g.n)
-    violator, _ = _alternating_reach(adj, mate, unmatched, seen, seen)
+    violator = _alternating_reach(adj, mate, unmatched, seen, seen)
     return None, vset(violator)

@@ -106,16 +106,14 @@ def verify_ker_characterization(
     if boundary.bit_count() > limit:
         raise LimitExceeded("neighborhood too large for the tight-set search")
 
+    # the nonempty subsets of the boundary, in increasing order
     tight: VertexSet | None = None
-    members = vlist(boundary)
-    for code in range(1, 1 << len(members)):
-        b = 0
-        for k, v in enumerate(members):
-            if code >> k & 1:
-                b |= 1 << v
+    b = -boundary & boundary
+    while b:
         if (neighborhood(g, b) & a).bit_count() == b.bit_count():
             tight = b
             break
+        b = (b - boundary) & boundary
 
     unmatchable: int | None = None
     for v in vlist(a):

@@ -47,12 +47,8 @@ def shuffled_chain(n: int, closed: bool, seed: int) -> Graph:
 
 
 def masks_built(g: Graph) -> bool:
-    """Whether g's adj slot is filled; reading g.adj itself would fill it."""
-    try:
-        Graph.adj.__get__(g)
-    except AttributeError:
-        return False
-    return True
+    """Whether g's masks are built; reading g.adj itself would build them."""
+    return g._adj is not None
 
 
 def mid_sample(seed: int, per_density: int = 5):

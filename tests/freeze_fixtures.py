@@ -6,7 +6,9 @@ Not a test. Run from the repo root:
 
 For every .edges file the script derives all expected values with the
 oracles in oracles.py, asserts the hand-checked headline values against the
-oracle answers, and writes src/critset/fixtures/<name>.json.
+oracle answers, and writes src/critset/fixtures/<name>.json. `build` returns
+those texts without writing them; test_fixtures.py checks that they equal
+the committed files.
 """
 
 from __future__ import annotations
@@ -339,17 +341,26 @@ FIXTURES = [
 ]
 
 
-def main() -> int:
+def build() -> dict[Path, str]:
+    """Each sidecar's path and text, derived from its .edges file."""
+    sidecars = {}
     for name, filename, expect, notes in FIXTURES:
         path = SRC / filename
-        g = parse_graph(path.read_text())
-        expected = expect(g)
-        doc = {"name": name, "file": filename, "expected": expected}
+        doc = {"name": name, "file": filename,
+               "expected": expect(parse_graph(path.read_text()))}
         if notes:
             doc["notes"] = notes
-        sidecar = path.with_suffix(".json")
-        sidecar.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
-        print(f"{name:14s} ok  (n={expected['n']}, m={expected['m']}, "
+        sidecars[path.with_suffix(".json")] = json.dumps(
+            doc, indent=2, sort_keys=True) + "\n"
+    return sidecars
+
+
+def main() -> int:
+    for sidecar, text in build().items():
+        sidecar.write_text(text)
+        doc = json.loads(text)
+        expected = doc["expected"]
+        print(f"{doc['name']:14s} ok  (n={expected['n']}, m={expected['m']}, "
               f"d={expected['d']})")
     return 0
 

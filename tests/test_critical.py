@@ -15,8 +15,9 @@ from critset.critical import (_d_without, _greedy_cover_matching,
 from critset.fixtures import load
 from critset.graphs import (Graph, LimitExceeded, complete_graph,
                             cycle_graph, delete_vertices, difference,
-                            empty_graph, is_independent, parse_graph,
-                            path_graph, random_graph, to_edge_list)
+                            empty_graph, is_independent, neighborhood,
+                            parse_graph, path_graph, random_graph,
+                            to_edge_list, vlist)
 from critset.oracle import (Config, Facts,
                             enumerate_critical_independent_sets,
                             verify_ker_characterization)
@@ -302,9 +303,55 @@ def test_ker_characterization_rejects_larger_critical_sets():
     # the witness is a tight subset of N(S) or an unmatchable vertex
     if witness["tight_set"]:
         b = witness["tight_set"]
-        from critset.graphs import neighborhood
         assert b & neighborhood(g, s) == b
         assert (neighborhood(g, b) & s).bit_count() == b.bit_count()
+
+
+def first_tight_set_by_counter(g, a):
+    """The first nonempty B inside N(a) with |N(B) & a| = |B|, or None, by
+    the loop verify_ker_characterization ran before it walked the submasks:
+    each subset rebuilt bit by bit from a counter over N(a)'s members in
+    increasing id order."""
+    members = vlist(neighborhood(g, a))
+    for code in range(1, 1 << len(members)):
+        b = 0
+        for k, v in enumerate(members):
+            if code >> k & 1:
+                b |= 1 << v
+        if (neighborhood(g, b) & a).bit_count() == b.bit_count():
+            return b
+    return None
+
+
+def grown_from_ker(g):
+    """ker, each critical independent ker + v, and the critical independent
+    set that adding vertices to ker in increasing id order reaches."""
+    k = grown = ker(g)
+    sets = [k]
+    for v in range(g.n):
+        if not k >> v & 1 and is_critical_independent(g, k | 1 << v):
+            sets.append(k | 1 << v)
+        if is_critical_independent(g, grown | 1 << v):
+            grown |= 1 << v
+    return sets + [grown]
+
+
+def test_tight_set_walk_matches_the_counter_loop():
+    # the submask walk meets the subsets of N(a) in the counter's order, so
+    # the first tight set, and with it every th9 witness, stays the same:
+    # on every critical independent set of every graph with n <= 6, and on
+    # sets grown from ker past the oracle's reach
+    cases = [(g, a) for g in small_corpus(6)
+             for a in Facts(g).critical_ind_family()]
+    cases += [(g, a) for g in mid_sample(5) for a in grown_from_ker(g)
+              if neighborhood(g, a).bit_count() <= 14]
+    tight = 0
+    for g, a in cases:
+        ok, witness = verify_ker_characterization(g, a, 14)
+        want = first_tight_set_by_counter(g, a)
+        assert (None if ok else witness["tight_set"]) == want
+        tight += want is not None
+    assert (len(cases), tight) == (117605, 83679)
 
 
 def test_deletion_changes_d_by_at_most_one(graphs_n5):

@@ -1,5 +1,6 @@
 import pytest
 
+import freeze_fixtures
 import oracles as o
 from conftest import adj_of
 from critset.fixtures import fixture_names, load, verify, verify_all
@@ -12,6 +13,15 @@ def test_registry_is_complete():
     assert names[0] == "fig511"
     with pytest.raises(ValueError, match="unknown fixture"):
         load("fig999")
+
+
+def test_sidecars_are_what_their_generator_writes():
+    # the one copy of the fixtures stays the output of the script that
+    # derives it from the oracles, byte for byte
+    built = freeze_fixtures.build()
+    assert sorted(built) == sorted(freeze_fixtures.SRC.glob("*.json"))
+    for sidecar, text in built.items():
+        assert sidecar.read_bytes() == text.encode(), sidecar.name
 
 
 def test_every_fixture_verifies():

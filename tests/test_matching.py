@@ -109,8 +109,19 @@ def test_matching_queries():
     lonely = maximum_matching_general(path_graph(3))
     assert len(lonely) == 1
     assert saturated(lonely) != 0b111
-    with pytest.raises(ValueError):
-        Matching(3, [(0, 1), (1, 2)])
+
+
+@pytest.mark.parametrize("pairs, message", [
+    ([(0, 1), (1, 2)], r"incident edges at \(1,2\)"),
+    ([(1, 1)], "self-loop at vertex 1"),
+    ([(-1, 0)], r"edge \(-1,0\) out of range for n=3"),
+    ([(0, 5)], r"edge \(0,5\) out of range for n=3"),
+    ([(0, 1), (3, 2)], r"edge \(3,2\) out of range for n=3"),
+], ids=["incident", "self_loop", "negative", "past_n", "second_past_n"])
+def test_checked_matching_rejects_pairs_that_are_not_a_matching(pairs,
+                                                                message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        Matching(3, pairs)
 
 
 def seeded_graphs():
@@ -160,6 +171,16 @@ def test_saturating_matching_failure_returns_hall_violator():
     assert violator & 0b1110 == violator and violator
     assert (neighborhood(g, violator) & 0b0001).bit_count() \
         < violator.bit_count()
+
+
+@pytest.mark.parametrize("from_set, into", [
+    (0b1000, 0b010), (0b001, 0b1010), (-1, 0), (0b001, -0b100)])
+def test_saturating_matching_rejects_masks_past_n(from_set, into):
+    # the message neighborhood gives for the first mask that leaves 0..n-1
+    bad = from_set if from_set >> 3 else into
+    with pytest.raises(ValueError,
+                       match=f"^vertex set {bin(bad)} not within 0..2$"):
+        saturating_matching(path_graph(3), from_set, into)
 
 
 def test_hall_violator_is_sound_on_random_pairs(graphs_n5):

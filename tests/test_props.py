@@ -587,6 +587,65 @@ def test_check_all_renders_each_ore_fault(monkeypatch, capsys, tmp_path,
     assert _check_all_failed(capsys, path) == [{name: witness}] * 2
 
 
+# On P3 the one maximum independent set {a, c} is followed in the DFS's
+# stream by {b}, which is independent but not maximum: core shrinks to {}
+# and corona grows to V. The properties that read the stream fail, each
+# with its witness in labels
+MIS_FAILURES = {
+    "cor2.ke_core_corona_critical": {
+        "core": [], "corona": ["a", "b", "c"], "d_of_core": 0,
+        "d_of_corona": 0, "d": 1},
+    "th6.ker_subset_core": {"ker": ["a", "c"], "core": []},
+    "th10.bipartite_ker_eq_core": {"ker": ["a", "c"], "core": []},
+    "th8.ke_difference_identities": {
+        "d": 1, "core_route": 0, "alpha_minus_mu": 1, "deficiency": 1},
+    "th5.ke_iff_every_mis_critical": {
+        "alpha_plus_mu_route": True, "every_mis_critical": False,
+        "maximum_critical_route": True, "non_critical_mis": ["b"]},
+    "th11.ke_identities": {"failing": [
+        {"name": "d_eq_core_minus_ncore", "lhs": 1, "rhs": 0},
+        {"name": "core_plus_corona_eq_two_alpha", "lhs": 3, "rhs": 4},
+        {"name": "diadem_eq_corona", "lhs": ["a", "c"],
+         "rhs": ["a", "b", "c"]},
+        {"name": "core_is_critical", "lhs": 0, "rhs": 1},
+        {"name": "corona_is_critical", "lhs": 0, "rhs": 1}]},
+    "core_corona.lower_bound": {"two_alpha": 4, "core_plus_corona": 3},
+}
+
+
+def _inject_mis(monkeypatch):
+    search = oracle._search_maximum_independent_sets
+    monkeypatch.setattr(oracle, "_search_maximum_independent_sets",
+                        lambda g, target: chain(search(g, target), [0b010]))
+    return parse_graph(P3)
+
+
+def test_mis_stream_fault_fails_each_reader(monkeypatch):
+    # in a whole registry pass and alone on a fresh Facts; core {} is not
+    # critical, so the one check that needs a critical core skips
+    g = _inject_mis(monkeypatch)
+    facts = Facts(g)
+    swept = {prop.name: evaluate(prop, facts) for prop in registry()}
+    assert {name: r.witness for name, r in swept.items()
+            if r.verdict == "fails"} == MIS_FAILURES
+    assert [(name, r.reason) for name, r in swept.items()
+            if r.verdict == "skipped"] == [
+        ("core.inside_maximal_critical_independent",
+         "core is not a critical set")]
+    for name, witness in MIS_FAILURES.items():
+        want = PropertyResult(name, "fails", None, witness)
+        assert swept[name] == want
+        assert evaluate(lookup(name), Facts(g)) == want
+
+
+def test_check_all_renders_the_mis_stream_fault(monkeypatch, capsys,
+                                                tmp_path):
+    path = tmp_path / "p3.edges"
+    path.write_text(P3)
+    _inject_mis(monkeypatch)
+    assert _check_all_failed(capsys, path) == [MIS_FAILURES] * 2
+
+
 def test_ker_characterization_fails_on_a_second_set_passing_it(
         monkeypatch):
     # a family member other than ker that passes the ker conditions makes
