@@ -5,17 +5,17 @@ The critical independent sets, the maximum independent sets (core and corona
 are their intersection and union) and a bipartite side's critical sets each
 come from one pruned DFS over an explicit stack of bitmasks, include-first,
 with no recursion. `Facts` caches per graph the polynomial facts, alpha,
-these families, and two brute-force tables over the 2^n vertex subsets: the
-independent masks and the d table. `Facts` is the one place that computes
-each family and checks its limit; the public readers of the maximum
-independent sets, core and corona, the maximum critical set and the
-KE-via-critical route read a fresh `Facts`. No polynomial module (graphs,
-matching, critical, ore) imports this module; tests/test_startup.py checks
-it.
+these families, and the brute-force d table over the 2^n vertex subsets.
+`Facts` is the one place that computes each family and checks its limit;
+the public readers of the maximum independent sets, core and corona, the
+maximum critical set and the KE-via-critical route read a fresh `Facts`.
+No polynomial module (graphs, matching, critical, ore) imports this
+module; tests/test_startup.py checks it.
 """
 
 from __future__ import annotations
 
+import re
 from itertools import chain, islice, tee
 from typing import Callable, Iterator, NamedTuple
 
@@ -200,11 +200,11 @@ def _side_critical_sets(
 
 # -- per-graph fact cache --------------------------------------------------------
 
-# the order whose lanes _subset_lanes holds, and its lanes
-_lanes: dict[int, tuple[tuple[int, ...], int]] = {}
+# the one order held: its byte planes, |m| + n lanes and bit planes or None
+_lanes: dict[int, list] = {}
 
 
-def _subset_lanes(n: int) -> tuple[tuple[int, ...], int]:
+def _subset_lanes(n: int) -> list:
     """Byte-lane integers over the 2^n subset masks of n vertices, lane m
     being byte m: for each v the plane whose lane m is 1 iff v is in m, and
     their sum plus n in each lane, |m| + n in lane m. Every table at order n
@@ -219,8 +219,21 @@ def _subset_lanes(n: int) -> tuple[tuple[int, ...], int]:
             (bytes(1 << v) + b"\1" * (1 << v)) * (size >> v + 1), "little")
             for v in range(n))
         ones = int.from_bytes(b"\1" * size, "little")
-        _lanes[n] = planes, sum(planes) + n * ones
+        _lanes[n] = [planes, sum(planes) + n * ones, None]
     return _lanes[n]
+
+
+def _bit_planes(n: int) -> tuple[int, ...]:
+    """Per v the 2^n-bit integer whose bit m is 1 iff v is in m, held with
+    the byte lanes of order n once asked for; built from byte patterns."""
+    held = _subset_lanes(n)
+    if held[2] is None:
+        size, low = 1 << n, (b"\xaa", b"\xcc", b"\xf0")
+        held[2] = tuple(int.from_bytes(
+            low[v] * max(size >> 3, 1) if v < 3 else
+            (bytes(1 << v - 3) + b"\xff" * (1 << v - 3)) * (size >> v + 1),
+            "little") & (1 << size) - 1 for v in range(n))
+    return held[2]
 
 
 class Facts:
@@ -347,7 +360,7 @@ class Facts:
             if g.n > self.config.oracle_limit:
                 raise LimitExceeded(
                     f"n={g.n} exceeds oracle limit {self.config.oracle_limit}")
-            planes, lanes = _subset_lanes(g.n)
+            planes, lanes, _ = _subset_lanes(g.n)
             for vs in g.nbrs:
                 hit = 0
                 for v in vs:
@@ -356,20 +369,15 @@ class Facts:
             return lanes.to_bytes(1 << g.n, "little")
         return self._get("tables", compute)
 
-    def _independent_masks(self) -> list[VertexSet]:
-        """The independent masks in include-first order, the order the DFSs
-        yield them in: of two masks, the one holding the lowest vertex where
-        they differ comes first. Built by doubling over v = n-1 .. 0, adding
-        v only to the masks that hold none of its neighbours, so no
-        dependent mask is visited."""
+    def top_lane(self) -> int:
+        """The largest lane of the table: past 2n only if corrupted, found
+        by deleting lanes 0..2n, else by byte searches from 2n down."""
         def compute():
-            order = [0]
-            adj = self.g.adj
-            for v in reversed(range(self.g.n)):
-                a, bit = adj[v], 1 << v
-                order = [m | bit for m in order if not a & m] + order
-            return order
-        return self._get("independent_masks", compute)
+            table, n = self.tables(), self.g.n
+            top = table.translate(None, bytes(range(2 * n + 1)))
+            return max(top) if top else next(
+                v for v in range(2 * n, -1, -1) if v in table)
+        return self._get("top_lane", compute)
 
     def _critical_pass(self) -> tuple[list[VertexSet] | None, VertexSet]:
         """One run of the critical independent sets' DFS: the family, or
@@ -429,26 +437,24 @@ class Facts:
 
     def minimal_positives(self) -> list[VertexSet]:
         """The inclusion-minimal independent sets with d >= 1, in
-        include-first order."""
+        include-first order, off the table as 2^n-bit integers, bit m for
+        mask m: p, the independent masks whose lane is above n, less the
+        masks above one of them, found by n shift-ORs (a zeta transform)."""
         def compute():
             table, n = self.tables(), self.g.n
-            # positive[m]: m or a subset of m has d >= 1; reversed
-            # include-first order reaches every subset of m before m
-            positive = bytearray(1 << n)
-            minimal = []
-            for m in reversed(self._independent_masks()):
-                rest = m
-                while rest:
-                    low = rest & -rest
-                    if positive[m ^ low]:
-                        positive[m] = 1
-                        break
-                    rest ^= low
-                else:
-                    if table[m] > n:
-                        positive[m] = 1
-                        minimal.append(m)
-            return minimal[::-1]
+            if self.top_lane() <= n:
+                return []
+            flags = table.translate(bytes(n + 1) + b"\1" * (255 - n))
+            planes, p, above = _bit_planes(n), 0, 0
+            for k in range(8):  # byte j of the k-th slice is lane 8j + k
+                p |= int.from_bytes(flags[k::8], "little") << k
+            for u, v in self.g.edge_pairs():  # drop the dependent masks
+                p ^= p & planes[u] & planes[v]
+            for v, plane in enumerate(planes):
+                above |= ((p | above) << (1 << v)) & plane
+            bits = f"{p ^ (p & above):b}"[::-1]
+            return sorted((x.start() for x in re.finditer("1", bits)),
+                          key=lambda m: f"{m:0{n}b}"[::-1], reverse=True)
         return self._get("minimal_positives", compute)
 
     def max_critical_ind(self) -> VertexSet:

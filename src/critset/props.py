@@ -17,15 +17,15 @@ import json
 import random
 from collections import Counter
 from functools import lru_cache
-from itertools import chain, islice
+from itertools import chain, combinations, islice
 from operator import itemgetter
 from typing import Callable, Iterable, Iterator, NamedTuple
 
 from . import critical, oracle
 from .graphs import (EXHAUSTIVE_MAX_N, Graph, LimitExceeded, VertexSet,
                      all_graphs, delete_edge, delete_vertices, difference,
-                     graph_from_code, neighborhood, orbit_leaders,
-                     random_graph, read_graph_file, vlist)
+                     graph_from_code, is_independent, neighborhood,
+                     orbit_leaders, random_graph, read_graph_file, vlist)
 from .matching import saturating_matching
 from .oracle import Config, Facts, _subset_lanes
 
@@ -125,16 +125,22 @@ def _positive_d_only(f: Facts) -> str | None:
 
 # -- the checks ------------------------------------------------------------------
 
+def _masks_at(table: bytes, lane: int) -> Iterator[VertexSet]:
+    """The masks whose lane holds lane, in increasing order."""
+    m = -1
+    while (m := table.find(lane, m + 1)) >= 0:
+        yield m
+
+
 def _check_d_eq_id(f: Facts) -> tuple[bool, dict | None]:
-    table, n = f.tables(), f.g.n
-    # corrupted lanes above 2n, else the top lane
-    top = table.translate(None, bytes(range(2 * n + 1)))
-    best_all = (max(top) if top else next(
-        v for v in range(2 * n, -1, -1) if v in table)) - n
-    best_ind = max(map(table.__getitem__, f._independent_masks())) - n
-    ok = f.d() == best_all == best_ind
+    table, n, top = f.tables(), f.g.n, f.top_lane()
+    # by byte searches from the top lane down; on a valid table the first
+    # candidate is ker, the least critical mask: every critical set holds it
+    best_ind = next(lane for lane in range(top, -1, -1) if any(
+        is_independent(f.g, m) for m in _masks_at(table, lane))) - n
+    ok = f.d() == top - n == best_ind
     return ok, None if ok else {
-        "d_polynomial": f.d(), "max_over_subsets": best_all,
+        "d_polynomial": f.d(), "max_over_subsets": top - n,
         "max_over_independent": best_ind}
 
 
@@ -155,7 +161,7 @@ def _square_masks(n: int) -> tuple[int, tuple[tuple[int, ...], ...]]:
     """For the square test of th4.supermodular on n vertices: 0x80 in each
     of the 2^n byte lanes, and per u, one per v > u, 0x80 in each lane X
     that holds neither u nor v. Kept per n: under 300 KB at n = 12."""
-    planes, _ = _subset_lanes(n)
+    planes = _subset_lanes(n)[0]
     ones = int.from_bytes(b"\1" * (1 << n), "little")
     return ones << 7, tuple(tuple((ones ^ (planes[u] | planes[v])) << 7
                                   for v in range(u + 1, n))
@@ -251,10 +257,7 @@ def _check_critical_closure(f: Facts) -> tuple[bool, dict | None]:
     lane = d0 + n
     # critical lanes hold d0 + n, found by byte searches; (a, b) fails iff
     # (b, a) does, and (a, a) holds, so b is scanned after a
-    crit, m = [], -1
-    for _ in range(table.count(lane)):
-        m = table.index(lane, m + 1)
-        crit.append(m)
+    crit = list(_masks_at(table, lane))
     if len(crit) > 256:
         crit = crit[::len(crit) // 256 + 1]
     for i, a in enumerate(crit):
@@ -294,9 +297,8 @@ def _check_ke_core_corona_critical(f: Facts) -> tuple[bool, dict | None]:
 
 
 def _applies_core_critical(f: Facts) -> str | None:
-    if difference(f.g, f.core()) != f.d():
-        return "core is not a critical set"
-    return None
+    return None if difference(f.g, f.core()) == f.d() else (
+        "core is not a critical set")
 
 
 def _check_core_in_maximal(f: Facts) -> tuple[bool, dict | None]:
@@ -539,17 +541,13 @@ def _check_core_corona_bound(f: Facts) -> tuple[bool, dict | None]:
 
 
 def _pendants_outside_k2(g: Graph) -> VertexSet:
-    out = 0
-    for v in range(g.n):
-        if g.degree(v) == 1 and g.degree(g.nbrs[v][0]) > 1:
-            out |= 1 << v
-    return out
+    return sum(1 << v for v in range(g.n)
+               if g.degree(v) == 1 and g.degree(g.nbrs[v][0]) > 1)
 
 
 def _applies_has_pendants(f: Facts) -> str | None:
-    if _pendants_outside_k2(f.g) == 0:
-        return "no pendant vertices outside K2 components"
-    return None
+    return None if _pendants_outside_k2(f.g) else (
+        "no pendant vertices outside K2 components")
 
 
 def _check_pendants_in_diadem(f: Facts) -> tuple[bool, dict | None]:
@@ -573,15 +571,10 @@ def _check_selftest_alpha(f: Facts) -> tuple[bool, dict | None]:
     if f.alpha() <= 2:
         return True, None
     g = f.g
-    for u in range(g.n):
-        for v in range(u + 1, g.n):
-            if g.adj[u] >> v & 1:
-                continue
-            for w in range(v + 1, g.n):
-                if (g.adj[u] | g.adj[v]) >> w & 1:
-                    continue
-                return False, {"alpha": f.alpha(), "independent_triple":
-                               [g.labels[u], g.labels[v], g.labels[w]]}
+    for u, v, w in combinations(range(g.n), 3):
+        if not (g.adj[u] >> v & 1 or (g.adj[u] | g.adj[v]) >> w & 1):
+            return False, {"alpha": f.alpha(), "independent_triple":
+                           [g.labels[u], g.labels[v], g.labels[w]]}
     return False, {"alpha": f.alpha()}
 
 

@@ -646,6 +646,129 @@ def test_check_all_renders_the_mis_stream_fault(monkeypatch, capsys,
     assert _check_all_failed(capsys, path) == [MIS_FAILURES] * 2
 
 
+# Faults injected into Facts.minimal_positives, each on its own small
+# graph; each takes the sets the table gives:
+MINIMAL_FAULTS = {
+    # P3 loses its one minimal positive set, {a, c}
+    "dropped": ("a b\nb c\n", lambda sets: sets[1:]),
+    # P3 + K2 gains {a, c, d}: positive, not minimal, and d is not in ker
+    "non_minimal": ("a b\nb c\nd e\n", lambda sets: sets + [0b01101]),
+    # the star K1,3 with centre x gains its three leaves, a set with d = 2
+    "d_two": ("x a\nx b\nx c\n", lambda sets: sets + [0b1110]),
+}
+# every registry property that reads the minimal positive sets, with a
+# fault it fails under and its witness, as the check builds it, in labels
+MINIMAL_FAILURES = {
+    "th1.ker_union_of_minimal_positive": ("non_minimal", {
+        "union_of_minimal_positive": ["a", "c", "d"], "ker": ["a", "c"]}),
+    "prop3.minimal_positive_difference_one": ("d_two", {
+        "set": ["a", "b", "c"], "d": 2}),
+    "minsize.positive_bound": ("dropped", {
+        "problem": "no positive independent set although d >= 1"}),
+}
+# every property that fails under each fault
+MINIMAL_FAULT_FAILS = {
+    "dropped": {"th1.ker_union_of_minimal_positive",
+                "minsize.positive_bound"},
+    "non_minimal": {"th1.ker_union_of_minimal_positive"},
+    "d_two": {"prop3.minimal_positive_difference_one"},
+}
+
+
+def _inject_minimal(monkeypatch, fault):
+    text, fault_of = MINIMAL_FAULTS[fault]
+    real = Facts.minimal_positives
+    monkeypatch.setattr(Facts, "minimal_positives",
+                        lambda facts: fault_of(real(facts)))
+    return parse_graph(text)
+
+
+def test_minimal_faults_cover_every_reader_of_the_sets(monkeypatch):
+    # a property that reads the minimal positive sets, and no other, raises
+    # where they are asked for; each has a failing case above
+    class Asked(Exception):
+        pass
+
+    def asked(facts):
+        raise Asked
+
+    monkeypatch.setattr(Facts, "minimal_positives", asked)
+    readers = set()
+    for prop in registry():
+        try:
+            evaluate(prop, Facts(parse_graph(P3)))
+        except Asked:
+            readers.add(prop.name)
+    assert readers == set(MINIMAL_FAILURES)
+    assert set().union(*MINIMAL_FAULT_FAILS.values()) == readers
+
+
+@pytest.mark.parametrize("fault", MINIMAL_FAULTS)
+def test_minimal_faults_fail_their_readers(monkeypatch, fault):
+    # in a whole registry pass and alone on a fresh Facts, each reader of
+    # the minimal positive sets sees the fault: it fails with the witness
+    # its check builds, in labels
+    g = _inject_minimal(monkeypatch, fault)
+    facts = Facts(g)
+    swept = {prop.name: evaluate(prop, facts) for prop in registry()}
+    assert {name for name, r in swept.items()
+            if r.verdict == "fails"} == MINIMAL_FAULT_FAILS[fault]
+    for name, (case, witness) in MINIMAL_FAILURES.items():
+        if case == fault:
+            want = PropertyResult(name, "fails", None, witness)
+            assert swept[name] == want
+            assert evaluate(lookup(name), Facts(g)) == want
+
+
+@pytest.mark.parametrize("fault", MINIMAL_FAULTS)
+def test_check_all_renders_each_minimal_fault(monkeypatch, capsys, tmp_path,
+                                              fault):
+    path = tmp_path / f"{fault}.edges"
+    path.write_text(MINIMAL_FAULTS[fault][0])
+    _inject_minimal(monkeypatch, fault)
+    for failed in _check_all_failed(capsys, path):
+        assert set(failed) == MINIMAL_FAULT_FAILS[fault]
+        for name, (case, witness) in MINIMAL_FAILURES.items():
+            if case == fault:
+                assert failed[name] == witness
+
+
+# On a triangle x y z beside P3 a b c, d = 1 and diadem = {a, c}, the two
+# pendants outside K2; the fault drops a from diadem. The graph is neither
+# KE nor bipartite, so the other readers of diadem skip
+TRIANGLE_P3 = "x y\ny z\nz x\na b\nb c\n"
+DIADEM_FAILURES = {
+    "diadem.critical": {"diadem": ["c"], "d_of_diadem": 0, "d": 1},
+    "pendant.in_diadem": {"pendants_outside_diadem": ["a"],
+                          "diadem": ["c"]},
+}
+
+
+def _inject_diadem(monkeypatch):
+    real = critical.diadem
+    monkeypatch.setattr(critical, "diadem", lambda g: real(g) & ~0b001000)
+    return parse_graph(TRIANGLE_P3)
+
+
+def test_diadem_less_a_pendant_fails_its_two_readers(monkeypatch):
+    g = _inject_diadem(monkeypatch)
+    assert g.labels[3] == "a" and critical.diadem(g) == 0b100000
+    facts = Facts(g)
+    swept = {prop.name: evaluate(prop, facts) for prop in registry()}
+    assert {name: r.witness for name, r in swept.items()
+            if r.verdict == "fails"} == DIADEM_FAILURES
+    for name, witness in DIADEM_FAILURES.items():
+        assert evaluate(lookup(name), Facts(g)) == PropertyResult(
+            name, "fails", None, witness)
+
+
+def test_check_all_renders_the_diadem_fault(monkeypatch, capsys, tmp_path):
+    path = tmp_path / "triangle_p3.edges"
+    path.write_text(TRIANGLE_P3)
+    _inject_diadem(monkeypatch)
+    assert _check_all_failed(capsys, path) == [DIADEM_FAILURES] * 2
+
+
 def test_ker_characterization_fails_on_a_second_set_passing_it(
         monkeypatch):
     # a family member other than ker that passes the ker conditions makes
@@ -930,6 +1053,71 @@ def test_lane_cache_holds_the_order_in_use_only(monkeypatch):
     assert (len(built), len(oracle._lanes)) == (4, 1)
     assert oracle._subset_lanes(report["graphs"][-1]["n"])
     assert built == [19, 20, 19, 18]
+    # sparser graphs have positive lanes, so minimal_positives builds the
+    # bit planes; they sit in the one entry, beside its byte lanes
+    built.clear()
+    report = run(random_corpus(18, 20, 0.1, 4, 2))
+    orders = [graph["n"] for graph in report["graphs"]]
+    assert len(oracle._lanes) == 1 and built[-1] == orders[-1]
+    (n, (_, _, bits)), = oracle._lanes.items()
+    assert len(bits) == n and bits == oracle._bit_planes(n)
+
+
+def test_bit_planes_match_their_definition(monkeypatch):
+    # bit m of plane v is 1 iff v is in m; built once per held order
+    monkeypatch.setattr(oracle, "_lanes", {})
+    for n in range(9):
+        planes = oracle._bit_planes(n)
+        assert planes == tuple(sum(1 << m for m in range(1 << n) if m >> v & 1)
+                               for v in range(n))
+        assert oracle._bit_planes(n) is planes
+        assert list(oracle._lanes) == [n] and oracle._lanes[n][2] is planes
+
+
+def _minimal_positives_of(g, table):
+    """By brute force: the independent masks whose lane is above n, and no
+    proper subset's, in include-first order."""
+    n = g.n
+    pos = [m for m in range(1 << n) if table[m] > n and is_independent(g, m)]
+    return include_first(n, (m for m in pos if not any(
+        s != m and s & ~m == 0 for s in pos)))
+
+
+def test_minimal_positives_follow_a_corrupted_table():
+    # lanes raised above n, lowered to n or set to 255: the sets read off
+    # the table are what a brute force over the same corrupted table finds
+    rng = random.Random(34)
+    kinds = Counter()
+    for _ in range(400):
+        n = rng.randrange(1, 10)
+        g = random_graph(n, rng.choice([0.15, 0.3, 0.5]), rng.getrandbits(32))
+        facts = Facts(g)
+        bad = bytearray(facts.tables())
+        for _ in range(rng.randrange(1, 5)):
+            m, kind = rng.randrange(1 << n), rng.choice(["up", "down", "255"])
+            bad[m] = {"up": n + rng.choice([1, 2]), "down": n, "255": 255}[kind]
+            kinds[kind] += 1
+        facts._cache["tables"] = bytes(bad)
+        want = _minimal_positives_of(g, bad)
+        assert facts.minimal_positives() == want, (g.adj, bytes(bad))
+        kinds["nonempty"] += bool(want)
+    assert min(kinds.values()) >= 100, kinds
+
+
+def test_no_lane_above_n_builds_no_bit_planes(monkeypatch):
+    # d = 0, on a 4-cycle and on 10 disjoint edges, or a table corrupted to
+    # lanes of n at most: the answer is [] before any bit plane is built
+    def unbuilt(n):
+        raise AssertionError("bit planes built")
+
+    monkeypatch.setattr(oracle, "_lanes", {})
+    monkeypatch.setattr(oracle, "_bit_planes", unbuilt)
+    ten_edges = graphs.Graph(20, [(2 * i, 2 * i + 1) for i in range(10)])
+    lowered = Facts(path_graph(5))
+    lowered._cache["tables"] = bytes(min(t, 5) for t in lowered.tables())
+    for facts in (Facts(cycle_graph(4)), Facts(ten_edges), lowered):
+        assert facts.minimal_positives() == []
+        assert [bits for _, _, bits in oracle._lanes.values()] == [None]
 
 
 def _peak_building(order, held):
@@ -1014,7 +1202,8 @@ def test_d_eq_id_maximum_stays_exact_past_2n():
         for _ in range(10):
             g = random_graph(n, rng.choice([0.2, 0.5]), rng.getrandbits(32))
             facts = Facts(g)
-            d0, ind = facts.d(), facts._independent_masks()
+            d0 = facts.d()
+            ind = [m for m in range(1 << n) if is_independent(g, m)]
             bad = bytearray(facts.tables())
             if rng.random() < 0.2 and d0 + n:
                 bad = bad.replace(bytes([d0 + n]), bytes([d0 + n - 1]))
@@ -1111,11 +1300,13 @@ def test_critical_closure_reports_the_first_failing_pair_of_the_sample(k):
 
 
 def test_tables_match_the_per_mask_definition():
-    # every lane against d(m) + n, and the independent masks against
-    # is_independent in include-first order (of two masks, the one holding
-    # the lowest vertex where they differ comes first), up to n = 20, where
-    # zhang.d_eq_id reads both; one graph per n above 12, at alternating
-    # density, keeps the per-mask scan short
+    # every lane against d(m) + n, and the independence lanes of
+    # minimal_positives, the masks it keeps, against is_independent, up to
+    # n = 20; one graph per n above 12, at alternating density, keeps the
+    # per-mask scan short. A table whose lanes are above n exactly at the
+    # masks of size k makes its minimal positive sets the independent masks
+    # of size k, in include-first order (of two masks, the one holding the
+    # lowest vertex where they differ comes first)
     rng = random.Random(12)
     graphs = [*small_corpus(4),
               *(random_graph(n, p, rng.getrandbits(32))
@@ -1127,14 +1318,21 @@ def test_tables_match_the_per_mask_definition():
         assert list(facts.tables()) == [
             m.bit_count() - neighborhood(g, m).bit_count() + n
             for m in range(1 << n)], g.adj
-        assert facts._independent_masks() == include_first(
-            n, (m for m in range(1 << n) if is_independent(g, m))), g.adj
+        sizes = bytes(m.bit_count() for m in range(1 << n))
+        ind = [m for m in range(1 << n) if is_independent(g, m)]
+        for k in range(n + 1):
+            level = Facts(g)
+            level._cache["tables"] = sizes.translate(
+                bytes(n + (c == k) for c in range(256)))
+            assert level.minimal_positives() == include_first(
+                n, (m for m in ind if m.bit_count() == k)), (g.adj, k)
 
 
-def test_core_and_corona_build_no_subset_table():
+def test_core_and_corona_build_no_subset_table(monkeypatch):
     # the conjecture scan reads core and corona alone; they come from the
-    # maximum-independent-set DFS, with neither the independent masks nor
-    # the 2^n table built
+    # maximum-independent-set DFS, with no lanes, no 2^n table and nothing
+    # read off it built
+    monkeypatch.setattr(oracle, "_lanes", {})
     rng = random.Random(11)
     for n in (0, 5, 12, 18):
         g = random_graph(n, 0.3, rng.getrandbits(32))
@@ -1142,8 +1340,9 @@ def test_core_and_corona_build_no_subset_table():
         assert facts.mis_profile() == oracle.core_and_corona(g)
         assert facts.first_mis() == next(
             oracle.enumerate_maximum_independent_sets(g))
-        assert "independent_masks" not in facts._cache
-        assert "tables" not in facts._cache
+        assert not {"tables", "top_lane", "minimal_positives"} & set(
+            facts._cache)
+    assert oracle._lanes == {}
 
 
 @pytest.mark.parametrize("n", [30, 45])

@@ -40,6 +40,17 @@ def test_setup_line_loads_no_pool_dataclasses_or_fixtures():
     assert [name for name in LAZY if name in extra] == []
 
 
+def test_setup_line_builds_no_subset_lanes():
+    # the lane cache fills on the first table asked for, never at import or
+    # in registry(), so the benchmark's setup_s carries none of it
+    env = dict(os.environ, PYTHONPATH=SRC)
+    done = subprocess.run(
+        [sys.executable, "-c",
+         f"{SETUP}\nfrom critset import oracle\nprint(oracle._lanes)"],
+        env=env, capture_output=True, text=True, timeout=60, check=True)
+    assert done.stdout == "{}\n"
+
+
 @pytest.mark.parametrize("module", ["critset.cli", "critset.props",
                                     "critset.fixtures"])
 def test_module_imports_alone(module):
