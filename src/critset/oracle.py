@@ -331,9 +331,11 @@ class Facts:
         return self._get("mis_sets", compute).__copy__()
 
     def first_mis(self) -> VertexSet:
+        """The first maximum independent set; {} if there is none, which
+        only a wrong alpha gives, so the checks fail with a witness."""
         def compute():
             self.require_oracle()
-            return next(iter(self._maximum_independent_sets()))
+            return next(self._maximum_independent_sets(), 0)
         return self._get("first_mis", compute)
 
     def ke_identity_checks(self) -> list[dict]:
@@ -385,16 +387,16 @@ class Facts:
         maximum_critical_independent_set's tie rule: the DFS yields
         include-first, and of two sets of one size the one holding the
         lowest vertex where they differ has the least sorted id list, so
-        the first largest set wins. Not guarded by the oracle switch; the
-        readers that need it check it."""
+        the first largest set wins. Every graph has a critical independent
+        set, so the stream is empty only under a wrong d, and then the
+        family is empty and the largest set is {}: the checks fail with a
+        witness. Not guarded by the oracle switch; the readers that need it
+        check it."""
         def compute():
             sets = enumerate_critical_independent_sets(
                 self.g, self.config.oracle_limit)
             fam = list(islice(sets, FAMILY_CAP + 1))
-            best = max(chain(fam, sets), key=int.bit_count, default=None)
-            if best is None:
-                raise AssertionError("every graph has a critical independent "
-                                     "set")
+            best = max(chain(fam, sets), key=int.bit_count, default=0)
             return (fam if len(fam) <= FAMILY_CAP else None), best
         return self._get("critical_pass", compute)
 

@@ -281,10 +281,20 @@ def _check_unique_minimal(f: Facts) -> tuple[bool, dict | None]:
 
 def _check_diadem_critical(f: Facts) -> tuple[bool, dict | None]:
     dia = f.diadem()
-    ok = difference(f.g, dia) == f.d()
+    if difference(f.g, dia) != f.d():
+        return False, {
+            "diadem": f.labels(dia), "d_of_diadem": difference(f.g, dia),
+            "d": f.d()}
+    try:
+        family = f.critical_ind_family()
+    except LimitExceeded:
+        return True, None  # past the family's reach, d(diadem) alone decides
+    union = 0
+    for s in family:
+        union |= s
+    ok = union == dia
     return ok, None if ok else {
-        "diadem": f.labels(dia), "d_of_diadem": difference(f.g, dia),
-        "d": f.d()}
+        "diadem": f.labels(dia), "union_of_family": f.labels(union)}
 
 
 def _check_ke_core_corona_critical(f: Facts) -> tuple[bool, dict | None]:
@@ -602,7 +612,8 @@ _PROPERTIES = [
              "itself critical and matches the deletion-rule ker",
              _always, _check_unique_minimal),
     Property("diadem.critical",
-             "the union of all critical independent sets is critical",
+             "diadem is critical and is the union of all critical "
+             "independent sets",
              _always, _check_diadem_critical),
     Property("cor2.ke_core_corona_critical",
              "on KE graphs both core and corona are critical sets",

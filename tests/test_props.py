@@ -7,6 +7,7 @@ import tracemalloc
 from collections import Counter
 from itertools import chain
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import pytest
 
@@ -19,7 +20,7 @@ from critset.graphs import (LimitExceeded, all_graphs, bipartition,
                             empty_graph, is_independent, neighborhood,
                             orbit_leaders, parse_graph, path_graph,
                             random_graph)
-from critset.matching import maximum_matching_general
+from critset.matching import Matching, maximum_matching_general
 from critset.mis import alpha
 from critset.props import (SELFTEST, Config, Facts, PropertyResult,
                            conjecture_scan, evaluate, exhaustive_corpus,
@@ -115,12 +116,17 @@ def test_ker_characterization_reports_a_limit_as_a_skip(monkeypatch):
     assert r.witness["problem"] == "tight-set and matching conditions disagree"
 
 
-def test_selftest_fails_with_reusable_witness():
+def test_selftest_fails_with_reusable_witness(monkeypatch):
     r = evaluate(SELFTEST, Facts(empty_graph(3)))
     assert r.verdict == "fails"
     assert r.witness["alpha"] == 3
     r2 = evaluate(SELFTEST, Facts(complete_graph(4)))
     assert r2.verdict == "holds"
+    # P3 has alpha = 2 and no independent triple; told alpha = 3, the
+    # check falls through to its witness without a triple
+    monkeypatch.setattr(mis, "alpha", lambda g, *args: 3)
+    assert evaluate(SELFTEST, Facts(path_graph(3))) == PropertyResult(
+        SELFTEST.name, "fails", None, {"alpha": 3})
 
 
 def test_config_and_property_result_keep_their_contract():
@@ -393,102 +399,306 @@ def test_limit_texts_of_the_family_readers():
                 for r in got] == [is_ke, th5]
 
 
-# Faults injected into the one route of the critical independent sets, on
-# P3 (a b c) and P4 (a b c d). Each takes the DFS's stream on the graph:
+# Faults, each injected into one library function or Facts method on a
+# small graph: its text, the function or method, and what the fault makes
+# of its result, given the result and the call's arguments; then every
+# property that fails, with its witness in labels, and every other result
+# that differs from the clean graph's, as its skip reason or "holds"
+class Fault(NamedTuple):
+    text: str
+    target: tuple
+    wrap: Callable
+    fails: dict
+    changes: dict = {}
+
+
 P3, P4 = "a b\nb c\n", "a b\nb c\nc d\n"
-FAMILY_FAULTS = {
+C5_PATH = "a b\nb c\nc d\nd e\ne a\na f\nf g\n"  # d = 0, diadem = {g}
+FAMILY = (oracle, "enumerate_critical_independent_sets")
+MINIMAL, PROFILE = (Facts, "minimal_positives"), (Facts, "mis_profile")
+KER_CONDITIONS = (oracle, "verify_ker_characterization")
+MATCHING = (oracle, "maximum_matching_general")
+UNIQUE, DELETION = ("th4.unique_minimal_critical_independent",
+                    "deletion.d_drop_iff_ker")
+CORE_IN, CORONA = ("core.inside_maximal_critical_independent",
+                   "corona.covers_maximal_critical_independent")
+TH2, TH5, TH9 = ("th2.matching_from_neighborhood",
+                 "th5.ke_iff_every_mis_critical", "th9.ker_characterization")
+COR2, TH8, TH11 = ("cor2.ke_core_corona_critical",
+                   "th8.ke_difference_identities", "th11.ke_identities")
+SPLIT, STRUCTURE = "bipartite.kernel_split", "ke.matching_structure"
+NOT_CRITICAL = {CORE_IN: "core is not a critical set"}
+AC, ABC = ["a", "c"], ["a", "b", "c"]
+
+
+def _problem(key, s, problem="a must be a critical independent set"):
+    return {key: s, "problem": problem}
+
+
+def _ke_routes(every, maximum, bad=None):
+    return {"alpha_plus_mu_route": True, "every_mis_critical": every,
+            "maximum_critical_route": maximum, "non_critical_mis": bad}
+
+
+def _identities(*rows):
+    return {"failing": [{"name": name, "lhs": lhs, "rhs": rhs}
+                        for name, lhs, rhs in rows]}
+
+
+def _split(failing, ker, diadem_a, diadem_b, diadem=AC, alpha=2, ker_a=AC):
+    return {"failing": failing, "ker_a": ker_a, "ker_b": [],
+            "diadem_a": diadem_a, "diadem_b": diadem_b, "ker": ker,
+            "diadem": diadem, "alpha": alpha}
+
+
+def _lane(m, value):
+    return lambda t, *_: t[:m] + bytes([value]) + t[m + 1:]
+
+
+FAULTS = {
     # P4 loses its sets without a, so the family meets in {a}, not ker = {}
-    "dropped": (P4, lambda sets: (s for s in sets if s & 1)),
+    "family.dropped": Fault(P4, FAMILY, lambda sets, *_: (
+        s for s in sets if s & 1), {
+        UNIQUE: {"intersection_of_family": ["a"], "d_of_intersection": 0,
+                 "d": 0, "ker_by_deletion_rule": []},
+        "diadem.critical": {"diadem": list("abcd"),
+                            "union_of_family": ["a", "c", "d"]},
+        DELETION: {"vertex": "a", "d": 0, "d_after_delete": 1,
+                   "in_ker": True}}),
     # P3's one set {a, c} gains {b}, which is independent but not critical
-    "added": (P3, lambda sets: chain(sets, [0b010])),
+    "family.added": Fault(P3, FAMILY, lambda sets, *_: chain(sets, [2]), {
+        UNIQUE: {"intersection_of_family": [], "d_of_intersection": 0,
+                 "d": 1, "ker_by_deletion_rule": AC},
+        "diadem.critical": {"diadem": AC, "union_of_family": ABC},
+        CORE_IN: {"core": AC, "maximal_set_missing_it": ["b"]},
+        CORONA: {"corona": AC, "maximal_set_outside": ["b"]},
+        DELETION: {"vertex": "a", "d": 1, "d_after_delete": 0,
+                   "in_ker": False},
+        TH2: {"set": ["b"], "neighborhood": AC}, TH9: _problem("set", ["b"])}),
     # P4 gains the edge {a, b} first, a set that is not independent
-    "edge": (P4, lambda sets: chain([0b0011], sets)),
+    "family.edge": Fault(P4, FAMILY, lambda sets, *_: chain([3], sets), {
+        TH2: {"set": ["a", "b"], "neighborhood": ABC},
+        TH9: _problem("set", ["a", "b"])}),
     # P3's one set {a, c}, the largest, becomes {a}
-    "largest": (P3, lambda sets: (s & 0b001 for s in sets)),
+    "family.largest": Fault(P3, FAMILY, lambda sets, *_: (
+        s & 1 for s in sets), {
+        UNIQUE: {"intersection_of_family": ["a"], "d_of_intersection": 0,
+                 "d": 1, "ker_by_deletion_rule": AC},
+        "diadem.critical": {"diadem": AC, "union_of_family": ["a"]},
+        CORE_IN: {"core": AC, "maximal_set_missing_it": ["a"]},
+        DELETION: {"vertex": "c", "d": 1, "d_after_delete": 0,
+                   "in_ker": False},
+        TH9: _problem("set", ["a"]), TH5: _ke_routes(True, False),
+        "ke.is_ke": {"alpha": 2, "mu": 1, "n": 3,
+                     "max_critical_independent_size": 1}}),
+    # P3's sides are A = {a, c} and B = {b}, with ker_a = diadem_a = {a, c}
+    # and ker_b = diadem_b = {}; side B's one critical set {} is joined by
+    # {b}, which meets N(ker_a)
+    "ore.side_set": Fault(P3, (oracle, "_side_critical_sets"), lambda sets,
+                          g, parts, side, *_: chain(sets, [2])
+                          if side == "B" else sets, {
+        "ore.kernel_separation": {"side": "A", "kernel": AC,
+                                  "opposite_critical": ["b"]}}),
+    # the side diadems trade places
+    "ore.swapped": Fault(P3, (ore, "ore_profile"), lambda p, *_: p._replace(
+        diadem_a=p.diadem_b, diadem_b=p.diadem_a), {SPLIT: _split(
+            ["ker_a_plus_diadem_b_eq_alpha", "ker_b_plus_diadem_a_eq_alpha"],
+            AC, [], AC)}),
+    # diadem_a {a, c} becomes {a}
+    "ore.shrunk": Fault(P3, (ore, "ore_profile"), lambda p, *_: p._replace(
+        diadem_a=p.diadem_a & 1), {SPLIT: _split(
+            ["ker_b_plus_diadem_a_eq_alpha", "side_diadems_union_to_diadem"],
+            AC, ["a"], [])}),
+    # P3's one maximum independent set {a, c} is followed by {b}, which is
+    # not maximum: core shrinks to {} and corona grows to V
+    "mis.appended": Fault(P3, (oracle, "_search_maximum_independent_sets"),
+                          lambda sets, *_: chain(sets, [2]), {
+        COR2: {"core": [], "corona": ABC, "d_of_core": 0, "d_of_corona": 0,
+               "d": 1},
+        "th6.ker_subset_core": {"ker": AC, "core": []},
+        "th10.bipartite_ker_eq_core": {"ker": AC, "core": []},
+        TH8: {"d": 1, "core_route": 0, "alpha_minus_mu": 1, "deficiency": 1},
+        TH5: _ke_routes(False, True, ["b"]),
+        TH11: _identities(
+            ("d_eq_core_minus_ncore", 1, 0),
+            ("core_plus_corona_eq_two_alpha", 3, 4),
+            ("diadem_eq_corona", AC, ABC), ("core_is_critical", 0, 1),
+            ("corona_is_critical", 0, 1)),
+        "core_corona.lower_bound": {"two_alpha": 4, "core_plus_corona": 3}},
+        NOT_CRITICAL),
+    # P3 loses its one minimal positive set, {a, c}
+    "minimal.dropped": Fault(P3, MINIMAL, lambda sets, *_: sets[1:], {
+        "th1.ker_union_of_minimal_positive": {
+            "union_of_minimal_positive": [], "ker": AC},
+        "minsize.positive_bound": {
+            "problem": "no positive independent set although d >= 1"}}),
+    # P3 + K2 gains {a, c, d}: positive, not minimal, and d is not in ker
+    "minimal.non_minimal": Fault("a b\nb c\nd e\n", MINIMAL, lambda sets,
+                                 *_: sets + [0b01101], {
+        "th1.ker_union_of_minimal_positive": {
+            "union_of_minimal_positive": ["a", "c", "d"], "ker": AC}}),
+    # the star K1,3 with centre x gains its three leaves, a set with d = 2
+    "minimal.d_two": Fault("x a\nx b\nx c\n", MINIMAL, lambda sets, *_:
+                           sets + [0b1110], {
+        "prop3.minimal_positive_difference_one": {"set": ABC, "d": 2}}),
+    # a triangle x y z beside P3 a b c has diadem {a, c}, the two pendants
+    # outside K2, and loses a; the graph is neither KE nor bipartite, so
+    # the other readers of diadem skip
+    "diadem.less_a": Fault("x y\ny z\nz x\na b\nb c\n", (critical, "diadem"),
+                           lambda dia, g: dia & ~0b1000, {
+        "diadem.critical": {"diadem": ["c"], "d_of_diadem": 0, "d": 1},
+        "pendant.in_diadem": {"pendants_outside_diadem": ["a"],
+                              "diadem": ["c"]}}),
+    # diadem grows to V: d(V) = d = 0, but V is not the family's union
+    "diadem.whole": Fault(C5_PATH, (critical, "diadem"), lambda dia, g: g.full,
+                          {"diadem.critical": {"diadem": list("abcdefg"),
+                                               "union_of_family": ["g"]}}),
+    # on P4, ker = {}; {a, c}, the family's first other set, passes too
+    "ker_conditions.pass": Fault(P4, KER_CONDITIONS, lambda *_: (True, None), {
+        TH9: _problem("set", AC,
+                      "passes the ker conditions but differs from ker")}),
+    # P4's ker {} becomes {a, c}: critical and independent, but not ker
+    "ker.shifted": Fault(P4, (critical, "ker"), lambda *_: 0b0101, {
+        UNIQUE: {"intersection_of_family": [], "d_of_intersection": 0,
+                 "d": 0, "ker_by_deletion_rule": AC},
+        DELETION: {"ker_by_deletion_rule": AC, "ker_by_enumeration": []},
+        TH9: {"ker": AC, "tight_set": ["d"], "unmatchable_vertex": "a"},
+        "th6.ker_subset_core": {"ker": AC, "core": []},
+        "th10.bipartite_ker_eq_core": {"ker": AC, "core": []},
+        TH11: _identities(("ker_plus_diadem_le_two_alpha", 6, 4)),
+        SPLIT: _split(["ker_plus_diadem_eq_two_alpha",
+                       "side_kernels_union_to_ker"], AC, AC, ["b", "d"],
+                      list("abcd"), ker_a=[])}),
+    # d one too high: the critical DFS finds no set, so the family is empty
+    "d.plus_one": Fault(P3, (critical, "critical_difference"),
+                        lambda d, g: d + 1, {
+        "zhang.d_eq_id": {"d_polynomial": 2, "max_over_subsets": 1,
+                          "max_over_independent": 1},
+        UNIQUE: {"intersection_of_family": ABC, "d_of_intersection": 0,
+                 "d": 2, "ker_by_deletion_rule": AC},
+        "diadem.critical": {"diadem": AC, "d_of_diadem": 1, "d": 2},
+        COR2: {"core": AC, "corona": AC, "d_of_core": 1, "d_of_corona": 1,
+               "d": 2},
+        DELETION: {"vertex": "a", "d": 2, "d_after_delete": 0,
+                   "in_ker": True},
+        TH9: _problem("ker", AC, "not a critical independent set"),
+        "minsize.positive_bound": {"min_size": 2, "ker_size": 2, "d": 2,
+                                   "bound": 1},
+        TH8: {"d": 2, "core_route": 1, "alpha_minus_mu": 1, "deficiency": 1},
+        TH5: _ke_routes(False, False, AC),
+        TH11: _identities(
+            ("d_eq_core_minus_ncore", 2, 1), ("d_eq_alpha_minus_mu", 2, 1),
+            ("d_eq_deficiency", 2, 1), ("core_is_critical", 1, 2),
+            ("corona_is_critical", 1, 2)),
+        "ke.is_ke": {"alpha": 2, "mu": 1, "n": 3,
+                     "max_critical_independent_size": 0}}, NOT_CRITICAL),
+    # alpha one too high: the maximum independent DFS finds no set, so core
+    # is V, corona is {} and the first maximum independent set is {}
+    "alpha.plus_one": Fault(P3, (mis, "alpha"), lambda a, g: a + 1, {
+        COR2: {"core": ABC, "corona": [], "d_of_core": 0, "d_of_corona": 0,
+               "d": 1},
+        CORONA: {"corona": [], "maximal_set_outside": AC},
+        "cor1.d_ge_alpha_minus_mu": {"d": 1, "alpha": 3, "mu": 1},
+        "th10.bipartite_ker_eq_core": {"ker": AC, "core": ABC},
+        STRUCTURE: {"unmatched_outside_mis": "a", "mis": []},
+        TH8: {"d": 1, "core_route": 0, "alpha_minus_mu": 2, "deficiency": 1},
+        TH5: _ke_routes(True, False),
+        TH11: _identities(
+            ("d_eq_core_minus_ncore", 1, 0), ("d_eq_alpha_minus_mu", 1, 2),
+            ("core_plus_corona_eq_two_alpha", 3, 6),
+            ("diadem_eq_corona", AC, []), ("core_is_critical", 0, 1),
+            ("corona_is_critical", 0, 1)),
+        SPLIT: _split(["ker_a_plus_diadem_b_eq_alpha",
+                       "ker_b_plus_diadem_a_eq_alpha",
+                       "ker_plus_diadem_eq_two_alpha"], AC, AC, [], alpha=3),
+        "core_corona.lower_bound": {"two_alpha": 6, "core_plus_corona": 3},
+        "ke.is_ke": {"alpha": 3, "mu": 1, "n": 3,
+                     "max_critical_independent_size": 2}}, NOT_CRITICAL),
+    # P3's matching {a, b} loses its one edge, so mu = 0
+    "matching.less_an_edge": Fault(P3, MATCHING, lambda *_: Matching(3, []), {
+        "cor1.d_ge_alpha_minus_mu": {"d": 1, "alpha": 2, "mu": 0},
+        STRUCTURE: {"unmatched_outside_mis": "b", "mis": AC},
+        TH8: {"d": 1, "core_route": 1, "alpha_minus_mu": 2, "deficiency": 3},
+        TH11: _identities(("d_eq_alpha_minus_mu", 1, 2),
+                          ("d_eq_deficiency", 1, 3))}),
+    # the lane of P3's dependent set {a, b} rises from d = -1 to 2, above d
+    "tables.raised": Fault(P3, (Facts, "tables"), _lane(0b011, 5), {
+        "zhang.d_eq_id": {"d_polynomial": 1, "max_over_subsets": 2,
+                          "max_over_independent": 1},
+        "th4.supermodular": {"a": ["a", "b"], "b": ["c"], "d_a_plus_d_b": 2,
+                             "d_union_plus_d_intersection": 0}}),
+    # on 2K2 (a b, c d), where every set has d = 0, {a, c} drops to -1
+    "tables.lowered": Fault("a b\nc d\n", (Facts, "tables"), _lane(0b101, 3), {
+        "th4.supermodular": {"a": ["a"], "b": ["c"], "d_a_plus_d_b": 0,
+                             "d_union_plus_d_intersection": -1},
+        "th4.critical_closed_union_intersection": {
+            "a": ["a"], "b": ["c"], "d": 0, "d_union": -1,
+            "d_intersection": 0}}),
+    # P3's core {a, c} loses a, the mate of b
+    "core.less_a": Fault(P3, PROFILE, lambda p, f: p._replace(
+        core=p.core & ~1), {
+        COR2: {"core": ["c"], "corona": AC, "d_of_core": 0, "d_of_corona": 1,
+               "d": 1},
+        "th6.ker_subset_core": {"ker": AC, "core": ["c"]},
+        "th10.bipartite_ker_eq_core": {"ker": AC, "core": ["c"]},
+        STRUCTURE: {"neighbor_of_core_unmatched_into_core": "b",
+                    "core": ["c"]},
+        TH8: {"d": 1, "core_route": 0, "alpha_minus_mu": 1, "deficiency": 1},
+        TH11: _identities(("d_eq_core_minus_ncore", 1, 0),
+                          ("core_plus_corona_eq_two_alpha", 3, 4),
+                          ("core_is_critical", 0, 1)),
+        "core_corona.lower_bound": {"two_alpha": 4, "core_plus_corona": 3}},
+        NOT_CRITICAL),
+    # P3's corona {a, c} gains b
+    "corona.plus_b": Fault(P3, PROFILE, lambda p, f: p._replace(
+        corona=p.corona | 2), {
+        COR2: {"core": AC, "corona": ABC, "d_of_core": 1, "d_of_corona": 0,
+               "d": 1},
+        STRUCTURE: {"neighborhood_of_core": ["b"], "complement_of_corona": []},
+        TH11: _identities(("core_plus_corona_eq_two_alpha", 5, 4),
+                          ("diadem_eq_corona", AC, ABC),
+                          ("ncore_eq_complement_of_corona", ["b"], []),
+                          ("corona_is_critical", 0, 1))}),
 }
-# every registry property that reads the critical family, with a fault it
-# fails under and its witness, as the check builds it, in labels
-FAMILY_FAILURES = {
-    "th4.unique_minimal_critical_independent": ("dropped", {
-        "intersection_of_family": ["a"], "d_of_intersection": 0, "d": 0,
-        "ker_by_deletion_rule": []}),
-    "deletion.d_drop_iff_ker": ("dropped", {
-        "vertex": "a", "d": 0, "d_after_delete": 1, "in_ker": True}),
-    "core.inside_maximal_critical_independent": ("added", {
-        "core": ["a", "c"], "maximal_set_missing_it": ["b"]}),
-    "corona.covers_maximal_critical_independent": ("added", {
-        "corona": ["a", "c"], "maximal_set_outside": ["b"]}),
-    "th2.matching_from_neighborhood": ("edge", {
-        "set": ["a", "b"], "neighborhood": ["a", "b", "c"]}),
-    "th9.ker_characterization": ("edge", {
-        "set": ["a", "b"], "problem": "a must be a critical independent set"}),
-    "th5.ke_iff_every_mis_critical": ("largest", {
-        "alpha_plus_mu_route": True, "every_mis_critical": True,
-        "maximum_critical_route": False, "non_critical_mis": None}),
-    "ke.is_ke": ("largest", {
-        "alpha": 2, "mu": 1, "n": 3, "max_critical_independent_size": 1}),
-}
-# every property that fails under each fault
-FAULT_FAILS = {
-    "dropped": {"th4.unique_minimal_critical_independent",
-                "deletion.d_drop_iff_ker"},
-    "added": {"th4.unique_minimal_critical_independent",
-              "deletion.d_drop_iff_ker",
-              "core.inside_maximal_critical_independent",
-              "corona.covers_maximal_critical_independent",
-              "th2.matching_from_neighborhood", "th9.ker_characterization"},
-    "edge": {"th2.matching_from_neighborhood", "th9.ker_characterization"},
-    "largest": {"th4.unique_minimal_critical_independent",
-                "deletion.d_drop_iff_ker",
-                "core.inside_maximal_critical_independent",
-                "th9.ker_characterization", "th5.ke_iff_every_mis_critical",
-                "ke.is_ke"},
-}
 
 
-def _inject(monkeypatch, fault):
-    text, fault_of = FAMILY_FAULTS[fault]
-    enum = oracle.enumerate_critical_independent_sets
-    monkeypatch.setattr(oracle, "enumerate_critical_independent_sets",
-                        lambda g, limit: fault_of(enum(g, limit)))
-    return parse_graph(text)
+def _apply_fault(monkeypatch, case):
+    fault = FAULTS[case]
+    real = getattr(*fault.target)
+    monkeypatch.setattr(*fault.target,
+                        lambda *args: fault.wrap(real(*args), *args))
+    return parse_graph(fault.text)
 
 
-def test_family_faults_cover_every_reader_of_the_family(monkeypatch):
-    # a property that reads the critical family, and no other, raises
-    # where the family is asked for; each has a failing case above
-    class Asked(Exception):
-        pass
-
-    def asked(g, limit):
-        raise Asked
-
-    monkeypatch.setattr(oracle, "enumerate_critical_independent_sets", asked)
-    readers = set()
-    for prop in registry():
-        try:
-            evaluate(prop, Facts(parse_graph(P3)))
-        except Asked:
-            readers.add(prop.name)
-    assert readers == set(FAMILY_FAILURES)
-    assert set().union(*FAULT_FAILS.values()) == readers
-
-
-@pytest.mark.parametrize("fault", FAMILY_FAULTS)
-def test_family_faults_fail_through_the_one_route(monkeypatch, fault):
-    # in a whole registry pass, where zhang.d_eq_id builds the subset tables
-    # first, and alone on a fresh Facts, each reader of the family sees the
-    # fault: it fails with the witness its check builds, in labels
-    g = _inject(monkeypatch, fault)
+def _sweep(g):
     facts = Facts(g)
-    swept = {prop.name: evaluate(prop, facts) for prop in registry()}
-    assert {name for name, r in swept.items()
-            if r.verdict == "fails"} == FAULT_FAILS[fault]
-    for name, (case, witness) in FAMILY_FAILURES.items():
-        if case == fault:
-            want = PropertyResult(name, "fails", None, witness)
-            assert swept[name] == want
-            assert evaluate(lookup(name), Facts(g)) == want
+    return {prop.name: evaluate(prop, facts) for prop in registry()}
+
+
+def test_the_faults_fail_every_registry_property():
+    # a new property with no failing case fails here
+    assert set().union(*(fault.fails for fault in FAULTS.values())) == {
+        prop.name for prop in registry()}
+
+
+@pytest.mark.parametrize("case", FAULTS)
+def test_each_fault_fails_exactly_its_properties(monkeypatch, case):
+    # in a whole registry pass, where zhang.d_eq_id builds the subset tables
+    # first, and alone on a fresh Facts, the fault's properties fail with
+    # their witnesses; every other result is the clean graph's, bar changes
+    fault = FAULTS[case]
+    clean = _sweep(parse_graph(fault.text))
+    g = _apply_fault(monkeypatch, case)
+    swept = _sweep(g)
+    changed = {name: r for name, r in swept.items() if r != clean[name]}
+    assert {name: r.witness for name, r in changed.items()
+            if r.verdict == "fails"} == fault.fails
+    assert {name: r.reason or r.verdict for name, r in changed.items()
+            if r.verdict != "fails"} == fault.changes
+    for name, witness in fault.fails.items():
+        want = PropertyResult(name, "fails", None, witness)
+        assert swept[name] == want
+        assert evaluate(lookup(name), Facts(g)) == want
 
 
 def _check_all_failed(capsys, path):
@@ -499,288 +709,74 @@ def _check_all_failed(capsys, path):
         assert cli.main(["check", str(path), "--all", *argv]) == 1
         out = capsys.readouterr().out
         if argv:
-            results = json.loads(out)["results"]
-            failed = {r["property"]: r["witness"] for r in results
-                      if r["verdict"] == "fails"}
+            seen.append({r["property"]: r["witness"] for r in json.loads(
+                out)["results"] if r["verdict"] == "fails"})
         else:
-            failed = {line.split(":")[0]: json.loads(
+            seen.append({line.split(":")[0]: json.loads(
                 line.split("witness: ")[1]) for line in out.splitlines()
-                if ": fails  witness: " in line}
-        seen.append(failed)
+                if ": fails  witness: " in line})
     return seen
 
 
-@pytest.mark.parametrize("fault", FAMILY_FAULTS)
-def test_check_all_renders_each_family_fault(monkeypatch, capsys, tmp_path,
-                                             fault):
-    path = tmp_path / f"{fault}.edges"
-    path.write_text(FAMILY_FAULTS[fault][0])
-    _inject(monkeypatch, fault)
-    for failed in _check_all_failed(capsys, path):
-        assert set(failed) == FAULT_FAILS[fault]
-        for name, (case, witness) in FAMILY_FAILURES.items():
-            if case == fault:
-                assert failed[name] == witness
+@pytest.mark.parametrize("case", FAULTS)
+def test_check_all_renders_each_fault(monkeypatch, capsys, tmp_path, case):
+    path = tmp_path / "g.edges"
+    path.write_text(FAULTS[case].text)
+    _apply_fault(monkeypatch, case)
+    assert _check_all_failed(capsys, path) == [FAULTS[case].fails] * 2
 
 
-# Faults injected into the Ore side facts of P3, whose sides are A = {a, c}
-# and B = {b}, with ker_a = diadem_a = {a, c} and ker_b = diadem_b = {}.
-# Each wraps one function and changes what it returns for the given call
-ORE_FAULTS = {
-    # side B's one critical set {} is joined by {b}, which meets N(ker_a)
-    "side_set": (oracle, "_side_critical_sets",
-                 lambda sets, g, parts, side, *_:
-                 chain(sets, [0b010]) if side == "B" else sets),
-    # the side diadems trade places
-    "swapped": (ore, "ore_profile", lambda p, *_: p._replace(
-        diadem_a=p.diadem_b, diadem_b=p.diadem_a)),
-    # diadem_a {a, c} becomes {a}
-    "shrunk": (ore, "ore_profile",
-               lambda p, *_: p._replace(diadem_a=p.diadem_a & 0b001)),
-}
-# the one property each fault fails, and its witness in labels
-ORE_FAILURES = {
-    "side_set": ("ore.kernel_separation", {
-        "side": "A", "kernel": ["a", "c"], "opposite_critical": ["b"]}),
-    "swapped": ("bipartite.kernel_split", {
-        "failing": ["ker_a_plus_diadem_b_eq_alpha",
-                    "ker_b_plus_diadem_a_eq_alpha"],
-        "ker_a": ["a", "c"], "ker_b": [], "diadem_a": [],
-        "diadem_b": ["a", "c"], "ker": ["a", "c"], "diadem": ["a", "c"],
-        "alpha": 2}),
-    "shrunk": ("bipartite.kernel_split", {
-        "failing": ["ker_b_plus_diadem_a_eq_alpha",
-                    "side_diadems_union_to_diadem"],
-        "ker_a": ["a", "c"], "ker_b": [], "diadem_a": ["a"], "diadem_b": [],
-        "ker": ["a", "c"], "diadem": ["a", "c"], "alpha": 2}),
-}
+@pytest.mark.parametrize("target", [
+    FAMILY, MINIMAL, (oracle, "_side_critical_sets"), KER_CONDITIONS,
+    MATCHING], ids=lambda target: target[1])
+def test_every_reader_of_a_fact_fails_under_its_faults(monkeypatch, target):
+    # a property that reads the fact raises where it asks for it on P3;
+    # each such property fails under a fault of that fact in the table
+    Asked = type("Asked", (Exception,), {})
 
-
-def _inject_ore(monkeypatch, fault):
-    module, name, fault_of = ORE_FAULTS[fault]
-    real = getattr(module, name)
-    monkeypatch.setattr(module, name,
-                        lambda *args: fault_of(real(*args), *args))
-    return parse_graph(P3)
-
-
-@pytest.mark.parametrize("fault", ORE_FAULTS)
-def test_ore_faults_fail_their_one_reader(monkeypatch, fault):
-    # in a whole registry pass and alone on a fresh Facts, the fault fails
-    # exactly the property that reads it, with its witness in labels
-    g = _inject_ore(monkeypatch, fault)
-    name, witness = ORE_FAILURES[fault]
-    want = PropertyResult(name, "fails", None, witness)
-    facts = Facts(g)
-    swept = {prop.name: evaluate(prop, facts) for prop in registry()}
-    assert [r for r in swept.values() if r.verdict == "fails"] == [want]
-    assert evaluate(lookup(name), Facts(g)) == want
-
-
-@pytest.mark.parametrize("fault", ORE_FAULTS)
-def test_check_all_renders_each_ore_fault(monkeypatch, capsys, tmp_path,
-                                          fault):
-    path = tmp_path / f"{fault}.edges"
-    path.write_text(P3)
-    _inject_ore(monkeypatch, fault)
-    name, witness = ORE_FAILURES[fault]
-    assert _check_all_failed(capsys, path) == [{name: witness}] * 2
-
-
-# On P3 the one maximum independent set {a, c} is followed in the DFS's
-# stream by {b}, which is independent but not maximum: core shrinks to {}
-# and corona grows to V. The properties that read the stream fail, each
-# with its witness in labels
-MIS_FAILURES = {
-    "cor2.ke_core_corona_critical": {
-        "core": [], "corona": ["a", "b", "c"], "d_of_core": 0,
-        "d_of_corona": 0, "d": 1},
-    "th6.ker_subset_core": {"ker": ["a", "c"], "core": []},
-    "th10.bipartite_ker_eq_core": {"ker": ["a", "c"], "core": []},
-    "th8.ke_difference_identities": {
-        "d": 1, "core_route": 0, "alpha_minus_mu": 1, "deficiency": 1},
-    "th5.ke_iff_every_mis_critical": {
-        "alpha_plus_mu_route": True, "every_mis_critical": False,
-        "maximum_critical_route": True, "non_critical_mis": ["b"]},
-    "th11.ke_identities": {"failing": [
-        {"name": "d_eq_core_minus_ncore", "lhs": 1, "rhs": 0},
-        {"name": "core_plus_corona_eq_two_alpha", "lhs": 3, "rhs": 4},
-        {"name": "diadem_eq_corona", "lhs": ["a", "c"],
-         "rhs": ["a", "b", "c"]},
-        {"name": "core_is_critical", "lhs": 0, "rhs": 1},
-        {"name": "corona_is_critical", "lhs": 0, "rhs": 1}]},
-    "core_corona.lower_bound": {"two_alpha": 4, "core_plus_corona": 3},
-}
-
-
-def _inject_mis(monkeypatch):
-    search = oracle._search_maximum_independent_sets
-    monkeypatch.setattr(oracle, "_search_maximum_independent_sets",
-                        lambda g, target: chain(search(g, target), [0b010]))
-    return parse_graph(P3)
-
-
-def test_mis_stream_fault_fails_each_reader(monkeypatch):
-    # in a whole registry pass and alone on a fresh Facts; core {} is not
-    # critical, so the one check that needs a critical core skips
-    g = _inject_mis(monkeypatch)
-    facts = Facts(g)
-    swept = {prop.name: evaluate(prop, facts) for prop in registry()}
-    assert {name: r.witness for name, r in swept.items()
-            if r.verdict == "fails"} == MIS_FAILURES
-    assert [(name, r.reason) for name, r in swept.items()
-            if r.verdict == "skipped"] == [
-        ("core.inside_maximal_critical_independent",
-         "core is not a critical set")]
-    for name, witness in MIS_FAILURES.items():
-        want = PropertyResult(name, "fails", None, witness)
-        assert swept[name] == want
-        assert evaluate(lookup(name), Facts(g)) == want
-
-
-def test_check_all_renders_the_mis_stream_fault(monkeypatch, capsys,
-                                                tmp_path):
-    path = tmp_path / "p3.edges"
-    path.write_text(P3)
-    _inject_mis(monkeypatch)
-    assert _check_all_failed(capsys, path) == [MIS_FAILURES] * 2
-
-
-# Faults injected into Facts.minimal_positives, each on its own small
-# graph; each takes the sets the table gives:
-MINIMAL_FAULTS = {
-    # P3 loses its one minimal positive set, {a, c}
-    "dropped": ("a b\nb c\n", lambda sets: sets[1:]),
-    # P3 + K2 gains {a, c, d}: positive, not minimal, and d is not in ker
-    "non_minimal": ("a b\nb c\nd e\n", lambda sets: sets + [0b01101]),
-    # the star K1,3 with centre x gains its three leaves, a set with d = 2
-    "d_two": ("x a\nx b\nx c\n", lambda sets: sets + [0b1110]),
-}
-# every registry property that reads the minimal positive sets, with a
-# fault it fails under and its witness, as the check builds it, in labels
-MINIMAL_FAILURES = {
-    "th1.ker_union_of_minimal_positive": ("non_minimal", {
-        "union_of_minimal_positive": ["a", "c", "d"], "ker": ["a", "c"]}),
-    "prop3.minimal_positive_difference_one": ("d_two", {
-        "set": ["a", "b", "c"], "d": 2}),
-    "minsize.positive_bound": ("dropped", {
-        "problem": "no positive independent set although d >= 1"}),
-}
-# every property that fails under each fault
-MINIMAL_FAULT_FAILS = {
-    "dropped": {"th1.ker_union_of_minimal_positive",
-                "minsize.positive_bound"},
-    "non_minimal": {"th1.ker_union_of_minimal_positive"},
-    "d_two": {"prop3.minimal_positive_difference_one"},
-}
-
-
-def _inject_minimal(monkeypatch, fault):
-    text, fault_of = MINIMAL_FAULTS[fault]
-    real = Facts.minimal_positives
-    monkeypatch.setattr(Facts, "minimal_positives",
-                        lambda facts: fault_of(real(facts)))
-    return parse_graph(text)
-
-
-def test_minimal_faults_cover_every_reader_of_the_sets(monkeypatch):
-    # a property that reads the minimal positive sets, and no other, raises
-    # where they are asked for; each has a failing case above
-    class Asked(Exception):
-        pass
-
-    def asked(facts):
+    def asked(*args):
         raise Asked
 
-    monkeypatch.setattr(Facts, "minimal_positives", asked)
+    monkeypatch.setattr(*target, asked)
     readers = set()
     for prop in registry():
         try:
             evaluate(prop, Facts(parse_graph(P3)))
         except Asked:
             readers.add(prop.name)
-    assert readers == set(MINIMAL_FAILURES)
-    assert set().union(*MINIMAL_FAULT_FAILS.values()) == readers
+    assert readers == set().union(*(fault.fails for fault in FAULTS.values()
+                                    if fault.target == target))
 
 
-@pytest.mark.parametrize("fault", MINIMAL_FAULTS)
-def test_minimal_faults_fail_their_readers(monkeypatch, fault):
-    # in a whole registry pass and alone on a fresh Facts, each reader of
-    # the minimal positive sets sees the fault: it fails with the witness
-    # its check builds, in labels
-    g = _inject_minimal(monkeypatch, fault)
-    facts = Facts(g)
-    swept = {prop.name: evaluate(prop, facts) for prop in registry()}
-    assert {name for name, r in swept.items()
-            if r.verdict == "fails"} == MINIMAL_FAULT_FAILS[fault]
-    for name, (case, witness) in MINIMAL_FAILURES.items():
-        if case == fault:
-            want = PropertyResult(name, "fails", None, witness)
-            assert swept[name] == want
-            assert evaluate(lookup(name), Facts(g)) == want
-
-
-@pytest.mark.parametrize("fault", MINIMAL_FAULTS)
-def test_check_all_renders_each_minimal_fault(monkeypatch, capsys, tmp_path,
-                                              fault):
-    path = tmp_path / f"{fault}.edges"
-    path.write_text(MINIMAL_FAULTS[fault][0])
-    _inject_minimal(monkeypatch, fault)
-    for failed in _check_all_failed(capsys, path):
-        assert set(failed) == MINIMAL_FAULT_FAILS[fault]
-        for name, (case, witness) in MINIMAL_FAILURES.items():
-            if case == fault:
-                assert failed[name] == witness
-
-
-# On a triangle x y z beside P3 a b c, d = 1 and diadem = {a, c}, the two
-# pendants outside K2; the fault drops a from diadem. The graph is neither
-# KE nor bipartite, so the other readers of diadem skip
-TRIANGLE_P3 = "x y\ny z\nz x\na b\nb c\n"
-DIADEM_FAILURES = {
-    "diadem.critical": {"diadem": ["c"], "d_of_diadem": 0, "d": 1},
-    "pendant.in_diadem": {"pendants_outside_diadem": ["a"],
-                          "diadem": ["c"]},
-}
-
-
-def _inject_diadem(monkeypatch):
-    real = critical.diadem
-    monkeypatch.setattr(critical, "diadem", lambda g: real(g) & ~0b001000)
-    return parse_graph(TRIANGLE_P3)
-
-
-def test_diadem_less_a_pendant_fails_its_two_readers(monkeypatch):
-    g = _inject_diadem(monkeypatch)
-    assert g.labels[3] == "a" and critical.diadem(g) == 0b100000
-    facts = Facts(g)
-    swept = {prop.name: evaluate(prop, facts) for prop in registry()}
-    assert {name: r.witness for name, r in swept.items()
-            if r.verdict == "fails"} == DIADEM_FAILURES
-    for name, witness in DIADEM_FAILURES.items():
-        assert evaluate(lookup(name), Facts(g)) == PropertyResult(
-            name, "fails", None, witness)
-
-
-def test_check_all_renders_the_diadem_fault(monkeypatch, capsys, tmp_path):
-    path = tmp_path / "triangle_p3.edges"
-    path.write_text(TRIANGLE_P3)
-    _inject_diadem(monkeypatch)
-    assert _check_all_failed(capsys, path) == [DIADEM_FAILURES] * 2
-
-
-def test_ker_characterization_fails_on_a_second_set_passing_it(
-        monkeypatch):
-    # a family member other than ker that passes the ker conditions makes
-    # th9 fail; P4's first critical independent set other than ker = {} is
-    # {a, c}
-    monkeypatch.setattr(oracle, "verify_ker_characterization",
-                        lambda g, a, limit: (True, None))
-    prop = lookup("th9.ker_characterization")
-    assert evaluate(prop, Facts(parse_graph(P4))) == PropertyResult(
-        prop.name, "fails", None, {
-            "set": ["a", "c"],
-            "problem": "passes the ker conditions but differs from ker"})
+def test_check_fuzz_and_shrink_keep_an_injected_failure(monkeypatch, capsys,
+                                                        tmp_path):
+    # d or alpha one too high empties a DFS; on C5 with the path a f g
+    # hanging off it (d = 0, diadem = {g}, not KE), as on P3, check --all
+    # exits 1, not 4
+    path = tmp_path / "c5_path.edges"
+    path.write_text(C5_PATH)
+    for case in ("alpha.plus_one", "d.plus_one"):
+        monkeypatch.undo()
+        _apply_fault(monkeypatch, case)
+        assert all(_check_all_failed(capsys, path))
+    # with d one too high, zhang.d_eq_id fails on every graph; fuzz lists
+    # each failure of its per-graph reports in the summary and exits 1
+    assert cli.main(["fuzz", "--n", "3..5", "--p", "0.5", "--count", "3",
+                     "--seed", "1", "--json"]) == 1
+    report = json.loads(capsys.readouterr().out)
+    failures = [{"graph": entry["key"], "property": r["property"],
+                 "witness": r["witness"]} for entry in report["graphs"]
+                for r in entry["results"] if r["verdict"] == "fails"]
+    assert report["summary"]["failures"] == failures
+    assert {f["graph"] for f in failures if f["property"] == "zhang.d_eq_id"
+            } == {entry["key"] for entry in report["graphs"]}
+    # with diadem = V, shrink ends on a graph that still fails
+    monkeypatch.undo()
+    g = _apply_fault(monkeypatch, "diadem.whole")
+    prop = lookup("diadem.critical")
+    small = shrink(g, lambda h: evaluate(prop, Facts(h)).verdict == "fails")
+    assert evaluate(prop, Facts(small)).verdict == "fails"
+    assert (small.n, small.m) == (3, 2)
 
 
 def _outcome(read):
