@@ -15,8 +15,10 @@ from __future__ import annotations
 from itertools import compress, filterfalse
 from typing import NamedTuple
 
-from .graphs import Graph, VertexSet, difference, is_independent, vset
-from .matching import _alternating_reach, _max_matching_lists, _unmatched
+from .graphs import (Graph, VertexSet, difference, is_independent,
+                     neighborhood, vlist, vset)
+from .matching import (Matching, _alternating_reach, _max_matching_lists,
+                       _unmatched)
 
 
 class _CoverMatching(NamedTuple):
@@ -100,28 +102,81 @@ def _ker_matching(g: Graph) -> _CoverMatching:
     return memo
 
 
+def _augment_from(nbrs, mate_l: list[int], mate_r: list[int], root: int,
+                  skip: int) -> None:
+    """Augment the cover matching along one path from the unmatched copy
+    root, if there is one; leave it as it is otherwise.
+
+    Call root's side left: a left copy x has edges to the right copies
+    numbered nbrs[x], mate_l maps left ids to right ones and mate_r right
+    to left. g's neighbour lists serve both sides of the cover, so either
+    can be left. The search is breadth first, marks right ids in a dict
+    read for membership only, and never enters the right id skip, a deleted
+    copy.
+    """
+    parent: dict[int, int] = {}  # right id -> the left id it was reached from
+    queue = [root]
+    for x in queue:
+        for y in nbrs[x]:
+            if y == skip or y in parent:
+                continue
+            parent[y] = x
+            if mate_r[y] != -1:
+                queue.append(mate_r[y])
+                continue
+            while y != -1:  # flip the path back to root
+                u = parent[y]
+                nxt = mate_l[u]
+                mate_l[u], mate_r[y] = y, u
+                y = nxt
+            return
+
+
 def _d_without(g: Graph, v: int) -> int:
     """d(g - v), from a copy of g's memoised cover matching.
 
-    Dropping v+ and v- with their matched edges leaves a matching of the
-    cover of g - v at most two edges short of a maximum one (Hopcroft & Karp
-    1973), so Hopcroft-Karp, run on the neighbour lists with v removed, has
-    at most two augmenting paths left to find. v stays as an isolated id, one
-    unmatched plus copy more than g - v has.
+    The copies of v leave one at a time. Deleting v+ frees its partner w-;
+    the matching was maximum, so any augmenting path left ends at w- (Berge
+    1957), and one search from w- restores a maximum matching of the cover
+    less v+. Deleting v- then frees its partner in that matching, and one
+    search from it gives a maximum matching of the cover of g - v. Each
+    search skips the deleted copy's id. v stays as an unmatched plus copy,
+    one more than g - v has.
     """
     cover = _ker_matching(g)
+    nbrs = g.nbrs
     mate_plus, mate_minus = cover.mate_plus[:], cover.mate_minus[:]
-    if mate_plus[v] != -1:
-        mate_minus[mate_plus[v]] = -1
-    if mate_minus[v] != -1:
-        mate_plus[mate_minus[v]] = -1
-    mate_plus[v] = mate_minus[v] = -1
-    nbrs = list(g.nbrs)
-    for u in nbrs[v]:
-        nbrs[u] = [w for w in nbrs[u] if w != v]
-    nbrs[v] = ()
-    _max_matching_lists(nbrs, range(g.n), mate_plus, mate_minus)
+    w = mate_plus[v]
+    if w != -1:
+        mate_plus[v] = mate_minus[w] = -1
+        _augment_from(nbrs, mate_minus, mate_plus, w, v)
+    u = mate_minus[v]
+    if u != -1:
+        mate_minus[v] = mate_plus[u] = -1
+        _augment_from(nbrs, mate_plus, mate_minus, u, v)
     return mate_plus.count(-1) - 1
+
+
+def _neighborhood_matching(g: Graph, s: VertexSet) -> Matching | None:
+    """The memoised cover matching's partners of N(s), as a matching of N(s)
+    into s, or None when they do not form one; s is independent.
+
+    For a critical s, s+ with (V - N(s))- is a maximum independent set of
+    the cover, so by Koenig's theorem every copy outside it, N(s)- among
+    them, is matched, and to a copy inside it: every w- of N(s)- has its
+    partner in s+. Each pair is checked, not trusted: w's partner must lie
+    in s and be a neighbour of w, and no partner may serve twice. So a
+    matching this returns is real whatever the memo holds, and a wrong memo
+    or a set that is not critical gives None.
+    """
+    partner, adj = _ker_matching(g).mate_minus, g.adj
+    mate = [-1] * g.n
+    for w in vlist(neighborhood(g, s)):
+        p = partner[w]
+        if p == -1 or not s >> p & 1 or not adj[w] >> p & 1 or mate[p] != -1:
+            return None
+        mate[w], mate[p] = p, w
+    return Matching._of(mate)
 
 
 def critical_difference(g: Graph) -> int:

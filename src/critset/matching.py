@@ -2,11 +2,13 @@
 
 Every routine works on the graph's sorted neighbour lists and none recurses,
 so the depth of a search does not grow with n. One Hopcroft-Karp kernel
-serves both the matchings between two vertex sets of a graph and the
-matching of the double cover, which is never built: critical.py runs the
-kernel with the plus and minus copies both numbered by the graph's ids, and
-memoises the result on the Graph. One alternating-reach traversal serves the
-double cover, whose reach also gives the Ore side sets, and the Hall violator.
+serves both the matchings between two vertex sets of a graph (Hall queries
+and maximum_matching_bipartite) and the matching of the double cover, which
+is never built: critical.py runs the kernel once per graph with the plus and
+minus copies both numbered by the graph's ids, and memoises the result on
+the Graph. One alternating-reach traversal serves the double cover, whose
+reach also gives the Ore side sets, the Hall violator, and the per-vertex
+searches of the ker characterization in oracle.py.
 """
 
 from __future__ import annotations

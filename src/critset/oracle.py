@@ -22,7 +22,8 @@ from typing import Callable, Iterator, NamedTuple
 from . import critical, ke, mis, ore
 from .graphs import (BipartitePartition, Graph, LimitExceeded, VertexSet,
                      bipartition, neighborhood, vlist)
-from .matching import maximum_matching_general, saturating_matching
+from .matching import (_alternating_reach, _side_lists,
+                       maximum_matching_general, saturating_matching)
 from .mis import _greedy_clique_cover
 
 ORACLE_LIMIT = 20
@@ -99,6 +100,15 @@ def verify_ker_characterization(
     no nonempty B inside N(a) with |N(B) & a| = |B| (tight set), and
     a matching from N(a) into a - v for every v in a. On a negative answer the
     witness carries either the tight set or the unmatched vertex.
+
+    The per-vertex matchings all start from one matching of N(a) into a:
+    the memoised cover matching's, when its pairs check out
+    (critical._neighborhood_matching), else one saturating_matching. A v
+    it leaves free needs nothing more; otherwise a matching into a - v
+    exists iff an alternating search from v's partner, with v blocked,
+    reaches a free vertex of a (Berge 1957). With no matching into a at
+    all, none into a - v exists either, and the first v of a is
+    unmatchable.
     """
     if not critical.is_critical_independent(g, a):
         raise ValueError("a must be a critical independent set")
@@ -116,11 +126,25 @@ def verify_ker_characterization(
         b = (b - boundary) & boundary
 
     unmatchable: int | None = None
-    for v in vlist(a):
-        found, _ = saturating_matching(g, boundary, a & ~(1 << v))
-        if found is None:
-            unmatchable = v
-            break
+    base = critical._neighborhood_matching(g, a)
+    if base is None:
+        base = saturating_matching(g, boundary, a)[0]
+    if base is None:  # N(a) is not empty, so neither is a
+        unmatchable = vlist(a)[0]
+    else:
+        mate = base.mate
+        _, adj = _side_lists(g, boundary, a)
+        for v in vlist(a):
+            w = mate[v]
+            if w == -1:
+                continue
+            seen = bytearray(g.n)
+            seen[v] = 1
+            reached = _alternating_reach(adj, mate, (w,), seen, seen)
+            # v is matched, to w, so a free x is another vertex of a
+            if not any(mate[x] == -1 for u in reached for x in adj[u]):
+                unmatchable = v
+                break
 
     if (tight is None) != (unmatchable is None):
         raise RuntimeError("tight-set and matching conditions disagree")

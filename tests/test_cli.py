@@ -1,7 +1,10 @@
 import hashlib
 import io
 import json
+import os
+import subprocess
 import sys
+import time
 import tracemalloc
 from collections import Counter
 from pathlib import Path
@@ -403,6 +406,31 @@ def test_fuzz_output_is_byte_stable(capsys):
     assert out1 == out2
     code3, out3, _ = run_cli(capsys, *argv, "--workers", "2")
     assert code3 == 0 and out3 == out1
+
+
+def test_reports_do_not_depend_on_the_hash_seed():
+    # str hashes are salted per process, so a report that iterated a set or
+    # a dict keyed by labels would change with PYTHONHASHSEED: each command
+    # runs in a fresh interpreter under four salts; about 1 s on 2 CPUs
+    commands = [
+        ["exhaustive", "--n", "4", "--json"],
+        ["fuzz", "--n", "8..12", "--p", "0.3", "--count", "12", "--seed",
+         "5", "--json"],
+        ["check", "--all", "--json", str(FIXDIR / "fig511.edges")],
+        ["check", "--all", "--json", str(FIXDIR / "fig233.edges")]]
+    started = time.perf_counter()
+    for argv in commands:
+        outs = []
+        for salt in range(4):
+            env = dict(os.environ, PYTHONPATH=str(FIXDIR.parents[1]),
+                       PYTHONHASHSEED=str(salt))
+            done = subprocess.run(
+                [sys.executable, "-m", "critset.cli", *argv], env=env,
+                capture_output=True, timeout=120)
+            assert (done.returncode, done.stderr) == (0, b""), argv
+            outs.append(done.stdout)
+        assert outs[0] and outs[1:] == outs[:1] * 3, argv
+    assert time.perf_counter() - started < 20
 
 
 def test_fuzz_bad_range_exits_2(capsys):

@@ -1,6 +1,7 @@
 import copy
 import pickle
 import random
+import time
 
 import pytest
 
@@ -8,6 +9,7 @@ import oracles as o
 from conftest import (adj_of, analyze_sample, include_first, masks_built,
                       mid_sample, random_sample, shuffled_chain,
                       small_corpus)
+from critset import critical
 from critset.critical import (_d_without, _greedy_cover_matching,
                               _ker_matching, critical_difference,
                               critical_independent_witness, diadem,
@@ -18,6 +20,7 @@ from critset.graphs import (Graph, LimitExceeded, complete_graph,
                             empty_graph, is_independent, neighborhood,
                             parse_graph, path_graph, random_graph,
                             to_edge_list, vlist)
+from critset.matching import saturating_matching
 from critset.oracle import (Config, Facts,
                             enumerate_critical_independent_sets,
                             verify_ker_characterization)
@@ -354,6 +357,50 @@ def test_tight_set_walk_matches_the_counter_loop():
     assert (len(cases), tight) == (117605, 83679)
 
 
+def verify_ker_by_matching_per_vertex(g, a):
+    """verify_ker_characterization's answer by the route it took before it
+    grew every matching from one: the first tight set by the counter loop,
+    and one saturating_matching(g, N(a), a - v) per v of a."""
+    boundary = neighborhood(g, a)
+    tight = first_tight_set_by_counter(g, a)
+    unmatchable = next((v for v in vlist(a) if saturating_matching(
+        g, boundary, a & ~(1 << v))[0] is None), None)
+    assert (tight is None) == (unmatchable is None), (g.adj, a)
+    if tight is not None:
+        return False, {"tight_set": tight, "unmatchable_vertex": unmatchable}
+    return True, None
+
+
+def test_matching_condition_matches_one_matching_per_vertex(graphs_n5):
+    # the per-vertex condition, decided by one alternating search from v's
+    # partner in one matching of N(a) into a, gives what a fresh matching
+    # into a - v per v gave, unmatchable vertex included: on every critical
+    # independent set of every graph with n <= 5, and on sets grown from
+    # ker past the oracle's reach; about 0.3 s on 2 CPUs
+    started = time.perf_counter()
+    cases = [(g, a) for g in graphs_n5
+             for a in Facts(g).critical_ind_family()]
+    cases += [(g, a) for g in mid_sample(5) for a in grown_from_ker(g)
+              if neighborhood(g, a).bit_count() <= 14]
+    unmatchable = 0
+    for g, a in cases:
+        got = verify_ker_characterization(g, a, 14)
+        assert got == verify_ker_by_matching_per_vertex(g, a), (g.adj, a)
+        unmatchable += got[1] is not None
+    assert (len(cases), unmatchable) == (2507, 1349)
+    assert time.perf_counter() - started < 5
+
+
+def test_matching_condition_with_no_matching_into_the_set(monkeypatch):
+    # only a wrong d passes a set that N(a) cannot match into; then no
+    # a - v takes a matching either, and the first v of a is unmatchable
+    g, a = path_graph(3), 0b010
+    monkeypatch.setattr(critical, "critical_difference", lambda g: -1)
+    assert verify_ker_characterization(g, a, 5) == (
+        verify_ker_by_matching_per_vertex(g, a)) == (
+        False, {"tight_set": 0b001, "unmatchable_vertex": 1})
+
+
 def test_deletion_changes_d_by_at_most_one(graphs_n5):
     for g in graphs_n5[::4]:
         if g.n == 0:
@@ -367,12 +414,21 @@ def test_deletion_changes_d_by_at_most_one(graphs_n5):
             assert (dv == d - 1) == bool(k >> v & 1)
 
 
-@pytest.mark.parametrize("corpus", ["n<=5", "mid_sample", "chains"])
-def test_d_without_matches_deleting_the_vertex(corpus):
-    # d(G - v) from G's cover matching with v+ and v- dropped, against a
-    # fresh matching of the graph with v deleted; G's own memo is untouched
+@pytest.mark.parametrize("corpus", ["n<=5", "fuzz_region", "mid_sample",
+                                    "chains"])
+def test_d_without_matches_deleting_the_vertex(corpus, monkeypatch):
+    # d(G - v) from G's cover matching with v+ and then v- dropped, each
+    # followed by one augmenting search and no Hopcroft-Karp, against a
+    # fresh matching of the graph with v deleted; G's own memo is
+    # untouched. The fuzz region is where the registry sweep spends its
+    # time: n = 6..14 at p = 0.15, 0.3 and 0.5, 81 graphs
     if corpus == "n<=5":
         graphs = list(small_corpus(5))
+    elif corpus == "fuzz_region":
+        rng = random.Random(11)
+        graphs = [random_graph(n, p, rng.getrandbits(32))
+                  for n in range(6, 15) for p in (0.15, 0.3, 0.5)
+                  for _ in range(3)]
     elif corpus == "mid_sample":
         graphs = list(mid_sample(seed=43, per_density=2))
     else:
@@ -381,8 +437,11 @@ def test_d_without_matches_deleting_the_vertex(corpus):
     for g in graphs:
         before = _ker_matching(g)
         mates = (before.mate_plus[:], before.mate_minus[:])
-        for v in range(g.n):
-            want = critical_difference(delete_vertices(g, 1 << v)[0])
-            assert _d_without(g, v) == want, (g.adj, v)
+        want = [critical_difference(delete_vertices(g, 1 << v)[0])
+                for v in range(g.n)]
+        with monkeypatch.context() as patched:
+            patched.setattr(critical, "_max_matching_lists", None)
+            for v, d_v in enumerate(want):
+                assert _d_without(g, v) == d_v, (g.adj, v)
         assert _ker_matching(g) is before
         assert (before.mate_plus, before.mate_minus) == mates

@@ -20,7 +20,8 @@ from critset.graphs import (LimitExceeded, all_graphs, bipartition,
                             empty_graph, is_independent, neighborhood,
                             orbit_leaders, parse_graph, path_graph,
                             random_graph)
-from critset.matching import Matching, maximum_matching_general
+from critset.matching import (Matching, maximum_matching_general,
+                              saturating_matching)
 from critset.mis import alpha
 from critset.props import (SELFTEST, Config, Facts, PropertyResult,
                            conjecture_scan, evaluate, exhaustive_corpus,
@@ -252,8 +253,11 @@ def test_registry_pass_runs_each_oracle_fact_once(graphs_n5, monkeypatch):
     # would reach them through; the critical family has one route, so its
     # DFS runs exactly once at every n up to the oracle limit, tables built
     # or not, and so does the maximum independent DFS (past the oracle
-    # limit the limit check raises before either starts, uncached)
+    # limit the limit check raises before either starts, uncached); no
+    # saturating_matching runs, since every set th2 and th9 read on a valid
+    # graph is critical, and the cover matching holds its matching
     calls = {"alpha": 0, "blossom": 0, "critical": 0, "mis": 0}
+    saturating = _counted_saturating_matching(monkeypatch)
 
     def counted(name, f):
         def wrapper(*args, **kwargs):
@@ -285,6 +289,52 @@ def test_registry_pass_runs_each_oracle_fact_once(graphs_n5, monkeypatch):
         assert calls["blossom"] == 1, g.adj
         assert calls["critical"] == 1, g.adj
         assert calls["mis"] == 1, g.adj
+        # th2 and th9 read their matchings off the cover matching
+        assert saturating["saturating"] == 0, g.adj
+
+
+def _counted_saturating_matching(monkeypatch) -> Counter:
+    """Count the saturating_matching calls of th2 and the ker conditions."""
+    calls = Counter()
+
+    def counted(*args):
+        calls["saturating"] += 1
+        return saturating_matching(*args)
+
+    for module in (props, oracle):
+        monkeypatch.setattr(module, "saturating_matching", counted)
+    return calls
+
+
+def test_a_bad_cover_matching_never_decides_th2_or_th9(monkeypatch):
+    # th2 and the ker conditions take the memoised cover matching's partners
+    # of N(S) as a matching into S only after checking each pair; a memo
+    # with a partner outside S, partners that are no neighbours, or one
+    # partner used twice gives the clean verdicts and witnesses, through
+    # saturating_matching. ker = {c, d, e} and N(ker) = {a, b}; f g adds
+    # critical independent sets, so th9 also reads a second set
+    text = "a b\na c\na e\nb c\nb d\nf g\n"
+    calls = _counted_saturating_matching(monkeypatch)
+    clean = parse_graph(text)
+    want = [evaluate(lookup(name), Facts(clean)) for name in (TH2, TH9)]
+    assert [r.verdict for r in want] == ["holds", "holds"]
+    assert calls["saturating"] == 0
+    a, b, c, d, e = (clean.labels.index(x) for x in "abcde")
+    k = critical.ker(clean)
+    assert critical._neighborhood_matching(clean, k) is not None
+    for corrupt in ({a: b}, {a: d, b: e}, {a: c, b: c}):
+        g = parse_graph(text)
+        cover = critical._ker_matching(g)
+        mate_minus = cover.mate_minus[:]
+        for w, p in corrupt.items():
+            mate_minus[w] = p
+        g._cover = cover._replace(mate_minus=mate_minus)
+        assert critical._neighborhood_matching(g, k) is None
+        facts = Facts(g)
+        for name, result in zip((TH2, TH9), want):
+            calls.clear()
+            assert evaluate(lookup(name), facts) == result, corrupt
+            assert calls["saturating"] >= 1, (name, corrupt)
 
 
 def test_registry_pass_runs_the_ore_profile_once_per_bipartite_graph(
