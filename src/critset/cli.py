@@ -16,6 +16,7 @@ import argparse
 import functools
 import json
 import sys
+from itertools import chain
 from pathlib import Path
 
 from .graphs import EXHAUSTIVE_MAX_N, LimitExceeded, read_graph_file
@@ -33,13 +34,14 @@ def _dump(doc: dict) -> str:
     With indent set, json takes its pure-Python encoder; this renderer joins
     strings instead, and encodes every string with json's C escaper. A run
     report repeats a few result entries thousands of times, so a dict whose
-    values are all strings is rendered once per indentation.
+    values are all strings, and a list of such dicts, such as a graph's
+    results when none fails, is rendered once per indentation.
     """
     return _render(doc, "\n", {})
 
 
 _encode_str = json.encoder.encode_basestring_ascii
-_STR_ONLY = {str}
+_STR_ONLY, _DICT_ONLY = {str}, {dict}
 
 
 def _render(o, nl: str, memo: dict) -> str:
@@ -68,9 +70,20 @@ def _render(o, nl: str, memo: dict) -> str:
     if isinstance(o, (list, tuple)):
         if not o:
             return "[]"
+        key = None
+        if type(o[0]) is dict and set(map(type, o)) == _DICT_ONLY and set(
+                map(type, chain.from_iterable(map(dict.values, o)))
+        ) == _STR_ONLY:
+            key = (nl, *map(tuple, map(dict.items, o)))
+            text = memo.get(key)
+            if text is not None:
+                return text
         inner = nl + "  "
-        return "[" + inner + ("," + inner).join([
+        text = "[" + inner + ("," + inner).join([
             _render(x, inner, memo) for x in o]) + nl + "]"
+        if key is not None:
+            memo[key] = text
+        return text
     if o is None:
         return "null"
     if o is True:

@@ -4,8 +4,11 @@ per-graph fact cache that runs them.
 The critical independent sets, the maximum independent sets (core and corona
 are their intersection and union) and a bipartite side's critical sets each
 come from one pruned DFS over an explicit stack of bitmasks, include-first,
-with no recursion. `Facts` caches per graph the polynomial facts, alpha,
-these families, and the brute-force d table over the 2^n vertex subsets.
+with no recursion; besides its bound, each DFS drops the exclude branches a
+free vertex dominates, which changes no stream, for any target.
+`Facts` caches per graph the polynomial facts, alpha, these families, the
+brute-force d table over the 2^n vertex subsets and the square test's
+verdict on it, which both th4 checks read.
 `Facts` is the one place that computes each family and checks its limit;
 the public readers of the maximum independent sets, core and corona, the
 maximum critical set and the KE-via-critical route read a fresh `Facts`.
@@ -16,6 +19,7 @@ module; tests/test_startup.py checks it.
 from __future__ import annotations
 
 import re
+from functools import lru_cache
 from itertools import chain, islice, tee
 from typing import Callable, Iterator, NamedTuple
 
@@ -45,26 +49,46 @@ def _enumerate_target_sets(g: Graph, universe: VertexSet,
     A node's candidates are the members of universe above its last branch
     vertex with no chosen neighbour; it takes the lowest first while its
     exclude node waits on the stack. On an independent universe, such as a
-    side of a bipartition, that is every subset."""
+    side of a bipartition, that is every subset.
+
+    A branch vertex v is free when all its neighbours lie in N(chosen):
+    taking it raises d by exactly 1 and drops no candidate, so each set S
+    of its exclude subtree has S + v in its include subtree, one higher.
+    The DFS counts the leaves whose d passes the target. A free vertex's
+    exclude node carries the count at its push and is dropped at its pop
+    when the count has not moved: its include subtree, walked in between,
+    then held no leaf past the target (by induction on subtree size, a
+    subtree holding one counts one), so the exclude subtree holds no set
+    at the target or past it. The stream is the same, in the same order,
+    for every target, a wrong one included."""
     adj = g.adj
-    todo = [(universe, 0, 0)]
+    above = 0  # leaves with d past the target so far
+    # nodes (candidates, chosen, N(chosen), d(chosen), mark), where the
+    # mark is the count at the push of a free vertex's exclude node, else -1
+    todo = [(universe, 0, 0, 0, -1)]
     while todo:
-        avail, chosen, nbhd = todo.pop()
+        avail, chosen, nbhd, d_now, mark = todo.pop()
+        if mark == above:
+            continue
         while True:
-            d_now = chosen.bit_count() - nbhd.bit_count()
             # each added vertex raises d by at most 1
             if d_now + avail.bit_count() < target:
                 break
             if not avail:
                 if d_now == target:
                     yield chosen
+                elif d_now > target:
+                    above += 1
                 break
             low = avail & -avail
-            todo.append((avail ^ low, chosen, nbhd))
-            nb = adj[low.bit_length() - 1]
-            avail &= ~(nb | low)
+            # no candidate lies in N(chosen), so only fresh neighbours go
+            fresh = adj[low.bit_length() - 1] & ~nbhd
+            todo.append((avail ^ low, chosen, nbhd, d_now,
+                         -1 if fresh else above))
+            avail &= ~(fresh | low)
             chosen |= low
-            nbhd |= nb
+            nbhd |= fresh
+            d_now += 1 - fresh.bit_count()
 
 
 def enumerate_critical_independent_sets(
@@ -101,6 +125,19 @@ def verify_ker_characterization(
     a matching from N(a) into a - v for every v in a. On a negative answer the
     witness carries either the tight set or the unmatched vertex.
 
+    A set that is not critical independent raises ValueError; the
+    conditions themselves are _ker_conditions.
+    """
+    if not critical.is_critical_independent(g, a):
+        raise ValueError("a must be a critical independent set")
+    return _ker_conditions(g, a, limit)
+
+
+def _ker_conditions(g: Graph, a: VertexSet,
+                    limit: int) -> tuple[bool, dict | None]:
+    """verify_ker_characterization's two conditions on a set a the caller
+    has found critical independent.
+
     The per-vertex matchings all start from one matching of N(a) into a:
     the memoised cover matching's, when its pairs check out
     (critical._neighborhood_matching), else one saturating_matching. A v
@@ -110,8 +147,6 @@ def verify_ker_characterization(
     all, none into a - v exists either, and the first v of a is
     unmatchable.
     """
-    if not critical.is_critical_independent(g, a):
-        raise ValueError("a must be a critical independent set")
     boundary = neighborhood(g, a)
     if boundary.bit_count() > limit:
         raise LimitExceeded("neighborhood too large for the tight-set search")
@@ -174,22 +209,37 @@ def _search_maximum_independent_sets(g: Graph,
                                      target: int) -> Iterator[VertexSet]:
     """The independent sets of size target, target = alpha(g), by DFS over
     nodes (live vertices, chosen set); a node takes its lowest live vertex
-    first while its exclude node waits on the stack."""
+    first while its exclude node waits on the stack. A leaf is reached only
+    at size target or more, and yielded.
+
+    A branch vertex with no live neighbour is free, and its exclude node is
+    dropped as in _enumerate_target_sets: taking it adds 1 to the size and
+    leaves the same live vertices, and the DFS counts the leaves past
+    target, so a count unmoved over the include subtree means the exclude
+    subtree holds no leaf. The stream is the same for every target."""
     adj = g.adj
-    todo = [(g.full, 0)]
+    above = 0  # leaves past the target so far
+    # nodes (live vertices, chosen, target - |chosen| - 1, mark), the mark
+    # as in _enumerate_target_sets
+    todo = [(g.full, 0, target - 1, -1)]
     while todo:
-        avail, chosen = todo.pop()
+        avail, chosen, cap, mark = todo.pop()
+        if mark == above:
+            continue
         while True:
-            cap = target - chosen.bit_count() - 1
             if _greedy_clique_cover(adj, avail, cap) <= cap:
                 break
             if not avail:
+                if cap < -1:
+                    above += 1
                 yield chosen
                 break
             low = avail & -avail
-            todo.append((avail ^ low, chosen))
-            avail &= ~(adj[low.bit_length() - 1] | low)
+            nb = adj[low.bit_length() - 1]
+            todo.append((avail ^ low, chosen, cap, -1 if nb & avail else above))
+            avail &= ~(nb | low)
             chosen |= low
+            cap -= 1
 
 
 def core_and_corona(g: Graph, limit: int = ORACLE_LIMIT) -> MisProfile:
@@ -227,6 +277,17 @@ def _side_critical_sets(
 # the one order held: its byte planes, |m| + n lanes and bit planes or None
 _lanes: dict[int, list] = {}
 
+# the largest n at which th4 first checks the 2x2 squares of the subset
+# lattice on the table read as one integer (BENCH_19.json); above it,
+# th4.supermodular decides its 128-mask sample at once off two cached
+# gathers (BENCH_30.json). Either way a pair scan runs only where that
+# test fails
+LATTICE_MAX_N = 12
+
+# the lane tests are exact while every lane holds 0..63; deleting those
+# values leaves nothing of such a table
+_LANES_IN_RANGE = bytes(range(64))
+
 
 def _subset_lanes(n: int) -> list:
     """Byte-lane integers over the 2^n subset masks of n vertices, lane m
@@ -258,6 +319,45 @@ def _bit_planes(n: int) -> tuple[int, ...]:
             (bytes(1 << v - 3) + b"\xff" * (1 << v - 3)) * (size >> v + 1),
             "little") & (1 << size) - 1 for v in range(n))
     return held[2]
+
+
+@lru_cache(maxsize=None)
+def _square_masks(n: int) -> tuple[int, tuple[tuple[int, ...], ...]]:
+    """For the square test on n vertices (Facts.squares_hold): 0x80 in each
+    of the 2^n byte lanes, and per u, one per v > u, 0x80 in each lane X
+    that holds neither u nor v. Kept per n: under 300 KB at n = 12."""
+    planes = _subset_lanes(n)[0]
+    ones = int.from_bytes(b"\1" * (1 << n), "little")
+    return ones << 7, tuple(tuple((ones ^ (planes[u] | planes[v])) << 7
+                                  for v in range(u + 1, n))
+                            for u in range(n))
+
+
+def _squares_hold(table: bytes, n: int) -> bool:
+    """Whether t(X+u+v) + t(X) >= t(X+u) + t(X+v) for every X and u != v
+    outside X, which on the subset lattice is supermodularity over all pairs
+    (Topkis, Oper. Res. 26, 1978; Lovász 1983).
+
+    The lanes of table are read as one integer t, and pad holds 128 in
+    each lane. Per u, m = (t shifted down 2^u lanes) + pad - t holds
+    t(X+u) - t(X) + 128 in each lane X without u; per v > u,
+    (m shifted down 2^v lanes) + pad - m holds m(X+v) - m(X) + 128, which
+    has its 0x80 bit set in a lane X without u and v iff the square at X
+    holds. A lane of a graph's table holds 0..2n, and the caller
+    (Facts.squares_hold) sees to 0..63, so each lane of m, and each lane of
+    the second sum below its top 2^v, stays in 0..255. Those top lanes,
+    where the shift reads past m, can fall below 0, but they all hold v,
+    and a borrow runs only upward.
+    """
+    pad, masks = _square_masks(n)
+    t = int.from_bytes(table, "little")
+    for u, row in enumerate(masks):
+        m = (t >> (8 << u)) + pad - t
+        rest = pad - m
+        for v, valid in enumerate(row, u + 1):
+            if ((m >> (8 << v)) + rest) & valid != valid:
+                return False
+    return True
 
 
 class Facts:
@@ -376,8 +476,10 @@ class Facts:
         Built in byte lanes, one lane per mask: d(m) + n lies in 0..2n, so
         no lane carries into the next. Lane m of the plane of w is 1 iff w
         is in N(m), the OR of the planes of w's neighbours; the planes of
-        all w sum to |N(m)|, which comes off |m| + n. The lanes are read
-        out as bytes, which the whole-table checks search in C.
+        all w sum to |N(m)|, which comes off |m| + n. That is 2m whole-table
+        operations: deg(w) - 1 ORs and one subtraction per non-isolated w.
+        The lanes are read out as bytes, which the whole-table checks
+        search in C.
         """
         self.require_oracle()
 
@@ -388,10 +490,11 @@ class Facts:
                     f"n={g.n} exceeds oracle limit {self.config.oracle_limit}")
             planes, lanes, _ = _subset_lanes(g.n)
             for vs in g.nbrs:
-                hit = 0
-                for v in vs:
-                    hit |= planes[v]
-                lanes -= hit
+                if vs:  # an isolated w is in no N(m)
+                    hit = planes[vs[0]]
+                    for v in vs[1:]:
+                        hit |= planes[v]
+                    lanes -= hit
             return lanes.to_bytes(1 << g.n, "little")
         return self._get("tables", compute)
 
@@ -404,6 +507,17 @@ class Facts:
             return max(top) if top else next(
                 v for v in range(2 * n, -1, -1) if v in table)
         return self._get("top_lane", compute)
+
+    def squares_hold(self) -> bool:
+        """Whether the square test passes: n <= LATTICE_MAX_N, every lane
+        in 0..63, so none carries, and every square holds, which makes the
+        table supermodular over all pairs. Both th4 checks read it; False
+        above LATTICE_MAX_N, where no square test runs."""
+        def compute():
+            table, n = self.tables(), self.g.n
+            return n <= LATTICE_MAX_N and not table.translate(
+                None, _LANES_IN_RANGE) and _squares_hold(table, n)
+        return self._get("squares_hold", compute)
 
     def _critical_pass(self) -> tuple[list[VertexSet] | None, VertexSet]:
         """One run of the critical independent sets' DFS: the family, or

@@ -27,17 +27,7 @@ from .graphs import (EXHAUSTIVE_MAX_N, Graph, LimitExceeded, VertexSet,
                      graph_from_code, is_independent, neighborhood,
                      orbit_leaders, random_graph, read_graph_file, vlist)
 from .matching import saturating_matching
-from .oracle import Config, Facts, _subset_lanes
-
-# the largest n at which th4.supermodular first checks the 2x2 squares of
-# the subset lattice on the table read as one integer (BENCH_19.json); above
-# it, it decides its 128-mask sample at once off two cached gathers
-# (BENCH_30.json). Either way the pair scan runs only where that test fails
-LATTICE_MAX_N = 12
-
-# the lane tests are exact while every lane holds 0..63; deleting those
-# values leaves nothing of such a table
-_LANES_IN_RANGE = bytes(range(64))
+from .oracle import _LANES_IN_RANGE, LATTICE_MAX_N, Config, Facts
 
 
 # -- property shell --------------------------------------------------------------
@@ -157,44 +147,6 @@ def _supermodular_masks(n: int) -> tuple[int, ...]:
 
 
 @lru_cache(maxsize=None)
-def _square_masks(n: int) -> tuple[int, tuple[tuple[int, ...], ...]]:
-    """For the square test of th4.supermodular on n vertices: 0x80 in each
-    of the 2^n byte lanes, and per u, one per v > u, 0x80 in each lane X
-    that holds neither u nor v. Kept per n: under 300 KB at n = 12."""
-    planes = _subset_lanes(n)[0]
-    ones = int.from_bytes(b"\1" * (1 << n), "little")
-    return ones << 7, tuple(tuple((ones ^ (planes[u] | planes[v])) << 7
-                                  for v in range(u + 1, n))
-                            for u in range(n))
-
-
-def _squares_hold(table: bytes, n: int) -> bool:
-    """Whether t(X+u+v) + t(X) >= t(X+u) + t(X+v) for every X and u != v
-    outside X, which on the subset lattice is supermodularity over all pairs
-    (Topkis, Oper. Res. 26, 1978; Lovász 1983).
-
-    The lanes of table are read as one integer t, and pad holds 128 in
-    each lane. Per u, m = (t shifted down 2^u lanes) + pad - t holds
-    t(X+u) - t(X) + 128 in each lane X without u; per v > u,
-    (m shifted down 2^v lanes) + pad - m holds m(X+v) - m(X) + 128, which
-    has its 0x80 bit set in a lane X without u and v iff the square at X
-    holds. A lane of a graph's table holds 0..2n, and the caller sees to
-    0..63, so each lane of m, and each lane of the second sum below its top
-    2^v, stays in 0..255. Those top lanes, where the shift reads past m, can
-    fall below 0, but they all hold v, and a borrow runs only upward.
-    """
-    pad, masks = _square_masks(n)
-    t = int.from_bytes(table, "little")
-    for u, row in enumerate(masks):
-        m = (t >> (8 << u)) + pad - t
-        rest = pad - m
-        for v, valid in enumerate(row, u + 1):
-            if ((m >> (8 << v)) + rest) & valid != valid:
-                return False
-    return True
-
-
-@lru_cache(maxsize=None)
 def _sample_gatherers(n: int) -> tuple[itemgetter, itemgetter, int]:
     """For the sample test of th4.supermodular on n vertices: a gatherer of
     the lanes a | b and then a & b over the P sampled pairs with b >= a in
@@ -233,9 +185,8 @@ def _check_supermodular(f: Facts) -> tuple[bool, dict | None]:
     # pair holds, so does the pair scan; otherwise, or where a lane is past
     # 63 and would carry, the pair scan names the first failing pair, or
     # holds where its sample misses them
-    if not table.translate(None, _LANES_IN_RANGE) and (
-            _squares_hold(table, n) if n <= LATTICE_MAX_N
-            else _sample_holds(table, n)):
+    if f.squares_hold() or (n > LATTICE_MAX_N and not table.translate(
+            None, _LANES_IN_RANGE) and _sample_holds(table, n)):
         return True, None
     masks, table = _supermodular_masks(n), list(table)  # faster subscripts
     # each side sums two lanes, so the offset n cancels; the inequality is
@@ -255,6 +206,10 @@ def _check_supermodular(f: Facts) -> tuple[bool, dict | None]:
 def _check_critical_closure(f: Facts) -> tuple[bool, dict | None]:
     table, n, d0 = f.tables(), f.g.n, f.d()
     lane = d0 + n
+    # on a supermodular table, critical a and b at the top lane have
+    # t(a | b) + t(a & b) >= 2 top, and no lane passes top: both are top
+    if f.squares_hold() and lane == f.top_lane():
+        return True, None
     # critical lanes hold d0 + n, found by byte searches; (a, b) fails iff
     # (b, a) does, and (a, a) holds, so b is scanned after a
     crit = list(_masks_at(table, lane))
@@ -374,20 +329,21 @@ def _check_ker_characterization(f: Facts) -> tuple[bool, dict | None]:
         return False, {"ker": f.labels(k),
                        "problem": "not a critical independent set"}
 
-    def conditions(key: str, a: VertexSet) -> tuple[bool | None, dict | None]:
-        """The ker conditions on a, or (None, witness naming a under key).
-        A limit reaches evaluate as a skip; a disagreement of the two
-        conditions, or a set they refuse as not critical independent
-        (ValueError), is a failure."""
+    def conditions(key: str, a: VertexSet, verify: Callable
+                   ) -> tuple[bool | None, dict | None]:
+        """The ker conditions on a, by verify, or (None, witness naming a
+        under key). A limit reaches evaluate as a skip; a disagreement of
+        the two conditions, or a set they refuse as not critical
+        independent (ValueError), is a failure."""
         try:
-            return oracle.verify_ker_characterization(
-                g, a, f.config.oracle_limit)
+            return verify(g, a, f.config.oracle_limit)
         except LimitExceeded:
             raise
         except (RuntimeError, ValueError) as exc:
             return None, {key: f.labels(a), "problem": str(exc)}
 
-    ok, wit = conditions("ker", k)
+    # ker is critical independent, checked above
+    ok, wit = conditions("ker", k, oracle._ker_conditions)
     if ok is None:
         return False, wit
     if not ok:
@@ -398,7 +354,8 @@ def _check_ker_characterization(f: Facts) -> tuple[bool, dict | None]:
             "unmatchable_vertex": g.labels[wit["unmatchable_vertex"]]}
     other = next((s for s in f.critical_ind_family() if s != k), None)
     if other is not None:
-        ok, wit = conditions("set", other)
+        ok, wit = conditions("set", other,
+                             oracle.verify_ker_characterization)
         if ok is None:
             return False, wit
         if ok:

@@ -410,14 +410,18 @@ def test_fuzz_output_is_byte_stable(capsys):
 
 def test_reports_do_not_depend_on_the_hash_seed():
     # str hashes are salted per process, so a report that iterated a set or
-    # a dict keyed by labels would change with PYTHONHASHSEED: each command
-    # runs in a fresh interpreter under four salts; about 1 s on 2 CPUs
+    # a dict keyed by labels, or a renderer memo keyed by dict items, would
+    # change with PYTHONHASHSEED: each command runs in a fresh interpreter
+    # under four salts; about 2 s on 2 CPUs
     commands = [
         ["exhaustive", "--n", "4", "--json"],
         ["fuzz", "--n", "8..12", "--p", "0.3", "--count", "12", "--seed",
          "5", "--json"],
         ["check", "--all", "--json", str(FIXDIR / "fig511.edges")],
-        ["check", "--all", "--json", str(FIXDIR / "fig233.edges")]]
+        ["check", "--all", "--json", str(FIXDIR / "fig233.edges")],
+        ["analyze", "--json", str(FIXDIR / "fig1777.edges")],
+        ["analyze", "--json", str(FIXDIR / "fig333_g2.edges")],
+        ["conjecture", "--max-n", "5", "--json"]]
     started = time.perf_counter()
     for argv in commands:
         outs = []
@@ -808,5 +812,7 @@ _values = st.recursive(
 @given(_values)
 @example([{"x": "1"}, {"x": "1"}, {"x": 1}, {"x": True}, {"x": 1.0},
           {"y": {"x": "1"}}, {}, [], [[]], {"e": {}}])
+@example({"a": [{"p": "x"}], "b": {"c": [{"p": "x"}]}, "d": [{"q": "x"}],
+          "e": [[{"p": "x"}], [{"p": "x"}, {}], ({"p": "x"},)]})
 def test_renderer_matches_json_dumps(doc):
     assert cli._dump(doc) == json.dumps(doc, indent=2, sort_keys=True)

@@ -15,15 +15,19 @@ from critset.critical import (_d_without, _greedy_cover_matching,
                               critical_independent_witness, diadem,
                               is_critical_independent, is_critical_set, ker)
 from critset.fixtures import load
-from critset.graphs import (Graph, LimitExceeded, complete_graph,
-                            cycle_graph, delete_vertices, difference,
-                            empty_graph, is_independent, neighborhood,
-                            parse_graph, path_graph, random_graph,
-                            to_edge_list, vlist)
+from critset.graphs import (Graph, LimitExceeded, bipartition,
+                            complete_graph, cycle_graph, delete_vertices,
+                            difference, empty_graph, is_independent,
+                            neighborhood, parse_graph, path_graph,
+                            random_bipartite, random_graph, to_edge_list,
+                            vlist)
 from critset.matching import saturating_matching
-from critset.oracle import (Config, Facts,
+from critset.mis import _greedy_clique_cover, alpha
+from critset.oracle import (Config, Facts, _enumerate_target_sets,
+                            _search_maximum_independent_sets,
                             enumerate_critical_independent_sets,
                             verify_ker_characterization)
+from critset.ore import ore_profile
 
 
 def mask_of(g, labels):
@@ -257,6 +261,81 @@ def test_enumerated_critical_families_match_oracle(graphs_n5):
         n, adj = g.n, adj_of(g)
         want = include_first(n, o.brute_critical_independent_sets(n, adj))
         assert list(enumerate_critical_independent_sets(g, 11)) == want, g.adj
+
+
+def _unpruned_target_sets(g, universe, target):
+    """The critical DFS as it ran before the dominance prune: the sets with
+    d = target, include-first, pruned by the d bound alone."""
+    adj = g.adj
+    todo = [(universe, 0, 0)]
+    while todo:
+        avail, chosen, nbhd = todo.pop()
+        while True:
+            d_now = chosen.bit_count() - nbhd.bit_count()
+            if d_now + avail.bit_count() < target:
+                break
+            if not avail:
+                if d_now == target:
+                    yield chosen
+                break
+            low = avail & -avail
+            todo.append((avail ^ low, chosen, nbhd))
+            nb = adj[low.bit_length() - 1]
+            avail &= ~(nb | low)
+            chosen |= low
+            nbhd |= nb
+
+
+def _unpruned_maximum_sets(g, target):
+    """The maximum independent sets' DFS as it ran before the dominance
+    prune: every leaf the clique-cover bound leaves, size target or more."""
+    adj = g.adj
+    todo = [(g.full, 0)]
+    while todo:
+        avail, chosen = todo.pop()
+        while True:
+            cap = target - chosen.bit_count() - 1
+            if _greedy_clique_cover(adj, avail, cap) <= cap:
+                break
+            if not avail:
+                yield chosen
+                break
+            low = avail & -avail
+            todo.append((avail ^ low, chosen))
+            avail &= ~(adj[low.bit_length() - 1] | low)
+            chosen |= low
+
+
+def test_dominance_prune_keeps_both_streams_for_every_target():
+    # the dropped exclude nodes hold no set the stream would yield, whatever
+    # the target: the true d or alpha, one above it (no set at all) and one
+    # or two below it (sets of lower d, and larger independent sets in the
+    # maximum DFS's stream); the same sets in the same order, on every
+    # labeled graph with n <= 5, 600 G(n, p) with n = 6..15 and both sides
+    # of 200 bipartite graphs; about 0.5 s on 2 CPUs
+    rng = random.Random(37)
+    corpus = [*small_corpus(5), *(
+        random_graph(6 + k % 10, rng.choice([0.1, 0.2, 0.3, 0.4, 0.5]),
+                     rng.getrandbits(32)) for k in range(600))]
+    for g in corpus:
+        d, a = critical_difference(g), alpha(g)
+        for t in range(d - 2, d + 2):
+            got = list(_enumerate_target_sets(g, g.full, t))
+            assert got == list(_unpruned_target_sets(g, g.full, t)), (g.adj, t)
+        for t in range(a - 2, a + 2):
+            got = list(_search_maximum_independent_sets(g, t))
+            assert got == list(_unpruned_maximum_sets(g, t)), (g.adj, t)
+    for _ in range(200):
+        g = random_bipartite(rng.randrange(1, 9), rng.randrange(1, 9),
+                             rng.choice([0.1, 0.2, 0.3, 0.5]),
+                             rng.getrandbits(32))
+        parts = bipartition(g)
+        profile = ore_profile(g, parts)
+        for side, top in zip(parts, (profile.delta0_a, profile.delta0_b)):
+            for t in range(top - 2, top + 2):
+                got = list(_enumerate_target_sets(g, side, t))
+                assert got == list(_unpruned_target_sets(g, side, t)), (
+                    g.adj, side, t)
 
 
 def test_enumeration_respects_limit():

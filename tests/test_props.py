@@ -111,7 +111,7 @@ def test_ker_characterization_reports_a_limit_as_a_skip(monkeypatch):
     def disagree(*args):
         raise RuntimeError("tight-set and matching conditions disagree")
 
-    monkeypatch.setattr(oracle, "verify_ker_characterization", disagree)
+    monkeypatch.setattr(oracle, "_ker_conditions", disagree)
     r = evaluate(prop, Facts(path_graph(4)))
     assert r.verdict == "fails"
     assert r.witness["problem"] == "tight-set and matching conditions disagree"
@@ -466,7 +466,7 @@ P3, P4 = "a b\nb c\n", "a b\nb c\nc d\n"
 C5_PATH = "a b\nb c\nc d\nd e\ne a\na f\nf g\n"  # d = 0, diadem = {g}
 FAMILY = (oracle, "enumerate_critical_independent_sets")
 MINIMAL, PROFILE = (Facts, "minimal_positives"), (Facts, "mis_profile")
-KER_CONDITIONS = (oracle, "verify_ker_characterization")
+KER_CONDITIONS = (oracle, "_ker_conditions")
 MATCHING = (oracle, "maximum_matching_general")
 UNIQUE, DELETION = ("th4.unique_minimal_critical_independent",
                     "deletion.d_drop_iff_ker")
@@ -931,7 +931,7 @@ def test_square_route_agrees_with_every_pair():
     for n in range(6):
         for g in all_graphs(n):
             table = Facts(g).tables()
-            assert props._squares_hold(table, n)
+            assert oracle._squares_hold(table, n)
             assert _supermodular_by_pairs(table, n), g.adj
     rng = random.Random(3000)
     verdicts = Counter()
@@ -947,7 +947,7 @@ def test_square_route_agrees_with_every_pair():
             bad[m] = max(0, bad[m] + rng.choice([-2, -1, 1, 2]))
         expect = _supermodular_by_pairs(bad, n)
         verdicts[expect] += 1
-        assert props._squares_hold(bad, n) == expect, (n, bad)
+        assert oracle._squares_hold(bad, n) == expect, (n, bad)
         facts._cache["tables"] = bytes(bad)
         assert prop.check(facts)[0] == expect, (n, bad)
     assert min(verdicts.values()) >= 1000, verdicts
@@ -1343,6 +1343,79 @@ def test_critical_closure_reports_the_first_failing_pair_of_the_sample(k):
                 "a": g.label_list(a), "b": g.label_list(b), "d": 0,
                 "d_union": bad[a | b] - n, "d_intersection": bad[a & b] - n}
     assert failed >= 6
+
+
+def _closure_by_pairs(f):
+    """th4.critical_closed_union_intersection by its pair loop alone: the
+    first failing pair of the critical masks, a strided sample past 256."""
+    table, n, d0 = f.tables(), f.g.n, f.d()
+    crit = [m for m in range(1 << n) if table[m] == d0 + n]
+    if len(crit) > 256:
+        crit = crit[::len(crit) // 256 + 1]
+    for i, a in enumerate(crit):
+        for b in crit[i + 1:]:
+            if table[a | b] != d0 + n or table[a & b] != d0 + n:
+                return False, {
+                    "a": f.labels(a), "b": f.labels(b), "d": d0,
+                    "d_union": table[a | b] - n,
+                    "d_intersection": table[a & b] - n}
+    return True, None
+
+
+def test_closure_certificate_gives_the_pair_loops_answer(monkeypatch):
+    # the closure check holds at once where the square test passes and the
+    # critical lane is the top lane, and runs its pair loop otherwise; on
+    # every table that the tests above corrupt and hand to a subset check,
+    # it must give the pair loop's verdict and witness. Those tables
+    # include supermodular ones whose top lane is not d + n (a modular
+    # shift), lanes past 63, and lanes moved by 1 or 2 at n = 0..13, across
+    # LATTICE_MAX_N, above which the pair loop always runs
+    closure = lookup("th4.critical_closed_union_intersection")
+    real_lookup = lookup
+    routes = Counter()
+
+    def spied(name):
+        prop = real_lookup(name)
+
+        def check(facts):
+            f = Facts(facts.g, facts.config)
+            f._cache["tables"] = facts.tables()
+            got = closure.check(f)
+            assert got == _closure_by_pairs(f), (f.g.adj, f.tables())
+            routes[f.squares_hold(), f.d() + f.g.n == f.top_lane(),
+                   got[0]] += 1
+            return prop.check(facts)
+        return prop._replace(check=check)
+
+    monkeypatch.setitem(globals(), "lookup", spied)
+    test_square_route_agrees_with_every_pair()
+    for n in (4, 7, 8, 11, props.LATTICE_MAX_N, props.LATTICE_MAX_N + 1):
+        test_supermodular_reports_the_first_failing_pair(n)
+    test_d_eq_id_reports_d_values_off_a_corrupted_table()
+    test_d_eq_id_maximum_stays_exact_past_2n()
+    test_critical_closure_reports_the_first_failing_pair_in_d_values()
+    test_critical_closure_reports_the_first_failing_pair_of_the_sample(6)
+    # the certificate decides on some, and each other kind of table is met;
+    # a supermodular table whose critical lane is the top lane never fails
+    assert routes[True, True, True] >= 100 and routes[True, True, False] == 0
+    assert routes[True, False, True] >= 1000
+    assert routes[True, False, False] >= 50
+    assert routes[False, True, False] >= 50
+    assert routes[False, False, False] >= 200, routes
+
+
+def test_closure_searches_no_critical_mask_where_the_squares_decide(
+        monkeypatch):
+    # on 6 disjoint edges each of the 2^12 masks has d = 0 = d(G), so the
+    # pair loop would pair a sample of 256; the square certificate holds
+    # and the critical lane is the top lane, so no mask is searched for
+    def searched(*args):
+        raise AssertionError("critical masks searched")
+
+    monkeypatch.setattr(props, "_masks_at", searched)
+    g = graphs.Graph(12, [(2 * i, 2 * i + 1) for i in range(6)])
+    prop = lookup("th4.critical_closed_union_intersection")
+    assert evaluate(prop, Facts(g)) == PropertyResult(prop.name, "holds")
 
 
 def test_tables_match_the_per_mask_definition():

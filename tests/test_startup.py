@@ -42,13 +42,20 @@ def test_setup_line_loads_no_pool_dataclasses_or_fixtures():
 
 def test_setup_line_builds_no_subset_lanes():
     # the lane cache fills on the first table asked for, never at import or
-    # in registry(), so the benchmark's setup_s carries none of it
+    # in registry(), so the benchmark's setup_s carries none of it; nor do
+    # the square test's masks or any Facts' square verdict
     env = dict(os.environ, PYTHONPATH=SRC)
-    done = subprocess.run(
-        [sys.executable, "-c",
-         f"{SETUP}\nfrom critset import oracle\nprint(oracle._lanes)"],
-        env=env, capture_output=True, text=True, timeout=60, check=True)
-    assert done.stdout == "{}\n"
+    code = "\n".join([
+        "from critset import oracle", "verdicts = []",
+        "real = oracle.Facts.squares_hold",
+        "oracle.Facts.squares_hold = lambda f: verdicts.append(f) or real(f)",
+        SETUP,
+        "print(oracle._lanes, oracle._square_masks.cache_info().currsize,"
+        " verdicts)"])
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60,
+                          check=True)
+    assert done.stdout == "{} 0 []\n"
 
 
 @pytest.mark.parametrize("module", ["critset.cli", "critset.props",
