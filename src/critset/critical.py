@@ -15,10 +15,10 @@ from __future__ import annotations
 from itertools import compress, filterfalse
 from typing import NamedTuple
 
-from .graphs import (Graph, VertexSet, difference, is_independent,
-                     neighborhood, vlist, vset)
+from .graphs import (Graph, VertexSet, difference, is_independent, vlist,
+                     vset)
 from .matching import (Matching, _alternating_reach, _max_matching_lists,
-                       _unmatched)
+                       _unmatched, saturating_matching)
 
 
 class _CoverMatching(NamedTuple):
@@ -157,24 +157,27 @@ def _d_without(g: Graph, v: int) -> int:
     return mate_plus.count(-1) - 1
 
 
-def _neighborhood_matching(g: Graph, s: VertexSet) -> Matching | None:
-    """The memoised cover matching's partners of N(s), as a matching of N(s)
-    into s, or None when they do not form one; s is independent.
+def _neighborhood_matching(g: Graph, s: VertexSet,
+                           nb: VertexSet) -> Matching | None:
+    """A matching of nb = N(s) into s, or None when there is none; s is
+    independent, and the caller has computed nb.
 
     For a critical s, s+ with (V - N(s))- is a maximum independent set of
     the cover, so by Koenig's theorem every copy outside it, N(s)- among
     them, is matched, and to a copy inside it: every w- of N(s)- has its
-    partner in s+. Each pair is checked, not trusted: w's partner must lie
-    in s and be a neighbour of w, and no partner may serve twice. So a
-    matching this returns is real whatever the memo holds, and a wrong memo
-    or a set that is not critical gives None.
+    partner in s+. So the memoised cover matching's partners of N(s) are
+    tried first. Each pair is checked, not trusted: w's partner must lie
+    in s and be a neighbour of w, and no partner may serve twice. Where a
+    pair fails, as under a wrong memo or for a set that is not critical,
+    one saturating_matching decides instead. So a matching this returns is
+    real whatever the memo holds.
     """
     partner, adj = _ker_matching(g).mate_minus, g.adj
     mate = [-1] * g.n
-    for w in vlist(neighborhood(g, s)):
+    for w in vlist(nb):
         p = partner[w]
         if p == -1 or not s >> p & 1 or not adj[w] >> p & 1 or mate[p] != -1:
-            return None
+            return saturating_matching(g, nb, s)[0]
         mate[w], mate[p] = p, w
     return Matching._of(mate)
 

@@ -7,8 +7,9 @@ and maximum_matching_bipartite) and the matching of the double cover, which
 is never built: critical.py runs the kernel once per graph with the plus and
 minus copies both numbered by the graph's ids, and memoises the result on
 the Graph. One alternating-reach traversal serves the double cover, whose
-reach also gives the Ore side sets, the Hall violator, and the per-vertex
-searches of the ker characterization in oracle.py.
+reach also gives the Ore side sets, the Hall violator, and the ker
+characterization's per-vertex condition in oracle.py, one reach over a
+matching of N(a) into a.
 """
 
 from __future__ import annotations

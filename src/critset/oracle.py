@@ -26,8 +26,7 @@ from typing import Callable, Iterator, NamedTuple
 from . import critical, ke, mis, ore
 from .graphs import (BipartitePartition, Graph, LimitExceeded, VertexSet,
                      bipartition, neighborhood, vlist)
-from .matching import (_alternating_reach, _side_lists,
-                       maximum_matching_general, saturating_matching)
+from .matching import _alternating_reach, maximum_matching_general
 from .mis import _greedy_clique_cover
 
 ORACLE_LIMIT = 20
@@ -138,14 +137,15 @@ def _ker_conditions(g: Graph, a: VertexSet,
     """verify_ker_characterization's two conditions on a set a the caller
     has found critical independent.
 
-    The per-vertex matchings all start from one matching of N(a) into a:
-    the memoised cover matching's, when its pairs check out
-    (critical._neighborhood_matching), else one saturating_matching. A v
-    it leaves free needs nothing more; otherwise a matching into a - v
-    exists iff an alternating search from v's partner, with v blocked,
-    reaches a free vertex of a (Berge 1957). With no matching into a at
-    all, none into a - v exists either, and the first v of a is
-    unmatchable.
+    The matching condition starts from one matching of N(a) into a,
+    critical._neighborhood_matching's. Some matching of N(a) into a leaves
+    v free iff an even alternating path runs to v from a member of a this
+    one leaves free (Berge 1957), so one alternating reach from those
+    members finds every v that passes, and the first member of a it misses
+    is unmatchable. With no matching into a at all, none into a - v exists
+    either, and the first v of a is unmatchable. The tight-set condition is
+    an exhaustive walk over the subsets of N(a), so the two stay
+    independent.
     """
     boundary = neighborhood(g, a)
     if boundary.bit_count() > limit:
@@ -161,25 +161,17 @@ def _ker_conditions(g: Graph, a: VertexSet,
         b = (b - boundary) & boundary
 
     unmatchable: int | None = None
-    base = critical._neighborhood_matching(g, a)
-    if base is None:
-        base = saturating_matching(g, boundary, a)[0]
+    members = vlist(a)
+    base = critical._neighborhood_matching(g, a, boundary)
     if base is None:  # N(a) is not empty, so neither is a
-        unmatchable = vlist(a)[0]
+        unmatchable = members[0]
     else:
-        mate = base.mate
-        _, adj = _side_lists(g, boundary, a)
-        for v in vlist(a):
-            w = mate[v]
-            if w == -1:
-                continue
-            seen = bytearray(g.n)
-            seen[v] = 1
-            reached = _alternating_reach(adj, mate, (w,), seen, seen)
-            # v is matched, to w, so a free x is another vertex of a
-            if not any(mate[x] == -1 for u in reached for x in adj[u]):
-                unmatchable = v
-                break
+        # a is independent, so its members' neighbours all lie in N(a), and
+        # from there the base leads back into a; a and N(a) share no id
+        mate, seen = base.mate, bytearray(g.n)
+        _alternating_reach(g.nbrs, mate, [v for v in members if mate[v] == -1],
+                           seen, seen)
+        unmatchable = next((v for v in members if not seen[v]), None)
 
     if (tight is None) != (unmatchable is None):
         raise RuntimeError("tight-set and matching conditions disagree")

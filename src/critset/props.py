@@ -26,7 +26,6 @@ from .graphs import (EXHAUSTIVE_MAX_N, Graph, LimitExceeded, VertexSet,
                      all_graphs, delete_edge, delete_vertices, difference,
                      graph_from_code, is_independent, neighborhood,
                      orbit_leaders, random_graph, read_graph_file, vlist)
-from .matching import saturating_matching
 from .oracle import _LANES_IN_RANGE, LATTICE_MAX_N, Config, Facts
 
 
@@ -302,9 +301,9 @@ def _check_deletion_rule(f: Facts) -> tuple[bool, dict | None]:
 def _check_matching_from_neighborhood(f: Facts) -> tuple[bool, dict | None]:
     """Theorem 2 on ker, up to 32 members of the critical independent family
     and the largest one: each sample S is independent and N(S) matches into
-    S. The memoised cover matching holds such a matching for every critical
-    S; critical._neighborhood_matching checks its pairs, and only a sample
-    they do not pass costs a saturating_matching, which decides it."""
+    S. critical._neighborhood_matching decides the matching from the N(S)
+    computed here: the memoised cover matching's checked pairs, else one
+    saturating_matching."""
     g = f.g
     samples = {f.ker()}
     try:
@@ -314,11 +313,8 @@ def _check_matching_from_neighborhood(f: Facts) -> tuple[bool, dict | None]:
         pass  # the polynomial witnesses alone still make a real check
     for s in sorted(samples):
         nb = neighborhood(g, s)
-        # a sample that meets its own neighbourhood is not independent; the
-        # cover matching's checked pairs pass the rest, and a fresh matching
-        # decides those they do not
-        if nb & s or (critical._neighborhood_matching(g, s) is None
-                      and saturating_matching(g, nb, s)[0] is None):
+        # a sample that meets its own neighbourhood is not independent
+        if nb & s or critical._neighborhood_matching(g, s, nb) is None:
             return False, {"set": f.labels(s), "neighborhood": f.labels(nb)}
     return True, None
 

@@ -3,8 +3,10 @@ import hashlib
 import json
 import pickle
 import random
+import re
 import tracemalloc
 from collections import Counter
+from functools import lru_cache
 from itertools import chain
 from pathlib import Path
 from typing import Callable, NamedTuple
@@ -294,15 +296,15 @@ def test_registry_pass_runs_each_oracle_fact_once(graphs_n5, monkeypatch):
 
 
 def _counted_saturating_matching(monkeypatch) -> Counter:
-    """Count the saturating_matching calls of th2 and the ker conditions."""
+    """Count the saturating_matching calls of th2 and the ker conditions,
+    which both make theirs in critical._neighborhood_matching."""
     calls = Counter()
 
     def counted(*args):
         calls["saturating"] += 1
         return saturating_matching(*args)
 
-    for module in (props, oracle):
-        monkeypatch.setattr(module, "saturating_matching", counted)
+    monkeypatch.setattr(critical, "saturating_matching", counted)
     return calls
 
 
@@ -311,8 +313,9 @@ def test_a_bad_cover_matching_never_decides_th2_or_th9(monkeypatch):
     # of N(S) as a matching into S only after checking each pair; a memo
     # with a partner outside S, partners that are no neighbours, or one
     # partner used twice gives the clean verdicts and witnesses, through
-    # saturating_matching. ker = {c, d, e} and N(ker) = {a, b}; f g adds
-    # critical independent sets, so th9 also reads a second set
+    # one saturating_matching that critical._neighborhood_matching makes
+    # itself. ker = {c, d, e} and N(ker) = {a, b}; f g adds critical
+    # independent sets, so th9 also reads a second set
     text = "a b\na c\na e\nb c\nb d\nf g\n"
     calls = _counted_saturating_matching(monkeypatch)
     clean = parse_graph(text)
@@ -321,7 +324,8 @@ def test_a_bad_cover_matching_never_decides_th2_or_th9(monkeypatch):
     assert calls["saturating"] == 0
     a, b, c, d, e = (clean.labels.index(x) for x in "abcde")
     k = critical.ker(clean)
-    assert critical._neighborhood_matching(clean, k) is not None
+    nb = neighborhood(clean, k)
+    assert critical._neighborhood_matching(clean, k, nb) is not None
     for corrupt in ({a: b}, {a: d, b: e}, {a: c, b: c}):
         g = parse_graph(text)
         cover = critical._ker_matching(g)
@@ -329,7 +333,10 @@ def test_a_bad_cover_matching_never_decides_th2_or_th9(monkeypatch):
         for w, p in corrupt.items():
             mate_minus[w] = p
         g._cover = cover._replace(mate_minus=mate_minus)
-        assert critical._neighborhood_matching(g, k) is None
+        calls.clear()
+        fresh = critical._neighborhood_matching(g, k, nb)
+        assert calls["saturating"] == 1, corrupt
+        assert fresh.mate == saturating_matching(g, nb, k)[0].mate, corrupt
         facts = Facts(g)
         for name, result in zip((TH2, TH9), want):
             calls.clear()
@@ -379,7 +386,7 @@ def test_one_critical_pass_gives_capped_family_and_uncapped_maximum(
             read()
 
 
-def test_both_routes_cap_the_family_past_the_old_threshold():
+def test_the_critical_dfs_caps_the_family_past_the_old_threshold():
     # 10 disjoint edges: n = 20, d = 0 and 3^10 = 59,049 critical
     # independent sets; on a fresh Facts and with the tables built first,
     # the one DFS gives the same three answers
@@ -875,7 +882,7 @@ def _dfs_readers(g):
             oracle.core_and_corona(g)]
 
 
-def test_table_route_gives_what_the_dfs_route_gives():
+def test_readers_give_the_dfs_and_search_answers_tables_first_or_not():
     # Facts reads the minimal positive sets off the subset tables at every
     # n, and the critical sets by DFS whether the tables are built or not;
     # in the order the DFSs yield them, and with the same skips and results.
@@ -908,100 +915,252 @@ def test_table_route_gives_what_the_dfs_route_gives():
             assert _route_outcomes(g, config, True) == dfs, (g.adj, config)
 
 
-def _first_failing_pair(table, masks):
-    for a in masks:
-        for b in masks:
+# -- the readers of the d table, against their references ---------------------
+
+# Four readers take the subset d table, lane m = d(m) + n in byte m. Seeded
+# tables, corrupted in nine kinds at n = 0..16, go to every reader and to its
+# reference, a plain loop over the same bytes, while the fast routes inside
+# the readers are watched. The n bands lie across the steps from every mask
+# paired to the 128-mask sample (7 to 8) and from the square test to the
+# sample gather (12 to 13). A new reader joins by one _READERS entry. _PLAN
+# gives the tables per kind and n, three where it names none; "clean" takes
+# every labeled graph up to n = 5, and "all_critical" has even n only.
+_BANDS = {"0..7": range(8), "8..12": range(8, 13), "13..16": range(13, 17)}
+_PLAN = {
+    "clean": {**{n: 1 << n * (n - 1) // 2 for n in range(6)},
+              **dict.fromkeys(range(13, 17), 16)},
+    "shift": dict.fromkeys(range(1, 8), 450),
+    "moved": {**dict.fromkeys((4, 7, 8, 11, 12), 80),
+              **dict.fromkeys((13, 14, 16), 100), 15: 20},
+    "high": {**dict.fromkeys(range(2, 8), 350),
+             **dict.fromkeys(range(13, 17), 16)},
+    "past_2n": dict.fromkeys((0, 1, 2, 5, 9, 12), 10),
+    "raised": dict.fromkeys((4, 9, 13), 12),
+    "toggled": dict.fromkeys((4, 7, 10), 30),
+    "positive": dict.fromkeys(range(1, 10), 51),
+    "all_critical": {n: 0 if n % 2 or not n else 12 if n in (12, 14) else 3
+                     for n in range(17)},
+}
+
+
+def _read_here(rng, n):
+    """Mostly a sampled mask or the union or intersection of two."""
+    a, b = rng.choices(props._supermodular_masks(n), k=2)
+    return rng.choice([a, a | b, a & b, rng.randrange(1 << n)])
+
+
+def _tables(kind, n):
+    """Seeded graphs on n vertices and their d tables, corrupted by kind."""
+    if kind == "clean" and n <= 5:
+        yield from ((g, Facts(g).tables()) for g in all_graphs(n))
+        return
+    rng, masks = random.Random(f"{kind} {n}"), range(1 << n)
+    for _ in range(_PLAN[kind].get(n, 3)):
+        g = (graphs.Graph(n, [(2 * i, 2 * i + 1) for i in range(n // 2)])
+             if kind == "all_critical" else
+             random_graph(n, rng.choice([0.15, 0.3, 0.5]),
+                          rng.getrandbits(32)))
+        facts = Facts(g)
+        top, t = facts.d() + n, bytearray(facts.tables())
+        if kind == "shift":  # modular: still supermodular, top lane not d + n
+            shift = [n]
+            for c in rng.choices([-1, 0, 1], k=n):
+                shift += [s + c for s in shift]
+            t = bytearray(map(sum, zip(t, shift)))
+            for m in rng.choices(masks, k=rng.choice([0, 0, 1, 2, 3])):
+                t[m] = max(0, t[m] + rng.choice([-2, -1, 1, 2]))
+        elif kind == "moved":
+            for _ in range(rng.randrange(1, 4)):
+                m = _read_here(rng, n)
+                t[m] = max(0, t[m] + rng.choice([-2, -1, 1, 2]))
+        elif kind == "high":  # past 63, where the lane tests would carry
+            for _ in range(rng.randrange(1, 7)):
+                t[_read_here(rng, n)] = rng.randrange(64, 256)
+        elif kind == "past_2n":  # past every valid lane
+            if rng.random() < 0.2 and top:
+                t = t.replace(bytes([top]), bytes([top - 1]))
+            for m in rng.choices(masks, k=rng.randrange(4)):
+                t[m] = rng.choice([2 * n, 2 * n + 1, 2 * n + 2, 255, top + 1])
+        elif kind == "raised":
+            t[rng.choice(masks)] = top + rng.choice([1, 2])
+        elif kind == "toggled" and (rng.random() < 0.5 or not n):
+            t[rng.choice(masks)] = top  # a mask made critical
+        elif kind == "toggled":  # or a critical one not
+            t[rng.choice([m for m in masks if t[m] == top])] -= 1
+        elif kind == "positive":  # about n, where minimal_positives cuts
+            for m in rng.choices(masks, k=rng.randrange(1, 5)):
+                t[m] = rng.choice([n + 1, n + 2, n, 255])
+        elif kind == "all_critical":
+            # past 256 critical masks the closure pairs a strided sample; a
+            # lane at the union of two sampled masks leaves both in it
+            a, b = rng.sample(masks[::(len(masks) - 1) // 256 + 1], 2)
+            m = a | b if rng.random() < 2 / 3 else rng.choice(masks)
+            t[m] = n + rng.choice([-1, 1])
+        yield g, bytes(t)
+
+
+def _independent_masks(g):
+    """Every independent mask, grown from the one without its top vertex."""
+    adj, found = g.adj, [0]
+    for m in found:
+        found += [m | 1 << v for v in range(m.bit_length(), g.n)
+                  if not adj[v] & m]
+    return found
+
+
+def _d_eq_id_by_max(f, table, ind):
+    n, d0 = f.g.n, f.d()
+    best, best_ind = max(table) - n, max(table[m] for m in ind) - n
+    ok = d0 == best == best_ind
+    return ok, None if ok else {"d_polynomial": d0, "max_over_subsets": best,
+                                "max_over_independent": best_ind}
+
+
+def _supermodular_by_pairs(f, table, ind):
+    """The first failing pair of a row-major scan of the sampled masks; b
+    runs from a on, as (b, a) fails with (a, b)."""
+    n, masks = f.g.n, props._supermodular_masks(f.g.n)
+    for i, a in enumerate(masks):
+        for b in masks[i:]:
             if table[a | b] + table[a & b] < table[a] + table[b]:
-                return a, b
-    return None
+                return False, {"a": f.labels(a), "b": f.labels(b),
+                               "d_union_plus_d_intersection":
+                                   table[a | b] + table[a & b] - 2 * n,
+                               "d_a_plus_d_b": table[a] + table[b] - 2 * n}
+    return True, None
 
 
-def _supermodular_by_pairs(table, n):
-    size = 1 << n
-    return all(table[a | b] + table[a & b] >= table[a] + table[b]
-               for a in range(size) for b in range(a, size))
+def _closure_by_pairs(f, table, ind):
+    """The first failing pair of the critical masks, a strided sample of
+    them past 256."""
+    n, d0, lane = f.g.n, f.d(), f.d() + f.g.n
+    crit = [x.start() for x in re.finditer(re.escape(bytes([lane])), table)]
+    if len(crit) > 256:
+        crit = crit[::len(crit) // 256 + 1]
+    for i, a in enumerate(crit):
+        for b in crit[i + 1:]:
+            if table[a | b] != lane or table[a & b] != lane:
+                return False, {"a": f.labels(a), "b": f.labels(b), "d": d0,
+                               "d_union": table[a | b] - n,
+                               "d_intersection": table[a & b] - n}
+    return True, None
 
 
-def test_square_route_agrees_with_every_pair():
-    # th4.supermodular first checks the 2x2 squares of the subset lattice on
-    # the table read as one integer; that must hold exactly where every pair
-    # of masks does. Graph tables all hold (Theorem 4); adding a modular
-    # function keeps that, and moving a few lanes by 1 or 2 mostly breaks it
-    prop = lookup("th4.supermodular")
-    for n in range(6):
-        for g in all_graphs(n):
-            table = Facts(g).tables()
-            assert oracle._squares_hold(table, n)
-            assert _supermodular_by_pairs(table, n), g.adj
-    rng = random.Random(3000)
-    verdicts = Counter()
-    for _ in range(3000):
-        n = rng.randrange(1, 8)
-        g = random_graph(n, rng.choice([0.2, 0.4, 0.6]), rng.getrandbits(32))
-        facts = Facts(g)
-        shift = [rng.choice([-1, 0, 1]) for _ in range(n)]
-        bad = [t + n + sum(c for v, c in enumerate(shift) if m >> v & 1)
-               for m, t in enumerate(facts.tables())]
-        for _ in range(rng.choice([0, 0, 1, 2, 3])):
-            m = rng.randrange(1 << n)
-            bad[m] = max(0, bad[m] + rng.choice([-2, -1, 1, 2]))
-        expect = _supermodular_by_pairs(bad, n)
-        verdicts[expect] += 1
-        assert oracle._squares_hold(bad, n) == expect, (n, bad)
-        facts._cache["tables"] = bytes(bad)
-        assert prop.check(facts)[0] == expect, (n, bad)
-    assert min(verdicts.values()) >= 1000, verdicts
-    # a lane past 63 would carry into its neighbour in the square test, so
-    # such tables go to the pair scan, which at n <= 7 pairs every mask
-    f = Facts(empty_graph(2))
-    f._cache["tables"] = bytes([2, 200, 3, 4])
-    assert prop.check(f) == (False, {
-        "a": ["0"], "b": ["1"], "d_union_plus_d_intersection": 2,
-        "d_a_plus_d_b": 199})
-    for _ in range(2000):
-        n = rng.randrange(2, 8)
-        facts = Facts(random_graph(n, rng.choice([0.2, 0.5]),
-                                   rng.getrandbits(32)))
-        bad = bytearray(facts.tables())
-        for _ in range(rng.randrange(1, 3)):
-            bad[rng.randrange(1 << n)] = rng.randrange(64, 256)
-        facts._cache["tables"] = bytes(bad)
-        assert prop.check(facts)[0] == _supermodular_by_pairs(bad, n), (
-            n, bad)
+def _minimal_by_scan(f, table, ind):
+    """The independent masks with a lane above n and no such mask inside:
+    by size, each kept unless a kept one lies inside it."""
+    kept = []
+    for m in sorted((m for m in ind if table[m] > f.g.n), key=int.bit_count):
+        if not any(s & ~m == 0 for s in kept):
+            kept.append(m)
+    return include_first(f.g.n, kept)
 
 
-@pytest.mark.parametrize("n", [4, 7, 8, 11, props.LATTICE_MAX_N,
-                               props.LATTICE_MAX_N + 1, 14, 16])
-def test_supermodular_reports_the_first_failing_pair(n):
-    # corrupted tables break supermodularity in many pairs; the check scans
-    # only b at or after a, and must still name the first pair a full
-    # row-major scan finds, both where every mask is paired (n <= 7) and
-    # where the masks are sampled, on either side of the square route's
-    # crossover; lane m holds d(m) + n, and the witness gives d values
-    prop = lookup("th4.supermodular")
-    rng = random.Random(n)
-    masks = props._supermodular_masks(n)
-    failed = 0
-    for _ in range(80):
-        g = random_graph(n, rng.choice([0.2, 0.4, 0.6]), rng.getrandbits(32))
-        facts = Facts(g)
-        bad = bytearray(facts.tables())
-        for _ in range(rng.randrange(1, 4)):
-            m = rng.choice(masks) if rng.random() < 0.8 else rng.randrange(
-                1 << n)
-            bad[m] += rng.choice([-2, -1, 1, 2])
-        facts._cache["tables"] = bytes(bad)
-        ok, witness = prop.check(facts)
-        first = _first_failing_pair(bad, masks)
-        assert ok == (first is None)
-        if first is not None:
-            failed += 1
-            a, b = first
-            assert witness == {
-                "a": g.label_list(a), "b": g.label_list(b),
-                "d_union_plus_d_intersection": bad[a | b] + bad[a & b] - 2 * n,
-                "d_a_plus_d_b": bad[a] + bad[b] - 2 * n}
-    assert failed >= 40
+_SUPERMODULAR = "th4.supermodular"
+_CLOSURE = "th4.critical_closed_union_intersection"
+# each reader of the d table, and its reference
+_READERS = {
+    "zhang.d_eq_id": (lookup("zhang.d_eq_id").check, _d_eq_id_by_max),
+    _SUPERMODULAR: (lookup(_SUPERMODULAR).check, _supermodular_by_pairs),
+    _CLOSURE: (lookup(_CLOSURE).check, _closure_by_pairs),
+    "minimal_positives": (Facts.minimal_positives, _minimal_by_scan),
+}
+
+
+def _squares_by_loop(table, n):
+    """Whether t(X+u+v) + t(X) >= t(X+u) + t(X+v) at every square, which on
+    the subset lattice is every pair holding (Topkis 1978)."""
+    for u in range(n):
+        for v in range(u + 1, n):
+            bu, bv = 1 << u, 1 << v
+            for x in range(1 << n):
+                if not x & (bu | bv) and (table[x | bu | bv] + table[x]
+                                          < table[x | bu] + table[x | bv]):
+                    return False
+    return True
+
+
+@lru_cache(maxsize=None)
+def _cell(kind, band):
+    """Every reader and its reference on kind's tables at the n of band, the
+    square test and sample gather watched; tables, verdicts and routes."""
+    seen, squares, sampled = Counter(), [], []
+    with pytest.MonkeyPatch.context() as mp:
+        for module, name, calls in ((oracle, "_squares_hold", squares),
+                                    (props, "_sample_holds", sampled)):
+            mp.setattr(module, name, lambda t, n, real=getattr(module, name),
+                       calls=calls: calls.append(real(t, n)) or calls[-1])
+        for n in _BANDS[band]:
+            for g, table in _tables(kind, n):
+                del squares[:], sampled[:]
+                f, ind, got = Facts(g), _independent_masks(g), {}
+                f._cache["tables"] = table
+                for name, (read, reference) in _READERS.items():
+                    got[name] = read(f)
+                    assert got[name] == reference(f, table, ind), (
+                        name, g.adj, table)
+                    seen[name, kind, n, bool(got[name][0] if isinstance(
+                        got[name], tuple) else got[name])] += 1
+                seen["tables", kind, n] += 1
+                # the square test, up to n = 12 with every lane in 0..63,
+                # and the sample gather past 12 (so on no "high" table) run
+                # once and give the verdict of each pair they stand for:
+                # up to n = 7 the sample is every mask; past it, by squares
+                ok, lattice = got[_SUPERMODULAR][0], n <= props.LATTICE_MAX_N
+                in_range = not table.translate(None, bytes(range(64)))
+                assert squares == ([ok if n <= 7 else _squares_by_loop(
+                    table, n)] if lattice and in_range else []), table
+                assert sampled == ([ok] if in_range and not lattice else [])
+                seen["gather", kind] += len(sampled)
+                seen["route", f.squares_hold(), f.d() + n == f.top_lane(),
+                     got[_CLOSURE][0]] += 1
+    return seen
+
+
+@pytest.mark.parametrize("band", _BANDS)
+@pytest.mark.parametrize("kind", _PLAN)
+def test_d_table_readers_give_their_references(kind, band):
+    # _cell holds each reader to its reference and each watched route to
+    # its verdict on every table of the cell, and every table reached them
+    seen = _cell(kind, band)
+    assert [seen["tables", kind, n] for n in _BANDS[band]] == [
+        _PLAN[kind].get(n, 3) for n in _BANDS[band]]
+
+
+# verdict floors, (reader, kinds, n, verdict, at least): each route meets
+# tables it must pass and tables it must fail, on both sides of the steps
+_FLOORS = [
+    (_SUPERMODULAR, ["shift"], range(1, 8), True, 1000),
+    (_SUPERMODULAR, ["shift"], range(1, 8), False, 1000),
+    *((_SUPERMODULAR, ["moved"], (n,), False, 40)
+      for n in (4, 7, 8, 11, 12, 13, 14, 16)),
+    (_SUPERMODULAR, ["moved"], range(13, 17), True, 5),
+    (_SUPERMODULAR, ["clean"], range(13, 17), True, 10),
+    (_SUPERMODULAR, ["high"], range(13, 17), False, 10),
+    (_CLOSURE, ["toggled"], (4, 7, 10), False, 30),
+    *((_CLOSURE, ["all_critical"], (n,), False, 6) for n in (12, 14)),
+    ("minimal_positives", ["positive"], range(1, 10), True, 100),
+    *((name, _PLAN, range(17), verdict, 100)
+      for name in _READERS for verdict in (True, False)),
+]
+
+
+def test_every_reader_meets_every_kind_with_both_verdicts():
+    seen = sum((_cell(kind, band) for kind in _PLAN for band in _BANDS),
+               Counter())
+    for name, kinds, ns, verdict, floor in _FLOORS:
+        assert sum(seen[name, kind, n, verdict] for kind in kinds
+                   for n in ns) >= floor, (name, kinds, ns, verdict)
+    assert sum(seen["gather", kind] for kind in _PLAN) >= 300
+    # the closure certificate, (squares hold, d + n is the top lane,
+    # verdict), decides on some tables, and each other route is met; a
+    # supermodular table whose critical lane is the top lane never fails
+    assert seen["route", True, True, False] == 0
+    assert seen["route", True, True, True] >= 100
+    assert seen["route", True, False, True] >= 1000
+    assert seen["route", True, False, False] >= 50
+    assert seen["route", False, True, False] >= 50
+    assert seen["route", False, False, False] >= 200
 
 
 def test_supermodular_sample_is_drawn_once_per_n():
@@ -1036,50 +1195,6 @@ def test_supermodular_sample_is_drawn_once_per_n():
     assert pairs(range(1 << 13)) == (
         *(a | b for i, a in enumerate(masks) for b in masks[i:]),
         *(a & b for i, a in enumerate(masks) for b in masks[i:]))
-
-
-def test_sample_route_gives_the_pair_scans_verdict(monkeypatch):
-    # above LATTICE_MAX_N th4.supermodular decides its sample in bulk and
-    # runs the pair scan only to name a witness; the bulk verdict must be
-    # the pair scan's on clean tables, on tables with a few lanes moved by
-    # 1 or 2, and on tables with a lane past 63, where the check must not
-    # take the bulk route at all, as its lanes would carry
-    prop = lookup("th4.supermodular")
-    bulk, calls = props._sample_holds, []
-    monkeypatch.setattr(props, "_sample_holds",
-                        lambda table, n: calls.append(n) or bulk(table, n))
-    rng = random.Random(30)
-    verdicts = Counter()
-    for n in range(props.LATTICE_MAX_N + 1, 17):
-        masks = props._supermodular_masks(n)
-        for _ in range(40):
-            facts = Facts(random_graph(n, rng.choice([0.15, 0.3, 0.5]),
-                                       rng.getrandbits(32)))
-            bad = bytearray(facts.tables())
-            kind = rng.choice(["clean", "moved", "moved", "high", "high"])
-            for _ in range({"clean": 0, "moved": rng.randrange(1, 4),
-                            "high": rng.randrange(1, 7)}[kind]):
-                a, b = rng.choice(masks), rng.choice(masks)
-                m = rng.choice([a, a | b, a & b])
-                bad[m] = (rng.randrange(64, 256) if kind == "high" else
-                          bad[m] + rng.choice([-2, -1, 1, 2]))
-            bad = bytes(bad)
-            first = _first_failing_pair(bad, masks)
-            verdicts[kind, first is None] += 1
-            if kind != "high":
-                assert bulk(bad, n) == (first is None), (n, kind)
-            facts._cache["tables"] = bad
-            calls.clear()
-            ok, witness = prop.check(facts)
-            assert ok == (first is None), (n, kind)
-            assert calls == ([] if kind == "high" else [n]), (n, kind)
-            if first is not None:
-                a, b = first
-                assert witness["a"] == facts.labels(a), (n, kind)
-                assert witness["b"] == facts.labels(b), (n, kind)
-    assert verdicts["clean", True] >= 10
-    assert verdicts["moved", True] >= 5 and verdicts["moved", False] >= 10
-    assert verdicts["high", False] >= 10, verdicts
 
 
 def test_lane_cache_holds_the_order_in_use_only(monkeypatch):
@@ -1118,36 +1233,6 @@ def test_bit_planes_match_their_definition(monkeypatch):
                                for v in range(n))
         assert oracle._bit_planes(n) is planes
         assert list(oracle._lanes) == [n] and oracle._lanes[n][2] is planes
-
-
-def _minimal_positives_of(g, table):
-    """By brute force: the independent masks whose lane is above n, and no
-    proper subset's, in include-first order."""
-    n = g.n
-    pos = [m for m in range(1 << n) if table[m] > n and is_independent(g, m)]
-    return include_first(n, (m for m in pos if not any(
-        s != m and s & ~m == 0 for s in pos)))
-
-
-def test_minimal_positives_follow_a_corrupted_table():
-    # lanes raised above n, lowered to n or set to 255: the sets read off
-    # the table are what a brute force over the same corrupted table finds
-    rng = random.Random(34)
-    kinds = Counter()
-    for _ in range(400):
-        n = rng.randrange(1, 10)
-        g = random_graph(n, rng.choice([0.15, 0.3, 0.5]), rng.getrandbits(32))
-        facts = Facts(g)
-        bad = bytearray(facts.tables())
-        for _ in range(rng.randrange(1, 5)):
-            m, kind = rng.randrange(1 << n), rng.choice(["up", "down", "255"])
-            bad[m] = {"up": n + rng.choice([1, 2]), "down": n, "255": 255}[kind]
-            kinds[kind] += 1
-        facts._cache["tables"] = bytes(bad)
-        want = _minimal_positives_of(g, bad)
-        assert facts.minimal_positives() == want, (g.adj, bytes(bad))
-        kinds["nonempty"] += bool(want)
-    assert min(kinds.values()) >= 100, kinds
 
 
 def test_no_lane_above_n_builds_no_bit_planes(monkeypatch):
@@ -1216,192 +1301,6 @@ def test_each_entry_is_the_same_alone_in_the_sweep_and_shuffled():
                         g.adj, config, name)
     info = props._sample_gatherers.cache_info()
     assert (info.misses, info.currsize) == (8, 8)
-
-
-def test_d_eq_id_reports_d_values_off_a_corrupted_table():
-    # one lane raised above d(G) + n breaks the identity; the witness gives
-    # the subset and independent maxima as d values
-    prop = lookup("zhang.d_eq_id")
-    rng = random.Random(10)
-    for n in (4, 9, 13):
-        for _ in range(12):
-            g = random_graph(n, rng.choice([0.2, 0.4, 0.6]),
-                             rng.getrandbits(32))
-            facts = Facts(g)
-            d0, m, k = facts.d(), rng.randrange(1 << n), rng.choice([1, 2])
-            bad = bytearray(facts.tables())
-            bad[m] = d0 + n + k
-            facts._cache["tables"] = bytes(bad)
-            assert prop.check(facts) == (False, {
-                "d_polynomial": d0, "max_over_subsets": d0 + k,
-                "max_over_independent":
-                    d0 + k if is_independent(g, m) else d0})
-
-
-def test_d_eq_id_maximum_stays_exact_past_2n():
-    # no valid lane exceeds 2n, but a corrupted one may hold anything up to
-    # 255; with several lanes raised at once, or every top lane lowered, the
-    # witness must give what max() over the corrupted table gives
-    prop = lookup("zhang.d_eq_id")
-    rng = random.Random(14)
-    for n in (0, 1, 2, 5, 9, 12):
-        for _ in range(10):
-            g = random_graph(n, rng.choice([0.2, 0.5]), rng.getrandbits(32))
-            facts = Facts(g)
-            d0 = facts.d()
-            ind = [m for m in range(1 << n) if is_independent(g, m)]
-            bad = bytearray(facts.tables())
-            if rng.random() < 0.2 and d0 + n:
-                bad = bad.replace(bytes([d0 + n]), bytes([d0 + n - 1]))
-            for _ in range(rng.randrange(4)):
-                bad[rng.randrange(1 << n)] = rng.choice(
-                    [2 * n, 2 * n + 1, 2 * n + 2, 255, d0 + n + 1])
-            facts._cache["tables"] = bytes(bad)
-            best_all = max(bad) - n
-            best_ind = max(bad[m] for m in ind) - n
-            ok = d0 == best_all == best_ind
-            assert prop.check(facts) == (ok, None if ok else {
-                "d_polynomial": d0, "max_over_subsets": best_all,
-                "max_over_independent": best_ind}), (n, bytes(bad))
-
-
-def test_critical_closure_reports_the_first_failing_pair_in_d_values():
-    # a corrupted lane makes a non-critical mask critical or a critical one
-    # not; the check must name the first failing pair of the critical
-    # masks (a strided sample of them past 256), with d values
-    prop = lookup("th4.critical_closed_union_intersection")
-    rng = random.Random(13)
-    failed = 0
-    for n in (4, 7, 10):
-        for _ in range(30):
-            g = random_graph(n, rng.choice([0.2, 0.4, 0.6]),
-                             rng.getrandbits(32))
-            facts = Facts(g)
-            d0 = facts.d()
-            bad = bytearray(facts.tables())
-            crit = [m for m in range(1 << n) if bad[m] - n == d0]
-            if rng.random() < 0.5:
-                bad[rng.randrange(1 << n)] = d0 + n
-            else:
-                bad[rng.choice(crit)] -= 1
-            facts._cache["tables"] = bytes(bad)
-            crit = [m for m in range(1 << n) if bad[m] - n == d0]
-            if len(crit) > 256:
-                crit = crit[::len(crit) // 256 + 1]
-            first = next(((a, b) for a in crit for b in crit
-                          if bad[a | b] - n != d0 or bad[a & b] - n != d0),
-                         None)
-            ok, witness = prop.check(facts)
-            assert ok == (first is None)
-            if first is not None:
-                failed += 1
-                a, b = first
-                assert witness == {
-                    "a": g.label_list(a), "b": g.label_list(b), "d": d0,
-                    "d_union": bad[a | b] - n,
-                    "d_intersection": bad[a & b] - n}
-    assert failed >= 30
-
-
-@pytest.mark.parametrize("k", [6, 7])
-def test_critical_closure_reports_the_first_failing_pair_of_the_sample(k):
-    # on k disjoint edges every mask has d = 0 and is critical, so past 256
-    # critical masks the check pairs up a strided sample of them; one lane
-    # moved off d0 + n drops its mask, and the witness must be the first
-    # failing pair of a full row-major scan over the sample. Half the
-    # corrupted lanes are the union of two masks before them in the sample,
-    # so those two stay in it and the check must fail
-    prop = lookup("th4.critical_closed_union_intersection")
-    n, rng = 2 * k, random.Random(k)
-    g = graphs.Graph(n, [(2 * i, 2 * i + 1) for i in range(k)])
-    stride = ((1 << n) - 1) // 256 + 1
-    failed = 0
-    for trial in range(12):
-        facts = Facts(g)
-        bad = bytearray(facts.tables())
-        assert facts.d() == 0 and bad.count(n) == 1 << n
-        if trial % 2:
-            c = rng.randrange(1 << n)
-        else:
-            a = b = 0
-            while a | b in (a, b):
-                a, b = rng.sample(range(0, 1 << n, stride), 2)
-            c = a | b
-        bad[c] = n + rng.choice([-1, 1])
-        facts._cache["tables"] = bytes(bad)
-        crit = [m for m in range(1 << n) if bad[m] == n]
-        crit = crit[::len(crit) // 256 + 1]
-        assert len(crit) <= 256
-        first = next(((a, b) for a in crit for b in crit
-                      if bad[a | b] != n or bad[a & b] != n), None)
-        ok, witness = prop.check(facts)
-        assert ok == (first is None)
-        if first is not None:
-            failed += 1
-            a, b = first
-            assert witness == {
-                "a": g.label_list(a), "b": g.label_list(b), "d": 0,
-                "d_union": bad[a | b] - n, "d_intersection": bad[a & b] - n}
-    assert failed >= 6
-
-
-def _closure_by_pairs(f):
-    """th4.critical_closed_union_intersection by its pair loop alone: the
-    first failing pair of the critical masks, a strided sample past 256."""
-    table, n, d0 = f.tables(), f.g.n, f.d()
-    crit = [m for m in range(1 << n) if table[m] == d0 + n]
-    if len(crit) > 256:
-        crit = crit[::len(crit) // 256 + 1]
-    for i, a in enumerate(crit):
-        for b in crit[i + 1:]:
-            if table[a | b] != d0 + n or table[a & b] != d0 + n:
-                return False, {
-                    "a": f.labels(a), "b": f.labels(b), "d": d0,
-                    "d_union": table[a | b] - n,
-                    "d_intersection": table[a & b] - n}
-    return True, None
-
-
-def test_closure_certificate_gives_the_pair_loops_answer(monkeypatch):
-    # the closure check holds at once where the square test passes and the
-    # critical lane is the top lane, and runs its pair loop otherwise; on
-    # every table that the tests above corrupt and hand to a subset check,
-    # it must give the pair loop's verdict and witness. Those tables
-    # include supermodular ones whose top lane is not d + n (a modular
-    # shift), lanes past 63, and lanes moved by 1 or 2 at n = 0..13, across
-    # LATTICE_MAX_N, above which the pair loop always runs
-    closure = lookup("th4.critical_closed_union_intersection")
-    real_lookup = lookup
-    routes = Counter()
-
-    def spied(name):
-        prop = real_lookup(name)
-
-        def check(facts):
-            f = Facts(facts.g, facts.config)
-            f._cache["tables"] = facts.tables()
-            got = closure.check(f)
-            assert got == _closure_by_pairs(f), (f.g.adj, f.tables())
-            routes[f.squares_hold(), f.d() + f.g.n == f.top_lane(),
-                   got[0]] += 1
-            return prop.check(facts)
-        return prop._replace(check=check)
-
-    monkeypatch.setitem(globals(), "lookup", spied)
-    test_square_route_agrees_with_every_pair()
-    for n in (4, 7, 8, 11, props.LATTICE_MAX_N, props.LATTICE_MAX_N + 1):
-        test_supermodular_reports_the_first_failing_pair(n)
-    test_d_eq_id_reports_d_values_off_a_corrupted_table()
-    test_d_eq_id_maximum_stays_exact_past_2n()
-    test_critical_closure_reports_the_first_failing_pair_in_d_values()
-    test_critical_closure_reports_the_first_failing_pair_of_the_sample(6)
-    # the certificate decides on some, and each other kind of table is met;
-    # a supermodular table whose critical lane is the top lane never fails
-    assert routes[True, True, True] >= 100 and routes[True, True, False] == 0
-    assert routes[True, False, True] >= 1000
-    assert routes[True, False, False] >= 50
-    assert routes[False, True, False] >= 50
-    assert routes[False, False, False] >= 200, routes
 
 
 def test_closure_searches_no_critical_mask_where_the_squares_decide(
