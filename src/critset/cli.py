@@ -32,10 +32,11 @@ def _dump(doc: dict) -> str:
     """json.dumps(doc, indent=2, sort_keys=True), byte for byte.
 
     With indent set, json takes its pure-Python encoder; this renderer joins
-    strings instead, and encodes every string with json's C escaper. A run
-    report repeats a few result entries thousands of times, so a dict whose
-    values are all strings, and a list of such dicts, such as a graph's
-    results when none fails, is rendered once per indentation.
+    strings instead, and encodes every string with json's C escaper, a label
+    array in one pass. A run report repeats a few result entries thousands
+    of times, so a dict whose values are all strings, and a list of such
+    dicts, such as a graph's results when none fails, is rendered once per
+    indentation.
     """
     return _render(doc, "\n", {})
 
@@ -46,9 +47,11 @@ _STR_ONLY, _DICT_ONLY = {str}, {dict}
 
 def _render(o, nl: str, memo: dict) -> str:
     """o as json.dumps renders it with indent=2 and sorted keys, where nl is
-    a newline and the indentation of o's own line. Keys must be strings and
-    floats finite: the one float a report holds is a random source's p,
-    which random_corpus confines to [0, 1]."""
+    a newline and the indentation of o's own line. A list or tuple of
+    strings only, such as a vertex set's labels, is escaped and joined in
+    one pass, without a call per item. Keys must be strings and floats
+    finite: the one float a report holds is a random source's p, which
+    random_corpus confines to [0, 1]."""
     if type(o) is str:
         return _encode_str(o)
     if isinstance(o, dict):
@@ -70,15 +73,19 @@ def _render(o, nl: str, memo: dict) -> str:
     if isinstance(o, (list, tuple)):
         if not o:
             return "[]"
+        inner = nl + "  "
+        types = set(map(type, o))
+        if types == _STR_ONLY:
+            return "[" + inner + ("," + inner).join(
+                map(_encode_str, o)) + nl + "]"
         key = None
-        if type(o[0]) is dict and set(map(type, o)) == _DICT_ONLY and set(
+        if types == _DICT_ONLY and set(
                 map(type, chain.from_iterable(map(dict.values, o)))
         ) == _STR_ONLY:
             key = (nl, *map(tuple, map(dict.items, o)))
             text = memo.get(key)
             if text is not None:
                 return text
-        inner = nl + "  "
         text = "[" + inner + ("," + inner).join([
             _render(x, inner, memo) for x in o]) + nl + "]"
         if key is not None:

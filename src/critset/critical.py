@@ -16,7 +16,7 @@ from itertools import compress, filterfalse
 from typing import NamedTuple
 
 from .graphs import (Graph, VertexSet, difference, is_independent, vlist,
-                     vset)
+                     vmask, vset)
 from .matching import (Matching, _alternating_reach, _max_matching_lists,
                        _unmatched, saturating_matching)
 
@@ -94,11 +94,10 @@ def _ker_matching(g: Graph) -> _CoverMatching:
         _greedy_cover_matching(nbrs, mate_plus, mate_minus)
         _max_matching_lists(nbrs, range(n), mate_plus, mate_minus)
         in_ker, near_ker = bytearray(n), bytearray(n)
-        members = _alternating_reach(
-            nbrs, mate_minus, _unmatched(mate_plus, range(n)), in_ker,
-            near_ker)
+        _alternating_reach(nbrs, mate_minus, _unmatched(mate_plus, range(n)),
+                           in_ker, near_ker)
         memo = g._cover = _CoverMatching(mate_plus, mate_minus, in_ker,
-                                         near_ker, vset(members))
+                                         near_ker, vmask(in_ker))
     return memo
 
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 import gc
 import random
 from functools import lru_cache
+from itertools import compress
 from typing import Iterable, Iterator, NamedTuple
 
 # A vertex set is an int bitmask over ids 0..n-1; bit v set means v is a member.
@@ -18,6 +19,8 @@ DIMACS_MAX_N = 1_000_000
 _FLAG_DIGITS = b"0" + b"1" * 255
 # the digits "0" and "1" to the bytes 0 and 1
 _DIGIT_FLAGS = bytes.maketrans(b"01", b"\0\1")
+# bipartition's colour 2 (side_b) to the flag 0; colour 1 stays a flag
+_SIDE_A_FLAGS = bytes.maketrans(b"\2", b"\0")
 
 
 class ParseError(ValueError):
@@ -44,25 +47,36 @@ class BipartitePartition(NamedTuple):
 def vset(vertices: Iterable[int]) -> VertexSet:
     """Build a bitmask from an iterable of vertex ids.
 
-    The bits go into a flag array that becomes one binary literal, so the cost
-    is linear in the largest id; OR-ing in one bit per id would copy the
-    growing int each time.
+    The ids are set in a flag array that vmask reads in one step, so the
+    cost is linear in the largest id; OR-ing in one bit per id would copy
+    the growing int each time.
     """
     ids = list(vertices)
-    if not ids:
-        return 0
-    flags = bytearray(max(ids) + 1)
+    flags = bytearray(max(ids, default=-1) + 1)
     for v in ids:
         flags[v] = 1
-    return int(flags[::-1].translate(_FLAG_DIGITS), 2)
+    return vmask(flags)
+
+
+def vmask(flags: bytes | bytearray) -> VertexSet:
+    """Return the bitmask with bit v set iff flags[v] is nonzero; 0 for no
+    flags. The inverse of vflags: the reversed flags become one binary
+    literal by one translate, so the cost is one C-level pass over them."""
+    return int(flags[::-1].translate(_FLAG_DIGITS) or b"0", 2)
 
 
 def vflags(mask: VertexSet, n: int) -> bytes:
     """Return flags with flags[v] = 1 iff v is in mask, for every v < n.
 
-    The inverse of vset, read off the mask's binary digits in one linear step;
-    walking the members one by one would copy the shrinking int each time.
+    The inverse of vmask, read off the mask's binary digits in one linear
+    step; walking the members one by one would copy the shrinking int each
+    time. A mask with a bit at or past n gives more than n flags, and a
+    negative mask a "-" byte, so callers that need exactly n flags check the
+    mask first.
     """
+    if not mask:
+        # format would write 0 as one digit even for n = 0
+        return bytes(n)
     return format(mask, f"0{n}b")[::-1].encode().translate(_DIGIT_FLAGS)
 
 
@@ -146,10 +160,13 @@ class Graph:
         return len(self.nbrs[v])
 
     def label_list(self, mask: VertexSet) -> list[str]:
-        """Render a vertex set as labels in increasing id order."""
-        labels = self.labels
-        return [labels[v] for v, flag in enumerate(vflags(mask, self.n))
-                if flag]
+        """Render a vertex set as labels in increasing id order, picked off
+        the labels by the mask's flags in one C-level pass. A mask with a bit
+        at or past n, or a negative one, raises IndexError."""
+        if mask >> self.n:
+            raise IndexError(f"vertex set {bin(mask)} not within "
+                             f"0..{self.n - 1}")
+        return list(compress(self.labels, vflags(mask, self.n)))
 
     def __eq__(self, other: object) -> bool:
         return (isinstance(other, Graph) and self.nbrs == other.nbrs
@@ -200,7 +217,7 @@ def delete_vertices(g: Graph, w: VertexSet) -> tuple[Graph, dict[int, int]]:
     """Return the induced subgraph on V - w plus the old-to-new id map."""
     _check_subset(g, w)
     keep = vflags(g.full & ~w, g.n)
-    survivors = [v for v, flag in enumerate(keep) if flag]
+    survivors = list(compress(range(g.n), keep))
     idmap = {old: new for new, old in enumerate(survivors)}
     nbrs = g.nbrs
     sub = [[idmap[u] for u in nbrs[old] if keep[u]] for old in survivors]
@@ -239,7 +256,7 @@ def bipartition(g: Graph) -> BipartitePartition | None:
                     queue.append(v)
                 elif color[v] == cu:
                     return None
-    side_a = vset(v for v in range(g.n) if color[v] == 1)
+    side_a = vmask(color.translate(_SIDE_A_FLAGS))
     return BipartitePartition(side_a, g.full ^ side_a)
 
 

@@ -14,6 +14,7 @@ matching of N(a) into a.
 
 from __future__ import annotations
 
+from itertools import compress
 from typing import Iterable
 
 from .graphs import (BipartitePartition, Graph, VertexSet, _check_subset,
@@ -138,7 +139,7 @@ def _max_matching_lists(adj, left, mate_l: list[int],
 def _side_lists(g: Graph, left: VertexSet, right: VertexSet):
     """The ids of left in increasing order, and per id of g its neighbours in
     right (none for ids outside left)."""
-    ids = [u for u, flag in enumerate(vflags(left, g.n)) if flag]
+    ids = list(compress(range(g.n), vflags(left, g.n)))
     in_right = vflags(right, g.n)
     nbrs = g.nbrs
     adj: list = [()] * g.n

@@ -17,11 +17,10 @@ side's critical sets lives in oracle.py, which this module never imports.
 
 from __future__ import annotations
 
-from itertools import compress
 from typing import Literal, NamedTuple
 
 from .critical import _ker_matching, critical_difference
-from .graphs import BipartitePartition, Graph, VertexSet, difference, vset
+from .graphs import BipartitePartition, Graph, VertexSet, difference, vmask
 from .matching import _check_parts
 
 Side = Literal["A", "B"]
@@ -52,7 +51,7 @@ def ore_profile(g: Graph, parts: BipartitePartition) -> OreProfile:
     _check_parts(g, parts)
     cover = _ker_matching(g)
     mu = (g.n - critical_difference(g)) // 2
-    kr, near = cover.ker, vset(compress(range(g.n), cover.near_ker))
+    kr, near = cover.ker, vmask(cover.near_ker)
     side_a, side_b = parts
     return OreProfile(side_a.bit_count() - mu, side_b.bit_count() - mu,
                       kr & side_a, kr & side_b,

@@ -809,10 +809,35 @@ _values = st.recursive(
     max_leaves=24)
 
 
+# 300 labels holding quotes, backslashes, control characters and non-ASCII,
+# as a label array of an analyze report would if the input used them
+_LABELS = [str(i) + '"\\\n\x00\x1f\x7f é∅😀'[i % 11:] for i in range(300)]
+
+
 @given(_values)
+@example(_LABELS)
+@example(tuple(_LABELS))
+@example({"ore": [[_LABELS[:5], ["é", '"']], [[]]], "ker": [[_LABELS]]})
+@example(["a", 1, None, "b", ["c"], ("d",), True])
 @example([{"x": "1"}, {"x": "1"}, {"x": 1}, {"x": True}, {"x": 1.0},
           {"y": {"x": "1"}}, {}, [], [[]], {"e": {}}])
 @example({"a": [{"p": "x"}], "b": {"c": [{"p": "x"}]}, "d": [{"q": "x"}],
           "e": [[{"p": "x"}], [{"p": "x"}, {}], ({"p": "x"},)]})
 def test_renderer_matches_json_dumps(doc):
     assert cli._dump(doc) == json.dumps(doc, indent=2, sort_keys=True)
+
+
+def test_label_arrays_render_without_a_call_per_label(monkeypatch):
+    calls = []
+    render = cli._render
+
+    def counted(o, nl, memo):
+        calls.append(o)
+        return render(o, nl, memo)
+
+    monkeypatch.setattr(cli, "_render", counted)
+    for labels in _LABELS, tuple(_LABELS):
+        calls.clear()
+        assert cli._dump({"ker": labels}) == json.dumps(
+            {"ker": labels}, indent=2, sort_keys=True)
+        assert calls == [{"ker": labels}, labels]

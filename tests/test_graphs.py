@@ -16,7 +16,7 @@ from critset.graphs import (EXHAUSTIVE_MAX_N, Graph, LimitExceeded,
                             empty_graph, graph_from_code,
                             is_independent, neighborhood, orbit_leaders,
                             parse_graph, path_graph, random_bipartite,
-                            random_graph, to_edge_list)
+                            random_graph, to_edge_list, vflags, vmask, vset)
 
 graph_st = st.builds(
     random_graph,
@@ -65,6 +65,61 @@ def test_label_list_uses_id_order():
     g = parse_graph("x y\ny u\nvertex w\n")
     assert g.labels == ("x", "y", "u", "w")
     assert g.label_list(0b1011) == ["x", "y", "w"]
+
+
+# -- crossings between masks, flags and labels ---------------------------------
+
+CROSSING_NS = (0, 1, 63, 64, 65, 300)
+
+
+def seeded_masks(n: int, rng: random.Random) -> list[int]:
+    """The empty and the full mask, the top bit alone, and seeded masks."""
+    full = (1 << n) - 1
+    return [0, full, full and 1 << n - 1,
+            *(rng.getrandbits(n) if n else 0 for _ in range(8))]
+
+
+@pytest.mark.parametrize("n", CROSSING_NS)
+def test_vmask_and_vflags_invert_each_other(n):
+    rng = random.Random(n)
+    for m in seeded_masks(n, rng):
+        flags = vflags(m, n)
+        assert len(flags) == n and vmask(flags) == m
+        assert vset(v for v in range(n) if m >> v & 1) == m
+    for _ in range(8):
+        f = bytes(rng.randrange(2) for _ in range(n))
+        assert vflags(vmask(f), len(f)) == f
+        assert vmask(bytearray(f)) == vmask(f)
+    # any nonzero byte is a member, as in a colour or mark array
+    assert vmask(bytes([0, 2, 255, 0])) == 0b0110
+
+
+@pytest.mark.parametrize("n", CROSSING_NS)
+def test_label_list_picks_the_mask_members_in_id_order(n):
+    rng = random.Random(n)
+    g = Graph(n, [], tuple(f"v{rng.randrange(10 ** 6)}" for _ in range(n)))
+    for m in seeded_masks(n, rng):
+        assert g.label_list(m) == [g.labels[v] for v in range(n)
+                                   if m >> v & 1]
+
+
+@pytest.mark.parametrize("n", CROSSING_NS)
+def test_label_list_rejects_masks_outside_the_vertices(n):
+    g = empty_graph(n)
+    for m in (1 << n, 1 << n | 1, 1 << n + 70, -1, -5, -(1 << n), ~g.full):
+        with pytest.raises(IndexError):
+            g.label_list(m)
+
+
+def test_delete_vertices_keeps_the_survivors_in_id_order():
+    rng = random.Random(7)
+    for n in CROSSING_NS:
+        g = random_graph(n, min(1.0, 2.5 / max(n, 1)), n)
+        for w in seeded_masks(n, rng):
+            h, idmap = delete_vertices(g, w)
+            survivors = [v for v in range(n) if not w >> v & 1]
+            assert idmap == {old: new for new, old in enumerate(survivors)}
+            assert h.labels == tuple(g.labels[v] for v in survivors)
 
 
 # -- neighborhood and difference ---------------------------------------------
@@ -175,6 +230,50 @@ def test_bipartition_agrees_with_edge_structure():
         assert parts.side_a & parts.side_b == 0
         for u, v in g.edge_pairs():
             assert (parts.side_a >> u & 1) != (parts.side_a >> v & 1)
+
+
+def bfs_side_a(g: Graph) -> int | None:
+    """A reference for bipartition's side_a, or None on an odd cycle: the
+    colour-1 ids of a BFS from each component's smallest id, gathered one
+    id at a time."""
+    color = [0] * g.n
+    for root in range(g.n):
+        if color[root]:
+            continue
+        color[root] = 1
+        queue = [root]
+        for u in queue:
+            for v in g.nbrs[u]:
+                if not color[v]:
+                    color[v] = 3 - color[u]
+                    queue.append(v)
+                elif color[v] == color[u]:
+                    return None
+    return vset(v for v in range(g.n) if color[v] == 1)
+
+
+def test_bipartition_side_a_is_the_bfs_colour_class():
+    rng = random.Random(11)
+    graphs = [empty_graph(0), empty_graph(1), empty_graph(5),
+              # several components, with isolated vertices between them
+              Graph(9, [(1, 2), (2, 3), (5, 6), (6, 8)]),
+              Graph(7, [(0, 6), (6, 3), (2, 5)]),
+              # an odd cycle in a later component
+              Graph(8, [(0, 1), (3, 4), (4, 5), (5, 3)])]
+    graphs += [random_bipartite(a, b, 0.2, rng.getrandbits(32))
+               for a, b in [(1, 0), (3, 4), (10, 12), (40, 33), (150, 150)]]
+    graphs += [random_graph(n, 1.5 / n, rng.getrandbits(32))
+               for n in (9, 30, 65, 200) for _ in range(3)]
+    bipartite = 0
+    for g in graphs:
+        want = bfs_side_a(g)
+        parts = bipartition(g)
+        if want is None:
+            assert parts is None
+            continue
+        bipartite += 1
+        assert parts == (want, g.full ^ want)
+    assert bipartition(graphs[5]) is None and bipartite >= 12
 
 
 # -- parsing and round trips ------------------------------------------------------
