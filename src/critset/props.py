@@ -444,8 +444,16 @@ def _check_ke_iff_every_mis_critical(f: Facts) -> tuple[bool, dict | None]:
     # no oracle guard, as before: one would change --no-oracle reports
     bad_mis = next((s for s in f._maximum_independent_sets()
                     if difference(g, s) != d0), None)
-    all_critical = bad_mis is None
     via_critical = f.ke_via_critical()
+    # alpha is the maximum independent DFS's target: a larger independent
+    # set, the first non-critical one it gave or the largest critical one,
+    # proves alpha wrong
+    a = f.alpha()
+    larger = next((s for s in (bad_mis, f._critical_pass()[1])
+                   if s is not None and s.bit_count() > a), None)
+    if larger is not None:
+        return False, {"alpha": a, "larger_independent_set": f.labels(larger)}
+    all_critical = bad_mis is None
     ok = recognized == all_critical == via_critical
     return ok, None if ok else {
         "alpha_plus_mu_route": recognized,

@@ -3,7 +3,9 @@ import random
 import pytest
 from hypothesis import HealthCheck, settings
 
-from critset.graphs import Graph, all_graphs, random_bipartite, random_graph
+import oracles as o
+from critset.graphs import (BipartitePartition, Graph, all_graphs, bipartition,
+                            random_bipartite, random_graph)
 
 settings.register_profile(
     "suite", deadline=None,
@@ -29,10 +31,37 @@ def random_sample(count: int, n_lo: int, n_hi: int, seed: int = 99):
                            rng.getrandbits(32))
 
 
-def include_first(n: int, masks) -> list[int]:
-    """masks in the order the library's DFSs yield them: of two masks, the
-    one holding the lowest vertex where they differ comes first."""
-    return sorted(masks, key=lambda m: [not m >> v & 1 for v in range(n)])
+def components(g):
+    """The vertex sets of g's connected components, as bitmasks."""
+    adj, out, rest = adj_of(g), [], g.full
+    while rest:
+        comp = frontier = rest & -rest
+        while frontier:
+            grown = comp
+            for v in o.bits(frontier):
+                grown |= adj[v]
+            frontier, comp = grown & ~comp, grown
+        out.append(comp)
+        rest &= ~comp
+    return out
+
+
+def flipped(g, swap):
+    """bipartition(g) with the sides swapped inside swap, a union of
+    components."""
+    side_a = bipartition(g).side_a ^ swap
+    return BipartitePartition(side_a, g.full ^ side_a)
+
+
+def every_bipartition(g):
+    """Every valid bipartition of a bipartite g: each component either way."""
+    comps = components(g)
+    for code in range(1 << len(comps)):
+        yield flipped(g, sum(c for k, c in enumerate(comps) if code >> k & 1))
+
+
+def random_bipartition(g, rng):
+    return flipped(g, sum(c for c in components(g) if rng.random() < 0.5))
 
 
 def shuffled_chain(n: int, closed: bool, seed: int) -> Graph:

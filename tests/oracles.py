@@ -9,6 +9,7 @@ design; callers keep n small.
 from __future__ import annotations
 
 from functools import lru_cache
+from typing import NamedTuple
 
 
 def bits(mask: int) -> list[int]:
@@ -33,6 +34,12 @@ def d_of(adj: list[int], x: int) -> int:
 
 def is_independent(adj: list[int], x: int) -> bool:
     return neigh(adj, x) & x == 0
+
+
+def include_first(n: int, masks) -> list[int]:
+    """masks in the order the library's DFSs yield them: of two masks, the
+    one holding the lowest vertex where they differ comes first."""
+    return sorted(masks, key=lambda m: [not m >> v & 1 for v in range(n)])
 
 
 def all_independent_sets(n: int, adj: list[int]) -> list[int]:
@@ -164,6 +171,46 @@ def brute_side_diadem(n: int, adj: list[int], side: int) -> int:
     for x in brute_side_critical_sets(n, adj, side):
         out |= x
     return out
+
+
+# -- one walk over the independent sets: the enumeration readers' reference --
+
+def independent_masks(n: int, adj: list[int]) -> list[int]:
+    """Every independent mask, each grown from the one without its top
+    vertex; by size, so every mask comes after the masks it holds."""
+    found = [0]
+    for m in found:
+        found += [m | 1 << v for v in range(m.bit_length(), n)
+                  if not adj[v] & m]
+    return found
+
+
+class Families(NamedTuple):
+    critical: list[int]  # the critical independent sets, include-first
+    max_critical: int  # the largest, least sorted id list among equals
+    mis: list[int]  # the maximum independent sets, include-first
+    alpha: int
+    core: int
+    corona: int
+
+
+def independent_families(n: int, adj: list[int]) -> Families:
+    """The critical and maximum independent families, read off
+    independent_masks with d_of alone: as the paper defines them, a critical
+    set attains the largest d over the independent sets."""
+    ind = independent_masks(n, adj)
+    ds = [d_of(adj, x) for x in ind]
+    top, alpha = max(ds), max(map(int.bit_count, ind))
+    critical = include_first(n, [x for x, d in zip(ind, ds) if d == top])
+    size = max(map(int.bit_count, critical))
+    mis = include_first(n, [x for x in ind if x.bit_count() == alpha])
+    core, corona = (1 << n) - 1, 0
+    for x in mis:
+        core &= x
+        corona |= x
+    return Families(critical, min((x for x in critical
+                                   if x.bit_count() == size), key=bits),
+                    mis, alpha, core, corona)
 
 
 # -- per-vertex rules: polynomial references past the subset oracles' reach --

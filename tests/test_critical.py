@@ -6,9 +6,8 @@ import time
 import pytest
 
 import oracles as o
-from conftest import (adj_of, analyze_sample, include_first, masks_built,
-                      mid_sample, random_sample, shuffled_chain,
-                      small_corpus)
+from conftest import (adj_of, analyze_sample, masks_built, mid_sample,
+                      random_sample, shuffled_chain, small_corpus)
 from critset import critical
 from critset.critical import (_d_without, _greedy_cover_matching,
                               _ker_matching, critical_difference,
@@ -23,7 +22,7 @@ from critset.graphs import (Graph, LimitExceeded, bipartition,
                             vlist)
 from critset.matching import saturating_matching
 from critset.mis import _greedy_clique_cover, alpha
-from critset.oracle import (Config, Facts, _enumerate_target_sets,
+from critset.oracle import (Facts, _enumerate_target_sets,
                             _search_maximum_independent_sets,
                             enumerate_critical_independent_sets,
                             verify_ker_characterization)
@@ -255,14 +254,6 @@ def test_profile_is_consistent():
 
 # -- enumeration ---------------------------------------------------------------------
 
-def test_enumerated_critical_families_match_oracle(graphs_n5):
-    # the same sets in include-first order
-    for g in [*graphs_n5[::3], *random_sample(40, 6, 11, seed=8)]:
-        n, adj = g.n, adj_of(g)
-        want = include_first(n, o.brute_critical_independent_sets(n, adj))
-        assert list(enumerate_critical_independent_sets(g, 11)) == want, g.adj
-
-
 def _unpruned_target_sets(g, universe, target):
     """The critical DFS as it ran before the dominance prune: the sets with
     d = target, include-first, pruned by the d bound alone."""
@@ -345,18 +336,6 @@ def test_enumeration_respects_limit():
 
 
 # -- minimal positive independent sets -------------------------------------------------
-
-def test_minimal_positive_matches_oracle(graphs_n5):
-    # the same sets in include-first order, off the subset tables; the
-    # search reference that test_props.py holds Facts to at n = 18 and 19
-    # agrees with the brute force here
-    for g in [*graphs_n5[::3], *random_sample(40, 6, 11, seed=8)]:
-        n, adj = g.n, adj_of(g)
-        want = include_first(n, o.brute_minimal_positive(n, adj))
-        facts = Facts(g, Config(oracle_limit=11))
-        assert facts.minimal_positives() == want, g.adj
-        assert o.search_minimal_positive(n, adj) == want, g.adj
-
 
 def test_minimal_positive_fixture_values():
     g = load("fig177").graph

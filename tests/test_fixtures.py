@@ -4,7 +4,6 @@ import freeze_fixtures
 import oracles as o
 from conftest import adj_of
 from critset.fixtures import fixture_names, load, verify, verify_all
-from critset.graphs import bipartition
 
 
 def test_registry_is_complete():
@@ -29,64 +28,6 @@ def test_every_fixture_verifies():
         failing = [c["key"] for c in report["checks"] if not c["holds"]]
         assert failing == [], (report["name"], failing)
         assert report["holds"]
-
-
-@pytest.mark.parametrize("name", fixture_names())
-def test_expected_values_match_brute_force(name):
-    fx = load(name)
-    g = fx.graph
-    adj = adj_of(g)
-    e = fx.expected
-
-    def labels(mask):
-        return sorted(g.label_list(mask))
-
-    assert e["n"] == g.n and e["m"] == g.m
-    if "d" in e:
-        assert e["d"] == o.brute_d(g.n, adj)
-    if "alpha" in e:
-        assert e["alpha"] == o.brute_alpha(g.n, adj)
-    if "mu" in e:
-        assert e["mu"] == o.brute_mu(g.n, adj)
-    if "ker" in e:
-        assert sorted(e["ker"]) == labels(o.brute_ker(g.n, adj))
-    if "diadem" in e:
-        assert sorted(e["diadem"]) == labels(o.brute_diadem(g.n, adj))
-    if "core" in e:
-        assert sorted(e["core"]) == labels(o.brute_core(g.n, adj))
-    if "corona" in e:
-        assert sorted(e["corona"]) == labels(o.brute_corona(g.n, adj))
-    if "ke" in e:
-        assert e["ke"] == o.brute_is_ke(g.n, adj)
-    if "bipartite" in e:
-        assert e["bipartite"] == (bipartition(g) is not None)
-    if "deficiency" in e:
-        assert e["deficiency"] == o.brute_deficiency(g.n, adj)
-
-
-@pytest.mark.parametrize("name", fixture_names())
-def test_side_expectations_match_brute_force(name):
-    fx = load(name)
-    g = fx.graph
-    e = fx.expected
-    if "delta0_a" not in e:
-        return
-    adj = adj_of(g)
-    parts = bipartition(g)
-    assert e["delta0_a"] == o.brute_delta0(g.n, adj, parts.side_a)
-    assert e["delta0_b"] == o.brute_delta0(g.n, adj, parts.side_b)
-    if "ker_a" in e:
-        assert sorted(e["ker_a"]) == sorted(
-            g.label_list(o.brute_side_kernel(g.n, adj, parts.side_a)))
-    if "ker_b" in e:
-        assert sorted(e["ker_b"]) == sorted(
-            g.label_list(o.brute_side_kernel(g.n, adj, parts.side_b)))
-    if "diadem_a" in e:
-        assert sorted(e["diadem_a"]) == sorted(
-            g.label_list(o.brute_side_diadem(g.n, adj, parts.side_a)))
-    if "diadem_b" in e:
-        assert sorted(e["diadem_b"]) == sorted(
-            g.label_list(o.brute_side_diadem(g.n, adj, parts.side_b)))
 
 
 def test_strict_inclusion_example():

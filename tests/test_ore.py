@@ -3,7 +3,8 @@ import random
 import pytest
 
 import oracles as o
-from conftest import adj_of, include_first, mid_sample
+from conftest import (adj_of, every_bipartition, mid_sample,
+                      random_bipartition)
 from critset.critical import critical_difference
 from critset.fixtures import load
 from critset.graphs import (BipartitePartition, LimitExceeded, bipartition,
@@ -14,39 +15,6 @@ from critset.mis import alpha
 from critset.oracle import (enumerate_critical_independent_sets,
                             enumerate_side_critical_sets)
 from critset.ore import is_side_critical, ore_profile
-
-
-def components(g):
-    """The vertex sets of g's connected components, as bitmasks."""
-    adj, out, rest = adj_of(g), [], g.full
-    while rest:
-        comp = frontier = rest & -rest
-        while frontier:
-            grown = comp
-            for v in o.bits(frontier):
-                grown |= adj[v]
-            frontier, comp = grown & ~comp, grown
-        out.append(comp)
-        rest &= ~comp
-    return out
-
-
-def flipped(g, swap):
-    """bipartition(g) with the sides swapped inside swap, a union of
-    components."""
-    side_a = bipartition(g).side_a ^ swap
-    return BipartitePartition(side_a, g.full ^ side_a)
-
-
-def every_bipartition(g):
-    """Every valid bipartition of a bipartite g: each component either way."""
-    comps = components(g)
-    for code in range(1 << len(comps)):
-        yield flipped(g, sum(c for k, c in enumerate(comps) if code >> k & 1))
-
-
-def random_bipartition(g, rng):
-    return flipped(g, sum(c for c in components(g) if rng.random() < 0.5))
 
 
 def bipartite_n5(graphs_n5):
@@ -142,15 +110,6 @@ def test_side_rules_match_per_vertex_rules_past_oracle_reach():
             assert dia == o.forcing_side_diadem(adj, mask), g.adj
         checked += 1
     assert checked >= 12
-
-
-def test_side_critical_enumeration_matches_oracle(graphs_n5):
-    # the same sets in include-first order, on both sides
-    for g, parts in oracle_pairs(graphs_n5):
-        for side, mask in zip("AB", parts):
-            got = list(enumerate_side_critical_sets(g, parts, side))
-            assert got == include_first(g.n, o.brute_side_critical_sets(
-                g.n, adj_of(g), mask)), (g.adj, side)
 
 
 def test_side_critical_enumeration_limit():

@@ -14,14 +14,15 @@ from typing import Callable, NamedTuple
 import pytest
 
 import oracles as o
-from conftest import adj_of, include_first, mid_sample, small_corpus
+from conftest import (every_bipartition, mid_sample, random_bipartition,
+                      small_corpus)
 from critset import cli, critical, graphs, ke, mis, oracle, ore, props
 from critset.fixtures import load
 from critset.graphs import (LimitExceeded, all_graphs, bipartition,
                             complete_bipartite, complete_graph, cycle_graph,
                             empty_graph, is_independent, neighborhood,
                             orbit_leaders, parse_graph, path_graph,
-                            random_graph)
+                            random_bipartite, random_graph)
 from critset.matching import (Matching, maximum_matching_general,
                               saturating_matching)
 from critset.mis import alpha
@@ -208,7 +209,8 @@ def test_only_get_reads_the_facts_cache():
 def test_facts_run_alpha_and_the_blossom_matching_once(graphs_n5,
                                                        monkeypatch):
     # mu, is_ke and the core and corona read the cached alpha, matching and
-    # bipartition, and give what the library routes give on their own
+    # bipartition; mu and is_ke give what the library routes give on their
+    # own
     calls = {"alpha": 0, "blossom": 0}
 
     def counted(name, f):
@@ -234,11 +236,10 @@ def test_facts_run_alpha_and_the_blossom_matching_once(graphs_n5,
                 return str(exc)
 
         want = (len(maximum_matching_general(g)),
-                outcome(lambda: ke.is_koenig_egervary(g)),
-                outcome(lambda: oracle.core_and_corona(g)))
+                outcome(lambda: ke.is_koenig_egervary(g)))
         calls.update(alpha=0, blossom=0)
-        got = (facts.mu(), outcome(facts.is_ke), outcome(facts.mis_profile))
-        assert got == want
+        assert (facts.mu(), outcome(facts.is_ke)) == want
+        outcome(facts.mis_profile)
         assert facts.matching() is facts.matching()
         assert calls["blossom"] == 1
         # past its limit alpha raises and nothing is cached, so each fact
@@ -367,39 +368,33 @@ def test_registry_pass_runs_the_ore_profile_once_per_bipartite_graph(
 
 def test_one_critical_pass_gives_capped_family_and_uncapped_maximum(
         monkeypatch):
+    # past the cap the family is a limit skip, the largest set is not
     for g in [*small_corpus(4), empty_graph(5), cycle_graph(6),
               random_graph(9, 0.3, 2)]:
-        family = list(oracle.enumerate_critical_independent_sets(g))
-        best = oracle.maximum_critical_independent_set(g)
-        assert Facts(g).critical_ind_family() == family
-        assert Facts(g).max_critical_ind() == best
-        # past the cap the family is a limit skip, the maximum is not
-        monkeypatch.setattr(oracle, "FAMILY_CAP", len(family) - 1)
+        want = o.independent_families(g.n, g.adj)
+        monkeypatch.setattr(oracle, "FAMILY_CAP", len(want.critical) - 1)
         facts = Facts(g)
         with pytest.raises(LimitExceeded, match="more than"):
             facts.critical_ind_family()
-        assert facts.max_critical_ind() == best
+        assert facts.max_critical_ind() == want.max_critical
         monkeypatch.undo()
     off = Facts(path_graph(4), Config(use_oracle=False))
-    for read in (off.critical_ind_family, off.max_critical_ind):
+    for read in (off.critical_ind_family, off.max_critical_ind,
+                 off.minimal_positives):
         with pytest.raises(LimitExceeded, match="oracle disabled"):
             read()
 
 
-def test_the_critical_dfs_caps_the_family_past_the_old_threshold():
+def test_past_the_family_cap_only_the_family_read_skips():
     # 10 disjoint edges: n = 20, d = 0 and 3^10 = 59,049 critical
-    # independent sets; on a fresh Facts and with the tables built first,
-    # the one DFS gives the same three answers
-    g = graphs.Graph(20, [(2 * i, 2 * i + 1) for i in range(10)])
-    for tables_first in (False, True):
-        facts = Facts(g)
-        if tables_first:
-            facts.tables()
-        with pytest.raises(LimitExceeded, match="^more than 20000 "
-                           "critical independent sets$"):
-            facts.critical_ind_family()
-        assert facts.max_critical_ind().bit_count() == 10
-        assert facts.minimal_positives() == []
+    # independent sets; the family read skips, the largest set and the
+    # minimal positive sets do not
+    facts = Facts(graphs.Graph(20, [(2 * i, 2 * i + 1) for i in range(10)]))
+    with pytest.raises(LimitExceeded, match="^more than 20000 "
+                       "critical independent sets$"):
+        facts.critical_ind_family()
+    assert facts.max_critical_ind().bit_count() == 10
+    assert facts.minimal_positives() == []
 
 
 def test_critical_pass_builds_no_subset_table_of_its_own(monkeypatch):
@@ -671,6 +666,19 @@ FAULTS = {
         "core_corona.lower_bound": {"two_alpha": 6, "core_plus_corona": 3},
         "ke.is_ke": {"alpha": 3, "mu": 1, "n": 3,
                      "max_critical_independent_size": 2}}, NOT_CRITICAL),
+    # alpha one too low: on C5 with the path a f g hanging off it (not KE,
+    # alpha = 3), the maximum independent DFS's first set, {a, c, g}, is not
+    # critical and is larger than alpha
+    "alpha.minus_one": Fault(C5_PATH, (mis, "alpha"), lambda a, g: a - 1, {
+        TH5: {"alpha": 2, "larger_independent_set": ["a", "c", "g"]}}),
+    # the same on the paw, the triangle a b c with the pendant d at a (KE,
+    # alpha = 2): the DFS's first set, {a}, is not critical, so th5 reads no
+    # further; the largest critical independent set, {b, d}, is larger than
+    # alpha, and the graph no longer reads as KE
+    "alpha.minus_one_ke": Fault("a b\nb c\nc a\na d\n", (mis, "alpha"),
+                                lambda a, g: a - 1, {
+        TH5: {"alpha": 1, "larger_independent_set": ["b", "d"]}},
+        dict.fromkeys((COR2, STRUCTURE, TH8, TH11, "ke.is_ke"), "not KE")),
     # P3's matching {a, b} loses its one edge, so mu = 0
     "matching.less_an_edge": Fault(P3, MATCHING, lambda *_: Matching(3, []), {
         "cor1.d_ge_alpha_minus_mu": {"d": 1, "alpha": 2, "mu": 0},
@@ -836,83 +844,133 @@ def test_check_fuzz_and_shrink_keep_an_injected_failure(monkeypatch, capsys,
     assert (small.n, small.m) == (3, 2)
 
 
-def _outcome(read):
-    try:
-        return read()
-    except LimitExceeded as exc:
-        return str(exc)
+# -- the enumeration readers, against one reference ---------------------------
+
+# Every reader of the critical, maximum independent, minimal positive and side
+# critical families, in Facts and public, meets a reference in
+# tests/oracles.py that shares no code with it: o.independent_families, one
+# walk over every independent set, for the first two, o.search_minimal_positive
+# and o.brute_side_critical_sets for the others. One Facts per graph serves
+# the Facts readers, as in a registry pass; each public reader makes its own.
+# The corpus is every labeled graph with n <= 6 and seeded G(n, p) at
+# n = 7..20. The side readers take every bipartite graph with n <= 5 under
+# every valid bipartition, every one with n = 6 under a random valid one,
+# and seeded random bipartite graphs at n = 7..16.
+
+# each band: its n, and how many graphs and (graph, bipartition) pairs it has
+_FAMILY_BANDS = {"0..6": (range(7), 33868, 6816),
+                 "7..13": (range(7, 14), 84, 42),
+                 "14..20": (range(14, 21), 54, 18)}
+_FAMILY_READERS = {
+    "critical_ind_family": Facts.critical_ind_family,
+    "max_critical_ind": Facts.max_critical_ind,
+    "ker_oracle": Facts.ker_oracle,
+    "maximal_critical_ind": Facts.maximal_critical_ind,
+    "ke_via_critical": Facts.ke_via_critical,
+    "first_mis": Facts.first_mis,
+    "mis_profile": Facts.mis_profile,
+    "minimal_positives": Facts.minimal_positives,
+    "enumerate_critical_independent_sets":
+        lambda f: list(oracle.enumerate_critical_independent_sets(f.g)),
+    "maximum_critical_independent_set":
+        lambda f: oracle.maximum_critical_independent_set(f.g),
+    "enumerate_maximum_independent_sets":
+        lambda f: list(oracle.enumerate_maximum_independent_sets(f.g)),
+    "core_and_corona": lambda f: oracle.core_and_corona(f.g),
+    "is_ke_via_critical": lambda f: oracle.is_ke_via_critical(f.g),
+}
 
 
-def _route_outcomes(g, config, tables_first=False):
-    """What the five enumeration-backed readers of a fresh Facts give on g,
-    with any limit as its message, then every registry result; with
-    tables_first, both Facts build the subset tables before anything else
-    reads them where the oracle is on; the critical family still takes its
-    one route, the DFS."""
-    facts, swept = Facts(g, config), Facts(g, config)
-    if tables_first:
-        _outcome(facts.tables)
-        _outcome(swept.tables)
-    readers = (facts.critical_ind_family, facts.max_critical_ind,
-               facts.minimal_positives, facts.first_mis, facts.mis_profile)
-    return ([_outcome(read) for read in readers],
-            [evaluate(prop, swept) for prop in registry()])
+def _family_references(g):
+    """What each of _FAMILY_READERS gives on g, by the references."""
+    r = o.independent_families(g.n, g.adj)
+    ker = g.full
+    for s in r.critical:
+        ker &= s
+    maximal = sorted((s for s in r.critical if not any(
+        s != t and s & ~t == 0 for t in r.critical)),
+        key=lambda s: (-s.bit_count(), s))
+    profile = (r.alpha, r.core, r.corona)
+    ke_via_critical = r.max_critical.bit_count() == r.alpha
+    return {
+        "critical_ind_family": r.critical, "max_critical_ind": r.max_critical,
+        "ker_oracle": ker, "maximal_critical_ind": maximal,
+        "ke_via_critical": ke_via_critical, "first_mis": r.mis[0],
+        "mis_profile": profile,
+        "minimal_positives": o.search_minimal_positive(g.n, g.adj),
+        "enumerate_critical_independent_sets": r.critical,
+        "maximum_critical_independent_set": r.max_critical,
+        "enumerate_maximum_independent_sets": r.mis,
+        "core_and_corona": profile, "is_ke_via_critical": ke_via_critical}
 
 
-def _reference_families(g, config):
-    """The library DFSs' critical family and maximum critical set, and the
-    search reference's minimal positive sets, under config, with any limit
-    as its message."""
-    if not config.use_oracle:
-        return ["oracle disabled"] * 3
-    limit = config.oracle_limit
-    return [_outcome(lambda: list(
-                oracle.enumerate_critical_independent_sets(g, limit))),
-            _outcome(lambda: oracle.maximum_critical_independent_set(
-                g, limit)),
-            f"n={g.n} exceeds oracle limit {limit}" if g.n > limit
-            else o.search_minimal_positive(g.n, adj_of(g))]
-
-
-def _dfs_readers(g):
-    return [list(oracle.enumerate_critical_independent_sets(g)),
-            oracle.maximum_critical_independent_set(g),
-            o.search_minimal_positive(g.n, adj_of(g)),
-            next(oracle.enumerate_maximum_independent_sets(g)),
-            oracle.core_and_corona(g)]
-
-
-def test_readers_give_the_dfs_and_search_answers_tables_first_or_not():
-    # Facts reads the minimal positive sets off the subset tables at every
-    # n, and the critical sets by DFS whether the tables are built or not;
-    # in the order the DFSs yield them, and with the same skips and results.
-    # The minimal positive sets are held to the search in tests/oracles.py
+def _seeded_graphs():
+    """Seeded G(n, p), per n and p four at n = 7..13 and two at n = 14..20,
+    with two more at n = 18 and 19 first."""
     rng = random.Random(9)
-    sampled = [random_graph(n, p, rng.getrandbits(32))
-               for n in (18, 19) for p in (0.15, 0.3, 0.5)
-               for _ in range(2)]
-    for g in [*small_corpus(6), *sampled]:
-        for tables_first in (False, True):
-            facts = Facts(g)
-            if tables_first:
-                facts.tables()
-            assert [facts.critical_ind_family(), facts.max_critical_ind(),
-                    facts.minimal_positives(), facts.first_mis(),
-                    facts.mis_profile()] == _dfs_readers(g), g.adj
-            assert "tables" in facts._cache, g.adj
-            assert (list(facts._maximum_independent_sets()) == list(
-                oracle.enumerate_maximum_independent_sets(g))), g.adj
-    # under --no-oracle, and an oracle limit below n, the three family
-    # readers give what the DFSs give under the same limit, and
-    # every reader and every registry result is the same whether the
-    # tables were built first or not
-    for g in [*small_corpus(4)][::5] + sampled[:6]:
-        for config in (Config(use_oracle=False),
-                       Config(oracle_limit=max(g.n - 1, 0)), Config()):
-            dfs = _route_outcomes(g, config)
-            assert dfs[0][:3] == _reference_families(g, config), (g.adj,
-                                                                 config)
-            assert _route_outcomes(g, config, True) == dfs, (g.adj, config)
+    for n, count in [(18, 2), (19, 2), *((n, 4) for n in range(7, 14)),
+                     *((n, 2) for n in range(14, 21))]:
+        for p in (0.15, 0.3, 0.5):
+            for _ in range(count):
+                yield random_graph(n, p, rng.getrandbits(32))
+
+
+def _seeded_bipartite():
+    """Seeded random bipartite graphs at n = 7..16, two per n at each p,
+    each under a random valid bipartition."""
+    rng = random.Random(10)
+    for n in range(7, 17):
+        for p in (0.15, 0.3, 0.5):
+            for _ in range(2):
+                a = rng.randrange(n // 3, n - n // 3 + 1)
+                g = random_bipartite(a, n - a, p, rng.getrandbits(32))
+                yield g, random_bipartition(g, rng)
+
+
+@lru_cache(maxsize=None)
+def _family_cell(band):
+    """How many graphs and (graph, bipartition) pairs band has, and per
+    reader the first on which it differed from its reference, with both
+    answers."""
+    if band == "0..6":
+        graphs_here, rng = list(small_corpus(6)), random.Random(6)
+        bipartite = [g for g in graphs_here if bipartition(g) is not None]
+        pairs = [(g, parts) for g in bipartite if g.n <= 5
+                 for parts in every_bipartition(g)]
+        pairs += [(g, random_bipartition(g, rng)) for g in bipartite
+                  if g.n == 6]
+    else:
+        ns = _FAMILY_BANDS[band][0]
+        graphs_here = [g for g in _seeded_graphs() if g.n in ns]
+        pairs = [pair for pair in _seeded_bipartite() if pair[0].n in ns]
+    wrong = {}
+    for g in graphs_here:
+        f, want = Facts(g), _family_references(g)
+        for name, read in _FAMILY_READERS.items():
+            got = read(f)
+            if got != want[name]:
+                wrong.setdefault(name, (g.adj, got, want[name]))
+    for g, parts in pairs:
+        f = Facts(g)
+        f._cache["parts"] = parts
+        for side, mask in zip("AB", parts):
+            family = o.include_first(g.n, o.brute_side_critical_sets(
+                g.n, g.adj, mask))
+            for name, got, want in (
+                    ("side_critical_samples", f.side_critical_samples(side),
+                     family[:16]),
+                    ("enumerate_side_critical_sets", list(
+                        oracle.enumerate_side_critical_sets(g, parts, side)),
+                     family)):
+                if got != want:
+                    wrong.setdefault(name, (g.adj, parts, side, got, want))
+    return len(graphs_here), len(pairs), wrong
+
+
+@pytest.mark.parametrize("band", _FAMILY_BANDS)
+def test_enumeration_readers_give_the_reference(band):
+    # every reader gives its reference's answer on every graph of the band
+    assert _family_cell(band) == (*_FAMILY_BANDS[band][1:], {})
 
 
 # -- the readers of the d table, against their references ---------------------
@@ -999,15 +1057,6 @@ def _tables(kind, n):
         yield g, bytes(t)
 
 
-def _independent_masks(g):
-    """Every independent mask, grown from the one without its top vertex."""
-    adj, found = g.adj, [0]
-    for m in found:
-        found += [m | 1 << v for v in range(m.bit_length(), g.n)
-                  if not adj[v] & m]
-    return found
-
-
 def _d_eq_id_by_max(f, table, ind):
     n, d0 = f.g.n, f.d()
     best, best_ind = max(table) - n, max(table[m] for m in ind) - n
@@ -1053,7 +1102,7 @@ def _minimal_by_scan(f, table, ind):
     for m in sorted((m for m in ind if table[m] > f.g.n), key=int.bit_count):
         if not any(s & ~m == 0 for s in kept):
             kept.append(m)
-    return include_first(f.g.n, kept)
+    return o.include_first(f.g.n, kept)
 
 
 _SUPERMODULAR = "th4.supermodular"
@@ -1093,7 +1142,7 @@ def _cell(kind, band):
         for n in _BANDS[band]:
             for g, table in _tables(kind, n):
                 del squares[:], sampled[:]
-                f, ind, got = Facts(g), _independent_masks(g), {}
+                f, ind, got = Facts(g), o.independent_masks(g.n, g.adj), {}
                 f._cache["tables"] = table
                 for name, (read, reference) in _READERS.items():
                     got[name] = read(f)
@@ -1342,7 +1391,7 @@ def test_tables_match_the_per_mask_definition():
             level = Facts(g)
             level._cache["tables"] = sizes.translate(
                 bytes(n + (c == k) for c in range(256)))
-            assert level.minimal_positives() == include_first(
+            assert level.minimal_positives() == o.include_first(
                 n, (m for m in ind if m.bit_count() == k)), (g.adj, k)
 
 
@@ -1355,9 +1404,8 @@ def test_core_and_corona_build_no_subset_table(monkeypatch):
     for n in (0, 5, 12, 18):
         g = random_graph(n, 0.3, rng.getrandbits(32))
         facts = Facts(g)
-        assert facts.mis_profile() == oracle.core_and_corona(g)
-        assert facts.first_mis() == next(
-            oracle.enumerate_maximum_independent_sets(g))
+        facts.mis_profile()
+        facts.first_mis()
         assert not {"tables", "top_lane", "minimal_positives"} & set(
             facts._cache)
     assert oracle._lanes == {}
