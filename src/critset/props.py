@@ -442,14 +442,14 @@ def _check_ke_iff_every_mis_critical(f: Facts) -> tuple[bool, dict | None]:
     g, d0 = f.g, f.d()
     recognized = f.is_ke()
     # no oracle guard, as before: one would change --no-oracle reports
-    bad_mis = next((s for s in f._maximum_independent_sets()
-                    if difference(g, s) != d0), None)
+    sets = f._maximum_independent_sets()
+    bad_mis = next((s for s in sets if difference(g, s) != d0), None)
     via_critical = f.ke_via_critical()
     # alpha is the maximum independent DFS's target: a larger independent
-    # set, the first non-critical one it gave or the largest critical one,
-    # proves alpha wrong
+    # set, the first non-critical one it gave, the largest critical one or
+    # one in the rest of its stream, proves alpha wrong
     a = f.alpha()
-    larger = next((s for s in (bad_mis, f._critical_pass()[1])
+    larger = next((s for s in chain((bad_mis, f._critical_pass()[1]), sets)
                    if s is not None and s.bit_count() > a), None)
     if larger is not None:
         return False, {"alpha": a, "larger_independent_set": f.labels(larger)}

@@ -13,10 +13,6 @@ settings.register_profile(
 settings.load_profile("suite")
 
 
-def adj_of(g: Graph) -> list[int]:
-    return list(g.adj)
-
-
 def small_corpus(max_n: int = 5):
     """Every labeled graph with n <= max_n; the workhorse oracle corpus."""
     for n in range(max_n + 1):
@@ -33,7 +29,7 @@ def random_sample(count: int, n_lo: int, n_hi: int, seed: int = 99):
 
 def components(g):
     """The vertex sets of g's connected components, as bitmasks."""
-    adj, out, rest = adj_of(g), [], g.full
+    adj, out, rest = g.adj, [], g.full
     while rest:
         comp = frontier = rest & -rest
         while frontier:

@@ -37,29 +37,32 @@ def mask_of(g: Graph, names: list[str]) -> int:
     return out
 
 
+def brute(g: Graph) -> o.Profile:
+    return o.brute_profile(g.n, g.adj)
+
+
 def common(g: Graph) -> dict:
-    n, adj = g.n, list(g.adj)
-    d = o.brute_d(n, adj)
-    assert d == o.brute_d_independent(n, adj)
+    p = brute(g)
+    assert p.d == p.d_independent
     return {
-        "n": n,
+        "n": g.n,
         "m": g.m,
         "bipartite": bipartition(g) is not None,
-        "d": d,
-        "alpha": o.brute_alpha(n, adj),
-        "mu": o.brute_mu(n, adj),
-        "deficiency": o.brute_deficiency(n, adj),
-        "ke": o.brute_is_ke(n, adj),
-        "ker": labels(g, o.brute_ker(n, adj)),
-        "diadem": labels(g, o.brute_diadem(n, adj)),
-        "core": labels(g, o.brute_core(n, adj)),
-        "corona": labels(g, o.brute_corona(n, adj)),
+        "d": p.d,
+        "alpha": p.alpha,
+        "mu": p.mu,
+        "deficiency": g.n - 2 * p.mu,
+        "ke": p.ke,
+        "ker": labels(g, p.ker),
+        "diadem": labels(g, p.diadem),
+        "core": labels(g, p.core),
+        "corona": labels(g, p.corona),
     }
 
 
 def d_after_delete(g: Graph, name: str) -> int:
     smaller, _ = delete_vertices(g, mask_of(g, [name]))
-    return o.brute_d(smaller.n, list(smaller.adj))
+    return o.brute_d(smaller.n, smaller.adj)
 
 
 def side_masks(g: Graph) -> tuple[int, int]:
@@ -70,7 +73,7 @@ def side_masks(g: Graph) -> tuple[int, int]:
 
 def expect_fig511(g: Graph) -> dict:
     exp = common(g)
-    n, adj = g.n, list(g.adj)
+    adj = g.adj
     assert exp["d"] == 1
     assert exp["core"] == ["v1", "v2", "v6", "v10"]
     assert exp["diadem"] == ["v1", "v2", "v3", "v4", "v6", "v7", "v8",
@@ -83,12 +86,12 @@ def expect_fig511(g: Graph) -> dict:
     crit_sets = [["v1", "v2"], ["v1", "v2", "v3"], ["v1", "v2", "v3", "v4"],
                  ["v1", "v2", "v3", "v4", "v6", "v7"]]
     for names in crit_sets:
-        assert o.d_of(list(g.adj), mask_of(g, names)) == 1
+        assert o.d_of(adj, mask_of(g, names)) == 1
     crit_ind = [["v1", "v2", "v3"], ["v1", "v2", "v4"],
                 ["v1", "v2", "v3", "v6", "v7"]]
     for names in crit_ind:
         m = mask_of(g, names)
-        assert o.is_independent(list(g.adj), m) and o.d_of(list(g.adj), m) == 1
+        assert o.is_independent(adj, m) and o.d_of(adj, m) == 1
     deletions = {"v1": 0, "v3": 2, "v13": 2}
     for name, want in deletions.items():
         assert d_after_delete(g, name) == want, name
@@ -102,12 +105,11 @@ def expect_fig511(g: Graph) -> dict:
 
 def expect_fig101(g: Graph) -> dict:
     exp = common(g)
-    n, adj = g.n, list(g.adj)
+    corona = brute(g).corona
     assert exp["d"] == 1
     assert exp["core"] == ["a", "b"]
-    assert labels(g, g.full & ~o.brute_corona(n, adj)) == ["c", "d"]
-    corona = o.brute_corona(n, adj)
-    assert o.d_of(adj, corona) == 0
+    assert labels(g, g.full & ~corona) == ["c", "d"]
+    assert o.d_of(g.adj, corona) == 0
     assert not exp["ke"]
     assert exp["alpha"] == 5
     exp.update({
@@ -119,9 +121,8 @@ def expect_fig101(g: Graph) -> dict:
 
 def expect_fig22_g1(g: Graph) -> dict:
     exp = common(g)
-    n, adj = g.n, list(g.adj)
     assert exp["core"] == ["a", "b", "c", "d"]
-    assert o.d_of(adj, o.brute_core(n, adj)) == exp["d"]
+    assert o.d_of(g.adj, brute(g).core) == exp["d"]
     assert not exp["ke"]
     exp["core_is_critical"] = True
     return exp
@@ -129,9 +130,8 @@ def expect_fig22_g1(g: Graph) -> dict:
 
 def expect_fig22_g2(g: Graph) -> dict:
     exp = common(g)
-    n, adj = g.n, list(g.adj)
     assert exp["core"] == ["x", "y", "z", "w"]
-    assert o.d_of(adj, o.brute_core(n, adj)) != exp["d"]
+    assert o.d_of(g.adj, brute(g).core) != exp["d"]
     assert exp["ker"] == ["x", "y", "z"]
     assert not exp["ke"]
     exp["core_is_critical"] = False
@@ -147,16 +147,14 @@ def expect_fig333_g1(g: Graph) -> dict:
 
 
 def expect_fig333_g2(g: Graph) -> dict:
-    exp = common(g)
-    n, adj = g.n, list(g.adj)
+    exp, p = common(g), brute(g)
     assert exp["d"] == 2
     assert exp["core"] == ["x", "y", "z", "q"]
-    assert o.d_of(adj, o.brute_core(n, adj)) == 2
+    assert o.d_of(g.adj, p.core) == 2
     assert exp["ker"] == ["x", "y", "z"]
-    tops = o.brute_max_critical_independent_sets(n, adj)
-    top_size = max(x.bit_count() for x in tops)
+    top_size = p.max_critical.bit_count()
     assert top_size == exp["alpha"] == 5
-    minimal = [labels(g, m) for m in o.brute_minimal_positive(n, adj)]
+    minimal = [labels(g, m) for m in p.minimal_positive]
     assert minimal == [["x", "y"], ["x", "z"], ["y", "z"]]
     exp.update({
         "core_is_critical": True,
@@ -167,14 +165,14 @@ def expect_fig333_g2(g: Graph) -> dict:
 
 
 def expect_fig333_g3(g: Graph) -> dict:
-    exp = common(g)
-    n, adj = g.n, list(g.adj)
+    exp, p = common(g), brute(g)
     assert exp["d"] == 1
     assert exp["ker"] == ["u", "v"]
     assert exp["core"] == ["t", "u", "v", "w"]
-    assert o.d_of(adj, o.brute_core(n, adj)) != 1
-    tops = o.brute_max_critical_independent_sets(n, adj)
-    assert tops == [mask_of(g, ["t", "u", "v"])]
+    assert o.d_of(g.adj, p.core) != 1
+    size = p.max_critical.bit_count()
+    assert [x for x in p.critical if x.bit_count() == size] == [
+        mask_of(g, ["t", "u", "v"])]
     exp.update({
         "core_is_critical": False,
         "maximum_critical_independent": ["t", "u", "v"],
@@ -184,8 +182,7 @@ def expect_fig333_g3(g: Graph) -> dict:
 
 def expect_fig177(g: Graph) -> dict:
     exp = common(g)
-    n, adj = g.n, list(g.adj)
-    minimal = [labels(g, m) for m in o.brute_minimal_positive(n, adj)]
+    minimal = [labels(g, m) for m in brute(g).minimal_positive]
     assert minimal == [["x", "y"], ["u", "v", "w"]]
     assert exp["ker"] == ["x", "y", "u", "v", "w"]
     exp["minimal_positive"] = minimal
@@ -194,27 +191,22 @@ def expect_fig177(g: Graph) -> dict:
 
 def expect_fig233(g: Graph) -> dict:
     exp = common(g)
-    n, adj = g.n, list(g.adj)
     side_a, side_b = side_masks(g)
     assert labels(g, side_a) == [f"a{i}" for i in range(1, 7)]
-    d0a = o.brute_delta0(n, adj, side_a)
-    d0b = o.brute_delta0(n, adj, side_b)
+    a, b = (o.side_profile(g.n, g.adj, side) for side in (side_a, side_b))
+    d0a, d0b = a.delta0, b.delta0
     assert (d0a, d0b) == (1, 2)
     assert exp["d"] == 3 and exp["alpha"] == 8 and exp["mu"] == 5
-    ker_a = labels(g, o.brute_side_kernel(n, adj, side_a))
-    ker_b = labels(g, o.brute_side_kernel(n, adj, side_b))
+    ker_a, ker_b = labels(g, a.kernel), labels(g, b.kernel)
     assert ker_a == ["a1", "a2"]
     assert ker_b == ["b5", "b6", "b7"]
-    diadem_a = labels(g, o.brute_side_diadem(n, adj, side_a))
-    diadem_b = labels(g, o.brute_side_diadem(n, adj, side_b))
+    diadem_a, diadem_b = labels(g, a.diadem), labels(g, b.diadem)
     assert diadem_a == [f"a{i}" for i in range(1, 6)]
     assert diadem_b == [f"b{i}" for i in range(2, 8)]
-    assert mask_of(g, ["a1", "a2", "a3", "a4"]) in \
-        o.brute_side_critical_sets(n, adj, side_a)
-    assert mask_of(g, ["b4", "b5", "b6", "b7"]) in \
-        o.brute_side_critical_sets(n, adj, side_b)
+    assert mask_of(g, ["a1", "a2", "a3", "a4"]) in a.critical
+    assert mask_of(g, ["b4", "b5", "b6", "b7"]) in b.critical
     assert exp["ker"] == ["a1", "a2", "b5", "b6", "b7"]
-    assert 2 * exp["mu"] < n
+    assert 2 * exp["mu"] < g.n
     exp.update({
         "delta0_a": d0a,
         "delta0_b": d0b,
@@ -265,9 +257,8 @@ def expect_fig222_g2(g: Graph) -> dict:
 
 def expect_fig1777(g: Graph) -> dict:
     exp = common(g)
-    n, adj = g.n, list(g.adj)
     assert exp["core"] == ["x", "y", "z"]
-    assert o.d_of(adj, o.brute_core(n, adj)) == exp["d"] == 1
+    assert o.d_of(g.adj, brute(g).core) == exp["d"] == 1
     assert not exp["ke"]
     assert exp["alpha"] == 6 and exp["mu"] == 5
     total = len(exp["core"]) + len(exp["corona"])

@@ -1,14 +1,15 @@
 """Brute-force reference answers for cross-checking the library.
 
 Every function works on the bare pair (n, adj), where adj[v] is the neighbor
-bitmask of vertex v. Nothing here imports the package under test, so the two
+bitmask of vertex v: the graph's own adj tuple, which keys brute_profile's
+cache. Nothing here imports the package under test, so the two
 sides of each cross-check stay independent. Runtime is exponential in n by
 design; callers keep n small.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import NamedTuple
 
 
@@ -21,18 +22,20 @@ def bits(mask: int) -> list[int]:
     return out
 
 
-def neigh(adj: list[int], x: int) -> int:
+def neigh(adj: tuple[int, ...], x: int) -> int:
     out = 0
-    for v in bits(x):
-        out |= adj[v]
+    while x:
+        low = x & -x
+        out |= adj[low.bit_length() - 1]
+        x ^= low
     return out
 
 
-def d_of(adj: list[int], x: int) -> int:
+def d_of(adj: tuple[int, ...], x: int) -> int:
     return x.bit_count() - neigh(adj, x).bit_count()
 
 
-def is_independent(adj: list[int], x: int) -> bool:
+def is_independent(adj: tuple[int, ...], x: int) -> bool:
     return neigh(adj, x) & x == 0
 
 
@@ -42,103 +45,105 @@ def include_first(n: int, masks) -> list[int]:
     return sorted(masks, key=lambda m: [not m >> v & 1 for v in range(n)])
 
 
-def all_independent_sets(n: int, adj: list[int]) -> list[int]:
-    return [x for x in range(1 << n) if is_independent(adj, x)]
+def brute_d(n: int, adj: tuple[int, ...]) -> int:
+    """The largest |X| - |N(X)| over all 2^n subsets X; nbhd[X] = N(X),
+    the masks holding v being those without it, each joined by N(v)."""
+    nbhd = [0]
+    for v in range(n):
+        nbhd += [m | adj[v] for m in nbhd]
+    return max(x.bit_count() - m.bit_count() for x, m in enumerate(nbhd))
 
 
-def brute_d(n: int, adj: list[int]) -> int:
-    return max(d_of(adj, x) for x in range(1 << n))
-
-
-def brute_d_independent(n: int, adj: list[int]) -> int:
-    return max(d_of(adj, x) for x in all_independent_sets(n, adj))
-
-
-def brute_critical_independent_sets(n: int, adj: list[int]) -> list[int]:
-    target = brute_d(n, adj)
-    return [x for x in all_independent_sets(n, adj) if d_of(adj, x) == target]
-
-
-def brute_ker(n: int, adj: list[int]) -> int:
-    out = (1 << n) - 1
-    for x in brute_critical_independent_sets(n, adj):
-        out &= x
-    return out
-
-
-def brute_diadem(n: int, adj: list[int]) -> int:
-    out = 0
-    for x in brute_critical_independent_sets(n, adj):
-        out |= x
-    return out
-
-
-def brute_alpha(n: int, adj: list[int]) -> int:
-    return max(x.bit_count() for x in all_independent_sets(n, adj))
-
-
-def brute_mis_family(n: int, adj: list[int]) -> list[int]:
-    target = brute_alpha(n, adj)
-    return [x for x in all_independent_sets(n, adj)
-            if x.bit_count() == target]
-
-
-def brute_core(n: int, adj: list[int]) -> int:
-    out = (1 << n) - 1
-    for x in brute_mis_family(n, adj):
-        out &= x
-    return out
-
-
-def brute_corona(n: int, adj: list[int]) -> int:
-    out = 0
-    for x in brute_mis_family(n, adj):
-        out |= x
-    return out
-
-
-def brute_mu(n: int, adj: list[int]) -> int:
-    adj_t = tuple(adj)
-
+def brute_mu(n: int, adj: tuple[int, ...]) -> int:
     @lru_cache(maxsize=None)
     def rec(avail: int) -> int:
-        v = -1
-        for cand in bits(avail):
-            if adj_t[cand] & avail:
-                v = cand
-                break
-        if v == -1:
+        if not avail:
             return 0
-        rest = avail & ~(1 << v)
+        low = avail & -avail
+        v, rest = low.bit_length() - 1, avail ^ low
         best = rec(rest)  # v stays unmatched
-        for u in bits(adj_t[v] & avail):
-            score = 1 + rec(rest & ~(1 << u))
-            if score > best:
-                best = score
+        for u in bits(adj[v] & rest):
+            best = max(best, 1 + rec(rest & ~(1 << u)))
         return best
 
     return rec((1 << n) - 1)
 
 
-def brute_deficiency(n: int, adj: list[int]) -> int:
-    return n - 2 * brute_mu(n, adj)
+def meet_and_join(n: int, family: list[int]) -> tuple[int, int]:
+    """The intersection and the union of a family of masks."""
+    meet, join = (1 << n) - 1, 0
+    for x in family:
+        meet &= x
+        join |= x
+    return meet, join
 
 
-def brute_is_ke(n: int, adj: list[int]) -> bool:
-    return brute_alpha(n, adj) + brute_mu(n, adj) == n
+# -- one walk over the independent sets: the brute answers about a graph --
+
+def independent_masks(n: int, adj: tuple[int, ...]) -> list[int]:
+    """Every independent mask, each grown from the one without its top
+    vertex; by size, so every mask comes after the masks it holds."""
+    found = [0]
+    for m in found:
+        found += [m | 1 << v for v in range(m.bit_length(), n)
+                  if not adj[v] & m]
+    return found
 
 
-def brute_minimal_positive(n: int, adj: list[int]) -> list[int]:
-    positives = [x for x in all_independent_sets(n, adj) if d_of(adj, x) > 0]
-    return [s for s in positives
-            if not any(p != s and p & ~s == 0 for p in positives)]
+class Profile:
+    """The brute answers about one graph. The fields set at construction
+    are read off one independent_masks walk with d_of alone, as the paper
+    defines them: the critical sets attain d_independent, the largest d over
+    the independent sets, and the maximum ones have size alpha. Families
+    are in include-first order. d, over all 2^n subsets, and mu are each
+    computed when first read, so a caller past their reach pays for the
+    walk only; d and d_independent stay two computations, as Zhang's
+    identity compares them. brute_profile hands one profile to every
+    caller, so callers only read its lists."""
+
+    def __init__(self, n: int, adj: tuple[int, ...]):
+        self.n, self.adj = n, adj
+        ind = independent_masks(n, adj)
+        ds = [d_of(adj, x) for x in ind]
+        self.d_independent = top = max(ds)
+        self.alpha = max(map(int.bit_count, ind))
+        self.critical = include_first(
+            n, [x for x, d in zip(ind, ds) if d == top])
+        self.ker, self.diadem = meet_and_join(n, self.critical)
+        size = max(map(int.bit_count, self.critical))
+        # the largest critical set, least sorted id list among equals
+        self.max_critical = min((x for x in self.critical
+                                 if x.bit_count() == size), key=bits)
+        self.mis = include_first(
+            n, [x for x in ind if x.bit_count() == self.alpha])
+        self.core, self.corona = meet_and_join(n, self.mis)
+        # the walk puts every set after its subsets, so a positive set is
+        # minimal iff it holds none of the minimal ones kept before it
+        minimal: list[int] = []
+        for x, d in zip(ind, ds):
+            if d > 0 and not any(p & ~x == 0 for p in minimal):
+                minimal.append(x)
+        self.minimal_positive = include_first(n, minimal)
+
+    @cached_property
+    def d(self) -> int:
+        return brute_d(self.n, self.adj)
+
+    @cached_property
+    def mu(self) -> int:
+        return brute_mu(self.n, self.adj)
+
+    @property
+    def ke(self) -> bool:
+        return self.alpha + self.mu == self.n
 
 
-def brute_max_critical_independent_sets(n: int, adj: list[int]) -> list[int]:
-    family = brute_critical_independent_sets(n, adj)
-    top = max(x.bit_count() for x in family)
-    return [x for x in family if x.bit_count() == top]
+@lru_cache(maxsize=4096)
+def brute_profile(n: int, adj: tuple[int, ...]) -> Profile:
+    return Profile(n, adj)
 
+
+# -- one walk over the subsets of a side: the brute answers about a side --
 
 def submasks(side: int) -> list[int]:
     out = []
@@ -150,67 +155,21 @@ def submasks(side: int) -> list[int]:
         sub = (sub - 1) & side
 
 
-def brute_delta0(n: int, adj: list[int], side: int) -> int:
-    return max(d_of(adj, x) for x in submasks(side))
+class SideProfile(NamedTuple):
+    delta0: int  # the largest d over the subsets of the side
+    critical: list[int]  # the subsets attaining it, include-first
+    kernel: int
+    diadem: int
 
 
-def brute_side_critical_sets(n: int, adj: list[int], side: int) -> list[int]:
-    target = brute_delta0(n, adj, side)
-    return [x for x in submasks(side) if d_of(adj, x) == target]
-
-
-def brute_side_kernel(n: int, adj: list[int], side: int) -> int:
-    out = (1 << n) - 1
-    for x in brute_side_critical_sets(n, adj, side):
-        out &= x
-    return out
-
-
-def brute_side_diadem(n: int, adj: list[int], side: int) -> int:
-    out = 0
-    for x in brute_side_critical_sets(n, adj, side):
-        out |= x
-    return out
-
-
-# -- one walk over the independent sets: the enumeration readers' reference --
-
-def independent_masks(n: int, adj: list[int]) -> list[int]:
-    """Every independent mask, each grown from the one without its top
-    vertex; by size, so every mask comes after the masks it holds."""
-    found = [0]
-    for m in found:
-        found += [m | 1 << v for v in range(m.bit_length(), n)
-                  if not adj[v] & m]
-    return found
-
-
-class Families(NamedTuple):
-    critical: list[int]  # the critical independent sets, include-first
-    max_critical: int  # the largest, least sorted id list among equals
-    mis: list[int]  # the maximum independent sets, include-first
-    alpha: int
-    core: int
-    corona: int
-
-
-def independent_families(n: int, adj: list[int]) -> Families:
-    """The critical and maximum independent families, read off
-    independent_masks with d_of alone: as the paper defines them, a critical
-    set attains the largest d over the independent sets."""
-    ind = independent_masks(n, adj)
-    ds = [d_of(adj, x) for x in ind]
-    top, alpha = max(ds), max(map(int.bit_count, ind))
-    critical = include_first(n, [x for x, d in zip(ind, ds) if d == top])
-    size = max(map(int.bit_count, critical))
-    mis = include_first(n, [x for x in ind if x.bit_count() == alpha])
-    core, corona = (1 << n) - 1, 0
-    for x in mis:
-        core &= x
-        corona |= x
-    return Families(critical, min((x for x in critical
-                                   if x.bit_count() == size), key=bits),
-                    mis, alpha, core, corona)
+def side_profile(n: int, adj: tuple[int, ...], side: int) -> SideProfile:
+    """The side-critical sets of one side of a bipartite graph, off one
+    submasks walk."""
+    subs = submasks(side)
+    ds = [d_of(adj, x) for x in subs]
+    top = max(ds)
+    critical = include_first(n, [x for x, d in zip(subs, ds) if d == top])
+    return SideProfile(top, critical, *meet_and_join(n, critical))
 
 
 # -- per-vertex rules: polynomial references past the subset oracles' reach --
@@ -232,20 +191,20 @@ def bipartite_mu(rows: dict[int, int]) -> int:
     return sum(1 for u in rows if augment(u, set()))
 
 
-def cover_d(n: int, adj: list[int], gone: int = 0) -> int:
+def cover_d(n: int, adj: tuple[int, ...], gone: int = 0) -> int:
     """d(G - gone) = |V'| - mu of the double cover of G - gone."""
     alive = ((1 << n) - 1) & ~gone
     return alive.bit_count() - bipartite_mu(
         {u: adj[u] & alive for u in bits(alive)})
 
 
-def deletion_ker(n: int, adj: list[int]) -> int:
+def deletion_ker(n: int, adj: tuple[int, ...]) -> int:
     """ker by the deletion rule: v belongs iff d(G - v) = d(G) - 1."""
     d0 = cover_d(n, adj)
     return sum(1 << v for v in range(n) if cover_d(n, adj, 1 << v) == d0 - 1)
 
 
-def forcing_diadem(n: int, adj: list[int]) -> int:
+def forcing_diadem(n: int, adj: tuple[int, ...]) -> int:
     """diadem by the forcing rule: v belongs iff
     1 - |N(v)| + d(G - N[v]) = d(G)."""
     d0 = cover_d(n, adj)
@@ -254,7 +213,7 @@ def forcing_diadem(n: int, adj: list[int]) -> int:
                == d0)
 
 
-def side_delta0(adj: list[int], side: int, gone: int = 0) -> int:
+def side_delta0(adj: tuple[int, ...], side: int, gone: int = 0) -> int:
     """Largest deficiency over the side within G - gone, for bipartite G:
     the side's surviving size minus the matching number between the sides."""
     rest = side & ~gone
@@ -262,7 +221,7 @@ def side_delta0(adj: list[int], side: int, gone: int = 0) -> int:
         {u: adj[u] & ~gone for u in bits(rest)})
 
 
-def deletion_side_kernel(adj: list[int], side: int) -> int:
+def deletion_side_kernel(adj: tuple[int, ...], side: int) -> int:
     """Side kernel by the deletion rule: v belongs iff deleting it drops the
     side's deficiency maximum by exactly 1."""
     d0 = side_delta0(adj, side)
@@ -270,7 +229,7 @@ def deletion_side_kernel(adj: list[int], side: int) -> int:
                if side_delta0(adj, side, 1 << v) == d0 - 1)
 
 
-def forcing_side_diadem(adj: list[int], side: int) -> int:
+def forcing_side_diadem(adj: tuple[int, ...], side: int) -> int:
     """Side diadem by the forcing rule: v belongs iff
     1 - |N(v)| + delta0 of the side in G - N[v] equals delta0 of the side."""
     d0 = side_delta0(adj, side)
@@ -279,9 +238,9 @@ def forcing_side_diadem(adj: list[int], side: int) -> int:
                + side_delta0(adj, side, adj[v] | 1 << v) == d0)
 
 
-def search_minimal_positive(n: int, adj: list[int]) -> list[int]:
+def search_minimal_positive(n: int, adj: tuple[int, ...]) -> list[int]:
     """The inclusion-minimal independent sets with d >= 1 in include-first
-    order, by a DFS that reaches past brute_minimal_positive's sizes. A node
+    order, by a DFS that reaches past the brute profile's sizes. A node
     branches on its lowest candidate, taking it first, and stops once the
     chosen set has d >= 1, as every superset has it as a subset. That set is
     minimal iff no S - v holds a subset of positive difference; for an
@@ -312,7 +271,7 @@ def search_minimal_positive(n: int, adj: list[int]) -> list[int]:
 
 # -- one alternating search per vertex: the reference for diadem's SCC pass --
 
-def cover_matching(n: int, adj: list[int]) -> list[int]:
+def cover_matching(n: int, adj: tuple[int, ...]) -> list[int]:
     """A maximum matching of the double cover as w -> v for each matched
     pair v+ w- (-1 for an unmatched w-), by one breadth-first augmenting
     search per plus copy; nothing recurses, so long paths are fine."""
@@ -336,7 +295,7 @@ def cover_matching(n: int, adj: list[int]) -> list[int]:
     return mate_minus
 
 
-def _plus_reach(adj: list[int], mate_minus: list[int],
+def _plus_reach(adj: tuple[int, ...], mate_minus: list[int],
                 start: list[int]) -> set[int]:
     """Plus copies that alternating paths reach from the plus copies in
     start, each step an edge u+ w- and then the matching edge from w- back
@@ -351,20 +310,21 @@ def _plus_reach(adj: list[int], mate_minus: list[int],
     return seen
 
 
-def _reach_ker(n: int, adj: list[int], mate_minus: list[int]) -> set[int]:
+def _reach_ker(n: int, adj: tuple[int, ...],
+               mate_minus: list[int]) -> set[int]:
     matched = set(mate_minus)
     return _plus_reach(adj, mate_minus,
                        [v for v in range(n) if v not in matched])
 
 
-def search_ker(n: int, adj: list[int]) -> int:
+def search_ker(n: int, adj: tuple[int, ...]) -> int:
     """ker as the plus copies that alternating paths reach from the
     unmatched ones. O(m) after the matching, so it reaches past the deletion
     rule's sizes."""
     return sum(1 << v for v in _reach_ker(n, adj, cover_matching(n, adj)))
 
 
-def search_diadem(n: int, adj: list[int]) -> int:
+def search_diadem(n: int, adj: tuple[int, ...]) -> int:
     """diadem by one alternating search per vertex: v belongs iff no
     neighbour of v lies in ker or in the plus copies reached from v+, where
     ker is the reach of the unmatched plus copies. O(n m)."""

@@ -7,7 +7,6 @@ import json
 import time
 
 import oracles as o
-from conftest import adj_of
 from critset import cli
 from critset.critical import (critical_difference,
                               critical_independent_witness, diadem, ker)
@@ -65,19 +64,19 @@ def test_criterion_2_oracle_equivalence():
         counts[n] = 0
         for g in all_graphs(n):
             counts[n] += 1
-            adj = adj_of(g)
+            adj, want = g.adj, o.brute_profile(n, g.adj)
 
             d = critical_difference(g)
-            if not d == o.brute_d(n, adj) == o.brute_d_independent(n, adj):
+            if not d == want.d == want.d_independent:
                 mismatches.append(("d", adj))
-            if ker(g) != o.brute_ker(n, adj):
+            if ker(g) != want.ker:
                 mismatches.append(("ker", adj))
-            if diadem(g) != o.brute_diadem(n, adj):
+            if diadem(g) != want.diadem:
                 mismatches.append(("diadem", adj))
-            if len(maximum_matching_general(g)) != o.brute_mu(n, adj):
+            if len(maximum_matching_general(g)) != want.mu:
                 mismatches.append(("mu", adj))
             ke = is_koenig_egervary(g)
-            if not ke == o.brute_is_ke(n, adj) == is_ke_via_critical(g):
+            if not ke == want.ke == is_ke_via_critical(g):
                 mismatches.append(("ke", adj))
 
             parts = bipartition(g)
@@ -86,11 +85,12 @@ def test_criterion_2_oracle_equivalence():
                 for side, mask, d0, kernel, dia in zip(
                         "AB", parts, (p.delta0_a, p.delta0_b),
                         (p.ker_a, p.ker_b), (p.diadem_a, p.diadem_b)):
-                    if d0 != o.brute_delta0(n, adj, mask):
+                    s = o.side_profile(n, adj, mask)
+                    if d0 != s.delta0:
                         mismatches.append(("delta0" + side, adj))
-                    if kernel != o.brute_side_kernel(n, adj, mask):
+                    if kernel != s.kernel:
                         mismatches.append(("side_kernel" + side, adj))
-                    if dia != o.brute_side_diadem(n, adj, mask):
+                    if dia != s.diadem:
                         mismatches.append(("side_diadem" + side, adj))
     elapsed = time.perf_counter() - started
 

@@ -6,7 +6,7 @@ import time
 import pytest
 
 import oracles as o
-from conftest import (adj_of, analyze_sample, masks_built, mid_sample,
+from conftest import (analyze_sample, masks_built, mid_sample,
                       random_sample, shuffled_chain, small_corpus)
 from critset import critical
 from critset.critical import (_d_without, _greedy_cover_matching,
@@ -41,10 +41,10 @@ def mask_of(g, labels):
 
 def test_critical_difference_matches_both_oracles(graphs_n5):
     for g in graphs_n5:
-        adj = adj_of(g)
+        want = o.brute_profile(g.n, g.adj)
         d = critical_difference(g)
-        assert d == o.brute_d(g.n, adj)
-        assert d == o.brute_d_independent(g.n, adj)
+        assert d == want.d
+        assert d == want.d_independent
 
 
 def test_critical_difference_known_values():
@@ -92,19 +92,19 @@ def test_empty_set_critical_iff_d_zero():
 
 def test_ker_matches_oracle(graphs_n5):
     for g in graphs_n5:
-        assert ker(g) == o.brute_ker(g.n, adj_of(g))
+        assert ker(g) == o.brute_profile(g.n, g.adj).ker
 
 
 def test_diadem_matches_oracle(graphs_n5):
     for g in graphs_n5:
-        assert diadem(g) == o.brute_diadem(g.n, adj_of(g))
+        assert diadem(g) == o.brute_profile(g.n, g.adj).diadem
 
 
 def test_ker_and_diadem_on_random_graphs():
     for g in random_sample(25, 8, 11, seed=17):
-        adj = adj_of(g)
-        assert ker(g) == o.brute_ker(g.n, adj)
-        assert diadem(g) == o.brute_diadem(g.n, adj)
+        want = o.brute_profile(g.n, g.adj)
+        assert ker(g) == want.ker
+        assert diadem(g) == want.diadem
 
 
 def assert_cover_matching_is_maximum(g):
@@ -113,7 +113,7 @@ def assert_cover_matching_is_maximum(g):
     cover = _ker_matching(g)
     pairs = [(v, w) for v, w in enumerate(cover.mate_plus) if w != -1]
     assert all(w in g.nbrs[v] and cover.mate_minus[w] == v for v, w in pairs)
-    assert len(pairs) == n_matched(o.cover_matching(g.n, adj_of(g)))
+    assert len(pairs) == n_matched(o.cover_matching(g.n, g.adj))
 
 
 def n_matched(mate):
@@ -124,7 +124,7 @@ def test_ker_and_diadem_match_per_vertex_rules_past_oracle_reach():
     # the deletion and forcing rules recompute d once per vertex, so they
     # check the one-matching routes on graphs too big for subset enumeration
     for g in mid_sample(seed=41):
-        adj = adj_of(g)
+        adj = g.adj
         assert_cover_matching_is_maximum(g)
         assert ker(g) == o.deletion_ker(g.n, adj), g.adj
         assert diadem(g) == o.forcing_diadem(g.n, adj), g.adj
@@ -140,7 +140,7 @@ def test_diadem_matches_per_vertex_rules_on_analyze_shapes():
               random_graph(70, 0.1, 5)]
     kers, diadems = set(), set()
     for g in graphs:
-        adj = adj_of(g)
+        adj = g.adj
         got = diadem(g)
         assert got == o.search_diadem(g.n, adj), g.adj
         assert got == o.forcing_diadem(g.n, adj), g.adj
@@ -156,7 +156,7 @@ def test_diadem_matches_per_vertex_search_on_long_chains(n, closed):
     # components, which the one-pass route ORs reach sets along; on a cycle
     # it is one or two large components
     g = shuffled_chain(n, closed, seed=n + closed)
-    assert diadem(g) == o.search_diadem(g.n, adj_of(g))
+    assert diadem(g) == o.search_diadem(g.n, g.adj)
     assert_cover_matching_is_maximum(g)
 
 
@@ -188,7 +188,7 @@ def test_cover_matching_past_a_mirrored_greedy_start(build, parts, small):
     # perfectly, leaves an augmenting path for Hopcroft-Karp; d, ker and
     # diadem are 0 on these graphs
     g = build()
-    adj = adj_of(g)
+    adj = g.adj
     mate_plus, mate_minus = [-1] * g.n, [-1] * g.n
     _greedy_cover_matching(g.nbrs, mate_plus, mate_minus)
     assert mate_plus.count(-1) == parts

@@ -2,7 +2,6 @@ import pytest
 
 import freeze_fixtures
 import oracles as o
-from conftest import adj_of
 from critset.fixtures import fixture_names, load, verify, verify_all
 
 
@@ -33,11 +32,8 @@ def test_every_fixture_verifies():
 def test_strict_inclusion_example():
     fx = load("fig1777")
     g = fx.graph
-    adj = adj_of(g)
-    ker = o.brute_ker(g.n, adj)
-    core = o.brute_core(g.n, adj)
-    diadem = o.brute_diadem(g.n, adj)
-    corona = o.brute_corona(g.n, adj)
+    p = o.brute_profile(g.n, g.adj)
+    ker, core, diadem, corona = p.ker, p.core, p.diadem, p.corona
     assert ker & ~core == 0 and ker != core
     assert diadem & ~corona == 0 and diadem != corona
 

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import oracles as o
-from conftest import adj_of, random_sample
+from conftest import random_sample
 from critset.graphs import (EXHAUSTIVE_MAX_N, Graph, LimitExceeded,
                             ParseError, all_graphs, bipartition,
                             complete_bipartite, complete_graph, cycle_graph,
@@ -140,7 +140,7 @@ def test_difference_lower_bound(g, seed):
     rng = random.Random(seed)
     for x in masks(g, rng):
         assert difference(g, x) >= x.bit_count() - g.n
-        assert difference(g, x) == o.d_of(adj_of(g), x)
+        assert difference(g, x) == o.d_of(g.adj, x)
 
 
 @given(graph_st, st.integers(min_value=0, max_value=2**32 - 1))
@@ -156,7 +156,7 @@ def test_neighborhood_additive_over_unions(g, seed):
 def test_is_independent_matches_oracle(g, seed):
     rng = random.Random(seed)
     for x in masks(g, rng):
-        assert is_independent(g, x) == o.is_independent(adj_of(g), x)
+        assert is_independent(g, x) == o.is_independent(g.adj, x)
 
 
 def test_neighborhood_rejects_foreign_vertices():

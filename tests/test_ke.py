@@ -1,7 +1,7 @@
 import pytest
 
 import oracles as o
-from conftest import adj_of, random_sample
+from conftest import random_sample
 from critset.fixtures import load
 from critset.graphs import complete_graph, cycle_graph, path_graph
 from critset.critical import critical_difference, diadem, ker
@@ -13,7 +13,7 @@ from critset.oracle import core_and_corona, is_ke_via_critical
 
 def test_recognition_matches_oracle(graphs_n5):
     for g in graphs_n5:
-        assert is_koenig_egervary(g) == o.brute_is_ke(g.n, adj_of(g))
+        assert is_koenig_egervary(g) == o.brute_profile(g.n, g.adj).ke
 
 
 def test_both_recognition_routes_agree(graphs_n5):
@@ -23,7 +23,7 @@ def test_both_recognition_routes_agree(graphs_n5):
 
 def test_recognition_on_random_graphs():
     for g in random_sample(40, 8, 12, seed=91):
-        assert is_koenig_egervary(g) == o.brute_is_ke(g.n, adj_of(g))
+        assert is_koenig_egervary(g) == o.brute_profile(g.n, g.adj).ke
 
 
 def test_known_classifications():

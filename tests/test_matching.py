@@ -3,7 +3,7 @@ import random
 import pytest
 
 import oracles as o
-from conftest import adj_of, random_sample, small_corpus
+from conftest import random_sample, small_corpus
 from critset.graphs import (BipartitePartition, Graph, bipartition,
                             complete_bipartite, complete_graph, cycle_graph,
                             empty_graph, neighborhood, path_graph,
@@ -52,7 +52,7 @@ def test_bipartite_matching_matches_oracle_exhaustively(graphs_n5):
             continue
         m = maximum_matching_bipartite(g, parts)
         check_valid_matching(g, m)
-        assert len(m) == o.brute_mu(g.n, adj_of(g))
+        assert len(m) == o.brute_profile(g.n, g.adj).mu
 
 
 def test_bipartite_matching_rejects_bad_parts():
@@ -88,14 +88,14 @@ def test_blossom_matches_oracle_exhaustively(graphs_n5):
     for g in graphs_n5:
         m = maximum_matching_general(g)
         check_valid_matching(g, m)
-        assert len(m) == o.brute_mu(g.n, adj_of(g))
+        assert len(m) == o.brute_profile(g.n, g.adj).mu
 
 
 def test_blossom_matches_oracle_on_random_graphs():
     for g in random_sample(40, 6, 9, seed=21):
         m = maximum_matching_general(g)
         check_valid_matching(g, m)
-        assert len(m) == o.brute_mu(g.n, adj_of(g))
+        assert len(m) == o.brute_profile(g.n, g.adj).mu
 
 
 def test_matching_queries():

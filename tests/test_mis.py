@@ -3,7 +3,7 @@ import random
 import pytest
 
 import oracles as o
-from conftest import adj_of, random_sample
+from conftest import random_sample
 from critset.fixtures import load
 from critset.graphs import (Graph, LimitExceeded, bipartition,
                             complete_bipartite, complete_graph, cycle_graph,
@@ -19,12 +19,12 @@ from critset.oracle import (core_and_corona,
 
 def test_alpha_matches_oracle(graphs_n5):
     for g in graphs_n5:
-        assert alpha(g) == o.brute_alpha(g.n, adj_of(g))
+        assert alpha(g) == o.brute_profile(g.n, g.adj).alpha
 
 
 def test_alpha_on_random_graphs():
     for g in random_sample(40, 10, 16, seed=7):
-        assert alpha(g) == o.brute_alpha(g.n, adj_of(g))
+        assert alpha(g) == o.brute_profile(g.n, g.adj).alpha
 
 
 def test_alpha_known_values():

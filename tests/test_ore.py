@@ -3,8 +3,7 @@ import random
 import pytest
 
 import oracles as o
-from conftest import (adj_of, every_bipartition, mid_sample,
-                      random_bipartition)
+from conftest import every_bipartition, mid_sample, random_bipartition
 from critset.critical import critical_difference
 from critset.fixtures import load
 from critset.graphs import (BipartitePartition, LimitExceeded, bipartition,
@@ -55,10 +54,9 @@ def fig233_setup():
 
 def test_delta0_matches_subset_oracle(graphs_n5):
     for g, parts in oracle_pairs(graphs_n5):
-        adj = adj_of(g)
         p = ore_profile(g, parts)
-        assert p.delta0_a == o.brute_delta0(g.n, adj, parts.side_a)
-        assert p.delta0_b == o.brute_delta0(g.n, adj, parts.side_b)
+        assert p.delta0_a == o.side_profile(g.n, g.adj, parts.side_a).delta0
+        assert p.delta0_b == o.side_profile(g.n, g.adj, parts.side_b).delta0
 
 
 def test_delta0_is_symmetric_under_side_swap(graphs_n5):
@@ -70,18 +68,16 @@ def test_delta0_is_symmetric_under_side_swap(graphs_n5):
 
 def test_side_kernel_matches_oracle(graphs_n5):
     for g, parts in oracle_pairs(graphs_n5):
-        adj = adj_of(g)
         p = ore_profile(g, parts)
-        assert p.ker_a == o.brute_side_kernel(g.n, adj, parts.side_a)
-        assert p.ker_b == o.brute_side_kernel(g.n, adj, parts.side_b)
+        assert p.ker_a == o.side_profile(g.n, g.adj, parts.side_a).kernel
+        assert p.ker_b == o.side_profile(g.n, g.adj, parts.side_b).kernel
 
 
 def test_side_diadem_matches_oracle(graphs_n5):
     for g, parts in oracle_pairs(graphs_n5):
-        adj = adj_of(g)
         p = ore_profile(g, parts)
-        assert p.diadem_a == o.brute_side_diadem(g.n, adj, parts.side_a)
-        assert p.diadem_b == o.brute_side_diadem(g.n, adj, parts.side_b)
+        assert p.diadem_a == o.side_profile(g.n, g.adj, parts.side_a).diadem
+        assert p.diadem_b == o.side_profile(g.n, g.adj, parts.side_b).diadem
 
 
 def test_every_bipartition_counts_each_component_both_ways(graphs_n5):
@@ -100,7 +96,7 @@ def test_side_rules_match_per_vertex_rules_past_oracle_reach():
         if bipartition(g) is None:
             continue
         parts = random_bipartition(g, rng)
-        adj = adj_of(g)
+        adj = g.adj
         p = ore_profile(g, parts)
         for mask, d0, kernel, dia in zip(
                 parts, (p.delta0_a, p.delta0_b), (p.ker_a, p.ker_b),

@@ -371,7 +371,7 @@ def test_one_critical_pass_gives_capped_family_and_uncapped_maximum(
     # past the cap the family is a limit skip, the largest set is not
     for g in [*small_corpus(4), empty_graph(5), cycle_graph(6),
               random_graph(9, 0.3, 2)]:
-        want = o.independent_families(g.n, g.adj)
+        want = o.brute_profile(g.n, g.adj)
         monkeypatch.setattr(oracle, "FAMILY_CAP", len(want.critical) - 1)
         facts = Facts(g)
         with pytest.raises(LimitExceeded, match="more than"):
@@ -672,13 +672,20 @@ FAULTS = {
     "alpha.minus_one": Fault(C5_PATH, (mis, "alpha"), lambda a, g: a - 1, {
         TH5: {"alpha": 2, "larger_independent_set": ["a", "c", "g"]}}),
     # the same on the paw, the triangle a b c with the pendant d at a (KE,
-    # alpha = 2): the DFS's first set, {a}, is not critical, so th5 reads no
-    # further; the largest critical independent set, {b, d}, is larger than
-    # alpha, and the graph no longer reads as KE
+    # alpha = 2): the DFS's first set, {a}, is not critical and no larger
+    # than alpha; the largest critical independent set, {b, d}, is larger,
+    # and the graph no longer reads as KE
     "alpha.minus_one_ke": Fault("a b\nb c\nc a\na d\n", (mis, "alpha"),
                                 lambda a, g: a - 1, {
         TH5: {"alpha": 1, "larger_independent_set": ["b", "d"]}},
         dict.fromkeys((COR2, STRUCTURE, TH8, TH11, "ke.is_ke"), "not KE")),
+    # the same on the bowtie, the triangles 0 1 4 and 0 2 3 sharing 0 (not
+    # KE, alpha = 2, d = 0): the DFS's first set, {0}, is not critical, and
+    # neither it nor the largest critical set, {}, is larger than alpha; the
+    # rest of the DFS's stream holds {1, 2}, which is
+    "alpha.minus_one_bowtie": Fault("0 1\n0 2\n0 3\n0 4\n1 4\n2 3\n",
+                                    (mis, "alpha"), lambda a, g: a - 1, {
+        TH5: {"alpha": 1, "larger_independent_set": ["1", "2"]}}),
     # P3's matching {a, b} loses its one edge, so mu = 0
     "matching.less_an_edge": Fault(P3, MATCHING, lambda *_: Matching(3, []), {
         "cor1.d_ge_alpha_minus_mu": {"d": 1, "alpha": 2, "mu": 0},
@@ -848,10 +855,12 @@ def test_check_fuzz_and_shrink_keep_an_injected_failure(monkeypatch, capsys,
 
 # Every reader of the critical, maximum independent, minimal positive and side
 # critical families, in Facts and public, meets a reference in
-# tests/oracles.py that shares no code with it: o.independent_families, one
-# walk over every independent set, for the first two, o.search_minimal_positive
-# and o.brute_side_critical_sets for the others. One Facts per graph serves
-# the Facts readers, as in a registry pass; each public reader makes its own.
+# tests/oracles.py that shares no code with it: o.brute_profile, one walk
+# over every independent set, for the first two, o.search_minimal_positive
+# and o.side_profile for the others. In the n <= 6 band the profile's minimal
+# positive sets hold o.search_minimal_positive to the definition. One Facts
+# per graph serves the Facts readers, as in a registry pass; each public
+# reader makes its own.
 # The corpus is every labeled graph with n <= 6 and seeded G(n, p) at
 # n = 7..20. The side readers take every bipartite graph with n <= 5 under
 # every valid bipartition, every one with n = 6 under a random valid one,
@@ -883,10 +892,7 @@ _FAMILY_READERS = {
 
 def _family_references(g):
     """What each of _FAMILY_READERS gives on g, by the references."""
-    r = o.independent_families(g.n, g.adj)
-    ker = g.full
-    for s in r.critical:
-        ker &= s
+    r = o.brute_profile(g.n, g.adj)
     maximal = sorted((s for s in r.critical if not any(
         s != t and s & ~t == 0 for t in r.critical)),
         key=lambda s: (-s.bit_count(), s))
@@ -894,7 +900,7 @@ def _family_references(g):
     ke_via_critical = r.max_critical.bit_count() == r.alpha
     return {
         "critical_ind_family": r.critical, "max_critical_ind": r.max_critical,
-        "ker_oracle": ker, "maximal_critical_ind": maximal,
+        "ker_oracle": r.ker, "maximal_critical_ind": maximal,
         "ke_via_critical": ke_via_critical, "first_mis": r.mis[0],
         "mis_profile": profile,
         "minimal_positives": o.search_minimal_positive(g.n, g.adj),
@@ -950,12 +956,16 @@ def _family_cell(band):
             got = read(f)
             if got != want[name]:
                 wrong.setdefault(name, (g.adj, got, want[name]))
+        if band == "0..6":
+            brute = o.brute_profile(g.n, g.adj).minimal_positive
+            if want["minimal_positives"] != brute:
+                wrong.setdefault("search_minimal_positive",
+                                 (g.adj, want["minimal_positives"], brute))
     for g, parts in pairs:
         f = Facts(g)
         f._cache["parts"] = parts
         for side, mask in zip("AB", parts):
-            family = o.include_first(g.n, o.brute_side_critical_sets(
-                g.n, g.adj, mask))
+            family = o.side_profile(g.n, g.adj, mask).critical
             for name, got, want in (
                     ("side_critical_samples", f.side_critical_samples(side),
                      family[:16]),

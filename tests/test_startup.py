@@ -113,6 +113,25 @@ def test_polynomial_modules_never_import_the_oracle_tier(module):
 
 
 def test_oracles_import_nothing_from_the_package():
-    # the brute-force references stay independent of the code they check
-    imported = _imports(Path(__file__).with_name("oracles.py"))
+    # the brute-force references stay independent of the code they check;
+    # and every top-level def is reached from an o.<name> of a test module
+    # or freeze_fixtures.py, then through the names inside the defs reached
+    here = Path(__file__).parent
+    oracles = ast.parse((here / "oracles.py").read_text())
+    imported = _imports(here / "oracles.py")
     assert sorted(m for m in imported if m.split(".")[0] == "critset") == []
+    defs = {node.name: node for node in oracles.body if isinstance(
+        node, (ast.FunctionDef, ast.ClassDef))}
+    todo = [node.attr for path in here.glob("*.py")
+            if path.name != "oracles.py"
+            for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name) and node.value.id == "o"]
+    reached = set()
+    while todo:
+        name = todo.pop()
+        if name in defs and name not in reached:
+            reached.add(name)
+            todo += [node.id for node in ast.walk(defs[name])
+                     if isinstance(node, ast.Name)]
+    assert sorted(set(defs) - reached) == []
