@@ -17,8 +17,7 @@ from typing import NamedTuple
 
 from .graphs import (Graph, VertexSet, difference, is_independent, vlist,
                      vmask, vset)
-from .matching import (Matching, _alternating_reach, _max_matching_lists,
-                       _unmatched, saturating_matching)
+from .matching import Matching, _max_matching_lists, saturating_matching
 
 
 class _CoverMatching(NamedTuple):
@@ -79,9 +78,10 @@ def _greedy_cover_matching(nbrs, mate_plus: list[int],
 
 
 def _ker_matching(g: Graph) -> _CoverMatching:
-    """Match the double cover and take ker as the plus copies that
-    alternating paths reach from the unmatched ones; memoised on g. The
-    minus copies they reach are those of N(ker).
+    """Match the double cover and take ker as the plus copies of
+    Hopcroft-Karp's final BFS, those that alternating paths reach from the
+    unmatched ones, and N(ker) as the minus copies that BFS meets; memoised
+    on g.
 
     Hopcroft-Karp starts from the greedy matching; d, ker and diadem are
     invariants of g, so which maximum matching it ends with does not matter.
@@ -92,10 +92,11 @@ def _ker_matching(g: Graph) -> _CoverMatching:
         nbrs = g.nbrs
         mate_plus, mate_minus = [-1] * n, [-1] * n
         _greedy_cover_matching(nbrs, mate_plus, mate_minus)
-        _max_matching_lists(nbrs, range(n), mate_plus, mate_minus)
         in_ker, near_ker = bytearray(n), bytearray(n)
-        _alternating_reach(nbrs, mate_minus, _unmatched(mate_plus, range(n)),
-                           in_ker, near_ker)
+        for u in _max_matching_lists(nbrs, range(n), mate_plus, mate_minus):
+            in_ker[u] = 1
+            for w in nbrs[u]:
+                near_ker[w] = 1
         memo = g._cover = _CoverMatching(mate_plus, mate_minus, in_ker,
                                          near_ker, vmask(in_ker))
     return memo

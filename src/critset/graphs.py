@@ -227,6 +227,8 @@ def delete_vertices(g: Graph, w: VertexSet) -> tuple[Graph, dict[int, int]]:
 
 def delete_edge(g: Graph, u: int, v: int) -> Graph:
     """Return a copy of g with the edge uv removed."""
+    if not (0 <= u < g.n and 0 <= v < g.n):
+        raise ValueError(f"edge ({u},{v}) out of range for n={g.n}")
     if v not in g.nbrs[u]:
         raise ValueError(f"no edge ({u},{v})")
     nbrs = list(g.nbrs)

@@ -6,16 +6,17 @@ serves both the matchings between two vertex sets of a graph (Hall queries
 and maximum_matching_bipartite) and the matching of the double cover, which
 is never built: critical.py runs the kernel once per graph with the plus and
 minus copies both numbered by the graph's ids, and memoises the result on
-the Graph. One alternating-reach traversal serves the double cover, whose
-reach also gives the Ore side sets, the Hall violator, and the ker
-characterization's per-vertex condition in oracle.py, one reach over a
-matching of N(a) into a.
+the Graph. The kernel returns the left ids of its final BFS, the phase that
+finds no free vertex: the alternating reach of the unmatched left ids. On
+the double cover that reach is ker, which also gives the Ore side sets;
+between two vertex sets it is the Hall violator; and oracle.py reads the
+ker characterization's per-vertex condition from it, run on a matching of
+N(a) into a that is already maximum.
 """
 
 from __future__ import annotations
 
 from itertools import compress
-from typing import Iterable
 
 from .graphs import (BipartitePartition, Graph, VertexSet, _check_subset,
                      vflags, vset)
@@ -64,10 +65,11 @@ class Matching:
 
 
 def _max_matching_lists(adj, left, mate_l: list[int],
-                        mate_r: list[int]) -> None:
+                        mate_r: list[int]) -> list[int]:
     """Hopcroft-Karp over neighbour lists: grow the matching held in mate_l
     (left id to right id, -1 when unmatched) and mate_r (the reverse) to a
-    maximum one, using the edges from each left id u to adj[u].
+    maximum one, using the edges from each left id u to adj[u], and return
+    the left ids of its final BFS.
 
     `left` lists the left ids in the order roots are tried; left and right ids
     may share one numbering (the double cover) or be disjoint ids of one graph,
@@ -78,6 +80,12 @@ def _max_matching_lists(adj, left, mate_l: list[int],
     free or whose mate lies one layer deeper and leads to a free vertex, and
     it retires a vertex whose neighbours are exhausted. The matching is
     therefore reproducible from the order of left and adj alone.
+
+    The final BFS meets no free right id, so it walks the whole alternating
+    reach of the unmatched left ids: from a reached left id u an edge to a
+    right id in adj[u], then the matching edge back to a left id. It returns
+    that reach, the unmatched left ids first. On a matching that is already
+    maximum only this BFS runs.
     """
     inf = len(mate_l) + 1  # deeper than any BFS layer
     dist = [inf] * len(mate_l)
@@ -100,7 +108,7 @@ def _max_matching_lists(adj, left, mate_l: list[int],
                     dist[w] = deeper
                     queue.append(w)
         if not found:
-            return
+            return queue
         for root in left:
             if mate_l[root] != -1:
                 continue
@@ -136,35 +144,28 @@ def _max_matching_lists(adj, left, mate_l: list[int],
                     pos.pop()
 
 
-def _side_lists(g: Graph, left: VertexSet, right: VertexSet):
-    """The ids of left in increasing order, and per id of g its neighbours in
-    right (none for ids outside left)."""
+def _hopcroft_karp(g: Graph, left: VertexSet, right: VertexSet):
+    """Maximum matching between left and right using only left-right edges.
+
+    Returns the mate array over all of g's ids (-1 for unmatched or outside)
+    and the left ids that alternating paths reach from the unmatched ones.
+    Vertices are scanned in increasing id order so the result is
+    reproducible.
+    """
     ids = list(compress(range(g.n), vflags(left, g.n)))
     in_right = vflags(right, g.n)
     nbrs = g.nbrs
     adj: list = [()] * g.n
     for u in ids:
         adj[u] = [v for v in nbrs[u] if in_right[v]]
-    return ids, adj
-
-
-def _hopcroft_karp(g: Graph, left: VertexSet, right: VertexSet):
-    """Maximum matching between left and right using only left-right edges.
-
-    Returns _side_lists(g, left, right) and the mate array over all of g's
-    ids (-1 for unmatched or outside). Vertices are scanned in increasing id
-    order so the result is reproducible.
-    """
-    ids, adj = _side_lists(g, left, right)
     mate = [-1] * g.n
-    _max_matching_lists(adj, ids, mate, mate)
-    return ids, adj, mate
+    return mate, _max_matching_lists(adj, ids, mate, mate)
 
 
 def maximum_matching_bipartite(g: Graph, parts: BipartitePartition) -> Matching:
     """Return a maximum matching of a bipartite graph."""
     _check_parts(g, parts)
-    return Matching._of(_hopcroft_karp(g, parts.side_a, parts.side_b)[2])
+    return Matching._of(_hopcroft_karp(g, parts.side_a, parts.side_b)[0])
 
 
 def _check_parts(g: Graph, parts: BipartitePartition) -> None:
@@ -184,37 +185,6 @@ def _check_parts(g: Graph, parts: BipartitePartition) -> None:
                 break
     if inner_b:
         raise ValueError("edge inside side_b")
-
-
-def _unmatched(mate: list[int], ids: Iterable[int]) -> list[int]:
-    """The ids that the mate array leaves unmatched, in the given order."""
-    return [v for v in ids if mate[v] == -1]
-
-
-def _alternating_reach(adj, mate_r: list[int], start: Iterable[int],
-                       seen_l: bytearray, seen_r: bytearray) -> list[int]:
-    """Mark what alternating paths reach from the left ids in start: an edge
-    from a reached left id u to a right id in adj[u], then the matching edge
-    from it back to a left id.
-
-    Sets seen_l and seen_r for every id reached that was not already marked,
-    and returns those left ids. seen_l and seen_r may be one array when left
-    and right ids are disjoint.
-    """
-    reached_l = []
-    for u in start:
-        if not seen_l[u]:
-            seen_l[u] = 1
-            reached_l.append(u)
-    for u in reached_l:
-        for v in adj[u]:
-            if not seen_r[v]:
-                seen_r[v] = 1
-                w = mate_r[v]
-                if w != -1 and not seen_l[w]:
-                    seen_l[w] = 1
-                    reached_l.append(w)
-    return reached_l
 
 
 def maximum_matching_general(g: Graph) -> Matching:
@@ -343,10 +313,7 @@ def saturating_matching(
         _check_subset(g, from_set if from_set >> g.n else into)
     if from_set & into:
         raise ValueError("from_set and into must be disjoint")
-    ids, adj, mate = _hopcroft_karp(g, from_set, into)
-    unmatched = _unmatched(mate, ids)
-    if not unmatched:
-        return Matching._of(mate), None
-    seen = bytearray(g.n)
-    violator = _alternating_reach(adj, mate, unmatched, seen, seen)
-    return None, vset(violator)
+    mate, reached = _hopcroft_karp(g, from_set, into)
+    if reached:
+        return None, vset(reached)
+    return Matching._of(mate), None

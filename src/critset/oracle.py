@@ -26,7 +26,7 @@ from typing import Callable, Iterator, NamedTuple
 from . import critical, ke, mis, ore
 from .graphs import (BipartitePartition, Graph, LimitExceeded, VertexSet,
                      bipartition, neighborhood, vlist)
-from .matching import _alternating_reach, maximum_matching_general
+from .matching import _max_matching_lists, maximum_matching_general
 from .mis import _greedy_clique_cover
 
 ORACLE_LIMIT = 20
@@ -140,12 +140,12 @@ def _ker_conditions(g: Graph, a: VertexSet,
     The matching condition starts from one matching of N(a) into a,
     critical._neighborhood_matching's. Some matching of N(a) into a leaves
     v free iff an even alternating path runs to v from a member of a this
-    one leaves free (Berge 1957), so one alternating reach from those
-    members finds every v that passes, and the first member of a it misses
-    is unmatchable. With no matching into a at all, none into a - v exists
-    either, and the first v of a is unmatchable. The tight-set condition is
-    an exhaustive walk over the subsets of N(a), so the two stay
-    independent.
+    one leaves free (Berge 1957). It saturates N(a), so Hopcroft-Karp on a
+    copy runs only its final BFS, the reach from those members: every v
+    that passes, and the first member of a it misses is unmatchable. With
+    no matching into a at all, none into a - v exists either, and the first
+    v of a is unmatchable. The tight-set condition is an exhaustive walk
+    over the subsets of N(a), so the two stay independent.
     """
     boundary = neighborhood(g, a)
     if boundary.bit_count() > limit:
@@ -168,10 +168,9 @@ def _ker_conditions(g: Graph, a: VertexSet,
     else:
         # a is independent, so its members' neighbours all lie in N(a), and
         # from there the base leads back into a; a and N(a) share no id
-        mate, seen = base.mate, bytearray(g.n)
-        _alternating_reach(g.nbrs, mate, [v for v in members if mate[v] == -1],
-                           seen, seen)
-        unmatchable = next((v for v in members if not seen[v]), None)
+        mate = list(base.mate)
+        reached = set(_max_matching_lists(g.nbrs, members, mate, mate))
+        unmatchable = next((v for v in members if v not in reached), None)
 
     if (tight is None) != (unmatchable is None):
         raise RuntimeError("tight-set and matching conditions disagree")

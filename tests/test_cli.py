@@ -69,8 +69,10 @@ def test_analyze_bipartite_block(capsys):
 
 def test_bipartite_analyze_runs_one_hopcroft_karp(monkeypatch):
     # the Ore side profile is read off the double cover's memoised matching,
-    # so a bipartite analyze runs Hopcroft-Karp and the alternating reach
-    # once each, on the cover, besides the blossom matching behind mu
+    # and the kernel's final BFS is its alternating reach, so a bipartite
+    # analyze runs Hopcroft-Karp once, on the cover, and no separate reach,
+    # besides the blossom matching behind mu; every Hall query and side
+    # matching runs the kernel too, so the one call rules them out
     calls = Counter()
 
     def counted(name, f):
@@ -79,8 +81,7 @@ def test_bipartite_analyze_runs_one_hopcroft_karp(monkeypatch):
             return f(*args)
         return wrapper
 
-    for name in ("_max_matching_lists", "_alternating_reach",
-                 "maximum_matching_general"):
+    for name in ("_max_matching_lists", "maximum_matching_general"):
         f = getattr(matching, name)
         # every module that imports the routine by name
         for module in (matching, critical, ore, mis, ke, oracle, props,
@@ -92,7 +93,7 @@ def test_bipartite_analyze_runs_one_hopcroft_karp(monkeypatch):
         calls.clear()
         report = cli.analyze_graph(props.Facts(g))
         assert "ore" in report
-        assert calls == {"_max_matching_lists": 1, "_alternating_reach": 1,
+        assert calls == {"_max_matching_lists": 1,
                          "maximum_matching_general": 1}
 
 

@@ -2,6 +2,7 @@ import copy
 import pickle
 import random
 import time
+from itertools import compress
 
 import pytest
 
@@ -19,8 +20,8 @@ from critset.graphs import (Graph, LimitExceeded, bipartition,
                             difference, empty_graph, is_independent,
                             neighborhood, parse_graph, path_graph,
                             random_bipartite, random_graph, to_edge_list,
-                            vlist)
-from critset.matching import saturating_matching
+                            vflags, vlist, vset)
+from critset.matching import maximum_matching_general, saturating_matching
 from critset.mis import _greedy_clique_cover, alpha
 from critset.oracle import (Facts, _enumerate_target_sets,
                             _search_maximum_independent_sets,
@@ -199,6 +200,51 @@ def test_cover_matching_past_a_mirrored_greedy_start(build, parts, small):
     if small:
         assert ker(g) == o.deletion_ker(g.n, adj)
         assert diadem(g) == o.forcing_diadem(g.n, adj)
+
+
+def gnm(n: int, m: int, seed: int) -> Graph:
+    """m distinct pairs of n points drawn uniformly."""
+    rng = random.Random(seed)
+    edges: set[tuple[int, int]] = set()
+    while len(edges) < m:
+        u, v = rng.randrange(n), rng.randrange(n)
+        if u != v:
+            edges.add((min(u, v), max(u, v)))
+    return Graph(n, sorted(edges))
+
+
+@pytest.mark.parametrize("build", [
+    lambda: shuffled_chain(2001, False, seed=8),
+    lambda: shuffled_chain(2000, True, seed=9),
+    lambda: gnm(3000, 3750, seed=10),
+    lambda: gnm(5000, 6250, seed=11),
+], ids=["path2001", "cycle2000", "gnm3000", "gnm5000"])
+def test_metamorphic_relations_past_oracle_reach(build):
+    # relations that hold by definition check d, mu, ker and diadem at sizes
+    # no oracle reaches: a relabelling pi keeps d and mu and maps ker and
+    # diadem by pi; G + G doubles d and mu, and its ker and diadem are G's
+    # and a shifted copy; an isolated vertex adds 1 to d and joins both sets.
+    # Each graph is fresh, so none reads another's memoised matching
+    g = build()
+    n, edges = g.n, g.edge_pairs()
+
+    def profile(h):
+        return (critical_difference(h), len(maximum_matching_general(h)),
+                ker(h), diadem(h))
+
+    d, mu, k, dia = profile(g)
+    pi = list(range(n))
+    random.Random(n).shuffle(pi)
+
+    def mapped(mask):
+        return vset(pi[v] for v in compress(range(n), vflags(mask, n)))
+
+    relabelled = Graph(n, [(pi[u], pi[v]) for u, v in edges])
+    assert profile(relabelled) == (d, mu, mapped(k), mapped(dia))
+    doubled = Graph(2 * n, edges + [(u + n, v + n) for u, v in edges])
+    assert profile(doubled) == (2 * d, 2 * mu, k | k << n, dia | dia << n)
+    grown = Graph(n + 1, edges)
+    assert profile(grown) == (d + 1, mu, k | 1 << n, dia | 1 << n)
 
 
 def test_reused_graph_answers_like_a_fresh_one():

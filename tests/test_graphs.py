@@ -192,6 +192,11 @@ def test_delete_edge_and_missing_edge():
     assert h.m == 1 and h.labels == g.labels
     with pytest.raises(ValueError):
         delete_edge(g, 0, 2)
+    # a negative id would index from the end and leave 1 listing 2
+    for u, v in ((-1, 1), (1, -1), (1, 3), (3, 1)):
+        with pytest.raises(ValueError,
+                           match=rf"^edge \({u},{v}\) out of range for n=3$"):
+            delete_edge(g, u, v)
 
 
 def test_induced_subgraph():

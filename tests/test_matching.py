@@ -184,17 +184,35 @@ def test_saturating_matching_rejects_masks_past_n(from_set, into):
 
 
 def test_hall_violator_is_sound_on_random_pairs(graphs_n5):
+    # the surplus |B| - |N(B) & into| is supermodular, so its maximizers are
+    # closed under intersection; the violator is the least of them, and a
+    # matching comes back exactly when the largest surplus is 0
     rng = random.Random(4)
-    for g in graphs_n5[::7]:
-        if g.n == 0:
-            continue
-        x = rng.randrange(1 << g.n)
-        y = g.full & ~x
-        found, violator = saturating_matching(g, x, y)
-        if found is None:
-            assert (neighborhood(g, violator) & y).bit_count() \
-                < violator.bit_count()
-            assert violator & x == violator
-        else:
-            assert saturated(found) & x == x
-            check_valid_matching(g, found)
+    violators = 0
+    for g in graphs_n5:
+        for _ in range(3):
+            x = rng.randrange(1 << g.n)
+            y = g.full & ~x
+            surplus = {}
+            b = x
+            while True:  # every submask of x, x itself first
+                surplus[b] = b.bit_count() - (neighborhood(g, b)
+                                              & y).bit_count()
+                if not b:
+                    break
+                b = (b - 1) & x
+            top = max(surplus.values())
+            found, violator = saturating_matching(g, x, y)
+            if found is None:
+                violators += 1
+                assert (neighborhood(g, violator) & y).bit_count() \
+                    < violator.bit_count()
+                assert violator & x == violator
+                assert surplus[violator] == top > 0
+                assert [b for b, s in surplus.items()
+                        if s == top and b & violator != violator] == []
+            else:
+                assert top == 0
+                assert saturated(found) & x == x
+                check_valid_matching(g, found)
+    assert violators > 1000

@@ -89,6 +89,41 @@ def test_all_lists_every_public_name_once():
     assert sorted(public - set(critset.__all__)) == []
 
 
+def _imported_names(tree: ast.Module) -> dict[str, int]:
+    """The names a module's imports bind, anywhere in it, with the line of
+    each; `import a.b` binds a, and the future import binds nothing."""
+    bound = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import) or (isinstance(
+                node, ast.ImportFrom) and node.module != "__future__"):
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                bound[name] = node.lineno
+    return bound
+
+
+def test_package_init_imports_exactly_what_it_exports():
+    import critset
+    tree = ast.parse(Path(critset.__file__).read_text())
+    assert sorted(_imported_names(tree)) == sorted(critset.__all__)
+
+
+@pytest.mark.parametrize("path", sorted(Path(SRC, "critset").glob("*.py")),
+                         ids=lambda path: path.stem)
+def test_every_imported_name_is_used(path):
+    # no linter runs here, so an import a change leaves behind fails this;
+    # a name counts as used where it is read, and the package file's
+    # __all__ strings use the names it re-exports
+    tree = ast.parse(path.read_text())
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)
+            and not isinstance(node.ctx, ast.Store)}
+    if path.name == "__init__.py":
+        import critset
+        used.update(critset.__all__)
+    assert {name: line for name, line in _imported_names(tree).items()
+            if name not in used} == {}
+
+
 def _imports(path: Path) -> set[str]:
     """Every module a file imports, anywhere in it, with the package's
     relative imports read as critset.<name>; `from M import x` counts as
