@@ -161,10 +161,8 @@ def analyze_graph(facts: Facts) -> dict:
         "corona": attempt("corona", lambda: labels(facts.corona())),
     }
     if is_ke:
-        def identities():
-            facts.require_oracle()
-            return facts.ke_identity_checks()
-        report["ke_identities"] = attempt("ke_identities", identities)
+        report["ke_identities"] = attempt("ke_identities",
+                                          facts.ke_identity_checks)
     if facts.parts() is not None:
         p = facts.ore_profile()
         report["ore"] = {

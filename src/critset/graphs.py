@@ -157,6 +157,8 @@ class Graph:
         return sum(map(len, self.nbrs)) // 2
 
     def degree(self, v: int) -> int:
+        if not 0 <= v < self.n:
+            raise ValueError(f"vertex {v} out of range for n={self.n}")
         return len(self.nbrs[v])
 
     def label_list(self, mask: VertexSet) -> list[str]:

@@ -454,8 +454,9 @@ class Facts:
         return self._get("first_mis", compute)
 
     def ke_identity_checks(self) -> list[dict]:
-        """ke.identity_checks on a KE graph, from the cached facts; alpha is
-        read before core and corona, so an alpha limit is reported first."""
+        """ke.identity_checks on a KE graph from the cached facts, behind the
+        oracle switch; alpha is read first, so its limit is reported first."""
+        self.require_oracle()
         return ke.identity_checks(
             self.g, self.alpha(), self.mu(), self.d(), self.core(),
             self.corona(), self.ker(), self.diadem())

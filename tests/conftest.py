@@ -1,11 +1,13 @@
 import random
+import sys
+from collections import Counter
 
 import pytest
 from hypothesis import HealthCheck, settings
 
 import oracles as o
 from critset.graphs import (BipartitePartition, Graph, all_graphs, bipartition,
-                            random_bipartite, random_graph)
+                            random_bipartite, random_graph, vset)
 
 settings.register_profile(
     "suite", deadline=None,
@@ -69,6 +71,28 @@ def shuffled_chain(n: int, closed: bool, seed: int) -> Graph:
     edges = [(order[i], order[(i + 1) % n]) for i in range(n - 1 + closed)]
     rng.shuffle(edges)
     return Graph(n, edges)
+
+
+def mask_of(g: Graph, labels) -> int:
+    """The set of g's vertices with the given labels, as a bitmask."""
+    return vset(g.labels.index(label) for label in labels)
+
+
+def count_calls(monkeypatch, *functions) -> Counter:
+    """Count the calls of each function by its name. Every binding of it in
+    a loaded critset module is wrapped, so a module that imports it by name
+    is counted too, and no test lists the modules to patch."""
+    calls = Counter()
+    for f in functions:
+        def counted(*args, f=f, **kwargs):
+            calls[f.__name__] += 1
+            return f(*args, **kwargs)
+        for name, module in list(sys.modules.items()):
+            if name == "critset" or name.startswith("critset."):
+                for attr, value in list(vars(module).items()):
+                    if value is f:
+                        monkeypatch.setattr(module, attr, counted)
+    return calls
 
 
 def masks_built(g: Graph) -> bool:

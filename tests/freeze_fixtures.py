@@ -20,6 +20,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).parent))
 
 import oracles as o
+from conftest import mask_of
 
 from critset.graphs import Graph, bipartition, delete_vertices, parse_graph
 
@@ -28,13 +29,6 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "critset" / "fixtures"
 
 def labels(g: Graph, mask: int) -> list[str]:
     return [g.labels[v] for v in o.bits(mask)]
-
-
-def mask_of(g: Graph, names: list[str]) -> int:
-    out = 0
-    for name in names:
-        out |= 1 << g.labels.index(name)
-    return out
 
 
 def brute(g: Graph) -> o.Profile:

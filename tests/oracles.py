@@ -238,37 +238,6 @@ def forcing_side_diadem(adj: tuple[int, ...], side: int) -> int:
                + side_delta0(adj, side, adj[v] | 1 << v) == d0)
 
 
-def search_minimal_positive(n: int, adj: tuple[int, ...]) -> list[int]:
-    """The inclusion-minimal independent sets with d >= 1 in include-first
-    order, by a DFS that reaches past the brute profile's sizes. A node
-    branches on its lowest candidate, taking it first, and stops once the
-    chosen set has d >= 1, as every superset has it as a subset. That set is
-    minimal iff no S - v holds a subset of positive difference; for an
-    independent X the largest d over its subsets is |X| - mu(X, N(X)), by
-    the defect form of Hall's theorem."""
-    def best_subset_d(x: int) -> int:
-        return x.bit_count() - bipartite_mu({u: adj[u] for u in bits(x)})
-
-    out = []
-    todo = [((1 << n) - 1, 0)]  # (candidates, chosen set)
-    while todo:
-        avail, chosen = todo.pop()
-        while True:
-            d = d_of(adj, chosen)
-            if d >= 1:
-                if all(best_subset_d(chosen & ~(1 << v)) <= 0
-                       for v in bits(chosen)):
-                    out.append(chosen)
-                break
-            if d + avail.bit_count() < 1:
-                break
-            low = avail & -avail
-            todo.append((avail ^ low, chosen))
-            avail &= ~(adj[low.bit_length() - 1] | low)
-            chosen |= low
-    return out
-
-
 # -- one alternating search per vertex: the reference for diadem's SCC pass --
 
 def cover_matching(n: int, adj: tuple[int, ...]) -> list[int]:

@@ -10,7 +10,7 @@ import oracles as o
 from critset import cli
 from critset.critical import (critical_difference,
                               critical_independent_witness, diadem, ker)
-from critset.fixtures import fixture_names, verify_all
+from critset.fixtures import verify_all
 from critset.graphs import all_graphs, bipartition, difference, is_independent
 from critset.ke import is_koenig_egervary
 from critset.matching import maximum_matching_general

@@ -6,14 +6,14 @@ import subprocess
 import sys
 import time
 import tracemalloc
-from collections import Counter
 from pathlib import Path
 
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from critset import cli, critical, ke, matching, mis, oracle, ore, props
+from conftest import count_calls
+from critset import cli, critical, matching, oracle, props
 from critset.fixtures import load
 from critset.graphs import random_bipartite
 
@@ -73,21 +73,8 @@ def test_bipartite_analyze_runs_one_hopcroft_karp(monkeypatch):
     # analyze runs Hopcroft-Karp once, on the cover, and no separate reach,
     # besides the blossom matching behind mu; every Hall query and side
     # matching runs the kernel too, so the one call rules them out
-    calls = Counter()
-
-    def counted(name, f):
-        def wrapper(*args):
-            calls[name] += 1
-            return f(*args)
-        return wrapper
-
-    for name in ("_max_matching_lists", "maximum_matching_general"):
-        f = getattr(matching, name)
-        # every module that imports the routine by name
-        for module in (matching, critical, ore, mis, ke, oracle, props,
-                       cli):
-            if hasattr(module, name):
-                monkeypatch.setattr(module, name, counted(name, f))
+    calls = count_calls(monkeypatch, matching._max_matching_lists,
+                        matching.maximum_matching_general)
     # random_bipartite(10, 12, 0.1, 4) has six components with an edge
     for g in (load("fig233").graph, random_bipartite(10, 12, 0.1, 4)):
         calls.clear()

@@ -7,7 +7,7 @@ from itertools import compress
 import pytest
 
 import oracles as o
-from conftest import (analyze_sample, masks_built, mid_sample,
+from conftest import (analyze_sample, mask_of, masks_built, mid_sample,
                       random_sample, shuffled_chain, small_corpus)
 from critset import critical
 from critset.critical import (_d_without, _greedy_cover_matching,
@@ -30,23 +30,7 @@ from critset.oracle import (Facts, _enumerate_target_sets,
 from critset.ore import ore_profile
 
 
-def mask_of(g, labels):
-    index = {lab: v for v, lab in enumerate(g.labels)}
-    out = 0
-    for lab in labels:
-        out |= 1 << index[lab]
-    return out
-
-
-# -- d(G) three ways ---------------------------------------------------------------
-
-def test_critical_difference_matches_both_oracles(graphs_n5):
-    for g in graphs_n5:
-        want = o.brute_profile(g.n, g.adj)
-        d = critical_difference(g)
-        assert d == want.d
-        assert d == want.d_independent
-
+# -- d(G) ---------------------------------------------------------------------------
 
 def test_critical_difference_known_values():
     assert critical_difference(empty_graph(4)) == 4
@@ -54,22 +38,6 @@ def test_critical_difference_known_values():
     assert critical_difference(path_graph(5)) == 1
     assert critical_difference(cycle_graph(6)) == 0
     assert critical_difference(empty_graph(0)) == 0
-
-
-# -- witness extraction -------------------------------------------------------------
-
-def test_witness_attains_d_exhaustively(graphs_n5):
-    for g in graphs_n5:
-        w = critical_independent_witness(g)
-        assert is_independent(g, w)
-        assert difference(g, w) == critical_difference(g)
-
-
-def test_witness_attains_d_on_random_graphs():
-    for g in random_sample(60, 8, 14, seed=31):
-        w = critical_independent_witness(g)
-        assert is_independent(g, w)
-        assert difference(g, w) == critical_difference(g)
 
 
 # -- criticality predicates ---------------------------------------------------------
@@ -90,16 +58,6 @@ def test_empty_set_critical_iff_d_zero():
 
 
 # -- ker and diadem ------------------------------------------------------------------
-
-def test_ker_matches_oracle(graphs_n5):
-    for g in graphs_n5:
-        assert ker(g) == o.brute_profile(g.n, g.adj).ker
-
-
-def test_diadem_matches_oracle(graphs_n5):
-    for g in graphs_n5:
-        assert diadem(g) == o.brute_profile(g.n, g.adj).diadem
-
 
 def test_ker_and_diadem_on_random_graphs():
     for g in random_sample(25, 8, 11, seed=17):

@@ -2,6 +2,7 @@ import pytest
 
 import freeze_fixtures
 import oracles as o
+from critset import fixtures
 from critset.fixtures import fixture_names, load, verify, verify_all
 
 
@@ -27,6 +28,21 @@ def test_every_fixture_verifies():
         failing = [c["key"] for c in report["checks"] if not c["holds"]]
         assert failing == [], (report["name"], failing)
         assert report["holds"]
+
+
+def test_a_value_error_is_a_failing_check(monkeypatch):
+    # an Ore key on a graph that is not bipartite, and a key verify has no
+    # rule for, fail with the error's text; neither stops the report
+    fx = load("fig511")
+    assert not fx.expected["bipartite"]
+    monkeypatch.setattr(fixtures, "load", lambda name: fx._replace(
+        expected={"ker_a": [], "bogus": 1}))
+    report = verify("fig511")
+    assert report["holds"] is False and report["checks"] == [
+        {"key": "bogus", "expected": 1, "holds": False,
+         "actual": "unhandled expected key 'bogus'"},
+        {"key": "ker_a", "expected": [], "holds": False,
+         "actual": "not bipartite"}]
 
 
 def test_strict_inclusion_example():

@@ -38,6 +38,11 @@ def test_graph_construction_and_counts():
     assert g.edge_pairs() == [(0, 1), (1, 2), (2, 3)]
     assert g.labels == ("0", "1", "2", "3")
     assert g.full == 0b1111
+    # a negative id would index from the end: degree(-1) read vertex 3's
+    for v in (-1, 4):
+        with pytest.raises(ValueError,
+                           match=rf"^vertex {v} out of range for n=4$"):
+            g.degree(v)
 
 
 def test_graph_rejects_bad_edges():
@@ -560,6 +565,9 @@ def test_random_bipartite_is_bipartite():
     parts = bipartition(g)
     assert parts is not None
     assert parts.side_a & 0b1111 == parts.side_a or g.m == 0
+    for p in (-0.1, 1.5):
+        with pytest.raises(ValueError, match=r"^p must be in \[0, 1\]$"):
+            random_bipartite(4, 5, p, 8)
 
 
 def test_random_generators_build_what_the_checked_constructor_builds():

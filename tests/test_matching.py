@@ -3,7 +3,7 @@ import random
 import pytest
 
 import oracles as o
-from conftest import random_sample, small_corpus
+from conftest import random_sample
 from critset.graphs import (BipartitePartition, Graph, bipartition,
                             complete_bipartite, complete_graph, cycle_graph,
                             empty_graph, neighborhood, path_graph,
@@ -181,6 +181,10 @@ def test_saturating_matching_rejects_masks_past_n(from_set, into):
     with pytest.raises(ValueError,
                        match=f"^vertex set {bin(bad)} not within 0..2$"):
         saturating_matching(path_graph(3), from_set, into)
+    # within 0..n-1, the two sets must not overlap
+    with pytest.raises(ValueError,
+                       match="^from_set and into must be disjoint$"):
+        saturating_matching(path_graph(3), 0b011, 0b110)
 
 
 def test_hall_violator_is_sound_on_random_pairs(graphs_n5):

@@ -3,7 +3,8 @@ import random
 import pytest
 
 import oracles as o
-from conftest import every_bipartition, mid_sample, random_bipartition
+from conftest import (every_bipartition, mask_of, mid_sample,
+                      random_bipartition)
 from critset.critical import critical_difference
 from critset.fixtures import load
 from critset.graphs import (BipartitePartition, LimitExceeded, bipartition,
@@ -35,14 +36,6 @@ def oracle_pairs(graphs_n5):
         while bipartition(g) is None:
             g = graph_from_code(6, rng.getrandbits(15))
         yield g, random_bipartition(g, rng)
-
-
-def mask_of(g, labels):
-    index = {lab: v for v, lab in enumerate(g.labels)}
-    out = 0
-    for lab in labels:
-        out |= 1 << index[lab]
-    return out
 
 
 def fig233_setup():

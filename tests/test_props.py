@@ -14,8 +14,8 @@ from typing import Callable, NamedTuple
 import pytest
 
 import oracles as o
-from conftest import (every_bipartition, mid_sample, random_bipartition,
-                      small_corpus)
+from conftest import (count_calls, every_bipartition, mid_sample,
+                      random_bipartition, small_corpus)
 from critset import cli, critical, graphs, ke, mis, oracle, ore, props
 from critset.fixtures import load
 from critset.graphs import (LimitExceeded, all_graphs, bipartition,
@@ -66,15 +66,6 @@ def test_lookup_and_selection():
             ] == ["ke.is_ke", "zhang.d_eq_id"]
 
 
-def test_every_property_holds_on_sample_graphs(graphs_n5):
-    props = registry()
-    for g in graphs_n5[::10]:
-        facts = Facts(g)
-        for prop in props:
-            r = evaluate(prop, facts)
-            assert r.verdict in ("holds", "skipped"), (g.adj, prop.name)
-
-
 def test_applicability_skips():
     not_bip = evaluate(lookup("th10.bipartite_ker_eq_core"),
                        Facts(complete_graph(3)))
@@ -111,11 +102,10 @@ def test_ker_characterization_reports_a_limit_as_a_skip(monkeypatch):
         prop.name, "skipped",
         "neighborhood too large for the tight-set search", limit=True)
 
-    def disagree(*args):
-        raise RuntimeError("tight-set and matching conditions disagree")
-
-    monkeypatch.setattr(oracle, "_ker_conditions", disagree)
-    r = evaluate(prop, Facts(path_graph(4)))
+    # on P3, ker = {a, c} has no tight set; a reach that misses a makes it
+    # unmatchable all the same
+    monkeypatch.setattr(oracle, "_max_matching_lists", lambda *args: [])
+    r = evaluate(prop, Facts(path_graph(3)))
     assert r.verdict == "fails"
     assert r.witness["problem"] == "tight-set and matching conditions disagree"
 
@@ -211,19 +201,7 @@ def test_facts_run_alpha_and_the_blossom_matching_once(graphs_n5,
     # mu, is_ke and the core and corona read the cached alpha, matching and
     # bipartition; mu and is_ke give what the library routes give on their
     # own
-    calls = {"alpha": 0, "blossom": 0}
-
-    def counted(name, f):
-        def wrapper(*args, **kwargs):
-            calls[name] += 1
-            return f(*args, **kwargs)
-        return wrapper
-
-    for module in (mis, ke):
-        monkeypatch.setattr(module, "alpha", counted("alpha", mis.alpha))
-    for module in (oracle, ke):
-        monkeypatch.setattr(module, "maximum_matching_general",
-                            counted("blossom", maximum_matching_general))
+    calls = count_calls(monkeypatch, mis.alpha, maximum_matching_general)
     graphs = [*graphs_n5[::37], *mid_sample(seed=7, per_density=1),
               random_graph(30, 0.2, 5), random_graph(45, 0.1, 6)]
     for g in graphs:
@@ -237,11 +215,11 @@ def test_facts_run_alpha_and_the_blossom_matching_once(graphs_n5,
 
         want = (len(maximum_matching_general(g)),
                 outcome(lambda: ke.is_koenig_egervary(g)))
-        calls.update(alpha=0, blossom=0)
+        calls.clear()
         assert (facts.mu(), outcome(facts.is_ke)) == want
         outcome(facts.mis_profile)
         assert facts.matching() is facts.matching()
-        assert calls["blossom"] == 1
+        assert calls["maximum_matching_general"] == 1
         # past its limit alpha raises and nothing is cached, so each fact
         # that asks for it calls it: is_ke on non-bipartite graphs, and the
         # core and corona
@@ -259,54 +237,25 @@ def test_registry_pass_runs_each_oracle_fact_once(graphs_n5, monkeypatch):
     # limit the limit check raises before either starts, uncached); no
     # saturating_matching runs, since every set th2 and th9 read on a valid
     # graph is critical, and the cover matching holds its matching
-    calls = {"alpha": 0, "blossom": 0, "critical": 0, "mis": 0}
-    saturating = _counted_saturating_matching(monkeypatch)
-
-    def counted(name, f):
-        def wrapper(*args, **kwargs):
-            calls[name] += 1
-            return f(*args, **kwargs)
-        return wrapper
-
-    for module in (mis, ke):
-        monkeypatch.setattr(module, "alpha", counted("alpha", mis.alpha))
-    for module in (oracle, ke):
-        monkeypatch.setattr(module, "maximum_matching_general",
-                            counted("blossom", maximum_matching_general))
-    monkeypatch.setattr(oracle, "enumerate_critical_independent_sets",
-                        counted("critical",
-                                oracle.enumerate_critical_independent_sets))
-    monkeypatch.setattr(oracle, "_search_maximum_independent_sets",
-                        counted("mis",
-                                oracle._search_maximum_independent_sets))
+    calls = count_calls(monkeypatch, mis.alpha, maximum_matching_general,
+                        oracle.enumerate_critical_independent_sets,
+                        oracle._search_maximum_independent_sets,
+                        saturating_matching)
     rng = random.Random(6)
     graphs = [*graphs_n5[-1024::53],
               *(random_graph(n, p, rng.getrandbits(32))
                 for n in [*range(8, 13), 19, 20] for p in (0.15, 0.3, 0.5))]
     for g in graphs:
-        calls.update(alpha=0, blossom=0, critical=0, mis=0)
+        calls.clear()
         facts = Facts(g)
         for prop in registry():
             assert evaluate(prop, facts).verdict in ("holds", "skipped")
         assert calls["alpha"] <= 1, g.adj
-        assert calls["blossom"] == 1, g.adj
-        assert calls["critical"] == 1, g.adj
-        assert calls["mis"] == 1, g.adj
+        assert calls["maximum_matching_general"] == 1, g.adj
+        assert calls["enumerate_critical_independent_sets"] == 1, g.adj
+        assert calls["_search_maximum_independent_sets"] == 1, g.adj
         # th2 and th9 read their matchings off the cover matching
-        assert saturating["saturating"] == 0, g.adj
-
-
-def _counted_saturating_matching(monkeypatch) -> Counter:
-    """Count the saturating_matching calls of th2 and the ker conditions,
-    which both make theirs in critical._neighborhood_matching."""
-    calls = Counter()
-
-    def counted(*args):
-        calls["saturating"] += 1
-        return saturating_matching(*args)
-
-    monkeypatch.setattr(critical, "saturating_matching", counted)
-    return calls
+        assert calls["saturating_matching"] == 0, g.adj
 
 
 def test_a_bad_cover_matching_never_decides_th2_or_th9(monkeypatch):
@@ -318,11 +267,11 @@ def test_a_bad_cover_matching_never_decides_th2_or_th9(monkeypatch):
     # itself. ker = {c, d, e} and N(ker) = {a, b}; f g adds critical
     # independent sets, so th9 also reads a second set
     text = "a b\na c\na e\nb c\nb d\nf g\n"
-    calls = _counted_saturating_matching(monkeypatch)
+    calls = count_calls(monkeypatch, saturating_matching)
     clean = parse_graph(text)
     want = [evaluate(lookup(name), Facts(clean)) for name in (TH2, TH9)]
     assert [r.verdict for r in want] == ["holds", "holds"]
-    assert calls["saturating"] == 0
+    assert calls["saturating_matching"] == 0
     a, b, c, d, e = (clean.labels.index(x) for x in "abcde")
     k = critical.ker(clean)
     nb = neighborhood(clean, k)
@@ -336,34 +285,40 @@ def test_a_bad_cover_matching_never_decides_th2_or_th9(monkeypatch):
         g._cover = cover._replace(mate_minus=mate_minus)
         calls.clear()
         fresh = critical._neighborhood_matching(g, k, nb)
-        assert calls["saturating"] == 1, corrupt
+        assert calls["saturating_matching"] == 1, corrupt
         assert fresh.mate == saturating_matching(g, nb, k)[0].mate, corrupt
         facts = Facts(g)
         for name, result in zip((TH2, TH9), want):
             calls.clear()
             assert evaluate(lookup(name), facts) == result, corrupt
-            assert calls["saturating"] >= 1, (name, corrupt)
+            assert calls["saturating_matching"] >= 1, (name, corrupt)
 
 
 def test_registry_pass_runs_the_ore_profile_once_per_bipartite_graph(
         monkeypatch):
     # ore.kernel_separation's side samples read delta0 off the cached
     # profile, and a side past the oracle limit still skips with its size
-    calls = Counter()
-    profile = ore.ore_profile
-
-    def counted(*args):
-        calls["ore"] += 1
-        return profile(*args)
-
-    monkeypatch.setattr(ore, "ore_profile", counted)
+    calls = count_calls(monkeypatch, ore.ore_profile)
     run(exhaustive_corpus(5))
-    assert calls["ore"] == sum(bipartition(g) is not None
+    assert calls["ore_profile"] == sum(bipartition(g) is not None
                                for g in all_graphs(5)) == 376
     prop = lookup("ore.kernel_separation")
     facts = Facts(complete_bipartite(3, 5), Config(oracle_limit=4))
     assert evaluate(prop, facts) == PropertyResult(
         prop.name, "skipped", "side size 5 exceeds oracle limit 4", limit=True)
+
+
+def test_kernel_separation_fails_on_side_kernels_that_touch(monkeypatch):
+    # with no opposite side critical set to meet, side kernels joined by an
+    # edge fail on their own
+    g = parse_graph(P3)
+    facts = Facts(g)
+    facts._cache["ore_profile"] = facts.ore_profile()._replace(
+        ker_a=0b001, ker_b=0b010)
+    monkeypatch.setattr(Facts, "side_critical_samples", lambda f, side: [])
+    prop = lookup("ore.kernel_separation")
+    assert evaluate(prop, facts) == PropertyResult(
+        prop.name, "fails", None, {"ker_a": ["a"], "ker_b": ["b"]})
 
 
 def test_one_critical_pass_gives_capped_family_and_uncapped_maximum(
@@ -401,15 +356,8 @@ def test_critical_pass_builds_no_subset_table_of_its_own(monkeypatch):
     # ke.is_ke and th5 read the critical pass with no oracle guard: under
     # --no-oracle, or run alone, they share one critical DFS and leave the
     # 2^n subset tables unbuilt, which at n = 20 cost more than the DFS
-    calls = Counter()
-    enum = oracle.enumerate_critical_independent_sets
-
-    def counted(*args):
-        calls["critical"] += 1
-        return enum(*args)
-
-    monkeypatch.setattr(oracle, "enumerate_critical_independent_sets",
-                        counted)
+    calls = count_calls(monkeypatch,
+                        oracle.enumerate_critical_independent_sets)
     unguarded = ["ke.is_ke", "th5.ke_iff_every_mis_critical"]
     rng = random.Random(12)
     for n in (5, 12, 18, oracle.ORACLE_LIMIT):
@@ -421,7 +369,8 @@ def test_critical_pass_builds_no_subset_table_of_its_own(monkeypatch):
             facts = Facts(g, config)
             for name in names:
                 evaluate(lookup(name), facts)
-            assert calls["critical"] == 1, (g.adj, config)
+            assert calls["enumerate_critical_independent_sets"] == 1, (
+                g.adj, config)
             assert "tables" not in facts._cache, (g.adj, config)
 
 
@@ -798,6 +747,26 @@ def test_check_all_renders_each_fault(monkeypatch, capsys, tmp_path, case):
     assert _check_all_failed(capsys, path) == [FAULTS[case].fails] * 2
 
 
+def test_analyze_prints_each_failing_ke_identity(monkeypatch, capsys,
+                                                tmp_path):
+    # under each fault that fails th11, analyze's text report lists the
+    # identities th11's witness holds, one line each
+    path = tmp_path / "g.edges"
+    for case, fault in FAULTS.items():
+        if TH11 not in fault.fails:
+            continue
+        monkeypatch.undo()
+        path.write_text(fault.text)
+        _apply_fault(monkeypatch, case)
+        assert cli.main(["analyze", str(path)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        at = next(i for i, line in enumerate(lines) if "KE identities" in line)
+        failing = fault.fails[TH11]["failing"]
+        assert lines[at].endswith(f" checked, {len(failing)} failing"), case
+        assert lines[at + 1:at + 1 + len(failing)] == [
+            f"    {c['name']}: {c['lhs']} != {c['rhs']}" for c in failing]
+
+
 @pytest.mark.parametrize("target", [
     FAMILY, MINIMAL, (oracle, "_side_critical_sets"), KER_CONDITIONS,
     MATCHING], ids=lambda target: target[1])
@@ -856,11 +825,9 @@ def test_check_fuzz_and_shrink_keep_an_injected_failure(monkeypatch, capsys,
 # Every reader of the critical, maximum independent, minimal positive and side
 # critical families, in Facts and public, meets a reference in
 # tests/oracles.py that shares no code with it: o.brute_profile, one walk
-# over every independent set, for the first two, o.search_minimal_positive
-# and o.side_profile for the others. In the n <= 6 band the profile's minimal
-# positive sets hold o.search_minimal_positive to the definition. One Facts
-# per graph serves the Facts readers, as in a registry pass; each public
-# reader makes its own.
+# over every independent set, for the first three, and o.side_profile for
+# the side families. One Facts per graph serves the Facts readers, as in a
+# registry pass; each public reader makes its own.
 # The corpus is every labeled graph with n <= 6 and seeded G(n, p) at
 # n = 7..20. The side readers take every bipartite graph with n <= 5 under
 # every valid bipartition, every one with n = 6 under a random valid one,
@@ -903,7 +870,7 @@ def _family_references(g):
         "ker_oracle": r.ker, "maximal_critical_ind": maximal,
         "ke_via_critical": ke_via_critical, "first_mis": r.mis[0],
         "mis_profile": profile,
-        "minimal_positives": o.search_minimal_positive(g.n, g.adj),
+        "minimal_positives": r.minimal_positive,
         "enumerate_critical_independent_sets": r.critical,
         "maximum_critical_independent_set": r.max_critical,
         "enumerate_maximum_independent_sets": r.mis,
@@ -956,11 +923,6 @@ def _family_cell(band):
             got = read(f)
             if got != want[name]:
                 wrong.setdefault(name, (g.adj, got, want[name]))
-        if band == "0..6":
-            brute = o.brute_profile(g.n, g.adj).minimal_positive
-            if want["minimal_positives"] != brute:
-                wrong.setdefault("search_minimal_positive",
-                                 (g.adj, want["minimal_positives"], brute))
     for g, parts in pairs:
         f = Facts(g)
         f._cache["parts"] = parts
@@ -1426,14 +1388,7 @@ def test_oracle_readers_check_their_limits_in_order(monkeypatch, n):
     # each public reader reads a fresh Facts, which checks the enumeration
     # limit before it reads alpha; core and corona read alpha first, so
     # past the alpha limit that limit is the one reported
-    alphas = []
-    real_alpha = mis.alpha
-
-    def counted(g, *args):
-        alphas.append(g)
-        return real_alpha(g, *args)
-
-    monkeypatch.setattr(mis, "alpha", counted)
+    calls = count_calls(monkeypatch, mis.alpha)
     g = path_graph(n)
     readers = {
         "enumerate_maximum_independent_sets":
@@ -1445,10 +1400,10 @@ def test_oracle_readers_check_their_limits_in_order(monkeypatch, n):
         "Facts.mis_profile": lambda: Facts(g).mis_profile()}
     got = {}
     for name, read in readers.items():
-        alphas.clear()
+        calls.clear()
         with pytest.raises(LimitExceeded) as exc:
             read()
-        got[name] = (str(exc.value), len(alphas))
+        got[name] = (str(exc.value), calls["alpha"])
     enumeration = f"n={n} exceeds enumeration limit 20"
     core = (enumeration if n <= mis.ALPHA_LIMIT
             else f"n={n} exceeds alpha limit {mis.ALPHA_LIMIT}")

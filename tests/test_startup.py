@@ -108,12 +108,15 @@ def test_package_init_imports_exactly_what_it_exports():
     assert sorted(_imported_names(tree)) == sorted(critset.__all__)
 
 
-@pytest.mark.parametrize("path", sorted(Path(SRC, "critset").glob("*.py")),
-                         ids=lambda path: path.stem)
+@pytest.mark.parametrize(
+    "path", sorted(Path(SRC, "critset").glob("*.py"))
+    + sorted(Path(__file__).parent.glob("*.py")),
+    ids=lambda path: path.stem)
 def test_every_imported_name_is_used(path):
-    # no linter runs here, so an import a change leaves behind fails this;
-    # a name counts as used where it is read, and the package file's
-    # __all__ strings use the names it re-exports
+    # no linter runs here, so an import a change leaves behind fails this,
+    # in the package and in the tests; a name counts as used where it is
+    # read, and the package file's __all__ strings use the names it
+    # re-exports
     tree = ast.parse(path.read_text())
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)
             and not isinstance(node.ctx, ast.Store)}
