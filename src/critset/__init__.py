@@ -9,6 +9,10 @@ ore) go through matchings on the bipartite double cover; alpha (mis) is an
 exact branch-and-reduce search. Exponential enumeration exists only as an
 oracle for cross-checking, is always bounded, and lives in one module,
 oracle, which no polynomial module imports.
+
+The property registry (props) and the corpora with the conjecture scan
+(corpus) are served on first use, through a module __getattr__, so a plain
+`import critset` compiles neither.
 """
 
 from .critical import (critical_difference, critical_independent_witness,
@@ -22,17 +26,35 @@ from .ke import is_koenig_egervary
 from .matching import (Matching, maximum_matching_bipartite,
                        maximum_matching_general, saturating_matching)
 from .mis import alpha
-from .oracle import (MisProfile, core_and_corona,
+from .oracle import (Config, Facts, MisProfile, core_and_corona,
                      enumerate_critical_independent_sets,
                      enumerate_maximum_independent_sets,
                      enumerate_side_critical_sets, is_ke_via_critical,
                      maximum_critical_independent_set,
                      verify_ker_characterization)
 from .ore import OreProfile, is_side_critical, ore_profile
-from .props import (Config, CorpusSpec, Facts, Property, PropertyResult,
-                    conjecture_scan, exhaustive_corpus, fixtures_corpus,
-                    files_corpus, parse_corpus_spec, random_corpus, registry,
-                    run, shrink)
+
+# the names imported on first use, by module
+_LAZY = {
+    "Property": "props", "PropertyResult": "props", "registry": "props",
+    "run": "props",
+    "CorpusSpec": "corpus", "conjecture_scan": "corpus",
+    "exhaustive_corpus": "corpus", "files_corpus": "corpus",
+    "fixtures_corpus": "corpus", "parse_corpus_spec": "corpus",
+    "random_corpus": "corpus", "shrink": "corpus",
+}
+
+
+def __getattr__(name: str):
+    module = _LAZY.get(name)
+    if module == "props":
+        from . import props as source
+    elif module == "corpus":
+        from . import corpus as source
+    else:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(source, name)
+
 
 __version__ = "0.1.0"
 

@@ -7,7 +7,9 @@ held, 1 a property failed or a scan found a violation, 2 usage or input
 error, 3 a limit was hit while --strict was on, 4 an internal error (any
 other exception, reported on one stderr line). All JSON output carries
 "schema": 1, sorts its keys, and serializes vertex sets as arrays of the
-original labels in vertex-id order.
+original labels in vertex-id order. A command imports the property registry
+(props) and the corpora (corpus) only when it runs and needs them, so a
+fresh `critset analyze` compiles neither.
 """
 
 from __future__ import annotations
@@ -18,12 +20,13 @@ import json
 import sys
 from itertools import chain
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from .graphs import EXHAUSTIVE_MAX_N, LimitExceeded, read_graph_file
-from .oracle import ORACLE_LIMIT
-from .props import (Config, CorpusSpec, Facts, conjecture_scan, evaluate,
-                    exhaustive_corpus, parse_corpus_spec, random_corpus,
-                    select_properties, stream_run)
+from .oracle import ORACLE_LIMIT, Config, Facts
+
+if TYPE_CHECKING:  # annotations only: the commands import it when they run
+    from .corpus import CorpusSpec
 
 EXIT_OK, EXIT_FAIL, EXIT_USAGE, EXIT_LIMIT, EXIT_INTERNAL = 0, 1, 2, 3, 4
 
@@ -229,6 +232,7 @@ def _cmd_analyze(args) -> int:
 # -- check -------------------------------------------------------------------
 
 def _cmd_check(args) -> int:
+    from .props import evaluate, select_properties
     config = _config(args)
     g = read_graph_file(args.file, args.format)
     names = None if args.all else [args.property]
@@ -306,6 +310,7 @@ def _write_run(head: dict, graphs, summary: dict) -> None:
 
 
 def _corpus_run(corpus: CorpusSpec, args: argparse.Namespace) -> int:
+    from .props import stream_run
     config = _config(args)
     head, graphs, summary = stream_run(corpus, args.properties, config)
     if args.json:
@@ -336,12 +341,14 @@ def _parse_range(text: str) -> tuple[int, int]:
 
 
 def _cmd_fuzz(args) -> int:
+    from .corpus import random_corpus
     lo, hi = _parse_range(args.n)
     return _corpus_run(random_corpus(lo, hi, args.p, args.count, args.seed),
                        args)
 
 
 def _cmd_exhaustive(args) -> int:
+    from .corpus import exhaustive_corpus
     if args.n > EXHAUSTIVE_MAX_N:
         raise ValueError(
             f"exhaustive sweep supports n <= {EXHAUSTIVE_MAX_N}, got {args.n}")
@@ -374,6 +381,7 @@ def _render_scan(rep: dict) -> str:
 
 
 def _cmd_conjecture(args) -> int:
+    from .corpus import conjecture_scan, exhaustive_corpus, parse_corpus_spec
     config = _config(args)
     if args.corpus is not None:
         corpus = parse_corpus_spec(Path(args.corpus).read_text())

@@ -19,7 +19,7 @@ from . import critical, ore
 from .cli import analyze_graph
 from .graphs import (Graph, LimitExceeded, delete_vertices, difference,
                      parse_graph)
-from .props import Facts
+from .oracle import Facts
 
 _FILES: dict[str, str] = {
     "fig511": "fig511.edges",

@@ -107,6 +107,7 @@ class Graph:
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]],
                  labels: tuple[str, ...] | None = None):
+        _check_orders(n=n)
         nbrs: list[list[int]] = [[] for _ in range(n)]
         seen: set[tuple[int, int]] = set()
         for u, v in edges:
@@ -431,6 +432,14 @@ def to_edge_list(g: Graph) -> str:
 
 # -- generators ------------------------------------------------------------------
 
+def _check_orders(**orders: int) -> None:
+    """Refuse a negative vertex count, naming it: range() would read it as
+    no vertices at all."""
+    for name, order in orders.items():
+        if order < 0:
+            raise ValueError(f"graph needs {name} >= 0, got {order}")
+
+
 def empty_graph(n: int) -> Graph:
     return Graph(n, [])
 
@@ -450,11 +459,13 @@ def complete_graph(n: int) -> Graph:
 
 
 def complete_bipartite(m: int, n: int) -> Graph:
+    _check_orders(m=m, n=n)
     return Graph(m + n, [(i, m + j) for i in range(m) for j in range(n)])
 
 
 def random_graph(n: int, p: float, seed: int) -> Graph:
     """Return G(n, p) with a fixed vertex-pair scan order, so seed fixes edges."""
+    _check_orders(n=n)
     if not 0 <= p <= 1:
         raise ValueError("p must be in [0, 1]")
     draw = random.Random(seed).random
@@ -468,6 +479,7 @@ def random_graph(n: int, p: float, seed: int) -> Graph:
 
 
 def random_bipartite(m: int, n: int, p: float, seed: int) -> Graph:
+    _check_orders(m=m, n=n)
     if not 0 <= p <= 1:
         raise ValueError("p must be in [0, 1]")
     draw = random.Random(seed).random

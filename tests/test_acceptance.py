@@ -16,9 +16,9 @@ from critset.ke import is_koenig_egervary
 from critset.matching import maximum_matching_general
 from critset.oracle import is_ke_via_critical
 from critset.ore import ore_profile
-from critset.props import (Config, CorpusSpec, conjecture_scan,
-                           exhaustive_corpus, fixtures_corpus, iter_graphs,
-                           random_corpus, run)
+from critset.corpus import (CorpusSpec, conjecture_scan, exhaustive_corpus,
+                            fixtures_corpus, iter_graphs, random_corpus)
+from critset.props import Config, run
 
 EXHAUSTIVE_NS = range(7)  # 33,868 labeled graphs, 32,768 of them at n = 6
 

@@ -13,7 +13,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from conftest import count_calls
-from critset import cli, critical, matching, oracle, props
+from critset import cli, corpus, critical, matching, oracle, props
 from critset.fixtures import load
 from critset.graphs import random_bipartite
 
@@ -356,7 +356,7 @@ def test_workers_flag_alone_sets_the_worker_count(capsys, monkeypatch):
         seen.append(config.workers)
         return {}, iter(()), {"fails": 0, "limit_skips": 0}
 
-    monkeypatch.setattr(cli, "stream_run", fake_stream_run)
+    monkeypatch.setattr(props, "stream_run", fake_stream_run)
     monkeypatch.setenv("CRITSET_WORKERS", "3")
     assert run_cli(capsys, "exhaustive", "--n", "1", "--json")[0] == 0
     assert run_cli(capsys, "exhaustive", "--n", "1", "--json",
@@ -530,7 +530,8 @@ def test_conjecture_violation_exits_1(capsys, monkeypatch):
                         "shrunk": {"n": 2, "edges": [[0, 1]],
                                    "lhs": 5, "rhs": 4}}]},
     }
-    monkeypatch.setattr(cli, "conjecture_scan", lambda corpus, config: fake)
+    monkeypatch.setattr(corpus, "conjecture_scan",
+                        lambda spec, config: fake)
     code, out, _ = run_cli(capsys, "conjecture", "--max-n", "4")
     assert code == 1
     assert "VIOLATION (ker-diadem)" in out and "shrunk witness: n=2" in out

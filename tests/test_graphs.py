@@ -204,6 +204,27 @@ def test_delete_edge_and_missing_edge():
             delete_edge(g, u, v)
 
 
+# a negative order would read as no vertices, or shrink a bipartite one
+NEGATIVE_ORDERS = [
+    ("Graph", lambda: Graph(-2, []), "n", -2),
+    ("path_graph", lambda: path_graph(-3), "n", -3),
+    ("empty_graph", lambda: empty_graph(-1), "n", -1),
+    ("complete_graph", lambda: complete_graph(-2), "n", -2),
+    ("random_graph", lambda: random_graph(-4, 0.5, 1), "n", -4),
+    ("complete_bipartite", lambda: complete_bipartite(-1, 2), "m", -1),
+    ("random_bipartite", lambda: random_bipartite(-1, 3, 0.5, 1), "m", -1),
+]
+
+
+@pytest.mark.parametrize("build,name,order",
+                         [case[1:] for case in NEGATIVE_ORDERS],
+                         ids=[case[0] for case in NEGATIVE_ORDERS])
+def test_constructors_refuse_a_negative_order(build, name, order):
+    with pytest.raises(ValueError,
+                       match=rf"^graph needs {name} >= 0, got {order}$"):
+        build()
+
+
 def test_induced_subgraph():
     g = cycle_graph(5)
     h, idmap = delete_vertices(g, g.full & ~0b00111)

@@ -16,7 +16,7 @@ import pytest
 import oracles as o
 from conftest import (count_calls, every_bipartition, mid_sample,
                       random_bipartition, small_corpus)
-from critset import cli, critical, graphs, ke, mis, oracle, ore, props
+from critset import cli, corpus, critical, graphs, ke, mis, oracle, ore, props
 from critset.fixtures import load
 from critset.graphs import (LimitExceeded, all_graphs, bipartition,
                             complete_bipartite, complete_graph, cycle_graph,
@@ -26,11 +26,11 @@ from critset.graphs import (LimitExceeded, all_graphs, bipartition,
 from critset.matching import (Matching, maximum_matching_general,
                               saturating_matching)
 from critset.mis import alpha
-from critset.props import (SELFTEST, Config, Facts, PropertyResult,
-                           conjecture_scan, evaluate, exhaustive_corpus,
-                           fixtures_corpus, iter_graphs, lookup,
-                           parse_corpus_spec, random_corpus, random_graph_at,
-                           registry, run, select_properties, shrink)
+from critset.corpus import (conjecture_scan, exhaustive_corpus,
+                            fixtures_corpus, iter_graphs, parse_corpus_spec,
+                            random_corpus, random_graph_at, shrink)
+from critset.props import (SELFTEST, Config, Facts, PropertyResult, evaluate,
+                           lookup, registry, run, select_properties)
 
 PINNED = [
     "zhang.d_eq_id",
@@ -81,6 +81,14 @@ def test_applicability_skips():
 
     ke_negative = evaluate(lookup("ke.is_ke"), Facts(cycle_graph(5)))
     assert ke_negative.verdict == "skipped" and ke_negative.reason == "not KE"
+
+
+def test_pendant_set_is_computed_once_per_evaluation(monkeypatch):
+    # the guard and the check of pendant.in_diadem share one pendant set
+    calls = count_calls(monkeypatch, props._pendants_outside_k2)
+    result = evaluate(lookup("pendant.in_diadem"), Facts(path_graph(5)))
+    assert result.verdict == "holds"
+    assert calls == {"_pendants_outside_k2": 1}
 
 
 def test_limit_skips_are_tagged():
@@ -1523,7 +1531,7 @@ def test_conjecture_slacks_are_isomorphism_invariant(max_n, config):
     # evaluated on its own and must agree with its class's leader
     differ = []
     for n in range(max_n + 1):
-        outcomes = [props._slacks(Facts(g, config)) for g in all_graphs(n)]
+        outcomes = [corpus._slacks(Facts(g, config)) for g in all_graphs(n)]
         differ += [(n, code, leader)
                    for code, leader in enumerate(orbit_leaders(n))
                    if outcomes[code] != outcomes[leader]]
@@ -1536,7 +1544,7 @@ def test_exhaustive_scan_builds_one_graph_per_class(monkeypatch):
     def graph_from_code(n, code):
         built[n] += 1
         return graphs.graph_from_code(n, code)
-    monkeypatch.setattr(props, "graph_from_code", graph_from_code)
+    monkeypatch.setattr(corpus, "graph_from_code", graph_from_code)
     report = conjecture_scan(exhaustive_corpus(*range(1, 7)))
     assert report["summary"]["graphs"] == 33867
     assert built == {1: 1, 2: 2, 3: 4, 4: 11, 5: 34, 6: 156}
@@ -1544,13 +1552,13 @@ def test_exhaustive_scan_builds_one_graph_per_class(monkeypatch):
 
 def test_exhaustive_scan_lists_skipped_members_in_code_order(monkeypatch):
     # a skipped class is listed member by member, each under its own key
-    lower = props._lower_slack
+    lower = corpus._lower_slack
 
     def skip_odd_sizes(f):
         if f.g.m % 2:
             raise LimitExceeded("odd size")
         return lower(f)
-    monkeypatch.setattr(props, "_lower_slack", skip_odd_sizes)
+    monkeypatch.setattr(corpus, "_lower_slack", skip_odd_sizes)
     report = conjecture_scan(exhaustive_corpus(4))
     odd = [code for code in range(64) if code.bit_count() % 2]
     s = report["summary"]
@@ -1568,21 +1576,21 @@ def test_exhaustive_scan_keeps_class_sizes_per_n(monkeypatch):
     def orbit_leaders(n):
         built[n] += 1
         return graphs.orbit_leaders(n)
-    monkeypatch.setattr(props, "orbit_leaders", orbit_leaders)
-    props._class_sizes.cache_clear()
-    corpus = exhaustive_corpus(*range(1, 6))
-    report = conjecture_scan(corpus)
-    assert conjecture_scan(corpus) == report
+    monkeypatch.setattr(corpus, "orbit_leaders", orbit_leaders)
+    corpus._class_sizes.cache_clear()
+    spec = exhaustive_corpus(*range(1, 6))
+    report = conjecture_scan(spec)
+    assert conjecture_scan(spec) == report
     assert report["summary"]["graphs"] == 1 + 2 + 8 + 64 + 1024
     assert built == {n: 1 for n in range(1, 6)}
 
-    lower = props._lower_slack
+    lower = corpus._lower_slack
 
     def skip_odd_sizes(f):
         if f.g.m % 2:
             raise LimitExceeded("odd size")
         return lower(f)
-    monkeypatch.setattr(props, "_lower_slack", skip_odd_sizes)
+    monkeypatch.setattr(corpus, "_lower_slack", skip_odd_sizes)
     report = conjecture_scan(exhaustive_corpus(5))
     assert [s["graph"] for s in report["summary"]["skipped"]] == [
         f"exhaustive:n=5:{code}" for code in range(1024)
@@ -1612,10 +1620,10 @@ def test_conjecture_scan_reports_and_shrinks_forced_violations(
         profile = Facts.mis_profile
         monkeypatch.setattr(Facts, "mis_profile",
                             lambda f: profile(f)._replace(core=0, corona=0))
-    corpus = parse_corpus_spec(json.dumps({"sources": [
+    spec = parse_corpus_spec(json.dumps({"sources": [
         {"kind": "exhaustive", "n": 3},
         {"kind": "random", "n": [5, 7], "p": 0.4, "count": 4, "seed": 1}]}))
-    report = conjecture_scan(corpus)
+    report = conjecture_scan(spec)
     violations = report["summary"]["violations"]
     assert [v["kind"] for v in violations] == [kind] * count
     assert all(v["lhs"] > v["rhs"] and v["shrunk"]["n"] <= v["n"]
@@ -1629,7 +1637,7 @@ def test_conjecture_scan_records_limit_skips(tmp_path):
     big = empty_graph(45)
     f = tmp_path / "big.edges"
     f.write_text(to_edge_list(big))
-    from critset.props import files_corpus
+    from critset.corpus import files_corpus
     report = conjecture_scan(files_corpus([str(f)]))
     s = report["summary"]
     assert s["checked"] == 0 and len(s["skipped"]) == 1

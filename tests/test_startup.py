@@ -1,9 +1,11 @@
 """What a fresh interpreter loads: each command imports only what it uses;
-and what each file imports: no polynomial module reaches the oracle tier,
-and the test oracles reach nothing of the package."""
+and what each file imports: no polynomial module reaches the oracle tier, no
+library module reaches the registry or the corpora, and the test oracles
+reach nothing of the package."""
 
 import ast
 import os
+import pickle
 import subprocess
 import sys
 from pathlib import Path
@@ -20,6 +22,17 @@ SETUP = "import critset, critset.cli; critset.registry()"
 # the fixtures command; dataclasses and inspect by nothing
 LAZY = ("concurrent.futures", "multiprocessing", "dataclasses", "inspect",
         "critset.fixtures")
+FIXTURE = str(Path(SRC, "critset", "fixtures", "fig233.edges"))
+# whether each run loads the registry (props) and the corpora (corpus):
+# registry() needs props alone, analyze neither, conjecture no registry
+COMMAND_LOADS = [
+    ("setup", SETUP, True, False),
+    ("analyze", ["analyze", FIXTURE, "--json"], False, False),
+    ("check", ["check", "--all", FIXTURE], True, False),
+    ("conjecture", ["conjecture", "--max-n", "3"], False, True),
+    ("fuzz", ["fuzz", "--n", "5..6", "--p", "0.3", "--count", "2",
+              "--seed", "1"], True, True),
+]
 
 
 def _modules_after(code: str) -> set[str]:
@@ -58,8 +71,22 @@ def test_setup_line_builds_no_subset_lanes():
     assert done.stdout == "{} 0 []\n"
 
 
+@pytest.mark.parametrize("run,props,corpus",
+                         [entry[1:] for entry in COMMAND_LOADS],
+                         ids=[entry[0] for entry in COMMAND_LOADS])
+def test_each_command_loads_the_registry_and_corpora_it_runs(run, props,
+                                                             corpus):
+    if isinstance(run, list):
+        run = ("import contextlib, io\nfrom critset.cli import main\n"
+               "with contextlib.redirect_stdout(io.StringIO()):\n"
+               f"    assert main({run!r}) == 0")
+    loaded = _modules_after(run)
+    assert ("critset.props" in loaded, "critset.corpus" in loaded) == (
+        props, corpus)
+
+
 @pytest.mark.parametrize("module", ["critset.cli", "critset.props",
-                                    "critset.fixtures"])
+                                    "critset.corpus", "critset.fixtures"])
 def test_module_imports_alone(module):
     assert module in _modules_after(f"import {module}")
 
@@ -103,9 +130,33 @@ def _imported_names(tree: ast.Module) -> dict[str, int]:
 
 
 def test_package_init_imports_exactly_what_it_exports():
+    # each exported name is bound once: by a top-level import, or by the
+    # lazy table whose names __getattr__ serves from props or corpus
     import critset
+    from critset import corpus, props
     tree = ast.parse(Path(critset.__file__).read_text())
-    assert sorted(_imported_names(tree)) == sorted(critset.__all__)
+    imported = [alias.asname or alias.name for node in tree.body
+                if isinstance(node, ast.ImportFrom) for alias in node.names]
+    assert sorted(imported + list(critset._LAZY)) == sorted(
+        set(critset.__all__))
+    source = {"props": props, "corpus": corpus}
+    assert [name for name, module in critset._LAZY.items()
+            if getattr(critset, name) is not getattr(source[module], name)
+            ] == []
+
+
+def test_props_serves_the_names_that_moved_to_corpus():
+    # imports and pickles that name a corpus class or function through
+    # props still find it, as the very same object
+    from critset import corpus, props
+    tree = ast.parse(Path(corpus.__file__).read_text())
+    public = sorted(node.name for node in tree.body if isinstance(
+        node, (ast.FunctionDef, ast.ClassDef)) and node.name[0] != "_")
+    assert public == sorted(props._CORPUS_NAMES)
+    assert [name for name in public
+            if getattr(props, name) is not getattr(corpus, name)] == []
+    assert pickle.loads(b"ccritset.props\nCorpusSpec\n.") is corpus.CorpusSpec
+    assert not hasattr(props, "_lower_slack")
 
 
 @pytest.mark.parametrize(
@@ -127,12 +178,21 @@ def test_every_imported_name_is_used(path):
             if name not in used} == {}
 
 
-def _imports(path: Path) -> set[str]:
+def _imports(path: Path, at_import: bool = False) -> set[str]:
     """Every module a file imports, anywhere in it, with the package's
     relative imports read as critset.<name>; `from M import x` counts as
-    importing both M and M.x, as x may be a module."""
+    importing both M and M.x, as x may be a module. With at_import, only
+    the imports that run when the file is imported: none inside a function
+    or under `if TYPE_CHECKING:`."""
     found = set()
-    for node in ast.walk(ast.parse(path.read_text())):
+    todo: list[ast.AST] = [ast.parse(path.read_text())]
+    while todo:
+        node = todo.pop()
+        if at_import and (isinstance(node, ast.FunctionDef) or (
+                isinstance(node, ast.If) and isinstance(node.test, ast.Name)
+                and node.test.id == "TYPE_CHECKING")):
+            continue
+        todo.extend(ast.iter_child_nodes(node))
         if isinstance(node, ast.Import):
             found.update(alias.name for alias in node.names)
         elif isinstance(node, ast.ImportFrom):
@@ -148,6 +208,22 @@ def _imports(path: Path) -> set[str]:
 def test_polynomial_modules_never_import_the_oracle_tier(module):
     path = Path(SRC) / "critset" / f"{module}.py"
     assert sorted(_imports(path) & {"critset.oracle", "critset.mis"}) == []
+
+
+@pytest.mark.parametrize("module", POLYNOMIAL + ("mis", "ke", "oracle"))
+def test_library_modules_never_import_the_registry_or_corpora(module):
+    path = Path(SRC) / "critset" / f"{module}.py"
+    assert sorted(_imports(path) & {"critset.props", "critset.corpus"}) == []
+
+
+@pytest.mark.parametrize("module", ["__init__", "cli", "props"])
+def test_start_up_modules_import_the_rest_inside_functions(module):
+    # the setup line imports these three; each imports the registry or the
+    # corpora only inside the functions that need them
+    path = Path(SRC) / "critset" / f"{module}.py"
+    assert sorted(_imports(path, at_import=True)
+                  & {"critset.props", "critset.corpus"}) == []
+    assert sorted(_imports(path) & {"critset.props", "critset.corpus"}) != []
 
 
 def test_oracles_import_nothing_from_the_package():
