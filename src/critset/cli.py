@@ -19,10 +19,10 @@ import functools
 import json
 import sys
 from itertools import chain
-from pathlib import Path
 from typing import TYPE_CHECKING
 
-from .graphs import EXHAUSTIVE_MAX_N, LimitExceeded, read_graph_file
+from .graphs import (EXHAUSTIVE_MAX_N, LimitExceeded, read_graph_file,
+                     read_utf8)
 from .oracle import ORACLE_LIMIT, Config, Facts
 
 if TYPE_CHECKING:  # annotations only: the commands import it when they run
@@ -327,17 +327,12 @@ def _corpus_run(corpus: CorpusSpec, args: argparse.Namespace) -> int:
 
 
 def _parse_range(text: str) -> tuple[int, int]:
-    if ".." in text:
-        lo, hi = text.split("..", 1)
-    else:
-        lo = hi = text
+    """The bounds of "a..b", or of "a" as a..a; random_corpus checks them."""
+    lo, sep, hi = text.partition("..")
     try:
-        lo_i, hi_i = int(lo), int(hi)
+        return int(lo), int(hi if sep else lo)
     except ValueError:
         raise ValueError(f"bad range {text!r}; expected a..b")
-    if lo_i < 0 or hi_i < lo_i:
-        raise ValueError(f"bad range {text!r}; expected 0 <= a <= b")
-    return lo_i, hi_i
 
 
 def _cmd_fuzz(args) -> int:
@@ -349,9 +344,6 @@ def _cmd_fuzz(args) -> int:
 
 def _cmd_exhaustive(args) -> int:
     from .corpus import exhaustive_corpus
-    if args.n > EXHAUSTIVE_MAX_N:
-        raise ValueError(
-            f"exhaustive sweep supports n <= {EXHAUSTIVE_MAX_N}, got {args.n}")
     return _corpus_run(exhaustive_corpus(args.n), args)
 
 
@@ -384,7 +376,7 @@ def _cmd_conjecture(args) -> int:
     from .corpus import conjecture_scan, exhaustive_corpus, parse_corpus_spec
     config = _config(args)
     if args.corpus is not None:
-        corpus = parse_corpus_spec(Path(args.corpus).read_text())
+        corpus = parse_corpus_spec(read_utf8(args.corpus))
     else:
         if not 1 <= args.max_n <= EXHAUSTIVE_MAX_N:
             raise ValueError(f"--max-n supports 1..{EXHAUSTIVE_MAX_N}, "
@@ -452,6 +444,15 @@ def _cmd_fixtures(args) -> int:
 
 # -- argument plumbing -------------------------------------------------------------
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors raise ValueError, so main
+    reports them on one line as it does every other input error; the
+    subcommand parsers are of this class too."""
+
+    def error(self, message: str):
+        raise ValueError(message)
+
+
 @functools.lru_cache(maxsize=None)
 def _build_parser() -> argparse.ArgumentParser:
     """The argument parser, built on first use and shared by later calls;
@@ -476,7 +477,7 @@ def _build_parser() -> argparse.ArgumentParser:
     fileargs.add_argument("--format", choices=["edge-list", "dimacs"],
                           help="input format (default: by file extension)")
 
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="critset",
         description="Critical-set invariants of finite simple graphs.")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -532,9 +533,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         return args.func(args)
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

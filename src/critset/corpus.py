@@ -54,6 +54,12 @@ def fixtures_corpus() -> CorpusSpec:
 
 
 def exhaustive_corpus(*ns: int) -> CorpusSpec:
+    for n in ns:
+        if n < 0:
+            raise ValueError(f"exhaustive source needs n >= 0, got {n}")
+        if n > EXHAUSTIVE_MAX_N:
+            raise ValueError(f"exhaustive source supports n <= "
+                             f"{EXHAUSTIVE_MAX_N}, got {n}")
     return CorpusSpec(tuple(CorpusSource("exhaustive", (n,)) for n in ns))
 
 
@@ -70,6 +76,14 @@ def random_corpus(lo: int, hi: int, p: float, count: int,
 
 
 def files_corpus(paths: list[str]) -> CorpusSpec:
+    """A source of graph files. A string is refused, not read as the files
+    named by its letters, and so is a path that is not a string."""
+    if not isinstance(paths, (list, tuple)):
+        raise ValueError(f"files source needs a list of paths, got {paths!r}")
+    for path in paths:
+        if type(path) is not str:
+            raise ValueError(f"files source needs a path string in paths, "
+                             f"got {json.dumps(path, default=repr)}")
     return CorpusSpec((CorpusSource("files", tuple(paths)),))
 
 
@@ -110,13 +124,9 @@ def parse_corpus_spec(text: str) -> CorpusSpec:
                     f"{kind} source has no field {json.dumps(key)}")
         try:
             if kind == "fixtures":
-                sources.append(CorpusSource("fixtures", ()))
+                spec = fixtures_corpus()
             elif kind == "exhaustive":
-                n = _spec_int(kind, "n", entry["n"])
-                if n > EXHAUSTIVE_MAX_N:
-                    raise ValueError(f"exhaustive source supports n <= "
-                                     f"{EXHAUSTIVE_MAX_N}, got {n}")
-                sources.append(CorpusSource("exhaustive", (n,)))
+                spec = exhaustive_corpus(_spec_int(kind, "n", entry["n"]))
             elif kind == "random":
                 if not (isinstance(entry["n"], list) and len(entry["n"]) == 2):
                     raise ValueError(f"random source needs n = [lo, hi], "
@@ -125,22 +135,15 @@ def parse_corpus_spec(text: str) -> CorpusSpec:
                 if type(entry["p"]) not in (int, float):
                     raise ValueError(f"random source needs a number p, "
                                      f"got {json.dumps(entry['p'])}")
-                sources += random_corpus(
+                spec = random_corpus(
                     lo, hi, float(entry["p"]),
                     _spec_int(kind, "count", entry["count"]),
-                    _spec_int(kind, "seed", entry["seed"])).sources
+                    _spec_int(kind, "seed", entry["seed"]))
             else:
-                paths = entry["paths"]
-                if not isinstance(paths, list):
-                    raise ValueError(
-                        f"files source needs a list of paths, got {paths!r}")
-                for path in paths:
-                    if type(path) is not str:
-                        raise ValueError(f"files source needs a path string "
-                                         f"in paths, got {json.dumps(path)}")
-                sources.append(CorpusSource("files", tuple(paths)))
+                spec = files_corpus(entry["paths"])
         except (KeyError, TypeError) as exc:
             raise ValueError(f"bad corpus source {entry!r}: {exc}")
+        sources += spec.sources
     return CorpusSpec(tuple(sources))
 
 

@@ -55,7 +55,7 @@ def fixture_names() -> list[str]:
 
 def _data(filename: str) -> str:
     return resources.files("critset").joinpath(
-        "fixtures", filename).read_text()
+        "fixtures", filename).read_text(encoding="utf-8")
 
 
 def load(name: str) -> Fixture:

@@ -298,12 +298,28 @@ def read_graph_file(path: str, format: str | None = None) -> Graph:
     if format is None:
         format = "dimacs" if path.endswith((".col", ".dimacs")) \
             else "edge-list"
-    with open(path) as fh:
-        text = fh.read()
+    text = read_utf8(path)
     try:
         return parse_graph(text, format)
     except ParseError as exc:
         raise ParseError(exc.line_no, exc.message, path) from None
+
+
+def read_utf8(path: str) -> str:
+    """The text of the file at path, read as UTF-8 whatever the locale, with
+    universal newlines. Bytes that are not UTF-8 raise a ParseError naming
+    the file and the line, counted as the parsers count lines."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        # read() decodes the whole file at once, so exc.object is all of it;
+        # the bad byte's line is the last of the text before it, plus one
+        # character so that a line break just before it opens a new line
+        head = exc.object[:exc.start].decode("utf-8") + "-"
+        raise ParseError(len(head.splitlines()),
+                         f"not UTF-8: byte 0x{exc.object[exc.start]:02x} "
+                         f"({exc.reason})", path) from None
 
 
 def _parse_edge_list(text: str) -> Graph:

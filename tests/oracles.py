@@ -45,13 +45,18 @@ def include_first(n: int, masks) -> list[int]:
     return sorted(masks, key=lambda m: [not m >> v & 1 for v in range(n)])
 
 
-def brute_d(n: int, adj: tuple[int, ...]) -> int:
-    """The largest |X| - |N(X)| over all 2^n subsets X; nbhd[X] = N(X),
-    the masks holding v being those without it, each joined by N(v)."""
+def d_table(n: int, adj: tuple[int, ...]) -> list[int]:
+    """|X| - |N(X)| for every mask X; nbhd[X] = N(X), the masks holding v
+    being those without it, each joined by N(v)."""
     nbhd = [0]
     for v in range(n):
         nbhd += [m | adj[v] for m in nbhd]
-    return max(x.bit_count() - m.bit_count() for x, m in enumerate(nbhd))
+    return [x.bit_count() - m.bit_count() for x, m in enumerate(nbhd)]
+
+
+def brute_d(n: int, adj: tuple[int, ...]) -> int:
+    """The largest |X| - |N(X)| over all 2^n subsets X."""
+    return max(d_table(n, adj))
 
 
 def brute_mu(n: int, adj: tuple[int, ...]) -> int:

@@ -45,13 +45,6 @@ def test_graph_construction_and_counts():
             g.degree(v)
 
 
-def test_graph_rejects_bad_edges():
-    with pytest.raises(ValueError):
-        Graph(2, [(0, 0)])
-    with pytest.raises(ValueError):
-        Graph(2, [(0, 2)])
-
-
 def test_graph_equality_and_hash():
     a = Graph(3, [(0, 1)])
     b = Graph(3, [(0, 1)])
@@ -316,27 +309,10 @@ def test_parse_edge_list_with_comments_and_vertex_lines():
     assert g.m == 2 and g.degree(0) == 0
 
 
-@pytest.mark.parametrize("bad, line_no", [
-    ("a b c\n", 1), ("a a\n", 1), ("a b\na b\n", 2), ("a b\nb a\n", 2)])
-def test_parse_edge_list_errors(bad, line_no):
-    with pytest.raises(ParseError) as err:
-        parse_graph(bad)
-    assert err.value.line_no == line_no
-
-
 def test_parse_dimacs():
     text = "c comment\np edge 4 3\ne 1 2\ne 2 3\ne 3 4\n"
     g = parse_graph(text, "dimacs")
     assert g.n == 4 and g.m == 3 and g.labels == ("1", "2", "3", "4")
-
-
-@pytest.mark.parametrize("bad", [
-    "e 1 2\n", "p edge 2 1\ne 1 3\n", "p edge 2 2\ne 1 2\n",
-    "p edge 2 1\nq 1 2\n", "p edge 2 1\ne 1 2\np edge 2 1\n",
-    "p edge -5 0\n", "p edge 1000000000 0\n"])
-def test_parse_dimacs_errors(bad):
-    with pytest.raises(ParseError):
-        parse_graph(bad, "dimacs")
 
 
 # Each row: input, then the line number and message of the first error, which
@@ -353,6 +329,9 @@ EDGE_LIST_ERRORS = [
     ("vertex lines after edges", "a b\nvertex c\nvertex a\nc c\n",
      4, "self-loop at 'c'"),
     ("self-loop", "a b\nb b\n", 2, "self-loop at 'b'"),
+    ("self-loop on the first line", "a a\n", 1, "self-loop at 'a'"),
+    ("three tokens", "a b c\n", 1, "expected two tokens, got 3"),
+    ("duplicate", "a b\na b\n", 2, "duplicate edge a b"),
     ("one token", "a b\nc\n", 2, "expected two tokens, got 1"),
     ("three-token vertex line", "vertex a b\n",
      1, "expected two tokens, got 3"),
@@ -369,6 +348,8 @@ DIMACS_ERRORS = [
      2, "vertex id out of range 1..2"),
     ("edge count mismatch", "c x\np edge 2 2\ne 1 2\n",
      2, "declared 2 edges, found 1"),
+    ("edge count mismatch on line 1", "p edge 2 2\ne 1 2\n",
+     1, "declared 2 edges, found 1"),
     ("unknown line type", "p edge 2 1\nq 1 2\n", 2, "unknown line type 'q'"),
     ("duplicate header", "p edge 2 1\ne 1 2\np edge 2 1\n",
      3, "duplicate problem line"),
@@ -436,11 +417,12 @@ def test_parsers_accept_crlf_tabs_indented_comments_and_late_vertices():
     (2, [(0, 2)], None, "edge (0,2) out of range for n=2"),
     (2, [(-1, 0)], None, "edge (-1,0) out of range for n=2"),
     (3, [(0, 1), (1, 1)], None, "self-loop at vertex 1"),
+    (2, [(0, 0)], None, "self-loop at vertex 0"),
     (3, [(0, 1), (1, 2), (2, 1), (1, 0)], None, "duplicate edge (2,1)"),
     (3, [(0, 1), (1, 0), (0, 5)], None, "duplicate edge (1,0)"),
     (2, [(0, 1)], ("a",), "labels length must equal n"),
     (2, [(0, 1), (0, 1)], ("a",), "duplicate edge (0,1)"),
-], ids=["out of range", "negative id", "self-loop",
+], ids=["out of range", "negative id", "self-loop", "self-loop alone",
         "first duplicate in edge order", "duplicate before a bad edge",
         "labels length", "duplicate before the labels check"])
 def test_graph_error_messages(n, edges, labels, message):

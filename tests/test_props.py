@@ -20,15 +20,16 @@ from critset import cli, corpus, critical, graphs, ke, mis, oracle, ore, props
 from critset.fixtures import load
 from critset.graphs import (LimitExceeded, all_graphs, bipartition,
                             complete_bipartite, complete_graph, cycle_graph,
-                            empty_graph, is_independent, neighborhood,
-                            orbit_leaders, parse_graph, path_graph,
-                            random_bipartite, random_graph)
+                            empty_graph, neighborhood, orbit_leaders,
+                            parse_graph, path_graph, random_bipartite,
+                            random_graph)
 from critset.matching import (Matching, maximum_matching_general,
                               saturating_matching)
 from critset.mis import alpha
 from critset.corpus import (conjecture_scan, exhaustive_corpus,
-                            fixtures_corpus, iter_graphs, parse_corpus_spec,
-                            random_corpus, random_graph_at, shrink)
+                            files_corpus, fixtures_corpus, iter_graphs,
+                            parse_corpus_spec, random_corpus, random_graph_at,
+                            shrink)
 from critset.props import (SELFTEST, Config, Facts, PropertyResult, evaluate,
                            lookup, registry, run, select_properties)
 
@@ -1348,7 +1349,7 @@ def test_closure_searches_no_critical_mask_where_the_squares_decide(
 
 def test_tables_match_the_per_mask_definition():
     # every lane against d(m) + n, and the independence lanes of
-    # minimal_positives, the masks it keeps, against is_independent, up to
+    # minimal_positives, the masks it keeps, against the oracle's, up to
     # n = 20; one graph per n above 12, at alternating density, keeps the
     # per-mask scan short. A table whose lanes are above n exactly at the
     # masks of size k makes its minimal positive sets the independent masks
@@ -1363,10 +1364,9 @@ def test_tables_match_the_per_mask_definition():
     for g in graphs:
         n, facts = g.n, Facts(g)
         assert list(facts.tables()) == [
-            m.bit_count() - neighborhood(g, m).bit_count() + n
-            for m in range(1 << n)], g.adj
+            d + n for d in o.d_table(n, g.adj)], g.adj
         sizes = bytes(m.bit_count() for m in range(1 << n))
-        ind = [m for m in range(1 << n) if is_independent(g, m)]
+        ind = o.independent_masks(n, g.adj)
         for k in range(n + 1):
             level = Facts(g)
             level._cache["tables"] = sizes.translate(
@@ -1455,17 +1455,18 @@ def test_corpus_parsing_round_trip():
     assert spec.describe()["sources"][2]["seed"] == 7
 
 
-@pytest.mark.parametrize("text", [
-    "not json",
-    "[1, 2]",
-    '{"sources": [{"n": 3}]}',
-    '{"sources": [{"kind": "martian"}]}',
-    '{"sources": [{"kind": "random", "n": [3, 5]}]}',
-    '{"sources": 5}',
-])
-def test_corpus_parsing_rejects_malformed(text):
-    with pytest.raises(ValueError):
-        parse_corpus_spec(text)
+@pytest.mark.parametrize("build,args,message", [
+    (exhaustive_corpus, (3, 9), "exhaustive source supports n <= 7, got 9"),
+    (exhaustive_corpus, (-1,), "exhaustive source needs n >= 0, got -1"),
+    (files_corpus, ("ab",), "files source needs a list of paths, got 'ab'"),
+    (files_corpus, (["a", Path("b")],),
+     f'files source needs a path string in paths, got "{Path("b")!r}"')])
+def test_corpus_constructors_refuse_sources_out_of_bounds(build, args,
+                                                          message):
+    # before any graph is drawn: a run over exhaustive_corpus(9) raised
+    # LimitExceeded mid-run, and files_corpus("ab") read the files a and b
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        build(*args)
 
 
 def test_random_corpus_is_reproducible_and_isolated():
@@ -1637,7 +1638,6 @@ def test_conjecture_scan_records_limit_skips(tmp_path):
     big = empty_graph(45)
     f = tmp_path / "big.edges"
     f.write_text(to_edge_list(big))
-    from critset.corpus import files_corpus
     report = conjecture_scan(files_corpus([str(f)]))
     s = report["summary"]
     assert s["checked"] == 0 and len(s["skipped"]) == 1

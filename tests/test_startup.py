@@ -178,6 +178,19 @@ def test_every_imported_name_is_used(path):
             if name not in used} == {}
 
 
+def test_every_file_read_names_its_encoding():
+    # a read in the locale's encoding refuses a UTF-8 label under the C
+    # locale, and reads other labels from the same bytes under another
+    calls = [(path.name, node)
+             for path in sorted(Path(SRC, "critset").glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Call) and getattr(node.func, "id", getattr(
+                 node.func, "attr", None)) in ("open", "read_text")]
+    assert len(calls) >= 2
+    assert [f"{name}:{node.lineno}" for name, node in calls
+            if "encoding" not in {k.arg for k in node.keywords}] == []
+
+
 def _imports(path: Path, at_import: bool = False) -> set[str]:
     """Every module a file imports, anywhere in it, with the package's
     relative imports read as critset.<name>; `from M import x` counts as
