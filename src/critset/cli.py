@@ -533,6 +533,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    # a label stdout's encoding lacks is written as a backslash escape, as
+    # the --json reports escape every non-ASCII character
+    reconfigure = getattr(sys.stdout, "reconfigure", None)
+    if reconfigure is not None:  # not a StringIO a caller swapped in
+        reconfigure(errors="backslashreplace")
     try:
         args = _build_parser().parse_args(argv)
         return args.func(args)

@@ -226,7 +226,11 @@ def diadem(g: Graph) -> VertexSet:
     set S, and S - N(S) is a critical independent set holding v. The reach
     meets no unmatched minus copy: a path to one would start at a neighbour
     of v in ker, since by the + / - symmetry of the cover the minus copies
-    that some maximum matching misses are those of ker.
+    that some maximum matching misses are those of ker. So for v outside ker
+    and N(ker), v- is matched, to sigma(v) = mate_minus[v], a neighbour of v.
+    Any neighbour w of v in the reach has the alternating step w+ v- to
+    sigma(v), so the reach holds a neighbour of v iff it holds sigma(v), and
+    one bit decides v.
 
     The reaches of all v at once come from the alternating digraph on the
     plus copies, u -> mate_minus[w] for each neighbour w of u: one iterative
@@ -306,12 +310,8 @@ def diadem(g: Graph) -> VertexSet:
                         break
                 for x in scc:
                     reach[x] = mask
-                    if not near[x]:
-                        for w in nbrs[x]:
-                            if mask >> w & 1:
-                                break
-                        else:
-                            members.append(x)
+                    if not near[x] and not mask >> mate_minus[x] & 1:
+                        members.append(x)
                 if path:
                     gathered[path[-1]] |= mask
     return cover.ker | vset(members)

@@ -9,9 +9,7 @@ independent enumerations at most once per graph and the blossom matching
 once. Anything exponential sits behind the oracle limit and reports itself as
 skipped instead of silently passing. The corpora the runner reads, the
 conjecture scan and shrinking live in corpus, which this module imports only
-when a run starts. Facts and Config are re-exported here, and corpus's
-public names are served on first use, so imports and pickles that name them
-through this module stay valid.
+when a run starts. Facts and Config are re-exported here.
 """
 
 from __future__ import annotations
@@ -29,20 +27,6 @@ from .oracle import _LANES_IN_RANGE, LATTICE_MAX_N, Config, Facts
 
 if TYPE_CHECKING:  # the runner's annotations only
     from .corpus import CorpusSpec
-
-# the public names that moved to corpus, served from there on first use
-_CORPUS_NAMES = frozenset({
-    "CorpusSource", "CorpusSpec", "conjecture_scan", "exhaustive_corpus",
-    "files_corpus", "fixtures_corpus", "iter_graphs", "parse_corpus_spec",
-    "random_corpus", "random_graph_at", "shrink"})
-
-
-def __getattr__(name: str):
-    if name in _CORPUS_NAMES:
-        from . import corpus
-        return getattr(corpus, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
 
 # -- property shell --------------------------------------------------------------
 

@@ -73,6 +73,28 @@ def shuffled_chain(n: int, closed: bool, seed: int) -> Graph:
     return Graph(n, edges)
 
 
+def chain_answers(n: int, closed: bool, seed: int):
+    """d, ker, diadem and the list of d(G - v) by vertex id v, in closed form
+    for shuffled_chain(n, closed, seed), read off its shuffle order. An odd
+    path has d = 1 and ker = diadem = its even positions; an even path or
+    cycle has d = 0, ker empty and diadem V; an odd cycle has d = 0 and
+    ker = diadem empty. A path of k vertices has d = k mod 2, so deleting
+    the vertex at position i leaves d = i mod 2 + (n - 1 - i) mod 2 on a
+    path and (n - 1) mod 2 on a cycle."""
+    order = list(range(n))
+    random.Random(seed).shuffle(order)  # shuffled_chain's first draw
+    if n % 2 == 0:
+        d, k, dia = 0, 0, (1 << n) - 1
+    elif closed:
+        d, k, dia = 0, 0, 0
+    else:
+        d, k, dia = 1, vset(order[::2]), vset(order[::2])
+    d_without = [0] * n
+    for i, v in enumerate(order):
+        d_without[v] = (n - 1) % 2 if closed else i % 2 + (n - 1 - i) % 2
+    return d, k, dia, d_without
+
+
 def mask_of(g: Graph, labels) -> int:
     """The set of g's vertices with the given labels, as a bitmask."""
     return vset(g.labels.index(label) for label in labels)

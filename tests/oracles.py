@@ -242,72 +242,3 @@ def forcing_side_diadem(adj: tuple[int, ...], side: int) -> int:
                if 1 - adj[v].bit_count()
                + side_delta0(adj, side, adj[v] | 1 << v) == d0)
 
-
-# -- one alternating search per vertex: the reference for diadem's SCC pass --
-
-def cover_matching(n: int, adj: tuple[int, ...]) -> list[int]:
-    """A maximum matching of the double cover as w -> v for each matched
-    pair v+ w- (-1 for an unmatched w-), by one breadth-first augmenting
-    search per plus copy; nothing recurses, so long paths are fine."""
-    mate_plus, mate_minus = [-1] * n, [-1] * n
-    for root in range(n):
-        came_from: dict[int, int] = {}  # minus copy -> plus copy before it
-        queue, free = [root], -1
-        for u in queue:
-            for w in bits(adj[u]):
-                if w not in came_from:
-                    came_from[w] = u
-                    if mate_minus[w] == -1:
-                        free = w
-                        break
-                    queue.append(mate_minus[w])
-            if free != -1:
-                break
-        while free != -1:
-            u = came_from[free]
-            mate_minus[free], mate_plus[u], free = u, free, mate_plus[u]
-    return mate_minus
-
-
-def _plus_reach(adj: tuple[int, ...], mate_minus: list[int],
-                start: list[int]) -> set[int]:
-    """Plus copies that alternating paths reach from the plus copies in
-    start, each step an edge u+ w- and then the matching edge from w- back
-    to a plus copy."""
-    seen, todo = set(start), list(start)
-    while todo:
-        for w in bits(adj[todo.pop()]):
-            v = mate_minus[w]
-            if v != -1 and v not in seen:
-                seen.add(v)
-                todo.append(v)
-    return seen
-
-
-def _reach_ker(n: int, adj: tuple[int, ...],
-               mate_minus: list[int]) -> set[int]:
-    matched = set(mate_minus)
-    return _plus_reach(adj, mate_minus,
-                       [v for v in range(n) if v not in matched])
-
-
-def search_ker(n: int, adj: tuple[int, ...]) -> int:
-    """ker as the plus copies that alternating paths reach from the
-    unmatched ones. O(m) after the matching, so it reaches past the deletion
-    rule's sizes."""
-    return sum(1 << v for v in _reach_ker(n, adj, cover_matching(n, adj)))
-
-
-def search_diadem(n: int, adj: tuple[int, ...]) -> int:
-    """diadem by one alternating search per vertex: v belongs iff no
-    neighbour of v lies in ker or in the plus copies reached from v+, where
-    ker is the reach of the unmatched plus copies. O(n m)."""
-    mate_minus = cover_matching(n, adj)
-    ker = _reach_ker(n, adj, mate_minus)
-    out = 0
-    for v in range(n):
-        if not any(u in ker for u in bits(adj[v])):
-            reach = _plus_reach(adj, mate_minus, [v])
-            if not any(u in reach for u in bits(adj[v])):
-                out |= 1 << v
-    return out

@@ -247,17 +247,31 @@ def test_bad_input_exits_2(capsys, tmp_path, monkeypatch, argv, files, line):
     assert run_cli(capsys, *argv.split()) == (2, "", f"error: {line}\n")
 
 
-def test_graph_files_are_read_as_utf8_under_the_c_locale(tmp_path):
-    # the locale's ASCII refused the label, naming neither file nor line
+def analyze_cafe_under_the_c_locale(tmp_path, *flags) -> bytes:
+    """The stdout of critset analyze on a graph labelled café, run with
+    ASCII stdio, which exits 0 with nothing on stderr."""
     f = tmp_path / "cafe.edges"
     f.write_bytes("vertex café\n".encode())
     env = dict(os.environ, PYTHONPATH=str(FIXDIR.parents[1]), LC_ALL="C",
                PYTHONUTF8="0", PYTHONCOERCECLOCALE="0")
     done = subprocess.run(
-        [sys.executable, "-m", "critset.cli", "analyze", "--json", str(f)],
+        [sys.executable, "-m", "critset.cli", "analyze", *flags, str(f)],
         env=env, capture_output=True, timeout=60)
     assert (done.returncode, done.stderr) == (0, b"")
-    assert json.loads(done.stdout)["ker"] == ["café"]
+    return done.stdout
+
+
+def test_graph_files_are_read_as_utf8_under_the_c_locale(tmp_path):
+    # the locale's ASCII refused the label, naming neither file nor line
+    stdout = analyze_cafe_under_the_c_locale(tmp_path, "--json")
+    assert json.loads(stdout)["ker"] == ["café"]
+
+
+def test_text_report_escapes_what_stdout_cannot_encode(tmp_path):
+    # an ASCII stdout refused the label, and the report exited 2 as if its
+    # input were bad
+    stdout = analyze_cafe_under_the_c_locale(tmp_path)
+    assert b"  ker     = caf\\xe9\n" in stdout
 
 
 def test_internal_error_exits_4_with_one_line(capsys, monkeypatch):

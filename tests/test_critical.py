@@ -2,13 +2,14 @@ import copy
 import pickle
 import random
 import time
-from itertools import compress
+from itertools import compress, product
 
 import pytest
 
 import oracles as o
-from conftest import (analyze_sample, mask_of, masks_built, mid_sample,
-                      random_sample, shuffled_chain, small_corpus)
+from conftest import (analyze_sample, chain_answers, mask_of, masks_built,
+                      mid_sample, random_sample, shuffled_chain,
+                      small_corpus)
 from critset import critical
 from critset.critical import (_d_without, _greedy_cover_matching,
                               _ker_matching, critical_difference,
@@ -66,17 +67,13 @@ def test_ker_and_diadem_on_random_graphs():
         assert diadem(g) == want.diadem
 
 
-def assert_cover_matching_is_maximum(g):
-    # the warm-started matching of the double cover is a matching of it and
-    # as large as the reference's augmenting-path one
+def assert_cover_matching_is_maximum(g, size):
+    # the warm-started matching of the double cover is a matching of it,
+    # of the size a reference gives: n - d
     cover = _ker_matching(g)
     pairs = [(v, w) for v, w in enumerate(cover.mate_plus) if w != -1]
     assert all(w in g.nbrs[v] and cover.mate_minus[w] == v for v, w in pairs)
-    assert len(pairs) == n_matched(o.cover_matching(g.n, g.adj))
-
-
-def n_matched(mate):
-    return sum(v != -1 for v in mate)
+    assert len(pairs) == size
 
 
 def test_ker_and_diadem_match_per_vertex_rules_past_oracle_reach():
@@ -84,10 +81,9 @@ def test_ker_and_diadem_match_per_vertex_rules_past_oracle_reach():
     # check the one-matching routes on graphs too big for subset enumeration
     for g in mid_sample(seed=41):
         adj = g.adj
-        assert_cover_matching_is_maximum(g)
+        assert_cover_matching_is_maximum(g, g.n - o.cover_d(g.n, adj))
         assert ker(g) == o.deletion_ker(g.n, adj), g.adj
         assert diadem(g) == o.forcing_diadem(g.n, adj), g.adj
-        assert diadem(g) == o.search_diadem(g.n, adj), g.adj
 
 
 def test_diadem_matches_per_vertex_rules_on_analyze_shapes():
@@ -100,12 +96,26 @@ def test_diadem_matches_per_vertex_rules_on_analyze_shapes():
     kers, diadems = set(), set()
     for g in graphs:
         adj = g.adj
+        assert_cover_matching_is_maximum(g, g.n - o.cover_d(g.n, adj))
         got = diadem(g)
-        assert got == o.search_diadem(g.n, adj), g.adj
         assert got == o.forcing_diadem(g.n, adj), g.adj
         kers.add(ker(g) != 0)
         diadems.add(got != 0)
     assert kers == diadems == {False, True}
+
+
+def test_chain_closed_forms_match_brute_force():
+    # chain_answers stands in for a reference on the long chains below, so
+    # it is held to the subset oracles on every path and cycle up to n = 12
+    for closed in (False, True):
+        for n, seed in product(range(3 * closed, 13), range(3)):
+            g = shuffled_chain(n, closed, seed)
+            *want, d_without = chain_answers(n, closed, seed)
+            brute = o.brute_profile(g.n, g.adj)
+            assert want == [brute.d, brute.ker, brute.diadem], (n, closed)
+            assert d_without == [
+                o.brute_d(n - 1, delete_vertices(g, 1 << v)[0].adj)
+                for v in range(n)], (n, closed)
 
 
 @pytest.mark.parametrize("n", [501, 502, 1001, 2000])
@@ -113,10 +123,11 @@ def test_diadem_matches_per_vertex_rules_on_analyze_shapes():
 def test_diadem_matches_per_vertex_search_on_long_chains(n, closed):
     # on a shuffled path the alternating digraph is a long chain of
     # components, which the one-pass route ORs reach sets along; on a cycle
-    # it is one or two large components
+    # it is one or two large components; the closed forms are the reference
     g = shuffled_chain(n, closed, seed=n + closed)
-    assert diadem(g) == o.search_diadem(g.n, g.adj)
-    assert_cover_matching_is_maximum(g)
+    d, k, dia, _ = chain_answers(n, closed, seed=n + closed)
+    assert (critical_difference(g), ker(g), diadem(g)) == (d, k, dia)
+    assert_cover_matching_is_maximum(g, n - d)
 
 
 def disjoint_cycles(count: int, length: int, seed: int) -> Graph:
@@ -131,33 +142,27 @@ def disjoint_cycles(count: int, length: int, seed: int) -> Graph:
     return Graph(count * length, edges)
 
 
-@pytest.mark.parametrize("build, parts, small", [
-    (lambda: disjoint_cycles(6, 3, seed=1), 6, True),
-    (lambda: disjoint_cycles(4, 5, seed=2), 4, True),
-    (lambda: shuffled_chain(7, True, seed=3), 1, True),
-    (lambda: complete_graph(7), 1, True),
-    (lambda: disjoint_cycles(1000, 3, seed=4), 1000, False),
-    (lambda: disjoint_cycles(400, 5, seed=5), 400, False),
-    (lambda: shuffled_chain(2001, True, seed=6), 1, False),
+@pytest.mark.parametrize("build, parts", [
+    (lambda: disjoint_cycles(6, 3, seed=1), 6),
+    (lambda: disjoint_cycles(4, 5, seed=2), 4),
+    (lambda: shuffled_chain(7, True, seed=3), 1),
+    (lambda: complete_graph(7), 1),
+    (lambda: disjoint_cycles(1000, 3, seed=4), 1000),
+    (lambda: disjoint_cycles(400, 5, seed=5), 400),
+    (lambda: shuffled_chain(2001, True, seed=6), 1),
 ], ids=["triangles6", "pentagons4", "cycle7", "K7", "triangles1000",
         "pentagons400", "cycle2001"])
-def test_cover_matching_past_a_mirrored_greedy_start(build, parts, small):
+def test_cover_matching_past_a_mirrored_greedy_start(build, parts):
     # the greedy start matches g and mirrors it into the cover, so each of
     # the graph's odd parts (odd cycles, K7), which the cover matches
     # perfectly, leaves an augmenting path for Hopcroft-Karp; d, ker and
     # diadem are 0 on these graphs
     g = build()
-    adj = g.adj
     mate_plus, mate_minus = [-1] * g.n, [-1] * g.n
     _greedy_cover_matching(g.nbrs, mate_plus, mate_minus)
     assert mate_plus.count(-1) == parts
-    assert_cover_matching_is_maximum(g)
+    assert_cover_matching_is_maximum(g, g.n)
     assert (critical_difference(g), ker(g), diadem(g)) == (0, 0, 0)
-    assert ker(g) == o.search_ker(g.n, adj)
-    assert diadem(g) == o.search_diadem(g.n, adj)
-    if small:
-        assert ker(g) == o.deletion_ker(g.n, adj)
-        assert diadem(g) == o.forcing_diadem(g.n, adj)
 
 
 def gnm(n: int, m: int, seed: int) -> Graph:
@@ -481,26 +486,30 @@ def test_deletion_changes_d_by_at_most_one(graphs_n5):
 def test_d_without_matches_deleting_the_vertex(corpus, monkeypatch):
     # d(G - v) from G's cover matching with v+ and then v- dropped, each
     # followed by one augmenting search and no Hopcroft-Karp, against a
-    # fresh matching of the graph with v deleted; G's own memo is
-    # untouched. The fuzz region is where the registry sweep spends its
-    # time: n = 6..14 at p = 0.15, 0.3 and 0.5, 81 graphs
+    # fresh matching of the graph with v deleted, or on chains the closed
+    # forms; G's own memo is untouched. The fuzz region is where the
+    # registry sweep spends its time: n = 6..14 at p = 0.15, 0.3 and 0.5,
+    # 81 graphs
+    def deleted(graphs):
+        return [(g, [critical_difference(delete_vertices(g, 1 << v)[0])
+                     for v in range(g.n)]) for g in graphs]
+
     if corpus == "n<=5":
-        graphs = list(small_corpus(5))
+        cases = deleted(small_corpus(5))
     elif corpus == "fuzz_region":
         rng = random.Random(11)
-        graphs = [random_graph(n, p, rng.getrandbits(32))
-                  for n in range(6, 15) for p in (0.15, 0.3, 0.5)
-                  for _ in range(3)]
+        cases = deleted(random_graph(n, p, rng.getrandbits(32))
+                        for n in range(6, 15) for p in (0.15, 0.3, 0.5)
+                        for _ in range(3))
     elif corpus == "mid_sample":
-        graphs = list(mid_sample(seed=43, per_density=2))
+        cases = deleted(mid_sample(seed=43, per_density=2))
     else:
-        graphs = [shuffled_chain(n, closed, seed=n + closed)
-                  for n in (501, 1000) for closed in (False, True)]
-    for g in graphs:
+        cases = [(shuffled_chain(n, closed, seed=n + closed),
+                  chain_answers(n, closed, seed=n + closed)[3])
+                 for n in (501, 1000) for closed in (False, True)]
+    for g, want in cases:
         before = _ker_matching(g)
         mates = (before.mate_plus[:], before.mate_minus[:])
-        want = [critical_difference(delete_vertices(g, 1 << v)[0])
-                for v in range(g.n)]
         with monkeypatch.context() as patched:
             patched.setattr(critical, "_max_matching_lists", None)
             for v, d_v in enumerate(want):

@@ -309,27 +309,10 @@ def test_parse_edge_list_with_comments_and_vertex_lines():
     assert g.m == 2 and g.degree(0) == 0
 
 
-@pytest.mark.parametrize("bad, line_no", [
-    ("a b c\n", 1), ("a a\n", 1), ("a b\na b\n", 2), ("a b\nb a\n", 2)])
-def test_parse_edge_list_errors(bad, line_no):
-    with pytest.raises(ParseError) as err:
-        parse_graph(bad)
-    assert err.value.line_no == line_no
-
-
 def test_parse_dimacs():
     text = "c comment\np edge 4 3\ne 1 2\ne 2 3\ne 3 4\n"
     g = parse_graph(text, "dimacs")
     assert g.n == 4 and g.m == 3 and g.labels == ("1", "2", "3", "4")
-
-
-@pytest.mark.parametrize("bad", [
-    "e 1 2\n", "p edge 2 1\ne 1 3\n", "p edge 2 2\ne 1 2\n",
-    "p edge 2 1\nq 1 2\n", "p edge 2 1\ne 1 2\np edge 2 1\n",
-    "p edge -5 0\n", "p edge 1000000000 0\n"])
-def test_parse_dimacs_errors(bad):
-    with pytest.raises(ParseError):
-        parse_graph(bad, "dimacs")
 
 
 # Each row: input, then the line number and message of the first error, which

@@ -1,11 +1,10 @@
 """What a fresh interpreter loads: each command imports only what it uses;
 and what each file imports: no polynomial module reaches the oracle tier, no
 library module reaches the registry or the corpora, and the test oracles
-reach nothing of the package."""
+reach nothing of the package; and that every test helper has a caller."""
 
 import ast
 import os
-import pickle
 import subprocess
 import sys
 from pathlib import Path
@@ -145,20 +144,6 @@ def test_package_init_imports_exactly_what_it_exports():
             ] == []
 
 
-def test_props_serves_the_names_that_moved_to_corpus():
-    # imports and pickles that name a corpus class or function through
-    # props still find it, as the very same object
-    from critset import corpus, props
-    tree = ast.parse(Path(corpus.__file__).read_text())
-    public = sorted(node.name for node in tree.body if isinstance(
-        node, (ast.FunctionDef, ast.ClassDef)) and node.name[0] != "_")
-    assert public == sorted(props._CORPUS_NAMES)
-    assert [name for name in public
-            if getattr(props, name) is not getattr(corpus, name)] == []
-    assert pickle.loads(b"ccritset.props\nCorpusSpec\n.") is corpus.CorpusSpec
-    assert not hasattr(props, "_lower_slack")
-
-
 @pytest.mark.parametrize(
     "path", sorted(Path(SRC, "critset").glob("*.py"))
     + sorted(Path(__file__).parent.glob("*.py")),
@@ -176,6 +161,38 @@ def test_every_imported_name_is_used(path):
         used.update(critset.__all__)
     assert {name: line for name, line in _imported_names(tree).items()
             if name not in used} == {}
+
+
+def _named(tree: ast.AST) -> list[str]:
+    """The names tree reads, imports or takes as arguments (fixtures)."""
+    return [node.id if isinstance(node, ast.Name) else node.attr
+            if isinstance(node, ast.Attribute) else node.arg
+            if isinstance(node, ast.arg) else node.name
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Name, ast.Attribute, ast.arg, ast.alias))]
+
+
+def test_every_test_helper_has_a_caller():
+    # a reference or fixture whose last caller goes is deleted with it: each
+    # top-level def of oracles.py and conftest.py is named in tests/ outside
+    # those defs, directly or through the defs named
+    here = Path(__file__).parent
+    helpers = {node.name: node for name in ("oracles.py", "conftest.py")
+               for node in ast.parse((here / name).read_text()).body
+               if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    todo = [name for path in here.glob("*.py")
+            for node in ast.parse(path.read_text()).body
+            if path.name not in ("oracles.py", "conftest.py")
+            or getattr(node, "name", None) not in helpers
+            for name in _named(node)]
+    reached = set()
+    while todo:
+        name = todo.pop()
+        if name in helpers and name not in reached:
+            reached.add(name)
+            todo += _named(helpers[name])
+    assert len(helpers) > 20
+    assert sorted(set(helpers) - reached) == []
 
 
 def test_every_file_read_names_its_encoding():
@@ -240,25 +257,6 @@ def test_start_up_modules_import_the_rest_inside_functions(module):
 
 
 def test_oracles_import_nothing_from_the_package():
-    # the brute-force references stay independent of the code they check;
-    # and every top-level def is reached from an o.<name> of a test module
-    # or freeze_fixtures.py, then through the names inside the defs reached
-    here = Path(__file__).parent
-    oracles = ast.parse((here / "oracles.py").read_text())
-    imported = _imports(here / "oracles.py")
+    # the brute-force references stay independent of the code they check
+    imported = _imports(Path(__file__).parent / "oracles.py")
     assert sorted(m for m in imported if m.split(".")[0] == "critset") == []
-    defs = {node.name: node for node in oracles.body if isinstance(
-        node, (ast.FunctionDef, ast.ClassDef))}
-    todo = [node.attr for path in here.glob("*.py")
-            if path.name != "oracles.py"
-            for node in ast.walk(ast.parse(path.read_text()))
-            if isinstance(node, ast.Attribute)
-            and isinstance(node.value, ast.Name) and node.value.id == "o"]
-    reached = set()
-    while todo:
-        name = todo.pop()
-        if name in defs and name not in reached:
-            reached.add(name)
-            todo += [node.id for node in ast.walk(defs[name])
-                     if isinstance(node, ast.Name)]
-    assert sorted(set(defs) - reached) == []
