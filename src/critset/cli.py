@@ -5,11 +5,12 @@ corpora, sweep all labeled graphs at a fixed order, scan the conjecture
 sandwich, and list or verify the bundled fixtures. Exit codes: 0 everything
 held, 1 a property failed or a scan found a violation, 2 usage or input
 error, 3 a limit was hit while --strict was on, 4 an internal error (any
-other exception, reported on one stderr line). All JSON output carries
-"schema": 1, sorts its keys, and serializes vertex sets as arrays of the
-original labels in vertex-id order. A command imports the property registry
-(props) and the corpora (corpus) only when it runs and needs them, so a
-fresh `critset analyze` compiles neither.
+other exception) or a report that could not be written, each reported on
+one stderr line. All JSON output carries "schema": 1, sorts its keys, and
+serializes vertex sets as arrays of the original labels in vertex-id
+order. A command imports the property registry (props) and the corpora
+(corpus) only when it runs and needs them, so a fresh `critset analyze`
+compiles neither.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 from itertools import chain
 from typing import TYPE_CHECKING
@@ -29,6 +31,48 @@ if TYPE_CHECKING:  # annotations only: the commands import it when they run
     from .corpus import CorpusSpec
 
 EXIT_OK, EXIT_FAIL, EXIT_USAGE, EXIT_LIMIT, EXIT_INTERNAL = 0, 1, 2, 3, 4
+
+
+class _OutputError(Exception):
+    """The report could not be written."""
+
+
+class _Report:
+    """sys.stdout while main runs a command: the real stream, with a write
+    or flush that fails, or a stdout that is closed (None), raised as an
+    _OutputError, so that main tells output it cannot write from input it
+    cannot read."""
+
+    def __init__(self, stream):
+        self.stream = stream
+
+    def write(self, text: str) -> int:
+        return self._call("write", text)
+
+    def flush(self) -> None:
+        self._call("flush")
+
+    def _call(self, method: str, *args):
+        if self.stream is None:
+            raise _OutputError("stdout is closed")
+        try:
+            return getattr(self.stream, method)(*args)
+        except OSError as exc:
+            self._discard_rest()
+            raise _OutputError(exc) from None
+        except ValueError as exc:  # a closed or unencodable stream
+            raise _OutputError(exc) from None
+
+    def _discard_rest(self) -> None:
+        """Point the stream's file descriptor, if it has one, at os.devnull,
+        so the interpreter's flush at exit does not fail again (see
+        https://docs.python.org/3/library/signal.html#note-on-sigpipe)."""
+        try:
+            fd = self.stream.fileno()
+        except (OSError, ValueError):
+            return
+        with open(os.devnull, "w", encoding="utf-8") as devnull:
+            os.dup2(devnull.fileno(), fd)
 
 
 def _dump(doc: dict) -> str:
@@ -535,18 +579,27 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     # a label stdout's encoding lacks is written as a backslash escape, as
     # the --json reports escape every non-ASCII character
-    reconfigure = getattr(sys.stdout, "reconfigure", None)
+    stdout = sys.stdout
+    reconfigure = getattr(stdout, "reconfigure", None)
     if reconfigure is not None:  # not a StringIO a caller swapped in
         reconfigure(errors="backslashreplace")
+    sys.stdout = _Report(stdout)
     try:
         args = _build_parser().parse_args(argv)
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except _OutputError as exc:
+        print(f"error: cannot write output: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except Exception as exc:
         print(f"internal error: {exc!r}", file=sys.stderr)
         return EXIT_INTERNAL
+    finally:
+        sys.stdout = stdout
 
 
 if __name__ == "__main__":

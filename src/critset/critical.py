@@ -141,7 +141,9 @@ def _d_without(g: Graph, v: int) -> int:
     less v+. Deleting v- then frees its partner in that matching, and one
     search from it gives a maximum matching of the cover of g - v. Each
     search skips the deleted copy's id. v stays as an unmatched plus copy,
-    one more than g - v has.
+    one more than g - v has. The first search ends at a free plus copy, so
+    it runs only when ker, the plus copies reached from the free ones, is
+    nonempty: with d(g) = 0 there is none to reach.
     """
     cover = _ker_matching(g)
     nbrs = g.nbrs
@@ -149,7 +151,8 @@ def _d_without(g: Graph, v: int) -> int:
     w = mate_plus[v]
     if w != -1:
         mate_plus[v] = mate_minus[w] = -1
-        _augment_from(nbrs, mate_minus, mate_plus, w, v)
+        if cover.ker:
+            _augment_from(nbrs, mate_minus, mate_plus, w, v)
     u = mate_minus[v]
     if u != -1:
         mate_minus[v] = mate_plus[u] = -1

@@ -307,10 +307,11 @@ def read_graph_file(path: str, format: str | None = None) -> Graph:
 
 def read_utf8(path: str) -> str:
     """The text of the file at path, read as UTF-8 whatever the locale, with
-    universal newlines. Bytes that are not UTF-8 raise a ParseError naming
-    the file and the line, counted as the parsers count lines."""
+    universal newlines; a leading byte-order mark is dropped. Bytes that are
+    not UTF-8 raise a ParseError naming the file and the line, counted as
+    the parsers count lines."""
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             return fh.read()
     except UnicodeDecodeError as exc:
         # read() decodes the whole file at once, so exc.object is all of it;

@@ -135,6 +135,16 @@ def mid_sample(seed: int, per_density: int = 5):
             yield random_bipartite(a, n - a, p, rng.getrandbits(32))
 
 
+def random_pairs(rng: random.Random, n: int, m: int) -> set[tuple[int, int]]:
+    """m distinct pairs (u, v), u < v, of n points, drawn uniformly by rng."""
+    pairs: set[tuple[int, int]] = set()
+    while len(pairs) < m:
+        u, v = rng.randrange(n), rng.randrange(n)
+        if u != v:
+            pairs.add((min(u, v), max(u, v)))
+    return pairs
+
+
 def analyze_sample(seed: int, count: int):
     """Graphs shaped like `critset analyze` inputs: G(n, m) and bipartite
     graphs on sides n // 2 and n - n // 2, both with m = 1.25 n edges drawn
@@ -144,14 +154,12 @@ def analyze_sample(seed: int, count: int):
         n = rng.randrange(60, 251)
         m = round(1.25 * n)
         a = n // 2
-        edges: set[tuple[int, int]] = set()
-        while len(edges) < m:
-            if i % 2:
+        if i % 2:
+            edges: set[tuple[int, int]] = set()
+            while len(edges) < m:
                 edges.add((rng.randrange(a), a + rng.randrange(n - a)))
-            else:
-                u, v = rng.randrange(n), rng.randrange(n)
-                if u != v:
-                    edges.add((min(u, v), max(u, v)))
+        else:
+            edges = random_pairs(rng, n, m)
         yield Graph(n, sorted(edges))
 
 

@@ -1,10 +1,11 @@
 """Brute-force reference answers for cross-checking the library.
 
-Every function works on the bare pair (n, adj), where adj[v] is the neighbor
-bitmask of vertex v: the graph's own adj tuple, which keys brute_profile's
-cache. Nothing here imports the package under test, so the two
-sides of each cross-check stay independent. Runtime is exponential in n by
-design; callers keep n small.
+Every function works on bare bitmasks: adj, where adj[v] is the neighbor
+bitmask of vertex v (the graph's own adj tuple, which keys brute_profile's
+cache), with n where it needs the order. Nothing here imports the package
+under test, so the two sides of each cross-check stay independent. Runtime
+is exponential in n by design, and callers keep n small; only the
+per-vertex rules at the end are polynomial, for the graphs past that reach.
 """
 
 from __future__ import annotations
@@ -179,66 +180,52 @@ def side_profile(n: int, adj: tuple[int, ...], side: int) -> SideProfile:
 
 # -- per-vertex rules: polynomial references past the subset oracles' reach --
 
-def bipartite_mu(rows: dict[int, int]) -> int:
-    """Matching number of a bipartite graph given as left id -> bitmask of
-    right ids (the two id spaces are separate), by Kuhn's augmenting paths."""
-    owner: dict[int, int] = {}
+def deficiency(adj: tuple[int, ...], left: int, gone: int = 0) -> int:
+    """The largest |S| - |N(S) - gone| over S inside left - gone. By Koenig's
+    theorem it is |left - gone| less the matching number of the rows
+    u -> adj[u] & ~gone for u in left - gone, right ids a space apart from
+    the left ones. With left all of G it is d(G - gone); with left a side of
+    a bipartite G, the side's delta0 in G - gone. The matching is Kuhn's:
+    a row takes a free neighbour if it has one, and else asks the owners of
+    its unseen neighbours to move on."""
+    owner = [-1] * len(adj)  # right id -> the row that holds it
+    taken = seen = 0
 
-    def augment(u: int, seen: set[int]) -> bool:
-        for v in bits(rows[u]):
-            if v not in seen:
-                seen.add(v)
-                if v not in owner or augment(owner[v], seen):
-                    owner[v] = u
-                    return True
+    def augment(u: int) -> bool:
+        nonlocal taken, seen
+        row = adj[u] & ~gone & ~seen
+        free = row & ~taken
+        if free:
+            v = (free & -free).bit_length() - 1
+            owner[v], taken = u, taken | 1 << v
+            return True
+        seen |= row
+        for v in bits(row):
+            if augment(owner[v]):
+                owner[v] = u
+                return True
         return False
 
-    return sum(1 for u in rows if augment(u, set()))
+    rows = left & ~gone
+    matched = 0
+    for u in bits(rows):
+        seen = 0
+        matched += augment(u)
+    return rows.bit_count() - matched
 
 
-def cover_d(n: int, adj: tuple[int, ...], gone: int = 0) -> int:
-    """d(G - gone) = |V'| - mu of the double cover of G - gone."""
-    alive = ((1 << n) - 1) & ~gone
-    return alive.bit_count() - bipartite_mu(
-        {u: adj[u] & alive for u in bits(alive)})
+def deletion_rule(adj: tuple[int, ...], left: int) -> int:
+    """ker, or the side kernel with left a side: v of left belongs iff
+    deleting it drops the deficiency by exactly 1."""
+    d0 = deficiency(adj, left)
+    return sum(1 << v for v in bits(left)
+               if deficiency(adj, left, 1 << v) == d0 - 1)
 
 
-def deletion_ker(n: int, adj: tuple[int, ...]) -> int:
-    """ker by the deletion rule: v belongs iff d(G - v) = d(G) - 1."""
-    d0 = cover_d(n, adj)
-    return sum(1 << v for v in range(n) if cover_d(n, adj, 1 << v) == d0 - 1)
-
-
-def forcing_diadem(n: int, adj: tuple[int, ...]) -> int:
-    """diadem by the forcing rule: v belongs iff
-    1 - |N(v)| + d(G - N[v]) = d(G)."""
-    d0 = cover_d(n, adj)
-    return sum(1 << v for v in range(n)
-               if 1 - adj[v].bit_count() + cover_d(n, adj, adj[v] | 1 << v)
-               == d0)
-
-
-def side_delta0(adj: tuple[int, ...], side: int, gone: int = 0) -> int:
-    """Largest deficiency over the side within G - gone, for bipartite G:
-    the side's surviving size minus the matching number between the sides."""
-    rest = side & ~gone
-    return rest.bit_count() - bipartite_mu(
-        {u: adj[u] & ~gone for u in bits(rest)})
-
-
-def deletion_side_kernel(adj: tuple[int, ...], side: int) -> int:
-    """Side kernel by the deletion rule: v belongs iff deleting it drops the
-    side's deficiency maximum by exactly 1."""
-    d0 = side_delta0(adj, side)
-    return sum(1 << v for v in bits(side)
-               if side_delta0(adj, side, 1 << v) == d0 - 1)
-
-
-def forcing_side_diadem(adj: tuple[int, ...], side: int) -> int:
-    """Side diadem by the forcing rule: v belongs iff
-    1 - |N(v)| + delta0 of the side in G - N[v] equals delta0 of the side."""
-    d0 = side_delta0(adj, side)
-    return sum(1 << v for v in bits(side)
+def forcing_rule(adj: tuple[int, ...], left: int) -> int:
+    """diadem, or the side diadem with left a side: v of left belongs iff
+    1 - |N(v)| plus the deficiency left in G - N[v] is the deficiency."""
+    d0 = deficiency(adj, left)
+    return sum(1 << v for v in bits(left)
                if 1 - adj[v].bit_count()
-               + side_delta0(adj, side, adj[v] | 1 << v) == d0)
-
+               + deficiency(adj, left, adj[v] | 1 << v) == d0)

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from conftest import count_calls
 from critset import cli, corpus, critical, matching, oracle, props
 from critset.fixtures import load
-from critset.graphs import random_bipartite
+from critset.graphs import random_bipartite, read_graph_file
 
 FIXDIR = Path(__file__).resolve().parent.parent / "src/critset/fixtures"
 
@@ -272,6 +272,80 @@ def test_text_report_escapes_what_stdout_cannot_encode(tmp_path):
     # input were bad
     stdout = analyze_cafe_under_the_c_locale(tmp_path)
     assert b"  ker     = caf\\xe9\n" in stdout
+
+
+def test_a_byte_order_mark_is_not_read_as_text(capsys, tmp_path):
+    # a leading UTF-8 byte-order mark is not text: kept, it would join the
+    # first label and spoil the DIMACS line type and the JSON spec
+    edges, dimacs, spec = (tmp_path / "k3.edges", tmp_path / "k3.col",
+                           tmp_path / "c.json")
+    files = {"sources": [{"kind": "files", "paths": [str(edges)]}]}
+    for path, text in [(edges, "a b\nb c\nc a\n"),
+                       (dimacs, "p edge 3 3\ne 1 2\ne 2 3\ne 3 1\n"),
+                       (spec, json.dumps(files))]:
+        path.write_bytes(b"\xef\xbb\xbf" + text.encode())
+    triangle = [(0, 1), (0, 2), (1, 2)]
+    g = read_graph_file(str(edges))
+    assert (g.labels, g.edge_pairs()) == (("a", "b", "c"), triangle)
+    assert read_graph_file(str(dimacs)).edge_pairs() == triangle
+    code, out, err = run_cli(capsys, "conjecture", "--corpus", str(spec))
+    assert (code, out.splitlines()[0], err) == (
+        0, "graphs: 1  checked: 1  skipped: 0  violations: 0", "")
+
+
+def critset_process(*argv, **kwargs) -> subprocess.Popen:
+    """critset argv in a fresh interpreter, its stderr piped and its stdout
+    block-buffered, as run from a shell, whatever PYTHONUNBUFFERED says."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(FIXDIR.parents[1])
+    return subprocess.Popen([sys.executable, "-m", "critset.cli", *argv],
+                            env=env, stderr=subprocess.PIPE, **kwargs)
+
+
+def test_a_closed_pipe_exits_4_with_one_line():
+    # `exhaustive --n 4 --json | head -c 100`: the 190 kB report outgrows
+    # the pipe, and a report that cannot be written is no input error (2)
+    proc = critset_process("exhaustive", "--n", "4", "--json",
+                           stdout=subprocess.PIPE)
+    assert len(proc.stdout.read(100)) == 100
+    proc.stdout.close()
+    assert (proc.communicate(timeout=60)[1], proc.returncode) == (
+        b"error: cannot write output: [Errno 32] Broken pipe\n", 4)
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"),
+                    reason="no /dev/full to write to")
+@pytest.mark.parametrize("flags", [[], ["--json"]], ids=["text", "json"])
+def test_a_full_device_exits_4_with_one_line(flags):
+    # `analyze [--json] > /dev/full`: the report fits stdout's buffer, so
+    # the error comes from main's final flush, and the interpreter's own
+    # flush at exit must not fail again
+    with open("/dev/full", "wb") as full:
+        proc = critset_process("analyze", str(FIXDIR / "fig511.edges"),
+                               *flags, stdout=full)
+        assert (proc.communicate(timeout=60)[1], proc.returncode) == (
+            b"error: cannot write output: [Errno 28] No space left on "
+            b"device\n", 4)
+
+
+def test_a_closed_stdout_exits_4_with_one_line():
+    # `analyze --json >&-`: Python sets sys.stdout to None, to which print
+    # writes nothing without a word
+    proc = critset_process("analyze", str(FIXDIR / "fig511.edges"), "--json",
+                           preexec_fn=lambda: os.close(1))
+    assert (proc.communicate(timeout=60)[1], proc.returncode) == (
+        b"error: cannot write output: stdout is closed\n", 4)
+
+
+def test_a_closed_stream_exits_4_in_process(capsys, monkeypatch):
+    # a stream an in-process caller closed raises ValueError on write,
+    # which is no input error either
+    closed = io.StringIO()
+    closed.close()
+    monkeypatch.setattr(sys, "stdout", closed)
+    assert cli.main(["analyze", str(FIXDIR / "fig511.edges")]) == 4
+    assert capsys.readouterr().err == (
+        "error: cannot write output: I/O operation on closed file\n")
 
 
 def test_internal_error_exits_4_with_one_line(capsys, monkeypatch):

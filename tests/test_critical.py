@@ -7,12 +7,14 @@ from itertools import compress, product
 import pytest
 
 import oracles as o
-from conftest import (analyze_sample, chain_answers, mask_of, masks_built,
-                      mid_sample, random_sample, shuffled_chain,
+from conftest import (analyze_sample, chain_answers, count_calls,
+                      every_bipartition, mask_of, masks_built, mid_sample,
+                      random_pairs, random_sample, shuffled_chain,
                       small_corpus)
 from critset import critical
-from critset.critical import (_d_without, _greedy_cover_matching,
-                              _ker_matching, critical_difference,
+from critset.critical import (_augment_from, _d_without,
+                              _greedy_cover_matching, _ker_matching,
+                              critical_difference,
                               critical_independent_witness, diadem,
                               is_critical_independent, is_critical_set, ker)
 from critset.fixtures import load
@@ -81,9 +83,9 @@ def test_ker_and_diadem_match_per_vertex_rules_past_oracle_reach():
     # check the one-matching routes on graphs too big for subset enumeration
     for g in mid_sample(seed=41):
         adj = g.adj
-        assert_cover_matching_is_maximum(g, g.n - o.cover_d(g.n, adj))
-        assert ker(g) == o.deletion_ker(g.n, adj), g.adj
-        assert diadem(g) == o.forcing_diadem(g.n, adj), g.adj
+        assert_cover_matching_is_maximum(g, g.n - o.deficiency(adj, g.full))
+        assert ker(g) == o.deletion_rule(adj, g.full), g.adj
+        assert diadem(g) == o.forcing_rule(adj, g.full), g.adj
 
 
 def test_diadem_matches_per_vertex_rules_on_analyze_shapes():
@@ -96,12 +98,30 @@ def test_diadem_matches_per_vertex_rules_on_analyze_shapes():
     kers, diadems = set(), set()
     for g in graphs:
         adj = g.adj
-        assert_cover_matching_is_maximum(g, g.n - o.cover_d(g.n, adj))
+        assert_cover_matching_is_maximum(g, g.n - o.deficiency(adj, g.full))
         got = diadem(g)
-        assert got == o.forcing_diadem(g.n, adj), g.adj
+        assert got == o.forcing_rule(adj, g.full), g.adj
         kers.add(ker(g) != 0)
         diadems.add(got != 0)
     assert kers == diadems == {False, True}
+
+
+def test_per_vertex_rules_match_brute_force(graphs_n5):
+    # the reference past the subset oracles' reach, held to them: d, ker and
+    # diadem on every labeled graph with n <= 5, and delta0, the side kernel
+    # and the side diadem on each side of every valid bipartition
+    def rules(adj, left):
+        return (o.deficiency(adj, left), o.deletion_rule(adj, left),
+                o.forcing_rule(adj, left))
+
+    for g in graphs_n5:
+        brute = o.brute_profile(g.n, g.adj)
+        assert rules(g.adj, g.full) == (brute.d, brute.ker, brute.diadem)
+        for parts in every_bipartition(g) if bipartition(g) else ():
+            for side in parts:
+                want = o.side_profile(g.n, g.adj, side)
+                assert rules(g.adj, side) == (
+                    want.delta0, want.kernel, want.diadem), (g.adj, side)
 
 
 def test_chain_closed_forms_match_brute_force():
@@ -167,13 +187,7 @@ def test_cover_matching_past_a_mirrored_greedy_start(build, parts):
 
 def gnm(n: int, m: int, seed: int) -> Graph:
     """m distinct pairs of n points drawn uniformly."""
-    rng = random.Random(seed)
-    edges: set[tuple[int, int]] = set()
-    while len(edges) < m:
-        u, v = rng.randrange(n), rng.randrange(n)
-        if u != v:
-            edges.add((min(u, v), max(u, v)))
-    return Graph(n, sorted(edges))
+    return Graph(n, sorted(random_pairs(random.Random(seed), n, m)))
 
 
 @pytest.mark.parametrize("build", [
@@ -475,38 +489,45 @@ def test_deletion_changes_d_by_at_most_one(graphs_n5):
         d = critical_difference(g)
         k = ker(g)
         for v in range(g.n):
-            rest, _ = delete_vertices(g, 1 << v)
-            dv = critical_difference(rest)
+            dv = o.deficiency(g.adj, g.full, 1 << v)
             assert dv in (d - 1, d, d + 1)
             assert (dv == d - 1) == bool(k >> v & 1)
+
+
+def test_d_without_skips_the_search_that_cannot_augment(monkeypatch):
+    # the search from v+'s freed partner ends at a free plus copy, and with
+    # d = 0 there is none; on an even cycle both searches ran for every v
+    g = shuffled_chain(200, True, seed=4)
+    calls = count_calls(monkeypatch, _augment_from)
+    assert [_d_without(g, v) for v in range(200)] == chain_answers(
+        200, True, seed=4)[3]
+    assert calls["_augment_from"] == 200
 
 
 @pytest.mark.parametrize("corpus", ["n<=5", "fuzz_region", "mid_sample",
                                     "chains"])
 def test_d_without_matches_deleting_the_vertex(corpus, monkeypatch):
     # d(G - v) from G's cover matching with v+ and then v- dropped, each
-    # followed by one augmenting search and no Hopcroft-Karp, against a
-    # fresh matching of the graph with v deleted, or on chains the closed
-    # forms; G's own memo is untouched. The fuzz region is where the
-    # registry sweep spends its time: n = 6..14 at p = 0.15, 0.3 and 0.5,
-    # 81 graphs
-    def deleted(graphs):
-        return [(g, [critical_difference(delete_vertices(g, 1 << v)[0])
-                     for v in range(g.n)]) for g in graphs]
-
-    if corpus == "n<=5":
-        cases = deleted(small_corpus(5))
-    elif corpus == "fuzz_region":
-        rng = random.Random(11)
-        cases = deleted(random_graph(n, p, rng.getrandbits(32))
-                        for n in range(6, 15) for p in (0.15, 0.3, 0.5)
-                        for _ in range(3))
-    elif corpus == "mid_sample":
-        cases = deleted(mid_sample(seed=43, per_density=2))
-    else:
+    # followed by one augmenting search and no Hopcroft-Karp, against
+    # o.deficiency of G less v, or on chains the closed forms; G's own memo
+    # is untouched. The fuzz region is where the registry sweep spends its
+    # time: n = 6..14 at p = 0.15, 0.3 and 0.5, 81 graphs
+    if corpus == "chains":
         cases = [(shuffled_chain(n, closed, seed=n + closed),
                   chain_answers(n, closed, seed=n + closed)[3])
                  for n in (501, 1000) for closed in (False, True)]
+    else:
+        if corpus == "n<=5":
+            graphs = small_corpus(5)
+        elif corpus == "fuzz_region":
+            rng = random.Random(11)
+            graphs = (random_graph(n, p, rng.getrandbits(32))
+                      for n in range(6, 15) for p in (0.15, 0.3, 0.5)
+                      for _ in range(3))
+        else:
+            graphs = mid_sample(seed=43, per_density=2)
+        cases = [(g, [o.deficiency(g.adj, g.full, 1 << v)
+                      for v in range(g.n)]) for g in graphs]
     for g, want in cases:
         before = _ker_matching(g)
         mates = (before.mate_plus[:], before.mate_minus[:])

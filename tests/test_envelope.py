@@ -15,7 +15,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import masks_built
+from conftest import masks_built, random_pairs
 from critset import cli
 from critset.critical import (critical_difference,
                               critical_independent_witness, diadem, ker)
@@ -46,12 +46,7 @@ def gnm_text(n: int, m: int, seed: int) -> str:
     random order; the ids follow first appearance, and points on no edge are
     left out."""
     rng = random.Random(seed)
-    edges: set[tuple[int, int]] = set()
-    while len(edges) < m:
-        u, v = rng.randrange(n), rng.randrange(n)
-        if u != v:
-            edges.add((min(u, v), max(u, v)))
-    ordered = sorted(edges)
+    ordered = sorted(random_pairs(rng, n, m))
     rng.shuffle(ordered)
     return "".join(f"v{u} v{v}\n" for u, v in ordered)
 
