@@ -45,14 +45,29 @@ def fig233_setup():
     return g, parts
 
 
-def test_side_profile_matches_subset_oracle(graphs_n5):
-    for g, parts in oracle_pairs(graphs_n5):
-        p = ore_profile(g, parts)
-        a = o.side_profile(g.n, g.adj, parts.side_a)
-        b = o.side_profile(g.n, g.adj, parts.side_b)
-        assert (p.delta0_a, p.delta0_b) == (a.delta0, b.delta0)
-        assert (p.ker_a, p.ker_b) == (a.kernel, b.kernel)
-        assert (p.diadem_a, p.diadem_b) == (a.diadem, b.diadem)
+@pytest.fixture(scope="module")
+def oracle_profiles(graphs_n5):
+    """(ore_profile, brute side_profile of side A, of side B) for every
+    oracle pair, built once and shared by the three comparisons below."""
+    return [(g.adj, ore_profile(g, parts),
+             o.side_profile(g.n, g.adj, parts.side_a),
+             o.side_profile(g.n, g.adj, parts.side_b))
+            for g, parts in oracle_pairs(graphs_n5)]
+
+
+def test_delta0_matches_subset_oracle(oracle_profiles):
+    for adj, p, a, b in oracle_profiles:
+        assert (p.delta0_a, p.delta0_b) == (a.delta0, b.delta0), adj
+
+
+def test_side_kernel_matches_oracle(oracle_profiles):
+    for adj, p, a, b in oracle_profiles:
+        assert (p.ker_a, p.ker_b) == (a.kernel, b.kernel), adj
+
+
+def test_side_diadem_matches_oracle(oracle_profiles):
+    for adj, p, a, b in oracle_profiles:
+        assert (p.diadem_a, p.diadem_b) == (a.diadem, b.diadem), adj
 
 
 def test_delta0_is_symmetric_under_side_swap(graphs_n5):
