@@ -17,8 +17,7 @@ from typing import NamedTuple
 
 from . import critical, ore
 from .cli import analyze_graph
-from .graphs import (Graph, LimitExceeded, delete_vertices, difference,
-                     parse_graph)
+from .graphs import Graph, LimitExceeded, difference, parse_graph
 from .oracle import Facts
 
 _FILES: dict[str, str] = {
@@ -96,6 +95,15 @@ def _reported(key: str, report: dict):
     return report["ore"][key]
 
 
+def _parts(f: Facts):
+    """The graph's bipartition; a graph that is not bipartite fails a side
+    key as the report's Ore keys do."""
+    parts = f.parts()
+    if parts is None:
+        raise ValueError("not bipartite")
+    return parts
+
+
 # keys whose expected value is a list of sets that must each pass a predicate;
 # the computed value is the list of failing sets, so matching means empty
 _MEMBERSHIP_KEYS = {
@@ -103,9 +111,9 @@ _MEMBERSHIP_KEYS = {
     "critical_independent_sets_include":
         lambda f, x: critical.is_critical_independent(f.g, x),
     "side_critical_a_include":
-        lambda f, x: ore.is_side_critical(f.g, f.parts(), "A", x),
+        lambda f, x: ore.is_side_critical(f.g, _parts(f), "A", x),
     "side_critical_b_include":
-        lambda f, x: ore.is_side_critical(f.g, f.parts(), "B", x),
+        lambda f, x: ore.is_side_critical(f.g, _parts(f), "B", x),
 }
 
 
@@ -135,11 +143,8 @@ def _compute(key: str, expected, f: Facts):
         return [sets for sets in expected
                 if not passes(f, _mask_of(g, sets))]
     if key == "d_after_delete":
-        out = {}
-        for lab in expected:
-            rest, _ = delete_vertices(g, _mask_of(g, [lab]))
-            out[lab] = critical.critical_difference(rest)
-        return out
+        return {lab: critical._d_without(g, g.labels.index(lab))
+                for lab in expected}
     if key == "minimal_positive":
         found = {frozenset(g.label_list(s))
                  for s in f.minimal_positives()}

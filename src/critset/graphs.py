@@ -130,7 +130,7 @@ class Graph:
         """Hold prevalidated symmetric neighbour lists, sorting each."""
         self.nbrs = tuple(map(tuple, map(sorted, nbrs)))
         self.n = len(self.nbrs)
-        self.labels = labels if labels is not None else tuple(
+        self.labels = tuple(labels) if labels is not None else tuple(
             str(i) for i in range(self.n))
         self._adj = self._cover = None
         return self

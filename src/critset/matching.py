@@ -195,6 +195,8 @@ def maximum_matching_general(g: Graph) -> Matching:
     vertices its tree reaches, and only those are reset after it. A tree
     that fails to augment holds no vertex of a later augmenting path
     (Edmonds 1965), so later searches skip its vertices in neighbour lists.
+    A blossom's base is the root of its union-find set, and two tree paths
+    meet where walks up both by turns first cross (Gabow 1976).
     """
     n = g.n
     adj = g.nbrs
@@ -208,70 +210,68 @@ def maximum_matching_general(g: Graph) -> Matching:
                     break
 
     parent = [-1] * n
-    base = list(range(n))
+    link = list(range(n))  # x's base is the root of its link chain
     used = bytearray(n)
-    # the vertices of failed trees
-    dead = bytearray(n)
+    dead = bytearray(n)  # the vertices of failed trees
+    stamp, calls = [0] * n, 0  # the lca call that last walked each base
+
+    def find(x: int) -> int:
+        while link[x] != x:  # path halving
+            link[x] = x = link[link[x]]
+        return x
 
     def lca(a: int, b: int) -> int:
-        on_path = set()
-        x = a
-        while True:
-            x = base[x]
-            on_path.add(x)
-            if mate[x] == -1:
-                break
-            x = parent[mate[x]]
-        y = b
-        while True:
-            y = base[y]
-            if y in on_path:
-                return y
-            y = parent[mate[y]]
+        # the first base a walk finds stamped is the lowest common one; once
+        # a walk passes the root, which has no mate, the other goes on alone
+        nonlocal calls
+        calls += 1
+        x, y = find(a), find(b)
+        while stamp[x] != calls:
+            stamp[x] = calls
+            x = find(parent[mate[x]]) if mate[x] != -1 else -1
+            if y != -1:
+                x, y = y, x
+        return x
 
     def mark_path(x: int, b_vertex: int, child: int, blossom: set) -> None:
-        while base[x] != b_vertex:
-            blossom.add(base[x])
-            blossom.add(base[mate[x]])
+        while (base_x := find(x)) != b_vertex:
+            blossom.add(base_x)
+            blossom.add(find(mate[x]))
             parent[x] = child
             child = mate[x]
-            x = parent[mate[x]]
+            x = parent[child]
 
     def find_augmenting_path(root: int, queue: list[int],
                              inner: list[int]) -> int:
         """Grow the tree at root; queue collects the even vertices and inner
         the odd ones, which together are every vertex the search marks."""
-        # members[b]: the vertices whose base is b, for bases of contracted
-        # blossoms; any other vertex is its own base
-        members: dict[int, list[int]] = {}
         used[root] = 1
         queue.append(root)
         for u in queue:
-            # mate[u] is fixed during a search; base[u] moves only when a
-            # blossom holding u is contracted, and is read again after that
-            mate_u, base_u = mate[u], base[u]
+            # mate[u] is fixed during a search; u's base moves only when a
+            # blossom holding u is contracted, and is found again after that
+            mate_u, base_u = mate[u], link[u]
+            if base_u != link[base_u]:
+                base_u = find(base_u)
             for v in adj[u]:
-                if dead[v] or v == mate_u or base[v] == base_u:
+                # a v in u's blossom whose link is not the base falls through
+                # to the contraction below, whose lca is base_u: a no-op
+                if dead[v] or v == mate_u or link[v] == base_u:
                     continue
                 mate_v = mate[v]
                 if v == root or (mate_v != -1 and parent[mate_v] != -1):
-                    # odd cycle: contract the blossom at the lca, visiting its
-                    # vertices in increasing id order
+                    # odd cycle: contract the blossom at the lca; its unused
+                    # bases are singletons, queued in increasing id order
                     curbase = lca(u, v)
                     blossom: set[int] = set()
                     mark_path(u, curbase, v, blossom)
                     mark_path(v, curbase, u, blossom)
-                    merged = sorted([i for b in blossom
-                                     for i in members.pop(b, (b,))])
-                    for i in merged:
-                        base[i] = curbase
-                        if not used[i]:
-                            used[i] = 1
-                            queue.append(i)
-                    if curbase not in blossom:
-                        merged += members.get(curbase, (curbase,))
-                    members[curbase] = merged
-                    base_u = base[u]
+                    for b in sorted(blossom):
+                        link[b] = curbase
+                        if not used[b]:
+                            used[b] = 1
+                            queue.append(b)
+                    base_u = find(u)
                 elif parent[v] == -1:
                     parent[v] = u
                     inner.append(v)
@@ -296,7 +296,7 @@ def maximum_matching_general(g: Graph) -> Matching:
                 v = ppv
             for x in queue + inner:
                 parent[x] = -1
-                base[x] = x
+                link[x] = x
                 used[x] = 0
     return Matching._of(mate)
 

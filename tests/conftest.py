@@ -62,15 +62,43 @@ def random_bipartition(g, rng):
     return flipped(g, sum(c for c in components(g) if rng.random() < 0.5))
 
 
-def shuffled_chain(n: int, closed: bool, seed: int) -> Graph:
-    """A path or cycle on n vertices under a random relabelling, with its
-    edges listed in random order."""
+def shuffled(n: int, edges: list[tuple[int, int]], seed: int) -> Graph:
+    """The graph on n vertices with the given edges, under a random
+    relabelling, with its edges listed in random order."""
     rng = random.Random(seed)
     order = list(range(n))
     rng.shuffle(order)
-    edges = [(order[i], order[(i + 1) % n]) for i in range(n - 1 + closed)]
+    edges = [(order[u], order[v]) for u, v in edges]
     rng.shuffle(edges)
     return Graph(n, edges)
+
+
+def shuffled_chain(n: int, closed: bool, seed: int) -> Graph:
+    """A path or cycle on n vertices, shuffled."""
+    return shuffled(n, [(i, (i + 1) % n) for i in range(n - 1 + closed)],
+                    seed)
+
+
+def cycle_chain(k: int, count: int, shared: bool, seed: int) -> Graph:
+    """count cycles of length k in a row, each joined to the next by an edge,
+    or sharing a vertex with it when shared; shuffled. Chains of odd cycles
+    grow the blossom matching's search trees deep."""
+    step = k - 1 if shared else k
+    edges = []
+    for first in range(0, count * step, step):
+        edges += [(first + i, first + (i + 1) % k) for i in range(k)]
+        if not shared and first + k < count * step:
+            edges.append((first + k - 1, first + k))
+    return shuffled(count * step + shared, edges, seed)
+
+
+def triangulated_strip(rungs: int, seed: int) -> Graph:
+    """A ladder of rungs (2i, 2i + 1) with one diagonal (2i, 2i + 3) in each
+    square; shuffled."""
+    edges = [(2 * i, 2 * i + 1) for i in range(rungs)]
+    for i in range(0, 2 * rungs - 2, 2):
+        edges += [(i, i + 2), (i + 1, i + 3), (i, i + 3)]
+    return shuffled(2 * rungs, edges, seed)
 
 
 def chain_answers(n: int, closed: bool, seed: int):

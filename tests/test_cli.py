@@ -2,6 +2,7 @@ import hashlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -862,6 +863,14 @@ _LABELS = [str(i) + '"\\\n\x00\x1f\x7f é∅😀'[i % 11:] for i in range(300)]
           "e": [[{"p": "x"}], [{"p": "x"}, {}], ({"p": "x"},)]})
 def test_renderer_matches_json_dumps(doc):
     assert cli._dump(doc) == json.dumps(doc, indent=2, sort_keys=True)
+
+
+@pytest.mark.parametrize("doc", [{"ker": {"a"}}, [1, b"x"], {"p": [object()]}])
+def test_renderer_refuses_what_json_dumps_refuses(doc):
+    with pytest.raises(TypeError) as want:
+        json.dumps(doc, indent=2, sort_keys=True)
+    with pytest.raises(TypeError, match=f"^{re.escape(str(want.value))}$"):
+        cli._dump(doc)
 
 
 def test_label_arrays_render_without_a_call_per_label(monkeypatch):

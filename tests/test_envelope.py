@@ -11,11 +11,14 @@ import ast
 import hashlib
 import pickle
 import random
+import time
+from functools import partial
 from pathlib import Path
 
 import pytest
 
-from conftest import masks_built, random_pairs
+from conftest import (cycle_chain, masks_built, random_pairs,
+                      triangulated_strip)
 from critset import cli
 from critset.critical import (critical_difference,
                               critical_independent_witness, diadem, ker)
@@ -94,22 +97,49 @@ def test_editing_comparing_and_pickling_build_no_masks():
     assert ker(sub) == ker(fresh)
 
 
-@pytest.mark.parametrize("text, n, size, digest", [
-    (shuffled_chain_text(N, False, seed=3), N, N // 2,
+@pytest.mark.parametrize("build, n, size, digest", [
+    (partial(parse_graph, shuffled_chain_text(N, False, seed=3)), N, N // 2,
      "60ba86dd7788bb6a377ced868ae817920c5c62fbd5f93e7169d775a5c131ff72"),
-    (shuffled_chain_text(N, True, seed=4), N, N // 2,
+    (partial(parse_graph, shuffled_chain_text(N, True, seed=4)), N, N // 2,
      "e7602adea5e1edcd5afecd6e9c2c6808d43c8e45ebd6802f094749e914dd1074"),
-    (gnm_text(4500, 5625, seed=7), 4142, 1953,
+    (partial(parse_graph, gnm_text(4500, 5625, seed=7)), 4142, 1953,
      "60ba981945307980224bc4a70adacbdee967c1746b0fb88d1c79c487d65a84f8"),
-], ids=["path", "cycle", "gnm4500"])
-def test_blossom_edges_are_pinned(text, n, size, digest):
+    (partial(parse_graph, gnm_text(10_000, 15_000, seed=1)), 9502, 4635,
+     "05d57896f72e12001cf5af47cf413d00e8f04c542e3d2cc567763bfaa79cf09e"),
+    (partial(cycle_chain, 3, 6667, False, 1), 20_001, 10_000,
+     "1030c6bd95daf3774595253cae1440d74d6cb6cb4bf8b2f8961c36ad4c9eb05f"),
+    (partial(cycle_chain, 5, 2500, True, 2), 10_001, 5000,
+     "5bd19a892e6bcf802b2e7f1b015b8df228d6da73cae57597c43e96e18655354f"),
+    (partial(cycle_chain, 7, 1000, False, 3), 7000, 3500,
+     "fb004f3e5c73f2fbb98d80173beb13ace81d546ee555a7506d067b2b9ef32107"),
+    (partial(triangulated_strip, 5000, 4), 10_000, 5000,
+     "ff68687b6b632332e97c5efc33e2b97984754931a015f5af3ba4751f53495e91"),
+], ids=["path", "cycle", "gnm4500", "gnm10000", "triangles",
+        "pentagons_shared", "heptagons", "strip"])
+def test_blossom_edges_are_pinned(build, n, size, digest):
     # the blossom's greedy start and search order fix which maximum matching
-    # it returns, and `mu` callers see its edges; these digests pin them
-    g = parse_graph(text)
+    # it returns, and `mu` callers see its edges; these digests pin them. On
+    # the chains of odd cycles and the strip the searches contract blossoms
+    # inside blossoms; on gnm10000 a contraction that queued its unused
+    # bases in another order would change the edges
+    g = build()
     m = maximum_matching_general(g)
     assert (g.n, len(m)) == (n, size)
     got = hashlib.sha256(repr(sorted(m.edges)).encode()).hexdigest()
     assert got == digest
+
+
+def test_blossom_on_a_chain_of_80001_triangles():
+    # the search trees grow about as deep as the chain is long; with an lca
+    # that gathered a's whole root path into a set, and a contraction that
+    # re-sorted every member, this shuffle took 28-31 s on a 2-CPU x86-64
+    # machine (the slowest of 80 seeds), and 0.3 s with union-find bases and
+    # alternating walks
+    g = cycle_chain(3, 26_667, False, seed=11)
+    start = time.perf_counter()
+    m = maximum_matching_general(g)
+    assert time.perf_counter() - start < 5
+    assert (g.n, len(m)) == (80_001, 40_000)
 
 
 def test_critical_dfs_on_k600_700():

@@ -31,18 +31,22 @@ def test_every_fixture_verifies():
 
 
 def test_a_value_error_is_a_failing_check(monkeypatch):
-    # an Ore key on a graph that is not bipartite, and a key verify has no
-    # rule for, fail with the error's text; neither stops the report
+    # an Ore key or a side membership key on a graph that is not bipartite,
+    # and a key verify has no rule for, fail with the error's text; none
+    # stops the report
     fx = load("fig511")
     assert not fx.expected["bipartite"]
     monkeypatch.setattr(fixtures, "load", lambda name: fx._replace(
-        expected={"ker_a": [], "bogus": 1}))
+        expected={"ker_a": [], "bogus": 1,
+                  "side_critical_a_include": [["v1"]]}))
     report = verify("fig511")
     assert report["holds"] is False and report["checks"] == [
         {"key": "bogus", "expected": 1, "holds": False,
          "actual": "unhandled expected key 'bogus'"},
         {"key": "ker_a", "expected": [], "holds": False,
-         "actual": "not bipartite"}]
+         "actual": "not bipartite"},
+        {"key": "side_critical_a_include", "expected": [["v1"]],
+         "holds": False, "actual": "not bipartite"}]
 
 
 def test_strict_inclusion_example():

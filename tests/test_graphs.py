@@ -51,6 +51,12 @@ def test_graph_equality_and_hash():
     c = Graph(3, [(1, 2)])
     assert a == b and hash(a) == hash(b)
     assert a != c
+    assert repr(a) == "Graph(n=3, m=1)"
+    # the labels are held as a tuple, whatever sequence they came in
+    listed = Graph(2, [(0, 1)], ["a", "b"])
+    assert listed == Graph(2, [(0, 1)], ("a", "b")) and listed.labels == (
+        "a", "b")
+    assert parse_graph(to_edge_list(listed)) == listed
 
 
 def test_graph_pickles():

@@ -106,6 +106,7 @@ def test_matching_queries():
     # the only perfect matching of P4 is {01, 23}
     assert m.edges == frozenset({(0, 1), (2, 3)})
     assert m.mate == (1, 0, 3, 2)
+    assert repr(m) == "Matching([(0, 1), (2, 3)])"
     lonely = maximum_matching_general(path_graph(3))
     assert len(lonely) == 1
     assert saturated(lonely) != 0b111

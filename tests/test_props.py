@@ -83,6 +83,10 @@ def test_applicability_skips():
     ke_negative = evaluate(lookup("ke.is_ke"), Facts(cycle_graph(5)))
     assert ke_negative.verdict == "skipped" and ke_negative.reason == "not KE"
 
+    # each Ore property skips before it reads the profile, which refuses too
+    with pytest.raises(ValueError, match="^not bipartite$"):
+        Facts(complete_graph(3)).ore_profile()
+
 
 def test_pendant_set_is_computed_once_per_evaluation(monkeypatch):
     # the guard and the check of pendant.in_diadem share one pendant set
@@ -1453,6 +1457,12 @@ def test_corpus_parsing_round_trip():
     assert sum(1 for k in keys if k.startswith("exhaustive:n=3")) == 8
     assert sum(1 for k in keys if k.startswith("random:")) == 5
     assert spec.describe()["sources"][2]["seed"] == 7
+    # parse_corpus_spec refuses an unknown kind; a source built directly
+    # with one fails when its graphs are drawn
+    bogus = spec._replace(sources=(spec.sources[0]._replace(kind="bogus"),))
+    with pytest.raises(ValueError,
+                       match="^unknown corpus source kind 'bogus'$"):
+        next(iter_graphs(bogus))
 
 
 @pytest.mark.parametrize("build,args,message", [
