@@ -163,6 +163,14 @@ def _config(args: argparse.Namespace) -> Config:
                   workers=args.workers)
 
 
+def _exit_code(args, failed, limited) -> int:
+    """EXIT_FAIL on a failure, else EXIT_LIMIT if a limit was hit under
+    --strict, else EXIT_OK: every command's rule."""
+    if failed:
+        return EXIT_FAIL
+    return EXIT_LIMIT if args.strict and limited else EXIT_OK
+
+
 # -- analyze -----------------------------------------------------------------
 
 # which machinery produces each report field; "oracle" fields rest on bounded
@@ -268,9 +276,7 @@ def _cmd_analyze(args) -> int:
         print(_dump(rep))
     else:
         print(_render_analysis(args.file, rep))
-    if args.strict and rep["skipped"]:
-        return EXIT_LIMIT
-    return EXIT_OK
+    return _exit_code(args, False, rep["skipped"])
 
 
 # -- check -------------------------------------------------------------------
@@ -298,11 +304,8 @@ def _cmd_check(args) -> int:
                 print(f"{r.prop}: skipped: {r.reason}")
             else:
                 print(f"{r.prop}: fails applicability: {r.reason}")
-    if any(r.verdict == "fails" for r in results):
-        return EXIT_FAIL
-    if args.strict and any(r.limit for r in results):
-        return EXIT_LIMIT
-    return EXIT_OK
+    return _exit_code(args, any(r.verdict == "fails" for r in results),
+                      any(r.limit for r in results))
 
 
 # -- corpus runs (fuzz, exhaustive) --------------------------------------------
@@ -363,11 +366,7 @@ def _corpus_run(corpus: CorpusSpec, args: argparse.Namespace) -> int:
         for _ in graphs:
             pass
         print(_render_run(summary))
-    if summary["fails"]:
-        return EXIT_FAIL
-    if args.strict and summary["limit_skips"]:
-        return EXIT_LIMIT
-    return EXIT_OK
+    return _exit_code(args, summary["fails"], summary["limit_skips"])
 
 
 def _parse_range(text: str) -> tuple[int, int]:
@@ -431,15 +430,12 @@ def _cmd_conjecture(args) -> int:
         print(_dump(rep))
     else:
         print(_render_scan(rep))
-    if rep["summary"]["violations"]:
-        return EXIT_FAIL
     # the oracle switch and limit skip the upper slack for a whole order n
     # at once, leaving that order's min_slack_upper None
-    if args.strict and (rep["summary"]["skipped"] or any(
-            slot["min_slack_upper"] is None
-            for slot in rep["per_n"].values())):
-        return EXIT_LIMIT
-    return EXIT_OK
+    return _exit_code(args, rep["summary"]["violations"],
+                      rep["summary"]["skipped"] or any(
+                          slot["min_slack_upper"] is None
+                          for slot in rep["per_n"].values()))
 
 
 # -- fixtures --------------------------------------------------------------------
@@ -478,12 +474,9 @@ def _cmd_fixtures(args) -> int:
                           f"{check['expected']!r}, got {check['actual']!r}")
                 if "note" in check:
                     print(f"    note on {check['key']}: {check['note']}")
-    if not all(r["holds"] for r in reports):
-        return EXIT_FAIL
-    if args.strict and any("skipped" in check for r in reports
-                             for check in r["checks"]):
-        return EXIT_LIMIT
-    return EXIT_OK
+    return _exit_code(args, not all(r["holds"] for r in reports),
+                      any("skipped" in check for r in reports
+                          for check in r["checks"]))
 
 
 # -- argument plumbing -------------------------------------------------------------

@@ -121,8 +121,12 @@ class Graph:
             seen.add(key)
             nbrs[u].append(v)
             nbrs[v].append(u)
-        if labels is not None and len(labels) != n:
-            raise ValueError("labels length must equal n")
+        if labels is not None:
+            if len(labels) != n:
+                raise ValueError("labels length must equal n")
+            for label in labels:
+                if not isinstance(label, str):
+                    raise ValueError(f"label {label!r} is not a string")
         self._wrap(nbrs, labels)
 
     def _wrap(self, nbrs: Iterable[Iterable[int]],
@@ -489,20 +493,6 @@ def random_graph(n: int, p: float, seed: int) -> Graph:
     nbrs: list[list[int]] = [[] for _ in range(n)]
     for i in range(n):
         for j in range(i + 1, n):
-            if draw() < p:
-                nbrs[i].append(j)
-                nbrs[j].append(i)
-    return object.__new__(Graph)._wrap(nbrs, None)
-
-
-def random_bipartite(m: int, n: int, p: float, seed: int) -> Graph:
-    _check_orders(m=m, n=n)
-    if not 0 <= p <= 1:
-        raise ValueError("p must be in [0, 1]")
-    draw = random.Random(seed).random
-    nbrs: list[list[int]] = [[] for _ in range(m + n)]
-    for i in range(m):
-        for j in range(m, m + n):
             if draw() < p:
                 nbrs[i].append(j)
                 nbrs[j].append(i)

@@ -9,9 +9,10 @@ free vertex dominates, which changes no stream, for any target.
 `Facts` caches per graph the polynomial facts, alpha, these families, the
 brute-force d table over the 2^n vertex subsets and the square test's
 verdict on it, which both th4 checks read.
-`Facts` is the one place that computes each family and checks its limit;
-the public readers of the maximum independent sets, core and corona, the
-maximum critical set and the KE-via-critical route read a fresh `Facts`.
+`Facts` is the one place that computes each family and checks its limit,
+and holds the one KE rule; the public readers of the maximum independent
+sets, core and corona, the maximum critical set and both KE routes read a
+fresh `Facts`.
 No polynomial module (graphs, matching, critical, ore) imports this
 module; tests/test_startup.py checks it.
 """
@@ -23,9 +24,9 @@ from functools import lru_cache
 from itertools import chain, islice, tee
 from typing import Callable, Iterator, NamedTuple
 
-from . import critical, ke, mis, ore
+from . import critical, mis, ore
 from .graphs import (BipartitePartition, Graph, LimitExceeded, VertexSet,
-                     bipartition, neighborhood, vlist)
+                     bipartition, difference, neighborhood, vlist)
 from .matching import _max_matching_lists, maximum_matching_general
 from .mis import _greedy_clique_cover
 
@@ -392,7 +393,9 @@ class Facts:
         return self._get("alpha", lambda: mis.alpha(self.g))
 
     def is_ke(self) -> bool:
-        # ke.is_koenig_egervary's rule on the cached parts, alpha and mu
+        """The König-Egerváry rule, alpha + mu = n: True at once on a
+        bipartite graph, else alpha is read before the matching, so past
+        alpha's limit LimitExceeded comes before any matching runs."""
         return self._get("is_ke", lambda: self.parts() is not None
                          or self.alpha() + self.mu() == self.g.n)
 
@@ -454,12 +457,41 @@ class Facts:
         return self._get("first_mis", compute)
 
     def ke_identity_checks(self) -> list[dict]:
-        """ke.identity_checks on a KE graph from the cached facts, behind the
-        oracle switch; alpha is read first, so its limit is reported first."""
+        """The nine identities that hold on a KE graph, the list `analyze`
+        reports, from the cached alpha, mu, d, core, corona, ker and diadem,
+        behind the oracle switch; alpha is read first, so its limit is
+        reported first. Each check records both sides, so a report reader
+        can re-verify it without recomputation; set values appear as sorted
+        label lists."""
         self.require_oracle()
-        return ke.identity_checks(
-            self.g, self.alpha(), self.mu(), self.d(), self.core(),
-            self.corona(), self.ker(), self.diadem())
+        g, a, mu, d = self.g, self.alpha(), self.mu(), self.d()
+        core, corona = self.core(), self.corona()
+        kr, dia = self.ker(), self.diadem()
+        dfc, d_core = g.n - 2 * mu, difference(g, core)
+        d_corona, n_core = difference(g, corona), neighborhood(g, core)
+        labels = self.labels
+
+        def check(name, holds, lhs, rhs):
+            return {"name": name, "holds": holds, "lhs": lhs, "rhs": rhs}
+
+        return [
+            check("d_eq_core_minus_ncore", d == d_core, d, d_core),
+            check("d_eq_alpha_minus_mu", d == a - mu, d, a - mu),
+            check("d_eq_deficiency", d == dfc, d, dfc),
+            check("core_plus_corona_eq_two_alpha",
+                  core.bit_count() + corona.bit_count() == 2 * a,
+                  core.bit_count() + corona.bit_count(), 2 * a),
+            check("diadem_eq_corona", dia == corona,
+                  labels(dia), labels(corona)),
+            check("ncore_eq_complement_of_corona",
+                  n_core == g.full & ~corona,
+                  labels(n_core), labels(g.full & ~corona)),
+            check("core_is_critical", d_core == d, d_core, d),
+            check("corona_is_critical", d_corona == d, d_corona, d),
+            check("ker_plus_diadem_le_two_alpha",
+                  kr.bit_count() + dia.bit_count() <= 2 * a,
+                  kr.bit_count() + dia.bit_count(), 2 * a),
+        ]
 
     def tables(self) -> bytes:
         """d(X) + n for every subset mask X, in byte X; the brute-force

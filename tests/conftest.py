@@ -6,8 +6,8 @@ import pytest
 from hypothesis import HealthCheck, settings
 
 import oracles as o
-from critset.graphs import (BipartitePartition, Graph, all_graphs, bipartition,
-                            random_bipartite, random_graph, vset)
+from critset.graphs import (BipartitePartition, Graph, _check_orders,
+                            all_graphs, bipartition, random_graph, vset)
 
 settings.register_profile(
     "suite", deadline=None,
@@ -27,6 +27,20 @@ def random_sample(count: int, n_lo: int, n_hi: int, seed: int = 99):
         n = rng.randrange(n_lo, n_hi + 1)
         yield random_graph(n, rng.choice([0.15, 0.3, 0.5]),
                            rng.getrandbits(32))
+
+
+def random_bipartite(m: int, n: int, p: float, seed: int) -> Graph:
+    _check_orders(m=m, n=n)
+    if not 0 <= p <= 1:
+        raise ValueError("p must be in [0, 1]")
+    draw = random.Random(seed).random
+    nbrs: list[list[int]] = [[] for _ in range(m + n)]
+    for i in range(m):
+        for j in range(m, m + n):
+            if draw() < p:
+                nbrs[i].append(j)
+                nbrs[j].append(i)
+    return object.__new__(Graph)._wrap(nbrs, None)
 
 
 def components(g):
@@ -99,6 +113,25 @@ def triangulated_strip(rungs: int, seed: int) -> Graph:
     for i in range(0, 2 * rungs - 2, 2):
         edges += [(i, i + 2), (i + 1, i + 3), (i, i + 3)]
     return shuffled(2 * rungs, edges, seed)
+
+
+def pendant_cycle(k: int, seed: int) -> Graph:
+    """An odd cycle C_k with a 2-path hanging off each vertex: cycle vertex
+    i, then k + i, then the leaf 2k + i; shuffled. d = 0, ker is empty,
+    diadem is the k leaves and mu = alpha = (3k - 1) / 2, so it is not KE."""
+    edges = [(i, (i + 1) % k) for i in range(k)]
+    for i in range(k):
+        edges += [(i, k + i), (k + i, 2 * k + i)]
+    return shuffled(3 * k, edges, seed)
+
+
+def friendship(k: int, seed: int) -> Graph:
+    """k triangles sharing vertex 0; shuffled. d = 0, ker and diadem are
+    empty and mu = alpha = k, so it is not KE."""
+    edges = []
+    for i in range(1, 2 * k, 2):
+        edges += [(0, i), (0, i + 1), (i, i + 1)]
+    return shuffled(2 * k + 1, edges, seed)
 
 
 def chain_answers(n: int, closed: bool, seed: int):

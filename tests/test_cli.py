@@ -13,10 +13,10 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from conftest import count_calls
+from conftest import count_calls, random_bipartite
 from critset import cli, corpus, critical, matching, oracle, props
 from critset.fixtures import load
-from critset.graphs import random_bipartite, read_graph_file
+from critset.graphs import read_graph_file
 
 FIXDIR = Path(__file__).resolve().parent.parent / "src/critset/fixtures"
 

@@ -8,7 +8,8 @@ import pytest
 
 import oracles as o
 from conftest import (analyze_sample, chain_answers, count_calls,
-                      every_bipartition, mask_of, masks_built, mid_sample,
+                      every_bipartition, friendship, mask_of, masks_built,
+                      mid_sample, pendant_cycle, random_bipartite,
                       random_pairs, random_sample, shuffled_chain,
                       small_corpus)
 from critset import critical
@@ -18,12 +19,13 @@ from critset.critical import (_augment_from, _d_without,
                               critical_independent_witness, diadem,
                               is_critical_independent, is_critical_set, ker)
 from critset.fixtures import load
-from critset.graphs import (Graph, LimitExceeded, bipartition,
-                            complete_graph, cycle_graph, delete_vertices,
-                            difference, empty_graph, is_independent,
-                            neighborhood, parse_graph, path_graph,
-                            random_bipartite, random_graph, to_edge_list,
-                            vflags, vlist, vset)
+from critset.graphs import (BipartitePartition, Graph, LimitExceeded,
+                            bipartition, complete_graph, cycle_graph,
+                            delete_vertices, difference, empty_graph,
+                            is_independent, neighborhood, parse_graph,
+                            path_graph, random_graph, to_edge_list, vflags,
+                            vlist, vset)
+from critset.ke import is_koenig_egervary
 from critset.matching import maximum_matching_general, saturating_matching
 from critset.mis import _greedy_clique_cover, alpha
 from critset.oracle import (Facts, _enumerate_target_sets,
@@ -150,6 +152,29 @@ def test_diadem_matches_per_vertex_search_on_long_chains(n, closed):
     assert_cover_matching_is_maximum(g, n - d)
 
 
+@pytest.mark.parametrize("build, ks", [
+    (pendant_cycle, (3, 5, 13, 2001)),
+    (friendship, (1, 2, 5, 7, 19, 2001)),
+], ids=["pendant_cycle", "friendship"])
+def test_pendant_cycle_and_friendship_closed_forms(build, ks):
+    # on both families d = 0, ker is empty, diadem is the degree-1
+    # vertices and mu = alpha = (n - 1) / 2, so neither is KE; held to the
+    # subset oracles at n <= 15, alpha and the KE rule at n <= 40, and d,
+    # ker, diadem and mu at k = 2,001
+    for k in ks:
+        g = build(k, seed=k)
+        leaves = vset(v for v in range(g.n) if g.degree(v) == 1)
+        half = (g.n - 1) // 2
+        assert (critical_difference(g), ker(g), diadem(g),
+                len(maximum_matching_general(g))) == (0, 0, leaves, half), k
+        if g.n <= 40:
+            assert (alpha(g), is_koenig_egervary(g)) == (half, False), k
+        if g.n <= 15:
+            brute = o.brute_profile(g.n, g.adj)
+            assert (brute.d, brute.ker, brute.diadem, brute.mu, brute.alpha,
+                    brute.ke) == (0, 0, leaves, half, half, False), k
+
+
 def disjoint_cycles(count: int, length: int, seed: int) -> Graph:
     """count disjoint cycles of the given length under a random relabelling,
     with their edges listed in random order."""
@@ -200,8 +225,10 @@ def test_metamorphic_relations_past_oracle_reach(build):
     # relations that hold by definition check d, mu, ker and diadem at sizes
     # no oracle reaches: a relabelling pi keeps d and mu and maps ker and
     # diadem by pi; G + G doubles d and mu, and its ker and diadem are G's
-    # and a shifted copy; an isolated vertex adds 1 to d and joins both sets.
-    # Each graph is fresh, so none reads another's memoised matching
+    # and a shifted copy; so does G + H for a path H, adding H's values; an
+    # isolated vertex adds 1 to d and joins both sets; and on a bipartite G,
+    # swapping the sides swaps every field of the Ore profile. Each graph is
+    # fresh, so none reads another's memoised matching
     g = build()
     n, edges = g.n, g.edge_pairs()
 
@@ -220,8 +247,20 @@ def test_metamorphic_relations_past_oracle_reach(build):
     assert profile(relabelled) == (d, mu, mapped(k), mapped(dia))
     doubled = Graph(2 * n, edges + [(u + n, v + n) for u, v in edges])
     assert profile(doubled) == (2 * d, 2 * mu, k | k << n, dia | dia << n)
+    h = shuffled_chain(1001, False, seed=12)
+    hd, hmu, hk, hdia = profile(h)
+    joined = Graph(n + h.n,
+                   edges + [(u + n, v + n) for u, v in h.edge_pairs()])
+    assert profile(joined) == (d + hd, mu + hmu, k | hk << n, dia | hdia << n)
     grown = Graph(n + 1, edges)
     assert profile(grown) == (d + 1, mu, k | 1 << n, dia | 1 << n)
+    parts = bipartition(g)
+    if parts is not None:
+        p = ore_profile(g, parts)
+        swapped = ore_profile(Graph(n, edges),
+                              BipartitePartition(*parts[::-1]))
+        assert swapped == (p.delta0_b, p.delta0_a, p.ker_b, p.ker_a,
+                           p.diadem_b, p.diadem_a)
 
 
 def test_reused_graph_answers_like_a_fresh_one():

@@ -12,12 +12,14 @@ import hashlib
 import pickle
 import random
 import time
+import tracemalloc
 from functools import partial
 from pathlib import Path
 
 import pytest
 
-from conftest import (cycle_chain, masks_built, random_pairs,
+from conftest import (cycle_chain, friendship, masks_built, pendant_cycle,
+                      random_pairs, shuffled, shuffled_chain,
                       triangulated_strip)
 from critset import cli
 from critset.critical import (critical_difference,
@@ -28,6 +30,7 @@ from critset.graphs import (Graph, bipartition, complete_bipartite,
 from critset.matching import maximum_matching_general
 from critset.oracle import (enumerate_critical_independent_sets,
                             enumerate_side_critical_sets)
+from critset.ore import ore_profile
 
 N = 20_000
 
@@ -114,8 +117,13 @@ def test_editing_comparing_and_pickling_build_no_masks():
      "fb004f3e5c73f2fbb98d80173beb13ace81d546ee555a7506d067b2b9ef32107"),
     (partial(triangulated_strip, 5000, 4), 10_000, 5000,
      "ff68687b6b632332e97c5efc33e2b97984754931a015f5af3ba4751f53495e91"),
+    (partial(pendant_cycle, 3333, 5), 9999, 4999,
+     "4ac717b2f002376bb4f388069450a7708a8eb71b286a0823b9d17a429114263e"),
+    (partial(friendship, 5000, 6), 10_001, 5000,
+     "f41aaf9ce6309e0a1e21faeb60efc68d76e13e86ab8d8dc256cdf81ce0e740e9"),
 ], ids=["path", "cycle", "gnm4500", "gnm10000", "triangles",
-        "pentagons_shared", "heptagons", "strip"])
+        "pentagons_shared", "heptagons", "strip", "pendant_cycle",
+        "friendship"])
 def test_blossom_edges_are_pinned(build, n, size, digest):
     # the blossom's greedy start and search order fix which maximum matching
     # it returns, and `mu` callers see its edges; these digests pin them. On
@@ -140,6 +148,47 @@ def test_blossom_on_a_chain_of_80001_triangles():
     m = maximum_matching_general(g)
     assert time.perf_counter() - start < 5
     assert (g.n, len(m)) == (80_001, 40_000)
+
+
+def traced_peak(f, *args) -> int:
+    """The peak of the memory tracemalloc traces while f(*args) runs."""
+    tracemalloc.start()
+    try:
+        f(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("build", [
+    partial(shuffled_chain, closed=False),
+    partial(shuffled_chain, closed=True),
+    lambda n, seed: shuffled(n, sorted(random_pairs(
+        random.Random(seed), n, 3 * n // 2)), seed),
+    lambda n, seed: cycle_chain(3, n // 3, False, seed),
+    lambda n, seed: pendant_cycle(n // 3 | 1, seed),
+    lambda n, seed: friendship(n // 2, seed),
+], ids=["path", "cycle", "gnm", "triangles", "pendant_cycle", "friendship"])
+def test_linear_entry_points_grow_linearly_in_memory(build):
+    # from n = 2,000 to 8,000 the peak memory of parsing, d, ker, the
+    # blossom matching and, on the bipartite families, the Ore profile
+    # grows at most 5x (4.1-4.5x on a 2-CPU x86-64 machine), each on a
+    # fresh parse, so no call reads another's memoised matching. diadem's
+    # reach sets grow 10-12x on paths, G(n, 1.5n) and pendant cycles, so it
+    # is left out
+    def peaks(n):
+        text = to_edge_list(build(n, seed=1))
+        out = {"parse_graph": traced_peak(parse_graph, text)}
+        for f in (critical_difference, ker, maximum_matching_general):
+            out[f.__name__] = traced_peak(f, parse_graph(text))
+        g = parse_graph(text)
+        if bipartition(g) is not None:
+            out["ore_profile"] = traced_peak(ore_profile, g, bipartition(g))
+        return out
+
+    small, large = peaks(2000), peaks(8000)
+    assert {name: large[name] / small[name] for name in small
+            if large[name] > 5 * small[name]} == {}
 
 
 def test_critical_dfs_on_k600_700():

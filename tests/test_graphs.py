@@ -8,15 +8,15 @@ import pytest
 from hypothesis import given, strategies as st
 
 import oracles as o
-from conftest import random_sample
+from conftest import random_bipartite, random_sample
 from critset.graphs import (EXHAUSTIVE_MAX_N, Graph, LimitExceeded,
                             ParseError, all_graphs, bipartition,
                             complete_bipartite, complete_graph, cycle_graph,
                             delete_edge, delete_vertices, difference,
                             empty_graph, graph_from_code,
                             is_independent, neighborhood, orbit_leaders,
-                            parse_graph, path_graph, random_bipartite,
-                            random_graph, to_edge_list, vflags, vmask, vset)
+                            parse_graph, path_graph, random_graph,
+                            to_edge_list, vflags, vmask, vset)
 
 graph_st = st.builds(
     random_graph,
@@ -428,9 +428,11 @@ def test_parsers_accept_crlf_tabs_indented_comments_and_late_vertices():
     (3, [(0, 1), (1, 0), (0, 5)], None, "duplicate edge (1,0)"),
     (2, [(0, 1)], ("a",), "labels length must equal n"),
     (2, [(0, 1), (0, 1)], ("a",), "duplicate edge (0,1)"),
+    (2, [(0, 1)], (1, 2), "label 1 is not a string"),
 ], ids=["out of range", "negative id", "self-loop", "self-loop alone",
         "first duplicate in edge order", "duplicate before a bad edge",
-        "labels length", "duplicate before the labels check"])
+        "labels length", "duplicate before the labels check",
+        "label not a string"])
 def test_graph_error_messages(n, edges, labels, message):
     with pytest.raises(ValueError) as err:
         Graph(n, edges, labels)

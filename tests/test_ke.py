@@ -1,14 +1,15 @@
 import pytest
 
 import oracles as o
-from conftest import random_sample
+from conftest import count_calls, random_sample
 from critset.fixtures import load
-from critset.graphs import complete_graph, cycle_graph, path_graph
-from critset.critical import critical_difference, diadem, ker
-from critset.ke import identity_checks, is_koenig_egervary
+from critset.graphs import (LimitExceeded, complete_graph, cycle_graph,
+                            path_graph)
+from critset.critical import critical_difference
+from critset.ke import is_koenig_egervary
 from critset.matching import maximum_matching_general
 from critset.mis import alpha
-from critset.oracle import core_and_corona
+from critset.oracle import Facts
 
 
 def test_recognition_on_random_graphs():
@@ -24,11 +25,17 @@ def test_known_classifications():
     assert not is_koenig_egervary(load("fig22.G1").graph)
 
 
+def test_past_the_alpha_limit_no_matching_runs(monkeypatch):
+    # the rule reads alpha before mu, so a graph alpha refuses costs no
+    # blossom matching
+    calls = count_calls(monkeypatch, maximum_matching_general)
+    with pytest.raises(LimitExceeded, match="^n=41 exceeds alpha limit 40$"):
+        is_koenig_egervary(cycle_graph(41))
+    assert calls["maximum_matching_general"] == 0
+
+
 def checks_of(g):
-    profile = core_and_corona(g)
-    return identity_checks(g, alpha(g), len(maximum_matching_general(g)),
-                           critical_difference(g), profile.core,
-                           profile.corona, ker(g), diadem(g))
+    return Facts(g).ke_identity_checks()
 
 
 @pytest.mark.parametrize("name", ["fig511", "fig333.G1", "fig177", "fig14.G1",

@@ -3,11 +3,10 @@ import random
 import pytest
 
 import oracles as o
-from conftest import random_sample
+from conftest import random_bipartite, random_sample
 from critset.graphs import (BipartitePartition, Graph, bipartition,
                             complete_bipartite, complete_graph, cycle_graph,
-                            empty_graph, neighborhood, path_graph,
-                            random_bipartite, vset)
+                            empty_graph, neighborhood, path_graph, vset)
 from critset.matching import (Matching, maximum_matching_bipartite,
                               maximum_matching_general, saturating_matching)
 from critset.ore import ore_profile

@@ -3,12 +3,12 @@ import random
 import pytest
 
 import oracles as o
-from conftest import random_sample
+from conftest import random_bipartite, random_sample
 from critset.fixtures import load
 from critset.graphs import (Graph, LimitExceeded, bipartition,
                             complete_bipartite, complete_graph, cycle_graph,
                             empty_graph, parse_graph, path_graph,
-                            random_bipartite, random_graph)
+                            random_graph)
 from critset.matching import maximum_matching_bipartite
 from critset import oracle
 from critset.mis import alpha

@@ -15,14 +15,13 @@ import pytest
 
 import oracles as o
 from conftest import (count_calls, every_bipartition, mid_sample,
-                      random_bipartition, small_corpus)
-from critset import cli, corpus, critical, graphs, ke, mis, oracle, ore, props
+                      random_bipartite, random_bipartition, small_corpus)
+from critset import cli, corpus, critical, graphs, mis, oracle, ore, props
 from critset.fixtures import load
 from critset.graphs import (LimitExceeded, all_graphs, bipartition,
                             complete_bipartite, complete_graph, cycle_graph,
                             empty_graph, neighborhood, orbit_leaders,
-                            parse_graph, path_graph, random_bipartite,
-                            random_graph)
+                            parse_graph, path_graph, random_graph)
 from critset.matching import (Matching, maximum_matching_general,
                               saturating_matching)
 from critset.mis import alpha
@@ -212,8 +211,8 @@ def test_only_get_reads_the_facts_cache():
 def test_facts_run_alpha_and_the_blossom_matching_once(graphs_n5,
                                                        monkeypatch):
     # mu, is_ke and the core and corona read the cached alpha, matching and
-    # bipartition; mu and is_ke give what the library routes give on their
-    # own
+    # bipartition; mu is the blossom's size, and is_ke the KE rule restated:
+    # bipartite, or alpha + mu = n
     calls = count_calls(monkeypatch, mis.alpha, maximum_matching_general)
     graphs = [*graphs_n5[::37], *mid_sample(seed=7, per_density=1),
               random_graph(30, 0.2, 5), random_graph(45, 0.1, 6)]
@@ -226,8 +225,9 @@ def test_facts_run_alpha_and_the_blossom_matching_once(graphs_n5,
             except LimitExceeded as exc:
                 return str(exc)
 
-        want = (len(maximum_matching_general(g)),
-                outcome(lambda: ke.is_koenig_egervary(g)))
+        mu = len(maximum_matching_general(g))
+        want = (mu, outcome(lambda: bipartition(g) is not None
+                            or mis.alpha(g) + mu == g.n))
         calls.clear()
         assert (facts.mu(), outcome(facts.is_ke)) == want
         outcome(facts.mis_profile)

@@ -195,6 +195,23 @@ def test_every_test_helper_has_a_caller():
     assert sorted(set(helpers) - reached) == []
 
 
+def test_every_library_def_has_a_reader():
+    # the library keeps no code for the tests alone: each top-level def of
+    # the package is named in it outside that def, or exported by __all__
+    # or the lazy table; dunders are Python's to call
+    import critset
+    nodes = [node for path in sorted(Path(SRC, "critset").glob("*.py"))
+             for node in ast.parse(path.read_text()).body]
+    named = [set(_named(node)) for node in nodes]
+    exported = set(critset.__all__) | set(critset._LAZY)
+    assert sorted(
+        node.name for i, node in enumerate(nodes)
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and not node.name.startswith("__") and node.name not in exported
+        and not any(node.name in names
+                    for j, names in enumerate(named) if j != i)) == []
+
+
 def test_every_file_read_names_its_encoding():
     # a read in the locale's encoding refuses a UTF-8 label under the C
     # locale, and reads other labels from the same bytes under another
