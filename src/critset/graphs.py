@@ -111,6 +111,9 @@ class Graph:
         nbrs: list[list[int]] = [[] for _ in range(n)]
         seen: set[tuple[int, int]] = set()
         for u, v in edges:
+            if type(u) is not int or type(v) is not int:
+                raise ValueError(f"edge ({u!r},{v!r}) has an id that is not "
+                                 "an int")
             if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"edge ({u},{v}) out of range for n={n}")
             if u == v:

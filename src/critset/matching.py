@@ -31,6 +31,9 @@ class Matching:
     def __init__(self, n: int, pairs: list[tuple[int, int]]):
         mate = [-1] * n
         for u, v in pairs:
+            if type(u) is not int or type(v) is not int:
+                raise ValueError(f"edge ({u!r},{v!r}) has an id that is not "
+                                 "an int")
             if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"edge ({u},{v}) out of range for n={n}")
             if u == v:
@@ -165,7 +168,8 @@ def _hopcroft_karp(g: Graph, left: VertexSet, right: VertexSet):
 def maximum_matching_bipartite(g: Graph, parts: BipartitePartition) -> Matching:
     """Return a maximum matching of a bipartite graph."""
     _check_parts(g, parts)
-    return Matching._of(_hopcroft_karp(g, parts.side_a, parts.side_b)[0])
+    side_a, side_b = parts
+    return Matching._of(_hopcroft_karp(g, side_a, side_b)[0])
 
 
 def _check_parts(g: Graph, parts: BipartitePartition) -> None:

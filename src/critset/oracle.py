@@ -12,7 +12,8 @@ verdict on it, which both th4 checks read.
 `Facts` is the one place that computes each family and checks its limit,
 and holds the one KE rule; the public readers of the maximum independent
 sets, core and corona, the maximum critical set and both KE routes read a
-fresh `Facts`.
+fresh `Facts`. They and the side-critical stream keep the default limits;
+`Facts(g, Config(oracle_limit=k))` reads the same facts past them.
 No polynomial module (graphs, matching, critical, ore) imports this
 module; tests/test_startup.py checks it.
 """
@@ -100,19 +101,18 @@ def enumerate_critical_independent_sets(
                                       critical.critical_difference(g))
 
 
-def maximum_critical_independent_set(g: Graph,
-                                     limit: int = ORACLE_LIMIT) -> VertexSet:
+def maximum_critical_independent_set(g: Graph) -> VertexSet:
     """A largest independent set attaining the critical difference.
 
     Ties break toward the lexicographically least sorted id list, so the
     answer is stable across runs.
     """
-    return Facts(g, Config(oracle_limit=limit)).max_critical_ind()
+    return Facts(g).max_critical_ind()
 
 
-def is_ke_via_critical(g: Graph, limit: int = ORACLE_LIMIT) -> bool:
+def is_ke_via_critical(g: Graph) -> bool:
     """Equivalent recognition route: some critical independent set is maximum."""
-    return Facts(g, Config(oracle_limit=limit)).ke_via_critical()
+    return Facts(g).ke_via_critical()
 
 
 def verify_ker_characterization(
@@ -190,11 +190,10 @@ class MisProfile(NamedTuple):
     corona: VertexSet
 
 
-def enumerate_maximum_independent_sets(
-        g: Graph, limit: int = ORACLE_LIMIT) -> Iterator[VertexSet]:
+def enumerate_maximum_independent_sets(g: Graph) -> Iterator[VertexSet]:
     """Yield every independent set of size alpha(g), each exactly once, in
     include-first DFS order over vertex ids."""
-    yield from Facts(g, Config(oracle_limit=limit))._maximum_independent_sets()
+    yield from Facts(g)._maximum_independent_sets()
 
 
 def _search_maximum_independent_sets(g: Graph,
@@ -234,19 +233,19 @@ def _search_maximum_independent_sets(g: Graph,
             cap -= 1
 
 
-def core_and_corona(g: Graph, limit: int = ORACLE_LIMIT) -> MisProfile:
+def core_and_corona(g: Graph) -> MisProfile:
     """Intersection and union of all maximum independent sets; the
     enumeration stops once the core is empty and the corona is all of V."""
-    return Facts(g, Config(oracle_limit=limit)).mis_profile()
+    return Facts(g).mis_profile()
 
 
 # -- side-critical sets of a bipartite graph --------------------------------------
 
 def enumerate_side_critical_sets(
-        g: Graph, parts: BipartitePartition, side: ore.Side,
-        limit: int = ORACLE_LIMIT) -> Iterator[VertexSet]:
+        g: Graph, parts: BipartitePartition,
+        side: ore.Side) -> Iterator[VertexSet]:
     """Yield every X within the side attaining its deficiency maximum."""
-    yield from _side_critical_sets(g, parts, side, limit,
+    yield from _side_critical_sets(g, parts, side, ORACLE_LIMIT,
                                    ore.ore_profile(g, parts))
 
 

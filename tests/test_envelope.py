@@ -28,8 +28,8 @@ from critset.graphs import (Graph, bipartition, complete_bipartite,
                             delete_edge, delete_vertices, parse_graph,
                             to_edge_list)
 from critset.matching import maximum_matching_general
-from critset.oracle import (enumerate_critical_independent_sets,
-                            enumerate_side_critical_sets)
+from critset.oracle import (Config, Facts,
+                            enumerate_critical_independent_sets)
 from critset.ore import ore_profile
 
 N = 20_000
@@ -205,7 +205,8 @@ def test_side_critical_dfs_on_k100_1100():
     side = g.full >> 100 << 100
     parts = bipartition(g)
     name = "AB"[parts.side_b == side]
-    assert list(enumerate_side_critical_sets(g, parts, name, 2000)) == [side]
+    facts = Facts(g, Config(oracle_limit=2000))
+    assert facts.side_critical_samples(name) == [side]
 
 
 def test_check_on_k600_700_skips_at_the_alpha_limit(capsys, tmp_path):

@@ -429,10 +429,14 @@ def test_parsers_accept_crlf_tabs_indented_comments_and_late_vertices():
     (2, [(0, 1)], ("a",), "labels length must equal n"),
     (2, [(0, 1), (0, 1)], ("a",), "duplicate edge (0,1)"),
     (2, [(0, 1)], (1, 2), "label 1 is not a string"),
+    (3, [(0, 1.5)], None, "edge (0,1.5) has an id that is not an int"),
+    (3, [(0, 1), (True, 2)], None,
+     "edge (True,2) has an id that is not an int"),
+    (3, [(0, "1")], None, "edge (0,'1') has an id that is not an int"),
 ], ids=["out of range", "negative id", "self-loop", "self-loop alone",
         "first duplicate in edge order", "duplicate before a bad edge",
         "labels length", "duplicate before the labels check",
-        "label not a string"])
+        "label not a string", "float id", "bool id", "str id"])
 def test_graph_error_messages(n, edges, labels, message):
     with pytest.raises(ValueError) as err:
         Graph(n, edges, labels)

@@ -34,8 +34,9 @@ def test_bipartite_matching_known_sizes():
     assert len(m) == 3
     check_valid_matching(g, m)
 
+    # a plain pair of sides, as ore_profile and is_side_critical take
     p4 = path_graph(4)
-    assert len(maximum_matching_bipartite(p4, bipartition(p4))) == 2
+    assert len(maximum_matching_bipartite(p4, (0b0101, 0b1010))) == 2
 
 
 def test_bipartite_matching_empty_side():
@@ -117,7 +118,10 @@ def test_matching_queries():
     ([(-1, 0)], r"edge \(-1,0\) out of range for n=3"),
     ([(0, 5)], r"edge \(0,5\) out of range for n=3"),
     ([(0, 1), (3, 2)], r"edge \(3,2\) out of range for n=3"),
-], ids=["incident", "self_loop", "negative", "past_n", "second_past_n"])
+    ([(0, 1.0)], r"edge \(0,1\.0\) has an id that is not an int"),
+    ([(False, 2)], r"edge \(False,2\) has an id that is not an int"),
+], ids=["incident", "self_loop", "negative", "past_n", "second_past_n",
+        "float_id", "bool_id"])
 def test_checked_matching_rejects_pairs_that_are_not_a_matching(pairs,
                                                                 message):
     with pytest.raises(ValueError, match=f"^{message}$"):

@@ -12,7 +12,8 @@ from critset.graphs import (BipartitePartition, LimitExceeded, bipartition,
                             graph_from_code, neighborhood, path_graph)
 from critset.matching import saturating_matching
 from critset.mis import alpha
-from critset.oracle import (enumerate_critical_independent_sets,
+from critset.oracle import (Config, Facts,
+                            enumerate_critical_independent_sets,
                             enumerate_side_critical_sets)
 from critset.ore import is_side_critical, ore_profile
 
@@ -107,10 +108,10 @@ def test_side_rules_match_per_vertex_rules_past_oracle_reach():
 
 def test_side_critical_enumeration_limit():
     g = complete_bipartite(7, 2)
-    parts = bipartition(g)
-    side = "A" if parts.side_a.bit_count() == 7 else "B"
-    with pytest.raises(LimitExceeded):
-        list(enumerate_side_critical_sets(g, parts, side, limit=6))
+    side = "A" if bipartition(g).side_a.bit_count() == 7 else "B"
+    with pytest.raises(LimitExceeded, match="^side size 7 exceeds oracle "
+                       "limit 6$"):
+        Facts(g, Config(oracle_limit=6)).side_critical_samples(side)
 
 
 def test_is_side_critical_fixture_examples():
